@@ -16,6 +16,7 @@ restrictive classes never touch most of the (1/gamma + 1)^(2^k) grid.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -206,7 +207,7 @@ def enumerate_cores(
         raise ValueError(f"no membership checker for class {class_tag!r}")
     if k > DEFAULT_MAX_K and not allow_large_k:
         raise ValueError(f"k={k} exceeds the default cap {DEFAULT_MAX_K}")
-    levels = grid_levels(gamma)
+    levels = [float(level) for level in grid_levels(gamma)]
     required = len(levels) ** (1 << k)
     if required > budget:
         raise EnumerationBudgetError(
@@ -215,20 +216,20 @@ def enumerate_cores(
     tol = gamma * 1e-6
     partial_ok = _make_partial_check(class_tag, k, tol)
     size = 1 << k
-    out: list[tuple[float, ...]] = []
+    out = array("d")  # accepted tables, row after row
     v: list[float] = [0.0] * size
 
     def assign(t: int) -> None:
         if t == size:
-            out.append(tuple(v))
+            out.extend(v)
             return
         for level in levels:
-            v[t] = float(level)
+            v[t] = level
             if partial_ok(t, v):
                 assign(t + 1)
 
     assign(0)
-    return CoreSet(class_tag, k, gamma, tol, np.array(out).reshape(len(out), size))
+    return CoreSet(class_tag, k, gamma, tol, np.frombuffer(out, dtype=np.float64).reshape(-1, size))
 
 
 @lru_cache(maxsize=32)

@@ -12,7 +12,6 @@ so that hat_f(T) = E_x[f(x) * chi_T(x)].
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -172,15 +171,6 @@ class FunctionTable:
 
     def __setattr__(self, name, value):
         raise AttributeError("FunctionTable is immutable")
-
-    @classmethod
-    def from_callable(cls, n: int, fn: Callable[[CubePoint], float]) -> "FunctionTable":
-        return cls(n, [fn(CubePoint(n, m)) for m in range(1 << n)])
-
-    def value_at(self, point: CubePoint) -> float:
-        if point.n != self.n:
-            raise DimensionMismatchError(f"dimensions differ: {point.n} vs {self.n}")
-        return float(self.values[point.mask])
 
     def __eq__(self, other) -> bool:
         return (
@@ -372,11 +362,3 @@ def read_table(path) -> FunctionTable:
         missing = int(np.flatnonzero(np.isnan(values))[0])
         raise ValueError(f"missing point {CubePoint(n, missing).to_string()}")
     return FunctionTable(n, values)
-
-
-def table_digest(f: FunctionTable) -> str:
-    """Short stable digest of a table, used in file metadata."""
-    h = hashlib.sha256()
-    h.update(str(f.n).encode())
-    h.update(f.values.tobytes())
-    return h.hexdigest()[:16]

@@ -12,6 +12,13 @@ original samples is compared against every enumerated grid core, and
 the first one whose mean squared deviation is at most
 `accept_threshold` is returned.
 
+The core search reads the samples only through per-core-input
+sufficient statistics: the count n_u and mean mu_u of the sampled
+values at each core input u, and the within-group residual
+W = sum_t (f_t - mu_{u_t})^2.  Core c's mean squared deviation is then
+(W + sum_u n_u (c_u - mu_u)^2) / q, which costs O(|cores| * 2^k) time
+and memory whatever q is.
+
 Pattern space has 2^q elements and is never materialized: a part stores
 only the occupied patterns (those actually realized by some coordinate)
 plus a virtual size.  Splits assign the occupied patterns by sequential
@@ -403,6 +410,43 @@ class TesterReport:
             raise ValueError("learned_core must be present exactly when accepting")
 
 
+def core_statistics(
+    cores: CoreSet,
+    sample_masks: Sequence[int],
+    sample_values: np.ndarray,
+    phi: Sequence[Optional[int]],
+) -> np.ndarray:
+    """Mean squared deviation of the sampled values from every core.
+
+    Bit j of sample t's core input u_t is coordinate phi[j] of the
+    sample (0 when phi[j] is None).  With n_u and mu_u the count and
+    mean of the sampled values at core input u, and
+    W = sum_t (f_t - mu_{u_t})^2 the residual within groups, core c
+    scores (W + sum_u n_u (c_u - mu_u)^2) / q.  This equals
+    mean_t (f_t - c_{u_t})^2 and, as a sum of squares, is never
+    negative; it costs O(|cores| * 2^k) time and memory rather than
+    O(|cores| * q).
+    """
+    q = len(sample_masks)
+    masks = np.asarray(sample_masks, dtype=np.int64)
+    u = np.zeros(q, dtype=np.int64)
+    for j, coord in enumerate(phi):
+        if coord is not None:
+            u |= ((masks >> (coord - 1)) & 1) << j
+    fvals = np.asarray(sample_values, dtype=np.float64)
+    size = 1 << len(phi)
+    counts = np.bincount(u, minlength=size).astype(np.float64)
+    sums = np.bincount(u, weights=fvals, minlength=size)
+    means = np.divide(sums, counts, out=np.zeros(size), where=counts > 0)
+    within = float(np.sum((fvals - means[u]) ** 2))
+    dev = cores.tables - means
+    dev *= dev
+    stats = dev @ counts
+    stats += within
+    stats /= q
+    return stats
+
+
 def final_check_and_learn(
     oracle: QueryOracle,
     sample_masks: Sequence[int],
@@ -422,11 +466,12 @@ def final_check_and_learn(
     coordinate it contains; an empty bucket feeds the constant 0 to the
     corresponding core input.  The acceptance statistic is the mean of
     squared deviations between the sampled values and the candidate
-    core's values on the projected samples, compared directly against
-    accept_threshold (square-rooted first when sqrt_statistic is set);
-    the report's empirical_distance is the statistic as compared.
+    core's values on the projected samples (see `core_statistics`:
+    (W + sum_u n_u (c_u - mu_u)^2) / q, in O(|cores| * 2^k) time and
+    memory), compared directly against accept_threshold (square-rooted
+    first when sqrt_statistic is set); the report's empirical_distance
+    is the statistic as compared.
     """
-    k = len(refinement.final_patterns)
     full = (1 << buckets.n) - 1
     sb_mask = 0
     bucket_coords: list[tuple[int, ...]] = []
@@ -450,21 +495,9 @@ def final_check_and_learn(
             phi=phi,
             empty_buckets=refinement.part_went_empty,
         )
-    # core input of sample t is the pattern bit t-1 of each kept bucket
-    q = len(sample_masks)
-    u = np.zeros(q, dtype=np.int64)
-    for j, pattern in enumerate(refinement.final_patterns):
-        if pattern is None:
-            continue  # hardwired 0
-        bits = np.array([(pattern >> t) & 1 for t in range(q)], dtype=np.int64)
-        u |= bits << j
-    fvals = np.asarray(sample_values, dtype=np.float64)
-    if len(cores) > 0:
-        stats = np.mean((fvals[None, :] - cores.tables[:, u]) ** 2, axis=1)
-        compared = np.sqrt(stats) if config.sqrt_statistic else stats
-        passing = np.flatnonzero(compared <= config.accept_threshold)
-    else:
-        passing = np.array([], dtype=np.int64)
+    stats = core_statistics(cores, sample_masks, sample_values, phi)
+    compared = np.sqrt(stats) if config.sqrt_statistic else stats
+    passing = np.flatnonzero(compared <= config.accept_threshold)
     if passing.size:
         first = int(passing[0])
         return TesterReport(

@@ -117,3 +117,22 @@ def naive_oxs_value(demand_rows, goods) -> float:
             )
             best = max(best, total)
     return best
+
+
+def naive_core_statistics(sample_values, final_patterns, core_rows) -> list[float]:
+    """Dense core-search statistic: for each core row, the mean over
+    samples t of (f_t - row[u_t])^2, where bit j of u_t is bit t of final
+    pattern j (0 when that pattern is None)."""
+    q = len(sample_values)
+    inputs = []
+    for t in range(q):
+        u = 0
+        for j, pattern in enumerate(final_patterns):
+            if pattern is not None:
+                u |= ((pattern >> t) & 1) << j
+        inputs.append(u)
+    out = []
+    for row in core_rows:
+        total = sum((float(sample_values[t]) - float(row[inputs[t]])) ** 2 for t in range(q))
+        out.append(total / q)
+    return out

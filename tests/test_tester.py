@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from cubetest.influence import SubsetBudgetError, influence_exact
 from cubetest.tables import CubePoint, FunctionTable, coords_of, make_counting_oracle
 from cubetest.tester import (
     PatternBuckets,
+    RefinementResult,
     TesterConfig,
     _buckets_from_masks,
     _initial_parts,
     bucket_coordinates,
+    core_statistics,
     default_refine_rounds,
     desk_config,
     final_check_and_learn,
@@ -26,6 +29,7 @@ from cubetest.tester import (
     save_config,
     select_initial_parts,
 )
+from oracles import naive_core_statistics
 
 
 TesterConfig.__test__ = False  # imported dataclass, not a test class
@@ -368,6 +372,125 @@ class TestFinalCheck:
         )
         assert report.verdict == "reject"
         assert report.reject_stage == "core_search"
+
+
+def pattern_of(masks, coord):
+    """Column pattern of a coordinate: bit t is its value on sample t."""
+    return sum(((m >> (coord - 1)) & 1) << t for t, m in enumerate(masks))
+
+
+def gate_passes(oracle, s_mask, m, rng):
+    return 0.0
+
+
+class TestCoreStatistics:
+    """The sufficient-statistics core search against the dense per-sample
+    formula of `oracles.naive_core_statistics`."""
+
+    N = 10
+    CASES = [("submodular", 2, (3, 8)), ("subadditive", 3, (2, 5, 9)), ("self_bounding", 2, (7, 4))]
+
+    def _instance(self, class_tag, k, coords, q, near_core, seed):
+        cores = cached_cores(class_tag, k, 0.25)
+        rng = np.random.default_rng(seed)
+        if len(cores) > 400:
+            # the Python-loop oracle is O(|cores| * q): check a sample of
+            # rows, kept in enumeration order
+            rows = np.sort(rng.choice(len(cores), size=400, replace=False))
+            cores = CoreSet(class_tag, k, 0.25, cores.checker_tol, cores.tables[rows])
+        if near_core:
+            lifted = lift_core(cores.member(int(rng.integers(len(cores)))), coords, self.N)
+            noisy = lifted.values + rng.normal(0.0, 0.05, 1 << self.N)
+            table = FunctionTable(self.N, np.clip(noisy, 0.0, 1.0))
+        else:
+            table = FunctionTable(self.N, rng.uniform(0.0, 1.0, 1 << self.N))
+        masks = [int(x) for x in rng.integers(0, 1 << self.N, size=q)]
+        values = table.values[np.asarray(masks)]
+        return cores, table, masks, values
+
+    @staticmethod
+    def _separating_threshold(stats):
+        # a threshold strictly between two statistics, far from both
+        # compared to rounding, so the first passing index is well defined
+        s = np.unique(stats)
+        for i in range(len(s) // 3, len(s) - 1):
+            if s[i + 1] - s[i] > 1e-9:
+                return float((s[i] + s[i + 1]) / 2)
+        raise AssertionError("no separated pair of statistics")
+
+    def _check_search(self, cores, table, masks, values, patterns, naive):
+        k = len(patterns)
+        buckets = _buckets_from_masks(masks, self.N)
+        refined = RefinementResult(patterns, (False,) * k, 0.0)
+        for sqrt_statistic in (False, True):
+            compared = np.sqrt(naive) if sqrt_statistic else np.asarray(naive)
+            cfg = desk_config(
+                eps=0.25,
+                k=k,
+                q=len(masks),
+                accept_threshold=self._separating_threshold(compared),
+                sqrt_statistic=sqrt_statistic,
+            )
+            report = final_check_and_learn(
+                make_counting_oracle(table), masks, values, refined, buckets, cores, cfg,
+                np.random.default_rng(0), gate_passes,
+            )
+            first = int(np.flatnonzero(compared <= cfg.accept_threshold)[0])
+            assert report.verdict == "accept"
+            assert report.learned_core == cores.member(first)
+            assert report.empirical_distance == pytest.approx(compared[first], abs=1e-12)
+
+    @pytest.mark.parametrize("q", [16, 64, 1024])
+    @pytest.mark.parametrize("near_core", [False, True])
+    @pytest.mark.parametrize("class_tag,k,coords", CASES)
+    def test_matches_dense_formula(self, class_tag, k, coords, q, near_core):
+        cores, table, masks, values = self._instance(class_tag, k, coords, q, near_core, seed=q + k)
+        patterns = tuple(pattern_of(masks, c) for c in coords)
+        naive = naive_core_statistics(values, patterns, cores.tables)
+        stats = core_statistics(cores, masks, values, coords)
+        assert stats.shape == (len(cores),)
+        assert np.max(np.abs(stats - naive)) <= 1e-12
+        self._check_search(cores, table, masks, values, patterns, naive)
+
+    @pytest.mark.parametrize("q", [16, 1024])
+    def test_unhit_core_inputs(self, q):
+        # a dead part hardwires its core input to 0, so every input with
+        # that bit set has no samples (n_u = 0)
+        cores, table, masks, values = self._instance("subadditive", 3, (2, 5, 9), q, True, seed=7)
+        phi = (2, None, 9)
+        patterns = (pattern_of(masks, 2), None, pattern_of(masks, 9))
+        naive = naive_core_statistics(values, patterns, cores.tables)
+        stats = core_statistics(cores, masks, values, phi)
+        assert np.max(np.abs(stats - naive)) <= 1e-12
+        assert np.all(stats >= 0.0)
+        self._check_search(cores, table, masks, values, patterns, naive)
+
+    def test_core_search_memory_bounded(self):
+        # subadditive k=3 has 148,815 cores; a |cores| x q float array at
+        # q=1024 would take 1.16 GB
+        cores = cached_cores("subadditive", 3, 0.25)
+        assert len(cores) == 148_815
+        n, q = 12, 1024
+        rng = np.random.default_rng(5)
+        table = FunctionTable(n, rng.uniform(0.0, 1.0, 1 << n))
+        masks = [int(x) for x in rng.integers(0, 1 << n, size=q)]
+        values = table.values[np.asarray(masks)]
+        buckets = _buckets_from_masks(masks, n)
+        coords = (2, 5, 9)
+        refined = RefinementResult(tuple(pattern_of(masks, c) for c in coords), (False,) * 3, 0.0)
+        cfg = desk_config(eps=0.25, k=3, q=q)
+        oracle = make_counting_oracle(table)
+        tracemalloc.start()
+        try:
+            report = final_check_and_learn(
+                oracle, masks, values, refined, buckets, cores, cfg, rng, gate_passes
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.reject_stage != "influence_check"
+        assert report.phi == coords
+        assert peak < 32 * 2 ** 20
 
 
 class TestRunTester:
