@@ -117,10 +117,13 @@ def _submodular_schedule(k: int):
 
 
 def _subadditive_schedule(k: int):
+    # a pair with x | y in (x, y) says v[y] <= v[x] + v[y] (or the same
+    # with x and y swapped), which every grid value (>= 0) satisfies
     schedule: list[list[tuple[int, int, int]]] = [[] for _ in range(1 << k)]
     for x in range(1 << k):
         for y in range(x, 1 << k):
-            schedule[x | y].append((x, y, x | y))
+            if x | y not in (x, y):
+                schedule[x | y].append((x, y, x | y))
     return schedule
 
 

@@ -26,6 +26,12 @@ without-replacement draws against big-integer half capacities, which
 reproduces exactly the distribution a full shuffle-and-split would
 induce on them.
 
+The subset sweep estimates all C(num_parts, k) complements in one
+batched estimator call, and each refinement round its 2^k complements
+in one more; the gate makes one scalar call.  Batching draws the same
+random points in the same order as one call per mask, so it changes no
+estimate.
+
 Total query cost is exactly q + 2m * (C(num_parts, k) + 2^k * refine_rounds + 1).
 """
 
@@ -42,8 +48,12 @@ from .cores import CoreSet, CoreTable, cached_cores
 from .influence import SubsetBudgetError, estimate_inf_mask
 from .tables import CubePoint, QueryOracle
 
-# estimator signature: (oracle, complement_mask, m, rng) -> influence estimate
-InfluenceEstimator = Callable[[QueryOracle, int, int, np.random.Generator], float]
+# estimator signature: (oracle, complement_masks, m, rng) -> influence estimates;
+# like `estimate_inf_mask`, a scalar mask gives a float and a 1-D int64
+# array of masks gives an array of estimates in the same order
+InfluenceEstimator = Callable[
+    [QueryOracle, int | np.ndarray, int, np.random.Generator], float | np.ndarray
+]
 
 CONFIG_SCHEMA = "cubetest-config-1"
 REPORT_SCHEMA = "cubetest-report-1"
@@ -308,9 +318,10 @@ def select_initial_parts(
     """Sweep every size-k subset of the equi-partition and keep the one
     whose complement has the smallest estimated influence.
 
-    Costs exactly 2m * C(num_parts, k) queries; ties break to the
-    lexicographically first subset.  `parts` lets a caller supply the
-    partition (built with `_initial_parts`) to observe it directly.
+    All complements go to the estimator as one batch.  Costs exactly
+    2m * C(num_parts, k) queries; ties break to the lexicographically
+    first subset.  `parts` lets a caller supply the partition (built
+    with `_initial_parts`) to observe it directly.
     """
     n_subsets = math.comb(config.num_parts, config.k)
     if n_subsets > config.subset_budget:
@@ -321,19 +332,16 @@ def select_initial_parts(
     if parts is None:
         parts = _initial_parts(buckets, config.num_parts, rng)
     full = (1 << buckets.n) - 1
-    etas: dict[tuple[int, ...], float] = {}
-    best_key: tuple[int, ...] | None = None
-    best_eta = math.inf
-    for J in combinations(range(config.num_parts), config.k):
+    subsets = list(combinations(range(config.num_parts), config.k))
+    complements = np.empty(len(subsets), dtype=np.int64)
+    for i, J in enumerate(subsets):
         s_mask = 0
         for j in J:
             s_mask |= parts[j].coord_mask
-        eta = estimator(oracle, full & ~s_mask, config.m, rng)
-        etas[J] = eta
-        if eta < best_eta:
-            best_eta = eta
-            best_key = J
-    assert best_key is not None
+        complements[i] = full & ~s_mask
+    estimates = estimator(oracle, complements, config.m, rng)
+    etas = {J: float(eta) for J, eta in zip(subsets, estimates)}
+    best_key = subsets[int(np.argmin(estimates))]
     return [parts[j] for j in best_key], etas
 
 
@@ -354,7 +362,8 @@ def refine_parts(
 ) -> RefinementResult:
     """Halve every selected part for refine_rounds rounds, each round
     keeping the keep-choice z (one half per part) with the smallest
-    estimated complement influence.
+    estimated complement influence; the 2^k complements of a round go to
+    the estimator as one batch, and ties break to the smallest z.
 
     Costs exactly 2m * 2^k * refine_rounds queries.  A part that loses
     all its patterns is carried along as empty and flagged.
@@ -366,21 +375,19 @@ def refine_parts(
     last_eta = math.inf
     for _ in range(config.refine_rounds):
         halves = [_split_part(p, buckets, rng) for p in parts]
-        best_z = 0
-        best_eta = math.inf
+        complements = np.empty(1 << k, dtype=np.int64)
         for z in range(1 << k):
             s_mask = 0
             for i in range(k):
                 s_mask |= halves[i][(z >> i) & 1].coord_mask
-            eta = estimator(oracle, full & ~s_mask, config.m, rng)
-            if eta < best_eta:
-                best_eta = eta
-                best_z = z
+            complements[z] = full & ~s_mask
+        estimates = estimator(oracle, complements, config.m, rng)
+        best_z = int(np.argmin(estimates))
         parts = [halves[i][(best_z >> i) & 1] for i in range(k)]
         for i in range(k):
             if parts[i].size == 0:
                 went_empty[i] = True
-        last_eta = best_eta
+        last_eta = float(estimates[best_z])
     finals: list[Optional[int]] = []
     for p in parts:
         finals.append(p.patterns[0] if p.patterns else None)
@@ -532,7 +539,13 @@ def run_tester(
     estimator: InfluenceEstimator = estimate_inf_mask,
     cores: Optional[CoreSet] = None,
 ) -> TesterReport:
-    """All four stages in order over a single oracle and RNG stream."""
+    """All four stages in order over a single oracle and RNG stream.
+
+    `estimator` stands in for `estimate_inf_mask` under the same
+    contract (see `InfluenceEstimator`): the subset sweep and each
+    refinement round call it with a 1-D int64 batch of complement masks,
+    the gate with one mask.
+    """
     if rng is None:
         rng = np.random.default_rng(config.seed)
     if cores is None:

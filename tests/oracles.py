@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 
 def popcount(x: int) -> int:
     return bin(x).count("1")
@@ -136,3 +138,23 @@ def naive_core_statistics(sample_values, final_patterns, core_rows) -> list[floa
         total = sum((float(sample_values[t]) - float(row[inputs[t]])) ** 2 for t in range(q))
         out.append(total / q)
     return out
+
+
+def per_mask_estimator(oracle, s_mask, m, rng):
+    """Influence estimator that makes one draw of m base points, one of m
+    fresh points and two oracle calls per mask, one mask at a time; takes
+    a scalar mask or a 1-D batch, like `influence.estimate_inf_mask`."""
+
+    def one(mask):
+        mask = int(mask)
+        size = 1 << oracle.n
+        base = rng.integers(0, size, size=m, dtype=np.int64)
+        fresh = rng.integers(0, size, size=m, dtype=np.int64)
+        resampled = (base & ~mask) | (fresh & mask)
+        v1 = oracle.query_masks(base)
+        v2 = oracle.query_masks(resampled)
+        return float(np.sum((v1 - v2) ** 2) / (2 * m))
+
+    if np.ndim(s_mask) == 0:
+        return one(s_mask)
+    return np.array([one(mask) for mask in s_mask], dtype=np.float64)

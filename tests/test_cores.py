@@ -58,6 +58,14 @@ class TestEnumeration:
             oracle = exhaustive_filter(tag, 2, 0.5)
             assert {tuple(row) for row in cores.tables} == set(oracle), tag
 
+    def test_k3_subadditive_against_filter_oracle(self):
+        # the enumeration skips the pairs with x | y in (x, y), whose
+        # constraints every grid value satisfies; the full checker does not
+        cores = enumerate_cores("subadditive", 3, 0.5)
+        oracle = exhaustive_filter("subadditive", 3, 0.5)
+        assert len(cores) == len(oracle) == 2700
+        assert [tuple(row) for row in cores.tables] == oracle
+
     def test_members_lift_to_class_members(self):
         for tag in ("submodular", "additive", "unit_demand"):
             cores = enumerate_cores(tag, 2, 0.25)

@@ -1,19 +1,33 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cubetest.influence import (
+    ESTIMATE_CHUNK_POINTS,
     SubsetBudgetError,
     closest_junta,
     estimate_inf,
+    estimate_inf_mask,
     influence_exact,
     influence_fourier,
     junta_projection,
     random_partition,
 )
-from cubetest.tables import FunctionTable, lp_distance, make_counting_oracle, walsh_hadamard
-from oracles import naive_closest_junta, naive_influence, naive_junta_projection
+from cubetest.tables import (
+    FunctionTable,
+    QueryOracle,
+    lp_distance,
+    make_counting_oracle,
+    walsh_hadamard,
+)
+from oracles import (
+    naive_closest_junta,
+    naive_influence,
+    naive_junta_projection,
+    per_mask_estimator,
+)
 
 
 def random_table(n, rng):
@@ -134,6 +148,91 @@ class TestEstimateInf:
             variances.append(np.var(ests))
         assert variances[0] > variances[1] > variances[2]
 
+
+
+def hashed_oracle(n):
+    """Oracle on {0,1}^n with no table: a multiplicative hash of the point
+    mapped to [0, 1), so n can exceed what a table could hold."""
+
+    def evaluate(masks):
+        h = (masks.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(44)
+        return h.astype(np.float64) / float(1 << 20)
+
+    return QueryOracle(n, evaluate)
+
+
+class TestEstimateBatch:
+    """A batch of masks gives the same bits, the same query count and the
+    same RNG state afterwards as scalar calls made in sequence."""
+
+    def _compare(self, make_oracle, n, m, count, seed=0):
+        masks = np.random.default_rng(seed).integers(0, 1 << n, size=count, dtype=np.int64)
+        runs = {}
+        for how in ("batch", "scalar", "reference"):
+            oracle = make_oracle()
+            rng = np.random.default_rng(seed + 1)
+            if how == "batch":
+                est = estimate_inf_mask(oracle, masks, m, rng)
+            elif how == "scalar":
+                est = [estimate_inf_mask(oracle, int(s), m, rng) for s in masks]
+            else:
+                est = per_mask_estimator(oracle, masks, m, rng)
+            after = rng.integers(0, 1 << 62, size=4)
+            runs[how] = (np.asarray(est, dtype=np.float64), oracle.query_count, after)
+        batch, scalar, reference = runs["batch"], runs["scalar"], runs["reference"]
+        assert batch[0].shape == (count,)
+        for other in (scalar, reference):
+            assert batch[0].tobytes() == other[0].tobytes()
+            assert batch[1] == other[1] == 2 * m * count
+            assert np.array_equal(batch[2], other[2])
+
+    @pytest.mark.parametrize("m", [1, 37, 1000])
+    def test_matches_scalar_calls(self, m):
+        table = random_table(9, np.random.default_rng(m))
+        self._compare(lambda: make_counting_oracle(table), 9, m, 20)
+
+    @pytest.mark.parametrize("m", [37, 1000])
+    def test_crosses_chunk_cap(self, m):
+        count = 2 * ESTIMATE_CHUNK_POINTS // (2 * m) + 3
+        assert count * 2 * m > 2 * ESTIMATE_CHUNK_POINTS  # at least three chunks
+        table = random_table(8, np.random.default_rng(5))
+        self._compare(lambda: make_counting_oracle(table), 8, m, count)
+
+    def test_n40_custom_oracle(self):
+        self._compare(lambda: hashed_oracle(40), 40, 37, 30)
+
+    def test_scalar_gives_float(self):
+        oracle = make_counting_oracle(random_table(5, np.random.default_rng(0)))
+        est = estimate_inf_mask(oracle, 0b101, 10, np.random.default_rng(0))
+        assert type(est) is float
+
+    def test_empty_batch(self):
+        oracle = make_counting_oracle(random_table(5, np.random.default_rng(0)))
+        rng = np.random.default_rng(3)
+        est = estimate_inf_mask(oracle, np.empty(0, dtype=np.int64), 10, rng)
+        assert isinstance(est, np.ndarray) and est.shape == (0,)
+        assert oracle.query_count == 0
+        assert rng.integers(0, 1 << 62) == np.random.default_rng(3).integers(0, 1 << 62)
+
+    def test_two_dimensional_batch_rejected(self):
+        oracle = make_counting_oracle(random_table(5, np.random.default_rng(0)))
+        with pytest.raises(ValueError):
+            estimate_inf_mask(oracle, np.zeros((2, 2), dtype=np.int64), 10, np.random.default_rng(0))
+
+    def test_memory_bounded_by_chunks(self):
+        # 2,000 masks at m=1000 are 4 M points: one unchunked draw and its
+        # answers would take 64 MB; chunks keep the peak under 1 MB
+        oracle = make_counting_oracle(random_table(12, np.random.default_rng(2)))
+        masks = np.random.default_rng(3).integers(0, 1 << 12, size=2000, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            est = estimate_inf_mask(oracle, masks, 1000, np.random.default_rng(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.shape == (2000,)
+        assert oracle.query_count == 2000 * 2 * 1000
+        assert peak < 4 * 2 ** 20
 
 class TestInfluenceFacts:
     def test_monotone_and_subadditive(self):

@@ -29,7 +29,7 @@ from cubetest.tester import (
     save_config,
     select_initial_parts,
 )
-from oracles import naive_core_statistics
+from oracles import naive_core_statistics, per_mask_estimator
 
 
 TesterConfig.__test__ = False  # imported dataclass, not a test class
@@ -37,13 +37,20 @@ TesterConfig.__test__ = False  # imported dataclass, not a test class
 
 def exact_stub(table):
     """Influence estimator backed by the exact table computation; consumes
-    no randomness and no queries."""
+    no randomness and no queries.  Like `estimate_inf_mask` it takes a
+    scalar mask (returning a float) or a 1-D batch (returning an array)."""
     cache = {}
 
-    def estimator(oracle, s_mask, m, rng):
+    def exact(s_mask):
+        s_mask = int(s_mask)
         if s_mask not in cache:
             cache[s_mask] = influence_exact(table, sorted(coords_of(s_mask)))
         return cache[s_mask]
+
+    def estimator(oracle, s_mask, m, rng):
+        if np.ndim(s_mask) == 0:
+            return exact(s_mask)
+        return np.array([exact(s) for s in s_mask], dtype=np.float64)
 
     return estimator
 
@@ -491,6 +498,43 @@ class TestCoreStatistics:
         assert report.reject_stage != "influence_check"
         assert report.phi == coords
         assert peak < 32 * 2 ** 20
+
+
+class TestAgainstPerMaskEstimator:
+    """The batched sweep and refinement rounds give the report that one
+    estimator call per mask gives, byte for byte."""
+
+    @staticmethod
+    def _instance(case, seed):
+        from cubetest.valuations import make_far_instance
+
+        if case == "criterion8":
+            # acceptance criterion 8's plan: AND core, far_mode_a, q=1024
+            cfg = desk_config(eps=0.25, k=2, q=1024, m=1000, core_grid=0.25, seed=seed)
+            table = make_far_instance(
+                "a", "submodular", 12, 2, 0.25, gamma=0.25,
+                rng=np.random.default_rng((seed, 0xC0FE)), core_values=(0.0, 0.0, 0.0, 1.0),
+            ).table
+            return "submodular", cfg, table
+        cfg = desk_config(eps=0.25, k=3, q=64, m=1000, core_grid=0.25, seed=seed)
+        cores = cached_cores("subadditive", 3, 0.25)
+        rng = np.random.default_rng(seed)
+        core = cores.member(int(rng.integers(len(cores))))
+        return "subadditive", cfg, lift_core(core, (2, 7, 11), 12)
+
+    @pytest.mark.parametrize(
+        "case, seed",
+        [("criterion8", 8000), ("criterion8", 8001), ("subadditive_k3", 1), ("subadditive_k3", 2)],
+    )
+    def test_same_report(self, case, seed):
+        class_tag, cfg, table = self._instance(case, seed)
+        batched = run_tester(make_counting_oracle(table), class_tag, cfg)
+        reference = run_tester(
+            make_counting_oracle(table), class_tag, cfg, estimator=per_mask_estimator
+        )
+        assert batched == reference
+        assert report_to_lines(batched) == report_to_lines(reference)
+        assert batched.queries_used == cfg.query_budget()
 
 
 class TestRunTester:
