@@ -79,13 +79,6 @@ class CoreSet:
     def __iter__(self) -> Iterator[CoreTable]:
         return (self.member(i) for i in range(len(self)))
 
-    def contains(self, core: CoreTable, tol: float = 1e-12) -> bool:
-        if core.k != self.k:
-            return False
-        if len(self) == 0:
-            return False
-        return bool(np.any(np.all(np.abs(self.tables - core.as_array()) <= tol, axis=1)))
-
 
 def grid_levels(gamma: float) -> np.ndarray:
     """Multiples of gamma in [0,1]; gamma must divide 1 exactly."""

@@ -203,9 +203,6 @@ class FourierSpectrum:
     def __setattr__(self, name, value):
         raise AttributeError("FourierSpectrum is immutable")
 
-    def coefficient(self, T: Iterable[int]) -> float:
-        return float(self.coefficients[mask_of(T, self.n)])
-
 
 def _fwht_inplace(a: np.ndarray) -> None:
     """Unnormalized fast Walsh-Hadamard butterfly, in place."""

@@ -3,13 +3,16 @@
 The tester draws q uniform sample points, buckets the n coordinates by
 their value pattern across those samples, and hunts for k parts of a
 random equi-partition of pattern space whose union captures all the
-influence.  Each selected part is then halved for `refine_rounds`
-rounds, keeping the half-choice with the smallest estimated complement
-influence, until each part is a single pattern.  A final influence gate
-rejects if the complement of the surviving buckets still carries more
-than `inf_threshold` influence; otherwise the core learned from the
-original samples is compared against every enumerated grid core, and
-the first one whose mean squared deviation is at most
+influence.  Each selected part is then halved round by round, keeping
+the half-choice with the smallest estimated complement influence.  The
+"paper" profile runs all `refine_rounds` rounds, after which each part
+is a single pattern; the "desk" profile stops after the first round
+that leaves every part holding at most one occupied pattern, which is
+all implicit learning needs, so there `refine_rounds` is a cap.  A
+final influence gate rejects if the complement of the surviving buckets
+still carries more than `inf_threshold` influence; otherwise the core
+learned from the original samples is compared against every enumerated
+grid core, and the first one whose mean squared deviation is at most
 `accept_threshold` is returned.
 
 The core search reads the samples only through per-core-input
@@ -32,7 +35,9 @@ in one more; the gate makes one scalar call.  Batching draws the same
 random points in the same order as one call per mask, so it changes no
 estimate.
 
-Total query cost is exactly q + 2m * (C(num_parts, k) + 2^k * refine_rounds + 1).
+Total query cost is exactly q + 2m * (C(num_parts, k) + 2^k * r + 1),
+where r is the number of refinement rounds run: `refine_rounds` under
+the "paper" profile, at most that under "desk".
 """
 
 from __future__ import annotations
@@ -85,7 +90,8 @@ def default_refine_rounds(q: int, num_parts: int) -> int:
 @dataclass(frozen=True)
 class TesterConfig:
     """All tester constants.  Omitted thresholds are derived from eps
-    after the lp -> l2 map; omitted refine_rounds from (q, num_parts)."""
+    after the lp -> l2 map; omitted refine_rounds from (q, num_parts).
+    scale_profile "desk" makes refine_rounds a cap (see `refine_parts`)."""
 
     eps: float
     k: int
@@ -131,7 +137,9 @@ class TesterConfig:
         return lp_epsilon_map(self.p, self.eps)
 
     def query_budget(self) -> int:
-        """Exact total oracle queries of one run."""
+        """Upper bound on the oracle queries of one run, exact under the
+        "paper" profile.  A run that used r refinement rounds costs
+        exactly q + 2m * (C(num_parts, k) + 2^k * r + 1)."""
         return self.q + 2 * self.m * (
             math.comb(self.num_parts, self.k) + (1 << self.k) * self.refine_rounds + 1
         )
@@ -350,6 +358,7 @@ class RefinementResult:
     final_patterns: tuple[Optional[int], ...]  # None = unoccupied or dead part
     part_went_empty: tuple[bool, ...]
     last_round_eta: float
+    rounds_used: int
 
 
 def refine_parts(
@@ -360,12 +369,16 @@ def refine_parts(
     rng: np.random.Generator,
     estimator: InfluenceEstimator = estimate_inf_mask,
 ) -> RefinementResult:
-    """Halve every selected part for refine_rounds rounds, each round
-    keeping the keep-choice z (one half per part) with the smallest
-    estimated complement influence; the 2^k complements of a round go to
-    the estimator as one batch, and ties break to the smallest z.
+    """Halve every selected part round by round, each round keeping the
+    keep-choice z (one half per part) with the smallest estimated
+    complement influence; the 2^k complements of a round go to the
+    estimator as one batch, and ties break to the smallest z.
 
-    Costs exactly 2m * 2^k * refine_rounds queries.  A part that loses
+    The "paper" profile runs exactly refine_rounds rounds.  The "desk"
+    profile stops after the first round that leaves every part holding
+    at most one occupied pattern: later rounds could only keep or drop a
+    pattern that is already isolated.  At least one round always runs.
+    Costs exactly 2m * 2^k * rounds_used queries.  A part that loses
     all its patterns is carried along as empty and flagged.
     """
     k = len(selected)
@@ -373,7 +386,8 @@ def refine_parts(
     full = (1 << buckets.n) - 1
     went_empty = [False] * k
     last_eta = math.inf
-    for _ in range(config.refine_rounds):
+    stop_when_isolated = config.scale_profile == "desk"
+    for rounds_used in range(1, config.refine_rounds + 1):
         halves = [_split_part(p, buckets, rng) for p in parts]
         complements = np.empty(1 << k, dtype=np.int64)
         for z in range(1 << k):
@@ -388,6 +402,8 @@ def refine_parts(
             if parts[i].size == 0:
                 went_empty[i] = True
         last_eta = float(estimates[best_z])
+        if stop_when_isolated and all(len(p.patterns) <= 1 for p in parts):
+            break
     finals: list[Optional[int]] = []
     for p in parts:
         finals.append(p.patterns[0] if p.patterns else None)
@@ -395,6 +411,7 @@ def refine_parts(
         final_patterns=tuple(finals),
         part_went_empty=tuple(went_empty),
         last_round_eta=last_eta,
+        rounds_used=rounds_used,
     )
 
 
@@ -411,6 +428,7 @@ class TesterReport:
     eta: Mapping[str, float]
     phi: tuple[Optional[int], ...] = ()
     empty_buckets: tuple[bool, ...] = ()
+    refine_rounds_used: Optional[int] = None  # None when read from a record without it
 
     def __post_init__(self):
         if (self.verdict == "accept") != (self.learned_core is not None):
@@ -501,6 +519,7 @@ def final_check_and_learn(
             eta=eta,
             phi=phi,
             empty_buckets=refinement.part_went_empty,
+            refine_rounds_used=refinement.rounds_used,
         )
     stats = core_statistics(cores, sample_masks, sample_values, phi)
     compared = np.sqrt(stats) if config.sqrt_statistic else stats
@@ -517,6 +536,7 @@ def final_check_and_learn(
             eta=eta,
             phi=phi,
             empty_buckets=refinement.part_went_empty,
+            refine_rounds_used=refinement.rounds_used,
         )
     return TesterReport(
         verdict="reject",
@@ -528,6 +548,7 @@ def final_check_and_learn(
         eta=eta,
         phi=phi,
         empty_buckets=refinement.part_went_empty,
+        refine_rounds_used=refinement.rounds_used,
     )
 
 
@@ -657,7 +678,7 @@ def report_to_lines(report: TesterReport) -> list[str]:
     eta = " ".join(f"{k}={v!r}" for k, v in sorted(report.eta.items()))
     phi = " ".join(str(c) if c is not None else "-" for c in report.phi)
     empty = " ".join(str(int(b)) for b in report.empty_buckets)
-    return [
+    lines = [
         f"schema: {REPORT_SCHEMA}",
         f"verdict: {report.verdict}",
         f"reject_stage: {report.reject_stage}",
@@ -669,6 +690,9 @@ def report_to_lines(report: TesterReport) -> list[str]:
         f"phi: {phi}",
         f"empty_buckets: {empty}",
     ]
+    if report.refine_rounds_used is not None:
+        lines.append(f"refine_rounds_used: {report.refine_rounds_used}")
+    return lines
 
 
 def report_from_lines(text: str) -> TesterReport:
@@ -690,6 +714,7 @@ def report_from_lines(text: str) -> TesterReport:
         eta[key] = float(val)
     phi = tuple(None if tok == "-" else int(tok) for tok in entries["phi"].split())
     empty = tuple(bool(int(tok)) for tok in entries["empty_buckets"].split())
+    rounds = entries.get("refine_rounds_used")
     return TesterReport(
         verdict=entries["verdict"],
         reject_stage=entries["reject_stage"],
@@ -700,4 +725,5 @@ def report_from_lines(text: str) -> TesterReport:
         eta=eta,
         phi=phi,
         empty_buckets=empty,
+        refine_rounds_used=None if rounds is None else int(rounds),
     )

@@ -107,7 +107,7 @@ class TestWalshHadamard:
     def test_constant(self):
         for c in (0.0, 0.3, 1.0):
             sp = walsh_hadamard(FunctionTable(3, [c] * 8))
-            assert sp.coefficient([]) == pytest.approx(c, abs=1e-15)
+            assert sp.coefficients[0] == pytest.approx(c, abs=1e-15)
             assert np.all(np.abs(sp.coefficients[1:]) < 1e-15)
 
     def test_dictator_frozen(self):
@@ -117,8 +117,8 @@ class TestWalshHadamard:
         assert naive_fourier_coefficient(f.values, 1, 0) == 0.5
         assert naive_fourier_coefficient(f.values, 1, 1) == -0.5
         sp = walsh_hadamard(f)
-        assert sp.coefficient([]) == 0.5
-        assert sp.coefficient([1]) == -0.5
+        assert sp.coefficients[0] == 0.5  # indexed by mask: hat(empty)
+        assert sp.coefficients[1] == -0.5  # hat({1})
 
     def test_matches_defining_expectation(self):
         rng = np.random.default_rng(5)

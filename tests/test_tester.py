@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cubetest import tester
 from cubetest.cores import CoreSet, CoreTable, cached_cores, lift_core
-from cubetest.influence import SubsetBudgetError, influence_exact
+from cubetest.influence import SubsetBudgetError, estimate_inf_mask, influence_exact
 from cubetest.tables import CubePoint, FunctionTable, coords_of, make_counting_oracle
 from cubetest.tester import (
     PatternBuckets,
@@ -13,6 +15,7 @@ from cubetest.tester import (
     TesterConfig,
     _buckets_from_masks,
     _initial_parts,
+    _split_part,
     bucket_coordinates,
     core_statistics,
     default_refine_rounds,
@@ -57,6 +60,11 @@ def exact_stub(table):
 
 def and_junta(n, coords):
     return lift_core(CoreTable(2, (0.0, 0.0, 0.0, 1.0)), coords, n)
+
+
+def exact_queries(cfg, rounds):
+    """Oracle queries of a run that used `rounds` refinement rounds."""
+    return cfg.q + 2 * cfg.m * (math.comb(cfg.num_parts, cfg.k) + (1 << cfg.k) * rounds + 1)
 
 
 class TestLpEpsilonMap:
@@ -298,9 +306,89 @@ class TestStagesWithExactStub:
         buckets = _buckets_from_masks(masks, n)
         selected, _ = select_initial_parts(oracle, buckets, cfg, rng)
         before = oracle.query_count
-        refine_parts(oracle, selected, buckets, cfg, rng)
-        expected = 2 * cfg.m * (1 << cfg.k) * cfg.refine_rounds
+        result = refine_parts(oracle, selected, buckets, cfg, rng)
+        expected = 2 * cfg.m * (1 << cfg.k) * result.rounds_used
         assert oracle.query_count - before == expected
+
+
+def refine_with_spy(table, cfg, seed, estimator, monkeypatch):
+    """Sweep and refinement from seed; returns the refinement, its query
+    count and, for each round, the parts it started from."""
+    started = []
+
+    def spy(part, buckets, rng):
+        started.append(part)
+        return _split_part(part, buckets, rng)
+
+    monkeypatch.setattr(tester, "_split_part", spy)
+    oracle = make_counting_oracle(table)
+    rng = np.random.default_rng(seed)
+    masks = [int(x) for x in rng.integers(0, 1 << table.n, size=cfg.q)]
+    buckets = _buckets_from_masks(masks, table.n)
+    selected, _ = select_initial_parts(oracle, buckets, cfg, rng, estimator)
+    before = oracle.query_count
+    result = refine_parts(oracle, selected, buckets, cfg, rng, estimator)
+    rounds = [started[i : i + cfg.k] for i in range(0, len(started), cfg.k)]
+    assert len(rounds) == result.rounds_used
+    return result, oracle.query_count - before, rounds
+
+
+class TestRefineStop:
+    """The desk profile stops refining after the first round that leaves
+    every selected part holding at most one occupied pattern; the paper
+    profile runs every round."""
+
+    @staticmethod
+    def _case(name):
+        if name == "dictator_k1":
+            table = lift_core(CoreTable(1, (0.0, 1.0)), (4,), 10)
+            return table, desk_config(eps=0.25, k=1, q=64, m=20, num_parts=12), estimate_inf_mask
+        if name == "and_k2_q1024":
+            cfg = desk_config(eps=0.25, k=2, q=1024, m=20, num_parts=12)
+            return and_junta(12, (3, 9)), cfg, estimate_inf_mask
+        if name == "subadditive_k3":
+            core = cached_cores("subadditive", 3, 0.25).member(1000)
+            table = lift_core(core, (2, 7, 11), 12)
+            return table, desk_config(eps=0.25, k=3, q=64, m=20, num_parts=12), estimate_inf_mask
+        # test_constant_function_first_subset's case
+        table = FunctionTable(8, [0.5] * (1 << 8))
+        return table, desk_config(eps=0.25, k=2, m=10), exact_stub(table)
+
+    CASES = ["dictator_k1", "and_k2_q1024", "subadditive_k3", "constant_k2"]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_desk_stops_at_first_isolating_round(self, name, monkeypatch):
+        table, cfg, est = self._case(name)
+        seeds = [5] if name == "constant_k2" else range(8)
+        for seed in seeds:
+            desk, queries, _ = refine_with_spy(table, cfg, seed, est, monkeypatch)
+            r = desk.rounds_used
+            assert 1 <= r <= cfg.refine_rounds
+            if est is estimate_inf_mask:
+                assert queries == 2 * cfg.m * (1 << cfg.k) * r
+            # the paper profile draws the same stream: r rounds give the
+            # same refinement, and round r + 1 starts from its final parts
+            paper = replace(cfg, scale_profile="paper", refine_rounds=r)
+            assert refine_with_spy(table, paper, seed, est, monkeypatch)[0] == desk
+            if r == cfg.refine_rounds:
+                continue
+            paper = replace(paper, refine_rounds=r + 1)
+            _, _, rounds = refine_with_spy(table, paper, seed, est, monkeypatch)
+            final = rounds[r]
+            assert tuple(p.patterns[0] if p.patterns else None for p in final) == desk.final_patterns
+            assert all(len(p.patterns) <= 1 for p in final)
+            # no earlier round left every part isolated
+            for j in range(1, r):
+                assert any(len(p.patterns) > 1 for p in rounds[j])
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_paper_runs_every_round(self, name, monkeypatch):
+        table, cfg, est = self._case(name)
+        paper = replace(cfg, scale_profile="paper")
+        result, queries, _ = refine_with_spy(table, paper, 0, est, monkeypatch)
+        assert result.rounds_used == paper.refine_rounds
+        if est is estimate_inf_mask:
+            assert queries == 2 * paper.m * (1 << paper.k) * paper.refine_rounds
 
 
 class TestFinalCheck:
@@ -428,7 +516,7 @@ class TestCoreStatistics:
     def _check_search(self, cores, table, masks, values, patterns, naive):
         k = len(patterns)
         buckets = _buckets_from_masks(masks, self.N)
-        refined = RefinementResult(patterns, (False,) * k, 0.0)
+        refined = RefinementResult(patterns, (False,) * k, 0.0, 1)
         for sqrt_statistic in (False, True):
             compared = np.sqrt(naive) if sqrt_statistic else np.asarray(naive)
             cfg = desk_config(
@@ -484,7 +572,7 @@ class TestCoreStatistics:
         values = table.values[np.asarray(masks)]
         buckets = _buckets_from_masks(masks, n)
         coords = (2, 5, 9)
-        refined = RefinementResult(tuple(pattern_of(masks, c) for c in coords), (False,) * 3, 0.0)
+        refined = RefinementResult(tuple(pattern_of(masks, c) for c in coords), (False,) * 3, 0.0, 1)
         cfg = desk_config(eps=0.25, k=3, q=q)
         oracle = make_counting_oracle(table)
         tracemalloc.start()
@@ -534,7 +622,7 @@ class TestAgainstPerMaskEstimator:
         )
         assert batched == reference
         assert report_to_lines(batched) == report_to_lines(reference)
-        assert batched.queries_used == cfg.query_budget()
+        assert batched.queries_used == exact_queries(cfg, batched.refine_rounds_used)
 
 
 class TestRunTester:
@@ -547,21 +635,30 @@ class TestRunTester:
         assert report_to_lines(r1) == report_to_lines(r2)
 
     def test_query_budget_formula(self):
-        rng = np.random.default_rng(17)
-        for trial in range(20):
-            n = int(rng.integers(4, 9))
-            k = int(rng.integers(1, 3))
-            q = int(rng.integers(4, 20))
-            num_parts = int(rng.integers(k, 10))
-            m = int(rng.integers(1, 40))
-            cfg = TesterConfig(
-                eps=0.3, k=k, q=q, m=m, num_parts=num_parts, seed=trial, core_grid=0.5
-            )
-            table = FunctionTable(n, rng.uniform(0, 1, 1 << n))
-            oracle = make_counting_oracle(table)
-            report = run_tester(oracle, "submodular", cfg)
-            assert report.queries_used == cfg.query_budget()
-            assert report.queries_used == oracle.query_count
+        # the same 20 random configs under each profile: the paper profile
+        # runs every refinement round, so its budget is exact; the desk
+        # profile may stop early and is exact in the rounds it used
+        for profile in ("paper", "desk"):
+            rng = np.random.default_rng(17)
+            for trial in range(20):
+                n = int(rng.integers(4, 9))
+                k = int(rng.integers(1, 3))
+                q = int(rng.integers(4, 20))
+                num_parts = int(rng.integers(k, 10))
+                m = int(rng.integers(1, 40))
+                cfg = TesterConfig(
+                    eps=0.3, k=k, q=q, m=m, num_parts=num_parts, seed=trial, core_grid=0.5,
+                    scale_profile=profile,
+                )
+                table = FunctionTable(n, rng.uniform(0, 1, 1 << n))
+                oracle = make_counting_oracle(table)
+                report = run_tester(oracle, "submodular", cfg)
+                if profile == "paper":
+                    assert report.queries_used == cfg.query_budget()
+                    assert report.refine_rounds_used == cfg.refine_rounds
+                assert report.queries_used == exact_queries(cfg, report.refine_rounds_used)
+                assert report.queries_used <= cfg.query_budget()
+                assert report.queries_used == oracle.query_count
 
     def test_subset_budget_error(self):
         cfg = TesterConfig(eps=0.25, k=2, num_parts=3000, subset_budget=1000, core_grid=0.25)
@@ -573,8 +670,13 @@ class TestRunTester:
         table = and_junta(10, (3, 9))
         cfg = desk_config(eps=0.25, k=2, m=100, seed=5)
         report = run_tester(make_counting_oracle(table), "submodular", cfg)
-        back = report_from_lines("\n".join(report_to_lines(report)))
+        lines = report_to_lines(report)
+        back = report_from_lines("\n".join(lines))
         assert back == report
+        assert f"refine_rounds_used: {report.refine_rounds_used}" in lines
+        # a record written before the rounds were kept still parses
+        older = [ln for ln in lines if not ln.startswith("refine_rounds_used:")]
+        assert report_from_lines("\n".join(older)) == replace(report, refine_rounds_used=None)
 
     def test_reject_report_round_trip(self):
         from cubetest.valuations import parity_blend_table
