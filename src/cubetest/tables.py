@@ -12,6 +12,7 @@ so that hat_f(T) = E_x[f(x) * chi_T(x)].
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -316,35 +317,33 @@ def make_counting_oracle(f: FunctionTable) -> QueryOracle:
 
 # ---------------------------------------------------------------------------
 # Table file format: header line "dim n", then one "bitstring value" line per
-# point (bitstring coordinate order, index 1 leftmost).  Lines starting with
-# "#" are metadata comments and are ignored by the parser.
+# point (bitstring coordinate order, index 1 leftmost).  Values are written
+# with repr, so they read back exactly; a repeated point is an error.  Blank
+# lines and lines starting with "#" (metadata comments) are ignored by the
+# parser.  Both directions work on _IO_BLOCK lines at a time and never hold
+# a whole-file list of lines.
 # ---------------------------------------------------------------------------
+
+_IO_BLOCK = 1 << 12
 
 
 def write_table(f: FunctionTable, path, metadata: Sequence[str] = ()) -> None:
-    lines = [f"# {m}" for m in metadata]
-    lines.append(f"dim {f.n}")
-    for mask in range(1 << f.n):
-        point = CubePoint(f.n, mask)
-        lines.append(f"{point.to_string()} {float(f.values[mask])!r}")
+    n = f.n
+    shifts = np.arange(n, dtype=np.int64)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(f"# {m}\n" for m in metadata) + f"dim {n}\n")
+        for start in range(0, 1 << n, _IO_BLOCK):
+            stop = min(start + _IO_BLOCK, 1 << n)
+            idx = np.arange(start, stop, dtype=np.int64)
+            chars = ((idx[:, None] >> shifts) & 1).astype(np.uint8) + ord("0")
+            names = chars.view(f"S{n}").ravel().astype(f"U{n}").tolist()
+            values = f.values[start:stop].tolist()
+            fh.write("".join([f"{b} {v!r}\n" for b, v in zip(names, values)]))
 
 
-def read_table(path) -> FunctionTable:
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("dim "):
-        raise ValueError("table file must start with a 'dim n' header")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ValueError("malformed 'dim' header") from exc
-    if not 0 < n <= MAX_DIMENSION:
-        raise ValueError(f"dimension {n} outside [1..{MAX_DIMENSION}]")
-    values = np.full(1 << n, np.nan)
-    for ln in lines[1:]:
+def _read_lines(lines: Sequence[str], n: int, values: np.ndarray, seen: np.ndarray) -> None:
+    """Store stripped point lines one at a time; raise on the first bad one."""
+    for ln in lines:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"malformed table line: {ln!r}")
@@ -352,10 +351,70 @@ def read_table(path) -> FunctionTable:
         if len(bits) != n or any(c not in "01" for c in bits):
             raise ValueError(f"bad bitstring {bits!r} for dimension {n}")
         mask = CubePoint.from_string(bits).mask
-        if not np.isnan(values[mask]):
+        if seen[mask]:
             raise ValueError(f"duplicate point {bits}")
         values[mask] = float(val)
-    if np.any(np.isnan(values)):
-        missing = int(np.flatnonzero(np.isnan(values))[0])
+        seen[mask] = True
+
+
+def _read_block(lines: Sequence[str], n: int, values: np.ndarray, seen: np.ndarray) -> bool:
+    """Store a block of stripped point lines at once.
+
+    Returns False, with `values` and `seen` untouched, when the block
+    fails any check; the caller then rereads it with `_read_lines`.
+    """
+    count = len(lines)
+    tokens = " ".join(lines).split()
+    if len(tokens) != 2 * count:
+        return False
+    tok_len = np.fromiter(map(len, tokens), np.int64, 2 * count)
+    bits_len, value_len = tok_len[0::2], tok_len[1::2]
+    line_len = np.fromiter(map(len, lines), np.int64, count)
+    # With the token count right, every stripped line holds exactly two
+    # tokens iff its length is theirs plus one separator; a double space
+    # also fails here and is read by the per-line path.
+    if not (np.all(bits_len == n) and np.array_equal(line_len, bits_len + value_len + 1)):
+        return False
+    chars = np.frombuffer("".join(tokens[0::2]).encode(), dtype=np.uint8)
+    if chars.size != n * count:
+        return False
+    bits = chars.reshape(count, n) - np.uint8(ord("0"))
+    if np.any(bits > 1):
+        return False
+    masks = bits @ (np.int64(1) << np.arange(n, dtype=np.int64))
+    ordered = np.sort(masks)
+    if np.any(ordered[1:] == ordered[:-1]) or np.any(seen[masks]):
+        return False
+    try:
+        block_values = np.fromiter(map(float, tokens[1::2]), np.float64, count)
+    except ValueError:
+        return False
+    values[masks] = block_values
+    seen[masks] = True
+    return True
+
+
+def read_table(path) -> FunctionTable:
+    with open(path) as fh:
+        header = next((s for s in map(str.strip, fh) if s and s[0] != "#"), "")
+        if not header.startswith("dim "):
+            raise ValueError("table file must start with a 'dim n' header")
+        try:
+            n = int(header.split()[1])
+        except (IndexError, ValueError) as exc:
+            raise ValueError("malformed 'dim' header") from exc
+        if not 0 < n <= MAX_DIMENSION:
+            raise ValueError(f"dimension {n} outside [1..{MAX_DIMENSION}]")
+        values = np.zeros(1 << n)
+        seen = np.zeros(1 << n, dtype=bool)
+        while True:
+            raw = list(itertools.islice(fh, _IO_BLOCK))
+            if not raw:
+                break
+            block = [s for s in map(str.strip, raw) if s and s[0] != "#"]
+            if block and not _read_block(block, n, values, seen):
+                _read_lines(block, n, values, seen)
+    if not seen.all():
+        missing = int(np.flatnonzero(~seen)[0])
         raise ValueError(f"missing point {CubePoint(n, missing).to_string()}")
     return FunctionTable(n, values)

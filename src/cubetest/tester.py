@@ -220,13 +220,15 @@ class PatternBuckets:
 
 
 def _buckets_from_masks(sample_masks: Sequence[int], n: int) -> PatternBuckets:
-    q = len(sample_masks)
+    masks = np.asarray(sample_masks, dtype=np.int64)
+    q = masks.size
+    bits = ((masks[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.uint8)
+    # Row i-1 holds coordinate i's pattern as little-endian bytes: bit t of
+    # the pattern is the coordinate's value on sample t.
+    columns = np.ascontiguousarray(np.packbits(bits, axis=0, bitorder="little").T)
     grouped: dict[int, list[int]] = {}
-    for i in range(1, n + 1):
-        pattern = 0
-        for t, msk in enumerate(sample_masks):
-            pattern |= ((msk >> (i - 1)) & 1) << t
-        grouped.setdefault(pattern, []).append(i)
+    for i, row in enumerate(columns, start=1):
+        grouped.setdefault(int.from_bytes(row.tobytes(), "little"), []).append(i)
     return PatternBuckets(q=q, n=n, buckets={p: tuple(cs) for p, cs in grouped.items()})
 
 
@@ -576,7 +578,7 @@ def run_tester(
     sample_masks_arr = rng.integers(0, 1 << n, size=config.q, dtype=np.int64)
     sample_values = oracle.query_masks(sample_masks_arr)
     sample_masks = [int(x) for x in sample_masks_arr]
-    buckets = _buckets_from_masks(sample_masks, n)
+    buckets = _buckets_from_masks(sample_masks_arr, n)
     selected, etas = select_initial_parts(oracle, buckets, config, rng, estimator)
     refinement = refine_parts(oracle, selected, buckets, config, rng, estimator)
     eta_extra = {"initial_min": min(etas.values()), "refine_last": refinement.last_round_eta}

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from cubetest.tables import MAX_DIMENSION, FunctionTable
+
 
 def popcount(x: int) -> int:
     return bin(x).count("1")
@@ -158,3 +160,63 @@ def per_mask_estimator(oracle, s_mask, m, rng):
     if np.ndim(s_mask) == 0:
         return one(s_mask)
     return np.array([one(mask) for mask in s_mask], dtype=np.float64)
+
+
+def naive_buckets_from_masks(sample_masks, n: int) -> dict[int, tuple[int, ...]]:
+    """Coordinate buckets built one bit at a time: coordinate i's pattern
+    has bit t equal to bit (i-1) of sample t; buckets keep first-seen
+    order of their patterns, coordinates ascending."""
+    grouped: dict[int, list[int]] = {}
+    for i in range(1, n + 1):
+        pattern = 0
+        for t, msk in enumerate(sample_masks):
+            pattern |= ((int(msk) >> (i - 1)) & 1) << t
+        grouped.setdefault(pattern, []).append(i)
+    return {p: tuple(cs) for p, cs in grouped.items()}
+
+
+def _bitstring(mask: int, n: int) -> str:
+    return "".join(str((mask >> j) & 1) for j in range(n))
+
+
+def naive_write_table(values, n: int, path, metadata=()) -> None:
+    """Table file writer, one point per line: metadata comments, the
+    `dim n` header, then `bitstring repr(value)` for each mask in order."""
+    lines = [f"# {m}" for m in metadata]
+    lines.append(f"dim {n}")
+    for mask in range(1 << n):
+        lines.append(f"{_bitstring(mask, n)} {float(values[mask])!r}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def naive_read_table(path):
+    """Table file reader, one stripped line at a time, with the library's
+    error messages; a point counts as set once read, whatever its value."""
+    with open(path) as fh:
+        raw = [ln.strip() for ln in fh]
+    lines = [ln for ln in raw if ln and not ln.startswith("#")]
+    if not lines or not lines[0].startswith("dim "):
+        raise ValueError("table file must start with a 'dim n' header")
+    try:
+        n = int(lines[0].split()[1])
+    except (IndexError, ValueError) as exc:
+        raise ValueError("malformed 'dim' header") from exc
+    if not 0 < n <= MAX_DIMENSION:
+        raise ValueError(f"dimension {n} outside [1..{MAX_DIMENSION}]")
+    values = [None] * (1 << n)
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ValueError(f"malformed table line: {ln!r}")
+        bits, val = parts
+        if len(bits) != n or any(c not in "01" for c in bits):
+            raise ValueError(f"bad bitstring {bits!r} for dimension {n}")
+        mask = sum(int(c) << j for j, c in enumerate(bits))
+        if values[mask] is not None:
+            raise ValueError(f"duplicate point {bits}")
+        values[mask] = float(val)
+    for mask, v in enumerate(values):
+        if v is None:
+            raise ValueError(f"missing point {_bitstring(mask, n)}")
+    return FunctionTable(n, values)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubetest import tables
 from cubetest.tables import (
     CubePoint,
     DimensionMismatchError,
@@ -18,7 +21,12 @@ from cubetest.tables import (
     walsh_hadamard,
     write_table,
 )
-from oracles import naive_fourier_coefficient, naive_lp_distance
+from oracles import (
+    naive_fourier_coefficient,
+    naive_lp_distance,
+    naive_read_table,
+    naive_write_table,
+)
 
 
 def random_table(n, rng):
@@ -284,3 +292,156 @@ class TestTableFiles:
         path.write_text("dim 1\n0 0.0\n1 1.5\n")
         with pytest.raises(ValueError):
             read_table(path)
+
+    def test_nan_does_not_hide_duplicate(self, tmp_path):
+        path = tmp_path / "t.tbl"
+        path.write_text("dim 2\n00 nan\n00 0.1\n10 0\n01 0\n11 0\n")
+        with pytest.raises(ValueError, match="duplicate point 00"):
+            read_table(path)
+
+    def test_lone_nan_is_not_finite(self, tmp_path):
+        path = tmp_path / "t.tbl"
+        path.write_text("dim 2\n00 nan\n10 0\n01 0\n11 0\n")
+        with pytest.raises(ValueError, match="table values must be finite"):
+            read_table(path)
+
+    @pytest.mark.parametrize("n", [*range(1, 11), 16])
+    @pytest.mark.parametrize("metadata", [(), ("spec abc", "normalization 1.0")])
+    def test_write_matches_reference(self, tmp_path, n, metadata):
+        values = np.random.default_rng(n).uniform(0.0, 1.0, 1 << n)
+        special = [0.0, 1.0, 0.1, 5e-324, 1e-300, 1.0 - 2.0 ** -53]
+        values[: len(special)] = special[: 1 << n]
+        write_table(FunctionTable(n, values), tmp_path / "block.tbl", metadata)
+        naive_write_table(values, n, tmp_path / "naive.tbl", metadata)
+        assert (tmp_path / "block.tbl").read_bytes() == (tmp_path / "naive.tbl").read_bytes()
+
+    def test_io_memory_bounded(self, tmp_path):
+        f = random_table(16, np.random.default_rng(2))
+        path = tmp_path / "t.tbl"
+        peaks = []
+        for op in (lambda: write_table(f, path), lambda: read_table(path)):
+            tracemalloc.start()
+            try:
+                op()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 4 * 2 ** 20
+
+
+_B = tables._IO_BLOCK
+_CORPUS_N = 13  # two blocks of point lines
+
+
+def _corpus_lines():
+    values = np.random.default_rng(11).uniform(0.0, 1.0, 1 << _CORPUS_N)
+    bits = ["".join(str((m >> j) & 1) for j in range(_CORPUS_N)) for m in range(1 << _CORPUS_N)]
+    return [f"{b} {float(v)!r}" for b, v in zip(bits, values)]
+
+
+def _replace(k, make):
+    def edit(lines):
+        bits, val = lines[k].split()
+        lines[k] = make(bits, val)
+
+    return edit
+
+
+def _duplicate(k, j):
+    def edit(lines):
+        lines[k] = lines[j]
+
+    return edit
+
+
+def _several(*edits):
+    def edit(lines):
+        for e in edits:
+            e(lines)
+
+    return edit
+
+
+def _insert(k, extra):
+    def edit(lines):
+        lines[k:k] = extra
+
+    return edit
+
+
+def _merge_tokens(k):
+    # Lines k and k+1 become one and three tokens whose pairs still read
+    # as two well-formed points.
+    def edit(lines):
+        bits, val = lines[k].split()
+        lines[k], lines[k + 1] = bits, f"{val} {lines[k + 1]}"
+
+    return edit
+
+
+def _shift_bit(k):
+    # Line k's last bit moves to the front of line k+1's bitstring, so the
+    # concatenated bitstrings still read as the two original points.
+    def edit(lines):
+        bits, val = lines[k].split()
+        nxt_bits, nxt_val = lines[k + 1].split()
+        lines[k], lines[k + 1] = f"{bits[:-1]} {val}", f"{bits[-1]}{nxt_bits} {nxt_val}"
+
+    return edit
+
+
+_POSITIONS = {"first": 0, "mid": _B // 2, "next_block": _B}
+
+_CORPUS = {
+    **{
+        f"{kind}_{where}": _replace(k, make)
+        for where, k in _POSITIONS.items()
+        for kind, make in {
+            "one_token": lambda b, v: b,
+            "three_tokens": lambda b, v: f"{b} {v} 0.5",
+            "short_bits": lambda b, v: f"{b[:-1]} {v}",
+            "digit_2": lambda b, v: f"2{b[1:]} {v}",
+            "non_ascii": lambda b, v: f"\u00e9{b[1:]} {v}",
+            "bad_float": lambda b, v: f"{b} zero",
+            "nan": lambda b, v: f"{b} nan",
+            "out_of_range": lambda b, v: f"{b} 1.5",
+            "two_spaces": lambda b, v: f"{b}  {v}",
+            "tab": lambda b, v: f"{b}\t{v}",
+        }.items()
+    },
+    "duplicate_mid": _duplicate(_B // 2, _B // 2 - 7),
+    "duplicate_next_block": _duplicate(_B, 3),
+    "duplicate_last_line": _duplicate((1 << _CORPUS_N) - 1, _B - 1),
+    "missing_mid": lambda lines: lines.pop(_B // 2),
+    "missing_next_block": lambda lines: lines.pop(_B),
+    "comments_across_boundary": _insert(_B - 3, ["", "# note", "   ", "#", "\t"] * 3),
+    "merged_tokens": _merge_tokens(_B // 2),
+    "shifted_bit": _shift_bit(_B // 2),
+    "float_before_malformed": _several(
+        _replace(10, lambda b, v: f"{b} zero"), _replace(20, lambda b, v: b)
+    ),
+    "duplicate_before_malformed": _several(
+        _duplicate(30, 12), _replace(40, lambda b, v: f"{b} {v} 1")
+    ),
+    "bits_before_duplicate": _several(
+        _replace(_B + 5, lambda b, v: f"{b}1 {v}"), _duplicate(_B + 9, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORPUS))
+def test_read_matches_reference(tmp_path, case):
+    """Block-wise reading gives the per-line reader's table, or its exact
+    exception type and message, on files faulty at block boundaries."""
+    lines = _corpus_lines()
+    _CORPUS[case](lines)
+    path = tmp_path / "t.tbl"
+    path.write_text("# corpus\n" + f"dim {_CORPUS_N}\n" + "\n".join(lines) + "\n")
+    try:
+        expected = naive_read_table(path)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            read_table(path)
+        assert str(got.value) == str(exc)
+    else:
+        assert read_table(path) == expected

@@ -32,7 +32,7 @@ from cubetest.tester import (
     save_config,
     select_initial_parts,
 )
-from oracles import naive_core_statistics, per_mask_estimator
+from oracles import naive_buckets_from_masks, naive_core_statistics, per_mask_estimator
 
 
 TesterConfig.__test__ = False  # imported dataclass, not a test class
@@ -153,6 +153,15 @@ class TestBuckets:
         buckets = _buckets_from_masks(masks, 12)
         total = sum(len(c) for c in buckets.buckets.values())
         assert total == 12
+
+    @pytest.mark.parametrize("q", [1, 7, 8, 9, 64, 1024])
+    @pytest.mark.parametrize("n", [1, 12, 24])
+    def test_matches_bitwise_reference(self, q, n):
+        masks = np.random.default_rng(q * 31 + n).integers(0, 1 << n, size=q, dtype=np.int64)
+        buckets = _buckets_from_masks(masks, n)
+        expected = naive_buckets_from_masks([int(x) for x in masks], n)
+        assert buckets == PatternBuckets(q=q, n=n, buckets=expected)
+        assert list(buckets.buckets.items()) == list(expected.items())
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
