@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import kvfile
 from .cores import cached_cores, core_of_junta, dist_core_to_set, lift_core
 from .influence import closest_junta, junta_projection
 from .tables import FunctionTable, make_counting_oracle
@@ -111,7 +111,7 @@ def _in_class_instance(plan: ExperimentPlan, config: TesterConfig, trial_seed: i
     return lift_core(core, coords, plan.n)
 
 
-def run_plan(plan: ExperimentPlan, threads: int = 1) -> tuple[ExperimentSummary, list[TrialRecord]]:
+def run_plan(plan: ExperimentPlan) -> tuple[ExperimentSummary, list[TrialRecord]]:
     start = time.perf_counter()
     config0 = plan.tester_config()
     cores = cached_cores(plan.class_tag, plan.k, config0.core_grid)
@@ -136,7 +136,8 @@ def run_plan(plan: ExperimentPlan, threads: int = 1) -> tuple[ExperimentSummary,
         certified = probe.certified_distance
         far_core_values = probe.core_values
 
-    def one_trial(t: int) -> TrialRecord:
+    records: list[TrialRecord] = []
+    for t in range(plan.trial_count):
         seed = plan.seed_base + t
         config = replace(config0, seed=seed)
         if plan.mode == "in_class":
@@ -156,17 +157,8 @@ def run_plan(plan: ExperimentPlan, threads: int = 1) -> tuple[ExperimentSummary,
             table = instance.table
         else:
             table = shared_table
-        oracle = make_counting_oracle(table)
-        report = run_tester(oracle, plan.class_tag, config, cores=cores)
-        return TrialRecord(index=t, seed=seed, report=report)
-
-    indices = range(plan.trial_count)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one_trial, indices))
-    else:
-        records = [one_trial(t) for t in indices]
-    records.sort(key=lambda r: r.index)
+        report = run_tester(make_counting_oracle(table), plan.class_tag, config, cores=cores)
+        records.append(TrialRecord(index=t, seed=seed, report=report))
 
     accepts = sum(1 for r in records if r.report.verdict == "accept")
     queries = sorted(r.report.queries_used for r in records)
@@ -286,25 +278,16 @@ def plan_to_lines(plan: ExperimentPlan) -> list[str]:
 
 
 def write_plan(plan: ExperimentPlan, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(plan_to_lines(plan)) + "\n")
+    kvfile.write_lines(path, plan_to_lines(plan))
 
 
 def parse_plan_text(text: str) -> ExperimentPlan:
-    entries: dict[str, str] = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if ":" not in ln:
-            raise ValueError(f"malformed plan line: {ln!r}")
-        key, _, rest = ln.partition(":")
-        entries[key.strip()] = rest.strip()
-    if entries.get("schema") != PLAN_SCHEMA:
-        raise ValueError(f"unknown plan schema {entries.get('schema')!r}")
-    for required in ("class", "n", "k", "eps", "trials", "seed_base", "mode"):
-        if required not in entries:
-            raise ValueError(f"plan missing {required!r} field")
+    entries = kvfile.check(
+        kvfile.parse(text, "plan"),
+        "plan",
+        PLAN_SCHEMA,
+        ("class", "n", "k", "eps", "trials", "seed_base", "mode"),
+    )
     overrides = {}
     for key in _PLAN_OVERRIDE_KEYS:
         if key in entries:
@@ -363,15 +346,14 @@ def summary_to_lines(summary: ExperimentSummary) -> list[str]:
 
 
 def write_summary(summary: ExperimentSummary, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(summary_to_lines(summary)) + "\n")
+    kvfile.write_lines(path, summary_to_lines(summary))
 
 
 def write_trial_records(records: Sequence[TrialRecord], path) -> None:
-    blocks = []
+    """One block of lines per trial, blocks separated by a blank line."""
+    lines: list[str] = []
     for rec in records:
-        blocks.append(
-            "\n".join([f"trial: {rec.index}", f"seed: {rec.seed}"] + report_to_lines(rec.report))
-        )
-    with open(path, "w") as fh:
-        fh.write("\n\n".join(blocks) + "\n")
+        if lines:
+            lines.append("")
+        lines += [f"trial: {rec.index}", f"seed: {rec.seed}"] + report_to_lines(rec.report)
+    kvfile.write_lines(path, lines)

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import bench, cores, influence, tables, tester, valuations
+from . import bench, cores, influence, kvfile, tables, tester, valuations
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -31,7 +31,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the input file's seed")
     parser.add_argument("--config", default=None, help="tester config file (test command)")
     parser.add_argument("--out", default=None, help="output path")
-    parser.add_argument("--threads", type=int, default=1, help="parallel trials (test command)")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted and ignored: trials always run in order"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a table from a valuation spec file")
@@ -163,7 +165,7 @@ def _cmd_test(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     try:
-        summary, records = bench.run_plan(plan, threads=max(1, args.threads))
+        summary, records = bench.run_plan(plan)
     except cores.EnumerationBudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -202,8 +204,7 @@ def _cmd_certify(args) -> int:
     lines = bench.certificate_lines(cert)
     if args.out is not None:
         try:
-            with open(args.out, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            kvfile.write_lines(args.out, lines)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_MALFORMED

@@ -19,7 +19,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .valuations import CHECKER_CLASSES
 
 DEFAULT_MAX_K = 3
 DEFAULT_GRID_BUDGET = 2_000_000
-CACHE_SCHEMA = "cubetest-coreset-1"
 
 
 class EnumerationBudgetError(ValueError):
@@ -75,9 +74,6 @@ class CoreSet:
 
     def member(self, i: int) -> CoreTable:
         return CoreTable(self.k, tuple(float(v) for v in self.tables[i]))
-
-    def __iter__(self) -> Iterator[CoreTable]:
-        return (self.member(i) for i in range(len(self)))
 
 
 def grid_levels(gamma: float) -> np.ndarray:
@@ -271,54 +267,3 @@ def core_of_junta(f: FunctionTable, coords: Sequence[int]) -> CoreTable:
                 mask |= 1 << (c - 1)
         vals.append(float(f.values[mask]))
     return CoreTable(k, tuple(vals))
-
-
-# ---------------------------------------------------------------------------
-# Cache file, keyed by (class, k, gamma) and the checker tolerance.
-# ---------------------------------------------------------------------------
-
-
-class CacheMismatchError(ValueError):
-    """Cache file does not match the requested key or schema."""
-
-
-def save_core_set(cores: CoreSet, path) -> None:
-    lines = [
-        f"schema: {CACHE_SCHEMA}",
-        f"class: {cores.class_tag}",
-        f"k: {cores.k}",
-        f"gamma: {cores.gamma!r}",
-        f"checker_tol: {cores.checker_tol!r}",
-        f"count: {len(cores)}",
-    ]
-    for row in cores.tables:
-        lines.append("values: " + " ".join(repr(float(x)) for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_core_set(path, class_tag: str, k: int, gamma: float) -> CoreSet:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header: dict[str, str] = {}
-    rows: list[list[float]] = []
-    for ln in lines:
-        key, _, rest = ln.partition(":")
-        key, rest = key.strip(), rest.strip()
-        if key == "values":
-            rows.append([float(tok) for tok in rest.split()])
-        else:
-            header[key] = rest
-    if header.get("schema") != CACHE_SCHEMA:
-        raise CacheMismatchError(f"unknown cache schema {header.get('schema')!r}")
-    expected_tol = gamma * 1e-6
-    if (
-        header.get("class") != class_tag
-        or int(header.get("k", -1)) != k
-        or abs(float(header.get("gamma", "nan")) - gamma) > 1e-15
-        or abs(float(header.get("checker_tol", "nan")) - expected_tol) > 1e-20
-    ):
-        raise CacheMismatchError("cache key does not match request")
-    if int(header.get("count", -1)) != len(rows):
-        raise CacheMismatchError("cache row count mismatch")
-    return CoreSet(class_tag, k, gamma, expected_tol, np.array(rows).reshape(len(rows), 1 << k))

@@ -28,7 +28,6 @@ from .tables import (
     FourierSpectrum,
     FunctionTable,
     QueryOracle,
-    coords_of,
     mask_of,
     walsh_hadamard,
 )
@@ -219,9 +218,3 @@ def random_partition(
         mode=mode,
         has_empty_parts=any(not p for p in parts),
     )
-
-
-def complement(S: Iterable[int], n: int) -> frozenset[int]:
-    """[n] minus S."""
-    s_mask = mask_of(S, n)
-    return coords_of(((1 << n) - 1) & ~s_mask)

@@ -1,0 +1,50 @@
+"""The `key: value` text shared by config, report, plan, spec, summary,
+certificate and trial-record files.
+
+Each line is stripped; blank lines and lines starting with "#" are
+skipped.  Every other line must contain a ":", splitting it into a key
+(the stripped text before the first ":") and a value (the stripped text
+after it).  A repeated key keeps its last value.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Optional, Sequence
+
+
+def parse(text: str, line_kind: str = "") -> dict[str, str]:
+    """Entries of `text`; a line without ":" raises
+    ValueError("malformed <line_kind> line: ...")."""
+    label = f"malformed {line_kind} line" if line_kind else "malformed line"
+    entries: dict[str, str] = {}
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        if ":" not in ln:
+            raise ValueError(f"{label}: {ln!r}")
+        key, _, rest = ln.partition(":")
+        entries[key.strip()] = rest.strip()
+    return entries
+
+
+def check(
+    entries: dict[str, str],
+    kind: str,
+    schema: Optional[str] = None,
+    required: Sequence[str] = (),
+) -> dict[str, str]:
+    """Return `entries` once its `schema:` equals `schema` (when given)
+    and every key in `required` is present; else raise ValueError."""
+    if schema is not None and entries.get("schema") != schema:
+        raise ValueError(f"unknown {kind} schema {entries.get('schema')!r}")
+    for key in required:
+        if key not in entries:
+            raise ValueError(f"{kind} missing {key!r} field")
+    return entries
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write the lines to `path`, each ended by a newline."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

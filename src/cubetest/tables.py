@@ -13,7 +13,6 @@ so that hat_f(T) = E_x[f(x) * chi_T(x)].
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -273,24 +272,21 @@ def discretize(f: FunctionTable, gamma: float) -> FunctionTable:
 
 
 class QueryOracle:
-    """Black-box access to a function with an atomic query counter.
+    """Black-box access to a function with a query counter.
 
     Every evaluated point increments the counter by exactly one; batch
-    queries increment by the batch size.  The counter is lock-protected
-    so concurrent runs sharing an oracle still count correctly, though a
-    single tester run treats its oracle as exclusively owned.
+    queries increment by the batch size.  Each tester trial owns its
+    oracle, so the counter needs no lock.
     """
 
     def __init__(self, n: int, evaluate_batch: Callable[[np.ndarray], np.ndarray]):
         self.n = n
         self._evaluate_batch = evaluate_batch
         self._count = 0
-        self._lock = threading.Lock()
 
     @property
     def query_count(self) -> int:
-        with self._lock:
-            return self._count
+        return self._count
 
     def query(self, point: CubePoint) -> float:
         if point.n != self.n:
@@ -300,8 +296,7 @@ class QueryOracle:
     def query_masks(self, masks: np.ndarray) -> np.ndarray:
         """Evaluate a batch of integer-mask points; counts len(masks) queries."""
         masks = np.asarray(masks, dtype=np.int64)
-        with self._lock:
-            self._count += int(masks.size)
+        self._count += int(masks.size)
         return self._evaluate_batch(masks)
 
 

@@ -49,6 +49,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import kvfile
 from .cores import CoreSet, CoreTable, cached_cores
 from .influence import SubsetBudgetError, estimate_inf_mask
 from .tables import CubePoint, QueryOracle
@@ -485,7 +486,6 @@ def final_check_and_learn(
     rng: np.random.Generator,
     estimator: InfluenceEstimator = estimate_inf_mask,
     eta_extra: Optional[dict[str, float]] = None,
-    queries_used: int = 0,
 ) -> TesterReport:
     """Influence gate, then implicit learning against the core set.
 
@@ -497,7 +497,8 @@ def final_check_and_learn(
     (W + sum_u n_u (c_u - mu_u)^2) / q, in O(|cores| * 2^k) time and
     memory), compared directly against accept_threshold (square-rooted
     first when sqrt_statistic is set); the report's empirical_distance
-    is the statistic as compared.
+    is the statistic as compared.  The report's queries_used is 0;
+    `run_tester` fills in the run's count.
     """
     full = (1 << buckets.n) - 1
     sb_mask = 0
@@ -510,49 +511,27 @@ def final_check_and_learn(
     eta = dict(eta_extra or {})
     eta["gate"] = estimator(oracle, full & ~sb_mask, config.m, rng)
     phi = tuple(min(coords) if coords else None for coords in bucket_coords)
-    if eta["gate"] > config.inf_threshold:
-        return TesterReport(
-            verdict="reject",
-            reject_stage="influence_check",
-            queries_used=queries_used,
-            selected_buckets=tuple(bucket_coords),
-            learned_core=None,
-            empirical_distance=None,
-            eta=eta,
-            phi=phi,
-            empty_buckets=refinement.part_went_empty,
-            refine_rounds_used=refinement.rounds_used,
-        )
-    stats = core_statistics(cores, sample_masks, sample_values, phi)
-    compared = np.sqrt(stats) if config.sqrt_statistic else stats
-    passing = np.flatnonzero(compared <= config.accept_threshold)
-    if passing.size:
-        first = int(passing[0])
-        return TesterReport(
-            verdict="accept",
-            reject_stage="none",
-            queries_used=queries_used,
-            selected_buckets=tuple(bucket_coords),
-            learned_core=cores.member(first),
-            empirical_distance=float(compared[first]),
-            eta=eta,
-            phi=phi,
-            empty_buckets=refinement.part_went_empty,
-            refine_rounds_used=refinement.rounds_used,
-        )
+    core, dist, stage = None, None, "influence_check"
+    if not eta["gate"] > config.inf_threshold:
+        stats = core_statistics(cores, sample_masks, sample_values, phi)
+        compared = np.sqrt(stats) if config.sqrt_statistic else stats
+        passing = np.flatnonzero(compared <= config.accept_threshold)
+        stage = "core_search"
+        if passing.size:
+            first = int(passing[0])
+            core, dist, stage = cores.member(first), float(compared[first]), "none"
     return TesterReport(
-        verdict="reject",
-        reject_stage="core_search",
-        queries_used=queries_used,
+        verdict="reject" if core is None else "accept",
+        reject_stage=stage,
+        queries_used=0,
         selected_buckets=tuple(bucket_coords),
-        learned_core=None,
-        empirical_distance=None,
+        learned_core=core,
+        empirical_distance=dist,
         eta=eta,
         phi=phi,
         empty_buckets=refinement.part_went_empty,
         refine_rounds_used=refinement.rounds_used,
     )
-
 
 def run_tester(
     oracle: QueryOracle,
@@ -593,7 +572,6 @@ def run_tester(
         rng,
         estimator,
         eta_extra=eta_extra,
-        queries_used=0,
     )
     return replace(report, queries_used=oracle.query_count - start)
 
@@ -627,28 +605,36 @@ def config_to_lines(config: TesterConfig) -> list[str]:
 
 
 def save_config(config: TesterConfig, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(config_to_lines(config)) + "\n")
+    kvfile.write_lines(path, config_to_lines(config))
 
 
-def _parse_kv(text: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if ":" not in ln:
-            raise ValueError(f"malformed line: {ln!r}")
-        key, _, rest = ln.partition(":")
-        entries[key.strip()] = rest.strip()
-    return entries
+_CONFIG_REQUIRED = (
+    "eps",
+    "k",
+    "q",
+    "m",
+    "num_parts",
+    "refine_rounds",
+    "inf_threshold",
+    "accept_threshold",
+    "core_grid",
+)
+_REPORT_REQUIRED = (
+    "verdict",
+    "reject_stage",
+    "queries_used",
+    "selected_buckets",
+    "learned_core",
+    "empirical_distance",
+    "eta",
+    "phi",
+    "empty_buckets",
+)
 
 
 def load_config(path) -> TesterConfig:
     with open(path) as fh:
-        entries = _parse_kv(fh.read())
-    if entries.get("schema") != CONFIG_SCHEMA:
-        raise ValueError(f"unknown config schema {entries.get('schema')!r}")
+        entries = kvfile.check(kvfile.parse(fh.read()), "config", CONFIG_SCHEMA, _CONFIG_REQUIRED)
     return TesterConfig(
         eps=float(entries["eps"]),
         k=int(entries["k"]),
@@ -698,9 +684,7 @@ def report_to_lines(report: TesterReport) -> list[str]:
 
 
 def report_from_lines(text: str) -> TesterReport:
-    entries = _parse_kv(text)
-    if entries.get("schema") != REPORT_SCHEMA:
-        raise ValueError(f"unknown report schema {entries.get('schema')!r}")
+    entries = kvfile.check(kvfile.parse(text), "report", REPORT_SCHEMA, _REPORT_REQUIRED)
     buckets = tuple(
         tuple(int(tok) for tok in chunk.split()) if chunk.strip() != "-" else ()
         for chunk in entries["selected_buckets"].split(";")

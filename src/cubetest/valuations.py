@@ -16,12 +16,13 @@ Coverage, XOS and gross-substitutes have generators but no checker.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from . import kvfile
 from .tables import CubePoint, FunctionTable
 
 DEFAULT_CHECK_TOL = 1e-9
@@ -440,28 +441,16 @@ def make_far_instance(
 
 
 # ---------------------------------------------------------------------------
-# Spec file format: "key: values" lines, "#" comments.
+# Spec file format: "key: values" lines (see `kvfile`).
 # ---------------------------------------------------------------------------
 
 
 def write_spec(spec: ValuationSpec, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(spec.canonical_lines()) + "\n")
+    kvfile.write_lines(path, spec.canonical_lines())
 
 
 def parse_spec_text(text: str) -> ValuationSpec:
-    entries: dict[str, str] = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if ":" not in ln:
-            raise ValueError(f"malformed spec line: {ln!r}")
-        key, _, rest = ln.partition(":")
-        entries[key.strip()] = rest.strip()
-    for required in ("class", "n"):
-        if required not in entries:
-            raise ValueError(f"spec missing {required!r} field")
+    entries = kvfile.check(kvfile.parse(text, "spec"), "spec", required=("class", "n"))
     class_tag = entries.pop("class")
     n = int(entries.pop("n"))
     seed = int(entries.pop("seed", "0"))

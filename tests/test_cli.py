@@ -200,6 +200,16 @@ class TestTestCommand:
         bad.write_text("schema: cubetest-plan-1\nclass: submodular\n")
         assert main(["test", str(bad)]) == 2
 
+    def test_config_missing_field_exit_2(self, tmp_path, capsys):
+        from cubetest.tester import config_to_lines, desk_config
+
+        _, path = self._small_plan(tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        lines = config_to_lines(desk_config(eps=0.25, k=2, q=16, m=20))
+        cfg.write_text("\n".join(ln for ln in lines if not ln.startswith("eps:")) + "\n")
+        assert main(["--config", str(cfg), "test", str(path)]) == 2
+        assert "config missing 'eps' field" in capsys.readouterr().err
+
 
 class TestCertify:
     def test_in_class_small_distance(self, tmp_path, capsys):

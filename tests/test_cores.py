@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cubetest.cores import (
-    CacheMismatchError,
     CoreSet,
     CoreTable,
     EnumerationBudgetError,
@@ -13,8 +12,6 @@ from cubetest.cores import (
     enumerate_cores,
     grid_levels,
     lift_core,
-    load_core_set,
-    save_core_set,
 )
 from cubetest.influence import closest_junta
 from cubetest.tables import FunctionTable, lp_distance
@@ -171,22 +168,3 @@ class TestLift:
         h = CoreTable(2, (0.1, 0.4, 0.6, 0.9))
         table = lift_core(h, (5, 2), 6)
         assert core_of_junta(table, (5, 2)) == h
-
-
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        cores = enumerate_cores("submodular", 2, 0.25)
-        path = tmp_path / "cores.txt"
-        save_core_set(cores, path)
-        loaded = load_core_set(path, "submodular", 2, 0.25)
-        assert np.array_equal(loaded.tables, cores.tables)
-        assert loaded.checker_tol == cores.checker_tol
-
-    def test_key_mismatch_rejected(self, tmp_path):
-        cores = enumerate_cores("submodular", 2, 0.5)
-        path = tmp_path / "cores.txt"
-        save_core_set(cores, path)
-        with pytest.raises(CacheMismatchError):
-            load_core_set(path, "additive", 2, 0.5)
-        with pytest.raises(CacheMismatchError):
-            load_core_set(path, "submodular", 2, 0.25)
