@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kvfile
-from .cores import cached_cores, core_of_junta, dist_core_to_set, lift_core
-from .influence import closest_junta, junta_projection
+from .cores import cached_cores, core_of_junta, dist_core_to_set, dist_cores_to_set, lift_core
+from .influence import closest_junta, junta_projection, junta_weights, projection_cores
 from .tables import FunctionTable, make_counting_oracle
 from .tester import TesterConfig, TesterReport, desk_config, report_to_lines, run_tester
 from .valuations import make_far_instance
@@ -189,10 +189,13 @@ class Certificate:
     """Exact junta distance plus a certified lower bound on the distance
     to class members that are k-juntas.
 
-    junta_distance is exact (complement-influence form); core_distance
-    is the exact l2 distance from the core of the best junta projection
-    to the enumerated grid cores; the class bound subtracts the gamma/2
-    discretization slack and takes the worst junta support into account.
+    For a size-k coordinate set K, d1_K = sqrt(sum of hat_f(T)^2 over T
+    not inside K) is the l2 distance from f to its projection f_K, and
+    d2_K is the l2 distance from the core of f_K to the enumerated grid
+    cores.  junta_distance is the least d1_K, at K = junta_coords (ties
+    to the lexicographically first K); core_distance is d2 there.  The
+    class bound is the least max(d1_K, d2_K - gamma/2 - d1_K) over all K,
+    clamped at 0: gamma/2 is the discretization slack of the grid.
     """
 
     class_tag: str
@@ -206,22 +209,26 @@ class Certificate:
 
 
 def certify(f: FunctionTable, class_tag: str, k: int, gamma: float) -> Certificate:
-    from itertools import combinations
+    """Certificate of f against the class's k-junta members on grid gamma.
 
+    For every size-k coordinate set K at once, from one transform:
+    d1_K = sqrt(sum of hat_f(T)^2 over T not inside K), the l2 distance
+    from f to its projection f_K, and d2_K, the l2 distance from the core
+    of f_K (the values sum over T inside K of hat_f(T) chi_T) to the
+    enumerated cores.  Any class member living on K is at distance at
+    least max(d1_K, d2_K - gamma/2 - d1_K) from f, and the bound is the
+    minimum of that over K, clamped at 0.
+    """
     cores = cached_cores(class_tag, k, gamma)
     best_J, junta_dist = closest_junta(f, k)
     coords_sorted = tuple(sorted(best_J))
     proj = junta_projection(f, coords_sorted)
     core_dist = dist_core_to_set(core_of_junta(proj, coords_sorted), cores)
     slack = gamma / 2
-    # any class member living on coordinates K is at distance at least
-    # max(d1_K, d2_K - slack - d1_K) from f; minimize over K
-    bound = math.inf
-    for K in combinations(range(1, f.n + 1), k):
-        pK = junta_projection(f, K)
-        d1 = _l2(f, pK)
-        d2 = dist_core_to_set(core_of_junta(pK, K), cores)
-        bound = min(bound, max(d1, d2 - slack - d1))
+    coefficients, positions, weights = junta_weights(f, k)
+    d1 = np.sqrt(weights)
+    d2 = dist_cores_to_set(projection_cores(coefficients, positions), cores)
+    bound = float(np.min(np.maximum(d1, d2 - slack - d1)))
     return Certificate(
         class_tag=class_tag,
         k=k,
@@ -232,10 +239,6 @@ def certify(f: FunctionTable, class_tag: str, k: int, gamma: float) -> Certifica
         discretization_slack=slack,
         class_junta_lower_bound=max(0.0, bound),
     )
-
-
-def _l2(f: FunctionTable, g: FunctionTable) -> float:
-    return float(np.sqrt(np.mean((f.values - g.values) ** 2)))
 
 
 def certificate_lines(cert: Certificate) -> list[str]:

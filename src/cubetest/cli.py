@@ -68,7 +68,7 @@ def _cmd_gen(args) -> int:
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
         table, norm = valuations.gen_detailed(spec)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     if args.out is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -39,6 +39,9 @@ DEFAULT_SUBSET_BUDGET = 2_000_000
 # round (2^k masks of 2m points) at k = 2 and m <= 1024; at 1 << 15 the
 # peak RSS of a criterion-8 run rose by about 0.7 MB
 ESTIMATE_CHUNK_POINTS = 1 << 13
+# doubles per block of the (sets x degree <= k masks) product of
+# `junta_weights`: a few MB of temporaries whatever the number of sets
+WEIGHT_BLOCK_DOUBLES = 1 << 18
 
 
 class SubsetBudgetError(ValueError):
@@ -128,39 +131,81 @@ def junta_projection(f: FunctionTable, J: Iterable[int]) -> FunctionTable:
     return FunctionTable(f.n, np.broadcast_to(proj, grid.shape).reshape(-1))
 
 
+def junta_weights(
+    f: FunctionTable, k: int, subset_budget: int = DEFAULT_SUBSET_BUDGET
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The spectrum of f and the Fourier weight outside every size-k set.
+
+    Returns (coefficients, positions, weights): the Fourier coefficients
+    of f; positions[i], the bit positions (coordinate - 1) of the i-th
+    size-k coordinate set K in `combinations` order; and weights[i] =
+    sum of hat_f(T)^2 over T not inside K, the squared l2 distance from f
+    to its projection on K.  Each weight is a sum of nonnegative terms
+    only: total weight minus the weight inside K would cancel to about
+    1e-16 on an exact junta, a distance of about 1e-8.  The subset budget
+    is checked before anything is allocated.
+    """
+    if k > f.n:
+        raise ValueError(f"k={k} exceeds dimension {f.n}")
+    count = math.comb(f.n, k)
+    if count > subset_budget:
+        raise SubsetBudgetError(f"closest_junta needs {count} subsets, budget is {subset_budget}")
+    coefficients = walsh_hadamard(f).coefficients
+    flat = chain.from_iterable(combinations(range(f.n), k))
+    positions = np.fromiter(flat, dtype=np.int64, count=count * k).reshape(count, k)
+    set_masks = np.bitwise_or.reduce(np.left_shift(1, positions), axis=1, initial=0)
+    weights = _outside_weights(coefficients * coefficients, f.n, k, set_masks)
+    return coefficients, positions, weights
+
+
+def _outside_weights(sq: np.ndarray, n: int, k: int, set_masks: np.ndarray) -> np.ndarray:
+    """The weight above degree k, summed directly, plus for each set the
+    weight of the coefficients of degree <= k not inside it, in blocks of
+    at most WEIGHT_BLOCK_DOUBLES (sets x degree <= k masks)."""
+    degree = np.zeros(1, dtype=np.uint8)  # uint8: an n = 24 table adds 2^n bytes
+    for _ in range(n):
+        degree = np.concatenate([degree, degree + 1])
+    low = np.flatnonzero(degree <= k)
+    np.greater(degree, k, out=degree)  # now flags the masks above degree k
+    high = np.sum(sq, where=degree.view(bool))
+    sq_low = sq[low]
+    rows = max(1, WEIGHT_BLOCK_DOUBLES // len(low))
+    weights = np.empty(len(set_masks))
+    for lo in range(0, len(set_masks), rows):
+        outside = (low & ~set_masks[lo : lo + rows, None]) != 0
+        weights[lo : lo + rows] = outside @ sq_low
+    weights += high
+    return weights
+
+
+def projection_cores(coefficients: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Row i: the core of the projection of f on the i-th set of
+    `positions` (as from `junta_weights`), the values
+    core_of_junta(junta_projection(f, K), K) reads from a 2^n table.
+
+    With masks[i, t] the mask of the subset of K that the bits of t pick,
+    core value u is the sum over t of hat_f(masks[i, t]) chi_t(u): a
+    product with the 2^k x 2^k Sylvester matrix H[t, u] = (-1)^|t & u|.
+    """
+    k = positions.shape[1]
+    bits = (np.arange(1 << k) >> np.arange(k)[:, None]) & 1  # bits[j, t]: bit j of t
+    masks = np.left_shift(1, positions) @ bits
+    sylvester = 1 - 2 * ((bits.T @ bits) & 1)
+    return coefficients[masks] @ sylvester
+
+
 def closest_junta(
     f: FunctionTable, k: int, subset_budget: int = DEFAULT_SUBSET_BUDGET
 ) -> tuple[frozenset[int], float]:
     """Best size-k coordinate set J and the l2 distance from f to f_J.
 
-    Minimizes the influence of the complement over all size-k sets;
-    the distance is the square root of that influence.  Ties go to the
-    lexicographically first J.
+    Minimizes the influence of the complement, the Fourier weight outside
+    J (see `junta_weights`), over all size-k sets; the distance is the
+    square root of that weight.  Ties go to the lexicographically first J.
     """
-    if k > f.n:
-        raise ValueError(f"k={k} exceeds dimension {f.n}")
-    if math.comb(f.n, k) > subset_budget:
-        raise SubsetBudgetError(
-            f"closest_junta needs {math.comb(f.n, k)} subsets, budget is {subset_budget}"
-        )
-    sq = walsh_hadamard(f).coefficients ** 2
-    total = float(sq.sum())
-    best_J: tuple[int, ...] | None = None
-    best_inf = math.inf
-    for J in combinations(range(1, f.n + 1), k):
-        j_mask = mask_of(J, f.n)
-        # Inf_f(complement J) = total weight minus weight on subsets of J
-        sub = j_mask
-        inside = sq[j_mask]
-        while sub:
-            sub = (sub - 1) & j_mask
-            inside += sq[sub]
-        inf = total - float(inside)
-        if inf < best_inf:
-            best_inf = inf
-            best_J = J
-    assert best_J is not None
-    return frozenset(best_J), math.sqrt(max(best_inf, 0.0))
+    _, positions, weights = junta_weights(f, k, subset_budget)
+    best = int(np.argmin(weights))
+    return frozenset(int(p) + 1 for p in positions[best]), math.sqrt(weights[best])
 
 
 @dataclass(frozen=True)

@@ -116,9 +116,20 @@ def _normalize(raw: np.ndarray) -> tuple[np.ndarray, float]:
     return raw, 1.0
 
 
+# class parameters a spec must give; the clause and demand rows of xos,
+# oxs and gross_substitutes are counted in `_clause_rows` instead
+_REQUIRED_PARAMS = {
+    "additive": ("weights",),
+    "unit_demand": ("weights",),
+    "coverage": ("universe_weights",),
+    "submodular": ("weights", "budget"),
+}
+
+
 def _raw_table(spec: ValuationSpec) -> np.ndarray:
     n = spec.n
     tag = spec.class_tag
+    kvfile.check(spec.params, "spec", required=_REQUIRED_PARAMS.get(tag, ()))
     bits = _bits_matrix(n)
     if tag == "additive":
         w = _require_weights(spec.params["weights"], "weights")

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from cubetest.cores import core_of_junta, dist_core_to_set
+from cubetest.influence import junta_projection
 from cubetest.tables import MAX_DIMENSION, FunctionTable
 
 
@@ -105,6 +107,26 @@ def naive_min_distance_to_cores(core_values, member_rows, k: int) -> float:
         total = sum((float(core_values[i]) - float(row[i])) ** 2 for i in range(size))
         best = min(best, math.sqrt(total / size))
     return best
+
+
+def naive_certify_bound(f: FunctionTable, cores, gamma: float) -> float:
+    """The class bound of `bench.certify` as a loop over the coordinate
+    sets K: project f on K, take the projection's l2 distance d1 from f
+    and its core's distance d2 from the cores, and minimize
+    max(d1, d2 - gamma/2 - d1).  Unlike the rest of this module it calls
+    the library's projection and per-core distance, which have their own
+    oracle tests."""
+    bound = math.inf
+    for K in itertools.combinations(range(1, f.n + 1), cores.k):
+        pK = junta_projection(f, K)
+        d1 = _l2(f, pK)
+        d2 = dist_core_to_set(core_of_junta(pK, K), cores)
+        bound = min(bound, max(d1, d2 - gamma / 2 - d1))
+    return max(0.0, bound)
+
+
+def _l2(f: FunctionTable, g: FunctionTable) -> float:
+    return float(np.sqrt(np.mean((f.values - g.values) ** 2)))
 
 
 def naive_oxs_value(demand_rows, goods) -> float:

@@ -58,6 +58,25 @@ class TestGen:
     def test_missing_out_exit_2(self, additive_spec):
         assert main(["gen", str(additive_spec)]) == 2
 
+    @pytest.mark.parametrize(
+        "class_tag, given, message",
+        [
+            ("additive", "", "spec missing 'weights' field"),
+            ("unit_demand", "", "spec missing 'weights' field"),
+            ("coverage", "cover_1: 1\n", "spec missing 'universe_weights' field"),
+            ("submodular", "", "spec missing 'weights' field"),
+            ("submodular", "weights: 0.5 0.5\n", "spec missing 'budget' field"),
+            ("xos", "", "at least one clause row required"),
+            ("oxs", "", "at least one demand row required"),
+            ("gross_substitutes", "", "at least one demand row required"),
+        ],
+    )
+    def test_missing_class_parameter_exit_2(self, tmp_path, capsys, class_tag, given, message):
+        spec = tmp_path / "s.spec"
+        spec.write_text(f"class: {class_tag}\nn: 2\n{given}")
+        assert main(["--out", str(tmp_path / "out.tbl"), "gen", str(spec)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestCheck:
     def test_violation_exit_1_with_witness(self, and_table_file, capsys):

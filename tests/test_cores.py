@@ -7,8 +7,10 @@ from cubetest.cores import (
     CoreSet,
     CoreTable,
     EnumerationBudgetError,
+    cached_cores,
     core_of_junta,
     dist_core_to_set,
+    dist_cores_to_set,
     enumerate_cores,
     grid_levels,
     lift_core,
@@ -141,6 +143,34 @@ class TestDistance:
         cores = enumerate_cores("submodular", 2, 0.5)
         with pytest.raises(ValueError):
             dist_core_to_set(CoreTable(1, (0.0, 1.0)), cores)
+
+
+class TestDistanceBatch:
+    @pytest.mark.parametrize(
+        "class_tag, k, rows",
+        [("additive", 1, 3), ("submodular", 2, 50), ("subadditive", 3, 40)],
+    )
+    def test_matches_one_core_at_a_time(self, class_tag, k, rows):
+        # 148,815 subadditive cores span several blocks of cores and of rows
+        cores = cached_cores(class_tag, k, 0.25)
+        rng = np.random.default_rng(k)
+        values = rng.uniform(0.0, 1.0, (rows, 1 << k))
+        values[0] = cores.tables[len(cores) // 2]  # a member: distance 0
+        got = dist_cores_to_set(values, cores)
+        expected = [dist_core_to_set(CoreTable(k, tuple(v)), cores) for v in values]
+        assert got.shape == (rows,)
+        # |g|^2 - 2 g.c + |c|^2 agrees in the square; near 0 its ~1e-16
+        # rounding can read as a distance of about 1e-8
+        assert np.allclose(got**2, np.square(expected), rtol=0.0, atol=1e-14)
+        assert got[0] < 1e-7
+
+    def test_shape_and_empty_set_rejected(self):
+        cores = enumerate_cores("submodular", 2, 0.5)
+        with pytest.raises(ValueError, match="rows of 4"):
+            dist_cores_to_set(np.zeros((3, 2)), cores)
+        empty = CoreSet("submodular", 2, 0.25, 2.5e-7, np.empty((0, 4)))
+        with pytest.raises(ValueError, match="empty"):
+            dist_cores_to_set(np.zeros((3, 4)), empty)
 
 
 class TestLift:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -13,8 +14,11 @@ from cubetest.influence import (
     influence_exact,
     influence_fourier,
     junta_projection,
+    junta_weights,
+    projection_cores,
     random_partition,
 )
+from cubetest.cores import CoreTable, core_of_junta, lift_core
 from cubetest.tables import (
     FunctionTable,
     QueryOracle,
@@ -359,6 +363,45 @@ class TestClosestJunta:
         f = random_table(10, rng)
         with pytest.raises(SubsetBudgetError):
             closest_junta(f, 5, subset_budget=10)
+
+
+class TestJuntaWeights:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 6, 8])
+    def test_weight_is_projection_distance(self, k):
+        f = random_table(8, np.random.default_rng(50 + k))
+        coefficients, positions, weights = junta_weights(f, k)
+        assert np.array_equal(coefficients, walsh_hadamard(f).coefficients)
+        assert positions.shape == (math.comb(8, k), k)
+        for i, K in enumerate(itertools.combinations(range(1, 9), k)):
+            assert tuple(positions[i] + 1) == K
+            proj = junta_projection(f, K)
+            assert weights[i] == pytest.approx(np.mean((f.values - proj.values) ** 2), abs=1e-14)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_exact_junta_weighs_nothing_outside(self, k):
+        core = np.random.default_rng(k).uniform(0.0, 1.0, 1 << k) / 3
+        coords = (2, 3, 5, 7, 8)[:k]
+        f = lift_core(CoreTable(k, tuple(core)), coords, 9)
+        _, positions, weights = junta_weights(f, k)
+        best = int(np.argmin(weights))
+        assert tuple(positions[best] + 1) == coords
+        assert weights[best] < 1e-28
+
+    def test_budget_checked_first(self):
+        f = random_table(10, np.random.default_rng(2))
+        with pytest.raises(SubsetBudgetError):
+            junta_weights(f, 5, subset_budget=10)
+        with pytest.raises(ValueError, match="exceeds dimension"):
+            junta_weights(f, 11)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_projection_cores(self, k):
+        f = random_table(7, np.random.default_rng(60 + k))
+        coefficients, positions, _ = junta_weights(f, k)
+        got = projection_cores(coefficients, positions)
+        for row, K in zip(got, itertools.combinations(range(1, 8), k)):
+            expected = core_of_junta(junta_projection(f, K), K).values
+            assert np.allclose(row, expected, rtol=0.0, atol=1e-14)
 
 
 class TestRandomPartition:
