@@ -20,7 +20,7 @@ import numpy as np
 from . import kvfile
 from .cores import cached_cores, core_of_junta, dist_core_to_set, dist_cores_to_set, lift_core
 from .influence import closest_junta, junta_projection, junta_weights, projection_cores
-from .tables import FunctionTable, make_counting_oracle
+from .tables import FunctionTable, check_dimension, make_counting_oracle
 from .tester import TesterConfig, TesterReport, desk_config, report_to_lines, run_tester
 from .valuations import make_far_instance
 
@@ -57,6 +57,7 @@ class ExperimentPlan:
     core_values: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
+        check_dimension(self.n)  # before any instance builds a 2^n array
         if self.trial_count < 1:
             raise ValueError("trial_count must be >= 1")
         if self.mode not in PLAN_MODES:

@@ -1,9 +1,14 @@
 """Command-line harness.
 
-Subcommands: gen, check, influence, test, certify.  Exit codes:
-0 success / checker pass; 1 checker violation; 2 malformed input;
-3 class without a membership checker; 4 enumeration or subset budget
-exceeded.
+Subcommands: gen, check, influence, test, certify.  `main` alone turns a
+failure into an exit code and a one-line message on stderr:
+
+0  success or checker pass (every command)
+1  checker violation (check)
+2  malformed input, bad usage, an unreadable or unwritable file
+   (every command)
+3  class without a membership checker (check, test, certify)
+4  enumeration or subset budget exceeded (test, certify)
 """
 
 from __future__ import annotations
@@ -63,49 +68,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        spec = valuations.read_spec(args.spec)
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-        table, norm = valuations.gen_detailed(spec)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    spec = valuations.read_spec(args.spec)
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
     if args.out is None:
-        print("error: gen requires --out", file=sys.stderr)
-        return EXIT_MALFORMED
-    try:
-        tables.write_table(
-            table,
-            args.out,
-            metadata=(
-                f"spec {spec.digest()}",
-                f"class {spec.class_tag}",
-                f"normalization {norm!r}",
-            ),
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+        raise ValueError("gen requires --out")
+    table, norm = valuations.gen_detailed(spec)
+    tables.write_table(
+        table,
+        args.out,
+        metadata=(
+            f"spec {spec.digest()}",
+            f"class {spec.class_tag}",
+            f"normalization {norm!r}",
+        ),
+    )
     print(f"wrote {args.out} (class {spec.class_tag}, n={spec.n}, normalization {norm!r})")
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    if args.class_tag not in valuations.CHECKERS:
-        print(f"unsupported class: no membership checker for {args.class_tag!r}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    try:
-        table = tables.read_table(args.table)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    witness = valuations.CHECKERS[args.class_tag](table, args.tol)
-    if witness is None:
-        print("pass")
-        return EXIT_OK
-    print(str(witness))
-    return EXIT_VIOLATION
+    check = valuations.checker(args.class_tag)
+    witness = check(tables.read_table(args.table), args.tol)
+    print("pass" if witness is None else witness)
+    return EXIT_OK if witness is None else EXIT_VIOLATION
 
 
 def _parse_coords(raw: str) -> list[int]:
@@ -115,99 +101,60 @@ def _parse_coords(raw: str) -> list[int]:
 
 
 def _cmd_influence(args) -> int:
-    try:
-        table = tables.read_table(args.table)
-        coords = _parse_coords(args.coords)
-        mode = args.mode
-        if mode == "exact":
-            value = influence.influence_exact(table, coords)
-        elif mode == "fourier":
-            value = influence.influence_fourier(tables.walsh_hadamard(table), coords)
-        elif mode.startswith("estimate:"):
-            parts = mode.split(":")
-            if len(parts) != 3:
-                raise ValueError("estimate mode is estimate:<m>:<seed>")
-            m, seed = int(parts[1]), int(parts[2])
-            if args.seed is not None:
-                seed = args.seed
-            oracle = tables.make_counting_oracle(table)
-            value = influence.estimate_inf(oracle, coords, m, np.random.default_rng(seed))
-        else:
-            raise ValueError(f"unknown influence mode {mode!r}")
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    table = tables.read_table(args.table)
+    coords = _parse_coords(args.coords)
+    mode = args.mode
+    if mode == "exact":
+        value = influence.influence_exact(table, coords)
+    elif mode == "fourier":
+        value = influence.influence_fourier(tables.walsh_hadamard(table), coords)
+    elif mode.startswith("estimate:"):
+        parts = mode.split(":")
+        if len(parts) != 3:
+            raise ValueError("estimate mode is estimate:<m>:<seed>")
+        m, seed = int(parts[1]), int(parts[2])
+        if args.seed is not None:
+            seed = args.seed
+        oracle = tables.make_counting_oracle(table)
+        value = influence.estimate_inf(oracle, coords, m, np.random.default_rng(seed))
+    else:
+        raise ValueError(f"unknown influence mode {mode!r}")
     print(repr(value))
     return EXIT_OK
 
 
 def _cmd_test(args) -> int:
-    try:
-        plan = bench.read_plan(args.plan)
-        if args.seed is not None:
-            plan = replace(plan, seed_base=args.seed)
-        if args.config is not None:
-            base = tester.load_config(args.config)
-            merged = dict(
-                q=base.q,
-                m=base.m,
-                num_parts=base.num_parts,
-                gamma=base.core_grid,
-                refine_rounds=base.refine_rounds,
-                inf_threshold=base.inf_threshold,
-                accept_threshold=base.accept_threshold,
-                sqrt_statistic=int(base.sqrt_statistic),
-                subset_budget=base.subset_budget,
-            )
-            merged.update(plan.overrides)
-            plan = replace(plan, overrides=merged)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    try:
-        summary, records = bench.run_plan(plan)
-    except cores.EnumerationBudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except influence.SubsetBudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    lines = bench.summary_to_lines(summary)
+    plan = bench.read_plan(args.plan)
+    if args.seed is not None:
+        plan = replace(plan, seed_base=args.seed)
+    if args.config is not None:
+        base = tester.load_config(args.config)
+        merged = dict(
+            q=base.q,
+            m=base.m,
+            num_parts=base.num_parts,
+            gamma=base.core_grid,
+            refine_rounds=base.refine_rounds,
+            inf_threshold=base.inf_threshold,
+            accept_threshold=base.accept_threshold,
+            sqrt_statistic=int(base.sqrt_statistic),
+            subset_budget=base.subset_budget,
+        )
+        merged.update(plan.overrides)
+        plan = replace(plan, overrides=merged)
+    summary, records = bench.run_plan(plan)
     if args.out is not None:
-        try:
-            bench.write_summary(summary, args.out)
-            bench.write_trial_records(records, str(args.out) + ".trials")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_MALFORMED
-    print("\n".join(lines))
+        bench.write_summary(summary, args.out)
+        bench.write_trial_records(records, str(args.out) + ".trials")
+    print("\n".join(bench.summary_to_lines(summary)))
     return EXIT_OK
 
 
 def _cmd_certify(args) -> int:
-    try:
-        table = tables.read_table(args.table)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    try:
-        cert = bench.certify(table, args.class_tag, args.k, args.gamma)
-    except cores.EnumerationBudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except influence.SubsetBudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    lines = bench.certificate_lines(cert)
+    table = tables.read_table(args.table)
+    lines = bench.certificate_lines(bench.certify(table, args.class_tag, args.k, args.gamma))
     if args.out is not None:
-        try:
-            kvfile.write_lines(args.out, lines)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_MALFORMED
+        kvfile.write_lines(args.out, lines)
     print("\n".join(lines))
     return EXIT_OK
 
@@ -228,7 +175,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, matching the malformed-input code
         return int(exc.code) if exc.code is not None else EXIT_MALFORMED
-    return _COMMANDS[args.command](args)
+    # budget and class errors are ValueErrors, so they come first
+    try:
+        return _COMMANDS[args.command](args)
+    except (cores.EnumerationBudgetError, influence.SubsetBudgetError) as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except valuations.UnsupportedClassError as exc:
+        print(f"unsupported class: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .tables import FunctionTable
-from .valuations import CHECKER_CLASSES
+from .valuations import checker
 
 DEFAULT_MAX_K = 3
 DEFAULT_GRID_BUDGET = 2_000_000
@@ -199,8 +199,9 @@ def enumerate_cores(
     k is capped at 3 unless `allow_large_k` (the grid is doubly
     exponential in k); the full grid size must fit `budget`.
     """
-    if class_tag not in CHECKER_CLASSES:
-        raise ValueError(f"no membership checker for class {class_tag!r}")
+    checker(class_tag)  # UnsupportedClassError when the class has none
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if k > DEFAULT_MAX_K and not allow_large_k:
         raise ValueError(f"k={k} exceeds the default cap {DEFAULT_MAX_K}")
     levels = [float(level) for level in grid_levels(gamma)]

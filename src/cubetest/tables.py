@@ -25,6 +25,12 @@ MAX_DIMENSION = 24  # dense tables only; larger cubes are out of scope
 _BOUNDARY_SNAP = 1e-9
 
 
+def check_dimension(n: int) -> None:
+    """Reject a cube dimension outside [1..MAX_DIMENSION]."""
+    if not 0 < n <= MAX_DIMENSION:
+        raise ValueError(f"dimension must be in [1..{MAX_DIMENSION}]")
+
+
 class DimensionMismatchError(ValueError):
     """Operands live on cubes of different dimension."""
 
@@ -63,8 +69,7 @@ class CubePoint:
     mask: int
 
     def __post_init__(self):
-        if not 0 < self.n <= MAX_DIMENSION:
-            raise ValueError(f"dimension must be in [1..{MAX_DIMENSION}]")
+        check_dimension(self.n)
         if not 0 <= self.mask < (1 << self.n):
             raise ValueError("mask has bits outside the cube")
 
@@ -154,8 +159,7 @@ class FunctionTable:
     __slots__ = ("n", "values")
 
     def __init__(self, n: int, values):
-        if not 0 < n <= MAX_DIMENSION:
-            raise ValueError(f"dimension must be in [1..{MAX_DIMENSION}]")
+        check_dimension(n)
         arr = np.asarray(values, dtype=np.float64)
         if arr.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} values for n={n}, got shape {arr.shape}")

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import kvfile
-from .tables import CubePoint, FunctionTable
+from .tables import CubePoint, FunctionTable, check_dimension
 
 DEFAULT_CHECK_TOL = 1e-9
 
@@ -36,8 +36,6 @@ GENERATOR_CLASSES = (
     "submodular",
     "xos",
 )
-
-CHECKER_CLASSES = ("additive", "unit_demand", "submodular", "subadditive", "self_bounding")
 
 # Checkers every generated instance of a class must pass, following the
 # inclusion hierarchy of the monotone normalized valuation classes.
@@ -64,6 +62,9 @@ class ValuationSpec:
     n: int
     params: Mapping[str, object]
     seed: int = 0
+
+    def __post_init__(self):
+        check_dimension(self.n)  # before any generator builds a 2^n array
 
     def canonical_lines(self) -> list[str]:
         lines = [f"class: {self.class_tag}", f"n: {self.n}", f"seed: {self.seed}"]
@@ -353,6 +354,17 @@ CHECKERS = {
     "subadditive": check_subadditive,
     "self_bounding": check_self_bounding,
 }
+
+
+class UnsupportedClassError(ValueError):
+    """The class has no membership checker."""
+
+
+def checker(class_tag: str):
+    """The class's membership checker, looked up in CHECKERS at call time."""
+    if class_tag not in CHECKERS:
+        raise UnsupportedClassError(f"no membership checker for class {class_tag!r}")
+    return CHECKERS[class_tag]
 
 
 # ---------------------------------------------------------------------------

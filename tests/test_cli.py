@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from cubetest import bench
+import cubetest
+from cubetest import bench, cores, valuations
 from cubetest.cli import main
 from cubetest.tables import read_table, write_table
 from cubetest.tester import report_from_lines
@@ -35,6 +38,20 @@ def dictator_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def no_cube_arrays(monkeypatch):
+    """Make every builder of a 2^n array raise, so that an n the program
+    should have rejected fails the test instead of allocating."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a 2^n array before checking n")
+
+    monkeypatch.setattr(valuations, "_bits_matrix", refuse)
+    monkeypatch.setattr(valuations, "parity_blend_table", refuse)
+    monkeypatch.setattr(cores, "lift_core", refuse)
+    monkeypatch.setattr(bench, "lift_core", refuse)
+
+
 class TestGen:
     def test_writes_expected_table(self, additive_spec, tmp_path, capsys):
         out = tmp_path / "out.tbl"
@@ -55,8 +72,17 @@ class TestGen:
         out = tmp_path / "out.tbl"
         assert main(["--out", str(out), "gen", str(bad)]) == 2
 
-    def test_missing_out_exit_2(self, additive_spec):
+    def test_missing_out_exit_2(self, additive_spec, capsys):
         assert main(["gen", str(additive_spec)]) == 2
+        assert capsys.readouterr().err == "error: gen requires --out\n"
+
+    @pytest.mark.parametrize("n", [0, 30])
+    def test_dimension_checked_before_generation(self, tmp_path, capsys, no_cube_arrays, n):
+        spec = tmp_path / "s.spec"
+        spec.write_text(f"class: additive\nn: {n}\nweights: 0.5\n")
+        assert main(["--out", str(tmp_path / "out.tbl"), "gen", str(spec)]) == 2
+        assert capsys.readouterr().err == "error: dimension must be in [1..24]\n"
+        assert not (tmp_path / "out.tbl").exists()
 
     @pytest.mark.parametrize(
         "class_tag, given, message",
@@ -93,10 +119,16 @@ class TestCheck:
         assert main(["check", str(path), "submodular"]) == 0
         assert "pass" in capsys.readouterr().out
 
-    def test_unsupported_class_exit_3(self, and_table_file):
-        assert main(["check", str(and_table_file), "xos"]) == 3
-        assert main(["check", str(and_table_file), "coverage"]) == 3
-        assert main(["check", str(and_table_file), "gross_substitutes"]) == 3
+    def test_unsupported_class_exit_3(self, and_table_file, capsys):
+        for class_tag in ("xos", "coverage", "gross_substitutes"):
+            assert main(["check", str(and_table_file), class_tag]) == 3
+            captured = capsys.readouterr()
+            assert captured.err == f"unsupported class: no membership checker for class {class_tag!r}\n"
+            assert captured.out == ""
+
+    def test_missing_table_exit_2(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path / "absent.tbl"), "submodular"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_malformed_table_exit_2(self, tmp_path):
         bad = tmp_path / "bad.tbl"
@@ -206,13 +238,74 @@ class TestTestCommand:
         strip = lambda p: [ln for ln in p.read_text().splitlines() if not ln.startswith("wall_time")]
         assert strip(out1) == strip(out2)
 
-    def test_subset_budget_exit_4(self, tmp_path):
+    def test_subset_budget_exit_4(self, tmp_path, capsys):
         _, path = self._small_plan(tmp_path, overrides={"q": 16, "m": 5, "gamma": 0.25, "num_parts": 3000})
         assert main(["test", str(path)]) == 4
+        assert capsys.readouterr().err.startswith("budget exceeded: subset sweep needs ")
 
-    def test_enumeration_budget_exit_4(self, tmp_path):
+    def test_enumeration_budget_exit_4(self, tmp_path, capsys):
         _, path = self._small_plan(tmp_path, overrides={"q": 16, "m": 5, "gamma": 1 / 4001})
         assert main(["test", str(path)]) == 4
+        assert capsys.readouterr().err.startswith("budget exceeded: enumeration would visit ")
+
+    # plans that parse but fail once the run starts
+    FAILING_PLANS = {
+        "num_parts_below_k": (
+            dict(overrides={"q": 16, "m": 20, "gamma": 0.25, "num_parts": 1}),
+            2,
+            "error: num_parts must be >= k\n",
+        ),
+        "k_above_cap": (dict(k=4), 2, "error: k=4 exceeds the default cap 3\n"),
+        "eps_beyond_far_core": (
+            dict(mode="far_mode_a", eps=0.9),
+            2,
+            "error: eps=0.9 exceeds the best achievable certified distance",
+        ),
+        "class_without_checker": (
+            dict(class_tag="xos"),
+            3,
+            "unsupported class: no membership checker for class 'xos'\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FAILING_PLANS))
+    def test_failing_plan_exit_code(self, tmp_path, capsys, case):
+        fields, code, message = self.FAILING_PLANS[case]
+        _, path = self._small_plan(tmp_path, **fields)
+        assert main(["--out", str(tmp_path / "s.txt"), "test", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "s.txt").exists()
+
+    @pytest.mark.parametrize("n", [0, 25, 30])
+    def test_plan_dimension_checked_on_construction(self, n):
+        with pytest.raises(ValueError, match=r"dimension must be in \[1\.\.24\]"):
+            bench.ExperimentPlan("submodular", n, 2, 0.25)
+
+    @pytest.mark.parametrize("mode", bench.PLAN_MODES)
+    @pytest.mark.parametrize("n", [0, 30])
+    def test_dimension_checked_before_instances(self, tmp_path, capsys, no_cube_arrays, mode, n):
+        _, path = self._small_plan(tmp_path, mode=mode)
+        path.write_text(path.read_text().replace("n: 8\n", f"n: {n}\n"))
+        assert main(["test", str(path)]) == 2
+        assert capsys.readouterr().err == "error: dimension must be in [1..24]\n"
+
+    def test_failing_plan_process_has_no_traceback(self, tmp_path):
+        _, path = self._small_plan(
+            tmp_path, overrides={"q": 16, "m": 20, "gamma": 0.25, "num_parts": 1}
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cubetest.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "cubetest.cli", "test", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: num_parts must be >= k\n"
+        assert "Traceback" not in result.stderr
 
     def test_malformed_plan_exit_2(self, tmp_path):
         bad = tmp_path / "bad.plan"
@@ -231,6 +324,19 @@ class TestTestCommand:
 
 
 class TestCertify:
+    @pytest.mark.parametrize("class_tag", ["xos", "coverage"])
+    def test_unsupported_class_exit_3(self, and_table_file, tmp_path, capsys, class_tag):
+        out = tmp_path / "cert.txt"
+        assert main(["--out", str(out), "certify", str(and_table_file), class_tag, "2", "0.25"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"unsupported class: no membership checker for class {class_tag!r}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_negative_k_exit_2(self, and_table_file, capsys):
+        assert main(["certify", str(and_table_file), "submodular", "-1", "0.25"]) == 2
+        assert capsys.readouterr().err == "error: k must be >= 0\n"
+
     def test_in_class_small_distance(self, tmp_path, capsys):
         from cubetest.cores import cached_cores, lift_core
 

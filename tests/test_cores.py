@@ -17,7 +17,7 @@ from cubetest.cores import (
 )
 from cubetest.influence import closest_junta
 from cubetest.tables import FunctionTable, lp_distance
-from cubetest.valuations import CHECKERS
+from cubetest.valuations import CHECKERS, UnsupportedClassError
 from oracles import naive_min_distance_to_cores
 
 
@@ -96,6 +96,15 @@ class TestEnumeration:
         # explicit override allowed (tiny grid keeps it fast)
         cores = enumerate_cores("additive", 4, 1.0, allow_large_k=True)
         assert len(cores) >= 1
+
+    @pytest.mark.parametrize("class_tag", ["xos", "coverage", "gross_substitutes", "oxs"])
+    def test_class_without_checker(self, class_tag):
+        with pytest.raises(UnsupportedClassError, match=f"no membership checker for class '{class_tag}'"):
+            enumerate_cores(class_tag, 2, 0.25)
+
+    def test_negative_k(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            enumerate_cores("submodular", -1, 0.25)
 
     def test_gamma_must_divide_one(self):
         with pytest.raises(ValueError, match="divide"):

@@ -7,12 +7,14 @@ from cubetest.valuations import (
     APPLICABLE_CHECKERS,
     CHECKERS,
     GENERATOR_CLASSES,
+    UnsupportedClassError,
     ValuationSpec,
     check_additive,
     check_self_bounding,
     check_subadditive,
     check_submodular,
     check_unit_demand,
+    checker,
     gen,
     gen_detailed,
     make_far_instance,
@@ -89,6 +91,11 @@ class TestGenerators:
             gen(ValuationSpec("additive", 2, {"weights": ()}))
         with pytest.raises(ValueError):
             gen(ValuationSpec("xos", 2, {}))
+
+    @pytest.mark.parametrize("n", [0, -1, 25, 30])
+    def test_dimension_checked_on_construction(self, n):
+        with pytest.raises(ValueError, match=r"dimension must be in \[1\.\.24\]"):
+            ValuationSpec("additive", n, {"weights": (0.5,)})
 
     def test_deterministic(self):
         for tag in GENERATOR_CLASSES:
@@ -170,6 +177,16 @@ class TestCheckers:
         table = gen(random_spec("additive", 4, 1))
         noisy = FunctionTable(4, np.clip(table.values + 1e-13, 0, 1))
         assert check_additive(noisy, tol=1e-9) is None
+
+
+    def test_checker_lookup(self, monkeypatch):
+        assert checker("submodular") is CHECKERS["submodular"]
+        # looked up at call time, so a replaced entry is what callers get
+        monkeypatch.setitem(CHECKERS, "submodular", check_additive)
+        assert checker("submodular") is check_additive
+        for tag in ("xos", "coverage", "gross_substitutes", "oxs", "bogus"):
+            with pytest.raises(UnsupportedClassError, match=f"for class '{tag}'"):
+                checker(tag)
 
 
 class TestHierarchy:
