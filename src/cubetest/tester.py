@@ -554,10 +554,9 @@ def run_tester(
         cores = cached_cores(class_tag, config.k, config.core_grid)
     start = oracle.query_count
     n = oracle.n
-    sample_masks_arr = rng.integers(0, 1 << n, size=config.q, dtype=np.int64)
-    sample_values = oracle.query_masks(sample_masks_arr)
-    sample_masks = [int(x) for x in sample_masks_arr]
-    buckets = _buckets_from_masks(sample_masks_arr, n)
+    sample_masks = rng.integers(0, 1 << n, size=config.q, dtype=np.int64)
+    sample_values = oracle.query_masks(sample_masks)
+    buckets = _buckets_from_masks(sample_masks, n)
     selected, etas = select_initial_parts(oracle, buckets, config, rng, estimator)
     refinement = refine_parts(oracle, selected, buckets, config, rng, estimator)
     eta_extra = {"initial_min": min(etas.values()), "refine_last": refinement.last_round_eta}

@@ -5,8 +5,13 @@ Generators build tables by the literal class definitions (additive sums,
 coverage unions, unit-demand maxima, OXS assignments, XOS clause maxima,
 budget-additive caps) and normalize into [0,1] by dividing by the max
 value when it exceeds 1; affine scaling preserves membership in every
-class handled here.  Checkers verify the defining inequalities over the
-whole table and report the first violating point(s).
+class handled here.
+
+Checkers verify the defining inequalities and report the first
+violating point(s).  Each class's inequalities are written once, over a
+batch of tables, so `passing`, the batch filter `cores` enumerates grid
+cores with, runs the very same definition.  A tolerance that is NaN,
+infinite or negative is an error.
 
 Membership checking exists only where the definition yields a finite
 procedure: additive, unit_demand, submodular, subadditive, self_bounding.
@@ -249,111 +254,138 @@ def random_spec(class_tag: str, n: int, seed: int) -> ValuationSpec:
 # Checkers
 # ---------------------------------------------------------------------------
 
+# Each class with a checker is defined once, by a generator of its
+# defining inequalities over a batch of tables v of shape (rows, 2^n),
+# n >= 0.  It yields groups (bad, lhs, rhs, points) in witness order:
+# bad, lhs and rhs have shape (rows, m), bad[r, c] flags instance c of
+# the group violated in table r, and points(c) gives the masks of that
+# instance's witness points (called before the generator resumes).  A
+# checker stops at the first group its one table violates; `passing`
+# runs every group over a batch, fastest when the batch is column-major.
 
-def check_submodular(f: FunctionTable, tol: float = DEFAULT_CHECK_TOL) -> Optional[ViolationWitness]:
-    """Local square condition, equivalent to the pairwise definition:
-    f(x|e_i) + f(x|e_j) >= f(x) + f(x|e_i|e_j) for all x with x_i = x_j = 0.
-    """
-    v = f.values
-    n = f.n
+
+def _at(v: np.ndarray, idx) -> np.ndarray:
+    """v[:, idx]; taken along the first axis of v.T, which is fast both
+    for one table and for a column-major batch."""
+    return np.take(v.T, idx, axis=0).T
+
+
+def _arity(v: np.ndarray) -> int:
+    return v.shape[-1].bit_length() - 1
+
+
+def _submodular(v: np.ndarray, tol: float):
+    n = _arity(v)
     idx = np.arange(1 << n)
     for i in range(n):
         bi = 1 << i
         for j in range(i + 1, n):
             bj = 1 << j
             base = idx[(idx & bi == 0) & (idx & bj == 0)]
-            lhs = v[base | bi] + v[base | bj]
-            rhs = v[base] + v[base | bi | bj]
-            bad = np.flatnonzero(lhs < rhs - tol)
-            if bad.size:
-                b = int(base[bad[0]])
-                return ViolationWitness(
-                    points=(CubePoint(n, b | bi), CubePoint(n, b | bj)),
-                    lhs=float(lhs[bad[0]]),
-                    rhs=float(rhs[bad[0]]),
-                    condition="submodularity",
-                )
-    return None
+            lhs = _at(v, base | bi) + _at(v, base | bj)
+            rhs = _at(v, base) + _at(v, base | bi | bj)
+            yield lhs < rhs - tol, lhs, rhs, lambda c: (base[c] | bi, base[c] | bj)
 
 
-def check_subadditive(f: FunctionTable, tol: float = DEFAULT_CHECK_TOL) -> Optional[ViolationWitness]:
-    """All pairs: f(x OR y) <= f(x) + f(y)."""
-    v = f.values
-    n = f.n
-    idx = np.arange(1 << n)
-    for x in range(1 << n):
-        union = x | idx
-        slack = v[x] + v - v[union]
-        bad = np.flatnonzero(slack < -tol)
-        if bad.size:
-            y = int(bad[0])
+def _subadditive(v: np.ndarray, tol: float):
+    # pairs (x, y) and (y, x) give the same inequality, so the group of x
+    # holds y >= x alone: the first x with a violating pair violates one
+    # with its first such y there too
+    idx = np.arange(v.shape[-1])
+    for x in idx.tolist():
+        lhs = v[:, x, None] + v[:, x:]
+        rhs = _at(v, x | idx[x:])
+        yield lhs - rhs < -tol, lhs, rhs, lambda c: (x, x + c)
+
+
+def _self_bounding(v: np.ndarray, tol: float):
+    idx = np.arange(v.shape[-1])
+    drop = np.zeros_like(v)
+    for i in range(_arity(v)):
+        drop += np.maximum(0.0, v - _at(v, idx ^ (1 << i)))
+    yield v < drop - tol, v, drop, lambda c: (c,)
+
+
+def _additive(v: np.ndarray, tol: float):
+    n = _arity(v)
+    # (2^n, n) @ (n, rows): for one table the same product, and so the
+    # same rounding, as the bits matrix times the weight vector
+    predicted = (_bits_matrix(n) @ _at(v, 1 << np.arange(n)).T).T
+    yield np.abs(v - predicted) > tol, v, predicted, lambda c: (c,)
+
+
+def _unit_demand(v: np.ndarray, tol: float):
+    n = _arity(v)
+    # the maximum over the leading axis of (n, rows, 2^n) weights f(e_i),
+    # -inf where bit i is absent
+    present = _bits_matrix(n).T[:, None, :]
+    weights = _at(v, 1 << np.arange(n)).T[:, :, None]
+    predicted = np.where(present, weights, -np.inf).max(axis=0, initial=-np.inf)
+    predicted[:, 0] = 0.0
+    yield np.abs(v - predicted) > tol, v, predicted, lambda c: (c,)
+
+
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+
+
+def _first_violation(inequalities, f: FunctionTable, tol: float, condition: str) -> Optional[ViolationWitness]:
+    _check_tol(tol)
+    for bad, lhs, rhs, points in inequalities(f.values[None, :], tol):
+        hit = np.flatnonzero(bad[0])
+        if hit.size:
+            c = int(hit[0])
+            # lhs < rhs in every violated inequality; additive and unit
+            # demand give value and prediction in either order
+            a, b = float(lhs[0, c]), float(rhs[0, c])
             return ViolationWitness(
-                points=(CubePoint(n, x), CubePoint(n, y)),
-                lhs=float(v[x] + v[y]),
-                rhs=float(v[x | y]),
-                condition="subadditivity",
+                points=tuple(CubePoint(f.n, int(p)) for p in points(c)),
+                lhs=min(a, b),
+                rhs=max(a, b),
+                condition=condition,
             )
     return None
 
 
+def check_submodular(f: FunctionTable, tol: float = DEFAULT_CHECK_TOL) -> Optional[ViolationWitness]:
+    """Local square condition, equivalent to the pairwise definition:
+    f(x|e_i) + f(x|e_j) >= f(x) + f(x|e_i|e_j) for all x with x_i = x_j = 0.
+    """
+    return _first_violation(_submodular, f, tol, "submodularity")
+
+
+def check_subadditive(f: FunctionTable, tol: float = DEFAULT_CHECK_TOL) -> Optional[ViolationWitness]:
+    """All pairs: f(x OR y) <= f(x) + f(y)."""
+    return _first_violation(_subadditive, f, tol, "subadditivity")
+
+
 def check_self_bounding(f: FunctionTable, tol: float = DEFAULT_CHECK_TOL) -> Optional[ViolationWitness]:
     """f(x) >= sum_i (f(x) - min(f(x), f(x xor e_i))) at every point."""
-    v = f.values
-    n = f.n
-    idx = np.arange(1 << n)
-    drop = np.zeros(1 << n)
-    for i in range(n):
-        drop += np.maximum(0.0, v - v[idx ^ (1 << i)])
-    bad = np.flatnonzero(v < drop - tol)
-    if bad.size:
-        x = int(bad[0])
-        return ViolationWitness(
-            points=(CubePoint(n, x),),
-            lhs=float(v[x]),
-            rhs=float(drop[x]),
-            condition="self-bounding",
-        )
-    return None
-
-
-def _check_pointwise(
-    f: FunctionTable, predicted: np.ndarray, tol: float, condition: str
-) -> Optional[ViolationWitness]:
-    bad = np.flatnonzero(np.abs(f.values - predicted) > tol)
-    if bad.size:
-        x = int(bad[0])
-        a, b = float(f.values[x]), float(predicted[x])
-        return ViolationWitness(
-            points=(CubePoint(f.n, x),),
-            lhs=min(a, b),
-            rhs=max(a, b),
-            condition=condition,
-        )
-    return None
+    return _first_violation(_self_bounding, f, tol, "self-bounding")
 
 
 def check_additive(f: FunctionTable, tol: float = DEFAULT_CHECK_TOL) -> Optional[ViolationWitness]:
     """Recover w_i = f(e_i) and verify f(x) = sum of present weights."""
-    w = np.array([f.values[1 << i] for i in range(f.n)])
-    predicted = _bits_matrix(f.n) @ w
-    return _check_pointwise(f, predicted, tol, "additivity")
+    return _first_violation(_additive, f, tol, "additivity")
 
 
 def check_unit_demand(f: FunctionTable, tol: float = DEFAULT_CHECK_TOL) -> Optional[ViolationWitness]:
     """Recover w_i = f(e_i) and verify f(x) = max of present weights."""
-    w = np.array([f.values[1 << i] for i in range(f.n)])
-    predicted = np.where(_bits_matrix(f.n), w[None, :], -np.inf).max(axis=1)
-    predicted[0] = 0.0
-    return _check_pointwise(f, predicted, tol, "unit demand")
+    return _first_violation(_unit_demand, f, tol, "unit demand")
 
 
-CHECKERS = {
-    "additive": check_additive,
-    "unit_demand": check_unit_demand,
-    "submodular": check_submodular,
-    "subadditive": check_subadditive,
-    "self_bounding": check_self_bounding,
+# The classes with a membership checker: each one's checker and the
+# inequalities behind it
+_CLASSES = {
+    "additive": (check_additive, _additive),
+    "unit_demand": (check_unit_demand, _unit_demand),
+    "submodular": (check_submodular, _submodular),
+    "subadditive": (check_subadditive, _subadditive),
+    "self_bounding": (check_self_bounding, _self_bounding),
 }
+
+CHECKERS = {tag: check for tag, (check, _) in _CLASSES.items()}
 
 
 class UnsupportedClassError(ValueError):
@@ -365,6 +397,18 @@ def checker(class_tag: str):
     if class_tag not in CHECKERS:
         raise UnsupportedClassError(f"no membership checker for class {class_tag!r}")
     return CHECKERS[class_tag]
+
+
+def passing(class_tag: str, tables: np.ndarray, tol: float) -> np.ndarray:
+    """A boolean per row of `tables`, shape (rows, 2^n) with n >= 0: does
+    the row pass the checker of `class_tag` (a class in CHECKERS) at
+    `tol`.  Every inequality of the class is evaluated on the whole
+    batch."""
+    _check_tol(tol)
+    ok = np.ones(len(tables), dtype=bool)
+    for bad, *_ in _CLASSES[class_tag][1](tables, tol):
+        ok &= ~bad.any(axis=1)
+    return ok
 
 
 # ---------------------------------------------------------------------------

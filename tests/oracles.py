@@ -72,6 +72,96 @@ def submodular_all_pairs(values, n: int, tol: float = 1e-9):
     return None
 
 
+def _witness(condition: str, points, lhs: float, rhs: float, n: int) -> str:
+    """A violation as `str(ViolationWitness)` prints it."""
+    pts = ", ".join(_bitstring(p, n) for p in points)
+    return f"{condition} violated at {pts}: {lhs!r} < {rhs!r}"
+
+
+def naive_submodular_witness(values, n: int, tol: float):
+    """First pair i < j, then first x without bits i and j, with
+    f(x|e_i) + f(x|e_j) < f(x) + f(x|e_i|e_j) - tol; None if there is none."""
+    v = [float(a) for a in values]
+    for i in range(n):
+        for j in range(i + 1, n):
+            bi, bj = 1 << i, 1 << j
+            for x in range(1 << n):
+                if x & bi or x & bj:
+                    continue
+                lhs = v[x | bi] + v[x | bj]
+                rhs = v[x] + v[x | bi | bj]
+                if lhs < rhs - tol:
+                    return _witness("submodularity", (x | bi, x | bj), lhs, rhs, n)
+    return None
+
+
+def naive_subadditive_witness(values, n: int, tol: float):
+    """First x, then first y, with f(x) + f(y) - f(x|y) < -tol."""
+    v = [float(a) for a in values]
+    for x in range(1 << n):
+        for y in range(1 << n):
+            lhs = v[x] + v[y]
+            rhs = v[x | y]
+            if lhs - rhs < -tol:
+                return _witness("subadditivity", (x, y), lhs, rhs, n)
+    return None
+
+
+def naive_self_bounding_witness(values, n: int, tol: float):
+    """First x with f(x) < sum_i max(0, f(x) - f(x xor e_i)) - tol, the sum
+    taken over i ascending."""
+    v = [float(a) for a in values]
+    for x in range(1 << n):
+        drop = 0.0
+        for i in range(n):
+            drop += max(0.0, v[x] - v[x ^ (1 << i)])
+        if v[x] < drop - tol:
+            return _witness("self-bounding", (x,), v[x], drop, n)
+    return None
+
+
+def _pointwise_witness(v, predicted, n: int, tol: float, condition: str):
+    for x in range(1 << n):
+        if abs(v[x] - predicted[x]) > tol:
+            a, b = v[x], predicted[x]
+            return _witness(condition, (x,), min(a, b), max(a, b), n)
+    return None
+
+
+def naive_additive_witness(values, n: int, tol: float):
+    """First x where f(x) differs by more than tol from the sum, over the
+    bits i of x ascending, of f(e_i).  The library forms that sum as a
+    BLAS product, whose order of addition may differ, so compare on
+    tables where every such sum is exact (dyadic values, few bits)."""
+    v = [float(a) for a in values]
+    predicted = []
+    for x in range(1 << n):
+        total = 0.0
+        for i in range(n):
+            if x & (1 << i):
+                total += v[1 << i]
+        predicted.append(total)
+    return _pointwise_witness(v, predicted, n, tol, "additivity")
+
+
+def naive_unit_demand_witness(values, n: int, tol: float):
+    """First x where f(x) differs by more than tol from the largest f(e_i)
+    over the bits i of x (0 at the empty set)."""
+    v = [float(a) for a in values]
+    predicted = [max((v[1 << i] for i in range(n) if x & (1 << i)), default=0.0) for x in range(1 << n)]
+    return _pointwise_witness(v, predicted, n, tol, "unit demand")
+
+
+# class tag -> plain-loop witness string (or None) of (values, n, tol)
+NAIVE_WITNESSES = {
+    "additive": naive_additive_witness,
+    "unit_demand": naive_unit_demand_witness,
+    "submodular": naive_submodular_witness,
+    "subadditive": naive_subadditive_witness,
+    "self_bounding": naive_self_bounding_witness,
+}
+
+
 def naive_junta_projection(values, n: int, j_coords):
     """Average f over the coordinates outside J, by direct grouping."""
     j_mask = 0

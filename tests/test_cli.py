@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -105,6 +106,13 @@ class TestGen:
 
 
 class TestCheck:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tolerance_exit_2(self, and_table_file, capsys, tol):
+        assert main(["check", str(and_table_file), "submodular", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: tolerance must be finite and >= 0, got {float(tol)!r}\n"
+        assert captured.out == ""
+
     def test_violation_exit_1_with_witness(self, and_table_file, capsys):
         assert main(["check", str(and_table_file), "submodular"]) == 1
         out = capsys.readouterr().out
@@ -321,6 +329,26 @@ class TestTestCommand:
         cfg.write_text("\n".join(ln for ln in lines if not ln.startswith("eps:")) + "\n")
         assert main(["--config", str(cfg), "test", str(path)]) == 2
         assert "config missing 'eps' field" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("plan_q, q", [(None, 24), (16, 16)])
+    def test_config_reaches_every_trial(self, tmp_path, plan_q, q):
+        # queries_used = q + 2m (C(P, k) + 2^k r + 1): the sample, the
+        # subset sweep, r refinement rounds of 2^k estimates and the gate
+        from cubetest.tester import config_to_lines, desk_config
+
+        overrides = {"gamma": 0.25} if plan_q is None else {"gamma": 0.25, "q": plan_q}
+        _, path = self._small_plan(tmp_path, overrides=overrides)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("\n".join(config_to_lines(desk_config(eps=0.25, k=2, q=24, m=30))) + "\n")
+        out = tmp_path / "s.txt"
+        assert main(["--out", str(out), "--config", str(cfg), "test", str(path)]) == 0
+        records = (tmp_path / "s.txt.trials").read_text().split("trial: ")[1:]
+        assert len(records) == 3
+        for record in records:
+            fields = dict(ln.split(": ", 1) for ln in record.splitlines()[1:] if ": " in ln)
+            rounds = int(fields["refine_rounds_used"])
+            assert int(fields["queries_used"]) == q + 2 * 30 * (math.comb(12, 2) + 4 * rounds + 1)
 
 
 class TestCertify:

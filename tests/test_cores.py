@@ -1,8 +1,11 @@
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cubetest import cores as cores_module
 from cubetest.cores import (
     CoreSet,
     CoreTable,
@@ -18,18 +21,17 @@ from cubetest.cores import (
 from cubetest.influence import closest_junta
 from cubetest.tables import FunctionTable, lp_distance
 from cubetest.valuations import CHECKERS, UnsupportedClassError
-from oracles import naive_min_distance_to_cores
+from oracles import NAIVE_WITNESSES, naive_min_distance_to_cores
 
 
 def exhaustive_filter(class_tag, k, gamma):
-    """Oracle: generate the whole grid and keep tables passing the full
-    class checker after lifting to k ambient variables."""
-    levels = grid_levels(gamma)
+    """Oracle: generate the whole grid, in np.ndindex order, and keep the
+    tables the plain-loop class definition passes at the enumeration's
+    tolerance."""
     kept = []
-    for flat in itertools.product(levels, repeat=1 << k):
-        table = FunctionTable(k, list(flat))
-        if CHECKERS[class_tag](table, gamma * 1e-6) is None:
-            kept.append(tuple(float(v) for v in flat))
+    for flat in itertools.product(grid_levels(gamma).tolist(), repeat=1 << k):
+        if NAIVE_WITNESSES[class_tag](flat, k, gamma * 1e-6) is None:
+            kept.append(flat)
     return kept
 
 
@@ -58,12 +60,51 @@ class TestEnumeration:
             assert {tuple(row) for row in cores.tables} == set(oracle), tag
 
     def test_k3_subadditive_against_filter_oracle(self):
-        # the enumeration skips the pairs with x | y in (x, y), whose
-        # constraints every grid value satisfies; the full checker does not
+        # row for row, in grid order: the enumeration filters the grid
+        # through the library's subadditivity inequalities, the oracle
+        # through its own loop over every pair
         cores = enumerate_cores("subadditive", 3, 0.5)
         oracle = exhaustive_filter("subadditive", 3, 0.5)
         assert len(cores) == len(oracle) == 2700
         assert [tuple(row) for row in cores.tables] == oracle
+
+    @pytest.mark.parametrize("class_tag", sorted(CHECKERS))
+    @pytest.mark.parametrize("k, gamma", [(0, 0.5), (0, 1 / 3), (1, 1 / 3), (2, 1 / 3), (3, 1.0), (3, 0.5)])
+    def test_every_class_matches_filter_oracle_in_order(self, class_tag, k, gamma):
+        cores = enumerate_cores(class_tag, k, gamma)
+        assert [tuple(row) for row in cores.tables.tolist()] == exhaustive_filter(class_tag, k, gamma)
+
+    def test_k0_counts(self):
+        # a constant core: any grid value, or 0 where f(empty set) = 0
+        assert len(enumerate_cores("submodular", 0, 0.5)) == 3
+        assert len(enumerate_cores("additive", 0, 0.5)) == 1
+
+    # sha256 of the enumerated tables' bytes, as the point-by-point
+    # depth-first enumeration produced them: values and row order
+    PINNED_DIGESTS = {
+        ("submodular", 2): "d3ce1fa1bf04942b430ccb0bbea9e0beef5537483057cfa3908315d265e6ab5a",
+        ("submodular", 3): "5d5f1b46ac3219b59bcfa29df01bb132d28d88bdbd255eb7d6fc77a83a1086db",
+        ("subadditive", 2): "1341ca4a74926945a0bdeceb1c06132000b0f6a49cc823800cefe3747fd55689",
+        ("subadditive", 3): "ef0726febf4ac985c1342d0548bc6c6fb78b26fe2dd101c7c1a451ee79b6e8f9",
+        ("self_bounding", 3): "8d101f977696f75a8fba7f466f547850d7e586ce4405f60dd45fa85ce272865a",
+    }
+
+    @pytest.mark.parametrize("class_tag, k", sorted(PINNED_DIGESTS))
+    def test_pinned_digest(self, class_tag, k):
+        cores = enumerate_cores(class_tag, k, 0.25)
+        assert hashlib.sha256(cores.tables.tobytes()).hexdigest() == self.PINNED_DIGESTS[class_tag, k]
+
+    def test_peak_memory(self):
+        # the 148,815 subadditive k = 3 cores take 9.1 MB; the CoreSet
+        # copy doubles that, and the grid blocks must add little more
+        tracemalloc.start()
+        try:
+            cores = enumerate_cores("subadditive", 3, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cores) == 148815
+        assert peak < 24 * 2**20
 
     def test_members_lift_to_class_members(self):
         for tag in ("submodular", "additive", "unit_demand"):
@@ -105,6 +146,24 @@ class TestEnumeration:
     def test_negative_k(self):
         with pytest.raises(ValueError, match="k must be >= 0"):
             enumerate_cores("submodular", -1, 0.25)
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            (("xos", 2, 0.25), UnsupportedClassError, "no membership checker"),
+            (("submodular", -1, 0.25), ValueError, "k must be >= 0"),
+            (("submodular", 4, 0.5), ValueError, "cap"),
+            (("submodular", 2, 0.3), ValueError, "divide"),
+            (("submodular", 2, 1 / 15, 1000), EnumerationBudgetError, "65536"),
+        ],
+    )
+    def test_errors_before_any_grid_block(self, monkeypatch, args, error, message):
+        def refuse(*_):
+            raise AssertionError("built a grid block before checking the arguments")
+
+        monkeypatch.setattr(cores_module, "_grid_blocks", refuse)
+        with pytest.raises(error, match=message):
+            enumerate_cores(*args)
 
     def test_gamma_must_divide_one(self):
         with pytest.raises(ValueError, match="divide"):

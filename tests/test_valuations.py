@@ -19,15 +19,50 @@ from cubetest.valuations import (
     gen_detailed,
     make_far_instance,
     parse_spec_text,
+    passing,
     random_spec,
     read_spec,
     write_spec,
 )
-from oracles import naive_min_distance_to_cores, naive_oxs_value, submodular_all_pairs
+from oracles import (
+    NAIVE_WITNESSES,
+    naive_min_distance_to_cores,
+    naive_oxs_value,
+    submodular_all_pairs,
+)
 
 
 def and_table():
     return FunctionTable(2, [0.0, 0.0, 0.0, 1.0])
+
+
+def oracle_tables():
+    """(n, values) at n <= 5: random tables, grid tables (random and
+    enumerated cores lifted), and generated class members rounded to a
+    multiple of 2^-20, each also with one point moved.  Every value is a
+    multiple of 2^-20, so every sum a checker forms is exact."""
+    from cubetest.cores import cached_cores, lift_core
+
+    rng = np.random.default_rng(2024)
+    quantum = 2.0**-20
+    out = []
+    for n in range(1, 6):
+        for _ in range(5):
+            out.append((n, rng.integers(0, 2**20 + 1, 1 << n) * quantum))
+            out.append((n, rng.integers(0, 5, 1 << n) / 4))
+        for class_tag in CHECKERS:
+            for k in range(min(n, 3) + 1):
+                cores = cached_cores(class_tag, k, 0.5)
+                core = cores.member(int(rng.integers(len(cores))))
+                coords = tuple(int(c) + 1 for c in rng.choice(n, size=k, replace=False))
+                out.append((n, lift_core(core, coords, n).values))
+        for class_tag in GENERATOR_CLASSES:
+            near = np.round(gen(random_spec(class_tag, n, seed=n)).values / quantum) * quantum
+            out.append((n, near))
+            moved = near.copy()
+            moved[rng.integers(1 << n)] = rng.integers(0, 2**20 + 1) * quantum
+            out.append((n, moved))
+    return out
 
 
 class TestGenerators:
@@ -178,6 +213,36 @@ class TestCheckers:
         noisy = FunctionTable(4, np.clip(table.values + 1e-13, 0, 1))
         assert check_additive(noisy, tol=1e-9) is None
 
+
+    @pytest.mark.parametrize("class_tag", sorted(NAIVE_WITNESSES))
+    def test_witness_matches_plain_loop(self, class_tag):
+        outcomes = set()
+        for n, values in oracle_tables():
+            table = FunctionTable(n, values)
+            for tol in (0.0, 1e-9, 1e-6, 1e-5, 0.05):
+                witness = CHECKERS[class_tag](table, tol)
+                got = None if witness is None else str(witness)
+                assert got == NAIVE_WITNESSES[class_tag](values, n, tol), (n, values, tol)
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("class_tag", sorted(CHECKERS))
+    def test_passing_agrees_with_checker_row_by_row(self, class_tag):
+        rng = np.random.default_rng(9)
+        members = [gen(random_spec(tag, 3, seed)).values for tag in ("additive", "unit_demand") for seed in range(5)]
+        rows = np.vstack([rng.uniform(0, 1, (20, 8)), rng.integers(0, 3, (20, 8)) / 2, members])
+        expected = [CHECKERS[class_tag](FunctionTable(3, row), 1e-9) is None for row in rows]
+        assert any(expected)
+        for batch in (rows, np.asfortranarray(rows)):
+            assert passing(class_tag, batch, 1e-9).tolist() == expected
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1e-12])
+    def test_bad_tolerance_rejected(self, tol):
+        for class_tag, check in CHECKERS.items():
+            with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+                check(and_table(), tol)
+            with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+                passing(class_tag, and_table().values[None, :], tol)
 
     def test_checker_lookup(self, monkeypatch):
         assert checker("submodular") is CHECKERS["submodular"]
