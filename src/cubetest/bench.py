@@ -5,7 +5,9 @@ A plan names a class, cube size, tester parameters and an instance mode
 (in_class lifts a random enumerated core per trial; far_mode_a lifts a
 core certified far from the enumerated class cores; far_mode_b uses the
 full-parity blend, certified 1/2 from every k-junta).  Per-trial seeds
-are seed_base + trial index, so runs reproduce exactly.
+are seed_base + trial index, so runs reproduce exactly.  A plan may
+override the settings in `tester.PLAN_SETTINGS`.  A far mode builds its
+instance once per plan, and `_trial_table` builds every other table.
 """
 
 from __future__ import annotations
@@ -18,10 +20,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kvfile
-from .cores import cached_cores, core_of_junta, dist_core_to_set, dist_cores_to_set, lift_core
+from .cores import (
+    CoreSet, CoreTable, cached_cores, core_of_junta, dist_core_to_set, dist_cores_to_set, lift_core
+)
 from .influence import closest_junta, junta_projection, junta_weights, projection_cores
 from .tables import FunctionTable, check_dimension, make_counting_oracle
-from .tester import TesterConfig, TesterReport, desk_config, report_to_lines, run_tester
+from .tester import (
+    PLAN_SETTINGS, TesterConfig, TesterReport, desk_config, report_to_lines, run_tester
+)
 from .valuations import make_far_instance
 
 PLAN_SCHEMA = "cubetest-plan-1"
@@ -29,18 +35,6 @@ SUMMARY_SCHEMA = "cubetest-summary-1"
 CERTIFY_SCHEMA = "cubetest-certify-1"
 
 PLAN_MODES = ("in_class", "far_mode_a", "far_mode_b")
-
-_PLAN_OVERRIDE_KEYS = (
-    "q",
-    "m",
-    "num_parts",
-    "gamma",
-    "refine_rounds",
-    "inf_threshold",
-    "accept_threshold",
-    "sqrt_statistic",
-    "subset_budget",
-)
 
 
 @dataclass(frozen=True)
@@ -63,16 +57,12 @@ class ExperimentPlan:
         if self.mode not in PLAN_MODES:
             raise ValueError(f"unknown instance mode {self.mode!r}")
         for key in self.overrides:
-            if key not in _PLAN_OVERRIDE_KEYS:
+            if key not in PLAN_SETTINGS:
                 raise ValueError(f"unknown plan override {key!r}")
 
     def tester_config(self, seed: int = 0) -> TesterConfig:
-        kwargs = dict(self.overrides)
-        if "gamma" in kwargs:
-            kwargs["core_grid"] = kwargs.pop("gamma")
-        if "sqrt_statistic" in kwargs:
-            kwargs["sqrt_statistic"] = bool(int(kwargs["sqrt_statistic"]))
-        return desk_config(eps=self.eps, k=self.k, p=self.p, seed=seed, **kwargs)
+        fields = {PLAN_SETTINGS[key].field: value for key, value in self.overrides.items()}
+        return desk_config(eps=self.eps, k=self.k, p=self.p, seed=seed, **fields)
 
 
 @dataclass(frozen=True)
@@ -104,12 +94,15 @@ def wilson_halfwidth(p: float, n: int, z: float = 1.96) -> float:
     return (z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))) / (1 + z * z / n)
 
 
-def _in_class_instance(plan: ExperimentPlan, config: TesterConfig, trial_seed: int) -> FunctionTable:
-    cores = cached_cores(plan.class_tag, plan.k, config.core_grid)
-    rng = np.random.default_rng((trial_seed, 0xC0FE))
-    core = cores.member(int(rng.integers(len(cores))))
-    coords = tuple(int(c) + 1 for c in rng.choice(plan.n, size=plan.k, replace=False))
-    return lift_core(core, coords, plan.n)
+def _trial_table(n: int, cores: CoreSet, core: Optional[CoreTable], seed: int) -> FunctionTable:
+    """Trial `seed`'s table: `core`, or if it is None a random member of
+    `cores`, lifted onto k distinct random coordinates of [1..n], all
+    drawn from default_rng((seed, 0xC0FE))."""
+    rng = np.random.default_rng((seed, 0xC0FE))
+    if core is None:
+        core = cores.member(int(rng.integers(len(cores))))
+    coords = tuple(int(c) + 1 for c in rng.choice(n, size=cores.k, replace=False))
+    return lift_core(core, coords, n)
 
 
 def run_plan(plan: ExperimentPlan) -> tuple[ExperimentSummary, list[TrialRecord]]:
@@ -119,14 +112,12 @@ def run_plan(plan: ExperimentPlan) -> tuple[ExperimentSummary, list[TrialRecord]
 
     certified: Optional[float] = None
     shared_table: Optional[FunctionTable] = None
-    far_core_values: Optional[tuple[float, ...]] = None
-    if plan.mode == "far_mode_b":
-        instance = make_far_instance("b", plan.class_tag, plan.n, plan.k, plan.eps)
-        shared_table = instance.table
-        certified = instance.certified_distance
-    elif plan.mode == "far_mode_a":
-        probe = make_far_instance(
-            "a",
+    far_core: Optional[CoreTable] = None
+    if plan.mode != "in_class":
+        # one far instance per plan: every trial shares mode b's table,
+        # and lifts mode a's certified core onto its own coordinates
+        far = make_far_instance(
+            plan.mode.removeprefix("far_mode_"),
             plan.class_tag,
             plan.n,
             plan.k,
@@ -134,28 +125,18 @@ def run_plan(plan: ExperimentPlan) -> tuple[ExperimentSummary, list[TrialRecord]
             gamma=config0.core_grid,
             core_values=plan.core_values,
         )
-        certified = probe.certified_distance
-        far_core_values = probe.core_values
+        certified = far.certified_distance
+        if plan.mode == "far_mode_b":
+            shared_table = far.table
+        else:
+            far_core = CoreTable(plan.k, far.core_values)
 
     records: list[TrialRecord] = []
     for t in range(plan.trial_count):
         seed = plan.seed_base + t
         config = replace(config0, seed=seed)
-        if plan.mode == "in_class":
-            table = _in_class_instance(plan, config, seed)
-        elif plan.mode == "far_mode_a":
-            rng = np.random.default_rng((seed, 0xC0FE))
-            instance = make_far_instance(
-                "a",
-                plan.class_tag,
-                plan.n,
-                plan.k,
-                plan.eps,
-                gamma=config.core_grid,
-                rng=rng,
-                core_values=far_core_values,
-            )
-            table = instance.table
+        if shared_table is None:
+            table = _trial_table(plan.n, cores, far_core, seed)
         else:
             table = shared_table
         report = run_tester(make_counting_oracle(table), plan.class_tag, config, cores=cores)
@@ -273,9 +254,9 @@ def plan_to_lines(plan: ExperimentPlan) -> list[str]:
         f"seed_base: {plan.seed_base}",
         f"mode: {plan.mode}",
     ]
-    for key in _PLAN_OVERRIDE_KEYS:
+    for key, setting in PLAN_SETTINGS.items():
         if key in plan.overrides:
-            lines.append(f"{key}: {plan.overrides[key]!r}")
+            lines.append(f"{key}: {setting.text(plan.overrides[key])}")
     if plan.core_values is not None:
         lines.append("core_values: " + " ".join(repr(v) for v in plan.core_values))
     return lines
@@ -292,18 +273,7 @@ def parse_plan_text(text: str) -> ExperimentPlan:
         PLAN_SCHEMA,
         ("class", "n", "k", "eps", "trials", "seed_base", "mode"),
     )
-    overrides = {}
-    for key in _PLAN_OVERRIDE_KEYS:
-        if key in entries:
-            raw = entries[key]
-            overrides[key] = int(raw) if key in (
-                "q",
-                "m",
-                "num_parts",
-                "refine_rounds",
-                "sqrt_statistic",
-                "subset_budget",
-            ) else float(raw)
+    overrides = {key: s.read(entries[key]) for key, s in PLAN_SETTINGS.items() if key in entries}
     core_values = None
     if "core_values" in entries:
         core_values = tuple(float(tok) for tok in entries["core_values"].split())

@@ -129,19 +129,8 @@ def _cmd_test(args) -> int:
         plan = replace(plan, seed_base=args.seed)
     if args.config is not None:
         base = tester.load_config(args.config)
-        merged = dict(
-            q=base.q,
-            m=base.m,
-            num_parts=base.num_parts,
-            gamma=base.core_grid,
-            refine_rounds=base.refine_rounds,
-            inf_threshold=base.inf_threshold,
-            accept_threshold=base.accept_threshold,
-            sqrt_statistic=int(base.sqrt_statistic),
-            subset_budget=base.subset_budget,
-        )
-        merged.update(plan.overrides)
-        plan = replace(plan, overrides=merged)
+        merged = {key: getattr(base, s.field) for key, s in tester.PLAN_SETTINGS.items()}
+        plan = replace(plan, overrides={**merged, **plan.overrides})
     summary, records = bench.run_plan(plan)
     if args.out is not None:
         bench.write_summary(summary, args.out)

@@ -186,6 +186,27 @@ def dist_cores_to_set(values: np.ndarray, cores: CoreSet) -> np.ndarray:
     return np.sqrt(np.maximum(best, 0.0) / size)
 
 
+def farthest_grid_core(cores: CoreSet) -> tuple[CoreTable, float]:
+    """The grid function on {0,1}^k farthest from the set, with its
+    `dist_core_to_set`: the first in np.ndindex order of the largest.
+
+    The grid is scored a block at a time by `dist_cores_to_set`, keeping
+    every candidate whose squared distance is within 1e-12 of the best so
+    far; the kept ones are settled by `dist_core_to_set`, since the
+    blocked squares are exact only at dyadic gamma.
+    """
+    kept, kept_d = np.empty((0, 1 << cores.k)), np.empty(0)
+    for block in _grid_blocks(grid_levels(cores.gamma), 1 << cores.k):
+        kept = np.concatenate([kept, block])
+        kept_d = np.concatenate([kept_d, dist_cores_to_set(block, cores)])
+        close = kept_d ** 2 >= kept_d.max() ** 2 - 1e-12
+        kept, kept_d = kept[close], kept_d[close]
+    candidates = [CoreTable(cores.k, tuple(float(v) for v in row)) for row in kept]
+    exact = [dist_core_to_set(c, cores) for c in candidates]
+    best = int(np.argmax(exact))
+    return candidates[best], exact[best]
+
+
 def lift_core(h: CoreTable, coords: Sequence[int], n: int) -> FunctionTable:
     """The n-variable junta reading core input j from ambient coordinate
     coords[j]; coords must be distinct and within [1..n]."""

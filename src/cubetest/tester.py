@@ -38,6 +38,11 @@ estimate.
 Total query cost is exactly q + 2m * (C(num_parts, k) + 2^k * r + 1),
 where r is the number of refinement rounds run: `refine_rounds` under
 the "paper" profile, at most that under "desk".
+
+`SETTINGS` is the one table of tester settings: for each, its
+config-file key, `TesterConfig` field and value type.  Config files are
+written and read through it, and `PLAN_SETTINGS` names the nine a plan
+may override, by plan-file key ("gamma" for core_grid).
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -580,24 +585,56 @@ def run_tester(
 # ---------------------------------------------------------------------------
 
 
+class Setting(NamedTuple):
+    """One tester setting: its `TesterConfig` field, the type of its value,
+    and whether a config file must give it (an optional one left out
+    keeps the field's default)."""
+
+    field: str
+    kind: type
+    required: bool = True
+
+    def read(self, text: str):
+        return bool(int(text)) if self.kind is bool else self.kind(text)
+
+    def text(self, value) -> str:
+        return str(int(value)) if self.kind is bool else str(value)
+
+
+# every tester setting by its config-file key, in config-file order
+SETTINGS = {
+    "profile": Setting("scale_profile", str, required=False),
+    "eps": Setting("eps", float),
+    "k": Setting("k", int),
+    "p": Setting("p", float, required=False),
+    "q": Setting("q", int),
+    "m": Setting("m", int),
+    "num_parts": Setting("num_parts", int),
+    "refine_rounds": Setting("refine_rounds", int),
+    "inf_threshold": Setting("inf_threshold", float),
+    "accept_threshold": Setting("accept_threshold", float),
+    "core_grid": Setting("core_grid", float),
+    "seed": Setting("seed", int, required=False),
+    "sqrt_statistic": Setting("sqrt_statistic", bool, required=False),
+    "subset_budget": Setting("subset_budget", int, required=False),
+}
+# the settings a plan may override, by plan key, in plan-file order; eps,
+# k, p, the seed and the profile come from the plan's own fields
+PLAN_SETTINGS = {
+    plan_key: SETTINGS[key]
+    for plan_key, key in (
+        ("q", "q"), ("m", "m"), ("num_parts", "num_parts"), ("gamma", "core_grid"),
+        ("refine_rounds", "refine_rounds"), ("inf_threshold", "inf_threshold"),
+        ("accept_threshold", "accept_threshold"), ("sqrt_statistic", "sqrt_statistic"),
+        ("subset_budget", "subset_budget"),
+    )
+}
+
+
 def config_to_lines(config: TesterConfig) -> list[str]:
-    lines = [
-        f"schema: {CONFIG_SCHEMA}",
-        f"profile: {config.scale_profile}",
-        f"eps: {config.eps!r}",
-        f"k: {config.k}",
-        f"p: {config.p!r}",
-        f"q: {config.q}",
-        f"m: {config.m}",
-        f"num_parts: {config.num_parts}",
-        f"refine_rounds: {config.refine_rounds}",
-        f"inf_threshold: {config.inf_threshold!r}",
-        f"accept_threshold: {config.accept_threshold!r}",
-        f"core_grid: {config.core_grid!r}",
-        f"seed: {config.seed}",
-        f"sqrt_statistic: {int(config.sqrt_statistic)}",
-        f"subset_budget: {config.subset_budget}",
-    ]
+    lines = [f"schema: {CONFIG_SCHEMA}"]
+    for key, setting in SETTINGS.items():
+        lines.append(f"{key}: {setting.text(getattr(config, setting.field))}")
     for note in profile_deviations(config):
         lines.append(f"# deviation {note}")
     return lines
@@ -607,17 +644,7 @@ def save_config(config: TesterConfig, path) -> None:
     kvfile.write_lines(path, config_to_lines(config))
 
 
-_CONFIG_REQUIRED = (
-    "eps",
-    "k",
-    "q",
-    "m",
-    "num_parts",
-    "refine_rounds",
-    "inf_threshold",
-    "accept_threshold",
-    "core_grid",
-)
+_CONFIG_REQUIRED = tuple(key for key, s in SETTINGS.items() if s.required)
 _REPORT_REQUIRED = (
     "verdict",
     "reject_stage",
@@ -635,20 +662,7 @@ def load_config(path) -> TesterConfig:
     with open(path) as fh:
         entries = kvfile.check(kvfile.parse(fh.read()), "config", CONFIG_SCHEMA, _CONFIG_REQUIRED)
     return TesterConfig(
-        eps=float(entries["eps"]),
-        k=int(entries["k"]),
-        p=float(entries.get("p", 2.0)),
-        q=int(entries["q"]),
-        m=int(entries["m"]),
-        num_parts=int(entries["num_parts"]),
-        refine_rounds=int(entries["refine_rounds"]),
-        inf_threshold=float(entries["inf_threshold"]),
-        accept_threshold=float(entries["accept_threshold"]),
-        core_grid=float(entries["core_grid"]),
-        seed=int(entries.get("seed", 0)),
-        scale_profile=entries.get("profile", "desk"),
-        sqrt_statistic=bool(int(entries.get("sqrt_statistic", "0"))),
-        subset_budget=int(entries.get("subset_budget", 200_000)),
+        **{s.field: s.read(entries[key]) for key, s in SETTINGS.items() if key in entries}
     )
 
 

@@ -458,6 +458,9 @@ def make_far_instance(
 ) -> FarInstance:
     """Build a soundness instance with a certified distance.
 
+    Mode "a" lifts `core_values`, or if they are None the grid core
+    farthest from the class's cores (`cores.farthest_grid_core`), onto
+    coordinates 1..k, or onto k random ones drawn from `rng` if given.
     Raises if eps exceeds the achievable certified distance.
     """
     if mode == "b":
@@ -468,7 +471,7 @@ def make_far_instance(
         return FarInstance(table=parity_blend_table(n), certified_distance=0.5, mode="b")
     if mode != "a":
         raise ValueError(f"unknown far-instance mode {mode!r}")
-    from .cores import CoreTable, cached_cores, dist_core_to_set, grid_levels, lift_core
+    from .cores import CoreTable, cached_cores, dist_core_to_set, farthest_grid_core, lift_core
 
     if gamma is None:
         raise ValueError("mode a requires gamma")
@@ -477,17 +480,7 @@ def make_far_instance(
         core = CoreTable(k, tuple(core_values))
         best_dist = dist_core_to_set(core, cores)
     else:
-        levels = grid_levels(gamma)
-        best_dist = -1.0
-        core = None
-        for flat in np.ndindex(*([len(levels)] * (1 << k))):
-            candidate = CoreTable(k, tuple(levels[j] for j in flat))
-            d = dist_core_to_set(candidate, cores)
-            if d > best_dist:
-                best_dist = d
-                core = candidate
-        assert core is not None
-        core = CoreTable(k, tuple(core.values))
+        core, best_dist = farthest_grid_core(cores)
     if eps > best_dist:
         raise ValueError(
             f"eps={eps} exceeds the best achievable certified distance {best_dist:.6f}"

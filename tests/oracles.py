@@ -12,9 +12,12 @@ import math
 
 import numpy as np
 
-from cubetest.cores import core_of_junta, dist_core_to_set
+from cubetest.cores import (
+    CoreTable, cached_cores, core_of_junta, dist_core_to_set, grid_levels, lift_core
+)
 from cubetest.influence import junta_projection
 from cubetest.tables import MAX_DIMENSION, FunctionTable
+from cubetest.valuations import make_far_instance
 
 
 def popcount(x: int) -> int:
@@ -213,6 +216,38 @@ def naive_certify_bound(f: FunctionTable, cores, gamma: float) -> float:
         d2 = dist_core_to_set(core_of_junta(pK, K), cores)
         bound = min(bound, max(d1, d2 - gamma / 2 - d1))
     return max(0.0, bound)
+
+
+def naive_farthest_grid_core(cores) -> tuple[tuple[float, ...], float]:
+    """The far-core search of `make_far_instance` mode "a" as one
+    `dist_core_to_set` call per grid candidate, in np.ndindex order,
+    keeping the first of the largest: (core values, distance)."""
+    levels = grid_levels(cores.gamma)
+    best, best_dist = None, -1.0
+    for flat in np.ndindex(*([len(levels)] * (1 << cores.k))):
+        candidate = CoreTable(cores.k, tuple(levels[j] for j in flat))
+        d = dist_core_to_set(candidate, cores)
+        if d > best_dist:
+            best, best_dist = candidate, d
+    return tuple(float(v) for v in best.values), best_dist
+
+
+def naive_trial_table(plan, seed: int, far_core_values=None) -> FunctionTable:
+    """Trial `seed`'s table of an in_class or far_mode_a plan, built on
+    its own from default_rng((seed, 0xC0FE)): for in_class a random
+    enumerated core lifted onto random coordinates, for far_mode_a a
+    fresh `make_far_instance` of the given core with that generator."""
+    gamma = plan.tester_config().core_grid
+    rng = np.random.default_rng((seed, 0xC0FE))
+    if plan.mode == "far_mode_a":
+        return make_far_instance(
+            "a", plan.class_tag, plan.n, plan.k, plan.eps,
+            gamma=gamma, rng=rng, core_values=far_core_values,
+        ).table
+    cores = cached_cores(plan.class_tag, plan.k, gamma)
+    core = cores.member(int(rng.integers(len(cores))))
+    coords = tuple(int(c) + 1 for c in rng.choice(plan.n, size=plan.k, replace=False))
+    return lift_core(core, coords, plan.n)
 
 
 def _l2(f: FunctionTable, g: FunctionTable) -> float:

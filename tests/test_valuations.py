@@ -26,6 +26,7 @@ from cubetest.valuations import (
 )
 from oracles import (
     NAIVE_WITNESSES,
+    naive_farthest_grid_core,
     naive_min_distance_to_cores,
     naive_oxs_value,
     submodular_all_pairs,
@@ -266,7 +267,29 @@ class TestHierarchy:
                     assert witness is None, f"{tag} instance failed {checker_tag}: {witness}"
 
 
+CHECKER_CLASSES = ("additive", "unit_demand", "submodular", "subadditive", "self_bounding")
+# (class, k, gamma) for the far-core search.  At k = 2, gamma = 1/10 the
+# per-candidate loop takes 4.5 s for submodular and as long or longer for
+# subadditive and self_bounding, so submodular alone stands for the three
+FAR_SEARCH_CASES = [
+    (tag, k, gamma)
+    for k in (1, 2)
+    for gamma in (1 / 2, 1 / 3, 1 / 4, 1 / 10)
+    for tag in CHECKER_CLASSES
+    if (k, gamma) != (2, 1 / 10) or tag in ("additive", "unit_demand", "submodular")
+] + [(tag, 3, 1 / 2) for tag in CHECKER_CLASSES]
+
+
 class TestFarInstances:
+    @pytest.mark.parametrize("class_tag, k, gamma", FAR_SEARCH_CASES)
+    def test_mode_a_search_matches_per_candidate_loop(self, class_tag, k, gamma):
+        from cubetest.cores import cached_cores
+
+        inst = make_far_instance("a", class_tag, k + 1, k, 0.0, gamma=gamma)
+        core_values, dist = naive_farthest_grid_core(cached_cores(class_tag, k, gamma))
+        assert inst.core_values == core_values
+        assert inst.certified_distance == dist
+
     def test_mode_b_certified_half(self):
         inst = make_far_instance("b", "submodular", 10, 3, 0.4)
         assert inst.certified_distance == 0.5
