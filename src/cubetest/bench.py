@@ -124,6 +124,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[ExperimentSummary, list[TrialRecord]
             plan.eps,
             gamma=config0.core_grid,
             core_values=plan.core_values,
+            p=plan.p,
         )
         certified = far.certified_distance
         if plan.mode == "far_mode_b":

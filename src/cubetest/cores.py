@@ -143,14 +143,17 @@ def cached_cores(class_tag: str, k: int, gamma: float) -> CoreSet:
     return enumerate_cores(class_tag, k, gamma)
 
 
-def dist_core_to_set(g: CoreTable, cores: CoreSet) -> float:
-    """Minimum exact l2 distance from g to any member of the set."""
+def dist_core_to_set(g: CoreTable, cores: CoreSet, p: float = 2.0) -> float:
+    """Minimum exact lp distance from g to any member of the set,
+    (min_c mean |g - c|^p)^(1/p); l2 unless p is given."""
     if g.k != cores.k:
         raise ValueError(f"arities differ: {g.k} vs {cores.k}")
     if len(cores) == 0:
         raise ValueError("core set is empty")
-    d2 = np.mean((cores.tables - g.as_array()) ** 2, axis=1)
-    return float(np.sqrt(d2.min()))
+    dev = cores.tables - g.as_array()
+    if p == 2:
+        return float(np.sqrt(np.mean(dev ** 2, axis=1).min()))
+    return float(np.mean(np.abs(dev) ** p, axis=1).min() ** (1.0 / p))
 
 
 def dist_cores_to_set(values: np.ndarray, cores: CoreSet) -> np.ndarray:

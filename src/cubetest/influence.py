@@ -9,10 +9,14 @@ obeys the Hoeffding bound  Pr[|est - Inf| >= t] <= 2 exp(-2 m t^2).
 
 `estimate_inf_mask` is the one sampled entry point.  Like a ufunc it
 takes a scalar mask (and returns a float) or a 1-D batch of masks (and
-returns an array).  A batch draws its points in chunks of at most
-ESTIMATE_CHUNK_POINTS, one RNG draw and one oracle call per chunk, and
-consumes the RNG stream exactly as the same masks estimated one at a
-time would, so batching changes no estimate.
+returns an array).  A batch shares one draw of m base points across all
+its masks (common random numbers), and each mask adds its own m fresh
+completions: B masks cost m(B + 1) queries rather than 2mB.  Each
+estimate keeps the law of an independent 2m-query estimate, so it stays
+unbiased and keeps the Hoeffding bound; only the estimates of one batch
+are dependent.  The fresh points are drawn in chunks of at most
+ESTIMATE_CHUNK_POINTS, one RNG draw and one oracle call per chunk.  A
+scalar mask, or a batch of one, costs 2m queries.
 """
 
 from __future__ import annotations
@@ -33,11 +37,12 @@ from .tables import (
 )
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
-# oracle points per chunk of a batched estimate (a chunk holds at least
-# one mask): bounds the draw, the answers and the differences to a few
-# hundred KB whatever the batch size, and still holds a whole refinement
-# round (2^k masks of 2m points) at k = 2 and m <= 1024; at 1 << 15 the
-# peak RSS of a criterion-8 run rose by about 0.7 MB
+# fresh oracle points per chunk of a batched estimate (a chunk holds at
+# least one mask; the first one also holds the m shared base points):
+# bounds the draw, the answers and the differences to a few hundred KB
+# whatever the batch size, and still holds a whole refinement round (2^k
+# masks of m fresh points) at k <= 3 and m <= 1024; at 1 << 15 the peak
+# RSS of a criterion-8 run rose by about 0.7 MB
 ESTIMATE_CHUNK_POINTS = 1 << 13
 # doubles per block of the (sets x degree <= k masks) product of
 # `junta_weights`: a few MB of temporaries whatever the number of sets
@@ -76,36 +81,47 @@ def influence_fourier(spectrum: FourierSpectrum, S: Iterable[int]) -> float:
 def estimate_inf_mask(
     oracle: QueryOracle, s_mask: int | np.ndarray, m: int, rng: np.random.Generator
 ) -> float | np.ndarray:
-    """Monte Carlo influence estimate using exactly 2m oracle queries per mask.
+    """Monte Carlo influence estimate from m base points shared by every
+    mask and m fresh points per mask: 2m oracle queries for one mask,
+    m(B + 1) for a batch of B.
 
-    Each of the m samples fixes the coordinates outside S and compares f
-    at two independent completions of S; the average squared difference,
-    halved, is an unbiased estimate of Inf_f(S).
+    Each of the m samples fixes the coordinates outside S at a base point
+    and compares f there with f at a fresh completion of S; the average
+    squared difference, halved, is an unbiased estimate of Inf_f(S).
 
     `s_mask` is one mask (the result is a float) or a 1-D batch of masks
-    (the result is an array, one estimate per mask).  For each mask the
-    draw holds the m base points, then the m fresh points, and masks
-    follow one another in order, so a batch makes the same draws in the
-    same order as scalar calls in sequence: the estimates, the query
-    count and the RNG state afterwards are identical.
+    (the result is an array, one estimate per mask).  The draws hold the
+    m base points, then the m fresh points of each mask in order, so a
+    scalar call draws and queries exactly what the first mask of a batch
+    does.  Every mask sees uniform base points and fresh points drawn
+    independently of them, so each estimate has the law of a separate
+    2m-query estimate; the masks of a batch share the base points
+    (common random numbers), which only correlates their estimates.  An
+    empty batch draws nothing and queries nothing.
     """
     if m < 1:
         raise ValueError("sample count must be >= 1")
     masks = np.asarray(s_mask, dtype=np.int64)
     if masks.ndim > 1:
         raise ValueError("s_mask must be a scalar or a 1-D batch of masks")
-    batch = masks.reshape(-1, 1, 1)
+    batch = masks.reshape(-1, 1)
     out = np.empty(batch.shape[0])
     size = 1 << oracle.n
-    per_chunk = max(1, ESTIMATE_CHUNK_POINTS // (2 * m))
+    per_chunk = max(1, ESTIMATE_CHUNK_POINTS // m)
     for lo in range(0, batch.shape[0], per_chunk):
         s = batch[lo : lo + per_chunk]
-        points = rng.integers(0, size, size=(s.shape[0], 2, m), dtype=np.int64)
-        # [:, 0] holds the base points; [:, 1] the fresh ones, which then
-        # take the base's coordinates outside S
-        points[:, 1:] = (points[:, :1] & ~s) | (points[:, 1:] & s)
+        # the first chunk's draw and oracle call also hold the base points,
+        # in row 0; the other rows are fresh points, which then take the
+        # base's coordinates outside S
+        head = int(lo == 0)
+        points = rng.integers(0, size, size=(head + s.shape[0], m), dtype=np.int64)
+        if head:
+            base = points[0]
+        points[head:] = (base & ~s) | (points[head:] & s)
         values = oracle.query_masks(points.reshape(-1)).reshape(points.shape)
-        diff = values[:, 0] - values[:, 1]
+        if head:
+            base_values = values[0]
+        diff = base_values - values[head:]
         diff *= diff
         out[lo : lo + s.shape[0]] = diff.sum(axis=1) / (2 * m)
     return float(out[0]) if masks.ndim == 0 else out

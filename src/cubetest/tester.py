@@ -29,15 +29,19 @@ without-replacement draws against big-integer half capacities, which
 reproduces exactly the distribution a full shuffle-and-split would
 induce on them.
 
-The subset sweep estimates all C(num_parts, k) complements in one
-batched estimator call, and each refinement round its 2^k complements
-in one more; the gate makes one scalar call.  Batching draws the same
-random points in the same order as one call per mask, so it changes no
-estimate.
+Under the "desk" profile the subset sweep estimates all C(num_parts, k)
+complements in one batched estimator call, and each refinement round
+its 2^k complements in one more; a batch shares one set of m base
+points across its masks (see `estimate_inf_mask`), so B masks cost
+m(B + 1) queries.  Under "paper" the same estimator is called one mask
+at a time, 2m queries each, which draws exactly the random points the
+independent per-mask estimates of the paper draw.  The gate makes one
+scalar call, 2m queries, under both.
 
-Total query cost is exactly q + 2m * (C(num_parts, k) + 2^k * r + 1),
-where r is the number of refinement rounds run: `refine_rounds` under
-the "paper" profile, at most that under "desk".
+A "paper" run costs exactly q + 2m * (C(num_parts, k) + 2^k * r + 1),
+with r = `refine_rounds`.  A "desk" run that used r refinement rounds
+(at most `refine_rounds`) costs exactly
+q + m * (C(num_parts, k) + 1) + m * (2^k + 1) * r + 2m.
 
 `SETTINGS` is the one table of tester settings: for each, its
 config-file key, `TesterConfig` field and value type.  Config files are
@@ -143,9 +147,10 @@ class TesterConfig:
         return lp_epsilon_map(self.p, self.eps)
 
     def query_budget(self) -> int:
-        """Upper bound on the oracle queries of one run, exact under the
-        "paper" profile.  A run that used r refinement rounds costs
-        exactly q + 2m * (C(num_parts, k) + 2^k * r + 1)."""
+        """Oracle queries of one "paper" run, exactly: q + 2m * (C(num_parts,
+        k) + 2^k * r + 1) with r = refine_rounds.  An upper bound under
+        "desk", where a run that used r rounds costs exactly
+        q + m * (C(num_parts, k) + 1) + m * (2^k + 1) * r + 2m."""
         return self.q + 2 * self.m * (
             math.comb(self.num_parts, self.k) + (1 << self.k) * self.refine_rounds + 1
         )
@@ -323,6 +328,21 @@ def _split_part(
     )
 
 
+def _estimate_batch(
+    estimator: InfluenceEstimator,
+    oracle: QueryOracle,
+    masks: np.ndarray,
+    config: TesterConfig,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Estimates of a batch of masks: one estimator call under "desk",
+    whose masks share their base points; one call per mask under
+    "paper", 2m queries each."""
+    if config.scale_profile == "desk":
+        return estimator(oracle, masks, config.m, rng)
+    return np.array([estimator(oracle, int(s), config.m, rng) for s in masks])
+
+
 def select_initial_parts(
     oracle: QueryOracle,
     buckets: PatternBuckets,
@@ -334,10 +354,11 @@ def select_initial_parts(
     """Sweep every size-k subset of the equi-partition and keep the one
     whose complement has the smallest estimated influence.
 
-    All complements go to the estimator as one batch.  Costs exactly
-    2m * C(num_parts, k) queries; ties break to the lexicographically
-    first subset.  `parts` lets a caller supply the partition (built
-    with `_initial_parts`) to observe it directly.
+    Under "desk" all complements go to the estimator as one batch, which
+    costs exactly m * (C(num_parts, k) + 1) queries; under "paper" they
+    go one at a time, 2m * C(num_parts, k).  Ties break to the
+    lexicographically first subset.  `parts` lets a caller supply the
+    partition (built with `_initial_parts`) to observe it directly.
     """
     n_subsets = math.comb(config.num_parts, config.k)
     if n_subsets > config.subset_budget:
@@ -355,7 +376,7 @@ def select_initial_parts(
         for j in J:
             s_mask |= parts[j].coord_mask
         complements[i] = full & ~s_mask
-    estimates = estimator(oracle, complements, config.m, rng)
+    estimates = _estimate_batch(estimator, oracle, complements, config, rng)
     etas = {J: float(eta) for J, eta in zip(subsets, estimates)}
     best_key = subsets[int(np.argmin(estimates))]
     return [parts[j] for j in best_key], etas
@@ -379,15 +400,16 @@ def refine_parts(
 ) -> RefinementResult:
     """Halve every selected part round by round, each round keeping the
     keep-choice z (one half per part) with the smallest estimated
-    complement influence; the 2^k complements of a round go to the
-    estimator as one batch, and ties break to the smallest z.
+    complement influence; ties break to the smallest z.  Under "desk"
+    the 2^k complements of a round go to the estimator as one batch,
+    m * (2^k + 1) queries; under "paper" one at a time, 2m * 2^k.
 
     The "paper" profile runs exactly refine_rounds rounds.  The "desk"
     profile stops after the first round that leaves every part holding
     at most one occupied pattern: later rounds could only keep or drop a
     pattern that is already isolated.  At least one round always runs.
-    Costs exactly 2m * 2^k * rounds_used queries.  A part that loses
-    all its patterns is carried along as empty and flagged.
+    A part that loses all its patterns is carried along as empty and
+    flagged.
     """
     k = len(selected)
     parts = list(selected)
@@ -403,7 +425,7 @@ def refine_parts(
             for i in range(k):
                 s_mask |= halves[i][(z >> i) & 1].coord_mask
             complements[z] = full & ~s_mask
-        estimates = estimator(oracle, complements, config.m, rng)
+        estimates = _estimate_batch(estimator, oracle, complements, config, rng)
         best_z = int(np.argmin(estimates))
         parts = [halves[i][(best_z >> i) & 1] for i in range(k)]
         for i in range(k):
@@ -549,9 +571,10 @@ def run_tester(
     """All four stages in order over a single oracle and RNG stream.
 
     `estimator` stands in for `estimate_inf_mask` under the same
-    contract (see `InfluenceEstimator`): the subset sweep and each
-    refinement round call it with a 1-D int64 batch of complement masks,
-    the gate with one mask.
+    contract (see `InfluenceEstimator`).  Under "desk" the subset sweep
+    and each refinement round call it with a 1-D int64 batch of
+    complement masks; under "paper" with one mask at a time.  The gate
+    calls it with one mask.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)

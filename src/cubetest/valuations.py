@@ -420,13 +420,14 @@ def passing(class_tag: str, tables: np.ndarray, tol: float) -> np.ndarray:
 class FarInstance:
     """A function with a certified distance bound used in soundness runs.
 
-    mode "b": the full-parity blend (1 + chi_[n])/2, at l2 distance
-    exactly 1/2 from every k-junta with k < n.  mode "a": a k-junta
-    whose core is far from every enumerated grid core of a class;
-    `certified_distance` is the exact minimum l2 distance from the core
-    to that enumerated set, and `class_distance_lower_bound` subtracts
-    the gamma/2 discretization slack to bound the distance to the
-    un-discretized class.
+    mode "b": the full-parity blend (1 + chi_[n])/2, at lp distance
+    exactly 1/2 from every k-junta with k < n, for every p >= 1.  mode
+    "a": a k-junta whose core is far from every enumerated grid core of
+    a class; `certified_distance` is the exact minimum lp distance from
+    the core to that enumerated set, in the p it was made for, and
+    `class_distance_lower_bound` subtracts the gamma/2 discretization
+    slack to bound the distance to the un-discretized class.
+    `certified_distance` is the one compared against eps.
     """
 
     table: FunctionTable
@@ -455,17 +456,24 @@ def make_far_instance(
     gamma: float | None = None,
     rng: np.random.Generator | None = None,
     core_values: Iterable[float] | None = None,
+    p: float = 2.0,
 ) -> FarInstance:
-    """Build a soundness instance with a certified distance.
+    """Build a soundness instance with a certified lp distance.
 
     Mode "a" lifts `core_values`, or if they are None the grid core
-    farthest from the class's cores (`cores.farthest_grid_core`), onto
-    coordinates 1..k, or onto k random ones drawn from `rng` if given.
-    Raises if eps exceeds the achievable certified distance.
+    farthest in l2 from the class's cores (`cores.farthest_grid_core`),
+    onto coordinates 1..k, or onto k random ones drawn from `rng` if
+    given.  Its certified distance is the core's lp distance to the
+    cores, (min_c mean |g - c|^p)^(1/p).  Raises if eps exceeds the
+    certified distance: eps is compared against `certified_distance`,
+    not `class_distance_lower_bound`.
     """
     if mode == "b":
         if not k < n:
             raise ValueError("mode b requires k < n")
+        # the blend is 0/1-valued and balanced on every subcube fixing k < n
+        # coordinates, so each value g of a k-junta there costs
+        # (|g|^p + |1 - g|^p)/2 >= 2^-p: lp distance 1/2 for every p >= 1
         if eps > 0.5:
             raise ValueError(f"eps={eps} exceeds the certified junta distance 0.5")
         return FarInstance(table=parity_blend_table(n), certified_distance=0.5, mode="b")
@@ -478,9 +486,9 @@ def make_far_instance(
     cores = cached_cores(target_class, k, gamma)
     if core_values is not None:
         core = CoreTable(k, tuple(core_values))
-        best_dist = dist_core_to_set(core, cores)
     else:
-        core, best_dist = farthest_grid_core(cores)
+        core, _ = farthest_grid_core(cores)
+    best_dist = dist_core_to_set(core, cores, p)
     if eps > best_dist:
         raise ValueError(
             f"eps={eps} exceeds the best achievable certified distance {best_dist:.6f}"

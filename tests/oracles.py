@@ -242,7 +242,7 @@ def naive_trial_table(plan, seed: int, far_core_values=None) -> FunctionTable:
     if plan.mode == "far_mode_a":
         return make_far_instance(
             "a", plan.class_tag, plan.n, plan.k, plan.eps,
-            gamma=gamma, rng=rng, core_values=far_core_values,
+            gamma=gamma, rng=rng, core_values=far_core_values, p=plan.p,
         ).table
     cores = cached_cores(plan.class_tag, plan.k, gamma)
     core = cores.member(int(rng.integers(len(cores))))
@@ -307,6 +307,28 @@ def per_mask_estimator(oracle, s_mask, m, rng):
     if np.ndim(s_mask) == 0:
         return one(s_mask)
     return np.array([one(mask) for mask in s_mask], dtype=np.float64)
+
+
+def shared_base_estimator(oracle, s_mask, m, rng):
+    """Influence estimator that makes one draw of m base points and one
+    oracle call on them per call, then, mask by mask, one draw of m fresh
+    points and one oracle call on their completions of the base; takes a
+    scalar mask or a 1-D batch, like `influence.estimate_inf_mask`.  An
+    empty batch draws and queries nothing."""
+    scalar = np.ndim(s_mask) == 0
+    masks = [int(s_mask)] if scalar else [int(mask) for mask in s_mask]
+    out = []
+    if masks:
+        size = 1 << oracle.n
+        base = rng.integers(0, size, size=m, dtype=np.int64)
+        v1 = oracle.query_masks(base)
+        for mask in masks:
+            fresh = rng.integers(0, size, size=m, dtype=np.int64)
+            v2 = oracle.query_masks((base & ~mask) | (fresh & mask))
+            out.append(float(np.sum((v1 - v2) ** 2) / (2 * m)))
+    if scalar:
+        return out[0]
+    return np.array(out, dtype=np.float64)
 
 
 def naive_buckets_from_masks(sample_masks, n: int) -> dict[int, tuple[int, ...]]:

@@ -331,10 +331,25 @@ class TestTestCommand:
         assert "config missing 'eps' field" in capsys.readouterr().err
 
 
+    def test_far_plan_certified_in_its_own_lp(self, tmp_path, capsys):
+        # the farthest self_bounding core is 0.331 from the grid cores in
+        # l2 but 0.25 in l1: the plan runs at p = 2 and is refused at p = 1
+        kwargs = dict(class_tag="self_bounding", n=12, eps=0.3, mode="far_mode_a", overrides={})
+        _, path = self._small_plan(tmp_path, **kwargs)
+        assert main(["--out", str(tmp_path / "s.txt"), "test", str(path)]) == 0
+        assert "certified_distance: 0.3307" in (tmp_path / "s.txt").read_text()
+        _, path = self._small_plan(tmp_path, p=1.0, **kwargs)
+        capsys.readouterr()
+        assert main(["test", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: eps=0.3 exceeds the best achievable certified distance 0.250000\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("plan_q, q", [(None, 24), (16, 16)])
     def test_config_reaches_every_trial(self, tmp_path, plan_q, q):
-        # queries_used = q + 2m (C(P, k) + 2^k r + 1): the sample, the
-        # subset sweep, r refinement rounds of 2^k estimates and the gate
+        # queries_used = q + m (C(P, k) + 1) + m (2^k + 1) r + 2m: the
+        # sample, the subset sweep, r refinement rounds of 2^k estimates
+        # (each batch adds m shared base points) and the gate
         from cubetest.tester import config_to_lines, desk_config
 
         overrides = {"gamma": 0.25} if plan_q is None else {"gamma": 0.25, "q": plan_q}
@@ -348,7 +363,7 @@ class TestTestCommand:
         for record in records:
             fields = dict(ln.split(": ", 1) for ln in record.splitlines()[1:] if ": " in ln)
             rounds = int(fields["refine_rounds_used"])
-            assert int(fields["queries_used"]) == q + 2 * 30 * (math.comb(12, 2) + 4 * rounds + 1)
+            assert int(fields["queries_used"]) == q + 30 * (math.comb(12, 2) + 1) + 30 * 5 * rounds + 2 * 30
 
 
 class TestCertify:

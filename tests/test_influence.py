@@ -31,6 +31,7 @@ from oracles import (
     naive_influence,
     naive_junta_projection,
     per_mask_estimator,
+    shared_base_estimator,
 )
 
 
@@ -166,29 +167,40 @@ def hashed_oracle(n):
 
 
 class TestEstimateBatch:
-    """A batch of masks gives the same bits, the same query count and the
-    same RNG state afterwards as scalar calls made in sequence."""
+    """A batch of masks gives the same bits, the same query count, m(B + 1)
+    for B masks, and the same RNG state afterwards as the shared-base
+    reference loop; scalar calls made in sequence give all three as the
+    per-mask reference does, 2m queries each; and a scalar call gives
+    what the first mask of a batch gives."""
 
     def _compare(self, make_oracle, n, m, count, seed=0):
         masks = np.random.default_rng(seed).integers(0, 1 << n, size=count, dtype=np.int64)
         runs = {}
-        for how in ("batch", "scalar", "reference"):
+        for how in ("batch", "shared_base", "scalar", "per_mask", "first"):
             oracle = make_oracle()
             rng = np.random.default_rng(seed + 1)
             if how == "batch":
                 est = estimate_inf_mask(oracle, masks, m, rng)
+            elif how == "shared_base":
+                est = shared_base_estimator(oracle, masks, m, rng)
             elif how == "scalar":
                 est = [estimate_inf_mask(oracle, int(s), m, rng) for s in masks]
-            else:
+            elif how == "per_mask":
                 est = per_mask_estimator(oracle, masks, m, rng)
+            else:
+                est = [estimate_inf_mask(oracle, int(masks[0]), m, rng)]
             after = rng.integers(0, 1 << 62, size=4)
             runs[how] = (np.asarray(est, dtype=np.float64), oracle.query_count, after)
-        batch, scalar, reference = runs["batch"], runs["scalar"], runs["reference"]
-        assert batch[0].shape == (count,)
-        for other in (scalar, reference):
-            assert batch[0].tobytes() == other[0].tobytes()
-            assert batch[1] == other[1] == 2 * m * count
-            assert np.array_equal(batch[2], other[2])
+        for got, want, queries in (
+            (runs["batch"], runs["shared_base"], m * (count + 1)),
+            (runs["scalar"], runs["per_mask"], 2 * m * count),
+        ):
+            assert got[0].shape == (count,)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1] == want[1] == queries
+            assert np.array_equal(got[2], want[2])
+        assert runs["first"][0].tobytes() == runs["batch"][0][:1].tobytes()
+        assert runs["first"][0].tobytes() == runs["scalar"][0][:1].tobytes()
 
     @pytest.mark.parametrize("m", [1, 37, 1000])
     def test_matches_scalar_calls(self, m):
@@ -197,8 +209,8 @@ class TestEstimateBatch:
 
     @pytest.mark.parametrize("m", [37, 1000])
     def test_crosses_chunk_cap(self, m):
-        count = 2 * ESTIMATE_CHUNK_POINTS // (2 * m) + 3
-        assert count * 2 * m > 2 * ESTIMATE_CHUNK_POINTS  # at least three chunks
+        count = 2 * ESTIMATE_CHUNK_POINTS // m + 3
+        assert count * m > 2 * ESTIMATE_CHUNK_POINTS  # at least three chunks of fresh points
         table = random_table(8, np.random.default_rng(5))
         self._compare(lambda: make_counting_oracle(table), 8, m, count)
 
@@ -224,8 +236,8 @@ class TestEstimateBatch:
             estimate_inf_mask(oracle, np.zeros((2, 2), dtype=np.int64), 10, np.random.default_rng(0))
 
     def test_memory_bounded_by_chunks(self):
-        # 2,000 masks at m=1000 are 4 M points: one unchunked draw and its
-        # answers would take 64 MB; chunks keep the peak under 1 MB
+        # 2,000 masks at m=1000 are 2 M fresh points: one unchunked draw
+        # and its answers would take 32 MB; chunks keep the peak under 1 MB
         oracle = make_counting_oracle(random_table(12, np.random.default_rng(2)))
         masks = np.random.default_rng(3).integers(0, 1 << 12, size=2000, dtype=np.int64)
         tracemalloc.start()
@@ -235,8 +247,30 @@ class TestEstimateBatch:
         finally:
             tracemalloc.stop()
         assert est.shape == (2000,)
-        assert oracle.query_count == 2000 * 2 * 1000
+        assert oracle.query_count == (2000 + 1) * 1000
         assert peak < 4 * 2 ** 20
+
+    def test_each_mask_keeps_the_independent_law(self):
+        # Sharing the base points leaves each mask's estimate with the law
+        # of a separate 2m-query estimate.  Over 4,000 seeded batches on
+        # one random 0/1-valued n = 6 table: each mask's mean lies within
+        # 4 standard errors of influence_exact (a two-sided 99.99%
+        # interval), and its share of deviations >= t is at most the
+        # Hoeffding bound 2 exp(-2 m t^2), about 0.16 at m = 20, t = 0.25,
+        # as criterion 3 checks for one mask
+        n, m, t, runs = 6, 20, 0.25, 4000
+        f = FunctionTable(n, np.random.default_rng(21).integers(0, 2, 1 << n).astype(float))
+        masks = np.array([0b1, 0b100000, 0b11, 0b101010, 0b111000, 0b111111, 0], dtype=np.int64)
+        exact = np.array([influence_exact(f, [i + 1 for i in range(n) if s >> i & 1]) for s in masks])
+        estimates = np.empty((runs, len(masks)))
+        for seed in range(runs):
+            oracle = make_counting_oracle(f)
+            estimates[seed] = estimate_inf_mask(oracle, masks, m, np.random.default_rng(seed))
+            assert oracle.query_count == m * (len(masks) + 1)
+        se = estimates.std(axis=0, ddof=1) / math.sqrt(runs)
+        assert np.all(np.abs(estimates.mean(axis=0) - exact) <= 4 * se)
+        deviation_share = np.mean(np.abs(estimates - exact) >= t, axis=0)
+        assert np.all(deviation_share <= 2 * math.exp(-2 * m * t * t))
 
 class TestInfluenceFacts:
     def test_monotone_and_subadditive(self):

@@ -32,7 +32,12 @@ from cubetest.tester import (
     save_config,
     select_initial_parts,
 )
-from oracles import naive_buckets_from_masks, naive_core_statistics, per_mask_estimator
+from oracles import (
+    naive_buckets_from_masks,
+    naive_core_statistics,
+    per_mask_estimator,
+    shared_base_estimator,
+)
 
 
 TesterConfig.__test__ = False  # imported dataclass, not a test class
@@ -63,8 +68,14 @@ def and_junta(n, coords):
 
 
 def exact_queries(cfg, rounds):
-    """Oracle queries of a run that used `rounds` refinement rounds."""
-    return cfg.q + 2 * cfg.m * (math.comb(cfg.num_parts, cfg.k) + (1 << cfg.k) * rounds + 1)
+    """Oracle queries of a run that used `rounds` refinement rounds: 2m per
+    estimate under "paper"; under "desk" m per estimate of the sweep and
+    of each round plus m for each of those batches' base points, and 2m
+    for the gate."""
+    subsets = math.comb(cfg.num_parts, cfg.k)
+    if cfg.scale_profile == "paper":
+        return cfg.q + 2 * cfg.m * (subsets + (1 << cfg.k) * rounds + 1)
+    return cfg.q + cfg.m * (subsets + 1) + cfg.m * ((1 << cfg.k) + 1) * rounds + 2 * cfg.m
 
 
 class TestLpEpsilonMap:
@@ -286,9 +297,11 @@ class TestStagesWithExactStub:
         cfg = desk_config(eps=0.25, k=2, q=16, m=25)
         masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
         buckets = _buckets_from_masks(masks, n)
-        before = oracle.query_count
-        select_initial_parts(oracle, buckets, cfg, rng)
-        assert oracle.query_count - before == 2 * cfg.m * math.comb(cfg.num_parts, cfg.k)
+        subsets = math.comb(cfg.num_parts, cfg.k)
+        for profile, queries in (("desk", cfg.m * (subsets + 1)), ("paper", 2 * cfg.m * subsets)):
+            before = oracle.query_count
+            select_initial_parts(oracle, buckets, replace(cfg, scale_profile=profile), rng)
+            assert oracle.query_count - before == queries
 
     def test_refine_isolates_single_relevant_pattern(self):
         n = 10
@@ -314,20 +327,23 @@ class TestStagesWithExactStub:
         masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
         buckets = _buckets_from_masks(masks, n)
         selected, _ = select_initial_parts(oracle, buckets, cfg, rng)
-        before = oracle.query_count
-        result = refine_parts(oracle, selected, buckets, cfg, rng)
-        expected = 2 * cfg.m * (1 << cfg.k) * result.rounds_used
-        assert oracle.query_count - before == expected
+        for profile in ("desk", "paper"):
+            before = oracle.query_count
+            result = refine_parts(oracle, selected, buckets, replace(cfg, scale_profile=profile), rng)
+            per_round = cfg.m * ((1 << cfg.k) + 1) if profile == "desk" else 2 * cfg.m * (1 << cfg.k)
+            assert oracle.query_count - before == per_round * result.rounds_used
 
 
 def refine_with_spy(table, cfg, seed, estimator, monkeypatch):
     """Sweep and refinement from seed; returns the refinement, its query
-    count and, for each round, the parts it started from."""
-    started = []
+    count, for each round the parts it started from, and the parts the
+    last round kept."""
+    started, split = [], []
 
     def spy(part, buckets, rng):
         started.append(part)
-        return _split_part(part, buckets, rng)
+        split.append(_split_part(part, buckets, rng))
+        return split[-1]
 
     monkeypatch.setattr(tester, "_split_part", spy)
     oracle = make_counting_oracle(table)
@@ -339,13 +355,20 @@ def refine_with_spy(table, cfg, seed, estimator, monkeypatch):
     result = refine_parts(oracle, selected, buckets, cfg, rng, estimator)
     rounds = [started[i : i + cfg.k] for i in range(0, len(started), cfg.k)]
     assert len(rounds) == result.rounds_used
-    return result, oracle.query_count - before, rounds
+    # the half of each part that holds its final pattern (one without
+    # patterns when there is none); the halves are disjoint
+    kept = [
+        next(h for h in halves if pattern in h.patterns or (pattern is None and not h.patterns))
+        for halves, pattern in zip(split[-cfg.k :], result.final_patterns)
+    ]
+    return result, oracle.query_count - before, rounds, kept
 
 
 class TestRefineStop:
     """The desk profile stops refining after the first round that leaves
     every selected part holding at most one occupied pattern; the paper
-    profile runs every round."""
+    profile runs every round.  A desk round costs m (2^k + 1) queries, a
+    paper round 2m 2^k."""
 
     @staticmethod
     def _case(name):
@@ -370,22 +393,22 @@ class TestRefineStop:
         table, cfg, est = self._case(name)
         seeds = [5] if name == "constant_k2" else range(8)
         for seed in seeds:
-            desk, queries, _ = refine_with_spy(table, cfg, seed, est, monkeypatch)
+            desk, queries, rounds, kept = refine_with_spy(table, cfg, seed, est, monkeypatch)
             r = desk.rounds_used
             assert 1 <= r <= cfg.refine_rounds
             if est is estimate_inf_mask:
-                assert queries == 2 * cfg.m * (1 << cfg.k) * r
-            # the paper profile draws the same stream: r rounds give the
-            # same refinement, and round r + 1 starts from its final parts
-            paper = replace(cfg, scale_profile="paper", refine_rounds=r)
-            assert refine_with_spy(table, paper, seed, est, monkeypatch)[0] == desk
-            if r == cfg.refine_rounds:
-                continue
-            paper = replace(paper, refine_rounds=r + 1)
-            _, _, rounds = refine_with_spy(table, paper, seed, est, monkeypatch)
-            final = rounds[r]
-            assert tuple(p.patterns[0] if p.patterns else None for p in final) == desk.final_patterns
-            assert all(len(p.patterns) <= 1 for p in final)
+                assert queries == cfg.m * ((1 << cfg.k) + 1) * r
+            # a cap of r rounds draws the same stream: the same refinement
+            capped = replace(cfg, refine_rounds=r)
+            assert refine_with_spy(table, capped, seed, est, monkeypatch)[0] == desk
+            if est is not estimate_inf_mask:
+                # an estimator that draws nothing leaves the paper profile
+                # the same stream too
+                paper = replace(capped, scale_profile="paper")
+                assert refine_with_spy(table, paper, seed, est, monkeypatch)[0] == desk
+            if r < cfg.refine_rounds:
+                # round r left every part isolated
+                assert all(len(p.patterns) <= 1 for p in kept)
             # no earlier round left every part isolated
             for j in range(1, r):
                 assert any(len(p.patterns) > 1 for p in rounds[j])
@@ -394,7 +417,7 @@ class TestRefineStop:
     def test_paper_runs_every_round(self, name, monkeypatch):
         table, cfg, est = self._case(name)
         paper = replace(cfg, scale_profile="paper")
-        result, queries, _ = refine_with_spy(table, paper, 0, est, monkeypatch)
+        result, queries, _, _ = refine_with_spy(table, paper, 0, est, monkeypatch)
         assert result.rounds_used == paper.refine_rounds
         if est is estimate_inf_mask:
             assert queries == 2 * paper.m * (1 << paper.k) * paper.refine_rounds
@@ -598,8 +621,9 @@ class TestCoreStatistics:
 
 
 class TestAgainstPerMaskEstimator:
-    """The batched sweep and refinement rounds give the report that one
-    estimator call per mask gives, byte for byte."""
+    """Under "desk" the batched sweep and refinement rounds give the report
+    that the shared-base reference loop gives; under "paper", the report
+    that the per-mask reference gives; both byte for byte."""
 
     @staticmethod
     def _instance(case, seed):
@@ -619,19 +643,28 @@ class TestAgainstPerMaskEstimator:
         core = cores.member(int(rng.integers(len(cores))))
         return "subadditive", cfg, lift_core(core, (2, 7, 11), 12)
 
-    @pytest.mark.parametrize(
-        "case, seed",
-        [("criterion8", 8000), ("criterion8", 8001), ("subadditive_k3", 1), ("subadditive_k3", 2)],
-    )
-    def test_same_report(self, case, seed):
+    CASES = [("criterion8", 8000), ("criterion8", 8001), ("subadditive_k3", 1), ("subadditive_k3", 2)]
+
+    def _compare(self, case, seed, profile, reference_estimator):
         class_tag, cfg, table = self._instance(case, seed)
+        cfg = replace(cfg, scale_profile=profile)
         batched = run_tester(make_counting_oracle(table), class_tag, cfg)
         reference = run_tester(
-            make_counting_oracle(table), class_tag, cfg, estimator=per_mask_estimator
+            make_counting_oracle(table), class_tag, cfg, estimator=reference_estimator
         )
         assert batched == reference
         assert report_to_lines(batched) == report_to_lines(reference)
         assert batched.queries_used == exact_queries(cfg, batched.refine_rounds_used)
+        return cfg, batched
+
+    @pytest.mark.parametrize("case, seed", CASES)
+    def test_same_report(self, case, seed):
+        self._compare(case, seed, "desk", shared_base_estimator)
+
+    @pytest.mark.parametrize("case, seed", CASES)
+    def test_same_report_paper(self, case, seed):
+        cfg, report = self._compare(case, seed, "paper", per_mask_estimator)
+        assert report.queries_used == cfg.query_budget()
 
 
 class TestRunTester:

@@ -28,6 +28,7 @@ from oracles import (
     NAIVE_WITNESSES,
     naive_farthest_grid_core,
     naive_min_distance_to_cores,
+    naive_lp_distance,
     naive_oxs_value,
     submodular_all_pairs,
 )
@@ -289,6 +290,38 @@ class TestFarInstances:
         core_values, dist = naive_farthest_grid_core(cached_cores(class_tag, k, gamma))
         assert inst.core_values == core_values
         assert inst.certified_distance == dist
+
+    @pytest.mark.parametrize(
+        "class_tag, lp_distances",
+        [
+            ("subadditive", (0.25, 0.306, 0.364)),
+            ("self_bounding", (0.25, 0.331, 0.369)),
+            ("unit_demand", (0.5, 0.650, 0.738)),
+        ],
+    )
+    def test_mode_a_certified_in_lp(self, class_tag, lp_distances):
+        # the core is the farthest in l2 whatever p is; its certified
+        # distance is its lp distance to the grid cores, as a plain loop
+        # over the cores gives it (listed: l1, l2, l4 at gamma = 1/4)
+        from cubetest.cores import cached_cores
+
+        cores = cached_cores(class_tag, 2, 0.25)
+        l2 = make_far_instance("a", class_tag, 8, 2, 0.0, gamma=0.25)
+        for p, listed in zip((1.0, 2.0, 4.0), lp_distances):
+            inst = make_far_instance("a", class_tag, 8, 2, 0.0, gamma=0.25, p=p)
+            assert inst.core_values == l2.core_values
+            naive = min(naive_lp_distance(inst.core_values, row, 2, p) for row in cores.tables)
+            assert inst.certified_distance == pytest.approx(naive, abs=1e-12)
+            assert inst.certified_distance == pytest.approx(listed, abs=5e-4)
+            assert inst.class_distance_lower_bound == max(0.0, inst.certified_distance - 0.125)
+        assert make_far_instance("a", class_tag, 8, 2, 0.0, gamma=0.25, p=2.0) == l2
+
+    def test_mode_a_eps_checked_in_lp(self):
+        # self_bounding's farthest core is 0.331 from the grid cores in l2
+        # but 0.25 in l1: eps = 0.3 is certified at p = 2 only
+        make_far_instance("a", "self_bounding", 12, 2, 0.3, gamma=0.25)
+        with pytest.raises(ValueError, match="exceeds the best achievable certified distance 0.250000"):
+            make_far_instance("a", "self_bounding", 12, 2, 0.3, gamma=0.25, p=1.0)
 
     def test_mode_b_certified_half(self):
         inst = make_far_instance("b", "submodular", 10, 3, 0.4)
