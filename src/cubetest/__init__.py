@@ -40,10 +40,8 @@ from .valuations import (
 )
 from .cores import CoreSet, CoreTable, dist_core_to_set, enumerate_cores, lift_core
 from .tester import (
-    PatternBuckets,
     TesterConfig,
     TesterReport,
-    bucket_coordinates,
     desk_config,
     lp_epsilon_map,
     paper_config,

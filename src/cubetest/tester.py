@@ -1,18 +1,19 @@
 """End-to-end implicit-learning tester and the lp -> l2 parameter map.
 
-The tester draws q uniform sample points, buckets the n coordinates by
-their value pattern across those samples, and hunts for k parts of a
-random equi-partition of pattern space whose union captures all the
-influence.  Each selected part is then halved round by round, keeping
-the half-choice with the smallest estimated complement influence.  The
-"paper" profile runs all `refine_rounds` rounds, after which each part
-is a single pattern; the "desk" profile stops after the first round
-that leaves every part holding at most one occupied pattern, which is
-all implicit learning needs, so there `refine_rounds` is a cap.  A
-final influence gate rejects if the complement of the surviving buckets
-still carries more than `inf_threshold` influence; otherwise the core
-learned from the original samples is compared against every enumerated
-grid core, and the first one whose mean squared deviation is at most
+The tester draws q uniform sample points, maps each value pattern the
+n coordinates show across those samples to the mask of the coordinates
+that show it, and hunts for k parts of a random equi-partition of
+pattern space whose union captures all the influence.  Each selected
+part is then halved round by round, keeping the half-choice with the
+smallest estimated complement influence.  The "paper" profile runs all
+`refine_rounds` rounds, after which each part is a single pattern; the
+"desk" profile stops after the first round that leaves every part
+holding at most one occupied pattern, which is all implicit learning
+needs, so there `refine_rounds` is a cap.  A final influence gate
+rejects if the complement of the surviving buckets still carries more
+than `inf_threshold` influence; otherwise the core learned from the
+original samples is compared against every enumerated grid core, and
+the first one whose mean squared deviation is at most
 `accept_threshold` is returned.
 
 The core search reads the samples only through per-core-input
@@ -23,15 +24,16 @@ W = sum_t (f_t - mu_{u_t})^2.  Core c's mean squared deviation is then
 and memory whatever q is.
 
 Pattern space has 2^q elements and is never materialized: a part stores
-only the occupied patterns (those actually realized by some coordinate)
-plus a virtual size.  Splits assign the occupied patterns by sequential
-without-replacement draws against big-integer half capacities, which
-reproduces exactly the distribution a full shuffle-and-split would
-induce on them.
+only the occupied patterns (those actually realized by some coordinate),
+a virtual size and the OR of its patterns' coordinate masks.  Splits
+assign the occupied patterns by sequential without-replacement draws
+against big-integer half capacities, which reproduces exactly the
+distribution a full shuffle-and-split would induce on them.
 
-Under the "desk" profile the subset sweep estimates all C(num_parts, k)
-complements in one batched estimator call, and each refinement round
-its 2^k complements in one more; a batch shares one set of m base
+`_estimate_complements` estimates the complements of the unions the
+stages compare.  Under the "desk" profile the subset sweep passes all
+C(num_parts, k) of them to one batched estimator call, and each
+refinement round its 2^k to one more; a batch shares one set of m base
 points across its masks (see `estimate_inf_mask`), so B masks cost
 m(B + 1) queries.  Under "paper" the same estimator is called one mask
 at a time, 2m queries each, which draws exactly the random points the
@@ -61,7 +63,7 @@ import numpy as np
 from . import kvfile
 from .cores import CoreSet, CoreTable, cached_cores
 from .influence import SubsetBudgetError, estimate_inf_mask
-from .tables import CubePoint, QueryOracle
+from .tables import QueryOracle, coords_of
 
 # estimator signature: (oracle, complement_masks, m, rng) -> influence estimates;
 # like `estimate_inf_mask`, a scalar mask gives a float and a 1-D int64
@@ -81,7 +83,7 @@ def lp_epsilon_map(p: float, eps: float) -> float:
     tester at eps itself does, since l2 testing is at least as hard at
     the same eps.
     """
-    if p < 1:
+    if not p >= 1:  # also refuses NaN
         raise ValueError(f"p must be >= 1, got {p}")
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0,1), got {eps}")
@@ -139,12 +141,10 @@ class TesterConfig:
             object.__setattr__(self, "core_grid", default_grid)
         if self.refine_rounds < 1:
             raise ValueError("refine_rounds must be >= 1")
-        if self.inf_threshold <= 0 or self.accept_threshold <= 0:
-            raise ValueError("thresholds must be positive")
-
-    @property
-    def eps2(self) -> float:
-        return lp_epsilon_map(self.p, self.eps)
+        for name in ("inf_threshold", "accept_threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     def query_budget(self) -> int:
         """Oracle queries of one "paper" run, exactly: q + 2m * (C(num_parts,
@@ -197,60 +197,22 @@ def profile_deviations(config: TesterConfig) -> list[str]:
     return notes
 
 
-@dataclass(frozen=True)
-class PatternBuckets:
-    """Coordinates grouped by their value pattern across the q samples.
-
-    `buckets` maps each realized pattern (an integer whose bit t-1 is the
-    coordinate's value on sample t) to its sorted coordinates.  The
-    remaining 2^q - len(buckets) patterns are empty and implicit.
-    """
-
-    q: int
-    n: int
-    buckets: Mapping[int, tuple[int, ...]]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for coords in self.buckets.values():
-            for c in coords:
-                if c in seen:
-                    raise ValueError("buckets overlap")
-                seen.add(c)
-        if seen != set(range(1, self.n + 1)):
-            raise ValueError("buckets do not partition the coordinates")
-
-    def coords_for(self, pattern: int) -> tuple[int, ...]:
-        return self.buckets.get(pattern, ())
-
-    def coord_mask(self, pattern: int) -> int:
-        m = 0
-        for c in self.coords_for(pattern):
-            m |= 1 << (c - 1)
-        return m
-
-
-def _buckets_from_masks(sample_masks: Sequence[int], n: int) -> PatternBuckets:
+def _buckets_from_masks(sample_masks: Sequence[int], n: int) -> dict[int, int]:
+    """The coordinates of [n] grouped by their value pattern across the
+    samples: each realized pattern (an integer whose bit t-1 is a
+    coordinate's value on sample t) maps to the mask of the coordinates
+    that show it, in order of first appearance.  The remaining
+    2^q - len(buckets) patterns are empty and implicit."""
     masks = np.asarray(sample_masks, dtype=np.int64)
-    q = masks.size
     bits = ((masks[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.uint8)
-    # Row i-1 holds coordinate i's pattern as little-endian bytes: bit t of
+    # Row i holds coordinate i+1's pattern as little-endian bytes: bit t of
     # the pattern is the coordinate's value on sample t.
     columns = np.ascontiguousarray(np.packbits(bits, axis=0, bitorder="little").T)
-    grouped: dict[int, list[int]] = {}
-    for i, row in enumerate(columns, start=1):
-        grouped.setdefault(int.from_bytes(row.tobytes(), "little"), []).append(i)
-    return PatternBuckets(q=q, n=n, buckets={p: tuple(cs) for p, cs in grouped.items()})
-
-
-def bucket_coordinates(samples: Sequence[CubePoint]) -> PatternBuckets:
-    """Group coordinates of [n] by their column pattern across the samples."""
-    if not samples:
-        raise ValueError("at least one sample required")
-    n = samples[0].n
-    if any(s.n != n for s in samples):
-        raise ValueError("samples have mixed dimensions")
-    return _buckets_from_masks([s.mask for s in samples], n)
+    buckets: dict[int, int] = {}
+    for i, row in enumerate(columns):
+        pattern = int.from_bytes(row.tobytes(), "little")
+        buckets[pattern] = buckets.get(pattern, 0) | (1 << i)
+    return buckets
 
 
 def _randint_below(rng: np.random.Generator, bound: int) -> int:
@@ -297,25 +259,31 @@ class VirtualPart:
     coord_mask: int
 
 
-def _make_part(patterns: Sequence[int], size: int, buckets: PatternBuckets) -> VirtualPart:
+def _union(masks: Sequence[int]) -> int:
+    union = 0
+    for mask in masks:
+        union |= mask
+    return union
+
+
+def _make_part(patterns: Sequence[int], size: int, buckets: Mapping[int, int]) -> VirtualPart:
     mask = 0
     for p in patterns:
-        mask |= buckets.coord_mask(p)
+        mask |= buckets[p]
     return VirtualPart(patterns=tuple(sorted(patterns)), size=size, coord_mask=mask)
 
 
 def _initial_parts(
-    buckets: PatternBuckets, num_parts: int, rng: np.random.Generator
+    buckets: Mapping[int, int], q: int, num_parts: int, rng: np.random.Generator
 ) -> list[VirtualPart]:
-    total = 1 << buckets.q
+    total = 1 << q
     sizes = [total // num_parts + (1 if j < total % num_parts else 0) for j in range(num_parts)]
-    occupied = sorted(buckets.buckets)
-    dealt = _deal_without_replacement(rng, occupied, sizes)
+    dealt = _deal_without_replacement(rng, sorted(buckets), sizes)
     return [_make_part(dealt[j], sizes[j], buckets) for j in range(num_parts)]
 
 
 def _split_part(
-    part: VirtualPart, buckets: PatternBuckets, rng: np.random.Generator
+    part: VirtualPart, buckets: Mapping[int, int], rng: np.random.Generator
 ) -> tuple[VirtualPart, VirtualPart]:
     c0 = (part.size + 1) // 2  # first half takes the extra element
     c1 = part.size - c0
@@ -328,24 +296,25 @@ def _split_part(
     )
 
 
-def _estimate_batch(
+def _estimate_complements(
     estimator: InfluenceEstimator,
     oracle: QueryOracle,
-    masks: np.ndarray,
+    unions: Sequence[int],
     config: TesterConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Estimates of a batch of masks: one estimator call under "desk",
-    whose masks share their base points; one call per mask under
-    "paper", 2m queries each."""
+    """Estimated influence of the complement of each union mask, in order:
+    one estimator call under "desk", whose masks share their base points;
+    one call per mask under "paper", 2m queries each."""
+    complements = ((1 << oracle.n) - 1) & ~np.asarray(unions, dtype=np.int64)
     if config.scale_profile == "desk":
-        return estimator(oracle, masks, config.m, rng)
-    return np.array([estimator(oracle, int(s), config.m, rng) for s in masks])
+        return estimator(oracle, complements, config.m, rng)
+    return np.array([estimator(oracle, int(s), config.m, rng) for s in complements])
 
 
 def select_initial_parts(
     oracle: QueryOracle,
-    buckets: PatternBuckets,
+    buckets: Mapping[int, int],
     config: TesterConfig,
     rng: np.random.Generator,
     estimator: InfluenceEstimator = estimate_inf_mask,
@@ -354,11 +323,13 @@ def select_initial_parts(
     """Sweep every size-k subset of the equi-partition and keep the one
     whose complement has the smallest estimated influence.
 
-    Under "desk" all complements go to the estimator as one batch, which
-    costs exactly m * (C(num_parts, k) + 1) queries; under "paper" they
-    go one at a time, 2m * C(num_parts, k).  Ties break to the
-    lexicographically first subset.  `parts` lets a caller supply the
-    partition (built with `_initial_parts`) to observe it directly.
+    A part's coordinate mask is the OR of its patterns' masks in
+    `buckets`.  `_estimate_complements` takes the complements of the
+    subsets' unions: under "desk" as one batch, exactly
+    m * (C(num_parts, k) + 1) queries; under "paper" one at a time,
+    2m * C(num_parts, k).  Ties break to the lexicographically first
+    subset.  `parts` lets a caller supply the partition (built with
+    `_initial_parts`) to observe it directly.
     """
     n_subsets = math.comb(config.num_parts, config.k)
     if n_subsets > config.subset_budget:
@@ -367,16 +338,11 @@ def select_initial_parts(
             f"{config.subset_budget}; reduce num_parts (desk profile) or raise the budget"
         )
     if parts is None:
-        parts = _initial_parts(buckets, config.num_parts, rng)
-    full = (1 << buckets.n) - 1
+        parts = _initial_parts(buckets, config.q, config.num_parts, rng)
     subsets = list(combinations(range(config.num_parts), config.k))
-    complements = np.empty(len(subsets), dtype=np.int64)
-    for i, J in enumerate(subsets):
-        s_mask = 0
-        for j in J:
-            s_mask |= parts[j].coord_mask
-        complements[i] = full & ~s_mask
-    estimates = _estimate_batch(estimator, oracle, complements, config, rng)
+    # the same combinations as `subsets`, in the same order, of the part masks
+    unions = [_union(c) for c in combinations([p.coord_mask for p in parts], config.k)]
+    estimates = _estimate_complements(estimator, oracle, unions, config, rng)
     etas = {J: float(eta) for J, eta in zip(subsets, estimates)}
     best_key = subsets[int(np.argmin(estimates))]
     return [parts[j] for j in best_key], etas
@@ -393,16 +359,18 @@ class RefinementResult:
 def refine_parts(
     oracle: QueryOracle,
     selected: Sequence[VirtualPart],
-    buckets: PatternBuckets,
+    buckets: Mapping[int, int],
     config: TesterConfig,
     rng: np.random.Generator,
     estimator: InfluenceEstimator = estimate_inf_mask,
 ) -> RefinementResult:
     """Halve every selected part round by round, each round keeping the
-    keep-choice z (one half per part) with the smallest estimated
-    complement influence; ties break to the smallest z.  Under "desk"
-    the 2^k complements of a round go to the estimator as one batch,
-    m * (2^k + 1) queries; under "paper" one at a time, 2m * 2^k.
+    keep-choice z (half (z >> i) & 1 of part i) whose union has the
+    complement of smallest estimated influence; ties break to the
+    smallest z.  A half's mask is the OR of its patterns' masks in
+    `buckets`.  `_estimate_complements` takes a round's 2^k complements:
+    under "desk" as one batch, m * (2^k + 1) queries; under "paper" one
+    at a time, 2m * 2^k.
 
     The "paper" profile runs exactly refine_rounds rounds.  The "desk"
     profile stops after the first round that leaves every part holding
@@ -413,32 +381,24 @@ def refine_parts(
     """
     k = len(selected)
     parts = list(selected)
-    full = (1 << buckets.n) - 1
     went_empty = [False] * k
     last_eta = math.inf
     stop_when_isolated = config.scale_profile == "desk"
     for rounds_used in range(1, config.refine_rounds + 1):
         halves = [_split_part(p, buckets, rng) for p in parts]
-        complements = np.empty(1 << k, dtype=np.int64)
-        for z in range(1 << k):
-            s_mask = 0
-            for i in range(k):
-                s_mask |= halves[i][(z >> i) & 1].coord_mask
-            complements[z] = full & ~s_mask
-        estimates = _estimate_batch(estimator, oracle, complements, config, rng)
+        choices = [[h[(z >> i) & 1] for i, h in enumerate(halves)] for z in range(1 << k)]
+        unions = [_union([h.coord_mask for h in choice]) for choice in choices]
+        estimates = _estimate_complements(estimator, oracle, unions, config, rng)
         best_z = int(np.argmin(estimates))
-        parts = [halves[i][(best_z >> i) & 1] for i in range(k)]
+        parts = choices[best_z]
         for i in range(k):
             if parts[i].size == 0:
                 went_empty[i] = True
         last_eta = float(estimates[best_z])
         if stop_when_isolated and all(len(p.patterns) <= 1 for p in parts):
             break
-    finals: list[Optional[int]] = []
-    for p in parts:
-        finals.append(p.patterns[0] if p.patterns else None)
     return RefinementResult(
-        final_patterns=tuple(finals),
+        final_patterns=tuple(p.patterns[0] if p.patterns else None for p in parts),
         part_went_empty=tuple(went_empty),
         last_round_eta=last_eta,
         rounds_used=rounds_used,
@@ -507,7 +467,7 @@ def final_check_and_learn(
     sample_masks: Sequence[int],
     sample_values: np.ndarray,
     refinement: RefinementResult,
-    buckets: PatternBuckets,
+    buckets: Mapping[int, int],
     cores: CoreSet,
     config: TesterConfig,
     rng: np.random.Generator,
@@ -516,28 +476,24 @@ def final_check_and_learn(
 ) -> TesterReport:
     """Influence gate, then implicit learning against the core set.
 
-    The projection reads, for each final bucket, the lowest-index
-    coordinate it contains; an empty bucket feeds the constant 0 to the
-    corresponding core input.  The acceptance statistic is the mean of
-    squared deviations between the sampled values and the candidate
-    core's values on the projected samples (see `core_statistics`:
-    (W + sum_u n_u (c_u - mu_u)^2) / q, in O(|cores| * 2^k) time and
-    memory), compared directly against accept_threshold (square-rooted
-    first when sqrt_statistic is set); the report's empirical_distance
-    is the statistic as compared.  The report's queries_used is 0;
-    `run_tester` fills in the run's count.
+    Each final bucket is the mask its final pattern has in `buckets`
+    (empty for a part without one), and the gate estimates the
+    complement of their union.  The projection reads, for each final
+    bucket, the lowest-index coordinate it contains; an empty bucket
+    feeds the constant 0 to the corresponding core input.  The
+    acceptance statistic is the mean of squared deviations between the
+    sampled values and the candidate core's values on the projected
+    samples (see `core_statistics`: (W + sum_u n_u (c_u - mu_u)^2) / q,
+    in O(|cores| * 2^k) time and memory), compared directly against
+    accept_threshold (square-rooted first when sqrt_statistic is set);
+    the report's empirical_distance is the statistic as compared.  The
+    report's queries_used is 0; `run_tester` fills in the run's count.
     """
-    full = (1 << buckets.n) - 1
-    sb_mask = 0
-    bucket_coords: list[tuple[int, ...]] = []
-    for pattern in refinement.final_patterns:
-        coords = buckets.coords_for(pattern) if pattern is not None else ()
-        bucket_coords.append(coords)
-        for c in coords:
-            sb_mask |= 1 << (c - 1)
+    part_masks = [buckets.get(pattern, 0) for pattern in refinement.final_patterns]
+    bucket_coords = tuple(tuple(sorted(coords_of(mask))) for mask in part_masks)
     eta = dict(eta_extra or {})
-    eta["gate"] = estimator(oracle, full & ~sb_mask, config.m, rng)
-    phi = tuple(min(coords) if coords else None for coords in bucket_coords)
+    eta["gate"] = estimator(oracle, ((1 << oracle.n) - 1) & ~_union(part_masks), config.m, rng)
+    phi = tuple(coords[0] if coords else None for coords in bucket_coords)
     core, dist, stage = None, None, "influence_check"
     if not eta["gate"] > config.inf_threshold:
         stats = core_statistics(cores, sample_masks, sample_values, phi)
@@ -551,7 +507,7 @@ def final_check_and_learn(
         verdict="reject" if core is None else "accept",
         reject_stage=stage,
         queries_used=0,
-        selected_buckets=tuple(bucket_coords),
+        selected_buckets=bucket_coords,
         learned_core=core,
         empirical_distance=dist,
         eta=eta,

@@ -331,17 +331,17 @@ def shared_base_estimator(oracle, s_mask, m, rng):
     return np.array(out, dtype=np.float64)
 
 
-def naive_buckets_from_masks(sample_masks, n: int) -> dict[int, tuple[int, ...]]:
+def naive_buckets_from_masks(sample_masks, n: int) -> dict[int, int]:
     """Coordinate buckets built one bit at a time: coordinate i's pattern
-    has bit t equal to bit (i-1) of sample t; buckets keep first-seen
-    order of their patterns, coordinates ascending."""
-    grouped: dict[int, list[int]] = {}
+    has bit t equal to bit (i-1) of sample t, and each pattern maps to
+    the mask of its coordinates, patterns in first-seen order."""
+    grouped: dict[int, int] = {}
     for i in range(1, n + 1):
         pattern = 0
         for t, msk in enumerate(sample_masks):
             pattern |= ((int(msk) >> (i - 1)) & 1) << t
-        grouped.setdefault(pattern, []).append(i)
-    return {p: tuple(cs) for p, cs in grouped.items()}
+        grouped[pattern] = grouped.get(pattern, 0) | (1 << (i - 1))
+    return grouped
 
 
 def _bitstring(mask: int, n: int) -> str:

@@ -19,7 +19,9 @@ from cubetest.influence import (
     junta_projection,
     random_partition,
 )
-from cubetest.tables import FunctionTable, lp_distance, make_counting_oracle, walsh_hadamard
+from cubetest.tables import (
+    FunctionTable, coords_of, lp_distance, make_counting_oracle, walsh_hadamard
+)
 from cubetest.tester import (
     _buckets_from_masks,
     _initial_parts,
@@ -216,10 +218,10 @@ def test_criterion_09_exact_pipeline_isolates_juntas():
         rng = np.random.default_rng(seed)
         masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
         buckets = _buckets_from_masks(masks, n)
-        pat3 = next(p for p, cs in buckets.buckets.items() if 3 in cs)
-        pat9 = next(p for p, cs in buckets.buckets.items() if 9 in cs)
+        pat3 = next(p for p, mask in buckets.items() if 3 in coords_of(mask))
+        pat9 = next(p for p, mask in buckets.items() if 9 in coords_of(mask))
         assert pat3 != pat9  # q=64 samples split the coordinates
-        parts = _initial_parts(buckets, cfg.num_parts, rng)
+        parts = _initial_parts(buckets, cfg.q, cfg.num_parts, rng)
         part_of = {pat: i for i, part in enumerate(parts) for pat in part.patterns}
         if part_of[pat3] == part_of[pat9]:
             continue
@@ -230,7 +232,7 @@ def test_criterion_09_exact_pipeline_isolates_juntas():
         isolated = set()
         for pat in refined.final_patterns:
             if pat is not None:
-                isolated.update(buckets.coords_for(pat))
+                isolated.update(coords_of(buckets[pat]))
         assert {3, 9} <= isolated, f"seed {seed}: isolated {isolated}"
     assert separated >= 35  # expected ~46 of 50 at 12 parts
 

@@ -315,6 +315,50 @@ class TestTestCommand:
         assert result.stderr == "error: num_parts must be >= k\n"
         assert "Traceback" not in result.stderr
 
+    # values that once ran to exit 0: a NaN inf_threshold or an infinite
+    # one switched the influence gate off, a NaN accept_threshold
+    # rejected every trial at the core search
+    NON_FINITE = {
+        "inf_threshold_nan": ("inf_threshold", "nan", "inf_threshold must be finite and > 0, got nan"),
+        "inf_threshold_inf": ("inf_threshold", "inf", "inf_threshold must be finite and > 0, got inf"),
+        "accept_threshold_nan": (
+            "accept_threshold", "nan", "accept_threshold must be finite and > 0, got nan"
+        ),
+        "p_nan": ("p", "nan", "p must be >= 1, got nan"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_plan_setting_exit_2(self, tmp_path, case):
+        key, value, message = self.NON_FINITE[case]
+        _, path = self._small_plan(tmp_path)
+        # a repeated key keeps its last value
+        path.write_text(path.read_text() + f"{key}: {value}\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cubetest.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "cubetest.cli", "test", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"error: {message}\n"
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_config_setting_exit_2(self, tmp_path, capsys, case):
+        from cubetest.tester import config_to_lines, desk_config
+
+        key, value, message = self.NON_FINITE[case]
+        _, path = self._small_plan(tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        lines = config_to_lines(desk_config(eps=0.25, k=2, q=16, m=20))
+        cfg.write_text("\n".join(lines + [f"{key}: {value}"]) + "\n")
+        assert main(["--config", str(cfg), "test", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_malformed_plan_exit_2(self, tmp_path):
         bad = tmp_path / "bad.plan"
         bad.write_text("schema: cubetest-plan-1\nclass: submodular\n")
@@ -431,3 +475,23 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "gen" in result.stdout and "certify" in result.stdout
+
+
+def readme_block(caption: str) -> str:
+    """The fenced block that follows `caption` in README.md."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index(caption) + 1
+    while lines[start] != "```":
+        start += 1
+    end = lines.index("```", start + 1)
+    return "\n".join(lines[start + 1 : end]) + "\n"
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    spec, plan, table = tmp_path / "min.spec", tmp_path / "min.plan", tmp_path / "min.tbl"
+    spec.write_text(readme_block("A minimal spec file:"))
+    plan.write_text(readme_block("A minimal plan file:"))
+    assert main(["--out", str(table), "gen", str(spec)]) == 0
+    assert main(["check", str(table), "additive"]) == 0
+    assert main(["test", str(plan)]) == 0
+    assert capsys.readouterr().err == ""

@@ -10,13 +10,11 @@ from cubetest.cores import CoreSet, CoreTable, cached_cores, lift_core
 from cubetest.influence import SubsetBudgetError, estimate_inf_mask, influence_exact
 from cubetest.tables import CubePoint, FunctionTable, coords_of, make_counting_oracle
 from cubetest.tester import (
-    PatternBuckets,
     RefinementResult,
     TesterConfig,
     _buckets_from_masks,
     _initial_parts,
     _split_part,
-    bucket_coordinates,
     core_statistics,
     default_refine_rounds,
     desk_config,
@@ -149,21 +147,27 @@ class TestConfig:
 
 class TestBuckets:
     def test_single_sample_split(self):
-        buckets = bucket_coordinates([CubePoint.from_string("1100")])
-        assert buckets.coords_for(1) == (1, 2)
-        assert buckets.coords_for(0) == (3, 4)
+        buckets = _buckets_from_masks([CubePoint.from_string("1100").mask], 4)
+        assert coords_of(buckets[1]) == {1, 2}
+        assert coords_of(buckets[0]) == {3, 4}
 
     def test_identical_samples_collapse(self):
         p = CubePoint.from_string("0110")
-        buckets = bucket_coordinates([p, p, p])
-        assert len(buckets.buckets) == 2
+        buckets = _buckets_from_masks([p.mask] * 3, 4)
+        assert len(buckets) == 2
 
     def test_structural_partition(self):
         rng = np.random.default_rng(3)
         masks = [int(x) for x in rng.integers(0, 1 << 12, size=8)]
         buckets = _buckets_from_masks(masks, 12)
-        total = sum(len(c) for c in buckets.buckets.values())
+        total = sum(len(coords_of(mask)) for mask in buckets.values())
         assert total == 12
+        # pairwise disjoint masks that cover all n coordinates
+        union = 0
+        for mask in buckets.values():
+            assert mask & union == 0
+            union |= mask
+        assert union == (1 << 12) - 1
 
     @pytest.mark.parametrize("q", [1, 7, 8, 9, 64, 1024])
     @pytest.mark.parametrize("n", [1, 12, 24])
@@ -171,12 +175,7 @@ class TestBuckets:
         masks = np.random.default_rng(q * 31 + n).integers(0, 1 << n, size=q, dtype=np.int64)
         buckets = _buckets_from_masks(masks, n)
         expected = naive_buckets_from_masks([int(x) for x in masks], n)
-        assert buckets == PatternBuckets(q=q, n=n, buckets=expected)
-        assert list(buckets.buckets.items()) == list(expected.items())
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            PatternBuckets(q=1, n=2, buckets={0: (1,), 1: (1, 2)})
+        assert list(buckets.items()) == list(expected.items())
 
 
 class TestVirtualPartition:
@@ -206,7 +205,7 @@ class TestVirtualPartition:
         the ceil-half with probability 3/5."""
         from cubetest.tester import VirtualPart, _split_part
 
-        buckets = PatternBuckets(q=3, n=2, buckets={1: (1,), 6: (2,)})
+        buckets = {1: 0b01, 6: 0b10}
         part = VirtualPart(patterns=(1,), size=5, coord_mask=0b01)
         trials = 20_000
         kept0 = 0
@@ -221,16 +220,16 @@ class TestVirtualPartition:
         rng = np.random.default_rng(0)
         masks = [int(x) for x in rng.integers(0, 1 << 10, size=16)]
         buckets = _buckets_from_masks(masks, 10)
-        parts = _initial_parts(buckets, 12, rng)
+        parts = _initial_parts(buckets, 16, 12, rng)
         assert sum(p.size for p in parts) == 1 << 16
         occupied = [pat for p in parts for pat in p.patterns]
-        assert sorted(occupied) == sorted(buckets.buckets)
+        assert sorted(occupied) == sorted(buckets)
 
     def test_small_pattern_space_leaves_empty_parts(self):
         rng = np.random.default_rng(1)
         masks = [int(x) for x in rng.integers(0, 1 << 6, size=2)]
         buckets = _buckets_from_masks(masks, 6)
-        parts = _initial_parts(buckets, 12, rng)
+        parts = _initial_parts(buckets, 2, 12, rng)
         sizes = [p.size for p in parts]
         assert sum(sizes) == 4
         assert sizes.count(0) == 8
@@ -247,13 +246,13 @@ class TestStagesWithExactStub:
             rng = np.random.default_rng(seed)
             masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
             buckets = _buckets_from_masks(masks, n)
-            parts = _initial_parts(buckets, cfg.num_parts, rng)
+            parts = _initial_parts(buckets, cfg.q, cfg.num_parts, rng)
             part_of = {}
             for idx, part in enumerate(parts):
                 for pat in part.patterns:
                     part_of[pat] = idx
-            pat3 = next(p for p, cs in buckets.buckets.items() if 3 in cs)
-            pat9 = next(p for p, cs in buckets.buckets.items() if 9 in cs)
+            pat3 = next(p for p, mask in buckets.items() if 3 in coords_of(mask))
+            pat9 = next(p for p, mask in buckets.items() if 9 in coords_of(mask))
             if part_of[pat3] == part_of[pat9]:
                 continue  # selection cannot separate colliding parts
             found += 1
@@ -277,7 +276,7 @@ class TestStagesWithExactStub:
         rng = np.random.default_rng(5)
         masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
         buckets = _buckets_from_masks(masks, n)
-        parts = _initial_parts(buckets, cfg.num_parts, rng)
+        parts = _initial_parts(buckets, cfg.q, cfg.num_parts, rng)
         selected, etas = select_initial_parts(
             oracle, buckets, cfg, rng, exact_stub(table), parts=parts
         )
@@ -316,7 +315,7 @@ class TestStagesWithExactStub:
             result = refine_parts(oracle, selected, buckets, cfg, rng, exact_stub(table))
             final = result.final_patterns[0]
             assert final is not None
-            assert 4 in buckets.coords_for(final)
+            assert 4 in coords_of(buckets[final])
 
     def test_refine_query_accounting(self):
         n = 8
@@ -800,8 +799,7 @@ class TestNearJuntaIsolation:
             leftover = 0
             for pat in refined.final_patterns:
                 if pat is not None:
-                    for c in buckets.coords_for(pat):
-                        leftover |= 1 << (c - 1)
+                    leftover |= buckets[pat]
             comp = sorted(coords_of(((1 << n) - 1) & ~leftover))
             if influence_exact(f, comp) > 100 * eps ** 2:
                 failures += 1
@@ -832,7 +830,7 @@ class TestNearJuntaIsolation:
                 # h composed with the run's projection, as an n-bit table
                 reps = []
                 for pat in refined.final_patterns:
-                    coords = buckets.coords_for(pat) if pat is not None else ()
+                    coords = coords_of(buckets[pat]) if pat is not None else ()
                     reps.append(min(coords) if coords else None)
                 idx = np.arange(1 << n)
                 core_idx = np.zeros(1 << n, dtype=np.int64)
