@@ -146,6 +146,8 @@ def cached_cores(class_tag: str, k: int, gamma: float) -> CoreSet:
 def dist_core_to_set(g: CoreTable, cores: CoreSet, p: float = 2.0) -> float:
     """Minimum exact lp distance from g to any member of the set,
     (min_c mean |g - c|^p)^(1/p); l2 unless p is given."""
+    if not p >= 1:  # also refuses NaN
+        raise ValueError(f"p must be >= 1, got {p}")
     if g.k != cores.k:
         raise ValueError(f"arities differ: {g.k} vs {cores.k}")
     if len(cores) == 0:

@@ -246,7 +246,7 @@ def inverse_walsh_hadamard(spectrum: FourierSpectrum) -> FunctionTable:
 
 def lp_distance(f: FunctionTable, g: FunctionTable, p: float) -> float:
     """Normalized distance (E_x |f-g|^p)^(1/p), exact over the table."""
-    if p < 1:
+    if not p >= 1:  # also refuses NaN
         raise ValueError(f"p must be >= 1, got {p}")
     if f.n != g.n:
         raise DimensionMismatchError(f"dimensions differ: {f.n} vs {g.n}")

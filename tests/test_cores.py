@@ -21,7 +21,7 @@ from cubetest.cores import (
 from cubetest.influence import closest_junta
 from cubetest.tables import FunctionTable, lp_distance
 from cubetest.valuations import CHECKERS, UnsupportedClassError
-from oracles import NAIVE_WITNESSES, naive_min_distance_to_cores
+from oracles import NAIVE_WITNESSES, naive_lp_distance, naive_min_distance_to_cores
 
 
 def exhaustive_filter(class_tag, k, gamma):
@@ -211,6 +211,19 @@ class TestDistance:
         cores = enumerate_cores("submodular", 2, 0.5)
         with pytest.raises(ValueError):
             dist_core_to_set(CoreTable(1, (0.0, 1.0)), cores)
+
+    @pytest.mark.parametrize("p", [float("nan"), 0.5])
+    def test_nan_or_sub_one_p_rejected(self, p):
+        cores = enumerate_cores("submodular", 2, 0.25)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            dist_core_to_set(CoreTable(2, (0.0, 0.0, 0.0, 1.0)), cores, p)
+
+    def test_p_one_matches_naive(self):
+        cores = enumerate_cores("submodular", 2, 0.25)
+        g = CoreTable(2, (0.0, 0.0, 0.0, 1.0))
+        d = dist_core_to_set(g, cores, 1.0)
+        naive = min(naive_lp_distance(g.values, row, 2, 1.0) for row in cores.tables)
+        assert d == pytest.approx(naive, abs=1e-12)
 
 
 class TestDistanceBatch:

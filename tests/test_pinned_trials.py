@@ -1,10 +1,12 @@
 """Per-seed trial outcomes of three plans, pinned.
 
 For every trial: verdict, reject_stage, queries_used, refine_rounds_used,
-selected_buckets and phi, as `bench.run_plan` gives them.  The float
-fields (eta, empirical_distance) are left out, since another BLAS may
-change their last bits.  A change to the tester that keeps its RNG
-stream and its verdicts keeps every line here.
+selected_buckets, phi and the learned core's values (None on a reject),
+as `bench.run_plan` gives them.  Core values are multiples of 1/4, so no
+BLAS changes them; the other float fields (eta, empirical_distance) are
+left out, since another BLAS may change their last bits.  A change to
+the tester that keeps its RNG stream, its verdicts and the first passing
+core of each search keeps every line here.
 """
 
 import pytest
@@ -26,73 +28,90 @@ PLANS = {
         "submodular", 10, 2, 0.25, trial_count=20, seed_base=3, mode="far_mode_b", overrides=DESK,
     ),
 }
-# (verdict, reject_stage, queries_used, refine_rounds_used, selected_buckets, phi)
+# (verdict, reject_stage, queries_used, refine_rounds_used, selected_buckets, phi,
+#  learned core values)
 EXPECTED = {
     "criterion_08": [
-        ('reject', 'core_search', 85024, 3, ((11,), (1,)), (11, 1)),
-        ('reject', 'core_search', 90024, 4, ((1,), (2,)), (1, 2)),
-        ('reject', 'core_search', 85024, 3, ((2,), (4,)), (2, 4)),
-        ('reject', 'core_search', 90024, 4, ((5,), (6,)), (5, 6)),
-        ('reject', 'core_search', 75024, 1, ((6,), (11,)), (6, 11)),
-        ('reject', 'core_search', 80024, 2, ((11,), (7,)), (11, 7)),
-        ('reject', 'core_search', 80024, 2, ((9,), (8,)), (9, 8)),
-        ('reject', 'core_search', 75024, 1, ((10,), (9,)), (10, 9)),
-        ('reject', 'core_search', 75024, 1, ((5,), (10,)), (5, 10)),
-        ('reject', 'core_search', 90024, 4, ((3,), (9,)), (3, 9)),
-        ('reject', 'core_search', 80024, 2, ((1,), (11,)), (1, 11)),
-        ('reject', 'core_search', 90024, 4, ((12,), (4,)), (12, 4)),
-        ('reject', 'core_search', 90024, 4, ((8,), (1,)), (8, 1)),
-        ('reject', 'core_search', 95024, 5, ((9,), (5,)), (9, 5)),
-        ('reject', 'core_search', 75024, 1, ((10,), (11,)), (10, 11)),
-        ('reject', 'core_search', 100024, 6, ((11,), (9,)), (11, 9)),
-        ('reject', 'core_search', 95024, 5, ((4,), (1,)), (4, 1)),
-        ('reject', 'core_search', 85024, 3, ((6,), (1,)), (6, 1)),
-        ('reject', 'core_search', 75024, 1, ((10,), (8,)), (10, 8)),
-        ('reject', 'core_search', 75024, 1, ((12,), (10,)), (12, 10)),
+        ('reject', 'core_search', 85024, 3, ((11,), (1,)), (11, 1), None),
+        ('reject', 'core_search', 90024, 4, ((1,), (2,)), (1, 2), None),
+        ('reject', 'core_search', 85024, 3, ((2,), (4,)), (2, 4), None),
+        ('reject', 'core_search', 90024, 4, ((5,), (6,)), (5, 6), None),
+        ('reject', 'core_search', 75024, 1, ((6,), (11,)), (6, 11), None),
+        ('reject', 'core_search', 80024, 2, ((11,), (7,)), (11, 7), None),
+        ('reject', 'core_search', 80024, 2, ((9,), (8,)), (9, 8), None),
+        ('reject', 'core_search', 75024, 1, ((10,), (9,)), (10, 9), None),
+        ('reject', 'core_search', 75024, 1, ((5,), (10,)), (5, 10), None),
+        ('reject', 'core_search', 90024, 4, ((3,), (9,)), (3, 9), None),
+        ('reject', 'core_search', 80024, 2, ((1,), (11,)), (1, 11), None),
+        ('reject', 'core_search', 90024, 4, ((12,), (4,)), (12, 4), None),
+        ('reject', 'core_search', 90024, 4, ((8,), (1,)), (8, 1), None),
+        ('reject', 'core_search', 95024, 5, ((9,), (5,)), (9, 5), None),
+        ('reject', 'core_search', 75024, 1, ((10,), (11,)), (10, 11), None),
+        ('reject', 'core_search', 100024, 6, ((11,), (9,)), (11, 9), None),
+        ('reject', 'core_search', 95024, 5, ((4,), (1,)), (4, 1), None),
+        ('reject', 'core_search', 85024, 3, ((6,), (1,)), (6, 1), None),
+        ('reject', 'core_search', 75024, 1, ((10,), (8,)), (10, 8), None),
+        ('reject', 'core_search', 75024, 1, ((12,), (10,)), (12, 10), None),
     ],
     "subadditive_k3": [
-        ('reject', 'influence_check', 232064, 1, ((), (11,), (6,)), (None, 11, 6)),
-        ('accept', 'none', 259064, 4, ((4,), (2,), (6,)), (4, 2, 6)),
-        ('accept', 'none', 241064, 2, ((7,), (3,), (4,)), (7, 3, 4)),
-        ('reject', 'influence_check', 259064, 4, ((), (5,), (8,)), (None, 5, 8)),
-        ('accept', 'none', 241064, 2, ((9,), (5,), (3,)), (9, 5, 3)),
-        ('accept', 'none', 241064, 2, ((1,), (3,), (11,)), (1, 3, 11)),
-        ('accept', 'none', 259064, 4, ((12,), (1,), (9,)), (12, 1, 9)),
-        ('accept', 'none', 241064, 2, ((4,), (10,), (2,)), (4, 10, 2)),
-        ('accept', 'none', 241064, 2, ((), (6,), (8,)), (None, 6, 8)),
-        ('accept', 'none', 250064, 3, ((11,), (2,), (4,)), (11, 2, 4)),
-        ('accept', 'none', 232064, 1, ((10,), (2,), (9,)), (10, 2, 9)),
-        ('reject', 'influence_check', 250064, 3, ((), (9,), (10,)), (None, 9, 10)),
-        ('accept', 'none', 232064, 1, ((3,), (4,), (12,)), (3, 4, 12)),
-        ('accept', 'none', 277064, 6, ((7,), (5,), (1,)), (7, 5, 1)),
-        ('accept', 'none', 241064, 2, ((4,), (10,), (7,)), (4, 10, 7)),
-        ('accept', 'none', 232064, 1, ((10,), (7,), (12,)), (10, 7, 12)),
-        ('reject', 'influence_check', 241064, 2, ((), (7,), (12,)), (None, 7, 12)),
-        ('accept', 'none', 241064, 2, ((12,), (1,), (3,)), (12, 1, 3)),
-        ('accept', 'none', 250064, 3, ((2,), (11,), (5,)), (2, 11, 5)),
-        ('accept', 'none', 241064, 2, ((5,), (11,), (6,)), (5, 11, 6)),
+        ('reject', 'influence_check', 232064, 1, ((), (11,), (6,)), (None, 11, 6), None),
+        ('accept', 'none', 259064, 4, ((4,), (2,), (6,)), (4, 2, 6),
+         (0.25, 0.5, 1.0, 0.0, 1.0, 1.0, 0.75, 0.25)),
+        ('accept', 'none', 241064, 2, ((7,), (3,), (4,)), (7, 3, 4),
+         (0.5, 0.0, 0.75, 0.75, 0.25, 0.0, 0.75, 0.5)),
+        ('reject', 'influence_check', 259064, 4, ((), (5,), (8,)), (None, 5, 8), None),
+        ('accept', 'none', 241064, 2, ((9,), (5,), (3,)), (9, 5, 3),
+         (0.0, 0.0, 0.25, 0.25, 0.5, 0.0, 0.75, 0.25)),
+        ('accept', 'none', 241064, 2, ((1,), (3,), (11,)), (1, 3, 11),
+         (0.25, 0.75, 0.0, 0.0, 0.25, 0.5, 0.0, 0.0)),
+        ('accept', 'none', 259064, 4, ((12,), (1,), (9,)), (12, 1, 9),
+         (0.0, 0.75, 0.5, 1.0, 0.5, 1.0, 0.0, 0.25)),
+        ('accept', 'none', 241064, 2, ((4,), (10,), (2,)), (4, 10, 2),
+         (0.0, 0.0, 0.5, 0.25, 0.5, 0.5, 0.75, 0.75)),
+        ('accept', 'none', 241064, 2, ((), (6,), (8,)), (None, 6, 8),
+         (0.0, 0.0, 0.0, 0.0, 0.75, 0.0, 0.0, 0.0)),
+        ('accept', 'none', 250064, 3, ((11,), (2,), (4,)), (11, 2, 4),
+         (0.0, 0.5, 0.75, 1.0, 0.0, 0.0, 0.25, 0.25)),
+        ('accept', 'none', 232064, 1, ((10,), (2,), (9,)), (10, 2, 9),
+         (0.0, 0.5, 0.5, 0.75, 1.0, 0.75, 0.25, 0.5)),
+        ('reject', 'influence_check', 250064, 3, ((), (9,), (10,)), (None, 9, 10), None),
+        ('accept', 'none', 232064, 1, ((3,), (4,), (12,)), (3, 4, 12),
+         (0.0, 0.0, 0.25, 0.0, 0.5, 0.25, 0.5, 0.0)),
+        ('accept', 'none', 277064, 6, ((7,), (5,), (1,)), (7, 5, 1),
+         (0.0, 0.5, 0.25, 0.75, 0.75, 0.75, 1.0, 0.0)),
+        ('accept', 'none', 241064, 2, ((4,), (10,), (7,)), (4, 10, 7),
+         (0.25, 0.25, 0.25, 0.5, 0.25, 0.0, 0.5, 0.25)),
+        ('accept', 'none', 232064, 1, ((10,), (7,), (12,)), (10, 7, 12),
+         (0.25, 0.0, 0.75, 0.25, 0.25, 0.25, 1.0, 0.0)),
+        ('reject', 'influence_check', 241064, 2, ((), (7,), (12,)), (None, 7, 12), None),
+        ('accept', 'none', 241064, 2, ((12,), (1,), (3,)), (12, 1, 3),
+         (0.25, 0.0, 0.75, 0.0, 1.0, 0.75, 1.0, 0.25)),
+        ('accept', 'none', 250064, 3, ((2,), (11,), (5,)), (2, 11, 5),
+         (0.25, 0.25, 0.75, 0.75, 1.0, 0.0, 1.0, 0.0)),
+        ('accept', 'none', 241064, 2, ((5,), (11,), (6,)), (5, 11, 6),
+         (0.0, 0.5, 0.75, 0.0, 0.5, 0.5, 0.5, 0.0)),
     ],
     "far_mode_b_n10": [
-        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None)),
-        ('reject', 'influence_check', 79064, 2, ((), ()), (None, None)),
-        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None)),
-        ('reject', 'influence_check', 74064, 1, ((7,), (6,)), (7, 6)),
-        ('reject', 'influence_check', 74064, 1, ((2,), ()), (2, None)),
-        ('reject', 'influence_check', 74064, 1, ((), (9,)), (None, 9)),
-        ('reject', 'influence_check', 74064, 1, ((6,), ()), (6, None)),
-        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None)),
-        ('reject', 'influence_check', 74064, 1, ((5,), ()), (5, None)),
-        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None)),
-        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None)),
-        ('reject', 'influence_check', 74064, 1, ((2,), ()), (2, None)),
-        ('reject', 'influence_check', 74064, 1, ((8,), (4,)), (8, 4)),
-        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None)),
-        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None)),
-        ('reject', 'influence_check', 74064, 1, ((8,), ()), (8, None)),
-        ('reject', 'influence_check', 74064, 1, ((8,), ()), (8, None)),
-        ('reject', 'influence_check', 74064, 1, ((), (1,)), (None, 1)),
-        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None)),
-        ('reject', 'influence_check', 74064, 1, ((3,), (1,)), (3, 1)),
+        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None), None),
+        ('reject', 'influence_check', 79064, 2, ((), ()), (None, None), None),
+        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None), None),
+        ('reject', 'influence_check', 74064, 1, ((7,), (6,)), (7, 6), None),
+        ('reject', 'influence_check', 74064, 1, ((2,), ()), (2, None), None),
+        ('reject', 'influence_check', 74064, 1, ((), (9,)), (None, 9), None),
+        ('reject', 'influence_check', 74064, 1, ((6,), ()), (6, None), None),
+        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None), None),
+        ('reject', 'influence_check', 74064, 1, ((5,), ()), (5, None), None),
+        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None), None),
+        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None), None),
+        ('reject', 'influence_check', 74064, 1, ((2,), ()), (2, None), None),
+        ('reject', 'influence_check', 74064, 1, ((8,), (4,)), (8, 4), None),
+        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None), None),
+        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None), None),
+        ('reject', 'influence_check', 74064, 1, ((8,), ()), (8, None), None),
+        ('reject', 'influence_check', 74064, 1, ((8,), ()), (8, None), None),
+        ('reject', 'influence_check', 74064, 1, ((), (1,)), (None, 1), None),
+        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None), None),
+        ('reject', 'influence_check', 74064, 1, ((3,), (1,)), (3, 1), None),
     ],
 }
 
@@ -108,6 +127,7 @@ def test_trial_outcomes_pinned(name):
             r.report.refine_rounds_used,
             r.report.selected_buckets,
             r.report.phi,
+            None if r.report.learned_core is None else r.report.learned_core.values,
         )
         for r in records
     ]

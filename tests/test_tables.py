@@ -176,6 +176,16 @@ class TestDistances:
         with pytest.raises(ValueError):
             lp_distance(f, f, 0.5)
 
+    def test_nan_p_rejected(self):
+        f = FunctionTable(1, [0.0, 1.0])
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            lp_distance(f, f, float("nan"))
+
+    def test_p_one_accepted(self):
+        f = FunctionTable(2, [0.0, 1.0, 0.5, 0.25])
+        g = FunctionTable(2, [1.0, 1.0, 0.0, 0.0])
+        assert lp_distance(f, g, 1.0) == pytest.approx((1.0 + 0.0 + 0.5 + 0.25) / 4, abs=1e-15)
+
     def test_matches_naive(self):
         rng = np.random.default_rng(3)
         f, g = random_table(5, rng), random_table(5, rng)

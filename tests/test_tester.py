@@ -591,9 +591,92 @@ class TestCoreStatistics:
         assert np.all(stats >= 0.0)
         self._check_search(cores, table, masks, values, patterns, naive)
 
-    def test_core_search_memory_bounded(self):
-        # subadditive k=3 has 148,815 cores; a |cores| x q float array at
-        # q=1024 would take 1.16 GB
+    # block-boundary cases: (rows, row of the first passing core or None);
+    # -1 is the last row
+    BOUNDARY_CASES = [
+        (4095, 4094), (4095, -1), (4095, None),
+        (4096, 4095), (4096, -1), (4096, None),
+        (4097, 4095), (4097, 4096), (4097, -1), (4097, None),
+        (8193, 4095), (8193, 4096), (8193, -1), (8193, None),
+    ]
+
+    @pytest.mark.parametrize("rows,target", BOUNDARY_CASES)
+    def test_scan_across_block_boundaries(self, rows, target):
+        # rows sampled in order from the 148,815 subadditive k = 3 cores,
+        # so the scan crosses one or two of its CORE_SCAN_ROWS boundaries
+        assert tester.CORE_SCAN_ROWS == 4096
+        full = cached_cores("subadditive", 3, 0.25)
+        rng = np.random.default_rng(rows)
+        picked = np.sort(rng.choice(len(full), size=rows, replace=False))
+        cores = CoreSet("subadditive", 3, 0.25, full.checker_tol, full.tables[picked])
+        coords = (2, 5, 9)
+        row = rows - 1 if target == -1 else (target if target is not None else rows // 2)
+        lifted = lift_core(cores.member(row), coords, self.N)
+        noisy = lifted.values + rng.normal(0.0, 0.02, 1 << self.N)
+        table = FunctionTable(self.N, np.clip(noisy, 0.0, 1.0))
+        # q = 16 samples, each of the 8 core inputs twice, keep the naive
+        # oracle cheap and tell every pair of distinct cores apart
+        masks = []
+        for t, x in enumerate(rng.integers(0, 1 << self.N, size=16)):
+            x = int(x)
+            for j, c in enumerate(coords):
+                x = (x & ~(1 << (c - 1))) | (((t >> j) & 1) << (c - 1))
+            masks.append(x)
+        values = table.values[np.asarray(masks)]
+        patterns = tuple(pattern_of(masks, c) for c in coords)
+        naive = np.asarray(naive_core_statistics(values, patterns, cores.tables))
+        stats = core_statistics(cores, masks, values, coords)
+        assert stats.shape == (rows,)
+        assert np.max(np.abs(stats - naive)) <= 1e-12
+        buckets = _buckets_from_masks(masks, self.N)
+        refined = RefinementResult(patterns, (False,) * 3, 0.0, 1)
+        for sqrt_statistic in (False, True):
+            compared = np.sqrt(naive) if sqrt_statistic else naive
+            if target is None:
+                threshold = float(compared.min()) / 2
+                assert threshold > 1e-9
+            else:
+                # the noisy lift of core `row` scores below every core
+                # before it: pass it and as many later cores as possible
+                earlier = float(compared[:row].min())
+                below = float(compared[compared < earlier].max())
+                assert compared[row] <= below and earlier - below > 1e-9
+                threshold = (below + earlier) / 2
+            cfg = desk_config(
+                eps=0.25, k=3, q=len(masks), accept_threshold=threshold, sqrt_statistic=sqrt_statistic
+            )
+            report = final_check_and_learn(
+                make_counting_oracle(table), masks, values, refined, buckets, cores, cfg,
+                np.random.default_rng(0), gate_passes,
+            )
+            if target is None:
+                assert report.verdict == "reject"
+                assert report.reject_stage == "core_search"
+                continue
+            assert int(np.flatnonzero(compared <= threshold)[0]) == row
+            assert report.verdict == "accept"
+            assert report.learned_core == cores.member(row)
+            assert report.empirical_distance == pytest.approx(compared[row], abs=1e-12)
+
+    def test_empty_core_set(self):
+        empty = CoreSet("subadditive", 3, 0.25, 2.5e-7, np.empty((0, 8)))
+        _, table, masks, values = self._instance("subadditive", 3, (2, 5, 9), 16, True, seed=3)
+        coords = (2, 5, 9)
+        stats = core_statistics(empty, masks, values, coords)
+        assert stats.shape == (0,)
+        refined = RefinementResult(tuple(pattern_of(masks, c) for c in coords), (False,) * 3, 0.0, 1)
+        report = final_check_and_learn(
+            make_counting_oracle(table), masks, values, refined, _buckets_from_masks(masks, self.N),
+            empty, desk_config(eps=0.25, k=3, q=16), np.random.default_rng(0), gate_passes,
+        )
+        assert report.verdict == "reject"
+        assert report.reject_stage == "core_search"
+
+    def _search_peak(self, passing):
+        # subadditive k=3 has 148,815 cores: a |cores| x q float array at
+        # q=1024 would take 1.16 GB, a |cores| x 2^k one 9.5 MB.  The scan
+        # holds CORE_SCAN_ROWS x 2^k doubles at a time, whether it stops
+        # early or, with a threshold below every score, scores every core
         cores = cached_cores("subadditive", 3, 0.25)
         assert len(cores) == 148_815
         n, q = 12, 1024
@@ -605,6 +688,9 @@ class TestCoreStatistics:
         coords = (2, 5, 9)
         refined = RefinementResult(tuple(pattern_of(masks, c) for c in coords), (False,) * 3, 0.0, 1)
         cfg = desk_config(eps=0.25, k=3, q=q)
+        if not passing:
+            lowest = float(core_statistics(cores, masks, values, coords).min())
+            cfg = replace(cfg, accept_threshold=lowest / 2)
         oracle = make_counting_oracle(table)
         tracemalloc.start()
         try:
@@ -614,9 +700,18 @@ class TestCoreStatistics:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.reject_stage != "influence_check"
         assert report.phi == coords
-        assert peak < 32 * 2 ** 20
+        return report, peak
+
+    def test_core_search_memory_bounded(self):
+        report, peak = self._search_peak(passing=True)
+        assert report.reject_stage == "none"
+        assert peak < 2 * 2 ** 20
+
+    def test_core_search_memory_bounded_when_none_passes(self):
+        report, peak = self._search_peak(passing=False)
+        assert report.reject_stage == "core_search"
+        assert peak < 2 * 2 ** 20
 
 
 class TestAgainstPerMaskEstimator:

@@ -323,6 +323,14 @@ class TestFarInstances:
         with pytest.raises(ValueError, match="exceeds the best achievable certified distance 0.250000"):
             make_far_instance("a", "self_bounding", 12, 2, 0.3, gamma=0.25, p=1.0)
 
+    @pytest.mark.parametrize("p", [float("nan"), 0.5])
+    def test_mode_a_nan_or_sub_one_p_rejected(self, p):
+        # unchecked, a NaN p certifies a distance of nan
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            make_far_instance(
+                "a", "submodular", 8, 2, 0.25, gamma=0.25, core_values=(0, 0, 0, 1.0), p=p
+            )
+
     def test_mode_b_certified_half(self):
         inst = make_far_instance("b", "submodular", 10, 3, 0.4)
         assert inst.certified_distance == 0.5
