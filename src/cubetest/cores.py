@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tables import FunctionTable
+from .tables import FunctionTable, check_p
 from .valuations import checker, passing
 
 DEFAULT_MAX_K = 3
@@ -86,14 +86,19 @@ class CoreSet:
         return CoreTable(self.k, tuple(float(v) for v in self.tables[i]))
 
 
-def grid_levels(gamma: float) -> np.ndarray:
-    """Multiples of gamma in [0,1]; gamma must divide 1 exactly."""
+def _grid_steps(gamma: float) -> int:
+    """1/gamma; gamma must divide 1 exactly."""
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must be in (0,1], got {gamma}")
     steps = round(1.0 / gamma)
     if abs(steps * gamma - 1.0) > 1e-9:
         raise ValueError(f"gamma={gamma} does not divide 1; use 1/integer")
-    return np.array([j * gamma for j in range(steps + 1)])
+    return steps
+
+
+def grid_levels(gamma: float) -> np.ndarray:
+    """Multiples of gamma in [0,1]; gamma must divide 1 exactly."""
+    return np.array([j * gamma for j in range(_grid_steps(gamma) + 1)])
 
 
 def _grid_blocks(levels: np.ndarray, size: int):
@@ -117,19 +122,21 @@ def enumerate_cores(
     """All grid functions on {0,1}^k passing the class checker.
 
     k is capped at 3 unless `allow_large_k` (the grid is doubly
-    exponential in k); the full grid size must fit `budget`.
+    exponential in k); the full grid size, (1/gamma + 1)^(2^k), must fit
+    `budget`, and is checked from gamma and k before any level or block
+    is built.
     """
     checker(class_tag)  # UnsupportedClassError when the class has none
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > DEFAULT_MAX_K and not allow_large_k:
         raise ValueError(f"k={k} exceeds the default cap {DEFAULT_MAX_K}")
-    levels = grid_levels(gamma)
-    required = len(levels) ** (1 << k)
+    required = (_grid_steps(gamma) + 1) ** (1 << k)
     if required > budget:
         raise EnumerationBudgetError(
             f"enumeration would visit {required} grid functions, budget is {budget}"
         )
+    levels = grid_levels(gamma)
     tol = gamma * 1e-6
     # the list of kept blocks is freed before CoreSet copies the tables
     tables = np.concatenate(
@@ -146,8 +153,7 @@ def cached_cores(class_tag: str, k: int, gamma: float) -> CoreSet:
 def dist_core_to_set(g: CoreTable, cores: CoreSet, p: float = 2.0) -> float:
     """Minimum exact lp distance from g to any member of the set,
     (min_c mean |g - c|^p)^(1/p); l2 unless p is given."""
-    if not p >= 1:  # also refuses NaN
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_p(p)
     if g.k != cores.k:
         raise ValueError(f"arities differ: {g.k} vs {cores.k}")
     if len(cores) == 0:

@@ -13,6 +13,7 @@ so that hat_f(T) = E_x[f(x) * chi_T(x)].
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -29,6 +30,13 @@ def check_dimension(n: int) -> None:
     """Reject a cube dimension outside [1..MAX_DIMENSION]."""
     if not 0 < n <= MAX_DIMENSION:
         raise ValueError(f"dimension must be in [1..{MAX_DIMENSION}]")
+
+
+def check_p(p: float) -> None:
+    """Reject an lp exponent that is not a finite number >= 1 (NaN too):
+    every lp distance and bound here holds only for those."""
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be >= 1 and finite, got {p}")
 
 
 class DimensionMismatchError(ValueError):
@@ -246,8 +254,7 @@ def inverse_walsh_hadamard(spectrum: FourierSpectrum) -> FunctionTable:
 
 def lp_distance(f: FunctionTable, g: FunctionTable, p: float) -> float:
     """Normalized distance (E_x |f-g|^p)^(1/p), exact over the table."""
-    if not p >= 1:  # also refuses NaN
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_p(p)
     if f.n != g.n:
         raise DimensionMismatchError(f"dimensions differ: {f.n} vs {g.n}")
     diff = np.abs(f.values - g.values)

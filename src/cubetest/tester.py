@@ -25,12 +25,18 @@ order, CORE_SCAN_ROWS at a time, and the scan stops at the first block
 that holds a passing core, so a search costs at most O(|cores| * 2^k)
 time and O(CORE_SCAN_ROWS * 2^k) working memory, whatever q is.
 
-Pattern space has 2^q elements and is never materialized: a part stores
-only the occupied patterns (those actually realized by some coordinate),
-a virtual size and the OR of its patterns' coordinate masks.  Splits
-assign the occupied patterns by sequential without-replacement draws
-against big-integer half capacities, which reproduces exactly the
-distribution a full shuffle-and-split would induce on them.
+Pattern space has 2^q elements and is never materialized.  A part
+matters only through the coordinates it holds, so it stores the
+coordinate masks of its occupied patterns (those actually realized by
+some coordinate), in ascending pattern order, its virtual size and the
+union of its masks; pattern values only fix the order in which the
+occupied patterns are first dealt, and `_initial_parts` is the one
+place that reads the pattern -> mask dict.  Splits deal a part's masks
+by sequential without-replacement draws against big-integer half
+capacities, which reproduces exactly the distribution a full
+shuffle-and-split would induce on them.  A final part that still holds
+several occupied patterns is read through its first mask, that of its
+smallest pattern.
 
 `_estimate_complements` estimates the complements of the unions the
 stages compare.  Under the "desk" profile the subset sweep passes all
@@ -56,7 +62,7 @@ may override, by plan-file key ("gamma" for core_grid).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -65,7 +71,7 @@ import numpy as np
 from . import kvfile
 from .cores import CoreSet, CoreTable, cached_cores
 from .influence import SubsetBudgetError, estimate_inf_mask
-from .tables import QueryOracle, coords_of
+from .tables import QueryOracle, check_p, coords_of
 
 # estimator signature: (oracle, complement_masks, m, rng) -> influence estimates;
 # like `estimate_inf_mask`, a scalar mask gives a float and a 1-D int64
@@ -93,8 +99,7 @@ def lp_epsilon_map(p: float, eps: float) -> float:
     tester at eps itself does, since l2 testing is at least as hard at
     the same eps.
     """
-    if not p >= 1:  # also refuses NaN
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_p(p)
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0,1), got {eps}")
     if p > 2:
@@ -260,15 +265,6 @@ def _deal_without_replacement(
     return out
 
 
-@dataclass(frozen=True)
-class VirtualPart:
-    """One part of the (virtual) equi-partition of pattern space."""
-
-    patterns: tuple[int, ...]  # occupied patterns, ascending
-    size: int  # total patterns in the part, occupied or not
-    coord_mask: int
-
-
 def _union(masks: Sequence[int]) -> int:
     union = 0
     for mask in masks:
@@ -276,34 +272,39 @@ def _union(masks: Sequence[int]) -> int:
     return union
 
 
-def _make_part(patterns: Sequence[int], size: int, buckets: Mapping[int, int]) -> VirtualPart:
-    mask = 0
-    for p in patterns:
-        mask |= buckets[p]
-    return VirtualPart(patterns=tuple(sorted(patterns)), size=size, coord_mask=mask)
+@dataclass(frozen=True)
+class VirtualPart:
+    """One part of the (virtual) equi-partition of pattern space: the
+    coordinate masks of its occupied patterns, in ascending pattern
+    order, its size in patterns, occupied or not, and the union of its
+    masks."""
+
+    masks: tuple[int, ...]
+    size: int
+    coord_mask: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coord_mask", _union(self.masks))
 
 
 def _initial_parts(
     buckets: Mapping[int, int], q: int, num_parts: int, rng: np.random.Generator
 ) -> list[VirtualPart]:
+    """Deal the occupied patterns' masks, in ascending pattern order, into
+    num_parts parts of sizes as equal as 2^q allows."""
     total = 1 << q
     sizes = [total // num_parts + (1 if j < total % num_parts else 0) for j in range(num_parts)]
-    dealt = _deal_without_replacement(rng, sorted(buckets), sizes)
-    return [_make_part(dealt[j], sizes[j], buckets) for j in range(num_parts)]
+    dealt = _deal_without_replacement(rng, [buckets[p] for p in sorted(buckets)], sizes)
+    return [VirtualPart(tuple(masks), size) for masks, size in zip(dealt, sizes)]
 
 
-def _split_part(
-    part: VirtualPart, buckets: Mapping[int, int], rng: np.random.Generator
-) -> tuple[VirtualPart, VirtualPart]:
+def _split_part(part: VirtualPart, rng: np.random.Generator) -> tuple[VirtualPart, VirtualPart]:
     c0 = (part.size + 1) // 2  # first half takes the extra element
     c1 = part.size - c0
     if part.size == 0:
         return part, part
-    dealt = _deal_without_replacement(rng, part.patterns, [c0, c1])
-    return (
-        _make_part(dealt[0], c0, buckets),
-        _make_part(dealt[1], c1, buckets),
-    )
+    dealt = _deal_without_replacement(rng, part.masks, [c0, c1])
+    return VirtualPart(tuple(dealt[0]), c0), VirtualPart(tuple(dealt[1]), c1)
 
 
 def _estimate_complements(
@@ -333,9 +334,9 @@ def select_initial_parts(
     """Sweep every size-k subset of the equi-partition and keep the one
     whose complement has the smallest estimated influence.
 
-    A part's coordinate mask is the OR of its patterns' masks in
-    `buckets`.  `_estimate_complements` takes the complements of the
-    subsets' unions: under "desk" as one batch, exactly
+    The partition is the one stage that reads `buckets`; from then on a
+    part is its coordinate masks.  `_estimate_complements` takes the
+    complements of the subsets' unions: under "desk" as one batch, exactly
     m * (C(num_parts, k) + 1) queries; under "paper" one at a time,
     2m * C(num_parts, k).  Ties break to the lexicographically first
     subset.  `parts` lets a caller supply the partition (built with
@@ -360,7 +361,9 @@ def select_initial_parts(
 
 @dataclass(frozen=True)
 class RefinementResult:
-    final_patterns: tuple[Optional[int], ...]  # None = unoccupied or dead part
+    # each final part's first mask, that of its smallest occupied pattern;
+    # 0 for a part with no occupied pattern
+    final_masks: tuple[int, ...]
     part_went_empty: tuple[bool, ...]
     last_round_eta: float
     rounds_used: int
@@ -369,7 +372,6 @@ class RefinementResult:
 def refine_parts(
     oracle: QueryOracle,
     selected: Sequence[VirtualPart],
-    buckets: Mapping[int, int],
     config: TesterConfig,
     rng: np.random.Generator,
     estimator: InfluenceEstimator = estimate_inf_mask,
@@ -377,8 +379,8 @@ def refine_parts(
     """Halve every selected part round by round, each round keeping the
     keep-choice z (half (z >> i) & 1 of part i) whose union has the
     complement of smallest estimated influence; ties break to the
-    smallest z.  A half's mask is the OR of its patterns' masks in
-    `buckets`.  `_estimate_complements` takes a round's 2^k complements:
+    smallest z.  A split deals a part's masks, in order, into its two
+    halves.  `_estimate_complements` takes a round's 2^k complements:
     under "desk" as one batch, m * (2^k + 1) queries; under "paper" one
     at a time, 2m * 2^k.
 
@@ -395,7 +397,7 @@ def refine_parts(
     last_eta = math.inf
     stop_when_isolated = config.scale_profile == "desk"
     for rounds_used in range(1, config.refine_rounds + 1):
-        halves = [_split_part(p, buckets, rng) for p in parts]
+        halves = [_split_part(p, rng) for p in parts]
         choices = [[h[(z >> i) & 1] for i, h in enumerate(halves)] for z in range(1 << k)]
         unions = [_union([h.coord_mask for h in choice]) for choice in choices]
         estimates = _estimate_complements(estimator, oracle, unions, config, rng)
@@ -405,10 +407,10 @@ def refine_parts(
             if parts[i].size == 0:
                 went_empty[i] = True
         last_eta = float(estimates[best_z])
-        if stop_when_isolated and all(len(p.patterns) <= 1 for p in parts):
+        if stop_when_isolated and all(len(p.masks) <= 1 for p in parts):
             break
     return RefinementResult(
-        final_patterns=tuple(p.patterns[0] if p.patterns else None for p in parts),
+        final_masks=tuple(p.masks[0] if p.masks else 0 for p in parts),
         part_went_empty=tuple(went_empty),
         last_round_eta=last_eta,
         rounds_used=rounds_used,
@@ -492,20 +494,17 @@ def final_check_and_learn(
     sample_masks: Sequence[int],
     sample_values: np.ndarray,
     refinement: RefinementResult,
-    buckets: Mapping[int, int],
     cores: CoreSet,
     config: TesterConfig,
     rng: np.random.Generator,
     estimator: InfluenceEstimator = estimate_inf_mask,
-    eta_extra: Optional[dict[str, float]] = None,
 ) -> TesterReport:
     """Influence gate, then implicit learning against the core set.
 
-    Each final bucket is the mask its final pattern has in `buckets`
-    (empty for a part without one), and the gate estimates the
-    complement of their union.  The projection reads, for each final
-    bucket, the lowest-index coordinate it contains; an empty bucket
-    feeds the constant 0 to the corresponding core input.  The
+    The final buckets are the refinement's final masks, and the gate
+    estimates the complement of their union.  The projection reads, for
+    each final bucket, the lowest-index coordinate it contains; an empty
+    bucket feeds the constant 0 to the corresponding core input.  The
     acceptance statistic is the mean of squared deviations between the
     sampled values and the candidate core's values on the projected
     samples (see `core_statistics`: (W + sum_u n_u (c_u - mu_u)^2) / q),
@@ -515,15 +514,14 @@ def final_check_and_learn(
     is learned: the cores are scored CORE_SCAN_ROWS at a time and the
     scan stops at the first block that holds a passing core, in
     O(CORE_SCAN_ROWS * 2^k) working memory.  The report's queries_used
-    is 0; `run_tester` fills in the run's count.
+    is 0 and its eta holds only "gate"; `run_tester` fills in the run's
+    count and the other stages' entries.
     """
-    part_masks = [buckets.get(pattern, 0) for pattern in refinement.final_patterns]
-    bucket_coords = tuple(tuple(sorted(coords_of(mask))) for mask in part_masks)
-    eta = dict(eta_extra or {})
-    eta["gate"] = estimator(oracle, ((1 << oracle.n) - 1) & ~_union(part_masks), config.m, rng)
+    bucket_coords = tuple(tuple(sorted(coords_of(mask))) for mask in refinement.final_masks)
+    gate = estimator(oracle, ((1 << oracle.n) - 1) & ~_union(refinement.final_masks), config.m, rng)
     phi = tuple(coords[0] if coords else None for coords in bucket_coords)
     core, dist, stage = None, None, "influence_check"
-    if not eta["gate"] > config.inf_threshold:
+    if not gate > config.inf_threshold:
         stage = "core_search"
         for lo, stats in _core_score_blocks(cores, sample_masks, sample_values, phi):
             compared = np.sqrt(stats) if config.sqrt_statistic else stats
@@ -539,7 +537,7 @@ def final_check_and_learn(
         selected_buckets=bucket_coords,
         learned_core=core,
         empirical_distance=dist,
-        eta=eta,
+        eta={"gate": gate},
         phi=phi,
         empty_buckets=refinement.part_went_empty,
         refine_rounds_used=refinement.rounds_used,
@@ -572,21 +570,12 @@ def run_tester(
     sample_values = oracle.query_masks(sample_masks)
     buckets = _buckets_from_masks(sample_masks, n)
     selected, etas = select_initial_parts(oracle, buckets, config, rng, estimator)
-    refinement = refine_parts(oracle, selected, buckets, config, rng, estimator)
-    eta_extra = {"initial_min": min(etas.values()), "refine_last": refinement.last_round_eta}
+    refinement = refine_parts(oracle, selected, config, rng, estimator)
     report = final_check_and_learn(
-        oracle,
-        sample_masks,
-        sample_values,
-        refinement,
-        buckets,
-        cores,
-        config,
-        rng,
-        estimator,
-        eta_extra=eta_extra,
+        oracle, sample_masks, sample_values, refinement, cores, config, rng, estimator
     )
-    return replace(report, queries_used=oracle.query_count - start)
+    eta = {"initial_min": min(etas.values()), "refine_last": refinement.last_round_eta}
+    return replace(report, queries_used=oracle.query_count - start, eta={**eta, **report.eta})
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import kvfile
-from .tables import CubePoint, FunctionTable, check_dimension
+from .tables import CubePoint, FunctionTable, check_dimension, check_p
 
 DEFAULT_CHECK_TOL = 1e-9
 
@@ -466,8 +466,10 @@ def make_far_instance(
     given.  Its certified distance is the core's lp distance to the
     cores, (min_c mean |g - c|^p)^(1/p).  Raises if eps exceeds the
     certified distance: eps is compared against `certified_distance`,
-    not `class_distance_lower_bound`.
+    not `class_distance_lower_bound`.  Both modes refuse a p that is
+    not a finite number >= 1.
     """
+    check_p(p)
     if mode == "b":
         if not k < n:
             raise ValueError("mode b requires k < n")

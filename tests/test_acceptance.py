@@ -218,21 +218,20 @@ def test_criterion_09_exact_pipeline_isolates_juntas():
         rng = np.random.default_rng(seed)
         masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
         buckets = _buckets_from_masks(masks, n)
-        pat3 = next(p for p, mask in buckets.items() if 3 in coords_of(mask))
-        pat9 = next(p for p, mask in buckets.items() if 9 in coords_of(mask))
-        assert pat3 != pat9  # q=64 samples split the coordinates
+        mask3 = next(mask for mask in buckets.values() if 3 in coords_of(mask))
+        mask9 = next(mask for mask in buckets.values() if 9 in coords_of(mask))
+        assert mask3 != mask9  # q=64 samples split the coordinates
         parts = _initial_parts(buckets, cfg.q, cfg.num_parts, rng)
-        part_of = {pat: i for i, part in enumerate(parts) for pat in part.patterns}
-        if part_of[pat3] == part_of[pat9]:
+        part_of = {mask: i for i, part in enumerate(parts) for mask in part.masks}
+        if part_of[mask3] == part_of[mask9]:
             continue
         separated += 1
         selected, etas = select_initial_parts(oracle, buckets, cfg, rng, est, parts=parts)
         assert min(etas.values()) == 0.0
-        refined = refine_parts(oracle, selected, buckets, cfg, rng, est)
+        refined = refine_parts(oracle, selected, cfg, rng, est)
         isolated = set()
-        for pat in refined.final_patterns:
-            if pat is not None:
-                isolated.update(coords_of(buckets[pat]))
+        for mask in refined.final_masks:
+            isolated.update(coords_of(mask))
         assert {3, 9} <= isolated, f"seed {seed}: isolated {isolated}"
     assert separated >= 35  # expected ~46 of 50 at 12 parts
 

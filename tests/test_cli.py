@@ -324,7 +324,9 @@ class TestTestCommand:
         "accept_threshold_nan": (
             "accept_threshold", "nan", "accept_threshold must be finite and > 0, got nan"
         ),
-        "p_nan": ("p", "nan", "p must be >= 1, got nan"),
+        "p_nan": ("p", "nan", "p must be >= 1 and finite, got nan"),
+        # once exited 2 only because eps ** inf = 0 left inf_threshold at 0
+        "p_inf": ("p", "inf", "p must be >= 1 and finite, got inf"),
     }
 
     @pytest.mark.parametrize("case", sorted(NON_FINITE))

@@ -165,6 +165,18 @@ class TestEnumeration:
         with pytest.raises(error, match=message):
             enumerate_cores(*args)
 
+    def test_budget_checked_before_the_levels_exist(self):
+        # (10^6 + 1)^2 grid tables at k = 1: refused before a list of a
+        # million levels, or any block, takes memory
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationBudgetError, match="1000002000001"):
+                enumerate_cores("submodular", 1, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_gamma_must_divide_one(self):
         with pytest.raises(ValueError, match="divide"):
             enumerate_cores("submodular", 2, 0.3)
@@ -212,7 +224,9 @@ class TestDistance:
         with pytest.raises(ValueError):
             dist_core_to_set(CoreTable(1, (0.0, 1.0)), cores)
 
-    @pytest.mark.parametrize("p", [float("nan"), 0.5])
+    # unchecked, an infinite p puts every grid core 1.0 from the set,
+    # members included
+    @pytest.mark.parametrize("p", [float("nan"), 0.5, float("inf")])
     def test_nan_or_sub_one_p_rejected(self, p):
         cores = enumerate_cores("submodular", 2, 0.25)
         with pytest.raises(ValueError, match="p must be >= 1"):

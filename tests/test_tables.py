@@ -181,6 +181,12 @@ class TestDistances:
         with pytest.raises(ValueError, match="p must be >= 1"):
             lp_distance(f, f, float("nan"))
 
+    def test_infinite_p_rejected(self):
+        # unchecked, a table reads 1.0 from itself
+        f = FunctionTable(1, [0.0, 1.0])
+        with pytest.raises(ValueError, match="p must be >= 1 and finite, got inf"):
+            lp_distance(f, f, float("inf"))
+
     def test_p_one_accepted(self):
         f = FunctionTable(2, [0.0, 1.0, 0.5, 0.25])
         g = FunctionTable(2, [1.0, 1.0, 0.0, 0.0])

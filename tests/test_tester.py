@@ -93,6 +93,11 @@ class TestLpEpsilonMap:
         with pytest.raises(ValueError):
             lp_epsilon_map(0.9, 0.1)
 
+    def test_infinite_p_rejected(self):
+        # unchecked, eps ** inf maps every eps to 0
+        with pytest.raises(ValueError, match="p must be >= 1 and finite, got inf"):
+            lp_epsilon_map(float("inf"), 0.1)
+
     def test_eps_range(self):
         with pytest.raises(ValueError):
             lp_epsilon_map(2, 1.5)
@@ -205,15 +210,14 @@ class TestVirtualPartition:
         the ceil-half with probability 3/5."""
         from cubetest.tester import VirtualPart, _split_part
 
-        buckets = {1: 0b01, 6: 0b10}
-        part = VirtualPart(patterns=(1,), size=5, coord_mask=0b01)
+        part = VirtualPart(masks=(0b01,), size=5)
         trials = 20_000
         kept0 = 0
         for seed in range(trials):
             rng = np.random.default_rng((777, seed))
-            h0, h1 = _split_part(part, buckets, rng)
+            h0, h1 = _split_part(part, rng)
             assert (h0.size, h1.size) == (3, 2)
-            kept0 += 1 in h0.patterns
+            kept0 += 0b01 in h0.masks
         assert abs(kept0 / trials - 0.6) < 0.012
 
     def test_sizes_partition_pattern_space(self):
@@ -222,8 +226,22 @@ class TestVirtualPartition:
         buckets = _buckets_from_masks(masks, 10)
         parts = _initial_parts(buckets, 16, 12, rng)
         assert sum(p.size for p in parts) == 1 << 16
-        occupied = [pat for p in parts for pat in p.patterns]
-        assert sorted(occupied) == sorted(buckets)
+        occupied = [mask for p in parts for mask in p.masks]
+        assert sorted(occupied) == sorted(buckets.values())
+
+    def test_masks_in_ascending_pattern_order(self):
+        # a part is read through its first mask, so the deal and every
+        # split must keep the masks in the order of their patterns
+        rng = np.random.default_rng(2)
+        masks = [int(x) for x in rng.integers(0, 1 << 12, size=8)]
+        buckets = _buckets_from_masks(masks, 12)
+        rank = {buckets[p]: i for i, p in enumerate(sorted(buckets))}
+        parts = _initial_parts(buckets, 8, 3, rng)
+        halves = [h for part in parts for h in _split_part(part, rng)]
+        assert any(len(p.masks) > 1 for p in halves)
+        for part in parts + halves:
+            assert [rank[m] for m in part.masks] == sorted(rank[m] for m in part.masks)
+            assert part.coord_mask == sum(part.masks)
 
     def test_small_pattern_space_leaves_empty_parts(self):
         rng = np.random.default_rng(1)
@@ -249,11 +267,11 @@ class TestStagesWithExactStub:
             parts = _initial_parts(buckets, cfg.q, cfg.num_parts, rng)
             part_of = {}
             for idx, part in enumerate(parts):
-                for pat in part.patterns:
-                    part_of[pat] = idx
-            pat3 = next(p for p, mask in buckets.items() if 3 in coords_of(mask))
-            pat9 = next(p for p, mask in buckets.items() if 9 in coords_of(mask))
-            if part_of[pat3] == part_of[pat9]:
+                for mask in part.masks:
+                    part_of[mask] = idx
+            mask3 = next(mask for mask in buckets.values() if 3 in coords_of(mask))
+            mask9 = next(mask for mask in buckets.values() if 9 in coords_of(mask))
+            if part_of[mask3] == part_of[mask9]:
                 continue  # selection cannot separate colliding parts
             found += 1
             selected, etas = select_initial_parts(
@@ -284,9 +302,9 @@ class TestStagesWithExactStub:
         assert selected[0] is parts[0] and selected[1] is parts[1]
         # refinement on a constant: every eta stays zero, singleton
         # patterns come back anyway
-        refined = refine_parts(oracle, selected, buckets, cfg, rng, exact_stub(table))
+        refined = refine_parts(oracle, selected, cfg, rng, exact_stub(table))
         assert refined.last_round_eta == 0.0
-        assert len(refined.final_patterns) == 2
+        assert len(refined.final_masks) == 2
 
     def test_select_query_accounting(self):
         n = 8
@@ -312,10 +330,10 @@ class TestStagesWithExactStub:
             masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
             buckets = _buckets_from_masks(masks, n)
             selected, _ = select_initial_parts(oracle, buckets, cfg, rng, exact_stub(table))
-            result = refine_parts(oracle, selected, buckets, cfg, rng, exact_stub(table))
-            final = result.final_patterns[0]
-            assert final is not None
-            assert 4 in coords_of(buckets[final])
+            result = refine_parts(oracle, selected, cfg, rng, exact_stub(table))
+            final = result.final_masks[0]
+            assert final != 0
+            assert 4 in coords_of(final)
 
     def test_refine_query_accounting(self):
         n = 8
@@ -328,7 +346,7 @@ class TestStagesWithExactStub:
         selected, _ = select_initial_parts(oracle, buckets, cfg, rng)
         for profile in ("desk", "paper"):
             before = oracle.query_count
-            result = refine_parts(oracle, selected, buckets, replace(cfg, scale_profile=profile), rng)
+            result = refine_parts(oracle, selected, replace(cfg, scale_profile=profile), rng)
             per_round = cfg.m * ((1 << cfg.k) + 1) if profile == "desk" else 2 * cfg.m * (1 << cfg.k)
             assert oracle.query_count - before == per_round * result.rounds_used
 
@@ -339,9 +357,9 @@ def refine_with_spy(table, cfg, seed, estimator, monkeypatch):
     last round kept."""
     started, split = [], []
 
-    def spy(part, buckets, rng):
+    def spy(part, rng):
         started.append(part)
-        split.append(_split_part(part, buckets, rng))
+        split.append(_split_part(part, rng))
         return split[-1]
 
     monkeypatch.setattr(tester, "_split_part", spy)
@@ -351,14 +369,14 @@ def refine_with_spy(table, cfg, seed, estimator, monkeypatch):
     buckets = _buckets_from_masks(masks, table.n)
     selected, _ = select_initial_parts(oracle, buckets, cfg, rng, estimator)
     before = oracle.query_count
-    result = refine_parts(oracle, selected, buckets, cfg, rng, estimator)
+    result = refine_parts(oracle, selected, cfg, rng, estimator)
     rounds = [started[i : i + cfg.k] for i in range(0, len(started), cfg.k)]
     assert len(rounds) == result.rounds_used
-    # the half of each part that holds its final pattern (one without
-    # patterns when there is none); the halves are disjoint
+    # the half of each part that holds its final mask (one without masks
+    # when it is 0); the halves are disjoint
     kept = [
-        next(h for h in halves if pattern in h.patterns or (pattern is None and not h.patterns))
-        for halves, pattern in zip(split[-cfg.k :], result.final_patterns)
+        next(h for h in halves if mask in h.masks or (mask == 0 and not h.masks))
+        for halves, mask in zip(split[-cfg.k :], result.final_masks)
     ]
     return result, oracle.query_count - before, rounds, kept
 
@@ -407,10 +425,10 @@ class TestRefineStop:
                 assert refine_with_spy(table, paper, seed, est, monkeypatch)[0] == desk
             if r < cfg.refine_rounds:
                 # round r left every part isolated
-                assert all(len(p.patterns) <= 1 for p in kept)
+                assert all(len(p.masks) <= 1 for p in kept)
             # no earlier round left every part isolated
             for j in range(1, r):
-                assert any(len(p.patterns) > 1 for p in rounds[j])
+                assert any(len(p.masks) > 1 for p in rounds[j])
 
     @pytest.mark.parametrize("name", CASES)
     def test_paper_runs_every_round(self, name, monkeypatch):
@@ -432,10 +450,8 @@ class TestFinalCheck:
         values = oracle.query_masks(np.asarray(masks, dtype=np.int64))
         buckets = _buckets_from_masks(masks, table.n)
         selected, _ = select_initial_parts(oracle, buckets, cfg, rng, est)
-        refined = refine_parts(oracle, selected, buckets, cfg, rng, est)
-        return final_check_and_learn(
-            oracle, masks, values, refined, buckets, cores, cfg, rng, est
-        )
+        refined = refine_parts(oracle, selected, cfg, rng, est)
+        return final_check_and_learn(oracle, masks, values, refined, cores, cfg, rng, est)
 
     def test_lifted_core_accepts(self):
         cores = cached_cores("submodular", 2, 0.25)
@@ -464,10 +480,8 @@ class TestFinalCheck:
         values = oracle.query_masks(np.asarray(masks, dtype=np.int64))
         buckets = _buckets_from_masks(masks, 10)
         selected, _ = select_initial_parts(oracle, buckets, cfg, rng, est)
-        refined = refine_parts(oracle, selected, buckets, cfg, rng, est)
-        report = final_check_and_learn(
-            oracle, masks, values, refined, buckets, pair, cfg, rng, est
-        )
+        refined = refine_parts(oracle, selected, cfg, rng, est)
+        report = final_check_and_learn(oracle, masks, values, refined, pair, cfg, rng, est)
         assert report.verdict == "accept"
         assert report.empirical_distance == 0.0
 
@@ -491,11 +505,9 @@ class TestFinalCheck:
         values = oracle.query_masks(np.asarray(masks, dtype=np.int64))
         buckets = _buckets_from_masks(masks, 10)
         selected, _ = select_initial_parts(oracle, buckets, cfg, rng, est)
-        refined = refine_parts(oracle, selected, buckets, cfg, rng, est)
+        refined = refine_parts(oracle, selected, cfg, rng, est)
         empty = CoreSet("submodular", 2, 0.25, 2.5e-7, np.empty((0, 4)))
-        report = final_check_and_learn(
-            oracle, masks, values, refined, buckets, empty, cfg, rng, est
-        )
+        report = final_check_and_learn(oracle, masks, values, refined, empty, cfg, rng, est)
         assert report.verdict == "reject"
         assert report.reject_stage == "core_search"
 
@@ -507,6 +519,14 @@ def pattern_of(masks, coord):
 
 def gate_passes(oracle, s_mask, m, rng):
     return 0.0
+
+
+def refined_to(masks, patterns, n):
+    """A one-round refinement whose final parts hold the given patterns of
+    the samples `masks` (None: a part with none)."""
+    buckets = _buckets_from_masks(masks, n)
+    final = tuple(0 if p is None else buckets[p] for p in patterns)
+    return RefinementResult(final, (False,) * len(patterns), 0.0, 1)
 
 
 class TestCoreStatistics:
@@ -546,8 +566,7 @@ class TestCoreStatistics:
 
     def _check_search(self, cores, table, masks, values, patterns, naive):
         k = len(patterns)
-        buckets = _buckets_from_masks(masks, self.N)
-        refined = RefinementResult(patterns, (False,) * k, 0.0, 1)
+        refined = refined_to(masks, patterns, self.N)
         for sqrt_statistic in (False, True):
             compared = np.sqrt(naive) if sqrt_statistic else np.asarray(naive)
             cfg = desk_config(
@@ -558,7 +577,7 @@ class TestCoreStatistics:
                 sqrt_statistic=sqrt_statistic,
             )
             report = final_check_and_learn(
-                make_counting_oracle(table), masks, values, refined, buckets, cores, cfg,
+                make_counting_oracle(table), masks, values, refined, cores, cfg,
                 np.random.default_rng(0), gate_passes,
             )
             first = int(np.flatnonzero(compared <= cfg.accept_threshold)[0])
@@ -628,8 +647,7 @@ class TestCoreStatistics:
         stats = core_statistics(cores, masks, values, coords)
         assert stats.shape == (rows,)
         assert np.max(np.abs(stats - naive)) <= 1e-12
-        buckets = _buckets_from_masks(masks, self.N)
-        refined = RefinementResult(patterns, (False,) * 3, 0.0, 1)
+        refined = refined_to(masks, patterns, self.N)
         for sqrt_statistic in (False, True):
             compared = np.sqrt(naive) if sqrt_statistic else naive
             if target is None:
@@ -646,7 +664,7 @@ class TestCoreStatistics:
                 eps=0.25, k=3, q=len(masks), accept_threshold=threshold, sqrt_statistic=sqrt_statistic
             )
             report = final_check_and_learn(
-                make_counting_oracle(table), masks, values, refined, buckets, cores, cfg,
+                make_counting_oracle(table), masks, values, refined, cores, cfg,
                 np.random.default_rng(0), gate_passes,
             )
             if target is None:
@@ -664,9 +682,9 @@ class TestCoreStatistics:
         coords = (2, 5, 9)
         stats = core_statistics(empty, masks, values, coords)
         assert stats.shape == (0,)
-        refined = RefinementResult(tuple(pattern_of(masks, c) for c in coords), (False,) * 3, 0.0, 1)
+        refined = refined_to(masks, tuple(pattern_of(masks, c) for c in coords), self.N)
         report = final_check_and_learn(
-            make_counting_oracle(table), masks, values, refined, _buckets_from_masks(masks, self.N),
+            make_counting_oracle(table), masks, values, refined,
             empty, desk_config(eps=0.25, k=3, q=16), np.random.default_rng(0), gate_passes,
         )
         assert report.verdict == "reject"
@@ -684,9 +702,8 @@ class TestCoreStatistics:
         table = FunctionTable(n, rng.uniform(0.0, 1.0, 1 << n))
         masks = [int(x) for x in rng.integers(0, 1 << n, size=q)]
         values = table.values[np.asarray(masks)]
-        buckets = _buckets_from_masks(masks, n)
         coords = (2, 5, 9)
-        refined = RefinementResult(tuple(pattern_of(masks, c) for c in coords), (False,) * 3, 0.0, 1)
+        refined = refined_to(masks, tuple(pattern_of(masks, c) for c in coords), n)
         cfg = desk_config(eps=0.25, k=3, q=q)
         if not passing:
             lowest = float(core_statistics(cores, masks, values, coords).min())
@@ -695,7 +712,7 @@ class TestCoreStatistics:
         tracemalloc.start()
         try:
             report = final_check_and_learn(
-                oracle, masks, values, refined, buckets, cores, cfg, rng, gate_passes
+                oracle, masks, values, refined, cores, cfg, rng, gate_passes
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -890,11 +907,10 @@ class TestNearJuntaIsolation:
             masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
             buckets = _buckets_from_masks(masks, n)
             selected, _ = select_initial_parts(oracle, buckets, cfg, rng, est)
-            refined = refine_parts(oracle, selected, buckets, cfg, rng, est)
+            refined = refine_parts(oracle, selected, cfg, rng, est)
             leftover = 0
-            for pat in refined.final_patterns:
-                if pat is not None:
-                    leftover |= buckets[pat]
+            for mask in refined.final_masks:
+                leftover |= mask
             comp = sorted(coords_of(((1 << n) - 1) & ~leftover))
             if influence_exact(f, comp) > 100 * eps ** 2:
                 failures += 1
@@ -921,11 +937,11 @@ class TestNearJuntaIsolation:
                 values = oracle.query_masks(np.asarray(masks, dtype=np.int64))
                 buckets = _buckets_from_masks(masks, n)
                 selected, _ = select_initial_parts(oracle, buckets, cfg, rng)
-                refined = refine_parts(oracle, selected, buckets, cfg, rng)
+                refined = refine_parts(oracle, selected, cfg, rng)
                 # h composed with the run's projection, as an n-bit table
                 reps = []
-                for pat in refined.final_patterns:
-                    coords = coords_of(buckets[pat]) if pat is not None else ()
+                for mask in refined.final_masks:
+                    coords = coords_of(mask)
                     reps.append(min(coords) if coords else None)
                 idx = np.arange(1 << n)
                 core_idx = np.zeros(1 << n, dtype=np.int64)
@@ -934,8 +950,8 @@ class TestNearJuntaIsolation:
                     if rep is None:
                         continue
                     core_idx |= ((idx >> (rep - 1)) & 1) << j
-                    pat = refined.final_patterns[j]
-                    bits = np.array([(pat >> t) & 1 for t in range(q)], dtype=np.int64)
+                    # bit t of the final pattern: coordinate rep on sample t
+                    bits = np.array([(m >> (rep - 1)) & 1 for m in masks], dtype=np.int64)
                     u |= bits << j
                 h_arr = h.as_array()
                 emp = math.sqrt(float(np.mean((values - h_arr[u]) ** 2)))

@@ -323,13 +323,21 @@ class TestFarInstances:
         with pytest.raises(ValueError, match="exceeds the best achievable certified distance 0.250000"):
             make_far_instance("a", "self_bounding", 12, 2, 0.3, gamma=0.25, p=1.0)
 
-    @pytest.mark.parametrize("p", [float("nan"), 0.5])
+    @pytest.mark.parametrize("p", [float("nan"), 0.5, float("inf")])
     def test_mode_a_nan_or_sub_one_p_rejected(self, p):
-        # unchecked, a NaN p certifies a distance of nan
+        # unchecked, a NaN p certifies a distance of nan, and an infinite
+        # one 1.0 for every core, class members such as (0, 0, 0, 0) too
         with pytest.raises(ValueError, match="p must be >= 1"):
             make_far_instance(
                 "a", "submodular", 8, 2, 0.25, gamma=0.25, core_values=(0, 0, 0, 1.0), p=p
             )
+
+    @pytest.mark.parametrize("p", [float("nan"), 0.5, float("inf")])
+    def test_mode_b_p_checked(self, p):
+        # unchecked, mode b certifies 0.5, which is proved only for a
+        # finite p >= 1
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            make_far_instance("b", "submodular", 8, 2, 0.25, p=p)
 
     def test_mode_b_certified_half(self):
         inst = make_far_instance("b", "submodular", 10, 3, 0.4)
