@@ -6,13 +6,8 @@ from .tables import (
     FunctionTable,
     FourierSpectrum,
     QueryOracle,
-    combine,
-    discretize,
-    hamming_distance,
-    inverse_walsh_hadamard,
     lp_distance,
     make_counting_oracle,
-    meet_join_xor,
     read_table,
     walsh_hadamard,
     write_table,

@@ -17,6 +17,7 @@ this module holds nothing specific to any class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -60,20 +61,20 @@ class CoreTable:
 
 
 class CoreSet:
-    """Immutable enumerated collection of grid cores for one class."""
+    """Immutable enumerated collection of grid cores for one class:
+    `tables` is a (cores, 2^k) array, one core's values per row."""
 
-    __slots__ = ("class_tag", "k", "gamma", "checker_tol", "tables")
+    __slots__ = ("class_tag", "k", "gamma", "tables")
 
-    def __init__(self, class_tag: str, k: int, gamma: float, checker_tol: float, tables):
+    def __init__(self, class_tag: str, k: int, gamma: float, tables):
         arr = np.asarray(tables, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 1 << k:
-            arr = arr.reshape(-1, 1 << k)
+            raise ValueError(f"expected rows of {1 << k} core values, got shape {arr.shape}")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "class_tag", class_tag)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "checker_tol", checker_tol)
         object.__setattr__(self, "tables", arr)
 
     def __setattr__(self, name, value):
@@ -90,7 +91,10 @@ def _grid_steps(gamma: float) -> int:
     """1/gamma; gamma must divide 1 exactly."""
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must be in (0,1], got {gamma}")
-    steps = round(1.0 / gamma)
+    inverse = 1.0 / gamma
+    if not math.isfinite(inverse):
+        raise ValueError(f"gamma={gamma} is too small: 1/gamma is not finite")
+    steps = round(inverse)
     if abs(steps * gamma - 1.0) > 1e-9:
         raise ValueError(f"gamma={gamma} does not divide 1; use 1/integer")
     return steps
@@ -113,23 +117,19 @@ def _grid_blocks(levels: np.ndarray, size: int):
 
 
 def enumerate_cores(
-    class_tag: str,
-    k: int,
-    gamma: float,
-    budget: int = DEFAULT_GRID_BUDGET,
-    allow_large_k: bool = False,
+    class_tag: str, k: int, gamma: float, budget: int = DEFAULT_GRID_BUDGET
 ) -> CoreSet:
     """All grid functions on {0,1}^k passing the class checker.
 
-    k is capped at 3 unless `allow_large_k` (the grid is doubly
-    exponential in k); the full grid size, (1/gamma + 1)^(2^k), must fit
+    k is capped at DEFAULT_MAX_K = 3, since the grid is doubly
+    exponential in k; the full grid size, (1/gamma + 1)^(2^k), must fit
     `budget`, and is checked from gamma and k before any level or block
     is built.
     """
     checker(class_tag)  # UnsupportedClassError when the class has none
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > DEFAULT_MAX_K and not allow_large_k:
+    if k > DEFAULT_MAX_K:
         raise ValueError(f"k={k} exceeds the default cap {DEFAULT_MAX_K}")
     required = (_grid_steps(gamma) + 1) ** (1 << k)
     if required > budget:
@@ -142,7 +142,7 @@ def enumerate_cores(
     tables = np.concatenate(
         [block[passing(class_tag, block, tol)] for block in _grid_blocks(levels, 1 << k)]
     )
-    return CoreSet(class_tag, k, gamma, tol, tables)
+    return CoreSet(class_tag, k, gamma, tables)
 
 
 @lru_cache(maxsize=32)

@@ -1,4 +1,6 @@
-"""Points, function tables and exact Fourier analysis on the Boolean cube.
+"""Points, function tables, the exact Walsh-Hadamard transform, l_p
+distances, counting query oracles and the table file format on the
+Boolean cube.
 
 Functions live on {0,1}^n with values in [0,1] and are stored as dense
 tables of length 2^n.  Coordinates are 1-indexed in every public
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -82,22 +84,14 @@ class CubePoint:
             raise ValueError("mask has bits outside the cube")
 
     @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "CubePoint":
-        mask = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            mask |= b << i
-        return cls(len(bits), mask)
-
-    @classmethod
     def from_string(cls, s: str) -> "CubePoint":
         """Parse a bitstring with coordinate 1 leftmost."""
-        return cls.from_bits([int(c) for c in s])
-
-    @classmethod
-    def zero(cls, n: int) -> "CubePoint":
-        return cls(n, 0)
+        mask = 0
+        for i, c in enumerate(s):
+            if c not in "01":
+                raise ValueError("bits must be 0 or 1")
+            mask |= int(c) << i
+        return cls(len(s), mask)
 
     def __getitem__(self, i: int) -> int:
         if not 1 <= i <= self.n:
@@ -107,53 +101,8 @@ class CubePoint:
     def to_string(self) -> str:
         return "".join(str(self[i]) for i in range(1, self.n + 1))
 
-    def _check_dim(self, other: "CubePoint") -> None:
-        if self.n != other.n:
-            raise DimensionMismatchError(f"dimensions differ: {self.n} vs {other.n}")
-
-    def __and__(self, other: "CubePoint") -> "CubePoint":
-        self._check_dim(other)
-        return CubePoint(self.n, self.mask & other.mask)
-
-    def __or__(self, other: "CubePoint") -> "CubePoint":
-        self._check_dim(other)
-        return CubePoint(self.n, self.mask | other.mask)
-
-    def __xor__(self, other: "CubePoint") -> "CubePoint":
-        self._check_dim(other)
-        return CubePoint(self.n, self.mask ^ other.mask)
-
     def __repr__(self) -> str:
         return f"CubePoint({self.to_string()!r})"
-
-
-def meet_join_xor(x: CubePoint, y: CubePoint) -> tuple[CubePoint, CubePoint, CubePoint]:
-    """Bitwise (x AND y, x OR y, x XOR y); dimensions must match."""
-    return (x & y, x | y, x ^ y)
-
-
-def combine(on_s: Mapping[int, int], on_complement: Mapping[int, int]) -> CubePoint:
-    """Splice two partial assignments into one point.
-
-    The two index sets must be disjoint and their union must be exactly
-    {1..n} where n is the total number of assigned coordinates.
-    """
-    overlap = set(on_s) & set(on_complement)
-    if overlap:
-        raise ValueError(f"overlapping assignment to coordinates {sorted(overlap)}")
-    merged = dict(on_s)
-    merged.update(on_complement)
-    n = len(merged)
-    if n == 0:
-        raise ValueError("empty assignment")
-    if set(merged) != set(range(1, n + 1)):
-        raise ValueError("assignments do not cover a full coordinate range")
-    mask = 0
-    for i, b in merged.items():
-        if b not in (0, 1):
-            raise ValueError("assignment values must be 0 or 1")
-        mask |= b << (i - 1)
-    return CubePoint(n, mask)
 
 
 class FunctionTable:
@@ -245,13 +194,6 @@ def walsh_hadamard(f: FunctionTable) -> FourierSpectrum:
     return FourierSpectrum(f.n, a)
 
 
-def inverse_walsh_hadamard(spectrum: FourierSpectrum) -> FunctionTable:
-    """Reconstruct the table: f(x) = sum_T hat_f(T) * chi_T(x)."""
-    a = spectrum.coefficients.astype(np.float64).copy()
-    _fwht_inplace(a)
-    return FunctionTable(spectrum.n, a)
-
-
 def lp_distance(f: FunctionTable, g: FunctionTable, p: float) -> float:
     """Normalized distance (E_x |f-g|^p)^(1/p), exact over the table."""
     check_p(p)
@@ -259,27 +201,6 @@ def lp_distance(f: FunctionTable, g: FunctionTable, p: float) -> float:
         raise DimensionMismatchError(f"dimensions differ: {f.n} vs {g.n}")
     diff = np.abs(f.values - g.values)
     return float(np.mean(diff ** p) ** (1.0 / p))
-
-
-def hamming_distance(f: FunctionTable, g: FunctionTable) -> float:
-    """Fraction of points where the tables disagree (exact comparison)."""
-    if f.n != g.n:
-        raise DimensionMismatchError(f"dimensions differ: {f.n} vs {g.n}")
-    return float(np.mean(f.values != g.values))
-
-
-def discretize(f: FunctionTable, gamma: float) -> FunctionTable:
-    """Round every value to the nearest multiple of gamma.
-
-    Exact half-ties round toward +inf and the result is clamped to [0,1].
-    A relative nudge of 1e-12 treats values within float noise of a tie
-    as ties, so e.g. 0.25 with gamma=0.1 rounds up to 0.3.
-    """
-    if not 0 < gamma <= 1:
-        raise ValueError(f"gamma must be in (0,1], got {gamma}")
-    q = f.values / gamma
-    k = np.floor(q + 0.5 + 1e-12 * np.maximum(1.0, q))
-    return FunctionTable(f.n, np.clip(k * gamma, 0.0, 1.0))
 
 
 class QueryOracle:
@@ -298,11 +219,6 @@ class QueryOracle:
     @property
     def query_count(self) -> int:
         return self._count
-
-    def query(self, point: CubePoint) -> float:
-        if point.n != self.n:
-            raise DimensionMismatchError(f"dimensions differ: {point.n} vs {self.n}")
-        return float(self.query_masks(np.asarray([point.mask], dtype=np.int64))[0])
 
     def query_masks(self, masks: np.ndarray) -> np.ndarray:
         """Evaluate a batch of integer-mask points; counts len(masks) queries."""

@@ -418,7 +418,8 @@ def passing(class_tag: str, tables: np.ndarray, tol: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FarInstance:
-    """A function with a certified distance bound used in soundness runs.
+    """A function with a certified distance bound used in soundness runs,
+    made by `make_far_instance` in one of two modes.
 
     mode "b": the full-parity blend (1 + chi_[n])/2, at lp distance
     exactly 1/2 from every k-junta with k < n, for every p >= 1.  mode
@@ -432,7 +433,6 @@ class FarInstance:
 
     table: FunctionTable
     certified_distance: float
-    mode: str
     core_values: tuple = ()
     coords: tuple = ()
     class_distance_lower_bound: float = 0.0
@@ -478,7 +478,7 @@ def make_far_instance(
         # (|g|^p + |1 - g|^p)/2 >= 2^-p: lp distance 1/2 for every p >= 1
         if eps > 0.5:
             raise ValueError(f"eps={eps} exceeds the certified junta distance 0.5")
-        return FarInstance(table=parity_blend_table(n), certified_distance=0.5, mode="b")
+        return FarInstance(table=parity_blend_table(n), certified_distance=0.5)
     if mode != "a":
         raise ValueError(f"unknown far-instance mode {mode!r}")
     from .cores import CoreTable, cached_cores, dist_core_to_set, farthest_grid_core, lift_core
@@ -503,7 +503,6 @@ def make_far_instance(
     return FarInstance(
         table=table,
         certified_distance=best_dist,
-        mode="a",
         core_values=tuple(float(v) for v in np.asarray(core.values)),
         coords=coords,
         class_distance_lower_bound=max(0.0, best_dist - gamma / 2),

@@ -471,6 +471,31 @@ class TestCertify:
         assert abs(core_dist - expected) < 1e-12
 
 
+# below about 5.6e-309, 1/gamma is infinite; such a gamma once ended both
+# commands in an OverflowError traceback with exit 1
+@pytest.mark.parametrize("command", ["certify", "test"])
+def test_tiny_gamma_exit_2(tmp_path, and_table_file, command):
+    plan = tmp_path / "plan.txt"
+    bench.write_plan(
+        bench.ExperimentPlan(
+            "submodular", 8, 2, 0.25, trial_count=3, seed_base=5, mode="in_class",
+            overrides={"q": 16, "m": 20, "gamma": 1e-310},
+        ),
+        plan,
+    )
+    args = {
+        "certify": ["certify", str(and_table_file), "submodular", "1", "1e-310"],
+        "test": ["test", str(plan)],
+    }[command]
+    env = dict(os.environ, PYTHONPATH=str(Path(cubetest.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "cubetest.cli", *args], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 2
+    assert result.stderr == "error: gamma=1e-310 is too small: 1/gamma is not finite\n"
+    assert "Traceback" not in result.stderr
+
+
 def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "cubetest.cli", "--help"], capture_output=True, text=True

@@ -134,9 +134,6 @@ class TestEnumeration:
     def test_k_cap(self):
         with pytest.raises(ValueError, match="cap"):
             enumerate_cores("submodular", 4, 0.5)
-        # explicit override allowed (tiny grid keeps it fast)
-        cores = enumerate_cores("additive", 4, 1.0, allow_large_k=True)
-        assert len(cores) >= 1
 
     @pytest.mark.parametrize("class_tag", ["xos", "coverage", "gross_substitutes", "oxs"])
     def test_class_without_checker(self, class_tag):
@@ -154,6 +151,7 @@ class TestEnumeration:
             (("submodular", -1, 0.25), ValueError, "k must be >= 0"),
             (("submodular", 4, 0.5), ValueError, "cap"),
             (("submodular", 2, 0.3), ValueError, "divide"),
+            (("submodular", 1, 1e-310), ValueError, "gamma=1e-310 is too small"),
             (("submodular", 2, 1 / 15, 1000), EnumerationBudgetError, "65536"),
         ],
     )
@@ -180,6 +178,11 @@ class TestEnumeration:
     def test_gamma_must_divide_one(self):
         with pytest.raises(ValueError, match="divide"):
             enumerate_cores("submodular", 2, 0.3)
+
+    @pytest.mark.parametrize("tables", [np.zeros((2, 8)), np.zeros(4), np.zeros((1, 2, 4))])
+    def test_core_set_refuses_rows_of_the_wrong_width(self, tables):
+        with pytest.raises(ValueError, match="expected rows of 4 core values"):
+            CoreSet("submodular", 2, 0.25, tables)
 
     def test_deterministic_order(self):
         a = enumerate_cores("submodular", 2, 0.25)
@@ -209,13 +212,13 @@ class TestDistance:
 
     def test_singleton_set(self):
         h = CoreTable(2, (0.0, 0.25, 0.5, 0.75))
-        singleton = CoreSet("submodular", 2, 0.25, 2.5e-7, [h.values])
+        singleton = CoreSet("submodular", 2, 0.25, [h.values])
         g = CoreTable(2, (1.0, 0.0, 0.0, 1.0))
         expected = lp_distance(FunctionTable(2, g.values), FunctionTable(2, h.values), 2.0)
         assert dist_core_to_set(g, singleton) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_set_rejected(self):
-        empty = CoreSet("submodular", 2, 0.25, 2.5e-7, np.empty((0, 4)))
+        empty = CoreSet("submodular", 2, 0.25, np.empty((0, 4)))
         with pytest.raises(ValueError, match="empty"):
             dist_core_to_set(CoreTable(2, (0.0,) * 4), empty)
 
@@ -263,7 +266,7 @@ class TestDistanceBatch:
         cores = enumerate_cores("submodular", 2, 0.5)
         with pytest.raises(ValueError, match="rows of 4"):
             dist_cores_to_set(np.zeros((3, 2)), cores)
-        empty = CoreSet("submodular", 2, 0.25, 2.5e-7, np.empty((0, 4)))
+        empty = CoreSet("submodular", 2, 0.25, np.empty((0, 4)))
         with pytest.raises(ValueError, match="empty"):
             dist_cores_to_set(np.zeros((3, 4)), empty)
 

@@ -470,7 +470,7 @@ class TestFinalCheck:
         cores = cached_cores("submodular", 2, 0.25)
         h = cores.member(40)
         swapped = CoreTable(2, (h.values[0], h.values[2], h.values[1], h.values[3]))
-        pair = CoreSet("submodular", 2, 0.25, 2.5e-7, [h.values, swapped.values])
+        pair = CoreSet("submodular", 2, 0.25, [h.values, swapped.values])
         table = lift_core(h, (2, 7), 10)
         cfg = desk_config(eps=0.25, k=2, m=10)
         oracle = make_counting_oracle(table)
@@ -506,7 +506,7 @@ class TestFinalCheck:
         buckets = _buckets_from_masks(masks, 10)
         selected, _ = select_initial_parts(oracle, buckets, cfg, rng, est)
         refined = refine_parts(oracle, selected, cfg, rng, est)
-        empty = CoreSet("submodular", 2, 0.25, 2.5e-7, np.empty((0, 4)))
+        empty = CoreSet("submodular", 2, 0.25, np.empty((0, 4)))
         report = final_check_and_learn(oracle, masks, values, refined, empty, cfg, rng, est)
         assert report.verdict == "reject"
         assert report.reject_stage == "core_search"
@@ -543,7 +543,7 @@ class TestCoreStatistics:
             # the Python-loop oracle is O(|cores| * q): check a sample of
             # rows, kept in enumeration order
             rows = np.sort(rng.choice(len(cores), size=400, replace=False))
-            cores = CoreSet(class_tag, k, 0.25, cores.checker_tol, cores.tables[rows])
+            cores = CoreSet(class_tag, k, 0.25, cores.tables[rows])
         if near_core:
             lifted = lift_core(cores.member(int(rng.integers(len(cores)))), coords, self.N)
             noisy = lifted.values + rng.normal(0.0, 0.05, 1 << self.N)
@@ -627,7 +627,7 @@ class TestCoreStatistics:
         full = cached_cores("subadditive", 3, 0.25)
         rng = np.random.default_rng(rows)
         picked = np.sort(rng.choice(len(full), size=rows, replace=False))
-        cores = CoreSet("subadditive", 3, 0.25, full.checker_tol, full.tables[picked])
+        cores = CoreSet("subadditive", 3, 0.25, full.tables[picked])
         coords = (2, 5, 9)
         row = rows - 1 if target == -1 else (target if target is not None else rows // 2)
         lifted = lift_core(cores.member(row), coords, self.N)
@@ -677,7 +677,7 @@ class TestCoreStatistics:
             assert report.empirical_distance == pytest.approx(compared[row], abs=1e-12)
 
     def test_empty_core_set(self):
-        empty = CoreSet("subadditive", 3, 0.25, 2.5e-7, np.empty((0, 8)))
+        empty = CoreSet("subadditive", 3, 0.25, np.empty((0, 8)))
         _, table, masks, values = self._instance("subadditive", 3, (2, 5, 9), 16, True, seed=3)
         coords = (2, 5, 9)
         stats = core_statistics(empty, masks, values, coords)
