@@ -175,6 +175,16 @@ class TestEnumeration:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_grid_levels(self):
+        assert grid_levels(0.25).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert grid_levels(1.0).tolist() == [0.0, 1.0]
+        assert grid_levels(1 / 3) == pytest.approx([0.0, 1 / 3, 2 / 3, 1.0], abs=1e-15)
+
+    def test_grid_levels_rejects_gamma_outside_unit_interval(self):
+        for gamma in (0.0, -0.25, 1.5):
+            with pytest.raises(ValueError, match="gamma must be in"):
+                grid_levels(gamma)
+
     def test_gamma_must_divide_one(self):
         with pytest.raises(ValueError, match="divide"):
             enumerate_cores("submodular", 2, 0.3)

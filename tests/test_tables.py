@@ -38,6 +38,26 @@ class TestPoints:
             with pytest.raises(ValueError, match="bits must be 0 or 1"):
                 CubePoint.from_string(s)
 
+    def test_string_round_trip(self):
+        # coordinate 1 is leftmost in the string and bit 0 of the mask
+        assert CubePoint.from_string("100").mask == 1
+        assert CubePoint.from_string("001").mask == 4
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            n = int(rng.integers(1, 10))
+            x = CubePoint(n, int(rng.integers(0, 1 << n)))
+            assert CubePoint.from_string(x.to_string()) == x
+
+    def test_mask_outside_cube_rejected(self):
+        for mask in (4, -1):
+            with pytest.raises(ValueError, match="bits outside the cube"):
+                CubePoint(2, mask)
+        with pytest.raises(ValueError, match="dimension must be in"):
+            CubePoint.from_string("")
+
+    def test_repr(self):
+        assert repr(CubePoint.from_string("101")) == "CubePoint('101')"
+
 
 class TestFunctionTable:
     def test_out_of_range_rejected(self):
@@ -60,6 +80,14 @@ class TestFunctionTable:
             t.n = 3
         with pytest.raises(ValueError):
             t.values[0] = 0.5
+
+    def test_equality(self):
+        t = FunctionTable(1, [0.0, 0.5])
+        same = FunctionTable(1, np.array([0.0, 0.5]))
+        assert t == same and hash(t) == hash(same)
+        assert t != FunctionTable(1, [0.0, 0.25])
+        assert t != FunctionTable(2, [0.0, 0.5, 0.0, 0.5])
+        assert t != t.values
 
 
 class TestWalshHadamard:
@@ -87,6 +115,17 @@ class TestWalshHadamard:
             assert sp.coefficients[t_mask] == pytest.approx(
                 naive_fourier_coefficient(f.values, 5, t_mask), abs=1e-12
             )
+
+    def test_round_trip(self):
+        # f(x) = sum_T hat_f(T) chi_T(x), with the characters written out
+        rng = np.random.default_rng(8)
+        f = random_table(8, rng)
+        x = np.arange(1 << 8)
+        overlap = np.bitwise_and(x[:, None], x[None, :])
+        parity = np.array([bin(int(v)).count("1") & 1 for v in overlap.ravel()])
+        chi = (1 - 2 * parity).reshape(overlap.shape)
+        back = chi @ walsh_hadamard(f).coefficients
+        assert np.max(np.abs(back - f.values)) < 1e-12
 
     def test_parseval_up_to_n12(self):
         rng = np.random.default_rng(12)
