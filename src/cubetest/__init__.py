@@ -34,14 +34,7 @@ from .valuations import (
     random_spec,
 )
 from .cores import CoreSet, CoreTable, dist_core_to_set, enumerate_cores, lift_core
-from .tester import (
-    TesterConfig,
-    TesterReport,
-    desk_config,
-    lp_epsilon_map,
-    paper_config,
-    run_tester,
-)
+from .tester import TesterConfig, TesterReport, lp_epsilon_map, run_tester
 from .bench import ExperimentPlan, ExperimentSummary, certify, run_plan, wilson_halfwidth
 
 __version__ = "0.1.0"

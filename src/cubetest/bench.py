@@ -25,9 +25,7 @@ from .cores import (
 )
 from .influence import closest_junta, junta_projection, junta_weights, projection_cores
 from .tables import FunctionTable, check_dimension, make_counting_oracle
-from .tester import (
-    PLAN_SETTINGS, TesterConfig, TesterReport, desk_config, report_to_lines, run_tester
-)
+from .tester import PLAN_SETTINGS, TesterConfig, TesterReport, report_to_lines, run_tester
 from .valuations import make_far_instance
 
 PLAN_SCHEMA = "cubetest-plan-1"
@@ -62,7 +60,7 @@ class ExperimentPlan:
 
     def tester_config(self, seed: int = 0) -> TesterConfig:
         fields = {PLAN_SETTINGS[key].field: value for key, value in self.overrides.items()}
-        return desk_config(eps=self.eps, k=self.k, p=self.p, seed=seed, **fields)
+        return TesterConfig(eps=self.eps, k=self.k, p=self.p, seed=seed, **fields)
 
 
 @dataclass(frozen=True)
@@ -267,12 +265,14 @@ def write_plan(plan: ExperimentPlan, path) -> None:
     kvfile.write_lines(path, plan_to_lines(plan))
 
 
+_PLAN_REQUIRED = ("class", "n", "k", "eps", "trials", "seed_base", "mode")
+# every key a plan file may give besides its schema
+_PLAN_KEYS = {*_PLAN_REQUIRED, "p", "core_values", *PLAN_SETTINGS}
+
+
 def parse_plan_text(text: str) -> ExperimentPlan:
     entries = kvfile.check(
-        kvfile.parse(text, "plan"),
-        "plan",
-        PLAN_SCHEMA,
-        ("class", "n", "k", "eps", "trials", "seed_base", "mode"),
+        kvfile.parse(text, "plan"), "plan", PLAN_SCHEMA, _PLAN_REQUIRED, _PLAN_KEYS
     )
     overrides = {key: s.read(entries[key]) for key, s in PLAN_SETTINGS.items() if key in entries}
     core_values = None

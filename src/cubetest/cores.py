@@ -27,7 +27,7 @@ import numpy as np
 from .tables import FunctionTable, check_p
 from .valuations import checker, passing
 
-DEFAULT_MAX_K = 3
+MAX_K = 3
 DEFAULT_GRID_BUDGET = 2_000_000
 # doubles per block of the (given cores x enumerated cores) product of
 # `dist_cores_to_set`: no whole matrix is built, which for the 220 sets
@@ -121,7 +121,7 @@ def enumerate_cores(
 ) -> CoreSet:
     """All grid functions on {0,1}^k passing the class checker.
 
-    k is capped at DEFAULT_MAX_K = 3, since the grid is doubly
+    k is capped at MAX_K = 3, since the grid is doubly
     exponential in k; the full grid size, (1/gamma + 1)^(2^k), must fit
     `budget`, and is checked from gamma and k before any level or block
     is built.
@@ -129,8 +129,8 @@ def enumerate_cores(
     checker(class_tag)  # UnsupportedClassError when the class has none
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > DEFAULT_MAX_K:
-        raise ValueError(f"k={k} exceeds the default cap {DEFAULT_MAX_K}")
+    if k > MAX_K:
+        raise ValueError(f"k={k} exceeds the cap {MAX_K}")
     required = (_grid_steps(gamma) + 1) ** (1 << k)
     if required > budget:
         raise EnumerationBudgetError(

@@ -9,7 +9,7 @@ after it).  A repeated key keeps its last value.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 
 def parse(text: str, line_kind: str = "") -> dict[str, str]:
@@ -33,11 +33,17 @@ def check(
     kind: str,
     schema: Optional[str] = None,
     required: Sequence[str] = (),
+    allowed: Optional[Collection[str]] = None,
 ) -> dict[str, str]:
-    """Return `entries` once its `schema:` equals `schema` (when given)
-    and every key in `required` is present; else raise ValueError."""
+    """Return `entries` once its `schema:` equals `schema` (when given),
+    every key but `schema` is in `allowed` (when given) and every key in
+    `required` is present; else raise ValueError."""
     if schema is not None and entries.get("schema") != schema:
         raise ValueError(f"unknown {kind} schema {entries.get('schema')!r}")
+    if allowed is not None:
+        for key in entries:
+            if key != "schema" and key not in allowed:
+                raise ValueError(f"unknown {kind} key {key!r}")
     for key in required:
         if key not in entries:
             raise ValueError(f"{kind} missing {key!r} field")

@@ -53,6 +53,10 @@ with r = `refine_rounds`.  A "desk" run that used r refinement rounds
 (at most `refine_rounds`) costs exactly
 q + m * (C(num_parts, k) + 1) + m * (2^k + 1) * r + 2m.
 
+Each profile's q, m, num_parts and core grid are its row of
+`profile_constants`; a `TesterConfig` fills any of them it is not given
+from that row.
+
 `SETTINGS` is the one table of tester settings: for each, its
 config-file key, `TesterConfig` field and value type.  Config files are
 written and read through it, and `PLAN_SETTINGS` names the nine a plan
@@ -114,18 +118,42 @@ def default_refine_rounds(q: int, num_parts: int) -> int:
     return max(1, (per_part - 1).bit_length())
 
 
+def profile_constants(profile: str, eps2: float, k: int) -> dict:
+    """The q, m, num_parts and core_grid of a scale profile, at l2
+    distance eps2 (see `lp_epsilon_map`) and junta size k.
+
+    "desk": q = 64, m = 1000, num_parts = max(4k, 12), core grid 1/4.
+    These replace the theoretical constants, whose guarantees are only
+    asymptotic; seeded 2/3-rate experiments stand in for them.
+    "paper": q = ceil(2^k/eps2^5), m = ceil(k^6/eps2^5),
+    num_parts = 100k^4, core grid eps2/1000, the paper's constants with
+    their unspecified leading factors set to 1; generally too expensive
+    to run.
+    """
+    if profile == "desk":
+        return dict(q=64, m=1000, num_parts=max(4 * k, 12), core_grid=0.25)
+    return dict(
+        q=math.ceil(2 ** k / eps2 ** 5),
+        m=math.ceil(k ** 6 / eps2 ** 5),
+        num_parts=100 * k ** 4,
+        core_grid=eps2 / 1000.0,
+    )
+
+
 @dataclass(frozen=True)
 class TesterConfig:
-    """All tester constants.  Omitted thresholds are derived from eps
-    after the lp -> l2 map; omitted refine_rounds from (q, num_parts).
-    scale_profile "desk" makes refine_rounds a cap (see `refine_parts`)."""
+    """All tester constants.  An omitted q, m, num_parts or core_grid
+    comes from the scale profile's row of `profile_constants`; omitted
+    thresholds are derived from eps after the lp -> l2 map, and an
+    omitted refine_rounds from (q, num_parts).  scale_profile "desk"
+    makes refine_rounds a cap (see `refine_parts`)."""
 
     eps: float
     k: int
     p: float = 2.0
-    q: int = 64
-    m: int = 1000
-    num_parts: int = 12
+    q: Optional[int] = None
+    m: Optional[int] = None
+    num_parts: Optional[int] = None
     refine_rounds: Optional[int] = None
     inf_threshold: Optional[float] = None
     accept_threshold: Optional[float] = None
@@ -138,22 +166,22 @@ class TesterConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.scale_profile not in ("paper", "desk"):
+            raise ValueError(f"unknown scale profile {self.scale_profile!r}")
+        eps2 = lp_epsilon_map(self.p, self.eps)
+        for name, value in profile_constants(self.scale_profile, eps2, self.k).items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         if self.q < 1 or self.m < 1 or self.num_parts < 1:
             raise ValueError("q, m and num_parts must be >= 1")
         if self.num_parts < self.k:
             raise ValueError("num_parts must be >= k")
-        if self.scale_profile not in ("paper", "desk"):
-            raise ValueError(f"unknown scale profile {self.scale_profile!r}")
-        eps2 = lp_epsilon_map(self.p, self.eps)
         if self.refine_rounds is None:
             object.__setattr__(self, "refine_rounds", default_refine_rounds(self.q, self.num_parts))
         if self.inf_threshold is None:
             object.__setattr__(self, "inf_threshold", eps2 ** 2 / 1000.0)
         if self.accept_threshold is None:
             object.__setattr__(self, "accept_threshold", 0.35 * eps2)
-        if self.core_grid is None:
-            default_grid = 0.25 if self.scale_profile == "desk" else eps2 / 1000.0
-            object.__setattr__(self, "core_grid", default_grid)
         if self.refine_rounds < 1:
             raise ValueError("refine_rounds must be >= 1")
         for name in ("inf_threshold", "accept_threshold"):
@@ -171,45 +199,16 @@ class TesterConfig:
         )
 
 
-def desk_config(eps: float, k: int, **overrides) -> TesterConfig:
-    """Desk-scale profile: num_parts = max(4k, 12), q in [64, 1024],
-    m in [1e3, 1e4], core grid 1/4.  These replace the theoretical
-    constants of the "paper" profile, whose guarantees are only
-    asymptotic; seeded 2/3-rate experiments stand in for them."""
-    defaults = dict(eps=eps, k=k, q=64, m=1000, num_parts=max(4 * k, 12), scale_profile="desk")
-    defaults.update(overrides)
-    return TesterConfig(**defaults)
-
-
-def paper_config(eps: float, k: int, **overrides) -> TesterConfig:
-    """Theoretical-scale constants (q = 2^k/eps2^5, m = k^6/eps2^5,
-    num_parts = 100k^4, grid eps2/1000) with their unspecified leading
-    factors set to 1; generally too expensive to run."""
-    eps2 = lp_epsilon_map(float(overrides.get("p", 2.0)), eps)
-    defaults = dict(
-        eps=eps,
-        k=k,
-        q=math.ceil(2 ** k / eps2 ** 5),
-        m=math.ceil(k ** 6 / eps2 ** 5),
-        num_parts=100 * k ** 4,
-        core_grid=eps2 / 1000.0,
-        scale_profile="paper",
-    )
-    defaults.update(overrides)
-    return TesterConfig(**defaults)
-
-
 def profile_deviations(config: TesterConfig) -> list[str]:
     """Differences between this config and the "paper" profile constants."""
     if config.scale_profile == "paper":
         return []
-    ref = paper_config(config.eps, config.k, p=config.p, seed=config.seed)
-    notes = []
-    for name in ("q", "m", "num_parts", "core_grid"):
-        ours, theirs = getattr(config, name), getattr(ref, name)
-        if ours != theirs:
-            notes.append(f"{name}: {ours} (paper profile value {theirs})")
-    return notes
+    paper = profile_constants("paper", lp_epsilon_map(config.p, config.eps), config.k)
+    return [
+        f"{name}: {getattr(config, name)} (paper profile value {value})"
+        for name, value in paper.items()
+        if getattr(config, name) != value
+    ]
 
 
 def _buckets_from_masks(sample_masks: Sequence[int], n: int) -> dict[int, int]:
@@ -389,12 +388,11 @@ def refine_parts(
     at most one occupied pattern: later rounds could only keep or drop a
     pattern that is already isolated.  At least one round always runs.
     A part that loses all its patterns is carried along as empty and
-    flagged.
+    flagged; a part never grows, so it is flagged exactly when its final
+    size is 0.
     """
     k = len(selected)
     parts = list(selected)
-    went_empty = [False] * k
-    last_eta = math.inf
     stop_when_isolated = config.scale_profile == "desk"
     for rounds_used in range(1, config.refine_rounds + 1):
         halves = [_split_part(p, rng) for p in parts]
@@ -403,15 +401,12 @@ def refine_parts(
         estimates = _estimate_complements(estimator, oracle, unions, config, rng)
         best_z = int(np.argmin(estimates))
         parts = choices[best_z]
-        for i in range(k):
-            if parts[i].size == 0:
-                went_empty[i] = True
         last_eta = float(estimates[best_z])
         if stop_when_isolated and all(len(p.masks) <= 1 for p in parts):
             break
     return RefinementResult(
         final_masks=tuple(p.masks[0] if p.masks else 0 for p in parts),
-        part_went_empty=tuple(went_empty),
+        part_went_empty=tuple(p.size == 0 for p in parts),
         last_round_eta=last_eta,
         rounds_used=rounds_used,
     )
@@ -658,7 +653,9 @@ _REPORT_REQUIRED = (
 
 def load_config(path) -> TesterConfig:
     with open(path) as fh:
-        entries = kvfile.check(kvfile.parse(fh.read()), "config", CONFIG_SCHEMA, _CONFIG_REQUIRED)
+        entries = kvfile.check(
+            kvfile.parse(fh.read()), "config", CONFIG_SCHEMA, _CONFIG_REQUIRED, SETTINGS
+        )
     return TesterConfig(
         **{s.field: s.read(entries[key]) for key, s in SETTINGS.items() if key in entries}
     )

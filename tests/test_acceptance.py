@@ -23,9 +23,9 @@ from cubetest.tables import (
     FunctionTable, coords_of, lp_distance, make_counting_oracle, walsh_hadamard
 )
 from cubetest.tester import (
+    TesterConfig,
     _buckets_from_masks,
     _initial_parts,
-    desk_config,
     lp_epsilon_map,
     refine_parts,
     select_initial_parts,
@@ -211,7 +211,7 @@ def test_criterion_09_exact_pipeline_isolates_juntas():
     n = 12
     table = lift_core(CoreTable(2, (0.0, 0.0, 0.0, 1.0)), (3, 9), n)
     oracle = make_counting_oracle(table)
-    cfg = desk_config(eps=0.25, k=2, m=10)
+    cfg = TesterConfig(eps=0.25, k=2, m=10)
     est = exact_stub(table)
     separated = 0
     for seed in range(50):

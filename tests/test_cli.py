@@ -263,7 +263,7 @@ class TestTestCommand:
             2,
             "error: num_parts must be >= k\n",
         ),
-        "k_above_cap": (dict(k=4), 2, "error: k=4 exceeds the default cap 3\n"),
+        "k_above_cap": (dict(k=4), 2, "error: k=4 exceeds the cap 3\n"),
         "eps_beyond_far_core": (
             dict(mode="far_mode_a", eps=0.9),
             2,
@@ -349,12 +349,12 @@ class TestTestCommand:
 
     @pytest.mark.parametrize("case", sorted(NON_FINITE))
     def test_non_finite_config_setting_exit_2(self, tmp_path, capsys, case):
-        from cubetest.tester import config_to_lines, desk_config
+        from cubetest.tester import TesterConfig, config_to_lines
 
         key, value, message = self.NON_FINITE[case]
         _, path = self._small_plan(tmp_path)
         cfg = tmp_path / "cfg.txt"
-        lines = config_to_lines(desk_config(eps=0.25, k=2, q=16, m=20))
+        lines = config_to_lines(TesterConfig(eps=0.25, k=2, q=16, m=20))
         cfg.write_text("\n".join(lines + [f"{key}: {value}"]) + "\n")
         assert main(["--config", str(cfg), "test", str(path)]) == 2
         captured = capsys.readouterr()
@@ -367,15 +367,36 @@ class TestTestCommand:
         assert main(["test", str(bad)]) == 2
 
     def test_config_missing_field_exit_2(self, tmp_path, capsys):
-        from cubetest.tester import config_to_lines, desk_config
+        from cubetest.tester import TesterConfig, config_to_lines
 
         _, path = self._small_plan(tmp_path)
         cfg = tmp_path / "cfg.txt"
-        lines = config_to_lines(desk_config(eps=0.25, k=2, q=16, m=20))
+        lines = config_to_lines(TesterConfig(eps=0.25, k=2, q=16, m=20))
         cfg.write_text("\n".join(ln for ln in lines if not ln.startswith("eps:")) + "\n")
         assert main(["--config", str(cfg), "test", str(path)]) == 2
         assert "config missing 'eps' field" in capsys.readouterr().err
 
+    # misspelled keys once ran at the defaults and exited 0
+    def test_unknown_plan_key_exit_2(self, tmp_path, capsys):
+        _, path = self._small_plan(tmp_path)
+        path.write_text(path.read_text() + "gama: 0.5\nacept_threshold: 0.9\n")
+        assert main(["--out", str(tmp_path / "s.txt"), "test", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown plan key 'gama'\n"
+        assert captured.out == ""
+        assert not (tmp_path / "s.txt").exists()
+
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+        from cubetest.tester import TesterConfig, config_to_lines
+
+        _, path = self._small_plan(tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        lines = config_to_lines(TesterConfig(eps=0.25, k=2, q=16, m=20))
+        cfg.write_text("\n".join(lines + ["subset_budgt: 5"]) + "\n")
+        assert main(["--config", str(cfg), "test", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown config key 'subset_budgt'\n"
+        assert captured.out == ""
 
     def test_far_plan_certified_in_its_own_lp(self, tmp_path, capsys):
         # the farthest self_bounding core is 0.331 from the grid cores in
@@ -396,12 +417,12 @@ class TestTestCommand:
         # queries_used = q + m (C(P, k) + 1) + m (2^k + 1) r + 2m: the
         # sample, the subset sweep, r refinement rounds of 2^k estimates
         # (each batch adds m shared base points) and the gate
-        from cubetest.tester import config_to_lines, desk_config
+        from cubetest.tester import TesterConfig, config_to_lines
 
         overrides = {"gamma": 0.25} if plan_q is None else {"gamma": 0.25, "q": plan_q}
         _, path = self._small_plan(tmp_path, overrides=overrides)
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("\n".join(config_to_lines(desk_config(eps=0.25, k=2, q=24, m=30))) + "\n")
+        cfg.write_text("\n".join(config_to_lines(TesterConfig(eps=0.25, k=2, q=24, m=30))) + "\n")
         out = tmp_path / "s.txt"
         assert main(["--out", str(out), "--config", str(cfg), "test", str(path)]) == 0
         records = (tmp_path / "s.txt.trials").read_text().split("trial: ")[1:]

@@ -7,8 +7,8 @@ from cubetest import kvfile
 from cubetest.bench import ExperimentPlan, parse_plan_text, plan_to_lines
 from cubetest.tester import TesterReport as Report
 from cubetest.tester import (
+    TesterConfig,
     config_to_lines,
-    desk_config,
     load_config,
     report_from_lines,
     report_to_lines,
@@ -40,7 +40,7 @@ REPORT = Report(
 # must lose to the later line)
 KINDS = {
     "config": (
-        config_to_lines(desk_config(eps=0.25, k=2, q=128, seed=9)),
+        config_to_lines(TesterConfig(eps=0.25, k=2, q=128, seed=9)),
         _read_config,
         "malformed line",
         "config",
@@ -121,6 +121,18 @@ def test_comments_blanks_and_repeated_keys(kind, tmp_path):
     replaced = [f"{key}: {early}" if ln.startswith(f"{key}:") else ln for ln in lines]
     later = read(_text(lines + [f"{key}: {early}"]), tmp_path)
     assert later == read(_text(replaced), tmp_path) != expected
+
+
+@pytest.mark.parametrize("kind", ["config", "plan"])
+def test_unknown_key(kind, tmp_path):
+    lines, read, _, name, *_ = KINDS[kind]
+    assert _message(read, _text(lines + ["bogus: 1"]), tmp_path) == f"unknown {name} key 'bogus'"
+
+
+def test_report_keeps_unknown_keys_lenient():
+    # a trial-record block heads its report with trial: and seed: lines
+    block = ["trial: 3", "seed: 8"] + report_to_lines(REPORT)
+    assert report_from_lines(_text(block)) == REPORT
 
 
 def test_parse_splits_at_first_colon():

@@ -21,7 +21,7 @@ import pytest
 from cubetest import bench, tester
 from cubetest.cores import CoreTable, cached_cores, lift_core
 from cubetest.tables import coords_of, make_counting_oracle
-from cubetest.tester import paper_config, report_to_lines, run_tester
+from cubetest.tester import TesterConfig, report_to_lines, run_tester
 
 AND_CORE = (0.0, 0.0, 0.0, 1.0)
 DESK = {"q": 64, "m": 1000, "gamma": 0.25}
@@ -149,9 +149,13 @@ def _paper_run(name):
     small = dict(q=64, m=50, core_grid=0.25, refine_rounds=1)
     if name.startswith("and_k2"):
         table = lift_core(CoreTable(2, AND_CORE), (3, 9), 12)
-        return "submodular", table, paper_config(0.25, 2, num_parts=4, seed=int(name[-1]), **small)
+        return "submodular", table, TesterConfig(
+            0.25, 2, num_parts=4, seed=int(name[-1]), **small, scale_profile="paper"
+        )
     table = lift_core(cached_cores("subadditive", 3, 0.25).member(1000), (2, 7, 11), 12)
-    return "subadditive", table, paper_config(0.25, 3, num_parts=5, seed=2, **small)
+    return "subadditive", table, TesterConfig(
+        0.25, 3, num_parts=5, seed=2, **small, scale_profile="paper"
+    )
 
 
 # report_to_lines of each run; learning from a final part's largest

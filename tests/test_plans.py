@@ -6,7 +6,7 @@ import pytest
 
 from cubetest import bench
 from cubetest.cli import main
-from cubetest.tester import desk_config, load_config, paper_config, save_config
+from cubetest.tester import TesterConfig, load_config, save_config
 
 from oracles import naive_trial_table
 
@@ -88,7 +88,10 @@ core_values: 0.0 0.0 0.0 1.0
 class TestConfigFile:
     @pytest.mark.parametrize(
         "config, expected",
-        [(desk_config(**DESK_ALL), DESK_ALL_BYTES), (paper_config(**PAPER_ALL), PAPER_ALL_BYTES)],
+        [
+            (TesterConfig(**DESK_ALL), DESK_ALL_BYTES),
+            (TesterConfig(**PAPER_ALL, scale_profile="paper"), PAPER_ALL_BYTES),
+        ],
         ids=["desk", "paper"],
     )
     def test_bytes_and_round_trip(self, tmp_path, config, expected):
@@ -99,13 +102,13 @@ class TestConfigFile:
 
     def test_optional_keys_keep_their_defaults(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        save_config(desk_config(**DESK_ALL), path)
+        save_config(TesterConfig(**DESK_ALL), path)
         optional = ("profile:", "p:", "seed:", "sqrt_statistic:", "subset_budget:")
         lines = [ln for ln in path.read_text().splitlines() if not ln.startswith(optional)]
         path.write_text("\n".join(lines) + "\n")
         fields = {key: DESK_ALL[key] for key in DESK_ALL if key not in ("p", "seed")}
         fields.update(sqrt_statistic=False, subset_budget=200_000)
-        assert load_config(path) == desk_config(**fields)
+        assert load_config(path) == TesterConfig(**fields)
 
 
 class TestPlanFile:
@@ -122,7 +125,7 @@ class TestPlanFile:
 
     def test_plan_settings_reach_the_config(self):
         cfg = ALL_NINE_PLAN.tester_config(seed=11)
-        assert cfg == desk_config(
+        assert cfg == TesterConfig(
             eps=0.25, k=2, p=3.0, seed=11, q=32, m=200, num_parts=9, core_grid=0.5,
             refine_rounds=4, inf_threshold=1e-3, accept_threshold=0.15, sqrt_statistic=True,
             subset_budget=4000,
@@ -144,10 +147,10 @@ class TestConfigFlag:
         monkeypatch.setattr(bench, "run_tester", spy)
         cfg = tmp_path / "cfg.txt"
         save_config(
-            paper_config(
+            TesterConfig(
                 eps=0.4, k=1, p=4.0, q=12, m=40, num_parts=7, refine_rounds=2, inf_threshold=0.003,
                 accept_threshold=0.09, core_grid=0.5, seed=99, sqrt_statistic=True,
-                subset_budget=50,
+                subset_budget=50, scale_profile="paper",
             ),
             cfg,
         )
@@ -159,7 +162,7 @@ class TestConfigFlag:
         bench.write_plan(plan, path)
         assert main(["--config", str(cfg), "test", str(path)]) == 0
         expected = [
-            desk_config(
+            TesterConfig(
                 eps=0.25, k=2, p=3.0, seed=seed, q=16, m=40, num_parts=7, core_grid=0.5,
                 refine_rounds=2, inf_threshold=0.003, accept_threshold=0.2,
                 sqrt_statistic=True, subset_budget=50,

@@ -17,11 +17,9 @@ from cubetest.tester import (
     _split_part,
     core_statistics,
     default_refine_rounds,
-    desk_config,
     final_check_and_learn,
     load_config,
     lp_epsilon_map,
-    paper_config,
     profile_deviations,
     refine_parts,
     report_from_lines,
@@ -105,7 +103,7 @@ class TestLpEpsilonMap:
 
 class TestConfig:
     def test_desk_defaults(self):
-        cfg = desk_config(eps=0.25, k=2)
+        cfg = TesterConfig(eps=0.25, k=2)
         assert cfg.num_parts == 12
         assert cfg.inf_threshold == pytest.approx(0.25 ** 2 / 1000)
         assert cfg.accept_threshold == pytest.approx(0.35 * 0.25)
@@ -113,7 +111,7 @@ class TestConfig:
         assert cfg.refine_rounds == default_refine_rounds(cfg.q, cfg.num_parts)
 
     def test_lp_map_feeds_thresholds(self):
-        cfg = desk_config(eps=0.5, k=1, p=4)
+        cfg = TesterConfig(eps=0.5, k=1, p=4)
         eps2 = 0.5 ** 2
         assert cfg.inf_threshold == pytest.approx(eps2 ** 2 / 1000)
         assert cfg.accept_threshold == pytest.approx(0.35 * eps2)
@@ -124,14 +122,35 @@ class TestConfig:
         assert default_refine_rounds(1024, 12) == 1021
 
     def test_paper_profile_formulas(self):
-        cfg = paper_config(eps=0.5, k=2)
+        cfg = TesterConfig(eps=0.5, k=2, scale_profile="paper")
         assert cfg.num_parts == 100 * 2 ** 4
         assert cfg.q == math.ceil(2 ** 2 / 0.5 ** 5)
         assert cfg.core_grid == pytest.approx(0.5 / 1000)
         assert profile_deviations(cfg) == []
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_profile_rows_fill_omitted_constants(self, k, p):
+        # an omitted q, m, num_parts or core_grid comes from the config's
+        # own profile; a "paper" config once took the desk q, m, num_parts
+        eps2 = lp_epsilon_map(p, 0.25)
+        desk = dict(q=64, m=1000, num_parts=max(4 * k, 12), core_grid=0.25)
+        paper = dict(
+            q=math.ceil(2 ** k / eps2 ** 5), m=math.ceil(k ** 6 / eps2 ** 5),
+            num_parts=100 * k ** 4, core_grid=eps2 / 1000.0, scale_profile="paper",
+        )
+        assert TesterConfig(eps=0.25, k=k, p=p) == TesterConfig(eps=0.25, k=k, p=p, **desk)
+        assert TesterConfig(eps=0.25, k=k, p=p, scale_profile="paper") == TesterConfig(
+            eps=0.25, k=k, p=p, **paper
+        )
+
+    def test_paper_profile_at_k2(self):
+        cfg = TesterConfig(eps=0.25, k=2, scale_profile="paper")
+        assert (cfg.q, cfg.m, cfg.num_parts, cfg.core_grid) == (4096, 65536, 1600, 0.00025)
+        assert profile_deviations(cfg) == []
+
     def test_desk_deviations_documented(self):
-        notes = profile_deviations(desk_config(eps=0.25, k=2))
+        notes = profile_deviations(TesterConfig(eps=0.25, k=2))
         assert any(note.startswith("q:") for note in notes)
         assert any(note.startswith("num_parts:") for note in notes)
 
@@ -144,7 +163,7 @@ class TestConfig:
             TesterConfig(eps=1.2, k=2)
 
     def test_file_round_trip(self, tmp_path):
-        cfg = desk_config(eps=0.25, k=2, q=128, m=2000, seed=9)
+        cfg = TesterConfig(eps=0.25, k=2, q=128, m=2000, seed=9)
         path = tmp_path / "cfg.txt"
         save_config(cfg, path)
         assert load_config(path) == cfg
@@ -258,7 +277,7 @@ class TestStagesWithExactStub:
         n = 12
         table = and_junta(n, (3, 9))
         oracle = make_counting_oracle(table)
-        cfg = desk_config(eps=0.25, k=2, m=10)
+        cfg = TesterConfig(eps=0.25, k=2, m=10)
         found = 0
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -290,7 +309,7 @@ class TestStagesWithExactStub:
         n = 8
         table = FunctionTable(n, [0.5] * (1 << n))
         oracle = make_counting_oracle(table)
-        cfg = desk_config(eps=0.25, k=2, m=10)
+        cfg = TesterConfig(eps=0.25, k=2, m=10)
         rng = np.random.default_rng(5)
         masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
         buckets = _buckets_from_masks(masks, n)
@@ -311,7 +330,7 @@ class TestStagesWithExactStub:
         rng = np.random.default_rng(7)
         table = FunctionTable(n, rng.uniform(0, 1, 1 << n))
         oracle = make_counting_oracle(table)
-        cfg = desk_config(eps=0.25, k=2, q=16, m=25)
+        cfg = TesterConfig(eps=0.25, k=2, q=16, m=25)
         masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
         buckets = _buckets_from_masks(masks, n)
         subsets = math.comb(cfg.num_parts, cfg.k)
@@ -324,7 +343,7 @@ class TestStagesWithExactStub:
         n = 10
         table = lift_core(CoreTable(1, (0.0, 1.0)), (4,), n)
         oracle = make_counting_oracle(table)
-        cfg = desk_config(eps=0.25, k=1, m=10)
+        cfg = TesterConfig(eps=0.25, k=1, m=10)
         for seed in range(10):
             rng = np.random.default_rng(seed)
             masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
@@ -340,7 +359,7 @@ class TestStagesWithExactStub:
         rng = np.random.default_rng(9)
         table = FunctionTable(n, rng.uniform(0, 1, 1 << n))
         oracle = make_counting_oracle(table)
-        cfg = desk_config(eps=0.25, k=2, q=16, m=11)
+        cfg = TesterConfig(eps=0.25, k=2, q=16, m=11)
         masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
         buckets = _buckets_from_masks(masks, n)
         selected, _ = select_initial_parts(oracle, buckets, cfg, rng)
@@ -391,17 +410,17 @@ class TestRefineStop:
     def _case(name):
         if name == "dictator_k1":
             table = lift_core(CoreTable(1, (0.0, 1.0)), (4,), 10)
-            return table, desk_config(eps=0.25, k=1, q=64, m=20, num_parts=12), estimate_inf_mask
+            return table, TesterConfig(eps=0.25, k=1, q=64, m=20, num_parts=12), estimate_inf_mask
         if name == "and_k2_q1024":
-            cfg = desk_config(eps=0.25, k=2, q=1024, m=20, num_parts=12)
+            cfg = TesterConfig(eps=0.25, k=2, q=1024, m=20, num_parts=12)
             return and_junta(12, (3, 9)), cfg, estimate_inf_mask
         if name == "subadditive_k3":
             core = cached_cores("subadditive", 3, 0.25).member(1000)
             table = lift_core(core, (2, 7, 11), 12)
-            return table, desk_config(eps=0.25, k=3, q=64, m=20, num_parts=12), estimate_inf_mask
+            return table, TesterConfig(eps=0.25, k=3, q=64, m=20, num_parts=12), estimate_inf_mask
         # test_constant_function_first_subset's case
         table = FunctionTable(8, [0.5] * (1 << 8))
-        return table, desk_config(eps=0.25, k=2, m=10), exact_stub(table)
+        return table, TesterConfig(eps=0.25, k=2, m=10), exact_stub(table)
 
     CASES = ["dictator_k1", "and_k2_q1024", "subadditive_k3", "constant_k2"]
 
@@ -457,7 +476,7 @@ class TestFinalCheck:
         cores = cached_cores("submodular", 2, 0.25)
         h = cores.member(40)
         table = lift_core(h, (2, 7), 10)
-        cfg = desk_config(eps=0.25, k=2, m=10)
+        cfg = TesterConfig(eps=0.25, k=2, m=10)
         report = self._run_stages(table, cfg, seed=3)
         assert report.verdict == "accept"
         assert report.reject_stage == "none"
@@ -472,7 +491,7 @@ class TestFinalCheck:
         swapped = CoreTable(2, (h.values[0], h.values[2], h.values[1], h.values[3]))
         pair = CoreSet("submodular", 2, 0.25, [h.values, swapped.values])
         table = lift_core(h, (2, 7), 10)
-        cfg = desk_config(eps=0.25, k=2, m=10)
+        cfg = TesterConfig(eps=0.25, k=2, m=10)
         oracle = make_counting_oracle(table)
         rng = np.random.default_rng(3)
         est = exact_stub(table)
@@ -489,7 +508,7 @@ class TestFinalCheck:
         from cubetest.valuations import parity_blend_table
 
         table = parity_blend_table(12)
-        cfg = desk_config(eps=0.25, k=2, m=10)
+        cfg = TesterConfig(eps=0.25, k=2, m=10)
         report = self._run_stages(table, cfg, seed=1)
         assert report.verdict == "reject"
         assert report.reject_stage == "influence_check"
@@ -497,7 +516,7 @@ class TestFinalCheck:
 
     def test_empty_core_set_rejects_at_core_search(self):
         table = and_junta(10, (1, 2))
-        cfg = desk_config(eps=0.25, k=2, m=10)
+        cfg = TesterConfig(eps=0.25, k=2, m=10)
         oracle = make_counting_oracle(table)
         rng = np.random.default_rng(4)
         est = exact_stub(table)
@@ -569,7 +588,7 @@ class TestCoreStatistics:
         refined = refined_to(masks, patterns, self.N)
         for sqrt_statistic in (False, True):
             compared = np.sqrt(naive) if sqrt_statistic else np.asarray(naive)
-            cfg = desk_config(
+            cfg = TesterConfig(
                 eps=0.25,
                 k=k,
                 q=len(masks),
@@ -660,7 +679,7 @@ class TestCoreStatistics:
                 below = float(compared[compared < earlier].max())
                 assert compared[row] <= below and earlier - below > 1e-9
                 threshold = (below + earlier) / 2
-            cfg = desk_config(
+            cfg = TesterConfig(
                 eps=0.25, k=3, q=len(masks), accept_threshold=threshold, sqrt_statistic=sqrt_statistic
             )
             report = final_check_and_learn(
@@ -685,7 +704,7 @@ class TestCoreStatistics:
         refined = refined_to(masks, tuple(pattern_of(masks, c) for c in coords), self.N)
         report = final_check_and_learn(
             make_counting_oracle(table), masks, values, refined,
-            empty, desk_config(eps=0.25, k=3, q=16), np.random.default_rng(0), gate_passes,
+            empty, TesterConfig(eps=0.25, k=3, q=16), np.random.default_rng(0), gate_passes,
         )
         assert report.verdict == "reject"
         assert report.reject_stage == "core_search"
@@ -704,7 +723,7 @@ class TestCoreStatistics:
         values = table.values[np.asarray(masks)]
         coords = (2, 5, 9)
         refined = refined_to(masks, tuple(pattern_of(masks, c) for c in coords), n)
-        cfg = desk_config(eps=0.25, k=3, q=q)
+        cfg = TesterConfig(eps=0.25, k=3, q=q)
         if not passing:
             lowest = float(core_statistics(cores, masks, values, coords).min())
             cfg = replace(cfg, accept_threshold=lowest / 2)
@@ -742,13 +761,13 @@ class TestAgainstPerMaskEstimator:
 
         if case == "criterion8":
             # acceptance criterion 8's plan: AND core, far_mode_a, q=1024
-            cfg = desk_config(eps=0.25, k=2, q=1024, m=1000, core_grid=0.25, seed=seed)
+            cfg = TesterConfig(eps=0.25, k=2, q=1024, m=1000, core_grid=0.25, seed=seed)
             table = make_far_instance(
                 "a", "submodular", 12, 2, 0.25, gamma=0.25,
                 rng=np.random.default_rng((seed, 0xC0FE)), core_values=(0.0, 0.0, 0.0, 1.0),
             ).table
             return "submodular", cfg, table
-        cfg = desk_config(eps=0.25, k=3, q=64, m=1000, core_grid=0.25, seed=seed)
+        cfg = TesterConfig(eps=0.25, k=3, q=64, m=1000, core_grid=0.25, seed=seed)
         cores = cached_cores("subadditive", 3, 0.25)
         rng = np.random.default_rng(seed)
         core = cores.member(int(rng.integers(len(cores))))
@@ -781,7 +800,7 @@ class TestAgainstPerMaskEstimator:
 class TestRunTester:
     def test_determinism(self):
         table = and_junta(10, (2, 8))
-        cfg = desk_config(eps=0.25, k=2, q=64, m=200, seed=11)
+        cfg = TesterConfig(eps=0.25, k=2, q=64, m=200, seed=11)
         r1 = run_tester(make_counting_oracle(table), "submodular", cfg)
         r2 = run_tester(make_counting_oracle(table), "submodular", cfg)
         assert r1 == r2
@@ -821,7 +840,7 @@ class TestRunTester:
 
     def test_report_serialization_round_trip(self):
         table = and_junta(10, (3, 9))
-        cfg = desk_config(eps=0.25, k=2, m=100, seed=5)
+        cfg = TesterConfig(eps=0.25, k=2, m=100, seed=5)
         report = run_tester(make_counting_oracle(table), "submodular", cfg)
         lines = report_to_lines(report)
         back = report_from_lines("\n".join(lines))
@@ -834,7 +853,7 @@ class TestRunTester:
     def test_reject_report_round_trip(self):
         from cubetest.valuations import parity_blend_table
 
-        cfg = desk_config(eps=0.25, k=2, m=100, seed=5)
+        cfg = TesterConfig(eps=0.25, k=2, m=100, seed=5)
         report = run_tester(
             make_counting_oracle(parity_blend_table(10)), "submodular", cfg
         )
@@ -848,8 +867,8 @@ class TestRunTester:
         # sit below the same threshold
         cores = cached_cores("submodular", 2, 0.25)
         table = lift_core(cores.member(40), (2, 8), 10)
-        base = desk_config(eps=0.25, k=2, q=64, m=200, seed=11)
-        sqrt_cfg = desk_config(
+        base = TesterConfig(eps=0.25, k=2, q=64, m=200, seed=11)
+        sqrt_cfg = TesterConfig(
             eps=0.25, k=2, q=64, m=200, seed=11, sqrt_statistic=True
         )
         plain = run_tester(make_counting_oracle(table), "submodular", base)
@@ -869,7 +888,7 @@ class TestRunTester:
         ).verdict == "reject"
 
     def test_learned_core_present_iff_accept(self):
-        cfg = desk_config(eps=0.25, k=2, m=100, seed=2)
+        cfg = TesterConfig(eps=0.25, k=2, m=100, seed=2)
         accept_report = run_tester(
             make_counting_oracle(and_junta(10, (1, 5))), "submodular", cfg
         )
@@ -897,7 +916,7 @@ class TestNearJuntaIsolation:
         f = FunctionTable(n, (1 - eps) * g.values + eps * noise)
         # l2 distance to the junta is at most eps by construction
         assert np.sqrt(np.mean((f.values - g.values) ** 2)) <= eps
-        cfg = desk_config(eps=eps, k=2, m=10, num_parts=200, subset_budget=30_000)
+        cfg = TesterConfig(eps=eps, k=2, m=10, num_parts=200, subset_budget=30_000)
         oracle = make_counting_oracle(f)
         est = exact_stub(f)
         failures = 0
@@ -924,7 +943,7 @@ class TestNearJuntaIsolation:
         g = and_junta(n, (3, 9))
         cores = cached_cores("submodular", 2, 0.25)
         fixed_cores = [cores.member(0), cores.member(40), cores.member(200)]
-        cfg = desk_config(eps=0.25, k=2, q=q, m=200)
+        cfg = TesterConfig(eps=0.25, k=2, q=q, m=200)
         eps_prime = 0.25
         bound = 2 * math.exp(-16 * q * eps_prime ** 4) + 5 * 4 / 2 ** q
         oracle = make_counting_oracle(g)
