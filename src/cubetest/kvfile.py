@@ -36,13 +36,14 @@ def check(
     allowed: Optional[Collection[str]] = None,
 ) -> dict[str, str]:
     """Return `entries` once its `schema:` equals `schema` (when given),
-    every key but `schema` is in `allowed` (when given) and every key in
-    `required` is present; else raise ValueError."""
+    every key is in `allowed` (when given; `schema` too, when a schema
+    is given) and every key in `required` is present; else raise
+    ValueError."""
     if schema is not None and entries.get("schema") != schema:
         raise ValueError(f"unknown {kind} schema {entries.get('schema')!r}")
     if allowed is not None:
         for key in entries:
-            if key != "schema" and key not in allowed:
+            if key not in allowed and not (key == "schema" and schema is not None):
                 raise ValueError(f"unknown {kind} key {key!r}")
     for key in required:
         if key not in entries:

@@ -2,8 +2,11 @@
 
 The tester draws q uniform sample points, maps each value pattern the
 n coordinates show across those samples to the mask of the coordinates
-that show it, and hunts for k parts of a random equi-partition of
-pattern space whose union captures all the influence.  Each selected
+that show it, and picks k parts of a random equi-partition of pattern
+space whose union should capture all the influence: under "desk" the k
+parts of largest estimated own influence (Blais, "Testing juntas nearly
+optimally", STOC 2009), under "paper" the k parts whose union has the
+complement of smallest estimated influence.  Each selected
 part is then halved round by round, keeping the half-choice with the
 smallest estimated complement influence.  The "paper" profile runs all
 `refine_rounds` rounds, after which each part is a single pattern; the
@@ -38,20 +41,21 @@ shuffle-and-split would induce on them.  A final part that still holds
 several occupied patterns is read through its first mask, that of its
 smallest pattern.
 
-`_estimate_complements` estimates the complements of the unions the
-stages compare.  Under the "desk" profile the subset sweep passes all
-C(num_parts, k) of them to one batched estimator call, and each
-refinement round its 2^k to one more; a batch shares one set of m base
-points across its masks (see `estimate_inf_mask`), so B masks cost
-m(B + 1) queries.  Under "paper" the same estimator is called one mask
-at a time, 2m queries each, which draws exactly the random points the
-independent per-mask estimates of the paper draw.  The gate makes one
-scalar call, 2m queries, under both.
+Under the "desk" profile the part selection passes the num_parts part
+masks to one batched estimator call, and each refinement round the
+complements of its 2^k candidate unions to one more; a batch shares one
+set of m base points across its masks (see `estimate_inf_mask`), so B
+masks cost m(B + 1) queries.  Under "paper" `_estimate_complements`
+calls the same estimator one mask at a time, 2m queries each, on the
+complements of all C(num_parts, k) subset unions and then of each
+round's 2^k, which draws exactly the random points the independent
+per-mask estimates of the paper draw.  The gate makes one scalar call,
+2m queries, under both.
 
 A "paper" run costs exactly q + 2m * (C(num_parts, k) + 2^k * r + 1),
 with r = `refine_rounds`.  A "desk" run that used r refinement rounds
 (at most `refine_rounds`) costs exactly
-q + m * (C(num_parts, k) + 1) + m * (2^k + 1) * r + 2m.
+q + m * (num_parts + 1) + m * (2^k + 1) * r + 2m.
 
 Each profile's q, m, num_parts and core grid are its row of
 `profile_constants`; a `TesterConfig` fills any of them it is not given
@@ -77,7 +81,7 @@ from .cores import CoreSet, CoreTable, cached_cores
 from .influence import SubsetBudgetError, estimate_inf_mask
 from .tables import QueryOracle, check_p, coords_of
 
-# estimator signature: (oracle, complement_masks, m, rng) -> influence estimates;
+# estimator signature: (oracle, masks, m, rng) -> influence estimates;
 # like `estimate_inf_mask`, a scalar mask gives a float and a 1-D int64
 # array of masks gives an array of estimates in the same order
 InfluenceEstimator = Callable[
@@ -122,16 +126,18 @@ def profile_constants(profile: str, eps2: float, k: int) -> dict:
     """The q, m, num_parts and core_grid of a scale profile, at l2
     distance eps2 (see `lp_epsilon_map`) and junta size k.
 
-    "desk": q = 64, m = 1000, num_parts = max(4k, 12), core grid 1/4.
-    These replace the theoretical constants, whose guarantees are only
-    asymptotic; seeded 2/3-rate experiments stand in for them.
+    "desk": q = 64, m = 1000, num_parts = 4k^2, core grid 1/4.  These
+    replace the theoretical constants, whose guarantees are only
+    asymptotic; seeded 2/3-rate experiments stand in for them.  Theta(k^2)
+    parts keep k relevant coordinates apart with constant probability
+    (Blais 2009), and desk part selection costs one estimate per part.
     "paper": q = ceil(2^k/eps2^5), m = ceil(k^6/eps2^5),
     num_parts = 100k^4, core grid eps2/1000, the paper's constants with
     their unspecified leading factors set to 1; generally too expensive
     to run.
     """
     if profile == "desk":
-        return dict(q=64, m=1000, num_parts=max(4 * k, 12), core_grid=0.25)
+        return dict(q=64, m=1000, num_parts=4 * k * k, core_grid=0.25)
     return dict(
         q=math.ceil(2 ** k / eps2 ** 5),
         m=math.ceil(k ** 6 / eps2 ** 5),
@@ -191,12 +197,14 @@ class TesterConfig:
 
     def query_budget(self) -> int:
         """Oracle queries of one "paper" run, exactly: q + 2m * (C(num_parts,
-        k) + 2^k * r + 1) with r = refine_rounds.  An upper bound under
-        "desk", where a run that used r rounds costs exactly
-        q + m * (C(num_parts, k) + 1) + m * (2^k + 1) * r + 2m."""
-        return self.q + 2 * self.m * (
-            math.comb(self.num_parts, self.k) + (1 << self.k) * self.refine_rounds + 1
-        )
+        k) + 2^k * r + 1) with r = refine_rounds.  Under "desk", a run that
+        used r' <= r rounds costs exactly
+        q + m * (num_parts + 1) + m * (2^k + 1) * r' + 2m, and the budget
+        is that cost at r' = r."""
+        q, m, k, r = self.q, self.m, self.k, self.refine_rounds
+        if self.scale_profile == "desk":
+            return q + m * (self.num_parts + 1) + m * ((1 << k) + 1) * r + 2 * m
+        return q + 2 * m * (math.comb(self.num_parts, k) + (1 << k) * r + 1)
 
 
 def profile_deviations(config: TesterConfig) -> list[str]:
@@ -330,25 +338,42 @@ def select_initial_parts(
     estimator: InfluenceEstimator = estimate_inf_mask,
     parts: Optional[Sequence[VirtualPart]] = None,
 ) -> tuple[list[VirtualPart], dict[tuple[int, ...], float]]:
-    """Sweep every size-k subset of the equi-partition and keep the one
-    whose complement has the smallest estimated influence.
+    """Choose k parts of the equi-partition for refinement.
 
-    The partition is the one stage that reads `buckets`; from then on a
-    part is its coordinate masks.  `_estimate_complements` takes the
-    complements of the subsets' unions: under "desk" as one batch, exactly
-    m * (C(num_parts, k) + 1) queries; under "paper" one at a time,
-    2m * C(num_parts, k).  Ties break to the lexicographically first
-    subset.  `parts` lets a caller supply the partition (built with
-    `_initial_parts`) to observe it directly.
+    Under "desk" one batched estimator call takes the part masks
+    themselves, exactly m * (num_parts + 1) queries, and the k parts of
+    largest estimated own influence are kept, in index order; ties break
+    to the lowest index.  For a k-junta a part holding no relevant
+    coordinate has influence 0, and its estimate is exactly 0.  The
+    result maps the kept index tuple to the sum of the dropped parts'
+    estimates: influence is subadditive, so the sum of the dropped parts'
+    influences bounds that of the complement of the kept union.
+
+    Under "paper" every size-k subset is swept and the one whose
+    complement has the smallest estimated influence is kept: one
+    estimate per subset, 2m * C(num_parts, k) queries, and ties break to
+    the lexicographically first subset; each subset maps to its eta.
+
+    The number of masks to estimate, num_parts or C(num_parts, k), is
+    checked against `subset_budget` before the partition is built.  The
+    partition is the one stage that reads `buckets`; from then on a part
+    is its coordinate masks.  `parts` lets a caller supply the partition
+    (built with `_initial_parts`) to observe it directly.
     """
-    n_subsets = math.comb(config.num_parts, config.k)
-    if n_subsets > config.subset_budget:
+    desk = config.scale_profile == "desk"
+    n_masks = config.num_parts if desk else math.comb(config.num_parts, config.k)
+    if n_masks > config.subset_budget:
         raise SubsetBudgetError(
-            f"subset sweep needs {n_subsets} influence estimates, budget is "
-            f"{config.subset_budget}; reduce num_parts (desk profile) or raise the budget"
+            f"part selection needs {n_masks} influence estimates, budget is "
+            f"{config.subset_budget}; reduce num_parts or raise the budget"
         )
     if parts is None:
         parts = _initial_parts(buckets, config.q, config.num_parts, rng)
+    if desk:
+        masks = np.array([p.coord_mask for p in parts], dtype=np.int64)
+        own = estimator(oracle, masks, config.m, rng)
+        keep = tuple(sorted(int(j) for j in np.argsort(-own, kind="stable")[: config.k]))
+        return [parts[j] for j in keep], {keep: float(np.delete(own, keep).sum())}
     subsets = list(combinations(range(config.num_parts), config.k))
     # the same combinations as `subsets`, in the same order, of the part masks
     unions = [_union(c) for c in combinations([p.coord_mask for p in parts], config.k)]
@@ -550,10 +575,17 @@ def run_tester(
     """All four stages in order over a single oracle and RNG stream.
 
     `estimator` stands in for `estimate_inf_mask` under the same
-    contract (see `InfluenceEstimator`).  Under "desk" the subset sweep
-    and each refinement round call it with a 1-D int64 batch of
-    complement masks; under "paper" with one mask at a time.  The gate
-    calls it with one mask.
+    contract (see `InfluenceEstimator`).  Under "desk" the part selection
+    calls it with a 1-D int64 batch of the part masks and each refinement
+    round with a batch of complement masks; under "paper" both call it
+    with one complement mask at a time.  The gate calls it with one mask.
+
+    The report's eta holds "initial_min", "refine_last" and "gate".
+    Under "paper" initial_min is the smallest estimated complement
+    influence of the subset sweep; under "desk" it is the sum of the
+    dropped parts' own estimates, which estimates an upper bound on the
+    influence of the complement of the kept parts (influence is
+    subadditive).
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)

@@ -130,6 +130,9 @@ _REQUIRED_PARAMS = {
     "coverage": ("universe_weights",),
     "submodular": ("weights", "budget"),
 }
+# the prefix of the numbered rows (prefix_1, prefix_2, ...) of a class
+# built from rows
+_ROW_PREFIX = {"xos": "clause", "oxs": "demand", "gross_substitutes": "demand"}
 
 
 def _raw_table(spec: ValuationSpec) -> np.ndarray:
@@ -167,10 +170,10 @@ def _raw_table(spec: ValuationSpec) -> np.ndarray:
             vals[mask] = sum(wu[u - 1] for u in covered)
         return vals
     if tag == "xos":
-        rows = _clause_rows(spec, n, "clause")
+        rows = _clause_rows(spec, n, _ROW_PREFIX[tag])
         return np.max(bits @ rows.T, axis=1)
     if tag in ("oxs", "gross_substitutes"):
-        rows = _clause_rows(spec, n, "demand")
+        rows = _clause_rows(spec, n, _ROW_PREFIX[tag])
         vals = np.zeros(1 << n)
         for mask in range(1, 1 << n):
             goods = [i for i in range(n) if mask & (1 << i)]
@@ -518,11 +521,31 @@ def write_spec(spec: ValuationSpec, path) -> None:
     kvfile.write_lines(path, spec.canonical_lines())
 
 
+def _param_keys(class_tag: str, n: int, given: Mapping[str, str]) -> set[str]:
+    """The parameter keys a spec of this class may give: the class's
+    required keys, cover_1 .. cover_n for coverage, and for a class built
+    from rows its numbered rows from 1 up to the first one missing from
+    `given`, so a later row after a gap is unknown."""
+    keys = set(_REQUIRED_PARAMS.get(class_tag, ()))
+    if class_tag == "coverage":
+        keys.update(f"cover_{i}" for i in range(1, n + 1))
+    prefix = _ROW_PREFIX.get(class_tag)
+    if prefix is not None:
+        i = 1
+        while f"{prefix}_{i}" in given:
+            keys.add(f"{prefix}_{i}")
+            i += 1
+    return keys
+
+
 def parse_spec_text(text: str) -> ValuationSpec:
+    """A spec from its text; a key its class does not take is a
+    ValueError "unknown spec key ..."."""
     entries = kvfile.check(kvfile.parse(text, "spec"), "spec", required=("class", "n"))
     class_tag = entries.pop("class")
     n = int(entries.pop("n"))
     seed = int(entries.pop("seed", "0"))
+    kvfile.check(entries, "spec", allowed=_param_keys(class_tag, n, entries))
     params: dict[str, object] = {}
     for key, rest in entries.items():
         if key == "budget":

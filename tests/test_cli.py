@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -76,6 +75,13 @@ class TestGen:
     def test_missing_out_exit_2(self, additive_spec, capsys):
         assert main(["gen", str(additive_spec)]) == 2
         assert capsys.readouterr().err == "error: gen requires --out\n"
+
+    def test_unknown_spec_key_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "s.spec"
+        spec.write_text("class: additive\nn: 2\nweights: 0.5 0.25\nsed: 4\n")
+        assert main(["--out", str(tmp_path / "out.tbl"), "gen", str(spec)]) == 2
+        assert capsys.readouterr().err == "error: unknown spec key 'sed'\n"
+        assert not (tmp_path / "out.tbl").exists()
 
     @pytest.mark.parametrize("n", [0, 30])
     def test_dimension_checked_before_generation(self, tmp_path, capsys, no_cube_arrays, n):
@@ -247,9 +253,11 @@ class TestTestCommand:
         assert strip(out1) == strip(out2)
 
     def test_subset_budget_exit_4(self, tmp_path, capsys):
-        _, path = self._small_plan(tmp_path, overrides={"q": 16, "m": 5, "gamma": 0.25, "num_parts": 3000})
+        # desk part selection estimates one mask per part: 3000 > 1000
+        overrides = {"q": 16, "m": 5, "gamma": 0.25, "num_parts": 3000, "subset_budget": 1000}
+        _, path = self._small_plan(tmp_path, overrides=overrides)
         assert main(["test", str(path)]) == 4
-        assert capsys.readouterr().err.startswith("budget exceeded: subset sweep needs ")
+        assert capsys.readouterr().err.startswith("budget exceeded: part selection needs 3000 ")
 
     def test_enumeration_budget_exit_4(self, tmp_path, capsys):
         _, path = self._small_plan(tmp_path, overrides={"q": 16, "m": 5, "gamma": 1 / 4001})
@@ -414,9 +422,9 @@ class TestTestCommand:
 
     @pytest.mark.parametrize("plan_q, q", [(None, 24), (16, 16)])
     def test_config_reaches_every_trial(self, tmp_path, plan_q, q):
-        # queries_used = q + m (C(P, k) + 1) + m (2^k + 1) r + 2m: the
-        # sample, the subset sweep, r refinement rounds of 2^k estimates
-        # (each batch adds m shared base points) and the gate
+        # queries_used = q + m (P + 1) + m (2^k + 1) r + 2m: the sample,
+        # the P = 16 part estimates of the selection, r refinement rounds of
+        # 2^k estimates (each batch adds m shared base points) and the gate
         from cubetest.tester import TesterConfig, config_to_lines
 
         overrides = {"gamma": 0.25} if plan_q is None else {"gamma": 0.25, "q": plan_q}
@@ -430,7 +438,7 @@ class TestTestCommand:
         for record in records:
             fields = dict(ln.split(": ", 1) for ln in record.splitlines()[1:] if ": " in ln)
             rounds = int(fields["refine_rounds_used"])
-            assert int(fields["queries_used"]) == q + 30 * (math.comb(12, 2) + 1) + 30 * 5 * rounds + 2 * 30
+            assert int(fields["queries_used"]) == q + 30 * (16 + 1) + 30 * 5 * rounds + 2 * 30
 
 
 class TestCertify:

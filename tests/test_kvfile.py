@@ -123,9 +123,10 @@ def test_comments_blanks_and_repeated_keys(kind, tmp_path):
     assert later == read(_text(replaced), tmp_path) != expected
 
 
-@pytest.mark.parametrize("kind", ["config", "plan"])
+@pytest.mark.parametrize("kind", ["config", "plan", "spec"])
 def test_unknown_key(kind, tmp_path):
     lines, read, _, name, *_ = KINDS[kind]
+    name = name or kind
     assert _message(read, _text(lines + ["bogus: 1"]), tmp_path) == f"unknown {name} key 'bogus'"
 
 

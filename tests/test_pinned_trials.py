@@ -42,86 +42,89 @@ PLANS = {
 #  learned core values)
 EXPECTED = {
     "criterion_08": [
-        ('reject', 'core_search', 85024, 3, ((11,), (1,)), (11, 1), None),
-        ('reject', 'core_search', 90024, 4, ((1,), (2,)), (1, 2), None),
-        ('reject', 'core_search', 85024, 3, ((2,), (4,)), (2, 4), None),
-        ('reject', 'core_search', 90024, 4, ((5,), (6,)), (5, 6), None),
-        ('reject', 'core_search', 75024, 1, ((6,), (11,)), (6, 11), None),
-        ('reject', 'core_search', 80024, 2, ((11,), (7,)), (11, 7), None),
-        ('reject', 'core_search', 80024, 2, ((9,), (8,)), (9, 8), None),
-        ('reject', 'core_search', 75024, 1, ((10,), (9,)), (10, 9), None),
-        ('reject', 'core_search', 75024, 1, ((5,), (10,)), (5, 10), None),
-        ('reject', 'core_search', 90024, 4, ((3,), (9,)), (3, 9), None),
-        ('reject', 'core_search', 80024, 2, ((1,), (11,)), (1, 11), None),
-        ('reject', 'core_search', 90024, 4, ((12,), (4,)), (12, 4), None),
-        ('reject', 'core_search', 90024, 4, ((8,), (1,)), (8, 1), None),
-        ('reject', 'core_search', 95024, 5, ((9,), (5,)), (9, 5), None),
-        ('reject', 'core_search', 75024, 1, ((10,), (11,)), (10, 11), None),
-        ('reject', 'core_search', 100024, 6, ((11,), (9,)), (11, 9), None),
-        ('reject', 'core_search', 95024, 5, ((4,), (1,)), (4, 1), None),
-        ('reject', 'core_search', 85024, 3, ((6,), (1,)), (6, 1), None),
-        ('reject', 'core_search', 75024, 1, ((10,), (8,)), (10, 8), None),
-        ('reject', 'core_search', 75024, 1, ((12,), (10,)), (12, 10), None),
+        ('reject', 'core_search', 35024, 3, ((11,), (1,)), (11, 1), None),
+        ('reject', 'core_search', 35024, 3, ((1,), (2,)), (1, 2), None),
+        ('reject', 'core_search', 25024, 1, ((2,), (4,)), (2, 4), None),
+        ('reject', 'core_search', 25024, 1, ((5,), (6,)), (5, 6), None),
+        ('reject', 'core_search', 45024, 5, ((6,), (11,)), (6, 11), None),
+        ('reject', 'core_search', 30024, 2, ((11,), (7,)), (11, 7), None),
+        ('reject', 'core_search', 45024, 5, ((9,), (8,)), (9, 8), None),
+        ('reject', 'core_search', 25024, 1, ((10,), (9,)), (10, 9), None),
+        ('reject', 'core_search', 30024, 2, ((5,), (10,)), (5, 10), None),
+        ('reject', 'core_search', 25024, 1, ((3,), (9,)), (3, 9), None),
+        ('reject', 'core_search', 25024, 1, ((1,), (11,)), (1, 11), None),
+        ('reject', 'core_search', 25024, 1, ((12,), (4,)), (12, 4), None),
+        ('reject', 'core_search', 35024, 3, ((8,), (1,)), (8, 1), None),
+        ('reject', 'core_search', 40024, 4, ((9,), (5,)), (9, 5), None),
+        ('reject', 'core_search', 25024, 1, ((10,), (11,)), (10, 11), None),
+        ('reject', 'core_search', 25024, 1, ((11,), (9,)), (11, 9), None),
+        ('reject', 'core_search', 30024, 2, ((4,), (1,)), (4, 1), None),
+        ('reject', 'core_search', 55024, 7, ((6,), (1,)), (6, 1), None),
+        ('reject', 'core_search', 30024, 2, ((10,), (8,)), (10, 8), None),
+        ('reject', 'core_search', 30024, 2, ((12,), (10,)), (12, 10), None),
     ],
     "subadditive_k3": [
-        ('reject', 'influence_check', 232064, 1, ((), (11,), (6,)), (None, 11, 6), None),
-        ('accept', 'none', 259064, 4, ((4,), (2,), (6,)), (4, 2, 6),
+        ('accept', 'none', 48064, 1, ((11,), (5,), (6,)), (11, 5, 6),
+         (0.25, 0.0, 1.0, 0.5, 1.0, 0.25, 0.25, 0.25)),
+        ('accept', 'none', 48064, 1, ((4,), (2,), (6,)), (4, 2, 6),
          (0.25, 0.5, 1.0, 0.0, 1.0, 1.0, 0.75, 0.25)),
-        ('accept', 'none', 241064, 2, ((7,), (3,), (4,)), (7, 3, 4),
+        ('accept', 'none', 75064, 4, ((7,), (3,), (4,)), (7, 3, 4),
          (0.5, 0.0, 0.75, 0.75, 0.25, 0.0, 0.75, 0.5)),
-        ('reject', 'influence_check', 259064, 4, ((), (5,), (8,)), (None, 5, 8), None),
-        ('accept', 'none', 241064, 2, ((9,), (5,), (3,)), (9, 5, 3),
+        ('accept', 'none', 48064, 1, ((5,), (10,), (8,)), (5, 10, 8),
+         (0.0, 0.0, 0.0, 0.0, 0.25, 0.25, 0.25, 0.0)),
+        ('accept', 'none', 48064, 1, ((9,), (5,), (3,)), (9, 5, 3),
          (0.0, 0.0, 0.25, 0.25, 0.5, 0.0, 0.75, 0.25)),
-        ('accept', 'none', 241064, 2, ((1,), (3,), (11,)), (1, 3, 11),
+        ('accept', 'none', 48064, 1, ((1,), (3,), (11,)), (1, 3, 11),
          (0.25, 0.75, 0.0, 0.0, 0.25, 0.5, 0.0, 0.0)),
-        ('accept', 'none', 259064, 4, ((12,), (1,), (9,)), (12, 1, 9),
+        ('accept', 'none', 66064, 3, ((12,), (1,), (9,)), (12, 1, 9),
          (0.0, 0.75, 0.5, 1.0, 0.5, 1.0, 0.0, 0.25)),
-        ('accept', 'none', 241064, 2, ((4,), (10,), (2,)), (4, 10, 2),
+        ('accept', 'none', 75064, 4, ((4,), (10,), (2,)), (4, 10, 2),
          (0.0, 0.0, 0.5, 0.25, 0.5, 0.5, 0.75, 0.75)),
-        ('accept', 'none', 241064, 2, ((), (6,), (8,)), (None, 6, 8),
-         (0.0, 0.0, 0.0, 0.0, 0.75, 0.0, 0.0, 0.0)),
-        ('accept', 'none', 250064, 3, ((11,), (2,), (4,)), (11, 2, 4),
+        ('accept', 'none', 48064, 1, ((7,), (6,), (8,)), (7, 6, 8),
+         (0.0, 0.0, 0.0, 0.0, 0.75, 0.5, 0.0, 0.0)),
+        ('accept', 'none', 75064, 4, ((11,), (2,), (4,)), (11, 2, 4),
          (0.0, 0.5, 0.75, 1.0, 0.0, 0.0, 0.25, 0.25)),
-        ('accept', 'none', 232064, 1, ((10,), (2,), (9,)), (10, 2, 9),
+        ('accept', 'none', 57064, 2, ((10,), (2,), (9,)), (10, 2, 9),
          (0.0, 0.5, 0.5, 0.75, 1.0, 0.75, 0.25, 0.5)),
-        ('reject', 'influence_check', 250064, 3, ((), (9,), (10,)), (None, 9, 10), None),
-        ('accept', 'none', 232064, 1, ((3,), (4,), (12,)), (3, 4, 12),
+        ('reject', 'influence_check', 66064, 3, ((), (9,), (10,)), (None, 9, 10), None),
+        ('accept', 'none', 48064, 1, ((3,), (4,), (12,)), (3, 4, 12),
          (0.0, 0.0, 0.25, 0.0, 0.5, 0.25, 0.5, 0.0)),
-        ('accept', 'none', 277064, 6, ((7,), (5,), (1,)), (7, 5, 1),
+        ('accept', 'none', 48064, 1, ((7,), (5,), (1,)), (7, 5, 1),
          (0.0, 0.5, 0.25, 0.75, 0.75, 0.75, 1.0, 0.0)),
-        ('accept', 'none', 241064, 2, ((4,), (10,), (7,)), (4, 10, 7),
+        ('accept', 'none', 57064, 2, ((4,), (10,), (7,)), (4, 10, 7),
          (0.25, 0.25, 0.25, 0.5, 0.25, 0.0, 0.5, 0.25)),
-        ('accept', 'none', 232064, 1, ((10,), (7,), (12,)), (10, 7, 12),
+        ('accept', 'none', 48064, 1, ((10,), (7,), (12,)), (10, 7, 12),
          (0.25, 0.0, 0.75, 0.25, 0.25, 0.25, 1.0, 0.0)),
-        ('reject', 'influence_check', 241064, 2, ((), (7,), (12,)), (None, 7, 12), None),
-        ('accept', 'none', 241064, 2, ((12,), (1,), (3,)), (12, 1, 3),
+        ('accept', 'none', 48064, 1, ((7,), (10,), (12,)), (7, 10, 12),
+         (0.0, 0.25, 1.0, 1.0, 1.0, 0.5, 0.75, 0.0)),
+        ('accept', 'none', 48064, 1, ((12,), (1,), (3,)), (12, 1, 3),
          (0.25, 0.0, 0.75, 0.0, 1.0, 0.75, 1.0, 0.25)),
-        ('accept', 'none', 250064, 3, ((2,), (11,), (5,)), (2, 11, 5),
+        ('accept', 'none', 48064, 1, ((2,), (11,), (5,)), (2, 11, 5),
          (0.25, 0.25, 0.75, 0.75, 1.0, 0.0, 1.0, 0.0)),
-        ('accept', 'none', 241064, 2, ((5,), (11,), (6,)), (5, 11, 6),
+        ('accept', 'none', 66064, 3, ((5,), (11,), (6,)), (5, 11, 6),
          (0.0, 0.5, 0.75, 0.0, 0.5, 0.5, 0.5, 0.0)),
     ],
     "far_mode_b_n10": [
-        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None), None),
-        ('reject', 'influence_check', 79064, 2, ((), ()), (None, None), None),
-        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None), None),
-        ('reject', 'influence_check', 74064, 1, ((7,), (6,)), (7, 6), None),
-        ('reject', 'influence_check', 74064, 1, ((2,), ()), (2, None), None),
-        ('reject', 'influence_check', 74064, 1, ((), (9,)), (None, 9), None),
-        ('reject', 'influence_check', 74064, 1, ((6,), ()), (6, None), None),
-        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None), None),
-        ('reject', 'influence_check', 74064, 1, ((5,), ()), (5, None), None),
-        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None), None),
-        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None), None),
-        ('reject', 'influence_check', 74064, 1, ((2,), ()), (2, None), None),
-        ('reject', 'influence_check', 74064, 1, ((8,), (4,)), (8, 4), None),
-        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None), None),
-        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None), None),
-        ('reject', 'influence_check', 74064, 1, ((8,), ()), (8, None), None),
-        ('reject', 'influence_check', 74064, 1, ((8,), ()), (8, None), None),
-        ('reject', 'influence_check', 74064, 1, ((), (1,)), (None, 1), None),
-        ('reject', 'influence_check', 74064, 1, ((), ()), (None, None), None),
-        ('reject', 'influence_check', 74064, 1, ((3,), (1,)), (3, 1), None),
+        ('reject', 'influence_check', 24064, 1, ((1,), (8,)), (1, 8), None),
+        ('reject', 'influence_check', 24064, 1, ((), ()), (None, None), None),
+        ('reject', 'influence_check', 24064, 1, ((), (8,)), (None, 8), None),
+        ('reject', 'influence_check', 24064, 1, ((7,), (6,)), (7, 6), None),
+        ('reject', 'influence_check', 24064, 1, ((4,), ()), (4, None), None),
+        ('reject', 'influence_check', 24064, 1, ((), ()), (None, None), None),
+        ('reject', 'influence_check', 24064, 1, ((5,), ()), (5, None), None),
+        ('reject', 'influence_check', 24064, 1, ((), ()), (None, None), None),
+        ('reject', 'influence_check', 24064, 1, ((4,), ()), (4, None), None),
+        ('reject', 'influence_check', 39064, 4, ((), ()), (None, None), None),
+        ('reject', 'influence_check', 24064, 1, ((), ()), (None, None), None),
+        ('reject', 'influence_check', 24064, 1, ((2,), ()), (2, None), None),
+        ('reject', 'influence_check', 24064, 1, ((), ()), (None, None), None),
+        ('reject', 'influence_check', 24064, 1, ((5,), (1,)), (5, 1), None),
+        ('reject', 'influence_check', 24064, 1, ((1,), ()), (1, None), None),
+        ('reject', 'influence_check', 24064, 1, ((4,), (3,)), (4, 3), None),
+        ('reject', 'influence_check', 24064, 1, ((), ()), (None, None), None),
+        ('reject', 'influence_check', 24064, 1, ((6,), ()), (6, None), None),
+        ('reject', 'influence_check', 24064, 1, ((), ()), (None, None), None),
+        ('reject', 'influence_check', 24064, 1, ((), ()), (None, None), None),
     ],
 }
 

@@ -65,13 +65,14 @@ def and_junta(n, coords):
 
 def exact_queries(cfg, rounds):
     """Oracle queries of a run that used `rounds` refinement rounds: 2m per
-    estimate under "paper"; under "desk" m per estimate of the sweep and
-    of each round plus m for each of those batches' base points, and 2m
-    for the gate."""
-    subsets = math.comb(cfg.num_parts, cfg.k)
+    estimate under "paper", one per subset of the sweep and per keep-choice
+    of each round; under "desk" m per part of the selection and per
+    keep-choice of each round plus m for each of those batches' base
+    points, and 2m for the gate."""
     if cfg.scale_profile == "paper":
+        subsets = math.comb(cfg.num_parts, cfg.k)
         return cfg.q + 2 * cfg.m * (subsets + (1 << cfg.k) * rounds + 1)
-    return cfg.q + cfg.m * (subsets + 1) + cfg.m * ((1 << cfg.k) + 1) * rounds + 2 * cfg.m
+    return cfg.q + cfg.m * (cfg.num_parts + 1) + cfg.m * ((1 << cfg.k) + 1) * rounds + 2 * cfg.m
 
 
 class TestLpEpsilonMap:
@@ -104,7 +105,7 @@ class TestLpEpsilonMap:
 class TestConfig:
     def test_desk_defaults(self):
         cfg = TesterConfig(eps=0.25, k=2)
-        assert cfg.num_parts == 12
+        assert cfg.num_parts == 16
         assert cfg.inf_threshold == pytest.approx(0.25 ** 2 / 1000)
         assert cfg.accept_threshold == pytest.approx(0.35 * 0.25)
         assert cfg.core_grid == 0.25
@@ -134,7 +135,7 @@ class TestConfig:
         # an omitted q, m, num_parts or core_grid comes from the config's
         # own profile; a "paper" config once took the desk q, m, num_parts
         eps2 = lp_epsilon_map(p, 0.25)
-        desk = dict(q=64, m=1000, num_parts=max(4 * k, 12), core_grid=0.25)
+        desk = dict(q=64, m=1000, num_parts=4 * k * k, core_grid=0.25)
         paper = dict(
             q=math.ceil(2 ** k / eps2 ** 5), m=math.ceil(k ** 6 / eps2 ** 5),
             num_parts=100 * k ** 4, core_grid=eps2 / 1000.0, scale_profile="paper",
@@ -325,19 +326,86 @@ class TestStagesWithExactStub:
         assert refined.last_round_eta == 0.0
         assert len(refined.final_masks) == 2
 
+    @pytest.mark.parametrize("core", [(0.0, 0.0, 0.0, 1.0), (0.0,) * 7 + (1.0,)])
+    def test_desk_keeps_the_relevant_parts(self, core):
+        # a part holding a relevant coordinate of an AND junta has positive
+        # own influence and every other part exactly 0: desk keeps the
+        # relevant parts, topped up with the lowest-index others when
+        # relevant coordinates collide, and maps them to the dropped
+        # parts' estimates, which sum to 0
+        n = 12
+        k = int(math.log2(len(core)))
+        relevant = (3, 9, 5)[:k]
+        table = lift_core(CoreTable(k, core), relevant, n)
+        oracle = make_counting_oracle(table)
+        cfg = TesterConfig(eps=0.25, k=k, m=10)
+        separated = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
+            buckets = _buckets_from_masks(masks, n)
+            parts = _initial_parts(buckets, cfg.q, cfg.num_parts, rng)
+            hit = {j for j, p in enumerate(parts) for c in relevant if p.coord_mask >> (c - 1) & 1}
+            separated += len(hit) == k
+            others = [j for j in range(cfg.num_parts) if j not in hit]
+            keep = tuple(sorted(hit | set(others[: k - len(hit)])))
+            queries = oracle.query_count
+            selected, etas = select_initial_parts(
+                oracle, buckets, cfg, rng, exact_stub(table), parts=parts
+            )
+            assert oracle.query_count == queries
+            assert [id(p) for p in selected] == [id(parts[j]) for j in keep]
+            assert etas == {keep: 0.0}
+        assert separated >= 15
+
+    def test_desk_ties_go_to_the_lowest_index(self):
+        # the estimator sees the part masks themselves, not their
+        # complements; equal estimates keep the lower-index part
+        n = 10
+        table = and_junta(n, (1, 2))
+        cfg = TesterConfig(eps=0.25, k=3, m=10)
+        rng = np.random.default_rng(3)
+        masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
+        buckets = _buckets_from_masks(masks, n)
+        parts = _initial_parts(buckets, cfg.q, cfg.num_parts, rng)
+        own = np.zeros(cfg.num_parts)
+        own[[4, 7, 20, 30]] = [0.5, 0.25, 0.5, 0.25]
+        seen = []
+
+        def fixed(oracle, batch, m, rng):
+            seen.append(list(batch))
+            return own.copy()
+
+        selected, etas = select_initial_parts(
+            make_counting_oracle(table), buckets, cfg, rng, fixed, parts=parts
+        )
+        assert seen == [[p.coord_mask for p in parts]]
+        assert [id(p) for p in selected] == [id(parts[j]) for j in (4, 7, 20)]
+        assert etas == {(4, 7, 20): 0.25}
+        own[:] = 0.0
+        selected, etas = select_initial_parts(
+            make_counting_oracle(table), buckets, cfg, rng, fixed, parts=parts
+        )
+        assert [id(p) for p in selected] == [id(p) for p in parts[:3]]
+        assert etas == {(0, 1, 2): 0.0}
+
     def test_select_query_accounting(self):
+        # desk: one batch of the 4k^2 part masks, m (P + 1) queries
         n = 8
         rng = np.random.default_rng(7)
         table = FunctionTable(n, rng.uniform(0, 1, 1 << n))
         oracle = make_counting_oracle(table)
-        cfg = TesterConfig(eps=0.25, k=2, q=16, m=25)
-        masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
+        masks = [int(x) for x in rng.integers(0, 1 << n, size=16)]
         buckets = _buckets_from_masks(masks, n)
-        subsets = math.comb(cfg.num_parts, cfg.k)
-        for profile, queries in (("desk", cfg.m * (subsets + 1)), ("paper", 2 * cfg.m * subsets)):
-            before = oracle.query_count
-            select_initial_parts(oracle, buckets, replace(cfg, scale_profile=profile), rng)
-            assert oracle.query_count - before == queries
+        for k in (1, 2, 3):
+            cfg = TesterConfig(eps=0.25, k=k, q=16, m=25)
+            assert cfg.num_parts == 4 * k * k
+            desk = cfg.m * (cfg.num_parts + 1)
+            paper = 2 * cfg.m * math.comb(cfg.num_parts, cfg.k)
+            for profile, queries in (("desk", desk), ("paper", paper)):
+                before = oracle.query_count
+                select_initial_parts(oracle, buckets, replace(cfg, scale_profile=profile), rng)
+                assert oracle.query_count - before == queries
 
     def test_refine_isolates_single_relevant_pattern(self):
         n = 10

@@ -412,6 +412,36 @@ class TestSpecFiles:
         with pytest.raises(ValueError):
             parse_spec_text("just some text")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("class: additive\nn: 2\nweights: 0.5 0.25\nsed: 4\n", "sed"),
+            ("class: additive\nn: 2\nweights: 0.5 0.25\nbudget: 1\n", "budget"),
+            ("class: additive\nn: 2\nweights: 0.5 0.25\nschema: 1\n", "schema"),
+            ("class: coverage\nn: 2\nuniverse_weights: 1\ncover_1: 1\ncover_3: 1\n", "cover_3"),
+            ("class: coverage\nn: 2\nuniverse_weights: 1\ncover_0: 1\n", "cover_0"),
+            ("class: xos\nn: 2\nclause_1: 0.5 0.5\nclause_3: 0.5 0.5\n", "clause_3"),
+            ("class: xos\nn: 2\nclause_2: 0.5 0.5\n", "clause_2"),
+            ("class: xos\nn: 2\nclause_1: 0.5 0.5\ndemand_1: 0.5 0.5\n", "demand_1"),
+            ("class: oxs\nn: 2\ndemand_1: 0.5 0.5\nclause_1: 0.5 0.5\n", "clause_1"),
+            ("class: gross_substitutes\nn: 2\ndemand_1: 0.5 0.5\ndemand_3: 0.5 0.5\n", "demand_3"),
+            ("class: submodular\nn: 2\nweights: 0.5 0.5\nbudget: 1\nweight: 0.5\n", "weight"),
+        ],
+    )
+    def test_unknown_key_refused(self, text, key):
+        # a misspelled seed once became a class parameter, and a row after
+        # a gap was dropped
+        with pytest.raises(ValueError, match=f"^unknown spec key '{key}'$"):
+            parse_spec_text(text)
+
+    def test_every_class_key_accepted(self):
+        spec = parse_spec_text(
+            "class: coverage\nn: 3\nseed: 4\nuniverse_weights: 1 1\ncover_1: 1\ncover_3: 2\n"
+        )
+        assert spec.seed == 4 and set(spec.params) == {"universe_weights", "cover_1", "cover_3"}
+        rows = "clause_1: 0.5 0.5\nclause_2: 0.25 0.5\nclause_3: 0.5 0\n"
+        assert len(parse_spec_text(f"class: xos\nn: 2\n{rows}").params) == 3
+
     def test_comments_ignored(self):
         spec = parse_spec_text("# a comment\nclass: additive\nn: 2\nweights: 0.5 0.5\n")
         assert spec.class_tag == "additive"
