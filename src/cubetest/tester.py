@@ -3,21 +3,16 @@
 The tester draws q uniform sample points, maps each value pattern the
 n coordinates show across those samples to the mask of the coordinates
 that show it, and picks k parts of a random equi-partition of pattern
-space whose union should capture all the influence: under "desk" the k
-parts of largest estimated own influence (Blais, "Testing juntas nearly
-optimally", STOC 2009), under "paper" the k parts whose union has the
-complement of smallest estimated influence.  Each selected
+space whose union should capture all the influence.  Each selected
 part is then halved round by round, keeping the half-choice with the
-smallest estimated complement influence.  The "paper" profile runs all
-`refine_rounds` rounds, after which each part is a single pattern; the
-"desk" profile stops after the first round that leaves every part
-holding at most one occupied pattern, which is all implicit learning
-needs, so there `refine_rounds` is a cap.  A final influence gate
-rejects if the complement of the surviving buckets still carries more
-than `inf_threshold` influence; otherwise the core learned from the
-original samples is compared against every enumerated grid core, and
-the first one whose mean squared deviation is at most
-`accept_threshold` is returned.
+smallest estimated complement influence, and refinement stops after
+the first round that leaves every part holding at most one occupied
+pattern, which is all implicit learning needs; `refine_rounds` caps
+the rounds.  A final influence gate rejects if the complement of the
+surviving buckets still carries more than `inf_threshold` influence;
+otherwise the core learned from the original samples is compared
+against every enumerated grid core, and the first one whose mean
+squared deviation is at most `accept_threshold` is returned.
 
 The core search reads the samples only through per-core-input
 sufficient statistics: the count n_u and mean mu_u of the sampled
@@ -41,25 +36,23 @@ shuffle-and-split would induce on them.  A final part that still holds
 several occupied patterns is read through its first mask, that of its
 smallest pattern.
 
-Under the "desk" profile the part selection passes the num_parts part
-masks to one batched estimator call, and each refinement round the
-complements of its 2^k candidate unions to one more; a batch shares one
-set of m base points across its masks (see `estimate_inf_mask`), so B
-masks cost m(B + 1) queries.  Under "paper" `_estimate_complements`
-calls the same estimator one mask at a time, 2m queries each, on the
-complements of all C(num_parts, k) subset unions and then of each
-round's 2^k, which draws exactly the random points the independent
-per-mask estimates of the paper draw.  The gate makes one scalar call,
-2m queries, under both.
-
-A "paper" run costs exactly q + 2m * (C(num_parts, k) + 2^k * r + 1),
-with r = `refine_rounds`.  A "desk" run that used r refinement rounds
-(at most `refine_rounds`) costs exactly
-q + m * (num_parts + 1) + m * (2^k + 1) * r + 2m.
-
-Each profile's q, m, num_parts and core grid are its row of
-`profile_constants`; a `TesterConfig` fills any of them it is not given
-from that row.
+A scale profile picks two things only: its row of `profile_constants`,
+which fills any q, m, num_parts or core grid a `TesterConfig` is not
+given, and the part-selection rule.  Under "desk" the selection keeps
+the k parts of largest estimated own influence (Blais, "Testing juntas
+nearly optimally", STOC 2009), from B = num_parts estimates; under
+"paper" it keeps the k parts whose union has the complement of
+smallest estimated influence, the source paper's rule, from
+B = C(num_parts, k) estimates (`TesterConfig.selection_masks`).
+Everything after that choice is one path.  Each stage passes its whole
+batch of masks to one estimator call: the selection its B masks, each
+refinement round the complements of its 2^k candidate unions, the gate
+one mask.  A batch shares one set of m base points across its masks
+(see `estimate_inf_mask`), and each estimate keeps the law of a
+separate 2m-query estimate, so B masks cost m(B + 1) queries and a run
+that used r refinement rounds costs exactly
+q + m(B + 1) + m(2^k + 1) r + 2m; `TesterConfig.query_budget()` is
+that cost at r = `refine_rounds`.
 
 `SETTINGS` is the one table of tester settings: for each, its
 config-file key, `TesterConfig` field and value type.  Config files are
@@ -151,8 +144,10 @@ class TesterConfig:
     """All tester constants.  An omitted q, m, num_parts or core_grid
     comes from the scale profile's row of `profile_constants`; omitted
     thresholds are derived from eps after the lp -> l2 map, and an
-    omitted refine_rounds from (q, num_parts).  scale_profile "desk"
-    makes refine_rounds a cap (see `refine_parts`)."""
+    omitted refine_rounds from (q, num_parts).  refine_rounds caps the
+    refinement rounds (see `refine_parts`), and subset_budget the
+    estimates of the part selection (see `selection_masks`); the
+    profile also picks the selection rule (see `select_initial_parts`)."""
 
     eps: float
     k: int
@@ -190,27 +185,31 @@ class TesterConfig:
             object.__setattr__(self, "accept_threshold", 0.35 * eps2)
         if self.refine_rounds < 1:
             raise ValueError("refine_rounds must be >= 1")
+        if self.subset_budget < 1:
+            raise ValueError("subset_budget must be >= 1")
         for name in ("inf_threshold", "accept_threshold"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
 
-    def query_budget(self) -> int:
-        """Oracle queries of one "paper" run, exactly: q + 2m * (C(num_parts,
-        k) + 2^k * r + 1) with r = refine_rounds.  Under "desk", a run that
-        used r' <= r rounds costs exactly
-        q + m * (num_parts + 1) + m * (2^k + 1) * r' + 2m, and the budget
-        is that cost at r' = r."""
-        q, m, k, r = self.q, self.m, self.k, self.refine_rounds
+    def selection_masks(self) -> int:
+        """B, the number of masks the part selection estimates: one per
+        part under "desk", one per k-subset of parts under "paper"."""
         if self.scale_profile == "desk":
-            return q + m * (self.num_parts + 1) + m * ((1 << k) + 1) * r + 2 * m
-        return q + 2 * m * (math.comb(self.num_parts, k) + (1 << k) * r + 1)
+            return self.num_parts
+        return math.comb(self.num_parts, self.k)
+
+    def query_budget(self) -> int:
+        """Oracle queries of a run that uses every refinement round:
+        q + m(B + 1) + m(2^k + 1) r + 2m, with B = `selection_masks()` and
+        r = refine_rounds.  A run that stopped after r' <= r rounds costs
+        exactly that with r' in place of r."""
+        q, m, k, r = self.q, self.m, self.k, self.refine_rounds
+        return q + m * (self.selection_masks() + 1) + m * ((1 << k) + 1) * r + 2 * m
 
 
 def profile_deviations(config: TesterConfig) -> list[str]:
     """Differences between this config and the "paper" profile constants."""
-    if config.scale_profile == "paper":
-        return []
     paper = profile_constants("paper", lp_epsilon_map(config.p, config.eps), config.k)
     return [
         f"{name}: {getattr(config, name)} (paper profile value {value})"
@@ -314,20 +313,9 @@ def _split_part(part: VirtualPart, rng: np.random.Generator) -> tuple[VirtualPar
     return VirtualPart(tuple(dealt[0]), c0), VirtualPart(tuple(dealt[1]), c1)
 
 
-def _estimate_complements(
-    estimator: InfluenceEstimator,
-    oracle: QueryOracle,
-    unions: Sequence[int],
-    config: TesterConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Estimated influence of the complement of each union mask, in order:
-    one estimator call under "desk", whose masks share their base points;
-    one call per mask under "paper", 2m queries each."""
-    complements = ((1 << oracle.n) - 1) & ~np.asarray(unions, dtype=np.int64)
-    if config.scale_profile == "desk":
-        return estimator(oracle, complements, config.m, rng)
-    return np.array([estimator(oracle, int(s), config.m, rng) for s in complements])
+def _complements(n: int, unions: Sequence[int]) -> np.ndarray:
+    """The complement in [n] of each union mask, as a 1-D int64 batch."""
+    return ((1 << n) - 1) & ~np.asarray(unions, dtype=np.int64)
 
 
 def select_initial_parts(
@@ -338,30 +326,30 @@ def select_initial_parts(
     estimator: InfluenceEstimator = estimate_inf_mask,
     parts: Optional[Sequence[VirtualPart]] = None,
 ) -> tuple[list[VirtualPart], dict[tuple[int, ...], float]]:
-    """Choose k parts of the equi-partition for refinement.
+    """Choose k parts of the equi-partition for refinement, by the scale
+    profile's selection rule.  Either rule makes one batched estimator
+    call on its B = `config.selection_masks()` masks, exactly m(B + 1)
+    queries.
 
-    Under "desk" one batched estimator call takes the part masks
-    themselves, exactly m * (num_parts + 1) queries, and the k parts of
-    largest estimated own influence are kept, in index order; ties break
-    to the lowest index.  For a k-junta a part holding no relevant
+    Under "desk" the batch is the part masks themselves, and the k parts
+    of largest estimated own influence are kept, in index order; ties
+    break to the lowest index.  For a k-junta a part holding no relevant
     coordinate has influence 0, and its estimate is exactly 0.  The
     result maps the kept index tuple to the sum of the dropped parts'
     estimates: influence is subadditive, so the sum of the dropped parts'
     influences bounds that of the complement of the kept union.
 
-    Under "paper" every size-k subset is swept and the one whose
-    complement has the smallest estimated influence is kept: one
-    estimate per subset, 2m * C(num_parts, k) queries, and ties break to
-    the lexicographically first subset; each subset maps to its eta.
+    Under "paper" the batch is the complement of the union of every
+    size-k subset, and the subset whose complement has the smallest
+    estimated influence is kept; ties break to the lexicographically
+    first subset, and each subset maps to its eta.
 
-    The number of masks to estimate, num_parts or C(num_parts, k), is
-    checked against `subset_budget` before the partition is built.  The
-    partition is the one stage that reads `buckets`; from then on a part
-    is its coordinate masks.  `parts` lets a caller supply the partition
-    (built with `_initial_parts`) to observe it directly.
+    B is checked against `subset_budget` before the partition is built.
+    The partition is the one stage that reads `buckets`; from then on a
+    part is its coordinate masks.  `parts` lets a caller supply the
+    partition (built with `_initial_parts`) to observe it directly.
     """
-    desk = config.scale_profile == "desk"
-    n_masks = config.num_parts if desk else math.comb(config.num_parts, config.k)
+    n_masks = config.selection_masks()
     if n_masks > config.subset_budget:
         raise SubsetBudgetError(
             f"part selection needs {n_masks} influence estimates, budget is "
@@ -369,7 +357,7 @@ def select_initial_parts(
         )
     if parts is None:
         parts = _initial_parts(buckets, config.q, config.num_parts, rng)
-    if desk:
+    if config.scale_profile == "desk":
         masks = np.array([p.coord_mask for p in parts], dtype=np.int64)
         own = estimator(oracle, masks, config.m, rng)
         keep = tuple(sorted(int(j) for j in np.argsort(-own, kind="stable")[: config.k]))
@@ -377,7 +365,7 @@ def select_initial_parts(
     subsets = list(combinations(range(config.num_parts), config.k))
     # the same combinations as `subsets`, in the same order, of the part masks
     unions = [_union(c) for c in combinations([p.coord_mask for p in parts], config.k)]
-    estimates = _estimate_complements(estimator, oracle, unions, config, rng)
+    estimates = estimator(oracle, _complements(oracle.n, unions), config.m, rng)
     etas = {J: float(eta) for J, eta in zip(subsets, estimates)}
     best_key = subsets[int(np.argmin(estimates))]
     return [parts[j] for j in best_key], etas
@@ -404,30 +392,27 @@ def refine_parts(
     keep-choice z (half (z >> i) & 1 of part i) whose union has the
     complement of smallest estimated influence; ties break to the
     smallest z.  A split deals a part's masks, in order, into its two
-    halves.  `_estimate_complements` takes a round's 2^k complements:
-    under "desk" as one batch, m * (2^k + 1) queries; under "paper" one
-    at a time, 2m * 2^k.
+    halves.  A round passes its 2^k complements to one estimator call,
+    m(2^k + 1) queries.
 
-    The "paper" profile runs exactly refine_rounds rounds.  The "desk"
-    profile stops after the first round that leaves every part holding
-    at most one occupied pattern: later rounds could only keep or drop a
-    pattern that is already isolated.  At least one round always runs.
-    A part that loses all its patterns is carried along as empty and
-    flagged; a part never grows, so it is flagged exactly when its final
-    size is 0.
+    Refinement stops after the first round that leaves every part
+    holding at most one occupied pattern: later rounds could only keep
+    or drop a pattern that is already isolated.  refine_rounds caps the
+    rounds, and at least one always runs.  A part that loses all its
+    patterns is carried along as empty and flagged; a part never grows,
+    so it is flagged exactly when its final size is 0.
     """
     k = len(selected)
     parts = list(selected)
-    stop_when_isolated = config.scale_profile == "desk"
     for rounds_used in range(1, config.refine_rounds + 1):
         halves = [_split_part(p, rng) for p in parts]
         choices = [[h[(z >> i) & 1] for i, h in enumerate(halves)] for z in range(1 << k)]
         unions = [_union([h.coord_mask for h in choice]) for choice in choices]
-        estimates = _estimate_complements(estimator, oracle, unions, config, rng)
+        estimates = estimator(oracle, _complements(oracle.n, unions), config.m, rng)
         best_z = int(np.argmin(estimates))
         parts = choices[best_z]
         last_eta = float(estimates[best_z])
-        if stop_when_isolated and all(len(p.masks) <= 1 for p in parts):
+        if all(len(p.masks) <= 1 for p in parts):
             break
     return RefinementResult(
         final_masks=tuple(p.masks[0] if p.masks else 0 for p in parts),
@@ -575,10 +560,12 @@ def run_tester(
     """All four stages in order over a single oracle and RNG stream.
 
     `estimator` stands in for `estimate_inf_mask` under the same
-    contract (see `InfluenceEstimator`).  Under "desk" the part selection
-    calls it with a 1-D int64 batch of the part masks and each refinement
-    round with a batch of complement masks; under "paper" both call it
-    with one complement mask at a time.  The gate calls it with one mask.
+    contract (see `InfluenceEstimator`).  The part selection calls it
+    once with a 1-D int64 batch of its `config.selection_masks()` masks,
+    each refinement round once with a batch of its 2^k complement masks,
+    and the gate once with one mask, so a run that used r rounds makes
+    exactly `config.query_budget()` queries with r in place of
+    refine_rounds.
 
     The report's eta holds "initial_min", "refine_last" and "gate".
     Under "paper" initial_min is the smallest estimated complement

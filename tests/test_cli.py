@@ -272,6 +272,12 @@ class TestTestCommand:
             "error: num_parts must be >= k\n",
         ),
         "k_above_cap": (dict(k=4), 2, "error: k=4 exceeds the cap 3\n"),
+        # once exited 4, "budget exceeded", at the part selection
+        "subset_budget_zero": (
+            dict(overrides={"q": 16, "m": 20, "gamma": 0.25, "subset_budget": 0}),
+            2,
+            "error: subset_budget must be >= 1\n",
+        ),
         "eps_beyond_far_core": (
             dict(mode="far_mode_a", eps=0.9),
             2,
@@ -419,6 +425,26 @@ class TestTestCommand:
         captured = capsys.readouterr()
         assert captured.err == "error: eps=0.3 exceeds the best achievable certified distance 0.250000\n"
         assert captured.out == ""
+
+    def test_config_profile_line_ignored(self, tmp_path):
+        # the plan's run is always "desk": a config saying "paper" gives
+        # the same summary and trial records as the same config saying "desk"
+        from cubetest.tester import TesterConfig, config_to_lines
+
+        _, path = self._small_plan(tmp_path)
+        texts, outputs = [], []
+        for profile in ("desk", "paper"):
+            config = TesterConfig(
+                eps=0.25, k=2, q=24, m=30, num_parts=10, core_grid=0.5, scale_profile=profile
+            )
+            texts.append([ln for ln in config_to_lines(config) if not ln.startswith("profile:")])
+            cfg, out = tmp_path / f"{profile}.cfg", tmp_path / f"{profile}.txt"
+            cfg.write_text("\n".join(config_to_lines(config)) + "\n")
+            assert main(["--out", str(out), "--config", str(cfg), "test", str(path)]) == 0
+            summary = [ln for ln in out.read_text().splitlines() if not ln.startswith("wall_time_s:")]
+            outputs.append((summary, (tmp_path / f"{profile}.txt.trials").read_bytes()))
+        assert texts[0] == texts[1]
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("plan_q, q", [(None, 24), (16, 16)])
     def test_config_reaches_every_trial(self, tmp_path, plan_q, q):

@@ -168,7 +168,7 @@ PAPER_REPORTS = {
         "schema: cubetest-report-1",
         "verdict: accept",
         "reject_stage: none",
-        "queries_used: 1164",
+        "queries_used: 764",
         "selected_buckets: 3 ; 9",
         "learned_core: 0.0 0.25 0.25 0.5",
         "empirical_distance: 0.0732421875",
@@ -181,7 +181,7 @@ PAPER_REPORTS = {
         "schema: cubetest-report-1",
         "verdict: reject",
         "reject_stage: core_search",
-        "queries_used: 1164",
+        "queries_used: 764",
         "selected_buckets: 9 ; 3",
         "learned_core: -",
         "empirical_distance: -",
@@ -194,12 +194,12 @@ PAPER_REPORTS = {
         "schema: cubetest-report-1",
         "verdict: reject",
         "reject_stage: influence_check",
-        "queries_used: 1964",
-        "selected_buckets: 9 ; 7 ; 8",
+        "queries_used: 1164",
+        "selected_buckets: - ; 4 ; 10",
         "learned_core: -",
         "empirical_distance: -",
-        "eta: gate=0.139375 initial_min=0.0 refine_last=0.056875",
-        "phi: 9 7 8",
+        "eta: gate=0.17875 initial_min=0.0 refine_last=0.044375",
+        "phi: - 4 10",
         "empty_buckets: 0 0 0",
         "refine_rounds_used: 1",
     ],

@@ -54,6 +54,10 @@ core_grid: 0.125
 seed: 4
 sqrt_statistic: 1
 subset_budget: 777
+# deviation q: 40 (paper profile value 64)
+# deviation m: 50 (paper profile value 32)
+# deviation num_parts: 7 (paper profile value 100)
+# deviation core_grid: 0.125 (paper profile value 0.0005)
 """
 ALL_NINE = {
     "q": 32, "m": 200, "num_parts": 9, "gamma": 0.5, "refine_rounds": 4, "inf_threshold": 1e-3,

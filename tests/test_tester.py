@@ -31,7 +31,6 @@ from cubetest.tester import (
 from oracles import (
     naive_buckets_from_masks,
     naive_core_statistics,
-    per_mask_estimator,
     shared_base_estimator,
 )
 
@@ -64,15 +63,13 @@ def and_junta(n, coords):
 
 
 def exact_queries(cfg, rounds):
-    """Oracle queries of a run that used `rounds` refinement rounds: 2m per
-    estimate under "paper", one per subset of the sweep and per keep-choice
-    of each round; under "desk" m per part of the selection and per
-    keep-choice of each round plus m for each of those batches' base
-    points, and 2m for the gate."""
-    if cfg.scale_profile == "paper":
-        subsets = math.comb(cfg.num_parts, cfg.k)
-        return cfg.q + 2 * cfg.m * (subsets + (1 << cfg.k) * rounds + 1)
-    return cfg.q + cfg.m * (cfg.num_parts + 1) + cfg.m * ((1 << cfg.k) + 1) * rounds + 2 * cfg.m
+    """Oracle queries of a run that used `rounds` refinement rounds,
+    q + m(B + 1) + m(2^k + 1) rounds + 2m: m per mask the selection
+    estimates (B, one per part under "desk", one per k-subset under
+    "paper") and per keep-choice of each round, plus m for each of those
+    batches' base points, and 2m for the gate."""
+    selection = cfg.num_parts if cfg.scale_profile == "desk" else math.comb(cfg.num_parts, cfg.k)
+    return cfg.q + cfg.m * (selection + 1) + cfg.m * ((1 << cfg.k) + 1) * rounds + 2 * cfg.m
 
 
 class TestLpEpsilonMap:
@@ -162,6 +159,9 @@ class TestConfig:
             TesterConfig(eps=0.25, k=5, num_parts=3)
         with pytest.raises(ValueError):
             TesterConfig(eps=1.2, k=2)
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="subset_budget must be >= 1"):
+                TesterConfig(eps=0.25, k=2, subset_budget=budget)
 
     def test_file_round_trip(self, tmp_path):
         cfg = TesterConfig(eps=0.25, k=2, q=128, m=2000, seed=9)
@@ -390,7 +390,8 @@ class TestStagesWithExactStub:
         assert etas == {(0, 1, 2): 0.0}
 
     def test_select_query_accounting(self):
-        # desk: one batch of the 4k^2 part masks, m (P + 1) queries
+        # one batch of B masks, m (B + 1) queries: desk estimates the 4k^2
+        # part masks, paper the complements of the C(P, k) subset unions
         n = 8
         rng = np.random.default_rng(7)
         table = FunctionTable(n, rng.uniform(0, 1, 1 << n))
@@ -401,7 +402,7 @@ class TestStagesWithExactStub:
             cfg = TesterConfig(eps=0.25, k=k, q=16, m=25)
             assert cfg.num_parts == 4 * k * k
             desk = cfg.m * (cfg.num_parts + 1)
-            paper = 2 * cfg.m * math.comb(cfg.num_parts, cfg.k)
+            paper = cfg.m * (math.comb(cfg.num_parts, cfg.k) + 1)
             for profile, queries in (("desk", desk), ("paper", paper)):
                 before = oracle.query_count
                 select_initial_parts(oracle, buckets, replace(cfg, scale_profile=profile), rng)
@@ -434,7 +435,7 @@ class TestStagesWithExactStub:
         for profile in ("desk", "paper"):
             before = oracle.query_count
             result = refine_parts(oracle, selected, replace(cfg, scale_profile=profile), rng)
-            per_round = cfg.m * ((1 << cfg.k) + 1) if profile == "desk" else 2 * cfg.m * (1 << cfg.k)
+            per_round = cfg.m * ((1 << cfg.k) + 1)
             assert oracle.query_count - before == per_round * result.rounds_used
 
 
@@ -469,10 +470,9 @@ def refine_with_spy(table, cfg, seed, estimator, monkeypatch):
 
 
 class TestRefineStop:
-    """The desk profile stops refining after the first round that leaves
-    every selected part holding at most one occupied pattern; the paper
-    profile runs every round.  A desk round costs m (2^k + 1) queries, a
-    paper round 2m 2^k."""
+    """Under either profile refinement stops after the first round that
+    leaves every selected part holding at most one occupied pattern, and
+    a round costs m (2^k + 1) queries."""
 
     @staticmethod
     def _case(name):
@@ -492,39 +492,27 @@ class TestRefineStop:
 
     CASES = ["dictator_k1", "and_k2_q1024", "subadditive_k3", "constant_k2"]
 
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
     @pytest.mark.parametrize("name", CASES)
-    def test_desk_stops_at_first_isolating_round(self, name, monkeypatch):
+    def test_stops_at_first_isolating_round(self, name, profile, monkeypatch):
         table, cfg, est = self._case(name)
+        cfg = replace(cfg, scale_profile=profile)
         seeds = [5] if name == "constant_k2" else range(8)
         for seed in seeds:
-            desk, queries, rounds, kept = refine_with_spy(table, cfg, seed, est, monkeypatch)
-            r = desk.rounds_used
+            result, queries, rounds, kept = refine_with_spy(table, cfg, seed, est, monkeypatch)
+            r = result.rounds_used
             assert 1 <= r <= cfg.refine_rounds
             if est is estimate_inf_mask:
                 assert queries == cfg.m * ((1 << cfg.k) + 1) * r
             # a cap of r rounds draws the same stream: the same refinement
             capped = replace(cfg, refine_rounds=r)
-            assert refine_with_spy(table, capped, seed, est, monkeypatch)[0] == desk
-            if est is not estimate_inf_mask:
-                # an estimator that draws nothing leaves the paper profile
-                # the same stream too
-                paper = replace(capped, scale_profile="paper")
-                assert refine_with_spy(table, paper, seed, est, monkeypatch)[0] == desk
+            assert refine_with_spy(table, capped, seed, est, monkeypatch)[0] == result
             if r < cfg.refine_rounds:
                 # round r left every part isolated
                 assert all(len(p.masks) <= 1 for p in kept)
             # no earlier round left every part isolated
             for j in range(1, r):
                 assert any(len(p.masks) > 1 for p in rounds[j])
-
-    @pytest.mark.parametrize("name", CASES)
-    def test_paper_runs_every_round(self, name, monkeypatch):
-        table, cfg, est = self._case(name)
-        paper = replace(cfg, scale_profile="paper")
-        result, queries, _, _ = refine_with_spy(table, paper, 0, est, monkeypatch)
-        assert result.rounds_used == paper.refine_rounds
-        if est is estimate_inf_mask:
-            assert queries == 2 * paper.m * (1 << paper.k) * paper.refine_rounds
 
 
 class TestFinalCheck:
@@ -819,9 +807,9 @@ class TestCoreStatistics:
 
 
 class TestAgainstPerMaskEstimator:
-    """Under "desk" the batched sweep and refinement rounds give the report
-    that the shared-base reference loop gives; under "paper", the report
-    that the per-mask reference gives; both byte for byte."""
+    """Under either profile the batched selection and refinement rounds
+    give the report that the shared-base reference loop, one mask at a
+    time, gives, byte for byte."""
 
     @staticmethod
     def _instance(case, seed):
@@ -861,8 +849,8 @@ class TestAgainstPerMaskEstimator:
 
     @pytest.mark.parametrize("case, seed", CASES)
     def test_same_report_paper(self, case, seed):
-        cfg, report = self._compare(case, seed, "paper", per_mask_estimator)
-        assert report.queries_used == cfg.query_budget()
+        cfg, report = self._compare(case, seed, "paper", shared_base_estimator)
+        assert report.queries_used <= cfg.query_budget()
 
 
 class TestRunTester:
@@ -875,9 +863,9 @@ class TestRunTester:
         assert report_to_lines(r1) == report_to_lines(r2)
 
     def test_query_budget_formula(self):
-        # the same 20 random configs under each profile: the paper profile
-        # runs every refinement round, so its budget is exact; the desk
-        # profile may stop early and is exact in the rounds it used
+        # the same 20 random configs under each profile: a run may stop
+        # refining early and costs exactly the budget's formula in the
+        # rounds it used; one that used every round costs the budget
         for profile in ("paper", "desk"):
             rng = np.random.default_rng(17)
             for trial in range(20):
@@ -893,9 +881,8 @@ class TestRunTester:
                 table = FunctionTable(n, rng.uniform(0, 1, 1 << n))
                 oracle = make_counting_oracle(table)
                 report = run_tester(oracle, "submodular", cfg)
-                if profile == "paper":
+                if report.refine_rounds_used == cfg.refine_rounds:
                     assert report.queries_used == cfg.query_budget()
-                    assert report.refine_rounds_used == cfg.refine_rounds
                 assert report.queries_used == exact_queries(cfg, report.refine_rounds_used)
                 assert report.queries_used <= cfg.query_budget()
                 assert report.queries_used == oracle.query_count
