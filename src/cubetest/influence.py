@@ -22,7 +22,7 @@ scalar mask, or a batch of one, costs 2m queries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Hashable, Iterable
 
@@ -50,7 +50,9 @@ WEIGHT_BLOCK_DOUBLES = 1 << 18
 
 
 class SubsetBudgetError(ValueError):
-    """A combinatorial sweep would exceed its configured budget."""
+    """A sweep would exceed its configured budget: the tester's part
+    selection (num_parts estimates, `tester.select_initial_parts`) or
+    `closest_junta`'s C(n, k) coordinate sets."""
 
 
 def _axes_for(coord_mask: int, n: int) -> tuple[int, ...]:
@@ -230,8 +232,6 @@ class CoordPartition:
 
     ground: tuple[Hashable, ...]
     parts: tuple[frozenset, ...]
-    mode: str
-    has_empty_parts: bool = field(default=False)
 
     def __post_init__(self):
         union: set = set()
@@ -244,38 +244,14 @@ class CoordPartition:
 
 
 def random_partition(
-    ground: Iterable[Hashable], r: int, rng: np.random.Generator, mode: str = "uniform"
+    ground: Iterable[Hashable], r: int, rng: np.random.Generator
 ) -> CoordPartition:
-    """Partition a ground set into r labeled parts.
-
-    uniform mode assigns every element an independent uniform part label;
-    equi mode shuffles and splits into parts of near-equal size, the
-    first (N mod r) parts getting the extra element.  Empty parts are
-    possible (r > N) and are surfaced via `has_empty_parts`.
-    """
+    """Partition a ground set into r labeled parts, assigning every
+    element an independent uniform part label; parts may be empty."""
     if r < 1:
         raise ValueError("part count must be >= 1")
     elements = sorted(ground)
-    n_el = len(elements)
     buckets: list[set] = [set() for _ in range(r)]
-    if mode == "uniform":
-        labels = rng.integers(0, r, size=n_el)
-        for el, lab in zip(elements, labels):
-            buckets[int(lab)].add(el)
-    elif mode == "equi":
-        order = rng.permutation(n_el)
-        sizes = [n_el // r + (1 if j < n_el % r else 0) for j in range(r)]
-        pos = 0
-        for j, size in enumerate(sizes):
-            for t in range(pos, pos + size):
-                buckets[j].add(elements[int(order[t])])
-            pos += size
-    else:
-        raise ValueError(f"unknown partition mode {mode!r}")
-    parts = tuple(frozenset(b) for b in buckets)
-    return CoordPartition(
-        ground=tuple(elements),
-        parts=parts,
-        mode=mode,
-        has_empty_parts=any(not p for p in parts),
-    )
+    for el, lab in zip(elements, rng.integers(0, r, size=len(elements))):
+        buckets[int(lab)].add(el)
+    return CoordPartition(ground=tuple(elements), parts=tuple(frozenset(b) for b in buckets))

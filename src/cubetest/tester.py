@@ -36,23 +36,21 @@ shuffle-and-split would induce on them.  A final part that still holds
 several occupied patterns is read through its first mask, that of its
 smallest pattern.
 
-A scale profile picks two things only: its row of `profile_constants`,
-which fills any q, m, num_parts or core grid a `TesterConfig` is not
-given, and the part-selection rule.  Under "desk" the selection keeps
-the k parts of largest estimated own influence (Blais, "Testing juntas
-nearly optimally", STOC 2009), from B = num_parts estimates; under
-"paper" it keeps the k parts whose union has the complement of
-smallest estimated influence, the source paper's rule, from
-B = C(num_parts, k) estimates (`TesterConfig.selection_masks`).
-Everything after that choice is one path.  Each stage passes its whole
-batch of masks to one estimator call: the selection its B masks, each
-refinement round the complements of its 2^k candidate unions, the gate
-one mask.  A batch shares one set of m base points across its masks
-(see `estimate_inf_mask`), and each estimate keeps the law of a
-separate 2m-query estimate, so B masks cost m(B + 1) queries and a run
-that used r refinement rounds costs exactly
-q + m(B + 1) + m(2^k + 1) r + 2m; `TesterConfig.query_budget()` is
-that cost at r = `refine_rounds`.
+The selection keeps the k parts of largest estimated own influence
+(Blais, "Testing juntas nearly optimally", STOC 2009), one estimate
+per part.  The source paper instead keeps the k parts whose union has
+the complement of least estimated influence, over all C(num_parts, k)
+unions; this rule is one of the tester's documented deviations from
+the paper (see the README).
+
+Each stage passes its whole batch of masks to one estimator call: the
+selection its B = num_parts part masks, each refinement round the
+complements of its 2^k candidate unions, the gate one mask.  A batch
+shares one set of m base points across its masks (see
+`estimate_inf_mask`), and each estimate keeps the law of a separate
+2m-query estimate, so B masks cost m(B + 1) queries and a run that used
+r refinement rounds costs exactly q + m(B + 1) + m(2^k + 1) r + 2m;
+`TesterConfig.query_budget()` is that cost at r = `refine_rounds`.
 
 `SETTINGS` is the one table of tester settings: for each, its
 config-file key, `TesterConfig` field and value type.  Config files are
@@ -64,7 +62,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -115,22 +112,13 @@ def default_refine_rounds(q: int, num_parts: int) -> int:
     return max(1, (per_part - 1).bit_length())
 
 
-def profile_constants(profile: str, eps2: float, k: int) -> dict:
-    """The q, m, num_parts and core_grid of a scale profile, at l2
-    distance eps2 (see `lp_epsilon_map`) and junta size k.
-
-    "desk": q = 64, m = 1000, num_parts = 4k^2, core grid 1/4.  These
-    replace the theoretical constants, whose guarantees are only
-    asymptotic; seeded 2/3-rate experiments stand in for them.  Theta(k^2)
-    parts keep k relevant coordinates apart with constant probability
-    (Blais 2009), and desk part selection costs one estimate per part.
-    "paper": q = ceil(2^k/eps2^5), m = ceil(k^6/eps2^5),
-    num_parts = 100k^4, core grid eps2/1000, the paper's constants with
-    their unspecified leading factors set to 1; generally too expensive
-    to run.
-    """
-    if profile == "desk":
-        return dict(q=64, m=1000, num_parts=4 * k * k, core_grid=0.25)
+def paper_constants(eps2: float, k: int) -> dict:
+    """The source paper's q, m, num_parts and core_grid at l2 distance
+    eps2 (see `lp_epsilon_map`) and junta size k: q = ceil(2^k/eps2^5),
+    m = ceil(k^6/eps2^5), num_parts = 100k^4, core grid eps2/1000, with
+    their unspecified leading factors set to 1.  The tester's defaults
+    replace them (see `TesterConfig`); `profile_deviations` lists how a
+    config differs from them."""
     return dict(
         q=math.ceil(2 ** k / eps2 ** 5),
         m=math.ceil(k ** 6 / eps2 ** 5),
@@ -141,38 +129,37 @@ def profile_constants(profile: str, eps2: float, k: int) -> dict:
 
 @dataclass(frozen=True)
 class TesterConfig:
-    """All tester constants.  An omitted q, m, num_parts or core_grid
-    comes from the scale profile's row of `profile_constants`; omitted
-    thresholds are derived from eps after the lp -> l2 map, and an
-    omitted refine_rounds from (q, num_parts).  refine_rounds caps the
+    """All tester constants.  The defaults q = 64, m = 1000, core grid
+    1/4 and num_parts = 4k^2 (when omitted) replace the paper's constants
+    (`paper_constants`), whose guarantees are only asymptotic; seeded
+    2/3-rate experiments stand in for them.  Theta(k^2) parts keep k
+    relevant coordinates apart with constant probability (Blais 2009).
+    Omitted thresholds are derived from eps after the lp -> l2 map, and
+    an omitted refine_rounds from (q, num_parts).  refine_rounds caps the
     refinement rounds (see `refine_parts`), and subset_budget the
-    estimates of the part selection (see `selection_masks`); the
-    profile also picks the selection rule (see `select_initial_parts`)."""
+    num_parts estimates of the part selection (see
+    `select_initial_parts`)."""
 
     eps: float
     k: int
     p: float = 2.0
-    q: Optional[int] = None
-    m: Optional[int] = None
+    q: int = 64
+    m: int = 1000
     num_parts: Optional[int] = None
     refine_rounds: Optional[int] = None
     inf_threshold: Optional[float] = None
     accept_threshold: Optional[float] = None
-    core_grid: Optional[float] = None
+    core_grid: float = 0.25
     seed: int = 0
-    scale_profile: str = "desk"
     sqrt_statistic: bool = False
     subset_budget: int = 200_000
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.scale_profile not in ("paper", "desk"):
-            raise ValueError(f"unknown scale profile {self.scale_profile!r}")
         eps2 = lp_epsilon_map(self.p, self.eps)
-        for name, value in profile_constants(self.scale_profile, eps2, self.k).items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, value)
+        if self.num_parts is None:
+            object.__setattr__(self, "num_parts", 4 * self.k * self.k)
         if self.q < 1 or self.m < 1 or self.num_parts < 1:
             raise ValueError("q, m and num_parts must be >= 1")
         if self.num_parts < self.k:
@@ -192,25 +179,18 @@ class TesterConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
 
-    def selection_masks(self) -> int:
-        """B, the number of masks the part selection estimates: one per
-        part under "desk", one per k-subset of parts under "paper"."""
-        if self.scale_profile == "desk":
-            return self.num_parts
-        return math.comb(self.num_parts, self.k)
-
     def query_budget(self) -> int:
         """Oracle queries of a run that uses every refinement round:
-        q + m(B + 1) + m(2^k + 1) r + 2m, with B = `selection_masks()` and
+        q + m(B + 1) + m(2^k + 1) r + 2m, with B = num_parts and
         r = refine_rounds.  A run that stopped after r' <= r rounds costs
         exactly that with r' in place of r."""
         q, m, k, r = self.q, self.m, self.k, self.refine_rounds
-        return q + m * (self.selection_masks() + 1) + m * ((1 << k) + 1) * r + 2 * m
+        return q + m * (self.num_parts + 1) + m * ((1 << k) + 1) * r + 2 * m
 
 
 def profile_deviations(config: TesterConfig) -> list[str]:
-    """Differences between this config and the "paper" profile constants."""
-    paper = profile_constants("paper", lp_epsilon_map(config.p, config.eps), config.k)
+    """Differences between this config and the paper's constants."""
+    paper = paper_constants(lp_epsilon_map(config.p, config.eps), config.k)
     return [
         f"{name}: {getattr(config, name)} (paper profile value {value})"
         for name, value in paper.items()
@@ -313,11 +293,6 @@ def _split_part(part: VirtualPart, rng: np.random.Generator) -> tuple[VirtualPar
     return VirtualPart(tuple(dealt[0]), c0), VirtualPart(tuple(dealt[1]), c1)
 
 
-def _complements(n: int, unions: Sequence[int]) -> np.ndarray:
-    """The complement in [n] of each union mask, as a 1-D int64 batch."""
-    return ((1 << n) - 1) & ~np.asarray(unions, dtype=np.int64)
-
-
 def select_initial_parts(
     oracle: QueryOracle,
     buckets: Mapping[int, int],
@@ -325,50 +300,33 @@ def select_initial_parts(
     rng: np.random.Generator,
     estimator: InfluenceEstimator = estimate_inf_mask,
     parts: Optional[Sequence[VirtualPart]] = None,
-) -> tuple[list[VirtualPart], dict[tuple[int, ...], float]]:
-    """Choose k parts of the equi-partition for refinement, by the scale
-    profile's selection rule.  Either rule makes one batched estimator
-    call on its B = `config.selection_masks()` masks, exactly m(B + 1)
-    queries.
+) -> tuple[list[VirtualPart], float]:
+    """Choose k parts of the equi-partition for refinement: the k parts of
+    largest estimated own influence, in index order; ties break to the
+    lowest index.  One batched estimator call on the num_parts part
+    masks, exactly m(num_parts + 1) queries.
 
-    Under "desk" the batch is the part masks themselves, and the k parts
-    of largest estimated own influence are kept, in index order; ties
-    break to the lowest index.  For a k-junta a part holding no relevant
-    coordinate has influence 0, and its estimate is exactly 0.  The
-    result maps the kept index tuple to the sum of the dropped parts'
-    estimates: influence is subadditive, so the sum of the dropped parts'
-    influences bounds that of the complement of the kept union.
+    Returns the kept parts and the sum of the dropped parts' estimates.
+    For a k-junta a part holding no relevant coordinate has influence 0,
+    and its estimate is exactly 0.  Influence is subadditive, so the sum
+    of the dropped parts' influences bounds that of the complement of the
+    kept union.
 
-    Under "paper" the batch is the complement of the union of every
-    size-k subset, and the subset whose complement has the smallest
-    estimated influence is kept; ties break to the lexicographically
-    first subset, and each subset maps to its eta.
-
-    B is checked against `subset_budget` before the partition is built.
-    The partition is the one stage that reads `buckets`; from then on a
-    part is its coordinate masks.  `parts` lets a caller supply the
-    partition (built with `_initial_parts`) to observe it directly.
+    num_parts is checked against `subset_budget` before the partition is
+    built.  The partition is the one stage that reads `buckets`; from
+    then on a part is its coordinate masks.  `parts` lets a caller supply
+    the partition (built with `_initial_parts`) to observe it directly.
     """
-    n_masks = config.selection_masks()
-    if n_masks > config.subset_budget:
+    if config.num_parts > config.subset_budget:
         raise SubsetBudgetError(
-            f"part selection needs {n_masks} influence estimates, budget is "
+            f"part selection needs {config.num_parts} influence estimates, budget is "
             f"{config.subset_budget}; reduce num_parts or raise the budget"
         )
     if parts is None:
         parts = _initial_parts(buckets, config.q, config.num_parts, rng)
-    if config.scale_profile == "desk":
-        masks = np.array([p.coord_mask for p in parts], dtype=np.int64)
-        own = estimator(oracle, masks, config.m, rng)
-        keep = tuple(sorted(int(j) for j in np.argsort(-own, kind="stable")[: config.k]))
-        return [parts[j] for j in keep], {keep: float(np.delete(own, keep).sum())}
-    subsets = list(combinations(range(config.num_parts), config.k))
-    # the same combinations as `subsets`, in the same order, of the part masks
-    unions = [_union(c) for c in combinations([p.coord_mask for p in parts], config.k)]
-    estimates = estimator(oracle, _complements(oracle.n, unions), config.m, rng)
-    etas = {J: float(eta) for J, eta in zip(subsets, estimates)}
-    best_key = subsets[int(np.argmin(estimates))]
-    return [parts[j] for j in best_key], etas
+    own = estimator(oracle, np.array([p.coord_mask for p in parts], dtype=np.int64), config.m, rng)
+    keep = sorted(int(j) for j in np.argsort(-own, kind="stable")[: config.k])
+    return [parts[j] for j in keep], float(np.delete(own, keep).sum())
 
 
 @dataclass(frozen=True)
@@ -407,8 +365,8 @@ def refine_parts(
     for rounds_used in range(1, config.refine_rounds + 1):
         halves = [_split_part(p, rng) for p in parts]
         choices = [[h[(z >> i) & 1] for i, h in enumerate(halves)] for z in range(1 << k)]
-        unions = [_union([h.coord_mask for h in choice]) for choice in choices]
-        estimates = estimator(oracle, _complements(oracle.n, unions), config.m, rng)
+        unions = np.array([_union([h.coord_mask for h in c]) for c in choices], dtype=np.int64)
+        estimates = estimator(oracle, ((1 << oracle.n) - 1) & ~unions, config.m, rng)
         best_z = int(np.argmin(estimates))
         parts = choices[best_z]
         last_eta = float(estimates[best_z])
@@ -561,18 +519,16 @@ def run_tester(
 
     `estimator` stands in for `estimate_inf_mask` under the same
     contract (see `InfluenceEstimator`).  The part selection calls it
-    once with a 1-D int64 batch of its `config.selection_masks()` masks,
-    each refinement round once with a batch of its 2^k complement masks,
-    and the gate once with one mask, so a run that used r rounds makes
+    once with a 1-D int64 batch of its num_parts part masks, each
+    refinement round once with a batch of its 2^k complement masks, and
+    the gate once with one mask, so a run that used r rounds makes
     exactly `config.query_budget()` queries with r in place of
     refine_rounds.
 
     The report's eta holds "initial_min", "refine_last" and "gate".
-    Under "paper" initial_min is the smallest estimated complement
-    influence of the subset sweep; under "desk" it is the sum of the
-    dropped parts' own estimates, which estimates an upper bound on the
-    influence of the complement of the kept parts (influence is
-    subadditive).
+    initial_min is the sum of the dropped parts' own estimates, which
+    estimates an upper bound on the influence of the complement of the
+    kept parts (influence is subadditive).
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -583,12 +539,12 @@ def run_tester(
     sample_masks = rng.integers(0, 1 << n, size=config.q, dtype=np.int64)
     sample_values = oracle.query_masks(sample_masks)
     buckets = _buckets_from_masks(sample_masks, n)
-    selected, etas = select_initial_parts(oracle, buckets, config, rng, estimator)
+    selected, dropped = select_initial_parts(oracle, buckets, config, rng, estimator)
     refinement = refine_parts(oracle, selected, config, rng, estimator)
     report = final_check_and_learn(
         oracle, sample_masks, sample_values, refinement, cores, config, rng, estimator
     )
-    eta = {"initial_min": min(etas.values()), "refine_last": refinement.last_round_eta}
+    eta = {"initial_min": dropped, "refine_last": refinement.last_round_eta}
     return replace(report, queries_used=oracle.query_count - start, eta={**eta, **report.eta})
 
 
@@ -615,7 +571,6 @@ class Setting(NamedTuple):
 
 # every tester setting by its config-file key, in config-file order
 SETTINGS = {
-    "profile": Setting("scale_profile", str, required=False),
     "eps": Setting("eps", float),
     "k": Setting("k", int),
     "p": Setting("p", float, required=False),
@@ -631,7 +586,7 @@ SETTINGS = {
     "subset_budget": Setting("subset_budget", int, required=False),
 }
 # the settings a plan may override, by plan key, in plan-file order; eps,
-# k, p, the seed and the profile come from the plan's own fields
+# k, p and the seed come from the plan's own fields
 PLAN_SETTINGS = {
     plan_key: SETTINGS[key]
     for plan_key, key in (

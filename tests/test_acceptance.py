@@ -120,7 +120,7 @@ def test_criterion_04_random_partitions_keep_far_structure():
     failures = 0
     for seed in range(200):
         rng = np.random.default_rng((404, seed))
-        partition = random_partition(range(1, n + 1), r, rng, mode="uniform")
+        partition = random_partition(range(1, n + 1), r, rng)
         cache: dict[frozenset, float] = {}
         failed = False
         for a, b in combinations(range(r), k):
@@ -227,8 +227,8 @@ def test_criterion_09_exact_pipeline_isolates_juntas():
         if part_of[mask3] == part_of[mask9]:
             continue
         separated += 1
-        selected, etas = select_initial_parts(oracle, buckets, cfg, rng, est, parts=parts)
-        assert min(etas.values()) == 0.0
+        selected, dropped = select_initial_parts(oracle, buckets, cfg, rng, est, parts=parts)
+        assert dropped == 0.0
         refined = refine_parts(oracle, selected, cfg, rng, est)
         isolated = set()
         for mask in refined.final_masks:

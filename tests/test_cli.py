@@ -426,25 +426,20 @@ class TestTestCommand:
         assert captured.err == "error: eps=0.3 exceeds the best achievable certified distance 0.250000\n"
         assert captured.out == ""
 
-    def test_config_profile_line_ignored(self, tmp_path):
-        # the plan's run is always "desk": a config saying "paper" gives
-        # the same summary and trial records as the same config saying "desk"
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    def test_config_profile_line_refused(self, tmp_path, capsys, profile):
+        # the tester has one set of constants: an old config's profile
+        # line is an unknown key, refused rather than read and dropped
         from cubetest.tester import TesterConfig, config_to_lines
 
         _, path = self._small_plan(tmp_path)
-        texts, outputs = [], []
-        for profile in ("desk", "paper"):
-            config = TesterConfig(
-                eps=0.25, k=2, q=24, m=30, num_parts=10, core_grid=0.5, scale_profile=profile
-            )
-            texts.append([ln for ln in config_to_lines(config) if not ln.startswith("profile:")])
-            cfg, out = tmp_path / f"{profile}.cfg", tmp_path / f"{profile}.txt"
-            cfg.write_text("\n".join(config_to_lines(config)) + "\n")
-            assert main(["--out", str(out), "--config", str(cfg), "test", str(path)]) == 0
-            summary = [ln for ln in out.read_text().splitlines() if not ln.startswith("wall_time_s:")]
-            outputs.append((summary, (tmp_path / f"{profile}.txt.trials").read_bytes()))
-        assert texts[0] == texts[1]
-        assert outputs[0] == outputs[1]
+        cfg = tmp_path / "cfg.txt"
+        lines = config_to_lines(TesterConfig(eps=0.25, k=2, q=24, m=30, num_parts=10))
+        cfg.write_text("\n".join(lines[:1] + [f"profile: {profile}"] + lines[1:]) + "\n")
+        assert main(["--config", str(cfg), "test", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown config key 'profile'\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("plan_q, q", [(None, 24), (16, 16)])
     def test_config_reaches_every_trial(self, tmp_path, plan_q, q):

@@ -441,36 +441,16 @@ class TestJuntaWeights:
 class TestRandomPartition:
     def test_single_part(self):
         rng = np.random.default_rng(0)
-        p = random_partition(range(1, 9), 1, rng, mode="uniform")
+        p = random_partition(range(1, 9), 1, rng)
         assert p.parts == (frozenset(range(1, 9)),)
-
-    def test_equi_sizes(self):
-        rng = np.random.default_rng(5)
-        p = random_partition(range(1, 9), 4, rng, mode="equi")
-        assert sorted(len(part) for part in p.parts) == [2, 2, 2, 2]
-        assert not p.has_empty_parts
-
-    def test_equi_remainder_goes_first(self):
-        rng = np.random.default_rng(5)
-        p = random_partition(range(1, 8), 3, rng, mode="equi")
-        assert [len(part) for part in p.parts] == [3, 2, 2]
-
-    def test_empty_parts_surfaced(self):
-        rng = np.random.default_rng(5)
-        p = random_partition(range(1, 4), 7, rng, mode="equi")
-        assert p.has_empty_parts
 
     def test_uniform_occupancy_binomial(self):
         # occupancy of part 0 over many seeds tracks Binomial(12, 1/4)
         counts = []
         for seed in range(1000):
             rng = np.random.default_rng(seed)
-            p = random_partition(range(1, 13), 4, rng, mode="uniform")
+            p = random_partition(range(1, 13), 4, rng)
             counts.append(len(p.parts[0]))
         mean = np.mean(counts)
         se = math.sqrt(12 * 0.25 * 0.75 / 1000)
         assert abs(mean - 3.0) < 4 * se
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            random_partition(range(3), 2, np.random.default_rng(0), mode="bogus")

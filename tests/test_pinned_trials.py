@@ -1,5 +1,5 @@
 """Per-seed trial outcomes of three plans, and the whole report of three
-"paper"-profile runs, pinned.
+one-round runs, pinned.
 
 For every trial: verdict, reject_stage, queries_used, refine_rounds_used,
 selected_buckets, phi and the learned core's values (None on a reject),
@@ -9,7 +9,7 @@ left out, since another BLAS may change their last bits.  A change to
 the tester that keeps its RNG stream, its verdicts and the first passing
 core of each search keeps every line here.
 
-The "paper" runs cap `refine_rounds` at 1, so a part the last round
+The one-round runs cap `refine_rounds` at 1, so a part the last round
 keeps can still hold several occupied patterns; the tester learns from
 the one with the smallest pattern value.  All their values are sums of
 multiples of 1/16 over at most a few thousand terms, exact in any
@@ -147,28 +147,24 @@ def test_trial_outcomes_pinned(name):
     assert outcomes == EXPECTED[name]
 
 
-def _paper_run(name):
-    """(class, table, config) of a pinned "paper"-profile run."""
+def _one_round_run(name):
+    """(class, table, config) of a pinned one-round run."""
     small = dict(q=64, m=50, core_grid=0.25, refine_rounds=1)
     if name.startswith("and_k2"):
         table = lift_core(CoreTable(2, AND_CORE), (3, 9), 12)
-        return "submodular", table, TesterConfig(
-            0.25, 2, num_parts=4, seed=int(name[-1]), **small, scale_profile="paper"
-        )
+        return "submodular", table, TesterConfig(0.25, 2, num_parts=4, seed=int(name[-1]), **small)
     table = lift_core(cached_cores("subadditive", 3, 0.25).member(1000), (2, 7, 11), 12)
-    return "subadditive", table, TesterConfig(
-        0.25, 3, num_parts=5, seed=2, **small, scale_profile="paper"
-    )
+    return "subadditive", table, TesterConfig(0.25, 3, num_parts=5, seed=2, **small)
 
 
 # report_to_lines of each run; learning from a final part's largest
 # pattern instead of its smallest changes every one of them
-PAPER_REPORTS = {
+ONE_ROUND_REPORTS = {
     "and_k2_seed0": [
         "schema: cubetest-report-1",
         "verdict: accept",
         "reject_stage: none",
-        "queries_used: 764",
+        "queries_used: 664",
         "selected_buckets: 3 ; 9",
         "learned_core: 0.0 0.25 0.25 0.5",
         "empirical_distance: 0.0732421875",
@@ -180,13 +176,13 @@ PAPER_REPORTS = {
     "and_k2_seed1": [
         "schema: cubetest-report-1",
         "verdict: reject",
-        "reject_stage: core_search",
-        "queries_used: 764",
-        "selected_buckets: 9 ; 3",
+        "reject_stage: influence_check",
+        "queries_used: 664",
+        "selected_buckets: 9 ; 10",
         "learned_core: -",
         "empirical_distance: -",
-        "eta: gate=0.0 initial_min=0.0 refine_last=0.0",
-        "phi: 9 3",
+        "eta: gate=0.16 initial_min=0.0 refine_last=0.0",
+        "phi: 9 10",
         "empty_buckets: 0 0",
         "refine_rounds_used: 1",
     ],
@@ -194,27 +190,27 @@ PAPER_REPORTS = {
         "schema: cubetest-report-1",
         "verdict: reject",
         "reject_stage: influence_check",
-        "queries_used: 1164",
-        "selected_buckets: - ; 4 ; 10",
+        "queries_used: 914",
+        "selected_buckets: 9 ; 7 ; 8",
         "learned_core: -",
         "empirical_distance: -",
-        "eta: gate=0.17875 initial_min=0.0 refine_last=0.044375",
-        "phi: - 4 10",
+        "eta: gate=0.19 initial_min=0.0 refine_last=0.059375",
+        "phi: 9 7 8",
         "empty_buckets: 0 0 0",
         "refine_rounds_used: 1",
     ],
 }
 
 
-@pytest.mark.parametrize("name", sorted(PAPER_REPORTS))
-def test_paper_report_pinned(name):
-    class_tag, table, cfg = _paper_run(name)
+@pytest.mark.parametrize("name", sorted(ONE_ROUND_REPORTS))
+def test_one_round_report_pinned(name):
+    class_tag, table, cfg = _one_round_run(name)
     report = run_tester(make_counting_oracle(table), class_tag, cfg)
-    assert report_to_lines(report) == PAPER_REPORTS[name]
+    assert report_to_lines(report) == ONE_ROUND_REPORTS[name]
 
 
-@pytest.mark.parametrize("name", sorted(PAPER_REPORTS))
-def test_paper_run_keeps_a_part_of_several_patterns(name, monkeypatch):
+@pytest.mark.parametrize("name", sorted(ONE_ROUND_REPORTS))
+def test_one_round_run_keeps_a_part_of_several_patterns(name, monkeypatch):
     # the pins above test which pattern a final part is read through only
     # if some final part still holds more than one
     split, halves = tester._split_part, []
@@ -224,7 +220,7 @@ def test_paper_run_keeps_a_part_of_several_patterns(name, monkeypatch):
         return halves[-1]
 
     monkeypatch.setattr(tester, "_split_part", spy)
-    class_tag, table, cfg = _paper_run(name)
+    class_tag, table, cfg = _one_round_run(name)
     report = run_tester(make_counting_oracle(table), class_tag, cfg)
     assert len(halves) == cfg.k  # one round
     kept = [

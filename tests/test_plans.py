@@ -16,7 +16,6 @@ DESK_ALL = dict(
     accept_threshold=0.07, core_grid=0.5, seed=17, sqrt_statistic=True, subset_budget=5000,
 )
 DESK_ALL_BYTES = b"""schema: cubetest-config-1
-profile: desk
 eps: 0.3
 k: 3
 p: 4.0
@@ -35,12 +34,11 @@ subset_budget: 5000
 # deviation num_parts: 20 (paper profile value 8100)
 # deviation core_grid: 0.5 (paper profile value 8.999999999999999e-05)
 """
-PAPER_ALL = dict(
+SMALL_ALL = dict(
     eps=0.5, k=1, p=1.5, q=40, m=50, num_parts=7, refine_rounds=3, inf_threshold=0.01,
     accept_threshold=0.2, core_grid=0.125, seed=4, sqrt_statistic=True, subset_budget=777,
 )
-PAPER_ALL_BYTES = b"""schema: cubetest-config-1
-profile: paper
+SMALL_ALL_BYTES = b"""schema: cubetest-config-1
 eps: 0.5
 k: 1
 p: 1.5
@@ -94,9 +92,9 @@ class TestConfigFile:
         "config, expected",
         [
             (TesterConfig(**DESK_ALL), DESK_ALL_BYTES),
-            (TesterConfig(**PAPER_ALL, scale_profile="paper"), PAPER_ALL_BYTES),
+            (TesterConfig(**SMALL_ALL), SMALL_ALL_BYTES),
         ],
-        ids=["desk", "paper"],
+        ids=["desk", "small"],
     )
     def test_bytes_and_round_trip(self, tmp_path, config, expected):
         path = tmp_path / "cfg.txt"
@@ -107,7 +105,7 @@ class TestConfigFile:
     def test_optional_keys_keep_their_defaults(self, tmp_path):
         path = tmp_path / "cfg.txt"
         save_config(TesterConfig(**DESK_ALL), path)
-        optional = ("profile:", "p:", "seed:", "sqrt_statistic:", "subset_budget:")
+        optional = ("p:", "seed:", "sqrt_statistic:", "subset_budget:")
         lines = [ln for ln in path.read_text().splitlines() if not ln.startswith(optional)]
         path.write_text("\n".join(lines) + "\n")
         fields = {key: DESK_ALL[key] for key in DESK_ALL if key not in ("p", "seed")}
@@ -139,8 +137,8 @@ class TestPlanFile:
 class TestConfigFlag:
     def test_config_settings_reach_run_tester(self, tmp_path, monkeypatch):
         """Every setting a plan may override reaches `run_tester` from
-        --config; the plan's own overrides win, and eps, k, p, the seed
-        and the profile come from the plan."""
+        --config; the plan's own overrides win, and eps, k, p and the
+        seed come from the plan."""
         seen = []
         run_tester = bench.run_tester
 
@@ -154,7 +152,7 @@ class TestConfigFlag:
             TesterConfig(
                 eps=0.4, k=1, p=4.0, q=12, m=40, num_parts=7, refine_rounds=2, inf_threshold=0.003,
                 accept_threshold=0.09, core_grid=0.5, seed=99, sqrt_statistic=True,
-                subset_budget=50, scale_profile="paper",
+                subset_budget=50,
             ),
             cfg,
         )

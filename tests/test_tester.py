@@ -20,6 +20,7 @@ from cubetest.tester import (
     final_check_and_learn,
     load_config,
     lp_epsilon_map,
+    paper_constants,
     profile_deviations,
     refine_parts,
     report_from_lines,
@@ -64,12 +65,12 @@ def and_junta(n, coords):
 
 def exact_queries(cfg, rounds):
     """Oracle queries of a run that used `rounds` refinement rounds,
-    q + m(B + 1) + m(2^k + 1) rounds + 2m: m per mask the selection
-    estimates (B, one per part under "desk", one per k-subset under
-    "paper") and per keep-choice of each round, plus m for each of those
-    batches' base points, and 2m for the gate."""
-    selection = cfg.num_parts if cfg.scale_profile == "desk" else math.comb(cfg.num_parts, cfg.k)
-    return cfg.q + cfg.m * (selection + 1) + cfg.m * ((1 << cfg.k) + 1) * rounds + 2 * cfg.m
+    q + m(P + 1) + m(2^k + 1) rounds + 2m: m per part the selection
+    estimates (P = num_parts) and per keep-choice of each round, plus m
+    for each of those batches' base points, and 2m for the gate."""
+    return (
+        cfg.q + cfg.m * (cfg.num_parts + 1) + cfg.m * ((1 << cfg.k) + 1) * rounds + 2 * cfg.m
+    )
 
 
 class TestLpEpsilonMap:
@@ -119,33 +120,17 @@ class TestConfig:
         assert default_refine_rounds(64, 12) == 61
         assert default_refine_rounds(1024, 12) == 1021
 
-    def test_paper_profile_formulas(self):
-        cfg = TesterConfig(eps=0.5, k=2, scale_profile="paper")
-        assert cfg.num_parts == 100 * 2 ** 4
-        assert cfg.q == math.ceil(2 ** 2 / 0.5 ** 5)
-        assert cfg.core_grid == pytest.approx(0.5 / 1000)
-        assert profile_deviations(cfg) == []
-
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_profile_rows_fill_omitted_constants(self, k, p):
-        # an omitted q, m, num_parts or core_grid comes from the config's
-        # own profile; a "paper" config once took the desk q, m, num_parts
-        eps2 = lp_epsilon_map(p, 0.25)
+    def test_defaults_fill_omitted_constants(self, k, p):
+        # an omitted q, m, num_parts or core_grid takes the desk default
         desk = dict(q=64, m=1000, num_parts=4 * k * k, core_grid=0.25)
-        paper = dict(
-            q=math.ceil(2 ** k / eps2 ** 5), m=math.ceil(k ** 6 / eps2 ** 5),
-            num_parts=100 * k ** 4, core_grid=eps2 / 1000.0, scale_profile="paper",
-        )
         assert TesterConfig(eps=0.25, k=k, p=p) == TesterConfig(eps=0.25, k=k, p=p, **desk)
-        assert TesterConfig(eps=0.25, k=k, p=p, scale_profile="paper") == TesterConfig(
-            eps=0.25, k=k, p=p, **paper
-        )
 
-    def test_paper_profile_at_k2(self):
-        cfg = TesterConfig(eps=0.25, k=2, scale_profile="paper")
-        assert (cfg.q, cfg.m, cfg.num_parts, cfg.core_grid) == (4096, 65536, 1600, 0.00025)
-        assert profile_deviations(cfg) == []
+    def test_paper_constants_at_k2(self):
+        paper = paper_constants(0.25, 2)
+        assert paper == dict(q=4096, m=65536, num_parts=1600, core_grid=0.00025)
+        assert profile_deviations(TesterConfig(eps=0.25, k=2, **paper)) == []
 
     def test_desk_deviations_documented(self):
         notes = profile_deviations(TesterConfig(eps=0.25, k=2))
@@ -294,7 +279,7 @@ class TestStagesWithExactStub:
             if part_of[mask3] == part_of[mask9]:
                 continue  # selection cannot separate colliding parts
             found += 1
-            selected, etas = select_initial_parts(
+            selected, dropped = select_initial_parts(
                 oracle, buckets, cfg, rng, exact_stub(table), parts=parts
             )
             covered = 0
@@ -303,7 +288,7 @@ class TestStagesWithExactStub:
                     if part.coord_mask & (1 << (c - 1)):
                         covered += 1
             assert covered == 2
-            assert min(etas.values()) == 0.0
+            assert dropped == 0.0
         assert found >= 10
 
     def test_constant_function_first_subset(self):
@@ -315,10 +300,10 @@ class TestStagesWithExactStub:
         masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
         buckets = _buckets_from_masks(masks, n)
         parts = _initial_parts(buckets, cfg.q, cfg.num_parts, rng)
-        selected, etas = select_initial_parts(
+        selected, dropped = select_initial_parts(
             oracle, buckets, cfg, rng, exact_stub(table), parts=parts
         )
-        assert all(v == 0.0 for v in etas.values())
+        assert dropped == 0.0
         assert selected[0] is parts[0] and selected[1] is parts[1]
         # refinement on a constant: every eta stays zero, singleton
         # patterns come back anyway
@@ -331,8 +316,8 @@ class TestStagesWithExactStub:
         # a part holding a relevant coordinate of an AND junta has positive
         # own influence and every other part exactly 0: desk keeps the
         # relevant parts, topped up with the lowest-index others when
-        # relevant coordinates collide, and maps them to the dropped
-        # parts' estimates, which sum to 0
+        # relevant coordinates collide, and the dropped parts' estimates
+        # sum to 0
         n = 12
         k = int(math.log2(len(core)))
         relevant = (3, 9, 5)[:k]
@@ -348,14 +333,14 @@ class TestStagesWithExactStub:
             hit = {j for j, p in enumerate(parts) for c in relevant if p.coord_mask >> (c - 1) & 1}
             separated += len(hit) == k
             others = [j for j in range(cfg.num_parts) if j not in hit]
-            keep = tuple(sorted(hit | set(others[: k - len(hit)])))
+            keep = sorted(hit | set(others[: k - len(hit)]))
             queries = oracle.query_count
-            selected, etas = select_initial_parts(
+            selected, dropped = select_initial_parts(
                 oracle, buckets, cfg, rng, exact_stub(table), parts=parts
             )
             assert oracle.query_count == queries
             assert [id(p) for p in selected] == [id(parts[j]) for j in keep]
-            assert etas == {keep: 0.0}
+            assert dropped == 0.0
         assert separated >= 15
 
     def test_desk_ties_go_to_the_lowest_index(self):
@@ -376,22 +361,21 @@ class TestStagesWithExactStub:
             seen.append(list(batch))
             return own.copy()
 
-        selected, etas = select_initial_parts(
+        selected, dropped = select_initial_parts(
             make_counting_oracle(table), buckets, cfg, rng, fixed, parts=parts
         )
         assert seen == [[p.coord_mask for p in parts]]
         assert [id(p) for p in selected] == [id(parts[j]) for j in (4, 7, 20)]
-        assert etas == {(4, 7, 20): 0.25}
+        assert dropped == 0.25
         own[:] = 0.0
-        selected, etas = select_initial_parts(
+        selected, dropped = select_initial_parts(
             make_counting_oracle(table), buckets, cfg, rng, fixed, parts=parts
         )
         assert [id(p) for p in selected] == [id(p) for p in parts[:3]]
-        assert etas == {(0, 1, 2): 0.0}
+        assert dropped == 0.0
 
     def test_select_query_accounting(self):
-        # one batch of B masks, m (B + 1) queries: desk estimates the 4k^2
-        # part masks, paper the complements of the C(P, k) subset unions
+        # one batch of the 4k^2 part masks, m (4k^2 + 1) queries
         n = 8
         rng = np.random.default_rng(7)
         table = FunctionTable(n, rng.uniform(0, 1, 1 << n))
@@ -401,12 +385,9 @@ class TestStagesWithExactStub:
         for k in (1, 2, 3):
             cfg = TesterConfig(eps=0.25, k=k, q=16, m=25)
             assert cfg.num_parts == 4 * k * k
-            desk = cfg.m * (cfg.num_parts + 1)
-            paper = cfg.m * (math.comb(cfg.num_parts, cfg.k) + 1)
-            for profile, queries in (("desk", desk), ("paper", paper)):
-                before = oracle.query_count
-                select_initial_parts(oracle, buckets, replace(cfg, scale_profile=profile), rng)
-                assert oracle.query_count - before == queries
+            before = oracle.query_count
+            select_initial_parts(oracle, buckets, cfg, rng)
+            assert oracle.query_count - before == cfg.m * (cfg.num_parts + 1)
 
     def test_refine_isolates_single_relevant_pattern(self):
         n = 10
@@ -432,11 +413,10 @@ class TestStagesWithExactStub:
         masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
         buckets = _buckets_from_masks(masks, n)
         selected, _ = select_initial_parts(oracle, buckets, cfg, rng)
-        for profile in ("desk", "paper"):
-            before = oracle.query_count
-            result = refine_parts(oracle, selected, replace(cfg, scale_profile=profile), rng)
-            per_round = cfg.m * ((1 << cfg.k) + 1)
-            assert oracle.query_count - before == per_round * result.rounds_used
+        before = oracle.query_count
+        result = refine_parts(oracle, selected, cfg, rng)
+        per_round = cfg.m * ((1 << cfg.k) + 1)
+        assert oracle.query_count - before == per_round * result.rounds_used
 
 
 def refine_with_spy(table, cfg, seed, estimator, monkeypatch):
@@ -470,9 +450,9 @@ def refine_with_spy(table, cfg, seed, estimator, monkeypatch):
 
 
 class TestRefineStop:
-    """Under either profile refinement stops after the first round that
-    leaves every selected part holding at most one occupied pattern, and
-    a round costs m (2^k + 1) queries."""
+    """Refinement stops after the first round that leaves every selected
+    part holding at most one occupied pattern, and a round costs
+    m (2^k + 1) queries."""
 
     @staticmethod
     def _case(name):
@@ -492,11 +472,9 @@ class TestRefineStop:
 
     CASES = ["dictator_k1", "and_k2_q1024", "subadditive_k3", "constant_k2"]
 
-    @pytest.mark.parametrize("profile", ["desk", "paper"])
     @pytest.mark.parametrize("name", CASES)
-    def test_stops_at_first_isolating_round(self, name, profile, monkeypatch):
+    def test_stops_at_first_isolating_round(self, name, monkeypatch):
         table, cfg, est = self._case(name)
-        cfg = replace(cfg, scale_profile=profile)
         seeds = [5] if name == "constant_k2" else range(8)
         for seed in seeds:
             result, queries, rounds, kept = refine_with_spy(table, cfg, seed, est, monkeypatch)
@@ -807,9 +785,9 @@ class TestCoreStatistics:
 
 
 class TestAgainstPerMaskEstimator:
-    """Under either profile the batched selection and refinement rounds
-    give the report that the shared-base reference loop, one mask at a
-    time, gives, byte for byte."""
+    """The batched selection and refinement rounds give the report that
+    the shared-base reference loop, one mask at a time, gives, byte for
+    byte."""
 
     @staticmethod
     def _instance(case, seed):
@@ -831,26 +809,16 @@ class TestAgainstPerMaskEstimator:
 
     CASES = [("criterion8", 8000), ("criterion8", 8001), ("subadditive_k3", 1), ("subadditive_k3", 2)]
 
-    def _compare(self, case, seed, profile, reference_estimator):
+    @pytest.mark.parametrize("case, seed", CASES)
+    def test_same_report(self, case, seed):
         class_tag, cfg, table = self._instance(case, seed)
-        cfg = replace(cfg, scale_profile=profile)
         batched = run_tester(make_counting_oracle(table), class_tag, cfg)
         reference = run_tester(
-            make_counting_oracle(table), class_tag, cfg, estimator=reference_estimator
+            make_counting_oracle(table), class_tag, cfg, estimator=shared_base_estimator
         )
         assert batched == reference
         assert report_to_lines(batched) == report_to_lines(reference)
         assert batched.queries_used == exact_queries(cfg, batched.refine_rounds_used)
-        return cfg, batched
-
-    @pytest.mark.parametrize("case, seed", CASES)
-    def test_same_report(self, case, seed):
-        self._compare(case, seed, "desk", shared_base_estimator)
-
-    @pytest.mark.parametrize("case, seed", CASES)
-    def test_same_report_paper(self, case, seed):
-        cfg, report = self._compare(case, seed, "paper", shared_base_estimator)
-        assert report.queries_used <= cfg.query_budget()
 
 
 class TestRunTester:
@@ -863,29 +831,27 @@ class TestRunTester:
         assert report_to_lines(r1) == report_to_lines(r2)
 
     def test_query_budget_formula(self):
-        # the same 20 random configs under each profile: a run may stop
-        # refining early and costs exactly the budget's formula in the
-        # rounds it used; one that used every round costs the budget
-        for profile in ("paper", "desk"):
-            rng = np.random.default_rng(17)
-            for trial in range(20):
-                n = int(rng.integers(4, 9))
-                k = int(rng.integers(1, 3))
-                q = int(rng.integers(4, 20))
-                num_parts = int(rng.integers(k, 10))
-                m = int(rng.integers(1, 40))
-                cfg = TesterConfig(
-                    eps=0.3, k=k, q=q, m=m, num_parts=num_parts, seed=trial, core_grid=0.5,
-                    scale_profile=profile,
-                )
-                table = FunctionTable(n, rng.uniform(0, 1, 1 << n))
-                oracle = make_counting_oracle(table)
-                report = run_tester(oracle, "submodular", cfg)
-                if report.refine_rounds_used == cfg.refine_rounds:
-                    assert report.queries_used == cfg.query_budget()
-                assert report.queries_used == exact_queries(cfg, report.refine_rounds_used)
-                assert report.queries_used <= cfg.query_budget()
-                assert report.queries_used == oracle.query_count
+        # 20 random configs: a run may stop refining early and costs
+        # exactly the budget's formula in the rounds it used; one that
+        # used every round costs the budget
+        rng = np.random.default_rng(17)
+        for trial in range(20):
+            n = int(rng.integers(4, 9))
+            k = int(rng.integers(1, 3))
+            q = int(rng.integers(4, 20))
+            num_parts = int(rng.integers(k, 10))
+            m = int(rng.integers(1, 40))
+            cfg = TesterConfig(
+                eps=0.3, k=k, q=q, m=m, num_parts=num_parts, seed=trial, core_grid=0.5
+            )
+            table = FunctionTable(n, rng.uniform(0, 1, 1 << n))
+            oracle = make_counting_oracle(table)
+            report = run_tester(oracle, "submodular", cfg)
+            if report.refine_rounds_used == cfg.refine_rounds:
+                assert report.queries_used == cfg.query_budget()
+            assert report.queries_used == exact_queries(cfg, report.refine_rounds_used)
+            assert report.queries_used <= cfg.query_budget()
+            assert report.queries_used == oracle.query_count
 
     def test_subset_budget_error(self):
         cfg = TesterConfig(eps=0.25, k=2, num_parts=3000, subset_budget=1000, core_grid=0.25)
