@@ -7,6 +7,7 @@ import pytest
 
 from cubetest.influence import (
     ESTIMATE_CHUNK_POINTS,
+    CoordPartition,
     SubsetBudgetError,
     closest_junta,
     estimate_inf,
@@ -454,3 +455,19 @@ class TestRandomPartition:
         mean = np.mean(counts)
         se = math.sqrt(12 * 0.25 * 0.75 / 1000)
         assert abs(mean - 3.0) < 4 * se
+
+    def test_zero_parts_refused(self):
+        with pytest.raises(ValueError, match="part count must be >= 1"):
+            random_partition(range(3), 0, np.random.default_rng(0))
+
+    def test_parts_cover_ground_once(self):
+        rng = np.random.default_rng(3)
+        p = random_partition(range(1, 21), 6, rng)
+        assert p.ground == tuple(range(1, 21))
+        assert sorted(el for part in p.parts for el in part) == list(range(1, 21))
+
+    def test_bad_partition_refused(self):
+        with pytest.raises(ValueError, match="not disjoint"):
+            CoordPartition(ground=(1, 2, 3), parts=(frozenset({1, 2}), frozenset({2, 3})))
+        with pytest.raises(ValueError, match="do not cover"):
+            CoordPartition(ground=(1, 2, 3), parts=(frozenset({1}), frozenset({3})))

@@ -132,6 +132,15 @@ class TestConfig:
         assert paper == dict(q=4096, m=65536, num_parts=1600, core_grid=0.00025)
         assert profile_deviations(TesterConfig(eps=0.25, k=2, **paper)) == []
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_paper_constants_formulas(self, k):
+        paper = paper_constants(0.5, k)
+        assert paper["num_parts"] == 100 * k ** 4
+        assert paper["q"] == math.ceil(2 ** k / 0.5 ** 5)
+        assert paper["m"] == math.ceil(k ** 6 / 0.5 ** 5)
+        assert paper["core_grid"] == pytest.approx(0.5 / 1000)
+        assert profile_deviations(TesterConfig(eps=0.5, k=k, **paper)) == []
+
     def test_desk_deviations_documented(self):
         notes = profile_deviations(TesterConfig(eps=0.25, k=2))
         assert any(note.startswith("q:") for note in notes)
@@ -256,6 +265,18 @@ class TestVirtualPartition:
         sizes = [p.size for p in parts]
         assert sum(sizes) == 4
         assert sizes.count(0) == 8
+
+    def test_equal_sizes_when_parts_divide(self):
+        rng = np.random.default_rng(5)
+        masks = [int(x) for x in rng.integers(0, 1 << 8, size=4)]
+        parts = _initial_parts(_buckets_from_masks(masks, 8), 4, 4, rng)
+        assert [p.size for p in parts] == [4, 4, 4, 4]
+
+    def test_remainder_goes_first(self):
+        rng = np.random.default_rng(5)
+        masks = [int(x) for x in rng.integers(0, 1 << 7, size=3)]
+        parts = _initial_parts(_buckets_from_masks(masks, 7), 3, 3, rng)
+        assert [p.size for p in parts] == [3, 3, 2]
 
 
 class TestStagesWithExactStub:
@@ -491,6 +512,18 @@ class TestRefineStop:
             # no earlier round left every part isolated
             for j in range(1, r):
                 assert any(len(p.masks) > 1 for p in rounds[j])
+
+    @pytest.mark.parametrize("name", CASES[:3])
+    def test_reference_estimator_stops_at_the_same_round(self, name, monkeypatch):
+        # the shared-base loop, one mask at a time, draws the batched
+        # estimator's stream: the same rounds, parts and query count
+        table, cfg, est = self._case(name)
+        for seed in range(4):
+            batched = refine_with_spy(table, cfg, seed, est, monkeypatch)
+            reference = refine_with_spy(table, cfg, seed, shared_base_estimator, monkeypatch)
+            assert reference[0] == batched[0]
+            assert reference[1] == batched[1]
+            assert [p.masks for p in reference[3]] == [p.masks for p in batched[3]]
 
 
 class TestFinalCheck:
@@ -819,6 +852,20 @@ class TestAgainstPerMaskEstimator:
         assert batched == reference
         assert report_to_lines(batched) == report_to_lines(reference)
         assert batched.queries_used == exact_queries(cfg, batched.refine_rounds_used)
+
+    @pytest.mark.parametrize("case, seed", CASES)
+    def test_same_report_one_round(self, case, seed):
+        # one refinement round leaves parts of several patterns, read
+        # through their smallest; the reference loop reads the same one
+        class_tag, cfg, table = self._instance(case, seed)
+        cfg = replace(cfg, refine_rounds=1)
+        batched = run_tester(make_counting_oracle(table), class_tag, cfg)
+        reference = run_tester(
+            make_counting_oracle(table), class_tag, cfg, estimator=shared_base_estimator
+        )
+        assert batched == reference
+        assert report_to_lines(batched) == report_to_lines(reference)
+        assert batched.queries_used == cfg.query_budget()
 
 
 class TestRunTester:
