@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_DIMENSION = 24  # dense tables only; larger cubes are out of scope
 
@@ -243,7 +244,10 @@ def make_counting_oracle(f: FunctionTable) -> QueryOracle:
 # with repr, so they read back exactly; a repeated point is an error.  Blank
 # lines and lines starting with "#" (metadata comments) are ignored by the
 # parser.  Both directions work on _IO_BLOCK lines at a time and never hold
-# a whole-file list of lines.
+# a whole-file list of lines.  A block laid out as the writer lays it out
+# (ASCII, each line n bits, one space, the value and a newline) is read from
+# its bytes; any other block, with comments, blank lines, other whitespace
+# or non-ASCII text, is read line by line, with the same table or error.
 # ---------------------------------------------------------------------------
 
 _IO_BLOCK = 1 << 12
@@ -279,28 +283,32 @@ def _read_lines(lines: Sequence[str], n: int, values: np.ndarray, seen: np.ndarr
         seen[mask] = True
 
 
-def _read_block(lines: Sequence[str], n: int, values: np.ndarray, seen: np.ndarray) -> bool:
-    """Store a block of stripped point lines at once.
+def _read_columns(text: str, n: int, values: np.ndarray, seen: np.ndarray) -> bool:
+    """Store a block of point lines, joined, when every line is laid out
+    in fixed columns: n bits, one space, a value, a newline.
 
-    Returns False, with `values` and `seen` untouched, when the block
-    fails any check; the caller then rereads it with `_read_lines`.
+    The layout is checked on the block's bytes, so the bits are read from
+    their columns and only the values go through `float`.  Returns False,
+    with `values` and `seen` untouched, when the block is not ASCII, does
+    not end in a newline, is laid out any other way or fails any check;
+    the caller then rereads it with `_read_lines`.
     """
-    count = len(lines)
-    tokens = " ".join(lines).split()
-    if len(tokens) != 2 * count:
+    if not (text.isascii() and text.endswith("\n")):
         return False
-    tok_len = np.fromiter(map(len, tokens), np.int64, 2 * count)
-    bits_len, value_len = tok_len[0::2], tok_len[1::2]
-    line_len = np.fromiter(map(len, lines), np.int64, count)
-    # With the token count right, every stripped line holds exactly two
-    # tokens iff its length is theirs plus one separator; a double space
-    # also fails here and is read by the per-line path.
-    if not (np.all(bits_len == n) and np.array_equal(line_len, bits_len + value_len + 1)):
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    count = ends.size
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # Each line is n bits, a space and a non-empty value, and the space
+    # and the newline are its only bytes <= 0x20: with ASCII text, that
+    # leaves nothing else str.split takes for whitespace.
+    if (
+        np.any(ends - starts < n + 2)
+        or np.any(buf[starts + n] != ord(" "))
+        or np.count_nonzero(buf <= ord(" ")) != 2 * count
+    ):
         return False
-    chars = np.frombuffer("".join(tokens[0::2]).encode(), dtype=np.uint8)
-    if chars.size != n * count:
-        return False
-    bits = chars.reshape(count, n) - np.uint8(ord("0"))
+    bits = sliding_window_view(buf, n)[starts] - np.uint8(ord("0"))
     if np.any(bits > 1):
         return False
     masks = bits @ (np.int64(1) << np.arange(n, dtype=np.int64))
@@ -308,7 +316,7 @@ def _read_block(lines: Sequence[str], n: int, values: np.ndarray, seen: np.ndarr
     if np.any(ordered[1:] == ordered[:-1]) or np.any(seen[masks]):
         return False
     try:
-        block_values = np.fromiter(map(float, tokens[1::2]), np.float64, count)
+        block_values = np.fromiter(map(float, text.split()[1::2]), np.float64, count)
     except ValueError:
         return False
     values[masks] = block_values
@@ -333,9 +341,8 @@ def read_table(path) -> FunctionTable:
             raw = list(itertools.islice(fh, _IO_BLOCK))
             if not raw:
                 break
-            block = [s for s in map(str.strip, raw) if s and s[0] != "#"]
-            if block and not _read_block(block, n, values, seen):
-                _read_lines(block, n, values, seen)
+            if not _read_columns("".join(raw), n, values, seen):
+                _read_lines([s for s in map(str.strip, raw) if s and s[0] != "#"], n, values, seen)
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])
         raise ValueError(f"missing point {CubePoint(n, missing).to_string()}")

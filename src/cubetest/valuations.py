@@ -279,15 +279,22 @@ def _arity(v: np.ndarray) -> int:
 
 def _submodular(v: np.ndarray, tol: float):
     n = _arity(v)
-    idx = np.arange(1 << n)
+    rows = v.shape[0]
     for i in range(n):
         bi = 1 << i
         for j in range(i + 1, n):
             bj = 1 << j
-            base = idx[(idx & bi == 0) & (idx & bj == 0)]
-            lhs = _at(v, base | bi) + _at(v, base | bj)
-            rhs = _at(v, base) + _at(v, base | bi | bj)
-            yield lhs < rhs - tol, lhs, rhs, lambda c: (base[c] | bi, base[c] | bj)
+            # sq[:, x_j, :, x_i] views the points with bits j and i set to
+            # x_j and x_i, in increasing order of their other bits
+            sq = v.T.reshape(1 << (n - 1 - j), 2, 1 << (j - i - 1), 2, bi, rows)
+            lhs = (sq[:, 0, :, 1] + sq[:, 1, :, 0]).reshape(1 << (n - 2), rows).T
+            rhs = (sq[:, 0, :, 0] + sq[:, 1, :, 1]).reshape(1 << (n - 2), rows).T
+
+            def points(c):
+                base = np.flatnonzero(np.arange(1 << n) & (bi | bj) == 0)[c]
+                return base | bi, base | bj
+
+            yield lhs < rhs - tol, lhs, rhs, points
 
 
 def _subadditive(v: np.ndarray, tol: float):
@@ -302,10 +309,16 @@ def _subadditive(v: np.ndarray, tol: float):
 
 
 def _self_bounding(v: np.ndarray, tol: float):
-    idx = np.arange(v.shape[-1])
+    n = _arity(v)
+    rows = v.shape[0]
     drop = np.zeros_like(v)
-    for i in range(_arity(v)):
-        drop += np.maximum(0.0, v - _at(v, idx ^ (1 << i)))
+    for i in range(n):
+        # x and x ^ e_i are the two halves of the bit-i reshape
+        half = v.T.reshape(1 << (n - 1 - i), 2, 1 << i, rows)
+        drop_half = drop.T.reshape(half.shape)
+        d = half[:, 0] - half[:, 1]
+        drop_half[:, 0] += np.maximum(0.0, d)
+        drop_half[:, 1] -= np.minimum(0.0, d)  # adds max(0, -d) exactly
     yield v < drop - tol, v, drop, lambda c: (c,)
 
 
@@ -319,11 +332,13 @@ def _additive(v: np.ndarray, tol: float):
 
 def _unit_demand(v: np.ndarray, tol: float):
     n = _arity(v)
-    # the maximum over the leading axis of (n, rows, 2^n) weights f(e_i),
-    # -inf where bit i is absent
-    present = _bits_matrix(n).T[:, None, :]
-    weights = _at(v, 1 << np.arange(n)).T[:, :, None]
-    predicted = np.where(present, weights, -np.inf).max(axis=0, initial=-np.inf)
+    weights = _at(v, 1 << np.arange(n))
+    # the maximum of the weights f(e_i) over the bits i of each point:
+    # each weight raises the half of the points that hold its bit
+    predicted = np.full_like(v, -np.inf)
+    for i in range(n):
+        half = predicted.reshape(len(v), 1 << (n - 1 - i), 2, 1 << i)[:, :, 1]
+        np.maximum(half, weights[:, i, None, None], out=half)
     predicted[:, 0] = 0.0
     yield np.abs(v - predicted) > tol, v, predicted, lambda c: (c,)
 

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cubetest import tables
 from cubetest.tables import (
@@ -382,6 +384,17 @@ _CORPUS = {
             "out_of_range": lambda b, v: f"{b} 1.5",
             "two_spaces": lambda b, v: f"{b}  {v}",
             "tab": lambda b, v: f"{b}\t{v}",
+            # separators str.split takes for whitespace, none of them a
+            # line break in a file read as text
+            "vertical_tab": lambda b, v: f"{b}\x0b{v}",
+            "form_feed": lambda b, v: f"{b}\x0c{v}",
+            "file_separator": lambda b, v: f"{b}\x1c{v}",
+            "no_break_space": lambda b, v: f"{b}\xa0{v}",
+            "arabic_indic_value": lambda b, v: f"{b} \u0660.\u0665",  # float gives 0.5
+            "underscore_value": lambda b, v: f"{b} 0.2_5",  # float gives 0.25
+            "leading_space": lambda b, v: f" {b} {v}",
+            "trailing_space": lambda b, v: f"{b} {v} ",
+            "no_value": lambda b, v: f"{b} ",
         }.items()
     },
     "duplicate_mid": _duplicate(_B // 2, _B // 2 - 7),
@@ -390,6 +403,11 @@ _CORPUS = {
     "missing_mid": lambda lines: lines.pop(_B // 2),
     "missing_next_block": lambda lines: lines.pop(_B),
     "comments_across_boundary": _insert(_B - 3, ["", "# note", "   ", "#", "\t"] * 3),
+    "comment_and_blank_mid": _insert(_B // 2, ["# note", ""]),
+    # an edit that returns text gives the file's point lines whole
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "no_final_newline": lambda lines: "\n".join(lines),
+    "no_final_newline_one_token": lambda lines: "\n".join([*lines[:-1], lines[-1].split()[0]]),
     "merged_tokens": _merge_tokens(_B // 2),
     "shifted_bit": _shift_bit(_B // 2),
     "float_before_malformed": _several(
@@ -404,14 +422,7 @@ _CORPUS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_CORPUS))
-def test_read_matches_reference(tmp_path, case):
-    """Block-wise reading gives the per-line reader's table, or its exact
-    exception type and message, on files faulty at block boundaries."""
-    lines = _corpus_lines()
-    _CORPUS[case](lines)
-    path = tmp_path / "t.tbl"
-    path.write_text("# corpus\n" + f"dim {_CORPUS_N}\n" + "\n".join(lines) + "\n")
+def _assert_reads_like_reference(path):
     try:
         expected = naive_read_table(path)
     except ValueError as exc:
@@ -420,3 +431,46 @@ def test_read_matches_reference(tmp_path, case):
         assert str(got.value) == str(exc)
     else:
         assert read_table(path) == expected
+
+
+@pytest.mark.parametrize("case", sorted(_CORPUS))
+def test_read_matches_reference(tmp_path, case):
+    """Block-wise reading gives the per-line reader's table, or its exact
+    exception type and message, on files faulty at block boundaries."""
+    lines = _corpus_lines()
+    body = _CORPUS[case](lines)
+    if body is None:
+        body = "\n".join(lines) + "\n"
+    path = tmp_path / "t.tbl"
+    path.write_bytes(("# corpus\n" + f"dim {_CORPUS_N}\n" + body).encode())
+    _assert_reads_like_reference(path)
+
+
+# characters that break the fixed column layout, or that str.split,
+# float or a file read as text treat in their own way
+_FUZZ_ALPHABET = "01 5._#\t\x0b\x0c\x1c\xa0\r\n\u0660\u0665"
+
+
+@st.composite
+def _edited_table_text(draw):
+    n = draw(st.integers(1, 2))
+    values = draw(st.lists(st.sampled_from(["0", "1", "0.5", "0.25"]), min_size=1 << n, max_size=1 << n))
+    text = f"dim {n}\n" + "".join(
+        "".join(str((m >> j) & 1) for j in range(n)) + f" {v}\n" for m, v in enumerate(values)
+    )
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["insert", "replace", "delete"]))
+        at = draw(st.integers(0, len(text) - (op != "insert")))
+        char = draw(st.sampled_from(_FUZZ_ALPHABET))
+        text = text[:at] + ("" if op == "delete" else char) + text[at + (op != "insert"):]
+    return text
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_edited_table_text())
+def test_edited_files_read_like_reference(tmp_path, text):
+    """On small files with characters inserted, replaced or deleted, the
+    reader gives the per-line reader's table or exact exception."""
+    path = tmp_path / "t.tbl"
+    path.write_bytes(text.encode())
+    _assert_reads_like_reference(path)

@@ -230,13 +230,18 @@ class TestCheckers:
 
     @pytest.mark.parametrize("class_tag", sorted(CHECKERS))
     def test_passing_agrees_with_checker_row_by_row(self, class_tag):
-        rng = np.random.default_rng(9)
-        members = [gen(random_spec(tag, 3, seed)).values for tag in ("additive", "unit_demand") for seed in range(5)]
-        rows = np.vstack([rng.uniform(0, 1, (20, 8)), rng.integers(0, 3, (20, 8)) / 2, members])
-        expected = [CHECKERS[class_tag](FunctionTable(3, row), 1e-9) is None for row in rows]
-        assert any(expected)
-        for batch in (rows, np.asfortranarray(rows)):
-            assert passing(class_tag, batch, 1e-9).tolist() == expected
+        # n = 1 has no pair of coordinates and n = 2 one, so the checkers'
+        # reshapes meet their edge cases
+        for n in (1, 2, 3, 5):
+            rng = np.random.default_rng(9)
+            members = [
+                gen(random_spec(tag, n, seed)).values for tag in ("additive", "unit_demand") for seed in range(5)
+            ]
+            rows = np.vstack([rng.uniform(0, 1, (20, 1 << n)), rng.integers(0, 3, (20, 1 << n)) / 2, members])
+            expected = [CHECKERS[class_tag](FunctionTable(n, row), 1e-9) is None for row in rows]
+            assert any(expected), n
+            for batch in (rows, np.asfortranarray(rows)):
+                assert passing(class_tag, batch, 1e-9).tolist() == expected, n
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1e-12])
     def test_bad_tolerance_rejected(self, tol):
