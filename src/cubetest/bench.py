@@ -54,6 +54,8 @@ class ExperimentPlan:
             raise ValueError("trial_count must be >= 1")
         if self.mode not in PLAN_MODES:
             raise ValueError(f"unknown instance mode {self.mode!r}")
+        if self.core_values is not None and self.mode != "far_mode_a":
+            raise ValueError(f"core_values is read by mode far_mode_a only, not {self.mode}")
         for key in self.overrides:
             if key not in PLAN_SETTINGS:
                 raise ValueError(f"unknown plan override {key!r}")

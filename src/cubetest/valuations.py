@@ -1,11 +1,12 @@
 """Generators and definitional checkers for valuation classes on the cube,
 plus construction of certified-far instances for soundness experiments.
 
-Generators build tables by the literal class definitions (additive sums,
-coverage unions, unit-demand maxima, OXS assignments, XOS clause maxima,
-budget-additive caps) and normalize into [0,1] by dividing by the max
-value when it exceeds 1; affine scaling preserves membership in every
-class handled here.
+Generators and the additive and unit-demand checkers build every table
+by two doubling passes over the cube, the sum and the max of the weights
+present: sums (additive, budget-additive, XOS clauses), maxima (unit
+demand, XOS, coverage per universe element) and assignments grown one
+demand row at a time (OXS, gross substitutes).  Generators divide by the
+max value when it exceeds 1, which keeps membership in every class here.
 
 Checkers verify the defining inequalities and report the first
 violating point(s).  Each class's inequalities are written once, over a
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import kvfile
 from .tables import CubePoint, FunctionTable, check_dimension, check_p
@@ -101,25 +101,41 @@ class ViolationWitness:
         return f"{self.condition} violated at {pts}: {self.lhs!r} < {self.rhs!r}"
 
 
-def _require_weights(w, name: str) -> np.ndarray:
-    arr = np.asarray(w, dtype=np.float64)
+def _weights(params: Mapping[str, object], key: str, n: Optional[int] = None) -> np.ndarray:
+    """Parameter `key` as non-empty, non-negative weights, n if n is given."""
+    arr = np.asarray(params[key], dtype=np.float64)
     if arr.size == 0:
-        raise ValueError(f"{name} must be non-empty")
+        raise ValueError(f"{key} must be non-empty")
     if np.any(arr < 0):
-        raise ValueError(f"{name} must be non-negative")
+        raise ValueError(f"{key} must be non-negative")
+    if n is not None and arr.size != n:
+        raise ValueError(f"{key} needs {n} weights, got {arr.size}")
     return arr
 
 
-def _bits_matrix(n: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    return ((idx[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
+def _fold_present(w: np.ndarray, op, start: float) -> np.ndarray:
+    """The pass every value rule is built from: for weight rows w of
+    shape (..., n), x -> `op` folded from `start` over w_i for the bits i
+    of x in increasing i, and 0 at x = 0.  The table doubles one bit at a
+    time, each point with top bit i being a point below 2^i op w_i."""
+    n = w.shape[-1]
+    out = np.empty(w.shape[:-1] + (1 << n,))
+    out[..., 0] = start
+    for i in range(n):
+        b = 1 << i
+        op(out[..., :b], w[..., i, None], out=out[..., b : 2 * b])
+    out[..., 0] = 0.0
+    return out
 
 
-def _normalize(raw: np.ndarray) -> tuple[np.ndarray, float]:
-    top = float(raw.max())
-    if top > 1.0:
-        return raw / top, top
-    return raw, 1.0
+def _sum_of_present(w: np.ndarray) -> np.ndarray:
+    """x -> sum of w_i over the bits i of x, added in increasing i."""
+    return _fold_present(w, np.add, 0.0)
+
+
+def _max_of_present(w: np.ndarray) -> np.ndarray:
+    """x -> max of w_i over the bits i of x, and 0 at x = 0."""
+    return _fold_present(w, np.maximum, -np.inf)
 
 
 # class parameters a spec must give; the clause and demand rows of xos,
@@ -138,70 +154,59 @@ _ROW_PREFIX = {"xos": "clause", "oxs": "demand", "gross_substitutes": "demand"}
 def _raw_table(spec: ValuationSpec) -> np.ndarray:
     n = spec.n
     tag = spec.class_tag
-    kvfile.check(spec.params, "spec", required=_REQUIRED_PARAMS.get(tag, ()))
-    bits = _bits_matrix(n)
+    params = spec.params
+    kvfile.check(params, "spec", required=_REQUIRED_PARAMS.get(tag, ()))
     if tag == "additive":
-        w = _require_weights(spec.params["weights"], "weights")
-        if w.size != n:
-            raise ValueError(f"need {n} weights, got {w.size}")
-        return bits @ w
+        return _sum_of_present(_weights(params, "weights", n))
     if tag == "unit_demand":
-        w = _require_weights(spec.params["weights"], "weights")
-        if w.size != n:
-            raise ValueError(f"need {n} weights, got {w.size}")
-        vals = np.where(bits, w[None, :], -np.inf).max(axis=1)
-        vals[0] = 0.0
-        return vals
-    if tag == "coverage":
-        wu = _require_weights(spec.params["universe_weights"], "universe_weights")
-        covers = []
-        for i in range(1, n + 1):
-            cov = spec.params.get(f"cover_{i}", ())
-            cov_idx = sorted(set(int(u) for u in cov))
-            if any(not 1 <= u <= wu.size for u in cov_idx):
-                raise ValueError(f"cover_{i} references universe elements outside [1..{wu.size}]")
-            covers.append(cov_idx)
-        vals = np.zeros(1 << n)
-        for mask in range(1, 1 << n):
-            covered: set[int] = set()
-            for i in range(n):
-                if mask & (1 << i):
-                    covered.update(covers[i])
-            vals[mask] = sum(wu[u - 1] for u in covered)
-        return vals
-    if tag == "xos":
-        rows = _clause_rows(spec, n, _ROW_PREFIX[tag])
-        return np.max(bits @ rows.T, axis=1)
-    if tag in ("oxs", "gross_substitutes"):
-        rows = _clause_rows(spec, n, _ROW_PREFIX[tag])
-        vals = np.zeros(1 << n)
-        for mask in range(1, 1 << n):
-            goods = [i for i in range(n) if mask & (1 << i)]
-            sub = rows[:, goods]
-            r, c = linear_sum_assignment(-sub)
-            vals[mask] = float(sub[r, c].sum())
-        return vals
+        return _max_of_present(_weights(params, "weights", n))
     if tag == "submodular":
         # budget-additive construction: min(w . x, budget)
-        w = _require_weights(spec.params["weights"], "weights")
-        if w.size != n:
-            raise ValueError(f"need {n} weights, got {w.size}")
-        budget = float(spec.params["budget"])
+        budget = float(params["budget"])
         if budget < 0:
             raise ValueError("budget must be non-negative")
-        return np.minimum(bits @ w, budget)
-    raise ValueError(f"no generator for class {tag!r}")
+        vals = _sum_of_present(_weights(params, "weights", n))
+        return np.minimum(vals, budget, out=vals)
+    if tag == "coverage":
+        wu = _weights(params, "universe_weights")
+        # member[u, i]: good i covers universe element u + 1
+        member = np.zeros((wu.size, n))
+        for i in range(n):
+            cov = np.asarray(params.get(f"cover_{i + 1}", ()), dtype=np.int64)
+            if np.any((cov < 1) | (cov > wu.size)):
+                raise ValueError(f"cover_{i + 1} references universe elements outside [1..{wu.size}]")
+            member[cov - 1, i] = 1.0
+        # x covers u when one of its goods does: add w_u there, u ascending
+        vals = np.zeros(1 << n)
+        for u in range(wu.size):
+            vals += _max_of_present(wu[u] * member[u])
+        return vals
+    rows = _clause_rows(spec, n, _ROW_PREFIX[tag])
+    if tag == "xos":
+        # the best clause, one clause's sums at a time
+        vals = _sum_of_present(rows[0])
+        for row in rows[1:]:
+            np.maximum(vals, _sum_of_present(row), out=vals)
+        return vals
+    # oxs, gross_substitutes: the best assignment of x's goods to demand
+    # rows, one good per row at most.  Row j takes nothing or a good i of
+    # x, the rows before it sharing x - {i}: exact for weights >= 0.
+    vals = _max_of_present(rows[0])
+    for row in rows[1:]:
+        best = vals.copy()
+        for i in range(n):
+            # [:, 0] and [:, 1]: the points without and with bit i
+            without = vals.reshape(-1, 2, 1 << i)[:, 0]
+            with_i = best.reshape(-1, 2, 1 << i)[:, 1]
+            np.maximum(with_i, without + row[i], out=with_i)
+        vals = best
+    return vals
 
 
 def _clause_rows(spec: ValuationSpec, n: int, prefix: str) -> np.ndarray:
     rows = []
-    i = 1
-    while f"{prefix}_{i}" in spec.params:
-        row = _require_weights(spec.params[f"{prefix}_{i}"], f"{prefix}_{i}")
-        if row.size != n:
-            raise ValueError(f"{prefix}_{i} needs {n} weights, got {row.size}")
-        rows.append(row)
-        i += 1
+    while f"{prefix}_{len(rows) + 1}" in spec.params:
+        rows.append(_weights(spec.params, f"{prefix}_{len(rows) + 1}", n))
     if not rows:
         raise ValueError(f"at least one {prefix} row required")
     return np.vstack(rows)
@@ -216,8 +221,9 @@ def gen_detailed(spec: ValuationSpec) -> tuple[FunctionTable, float]:
     """Generate a table and report the normalization divisor (1.0 if none)."""
     if spec.class_tag not in GENERATOR_CLASSES:
         raise ValueError(f"no generator for class {spec.class_tag!r}")
-    raw = _raw_table(spec)
-    vals, norm = _normalize(raw)
+    vals = _raw_table(spec)
+    norm = max(float(vals.max()), 1.0)
+    vals /= norm  # exact when norm is 1
     return FunctionTable(spec.n, vals), norm
 
 
@@ -323,23 +329,14 @@ def _self_bounding(v: np.ndarray, tol: float):
 
 
 def _additive(v: np.ndarray, tol: float):
-    n = _arity(v)
-    # (2^n, n) @ (n, rows): for one table the same product, and so the
-    # same rounding, as the bits matrix times the weight vector
-    predicted = (_bits_matrix(n) @ _at(v, 1 << np.arange(n)).T).T
+    # the weights f(e_i) summed by the pass the additive generator uses,
+    # so a generated table is predicted with its own rounding
+    predicted = _sum_of_present(_at(v, 1 << np.arange(_arity(v))))
     yield np.abs(v - predicted) > tol, v, predicted, lambda c: (c,)
 
 
 def _unit_demand(v: np.ndarray, tol: float):
-    n = _arity(v)
-    weights = _at(v, 1 << np.arange(n))
-    # the maximum of the weights f(e_i) over the bits i of each point:
-    # each weight raises the half of the points that hold its bit
-    predicted = np.full_like(v, -np.inf)
-    for i in range(n):
-        half = predicted.reshape(len(v), 1 << (n - 1 - i), 2, 1 << i)[:, :, 1]
-        np.maximum(half, weights[:, i, None, None], out=half)
-    predicted[:, 0] = 0.0
+    predicted = _max_of_present(_at(v, 1 << np.arange(_arity(v))))
     yield np.abs(v - predicted) > tol, v, predicted, lambda c: (c,)
 
 
@@ -559,6 +556,7 @@ def parse_spec_text(text: str) -> ValuationSpec:
     entries = kvfile.check(kvfile.parse(text, "spec"), "spec", required=("class", "n"))
     class_tag = entries.pop("class")
     n = int(entries.pop("n"))
+    check_dimension(n)  # the keys a class takes depend on n
     seed = int(entries.pop("seed", "0"))
     kvfile.check(entries, "spec", allowed=_param_keys(class_tag, n, entries))
     params: dict[str, object] = {}

@@ -133,9 +133,7 @@ def _pointwise_witness(v, predicted, n: int, tol: float, condition: str):
 
 def naive_additive_witness(values, n: int, tol: float):
     """First x where f(x) differs by more than tol from the sum, over the
-    bits i of x ascending, of f(e_i).  The library forms that sum as a
-    BLAS product, whose order of addition may differ, so compare on
-    tables where every such sum is exact (dyadic values, few bits)."""
+    bits i of x ascending, of f(e_i)."""
     v = [float(a) for a in values]
     predicted = []
     for x in range(1 << n):
@@ -268,6 +266,63 @@ def naive_oxs_value(demand_rows, goods) -> float:
             )
             best = max(best, total)
     return best
+
+
+def _goods(x: int, n: int) -> list[int]:
+    return [i for i in range(n) if x & (1 << i)]
+
+
+def naive_additive_value(weights, goods) -> float:
+    total = 0.0
+    for i in goods:
+        total += float(weights[i])
+    return total
+
+
+def naive_unit_demand_value(weights, goods) -> float:
+    return max((float(weights[i]) for i in goods), default=0.0)
+
+
+def naive_coverage_value(universe_weights, covers, goods) -> float:
+    """Total weight of the universe elements (1-based) the goods' covers
+    reach."""
+    covered = set()
+    for i in goods:
+        covered.update(covers[i])
+    return sum(float(universe_weights[u - 1]) for u in sorted(covered))
+
+
+def naive_xos_value(clauses, goods) -> float:
+    return max(naive_additive_value(row, goods) for row in clauses)
+
+
+def _numbered_rows(params, prefix: str) -> list:
+    rows = []
+    while f"{prefix}_{len(rows) + 1}" in params:
+        rows.append(params[f"{prefix}_{len(rows) + 1}"])
+    return rows
+
+
+def naive_gen_values(spec) -> list[float]:
+    """A spec's table by its class definition, one bundle at a time,
+    divided by its maximum when that exceeds 1."""
+    n, params = spec.n, spec.params
+    if spec.class_tag == "additive":
+        rule = lambda goods: naive_additive_value(params["weights"], goods)
+    elif spec.class_tag == "unit_demand":
+        rule = lambda goods: naive_unit_demand_value(params["weights"], goods)
+    elif spec.class_tag == "submodular":
+        rule = lambda goods: min(naive_additive_value(params["weights"], goods), float(params["budget"]))
+    elif spec.class_tag == "coverage":
+        covers = [params.get(f"cover_{i + 1}", ()) for i in range(n)]
+        rule = lambda goods: naive_coverage_value(params["universe_weights"], covers, goods)
+    elif spec.class_tag == "xos":
+        rule = lambda goods: naive_xos_value(_numbered_rows(params, "clause"), goods)
+    else:
+        rule = lambda goods: naive_oxs_value(_numbered_rows(params, "demand"), goods)
+    raw = [rule(_goods(x, n)) for x in range(1 << n)]
+    top = max(raw)
+    return [v / top for v in raw] if top > 1.0 else raw
 
 
 def naive_core_statistics(sample_values, final_patterns, core_rows) -> list[float]:

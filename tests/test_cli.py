@@ -46,7 +46,8 @@ def no_cube_arrays(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a 2^n array before checking n")
 
-    monkeypatch.setattr(valuations, "_bits_matrix", refuse)
+    monkeypatch.setattr(valuations, "_sum_of_present", refuse)
+    monkeypatch.setattr(valuations, "_max_of_present", refuse)
     monkeypatch.setattr(valuations, "parity_blend_table", refuse)
     monkeypatch.setattr(cores, "lift_core", refuse)
     monkeypatch.setattr(bench, "lift_core", refuse)
@@ -83,10 +84,13 @@ class TestGen:
         assert capsys.readouterr().err == "error: unknown spec key 'sed'\n"
         assert not (tmp_path / "out.tbl").exists()
 
+    @pytest.mark.parametrize("class_tag", valuations.GENERATOR_CLASSES)
     @pytest.mark.parametrize("n", [0, 30])
-    def test_dimension_checked_before_generation(self, tmp_path, capsys, no_cube_arrays, n):
+    def test_dimension_checked_before_generation(self, tmp_path, capsys, no_cube_arrays, n, class_tag):
         spec = tmp_path / "s.spec"
-        spec.write_text(f"class: additive\nn: {n}\nweights: 0.5\n")
+        lines = valuations.random_spec(class_tag, 2, seed=0).canonical_lines()
+        lines[1] = f"n: {n}"
+        spec.write_text("\n".join(lines) + "\n")
         assert main(["--out", str(tmp_path / "out.tbl"), "gen", str(spec)]) == 2
         assert capsys.readouterr().err == "error: dimension must be in [1..24]\n"
         assert not (tmp_path / "out.tbl").exists()
@@ -288,12 +292,34 @@ class TestTestCommand:
             3,
             "unsupported class: no membership checker for class 'xos'\n",
         ),
+        # the far core of a plan file, in modes that build no far core:
+        # once ignored, so in_class ran random cores and accepted 1.0
+        "core_values_in_class": (
+            dict(mode="far_mode_a", core_values=(0.0, 0.0, 0.0, 1.0), edits=(("far_mode_a", "in_class"),)),
+            2,
+            "error: core_values is read by mode far_mode_a only, not in_class\n",
+        ),
+        "malformed_core_values_far_mode_b": (
+            dict(
+                mode="far_mode_a",
+                core_values=(0.0, 0.0, 0.0, 1.0),
+                edits=(("far_mode_a", "far_mode_b"), ("1.0\n", "1.0 5.0 0.5\n")),
+            ),
+            2,
+            "error: core_values is read by mode far_mode_a only, not far_mode_b\n",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(FAILING_PLANS))
     def test_failing_plan_exit_code(self, tmp_path, capsys, case):
         fields, code, message = self.FAILING_PLANS[case]
+        # `edits`: (old, new) replacements in the written plan file, for a
+        # plan that ExperimentPlan refuses to build
+        fields = dict(fields)
+        edits = fields.pop("edits", ())
         _, path = self._small_plan(tmp_path, **fields)
+        for old, new in edits:
+            path.write_text(path.read_text().replace(old, new))
         assert main(["--out", str(tmp_path / "s.txt"), "test", str(path)]) == code
         captured = capsys.readouterr()
         assert captured.err.startswith(message)
@@ -544,6 +570,16 @@ def test_tiny_gamma_exit_2(tmp_path, and_table_file, command):
     assert result.returncode == 2
     assert result.stderr == "error: gamma=1e-310 is too small: 1/gamma is not finite\n"
     assert "Traceback" not in result.stderr
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # a module-level scipy.optimize import cost every command about 0.45 s
+    # of CPU and 45 MB of RSS
+    env = dict(os.environ, PYTHONPATH=str(Path(cubetest.__file__).parents[1]))
+    code = "import sys, cubetest.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_console_entry_point():

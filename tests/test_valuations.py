@@ -27,6 +27,7 @@ from cubetest.valuations import (
 from oracles import (
     NAIVE_WITNESSES,
     naive_farthest_grid_core,
+    naive_gen_values,
     naive_min_distance_to_cores,
     naive_lp_distance,
     naive_oxs_value,
@@ -40,9 +41,10 @@ def and_table():
 
 def oracle_tables():
     """(n, values) at n <= 5: random tables, grid tables (random and
-    enumerated cores lifted), and generated class members rounded to a
-    multiple of 2^-20, each also with one point moved.  Every value is a
-    multiple of 2^-20, so every sum a checker forms is exact."""
+    enumerated cores lifted), and generated class members, each also
+    with one point moved, both rounded to a multiple of 2^-20, so every
+    sum a checker forms is exact, and as they are, so sums round and a
+    checker must add in the plain loop's order."""
     from cubetest.cores import cached_cores, lift_core
 
     rng = np.random.default_rng(2024)
@@ -64,6 +66,11 @@ def oracle_tables():
             moved = near.copy()
             moved[rng.integers(1 << n)] = rng.integers(0, 2**20 + 1) * quantum
             out.append((n, moved))
+            member = gen(random_spec(class_tag, n, seed=n + 7)).values
+            moved = member.copy()
+            moved[rng.integers(1 << n)] = rng.uniform()
+            out += [(n, member), (n, moved)]
+        out += [(n, rng.uniform(0, 1, 1 << n)) for _ in range(5)]
     return out
 
 
@@ -103,6 +110,33 @@ class TestGenerators:
             goods = [i for i in range(3) if mask & (1 << i)]
             expected = naive_oxs_value(rows, goods) / norm
             assert table.values[mask] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("class_tag", GENERATOR_CLASSES)
+    def test_matches_plain_loop(self, class_tag):
+        # maxima and the best assignment are found exactly; sums may add
+        # in another order than the loop, so agree within 1e-12
+        exact = class_tag in ("unit_demand", "oxs", "gross_substitutes")
+        for n in range(1, 7):
+            for seed in range(25):
+                spec = random_spec(class_tag, n, seed)
+                got, expected = gen(spec).values, naive_gen_values(spec)
+                if exact:
+                    assert got.tolist() == expected, (n, seed)
+                else:
+                    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12, err_msg=f"n={n} seed={seed}")
+
+    @pytest.mark.parametrize("class_tag", ["additive", "unit_demand"])
+    def test_generated_table_passes_own_checker_at_tol_0(self, class_tag):
+        # the checker predicts with the generator's own pass.  Weights are
+        # scaled to sum to at most 1, since a rescaled additive table is
+        # sum(w)/t, which can round apart from the sum of the w_i/t
+        for n in range(1, 7):
+            for seed in range(25):
+                weights = random_spec(class_tag, n, seed).params["weights"]
+                spec = ValuationSpec(class_tag, n, {"weights": tuple(w / n for w in weights)})
+                table, norm = gen_detailed(spec)
+                assert norm == 1.0
+                assert CHECKERS[class_tag](table, 0.0) is None, (n, seed)
 
     def test_budget_additive(self):
         spec = ValuationSpec("submodular", 3, {"weights": (0.4, 0.4, 0.4), "budget": 0.7})
