@@ -255,9 +255,9 @@ def plan_to_lines(plan: ExperimentPlan) -> list[str]:
         f"seed_base: {plan.seed_base}",
         f"mode: {plan.mode}",
     ]
-    for key, setting in PLAN_SETTINGS.items():
+    for key in PLAN_SETTINGS:
         if key in plan.overrides:
-            lines.append(f"{key}: {setting.text(plan.overrides[key])}")
+            lines.append(f"{key}: {plan.overrides[key]}")
     if plan.core_values is not None:
         lines.append("core_values: " + " ".join(repr(v) for v in plan.core_values))
     return lines
@@ -276,7 +276,7 @@ def parse_plan_text(text: str) -> ExperimentPlan:
     entries = kvfile.check(
         kvfile.parse(text, "plan"), "plan", PLAN_SCHEMA, _PLAN_REQUIRED, _PLAN_KEYS
     )
-    overrides = {key: s.read(entries[key]) for key, s in PLAN_SETTINGS.items() if key in entries}
+    overrides = {key: s.kind(entries[key]) for key, s in PLAN_SETTINGS.items() if key in entries}
     core_values = None
     if "core_values" in entries:
         core_values = tuple(float(tok) for tok in entries["core_values"].split())

@@ -50,8 +50,8 @@ WEIGHT_BLOCK_DOUBLES = 1 << 18
 
 
 class SubsetBudgetError(ValueError):
-    """A sweep would exceed its configured budget: the tester's part
-    selection (num_parts estimates, `tester.select_initial_parts`) or
+    """A sweep would exceed its budget: the tester's part selection
+    (num_parts estimates, over `tester.NUM_PARTS_BUDGET`) or
     `closest_junta`'s C(n, k) coordinate sets."""
 
 

@@ -7,9 +7,10 @@ space whose union should capture all the influence.  Each selected
 part is then halved round by round, keeping the half-choice with the
 smallest estimated complement influence, and refinement stops after
 the first round that leaves every part holding at most one occupied
-pattern, which is all implicit learning needs; `refine_rounds` caps
-the rounds.  A final influence gate rejects if the complement of the
-surviving buckets still carries more than `inf_threshold` influence;
+pattern, which is all implicit learning needs; that round comes by
+`default_refine_rounds(q, num_parts)`, after which every part holds at
+most one pattern.  A final influence gate rejects if the complement of
+the surviving buckets still carries more than `inf_threshold` influence;
 otherwise the core learned from the original samples is compared
 against every enumerated grid core, and the first one whose mean
 squared deviation is at most `accept_threshold` is returned.
@@ -32,9 +33,7 @@ occupied patterns are first dealt, and `_initial_parts` is the one
 place that reads the pattern -> mask dict.  Splits deal a part's masks
 by sequential without-replacement draws against big-integer half
 capacities, which reproduces exactly the distribution a full
-shuffle-and-split would induce on them.  A final part that still holds
-several occupied patterns is read through its first mask, that of its
-smallest pattern.
+shuffle-and-split would induce on them.
 
 The selection keeps the k parts of largest estimated own influence
 (Blais, "Testing juntas nearly optimally", STOC 2009), one estimate
@@ -50,11 +49,12 @@ shares one set of m base points across its masks (see
 `estimate_inf_mask`), and each estimate keeps the law of a separate
 2m-query estimate, so B masks cost m(B + 1) queries and a run that used
 r refinement rounds costs exactly q + m(B + 1) + m(2^k + 1) r + 2m;
-`TesterConfig.query_budget()` is that cost at r = `refine_rounds`.
+`TesterConfig.query_budget()` is that cost at the most rounds a run can
+use, r = `default_refine_rounds(q, num_parts)`.
 
 `SETTINGS` is the one table of tester settings: for each, its
 config-file key, `TesterConfig` field and value type.  Config files are
-written and read through it, and `PLAN_SETTINGS` names the nine a plan
+written and read through it, and `PLAN_SETTINGS` names the six a plan
 may override, by plan-file key ("gamma" for core_grid).
 """
 
@@ -88,6 +88,9 @@ REPORT_SCHEMA = "cubetest-report-1"
 # every row the bits of one whole-array product; blocks of 2, 3 or 6
 # rows changed the last bits of all of 100 random score vectors
 CORE_SCAN_ROWS = 4096
+# most part-selection estimates (num_parts) a config may ask for; a
+# config over it raises SubsetBudgetError (exit 4) before any sampling
+NUM_PARTS_BUDGET = 200_000
 
 
 def lp_epsilon_map(p: float, eps: float) -> float:
@@ -106,8 +109,9 @@ def lp_epsilon_map(p: float, eps: float) -> float:
 
 
 def default_refine_rounds(q: int, num_parts: int) -> int:
-    """Rounds of halving needed to take a part of pattern space down to a
-    single pattern: ceil(log2(ceil(2^q / num_parts)))."""
+    """Rounds of halving needed to take the largest part of a num_parts
+    equi-partition of pattern space down to at most one pattern:
+    ceil(log2(ceil(2^q / num_parts))), and at least 1."""
     per_part = -((-(1 << q)) // num_parts)
     return max(1, (per_part - 1).bit_length())
 
@@ -134,11 +138,8 @@ class TesterConfig:
     (`paper_constants`), whose guarantees are only asymptotic; seeded
     2/3-rate experiments stand in for them.  Theta(k^2) parts keep k
     relevant coordinates apart with constant probability (Blais 2009).
-    Omitted thresholds are derived from eps after the lp -> l2 map, and
-    an omitted refine_rounds from (q, num_parts).  refine_rounds caps the
-    refinement rounds (see `refine_parts`), and subset_budget the
-    num_parts estimates of the part selection (see
-    `select_initial_parts`)."""
+    Omitted thresholds are derived from eps after the lp -> l2 map.
+    num_parts above NUM_PARTS_BUDGET raises SubsetBudgetError."""
 
     eps: float
     k: int
@@ -146,13 +147,10 @@ class TesterConfig:
     q: int = 64
     m: int = 1000
     num_parts: Optional[int] = None
-    refine_rounds: Optional[int] = None
     inf_threshold: Optional[float] = None
     accept_threshold: Optional[float] = None
     core_grid: float = 0.25
     seed: int = 0
-    sqrt_statistic: bool = False
-    subset_budget: int = 200_000
 
     def __post_init__(self):
         if self.k < 1:
@@ -164,27 +162,26 @@ class TesterConfig:
             raise ValueError("q, m and num_parts must be >= 1")
         if self.num_parts < self.k:
             raise ValueError("num_parts must be >= k")
-        if self.refine_rounds is None:
-            object.__setattr__(self, "refine_rounds", default_refine_rounds(self.q, self.num_parts))
+        if self.num_parts > NUM_PARTS_BUDGET:
+            raise SubsetBudgetError(
+                f"part selection needs {self.num_parts} influence estimates, budget is "
+                f"{NUM_PARTS_BUDGET}; reduce num_parts"
+            )
         if self.inf_threshold is None:
             object.__setattr__(self, "inf_threshold", eps2 ** 2 / 1000.0)
         if self.accept_threshold is None:
             object.__setattr__(self, "accept_threshold", 0.35 * eps2)
-        if self.refine_rounds < 1:
-            raise ValueError("refine_rounds must be >= 1")
-        if self.subset_budget < 1:
-            raise ValueError("subset_budget must be >= 1")
         for name in ("inf_threshold", "accept_threshold"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     def query_budget(self) -> int:
-        """Oracle queries of a run that uses every refinement round:
-        q + m(B + 1) + m(2^k + 1) r + 2m, with B = num_parts and
-        r = refine_rounds.  A run that stopped after r' <= r rounds costs
-        exactly that with r' in place of r."""
-        q, m, k, r = self.q, self.m, self.k, self.refine_rounds
+        """Oracle queries of a run that uses the most refinement rounds a
+        run can use: q + m(B + 1) + m(2^k + 1) r + 2m, with B = num_parts
+        and r = default_refine_rounds(q, num_parts).  A run that stopped
+        after r' <= r rounds costs exactly that with r' in place of r."""
+        q, m, k, r = self.q, self.m, self.k, default_refine_rounds(self.q, self.num_parts)
         return q + m * (self.num_parts + 1) + m * ((1 << k) + 1) * r + 2 * m
 
 
@@ -192,7 +189,7 @@ def profile_deviations(config: TesterConfig) -> list[str]:
     """Differences between this config and the paper's constants."""
     paper = paper_constants(lp_epsilon_map(config.p, config.eps), config.k)
     return [
-        f"{name}: {getattr(config, name)} (paper profile value {value})"
+        f"{name}: {getattr(config, name)} (paper value {value})"
         for name, value in paper.items()
         if getattr(config, name) != value
     ]
@@ -312,16 +309,10 @@ def select_initial_parts(
     of the dropped parts' influences bounds that of the complement of the
     kept union.
 
-    num_parts is checked against `subset_budget` before the partition is
-    built.  The partition is the one stage that reads `buckets`; from
-    then on a part is its coordinate masks.  `parts` lets a caller supply
-    the partition (built with `_initial_parts`) to observe it directly.
+    The partition is the one stage that reads `buckets`; from then on a
+    part is its coordinate masks.  `parts` lets a caller supply the
+    partition (built with `_initial_parts`) to observe it directly.
     """
-    if config.num_parts > config.subset_budget:
-        raise SubsetBudgetError(
-            f"part selection needs {config.num_parts} influence estimates, budget is "
-            f"{config.subset_budget}; reduce num_parts or raise the budget"
-        )
     if parts is None:
         parts = _initial_parts(buckets, config.q, config.num_parts, rng)
     own = estimator(oracle, np.array([p.coord_mask for p in parts], dtype=np.int64), config.m, rng)
@@ -331,8 +322,8 @@ def select_initial_parts(
 
 @dataclass(frozen=True)
 class RefinementResult:
-    # each final part's first mask, that of its smallest occupied pattern;
-    # 0 for a part with no occupied pattern
+    # each final part's mask, that of its one occupied pattern; 0 for a
+    # part with none
     final_masks: tuple[int, ...]
     part_went_empty: tuple[bool, ...]
     last_round_eta: float
@@ -355,14 +346,15 @@ def refine_parts(
 
     Refinement stops after the first round that leaves every part
     holding at most one occupied pattern: later rounds could only keep
-    or drop a pattern that is already isolated.  refine_rounds caps the
-    rounds, and at least one always runs.  A part that loses all its
-    patterns is carried along as empty and flagged; a part never grows,
-    so it is flagged exactly when its final size is 0.
+    or drop a pattern that is already isolated.  At least one round
+    runs, and at most `default_refine_rounds(q, num_parts)`, after which
+    every part of the partition has size at most 1.  A part that loses
+    all its patterns is carried along as empty and flagged; a part never
+    grows, so it is flagged exactly when its final size is 0.
     """
     k = len(selected)
     parts = list(selected)
-    for rounds_used in range(1, config.refine_rounds + 1):
+    for rounds_used in range(1, default_refine_rounds(config.q, config.num_parts) + 1):
         halves = [_split_part(p, rng) for p in parts]
         choices = [[h[(z >> i) & 1] for i, h in enumerate(halves)] for z in range(1 << k)]
         unions = np.array([_union([h.coord_mask for h in c]) for c in choices], dtype=np.int64)
@@ -471,9 +463,8 @@ def final_check_and_learn(
     acceptance statistic is the mean of squared deviations between the
     sampled values and the candidate core's values on the projected
     samples (see `core_statistics`: (W + sum_u n_u (c_u - mu_u)^2) / q),
-    compared directly against accept_threshold (square-rooted first when
-    sqrt_statistic is set); the report's empirical_distance is the
-    statistic as compared.  The first passing core in enumeration order
+    compared with accept_threshold; the report's empirical_distance is
+    that statistic.  The first passing core in enumeration order
     is learned: the cores are scored CORE_SCAN_ROWS at a time and the
     scan stops at the first block that holds a passing core, in
     O(CORE_SCAN_ROWS * 2^k) working memory.  The report's queries_used
@@ -487,11 +478,10 @@ def final_check_and_learn(
     if not gate > config.inf_threshold:
         stage = "core_search"
         for lo, stats in _core_score_blocks(cores, sample_masks, sample_values, phi):
-            compared = np.sqrt(stats) if config.sqrt_statistic else stats
-            passing = np.flatnonzero(compared <= config.accept_threshold)
+            passing = np.flatnonzero(stats <= config.accept_threshold)
             if passing.size:
                 first = int(passing[0])
-                core, dist, stage = cores.member(lo + first), float(compared[first]), "none"
+                core, dist, stage = cores.member(lo + first), float(stats[first]), "none"
                 break
     return TesterReport(
         verdict="reject" if core is None else "accept",
@@ -522,8 +512,8 @@ def run_tester(
     once with a 1-D int64 batch of its num_parts part masks, each
     refinement round once with a batch of its 2^k complement masks, and
     the gate once with one mask, so a run that used r rounds makes
-    exactly `config.query_budget()` queries with r in place of
-    refine_rounds.
+    exactly q + m(num_parts + 1) + m(2^k + 1) r + 2m queries (see
+    `TesterConfig.query_budget`).
 
     The report's eta holds "initial_min", "refine_last" and "gate".
     initial_min is the sum of the dropped parts' own estimates, which
@@ -554,19 +544,13 @@ def run_tester(
 
 
 class Setting(NamedTuple):
-    """One tester setting: its `TesterConfig` field, the type of its value,
-    and whether a config file must give it (an optional one left out
-    keeps the field's default)."""
+    """One tester setting: its `TesterConfig` field, the type its value is
+    read as, and whether a config file must give it (an optional one
+    left out keeps the field's default).  A value is written with `str`."""
 
     field: str
     kind: type
     required: bool = True
-
-    def read(self, text: str):
-        return bool(int(text)) if self.kind is bool else self.kind(text)
-
-    def text(self, value) -> str:
-        return str(int(value)) if self.kind is bool else str(value)
 
 
 # every tester setting by its config-file key, in config-file order
@@ -577,13 +561,10 @@ SETTINGS = {
     "q": Setting("q", int),
     "m": Setting("m", int),
     "num_parts": Setting("num_parts", int),
-    "refine_rounds": Setting("refine_rounds", int),
     "inf_threshold": Setting("inf_threshold", float),
     "accept_threshold": Setting("accept_threshold", float),
     "core_grid": Setting("core_grid", float),
     "seed": Setting("seed", int, required=False),
-    "sqrt_statistic": Setting("sqrt_statistic", bool, required=False),
-    "subset_budget": Setting("subset_budget", int, required=False),
 }
 # the settings a plan may override, by plan key, in plan-file order; eps,
 # k, p and the seed come from the plan's own fields
@@ -591,9 +572,7 @@ PLAN_SETTINGS = {
     plan_key: SETTINGS[key]
     for plan_key, key in (
         ("q", "q"), ("m", "m"), ("num_parts", "num_parts"), ("gamma", "core_grid"),
-        ("refine_rounds", "refine_rounds"), ("inf_threshold", "inf_threshold"),
-        ("accept_threshold", "accept_threshold"), ("sqrt_statistic", "sqrt_statistic"),
-        ("subset_budget", "subset_budget"),
+        ("inf_threshold", "inf_threshold"), ("accept_threshold", "accept_threshold"),
     )
 }
 
@@ -601,7 +580,7 @@ PLAN_SETTINGS = {
 def config_to_lines(config: TesterConfig) -> list[str]:
     lines = [f"schema: {CONFIG_SCHEMA}"]
     for key, setting in SETTINGS.items():
-        lines.append(f"{key}: {setting.text(getattr(config, setting.field))}")
+        lines.append(f"{key}: {getattr(config, setting.field)}")
     for note in profile_deviations(config):
         lines.append(f"# deviation {note}")
     return lines
@@ -631,7 +610,7 @@ def load_config(path) -> TesterConfig:
             kvfile.parse(fh.read()), "config", CONFIG_SCHEMA, _CONFIG_REQUIRED, SETTINGS
         )
     return TesterConfig(
-        **{s.field: s.read(entries[key]) for key, s in SETTINGS.items() if key in entries}
+        **{s.field: s.kind(entries[key]) for key, s in SETTINGS.items() if key in entries}
     )
 
 

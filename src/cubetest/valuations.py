@@ -102,10 +102,13 @@ class ViolationWitness:
 
 
 def _weights(params: Mapping[str, object], key: str, n: Optional[int] = None) -> np.ndarray:
-    """Parameter `key` as non-empty, non-negative weights, n if n is given."""
+    """Parameter `key` as non-empty, finite, non-negative weights, n if n
+    is given."""
     arr = np.asarray(params[key], dtype=np.float64)
     if arr.size == 0:
         raise ValueError(f"{key} must be non-empty")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{key} must be finite, got {float(arr[~np.isfinite(arr)][0])!r}")
     if np.any(arr < 0):
         raise ValueError(f"{key} must be non-negative")
     if n is not None and arr.size != n:
@@ -163,6 +166,8 @@ def _raw_table(spec: ValuationSpec) -> np.ndarray:
     if tag == "submodular":
         # budget-additive construction: min(w . x, budget)
         budget = float(params["budget"])
+        if not np.isfinite(budget):
+            raise ValueError(f"budget must be finite, got {budget!r}")
         if budget < 0:
             raise ValueError("budget must be non-negative")
         vals = _sum_of_present(_weights(params, "weights", n))

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import cubetest
-from cubetest import bench, cores, valuations
+from cubetest import bench, cores, tester, valuations
 from cubetest.cli import main
 from cubetest.tables import read_table, write_table
 from cubetest.tester import report_from_lines
@@ -93,6 +93,45 @@ class TestGen:
         spec.write_text("\n".join(lines) + "\n")
         assert main(["--out", str(tmp_path / "out.tbl"), "gen", str(spec)]) == 2
         assert capsys.readouterr().err == "error: dimension must be in [1..24]\n"
+        assert not (tmp_path / "out.tbl").exists()
+
+    # non-finite values once reached the table: the spec failed later as
+    # "table values must be finite", after a numpy RuntimeWarning for an
+    # infinite weight, and a budget-additive table clamped an infinite
+    # weight to its budget and was written
+    NON_FINITE = {
+        "additive_inf": ("additive", "weights: 0.5 inf 0.25\n", "weights must be finite, got inf"),
+        "additive_nan": ("additive", "weights: 0.5 nan 0.25\n", "weights must be finite, got nan"),
+        "submodular_inf_weight": (
+            "submodular", "weights: 0.5 inf 0.25\nbudget: 1.0\n", "weights must be finite, got inf"
+        ),
+        "submodular_nan_budget": (
+            "submodular", "weights: 0.5 0.5 0.25\nbudget: nan\n", "budget must be finite, got nan"
+        ),
+        "submodular_inf_budget": (
+            "submodular", "weights: 0.5 0.5 0.25\nbudget: inf\n", "budget must be finite, got inf"
+        ),
+        "unit_demand_minus_inf": (
+            "unit_demand", "weights: 0.5 -inf 0.25\n", "weights must be finite, got -inf"
+        ),
+        "xos_nan": ("xos", "clause_1: 0.5 0.5 nan\n", "clause_1 must be finite, got nan"),
+        "oxs_inf": (
+            "oxs", "demand_1: 0.5 0.5 0.5\ndemand_2: inf 0.5 0.5\n", "demand_2 must be finite, got inf"
+        ),
+        "coverage_inf": (
+            "coverage", "universe_weights: 0.5 inf\ncover_1: 1 2\n",
+            "universe_weights must be finite, got inf",
+        ),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_parameter_exit_2(self, tmp_path, capsys, case):
+        class_tag, given, message = self.NON_FINITE[case]
+        spec = tmp_path / "s.spec"
+        spec.write_text(f"class: {class_tag}\nn: 3\n{given}")
+        assert main(["--out", str(tmp_path / "out.tbl"), "gen", str(spec)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out.tbl").exists()
 
     @pytest.mark.parametrize(
@@ -256,12 +295,20 @@ class TestTestCommand:
         strip = lambda p: [ln for ln in p.read_text().splitlines() if not ln.startswith("wall_time")]
         assert strip(out1) == strip(out2)
 
-    def test_subset_budget_exit_4(self, tmp_path, capsys):
-        # desk part selection estimates one mask per part: 3000 > 1000
-        overrides = {"q": 16, "m": 5, "gamma": 0.25, "num_parts": 3000, "subset_budget": 1000}
+    def test_subset_budget_exit_4(self, tmp_path, capsys, monkeypatch):
+        # the part selection estimates one mask per part: refused before
+        # the partition is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a partition over the part budget")
+
+        monkeypatch.setattr(tester, "_initial_parts", refuse)
+        overrides = {"q": 16, "m": 5, "gamma": 0.25, "num_parts": tester.NUM_PARTS_BUDGET + 1}
         _, path = self._small_plan(tmp_path, overrides=overrides)
         assert main(["test", str(path)]) == 4
-        assert capsys.readouterr().err.startswith("budget exceeded: part selection needs 3000 ")
+        assert capsys.readouterr().err == (
+            "budget exceeded: part selection needs 200001 influence estimates, budget is 200000; "
+            "reduce num_parts\n"
+        )
 
     def test_enumeration_budget_exit_4(self, tmp_path, capsys):
         _, path = self._small_plan(tmp_path, overrides={"q": 16, "m": 5, "gamma": 1 / 4001})
@@ -276,11 +323,23 @@ class TestTestCommand:
             "error: num_parts must be >= k\n",
         ),
         "k_above_cap": (dict(k=4), 2, "error: k=4 exceeds the cap 3\n"),
-        # once exited 4, "budget exceeded", at the part selection
-        "subset_budget_zero": (
-            dict(overrides={"q": 16, "m": 20, "gamma": 0.25, "subset_budget": 0}),
+        # settings that were removed: refused, not read and dropped
+        "refine_rounds_given": (
+            dict(edits=(("gamma: 0.25\n", "gamma: 0.25\nrefine_rounds: 4\n"),)),
             2,
-            "error: subset_budget must be >= 1\n",
+            "error: unknown plan key 'refine_rounds'\n",
+        ),
+        "sqrt_statistic_given": (
+            dict(edits=(("gamma: 0.25\n", "gamma: 0.25\nsqrt_statistic: 1\n"),)),
+            2,
+            "error: unknown plan key 'sqrt_statistic'\n",
+        ),
+        # once exited 4, "budget exceeded", at the part selection, then 2
+        # as an invalid setting
+        "subset_budget_given": (
+            dict(edits=(("gamma: 0.25\n", "gamma: 0.25\nsubset_budget: 0\n"),)),
+            2,
+            "error: unknown plan key 'subset_budget'\n",
         ),
         "eps_beyond_far_core": (
             dict(mode="far_mode_a", eps=0.9),
@@ -426,16 +485,50 @@ class TestTestCommand:
         assert captured.out == ""
         assert not (tmp_path / "s.txt").exists()
 
-    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+    # a misspelled key, each removed setting, and a whole config as
+    # versions with refine_rounds, sqrt_statistic and subset_budget saved it
+    UNKNOWN_CONFIG_KEYS = {
+        "misspelled": ("subset_budgt: 5\n", "subset_budgt"),
+        "refine_rounds": ("refine_rounds: 4\n", "refine_rounds"),
+        "sqrt_statistic": ("sqrt_statistic: 1\n", "sqrt_statistic"),
+        "subset_budget": ("subset_budget: 1000\n", "subset_budget"),
+        "saved_with_removed_settings": (None, "refine_rounds"),
+    }
+    SAVED_WITH_REMOVED_SETTINGS = """schema: cubetest-config-1
+eps: 0.25
+k: 2
+p: 2.0
+q: 16
+m: 20
+num_parts: 16
+refine_rounds: 12
+inf_threshold: 6.25e-05
+accept_threshold: 0.0875
+core_grid: 0.25
+seed: 0
+sqrt_statistic: 0
+subset_budget: 200000
+# deviation q: 16 (paper profile value 4096)
+# deviation m: 20 (paper profile value 65536)
+# deviation num_parts: 16 (paper profile value 1600)
+# deviation core_grid: 0.25 (paper profile value 0.00025)
+"""
+
+    @pytest.mark.parametrize("case", sorted(UNKNOWN_CONFIG_KEYS))
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys, case):
         from cubetest.tester import TesterConfig, config_to_lines
 
+        extra, key = self.UNKNOWN_CONFIG_KEYS[case]
         _, path = self._small_plan(tmp_path)
         cfg = tmp_path / "cfg.txt"
-        lines = config_to_lines(TesterConfig(eps=0.25, k=2, q=16, m=20))
-        cfg.write_text("\n".join(lines + ["subset_budgt: 5"]) + "\n")
+        if extra is None:
+            cfg.write_text(self.SAVED_WITH_REMOVED_SETTINGS)
+        else:
+            lines = config_to_lines(TesterConfig(eps=0.25, k=2, q=16, m=20))
+            cfg.write_text("\n".join(lines) + "\n" + extra)
         assert main(["--config", str(cfg), "test", str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: unknown config key 'subset_budgt'\n"
+        assert captured.err == f"error: unknown config key {key!r}\n"
         assert captured.out == ""
 
     def test_far_plan_certified_in_its_own_lp(self, tmp_path, capsys):

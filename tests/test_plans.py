@@ -12,8 +12,8 @@ from oracles import naive_trial_table
 
 # every setting away from its TesterConfig default
 DESK_ALL = dict(
-    eps=0.3, k=3, p=4.0, q=96, m=1500, num_parts=20, refine_rounds=9, inf_threshold=0.002,
-    accept_threshold=0.07, core_grid=0.5, seed=17, sqrt_statistic=True, subset_budget=5000,
+    eps=0.3, k=3, p=4.0, q=96, m=1500, num_parts=20, inf_threshold=0.002, accept_threshold=0.07,
+    core_grid=0.5, seed=17,
 )
 DESK_ALL_BYTES = b"""schema: cubetest-config-1
 eps: 0.3
@@ -22,21 +22,18 @@ p: 4.0
 q: 96
 m: 1500
 num_parts: 20
-refine_rounds: 9
 inf_threshold: 0.002
 accept_threshold: 0.07
 core_grid: 0.5
 seed: 17
-sqrt_statistic: 1
-subset_budget: 5000
-# deviation q: 96 (paper profile value 1354808)
-# deviation m: 1500 (paper profile value 123456791)
-# deviation num_parts: 20 (paper profile value 8100)
-# deviation core_grid: 0.5 (paper profile value 8.999999999999999e-05)
+# deviation q: 96 (paper value 1354808)
+# deviation m: 1500 (paper value 123456791)
+# deviation num_parts: 20 (paper value 8100)
+# deviation core_grid: 0.5 (paper value 8.999999999999999e-05)
 """
 SMALL_ALL = dict(
-    eps=0.5, k=1, p=1.5, q=40, m=50, num_parts=7, refine_rounds=3, inf_threshold=0.01,
-    accept_threshold=0.2, core_grid=0.125, seed=4, sqrt_statistic=True, subset_budget=777,
+    eps=0.5, k=1, p=1.5, q=40, m=50, num_parts=7, inf_threshold=0.01, accept_threshold=0.2,
+    core_grid=0.125, seed=4,
 )
 SMALL_ALL_BYTES = b"""schema: cubetest-config-1
 eps: 0.5
@@ -45,27 +42,23 @@ p: 1.5
 q: 40
 m: 50
 num_parts: 7
-refine_rounds: 3
 inf_threshold: 0.01
 accept_threshold: 0.2
 core_grid: 0.125
 seed: 4
-sqrt_statistic: 1
-subset_budget: 777
-# deviation q: 40 (paper profile value 64)
-# deviation m: 50 (paper profile value 32)
-# deviation num_parts: 7 (paper profile value 100)
-# deviation core_grid: 0.125 (paper profile value 0.0005)
+# deviation q: 40 (paper value 64)
+# deviation m: 50 (paper value 32)
+# deviation num_parts: 7 (paper value 100)
+# deviation core_grid: 0.125 (paper value 0.0005)
 """
-ALL_NINE = {
-    "q": 32, "m": 200, "num_parts": 9, "gamma": 0.5, "refine_rounds": 4, "inf_threshold": 1e-3,
-    "accept_threshold": 0.15, "sqrt_statistic": 1, "subset_budget": 4000,
+ALL_SIX = {
+    "q": 32, "m": 200, "num_parts": 9, "gamma": 0.5, "inf_threshold": 1e-3, "accept_threshold": 0.15,
 }
-ALL_NINE_PLAN = bench.ExperimentPlan(
+ALL_SIX_PLAN = bench.ExperimentPlan(
     "submodular", 8, 2, 0.25, p=3.0, trial_count=5, seed_base=3, mode="far_mode_a",
-    overrides=ALL_NINE, core_values=(0.0, 0.0, 0.0, 1.0),
+    overrides=ALL_SIX, core_values=(0.0, 0.0, 0.0, 1.0),
 )
-ALL_NINE_BYTES = b"""schema: cubetest-plan-1
+ALL_SIX_BYTES = b"""schema: cubetest-plan-1
 class: submodular
 n: 8
 k: 2
@@ -78,11 +71,8 @@ q: 32
 m: 200
 num_parts: 9
 gamma: 0.5
-refine_rounds: 4
 inf_threshold: 0.001
 accept_threshold: 0.15
-sqrt_statistic: 1
-subset_budget: 4000
 core_values: 0.0 0.0 0.0 1.0
 """
 
@@ -105,32 +95,28 @@ class TestConfigFile:
     def test_optional_keys_keep_their_defaults(self, tmp_path):
         path = tmp_path / "cfg.txt"
         save_config(TesterConfig(**DESK_ALL), path)
-        optional = ("p:", "seed:", "sqrt_statistic:", "subset_budget:")
-        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith(optional)]
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith(("p:", "seed:"))]
         path.write_text("\n".join(lines) + "\n")
         fields = {key: DESK_ALL[key] for key in DESK_ALL if key not in ("p", "seed")}
-        fields.update(sqrt_statistic=False, subset_budget=200_000)
         assert load_config(path) == TesterConfig(**fields)
 
 
 class TestPlanFile:
-    def test_all_nine_settings_bytes_and_round_trip(self, tmp_path):
+    def test_all_six_settings_bytes_and_round_trip(self, tmp_path):
         path = tmp_path / "plan.txt"
-        bench.write_plan(ALL_NINE_PLAN, path)
-        assert path.read_bytes() == ALL_NINE_BYTES
+        bench.write_plan(ALL_SIX_PLAN, path)
+        assert path.read_bytes() == ALL_SIX_BYTES
         back = bench.read_plan(path)
-        assert back == ALL_NINE_PLAN
-        assert back.overrides["sqrt_statistic"] is True
-        assert back.tester_config(seed=2) == ALL_NINE_PLAN.tester_config(seed=2)
+        assert back == ALL_SIX_PLAN
+        assert back.tester_config(seed=2) == ALL_SIX_PLAN.tester_config(seed=2)
         bench.write_plan(back, path)
-        assert path.read_bytes() == ALL_NINE_BYTES
+        assert path.read_bytes() == ALL_SIX_BYTES
 
     def test_plan_settings_reach_the_config(self):
-        cfg = ALL_NINE_PLAN.tester_config(seed=11)
+        cfg = ALL_SIX_PLAN.tester_config(seed=11)
         assert cfg == TesterConfig(
             eps=0.25, k=2, p=3.0, seed=11, q=32, m=200, num_parts=9, core_grid=0.5,
-            refine_rounds=4, inf_threshold=1e-3, accept_threshold=0.15, sqrt_statistic=True,
-            subset_budget=4000,
+            inf_threshold=1e-3, accept_threshold=0.15,
         )
 
 
@@ -150,9 +136,8 @@ class TestConfigFlag:
         cfg = tmp_path / "cfg.txt"
         save_config(
             TesterConfig(
-                eps=0.4, k=1, p=4.0, q=12, m=40, num_parts=7, refine_rounds=2, inf_threshold=0.003,
-                accept_threshold=0.09, core_grid=0.5, seed=99, sqrt_statistic=True,
-                subset_budget=50,
+                eps=0.4, k=1, p=4.0, q=12, m=40, num_parts=7, inf_threshold=0.003,
+                accept_threshold=0.09, core_grid=0.5, seed=99,
             ),
             cfg,
         )
@@ -166,8 +151,7 @@ class TestConfigFlag:
         expected = [
             TesterConfig(
                 eps=0.25, k=2, p=3.0, seed=seed, q=16, m=40, num_parts=7, core_grid=0.5,
-                refine_rounds=2, inf_threshold=0.003, accept_threshold=0.2,
-                sqrt_statistic=True, subset_budget=50,
+                inf_threshold=0.003, accept_threshold=0.2,
             )
             for seed in (4, 5)
         ]

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubetest import tester
 from cubetest.cores import CoreSet, CoreTable, cached_cores, lift_core
@@ -107,7 +109,6 @@ class TestConfig:
         assert cfg.inf_threshold == pytest.approx(0.25 ** 2 / 1000)
         assert cfg.accept_threshold == pytest.approx(0.35 * 0.25)
         assert cfg.core_grid == 0.25
-        assert cfg.refine_rounds == default_refine_rounds(cfg.q, cfg.num_parts)
 
     def test_lp_map_feeds_thresholds(self):
         cfg = TesterConfig(eps=0.5, k=1, p=4)
@@ -119,6 +120,31 @@ class TestConfig:
         assert default_refine_rounds(6, 12) == math.ceil(math.log2(math.ceil(64 / 12)))
         assert default_refine_rounds(64, 12) == 61
         assert default_refine_rounds(1024, 12) == 1021
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.integers(1, 299), num_parts=st.integers(1, 4096))
+    @example(q=1, num_parts=3)
+    @example(q=64, num_parts=200_000)
+    def test_default_rounds_take_every_part_to_one_pattern(self, q, num_parts):
+        # `refine_parts` never runs more rounds than this: after them the
+        # largest part of the equi-partition is down to at most one
+        # pattern (also when num_parts > 2^q leaves parts of size 0 and
+        # 1), and one halving fewer would not do
+        rng = np.random.default_rng(0)
+        part = max(_initial_parts({}, q, num_parts, rng), key=lambda p: p.size)
+        assert part.size == -(-(1 << q) // num_parts)
+        sizes = [part.size]
+        for _ in range(default_refine_rounds(q, num_parts)):
+            part = _split_part(part, rng)[0]  # the first half takes the extra pattern
+            sizes.append(part.size)
+        assert sizes[-1] <= 1
+        assert len(sizes) == 2 or sizes[-2] > 1
+
+    def test_query_budget_at_desk_constants(self):
+        # the cost of a run at the most rounds it can use,
+        # r = default_refine_rounds(q, 16): 60 at q = 64, 1020 at q = 1024
+        assert TesterConfig(eps=0.25, k=2).query_budget() == 319_064
+        assert TesterConfig(eps=0.25, k=2, q=1024).query_budget() == 5_120_024
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -153,9 +179,11 @@ class TestConfig:
             TesterConfig(eps=0.25, k=5, num_parts=3)
         with pytest.raises(ValueError):
             TesterConfig(eps=1.2, k=2)
-        for budget in (0, -1):
-            with pytest.raises(ValueError, match="subset_budget must be >= 1"):
-                TesterConfig(eps=0.25, k=2, subset_budget=budget)
+        # a part selection of more estimates than the budget is refused
+        # on construction, before any sampling
+        with pytest.raises(SubsetBudgetError, match="part selection needs 200001 influence"):
+            TesterConfig(eps=0.25, k=2, num_parts=tester.NUM_PARTS_BUDGET + 1)
+        assert TesterConfig(eps=0.25, k=2, num_parts=200_000).num_parts == tester.NUM_PARTS_BUDGET
 
     def test_file_round_trip(self, tmp_path):
         cfg = TesterConfig(eps=0.25, k=2, q=128, m=2000, seed=9)
@@ -244,8 +272,9 @@ class TestVirtualPartition:
         assert sorted(occupied) == sorted(buckets.values())
 
     def test_masks_in_ascending_pattern_order(self):
-        # a part is read through its first mask, so the deal and every
-        # split must keep the masks in the order of their patterns
+        # the order of a part's masks fixes which draw deals each one, so
+        # the deal and every split keep them in the order of their
+        # patterns, as the pinned trial records assume
         rng = np.random.default_rng(2)
         masks = [int(x) for x in rng.integers(0, 1 << 12, size=8)]
         buckets = _buckets_from_masks(masks, 12)
@@ -500,15 +529,11 @@ class TestRefineStop:
         for seed in seeds:
             result, queries, rounds, kept = refine_with_spy(table, cfg, seed, est, monkeypatch)
             r = result.rounds_used
-            assert 1 <= r <= cfg.refine_rounds
+            assert 1 <= r <= default_refine_rounds(cfg.q, cfg.num_parts)
             if est is estimate_inf_mask:
                 assert queries == cfg.m * ((1 << cfg.k) + 1) * r
-            # a cap of r rounds draws the same stream: the same refinement
-            capped = replace(cfg, refine_rounds=r)
-            assert refine_with_spy(table, capped, seed, est, monkeypatch)[0] == result
-            if r < cfg.refine_rounds:
-                # round r left every part isolated
-                assert all(len(p.masks) <= 1 for p in kept)
+            # round r left every part isolated
+            assert all(len(p.masks) <= 1 for p in kept)
             # no earlier round left every part isolated
             for j in range(1, r):
                 assert any(len(p.masks) > 1 for p in rounds[j])
@@ -653,23 +678,18 @@ class TestCoreStatistics:
     def _check_search(self, cores, table, masks, values, patterns, naive):
         k = len(patterns)
         refined = refined_to(masks, patterns, self.N)
-        for sqrt_statistic in (False, True):
-            compared = np.sqrt(naive) if sqrt_statistic else np.asarray(naive)
-            cfg = TesterConfig(
-                eps=0.25,
-                k=k,
-                q=len(masks),
-                accept_threshold=self._separating_threshold(compared),
-                sqrt_statistic=sqrt_statistic,
-            )
-            report = final_check_and_learn(
-                make_counting_oracle(table), masks, values, refined, cores, cfg,
-                np.random.default_rng(0), gate_passes,
-            )
-            first = int(np.flatnonzero(compared <= cfg.accept_threshold)[0])
-            assert report.verdict == "accept"
-            assert report.learned_core == cores.member(first)
-            assert report.empirical_distance == pytest.approx(compared[first], abs=1e-12)
+        naive = np.asarray(naive)
+        cfg = TesterConfig(
+            eps=0.25, k=k, q=len(masks), accept_threshold=self._separating_threshold(naive)
+        )
+        report = final_check_and_learn(
+            make_counting_oracle(table), masks, values, refined, cores, cfg,
+            np.random.default_rng(0), gate_passes,
+        )
+        first = int(np.flatnonzero(naive <= cfg.accept_threshold)[0])
+        assert report.verdict == "accept"
+        assert report.learned_core == cores.member(first)
+        assert report.empirical_distance == pytest.approx(naive[first], abs=1e-12)
 
     @pytest.mark.parametrize("q", [16, 64, 1024])
     @pytest.mark.parametrize("near_core", [False, True])
@@ -734,33 +754,29 @@ class TestCoreStatistics:
         assert stats.shape == (rows,)
         assert np.max(np.abs(stats - naive)) <= 1e-12
         refined = refined_to(masks, patterns, self.N)
-        for sqrt_statistic in (False, True):
-            compared = np.sqrt(naive) if sqrt_statistic else naive
-            if target is None:
-                threshold = float(compared.min()) / 2
-                assert threshold > 1e-9
-            else:
-                # the noisy lift of core `row` scores below every core
-                # before it: pass it and as many later cores as possible
-                earlier = float(compared[:row].min())
-                below = float(compared[compared < earlier].max())
-                assert compared[row] <= below and earlier - below > 1e-9
-                threshold = (below + earlier) / 2
-            cfg = TesterConfig(
-                eps=0.25, k=3, q=len(masks), accept_threshold=threshold, sqrt_statistic=sqrt_statistic
-            )
-            report = final_check_and_learn(
-                make_counting_oracle(table), masks, values, refined, cores, cfg,
-                np.random.default_rng(0), gate_passes,
-            )
-            if target is None:
-                assert report.verdict == "reject"
-                assert report.reject_stage == "core_search"
-                continue
-            assert int(np.flatnonzero(compared <= threshold)[0]) == row
-            assert report.verdict == "accept"
-            assert report.learned_core == cores.member(row)
-            assert report.empirical_distance == pytest.approx(compared[row], abs=1e-12)
+        if target is None:
+            threshold = float(naive.min()) / 2
+            assert threshold > 1e-9
+        else:
+            # the noisy lift of core `row` scores below every core
+            # before it: pass it and as many later cores as possible
+            earlier = float(naive[:row].min())
+            below = float(naive[naive < earlier].max())
+            assert naive[row] <= below and earlier - below > 1e-9
+            threshold = (below + earlier) / 2
+        cfg = TesterConfig(eps=0.25, k=3, q=len(masks), accept_threshold=threshold)
+        report = final_check_and_learn(
+            make_counting_oracle(table), masks, values, refined, cores, cfg,
+            np.random.default_rng(0), gate_passes,
+        )
+        if target is None:
+            assert report.verdict == "reject"
+            assert report.reject_stage == "core_search"
+            return
+        assert int(np.flatnonzero(naive <= threshold)[0]) == row
+        assert report.verdict == "accept"
+        assert report.learned_core == cores.member(row)
+        assert report.empirical_distance == pytest.approx(naive[row], abs=1e-12)
 
     def test_empty_core_set(self):
         empty = CoreSet("subadditive", 3, 0.25, np.empty((0, 8)))
@@ -853,20 +869,6 @@ class TestAgainstPerMaskEstimator:
         assert report_to_lines(batched) == report_to_lines(reference)
         assert batched.queries_used == exact_queries(cfg, batched.refine_rounds_used)
 
-    @pytest.mark.parametrize("case, seed", CASES)
-    def test_same_report_one_round(self, case, seed):
-        # one refinement round leaves parts of several patterns, read
-        # through their smallest; the reference loop reads the same one
-        class_tag, cfg, table = self._instance(case, seed)
-        cfg = replace(cfg, refine_rounds=1)
-        batched = run_tester(make_counting_oracle(table), class_tag, cfg)
-        reference = run_tester(
-            make_counting_oracle(table), class_tag, cfg, estimator=shared_base_estimator
-        )
-        assert batched == reference
-        assert report_to_lines(batched) == report_to_lines(reference)
-        assert batched.queries_used == cfg.query_budget()
-
 
 class TestRunTester:
     def test_determinism(self):
@@ -894,17 +896,11 @@ class TestRunTester:
             table = FunctionTable(n, rng.uniform(0, 1, 1 << n))
             oracle = make_counting_oracle(table)
             report = run_tester(oracle, "submodular", cfg)
-            if report.refine_rounds_used == cfg.refine_rounds:
+            if report.refine_rounds_used == default_refine_rounds(cfg.q, cfg.num_parts):
                 assert report.queries_used == cfg.query_budget()
             assert report.queries_used == exact_queries(cfg, report.refine_rounds_used)
             assert report.queries_used <= cfg.query_budget()
             assert report.queries_used == oracle.query_count
-
-    def test_subset_budget_error(self):
-        cfg = TesterConfig(eps=0.25, k=2, num_parts=3000, subset_budget=1000, core_grid=0.25)
-        table = and_junta(8, (1, 2))
-        with pytest.raises(SubsetBudgetError):
-            run_tester(make_counting_oracle(table), "submodular", cfg)
 
     def test_report_serialization_round_trip(self):
         table = and_junta(10, (3, 9))
@@ -928,32 +924,6 @@ class TestRunTester:
         assert report.verdict == "reject"
         back = report_from_lines("\n".join(report_to_lines(report)))
         assert back == report
-
-    def test_sqrt_statistic_mode(self):
-        # in-class instance: both statistic forms accept; each report
-        # carries the statistic in the form it was compared in, so both
-        # sit below the same threshold
-        cores = cached_cores("submodular", 2, 0.25)
-        table = lift_core(cores.member(40), (2, 8), 10)
-        base = TesterConfig(eps=0.25, k=2, q=64, m=200, seed=11)
-        sqrt_cfg = TesterConfig(
-            eps=0.25, k=2, q=64, m=200, seed=11, sqrt_statistic=True
-        )
-        plain = run_tester(make_counting_oracle(table), "submodular", base)
-        rooted = run_tester(make_counting_oracle(table), "submodular", sqrt_cfg)
-        assert plain.verdict == rooted.verdict == "accept"
-        assert plain.empirical_distance <= base.accept_threshold
-        assert rooted.empirical_distance <= sqrt_cfg.accept_threshold
-        # the square-rooted form is the more stringent one: a borderline
-        # out-of-class core (AND) accepted by the default form at this
-        # seed is rejected once the root is taken
-        and_table_inst = and_junta(10, (2, 8))
-        assert run_tester(
-            make_counting_oracle(and_table_inst), "submodular", base
-        ).verdict == "accept"
-        assert run_tester(
-            make_counting_oracle(and_table_inst), "submodular", sqrt_cfg
-        ).verdict == "reject"
 
     def test_learned_core_present_iff_accept(self):
         cfg = TesterConfig(eps=0.25, k=2, m=100, seed=2)
@@ -984,7 +954,7 @@ class TestNearJuntaIsolation:
         f = FunctionTable(n, (1 - eps) * g.values + eps * noise)
         # l2 distance to the junta is at most eps by construction
         assert np.sqrt(np.mean((f.values - g.values) ** 2)) <= eps
-        cfg = TesterConfig(eps=eps, k=2, m=10, num_parts=200, subset_budget=30_000)
+        cfg = TesterConfig(eps=eps, k=2, m=10, num_parts=200)
         oracle = make_counting_oracle(f)
         est = exact_stub(f)
         failures = 0
