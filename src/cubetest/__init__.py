@@ -4,7 +4,6 @@ Boolean hypercube, with exact brute-force oracles at desk scale."""
 from .tables import (
     CubePoint,
     FunctionTable,
-    FourierSpectrum,
     QueryOracle,
     lp_distance,
     make_counting_oracle,
@@ -15,7 +14,7 @@ from .tables import (
 from .influence import (
     CoordPartition,
     closest_junta,
-    estimate_inf,
+    estimate_inf_mask,
     influence_exact,
     influence_fourier,
     junta_projection,

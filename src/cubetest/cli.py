@@ -8,7 +8,8 @@ failure into an exit code and a one-line message on stderr:
 2  malformed input, bad usage, an unreadable or unwritable file
    (every command)
 3  class without a membership checker (check, test, certify)
-4  enumeration or subset budget exceeded (test, certify)
+4  enumeration, subset or sample budget exceeded (test, certify,
+   influence)
 """
 
 from __future__ import annotations
@@ -115,8 +116,9 @@ def _cmd_influence(args) -> int:
         m, seed = int(parts[1]), int(parts[2])
         if args.seed is not None:
             seed = args.seed
-        oracle = tables.make_counting_oracle(table)
-        value = influence.estimate_inf(oracle, coords, m, np.random.default_rng(seed))
+        masks = np.array([tables.mask_of(coords, table.n)], dtype=np.int64)
+        oracle, rng = tables.make_counting_oracle(table), np.random.default_rng(seed)
+        value = float(influence.estimate_inf_mask(oracle, masks, m, rng)[0])
     else:
         raise ValueError(f"unknown influence mode {mode!r}")
     print(repr(value))

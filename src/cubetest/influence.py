@@ -7,16 +7,16 @@ spectral routine sums squared Fourier weight on sets meeting S; the
 sampled estimator is the 2m-query Monte Carlo scheme whose deviation
 obeys the Hoeffding bound  Pr[|est - Inf| >= t] <= 2 exp(-2 m t^2).
 
-`estimate_inf_mask` is the one sampled entry point.  Like a ufunc it
-takes a scalar mask (and returns a float) or a 1-D batch of masks (and
-returns an array).  A batch shares one draw of m base points across all
-its masks (common random numbers), and each mask adds its own m fresh
-completions: B masks cost m(B + 1) queries rather than 2mB.  Each
-estimate keeps the law of an independent 2m-query estimate, so it stays
-unbiased and keeps the Hoeffding bound; only the estimates of one batch
-are dependent.  The fresh points are drawn in chunks of at most
-ESTIMATE_CHUNK_POINTS, one RNG draw and one oracle call per chunk.  A
-scalar mask, or a batch of one, costs 2m queries.
+`estimate_inf_mask` is the one sampled entry point.  It takes a 1-D
+batch of masks and returns an array of one estimate per mask; one set's
+estimate is entry 0 of a batch of one, which costs 2m queries.  A batch
+shares one draw of m base points across all its masks (common random
+numbers), and each mask adds its own m fresh completions: B masks cost
+m(B + 1) queries rather than 2mB.  Each estimate keeps the law of an
+independent 2m-query estimate, so it stays unbiased and keeps the
+Hoeffding bound; only the estimates of one batch are dependent.  The
+fresh points are drawn in chunks of at most ESTIMATE_CHUNK_POINTS, one
+RNG draw and one oracle call per chunk.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from .tables import (
-    FourierSpectrum,
-    FunctionTable,
-    QueryOracle,
-    mask_of,
-    walsh_hadamard,
-)
+from .tables import FunctionTable, QueryOracle, mask_of, walsh_hadamard
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
 # fresh oracle points per chunk of a batched estimate (a chunk holds at
@@ -44,15 +38,20 @@ DEFAULT_SUBSET_BUDGET = 2_000_000
 # masks of m fresh points) at k <= 3 and m <= 1024; at 1 << 15 the peak
 # RSS of a criterion-8 run rose by about 0.7 MB
 ESTIMATE_CHUNK_POINTS = 1 << 13
+# most samples per mask (m) an estimate may draw: past ESTIMATE_CHUNK_POINTS
+# a chunk holds one mask, whose draws, answers and differences take about
+# 40m bytes, 168 MB at 2^22; the paper's m at eps = 0.25, k = 3 is 746,496.
+# A larger m raises SubsetBudgetError (exit 4) before anything is drawn
+M_BUDGET = 1 << 22
 # doubles per block of the (sets x degree <= k masks) product of
 # `junta_weights`: a few MB of temporaries whatever the number of sets
 WEIGHT_BLOCK_DOUBLES = 1 << 18
 
 
 class SubsetBudgetError(ValueError):
-    """A sweep would exceed its budget: the tester's part selection
-    (num_parts estimates, over `tester.NUM_PARTS_BUDGET`) or
-    `closest_junta`'s C(n, k) coordinate sets."""
+    """A size over its budget, refused before it is allocated: the tester's
+    q (`tester.Q_BUDGET`) or num_parts (`tester.NUM_PARTS_BUDGET`), an
+    estimate's m (M_BUDGET) or `closest_junta`'s C(n, k) coordinate sets."""
 
 
 def _axes_for(coord_mask: int, n: int) -> tuple[int, ...]:
@@ -70,44 +69,49 @@ def influence_exact(f: FunctionTable, S: Iterable[int]) -> float:
     return float(np.mean(var))
 
 
-def influence_fourier(spectrum: FourierSpectrum, S: Iterable[int]) -> float:
-    """Sum of squared coefficients over sets T with T intersecting S."""
-    s_mask = mask_of(S, spectrum.n)
+def influence_fourier(coefficients: np.ndarray, S: Iterable[int]) -> float:
+    """Sum of squared coefficients (as from `walsh_hadamard`) over sets T
+    with T intersecting S."""
+    size = len(coefficients)
+    s_mask = mask_of(S, size.bit_length() - 1)
     if s_mask == 0:
         return 0.0
-    masks = np.arange(1 << spectrum.n)
-    meets = (masks & s_mask) != 0
-    return float(np.sum(spectrum.coefficients[meets] ** 2))
+    meets = (np.arange(size) & s_mask) != 0
+    return float(np.sum(coefficients[meets] ** 2))
 
 
 def estimate_inf_mask(
-    oracle: QueryOracle, s_mask: int | np.ndarray, m: int, rng: np.random.Generator
-) -> float | np.ndarray:
-    """Monte Carlo influence estimate from m base points shared by every
-    mask and m fresh points per mask: 2m oracle queries for one mask,
-    m(B + 1) for a batch of B.
+    oracle: QueryOracle, masks: np.ndarray, m: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Monte Carlo influence estimates of a 1-D int64 batch of B masks, in
+    order, from m base points shared by every mask and m fresh points per
+    mask: m(B + 1) oracle queries, 2m for one mask.
 
     Each of the m samples fixes the coordinates outside S at a base point
     and compares f there with f at a fresh completion of S; the average
     squared difference, halved, is an unbiased estimate of Inf_f(S).
 
-    `s_mask` is one mask (the result is a float) or a 1-D batch of masks
-    (the result is an array, one estimate per mask).  The draws hold the
-    m base points, then the m fresh points of each mask in order, so a
-    scalar call draws and queries exactly what the first mask of a batch
-    does.  Every mask sees uniform base points and fresh points drawn
-    independently of them, so each estimate has the law of a separate
-    2m-query estimate; the masks of a batch share the base points
-    (common random numbers), which only correlates their estimates.  An
-    empty batch draws nothing and queries nothing.
+    The draws hold the m base points, then the m fresh points of each
+    mask in order, so a batch of one draws and queries exactly what the
+    first mask of a longer batch does.  Every mask sees uniform base
+    points and fresh points drawn independently of them, so each estimate
+    has the law of a separate 2m-query estimate; the masks of a batch
+    share the base points (common random numbers), which only correlates
+    their estimates.  An empty batch draws nothing and queries nothing.
+    A scalar or 2-D `masks` raises ValueError, and m over M_BUDGET raises
+    SubsetBudgetError.
     """
     if m < 1:
         raise ValueError("sample count must be >= 1")
-    masks = np.asarray(s_mask, dtype=np.int64)
-    if masks.ndim > 1:
-        raise ValueError("s_mask must be a scalar or a 1-D batch of masks")
-    batch = masks.reshape(-1, 1)
-    out = np.empty(batch.shape[0])
+    if m > M_BUDGET:
+        raise SubsetBudgetError(
+            f"influence estimate needs {m} samples per mask, budget is {M_BUDGET}; reduce m"
+        )
+    masks = np.asarray(masks, dtype=np.int64)
+    if masks.ndim != 1:
+        raise ValueError("masks must be a 1-D batch")
+    batch = masks[:, None]
+    out = np.empty(len(masks))
     size = 1 << oracle.n
     per_chunk = max(1, ESTIMATE_CHUNK_POINTS // m)
     for lo in range(0, batch.shape[0], per_chunk):
@@ -126,11 +130,7 @@ def estimate_inf_mask(
         diff = base_values - values[head:]
         diff *= diff
         out[lo : lo + s.shape[0]] = diff.sum(axis=1) / (2 * m)
-    return float(out[0]) if masks.ndim == 0 else out
-
-
-def estimate_inf(oracle: QueryOracle, S: Iterable[int], m: int, rng: np.random.Generator) -> float:
-    return estimate_inf_mask(oracle, mask_of(S, oracle.n), m, rng)
+    return out
 
 
 def junta_projection(f: FunctionTable, J: Iterable[int]) -> FunctionTable:
@@ -168,7 +168,7 @@ def junta_weights(
     count = math.comb(f.n, k)
     if count > subset_budget:
         raise SubsetBudgetError(f"closest_junta needs {count} subsets, budget is {subset_budget}")
-    coefficients = walsh_hadamard(f).coefficients
+    coefficients = walsh_hadamard(f)
     flat = chain.from_iterable(combinations(range(f.n), k))
     positions = np.fromiter(flat, dtype=np.int64, count=count * k).reshape(count, k)
     set_masks = np.bitwise_or.reduce(np.left_shift(1, positions), axis=1, initial=0)

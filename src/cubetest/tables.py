@@ -148,24 +148,6 @@ class FunctionTable:
         return f"FunctionTable(n={self.n})"
 
 
-class FourierSpectrum:
-    """Fourier coefficients hat_f(T), indexed by the mask of T."""
-
-    __slots__ = ("n", "coefficients")
-
-    def __init__(self, n: int, coefficients):
-        arr = np.asarray(coefficients, dtype=np.float64)
-        if arr.shape != (1 << n,):
-            raise ValueError(f"expected {1 << n} coefficients for n={n}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coefficients", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FourierSpectrum is immutable")
-
-
 def _fwht_inplace(a: np.ndarray) -> None:
     """Unnormalized fast Walsh-Hadamard butterfly, in place."""
     size = a.shape[0]
@@ -179,20 +161,23 @@ def _fwht_inplace(a: np.ndarray) -> None:
         h *= 2
 
 
-def walsh_hadamard(f: FunctionTable) -> FourierSpectrum:
-    """Exact transform: hat_f(T) = E_x[f(x) * chi_T(x)], O(n 2^n).
+def walsh_hadamard(f: FunctionTable) -> np.ndarray:
+    """Exact transform, O(n 2^n): a read-only float64 array whose entry at
+    the mask of T is hat_f(T) = E_x[f(x) * chi_T(x)], transformed in one
+    copy of the table.
 
     Raises if the result fails Parseval against the input table, which
     would indicate numerical breakage rather than a user error.
     """
-    a = f.values.astype(np.float64).copy()
+    a = f.values.copy()
     _fwht_inplace(a)
     a /= a.shape[0]
     energy_time = float(np.mean(f.values ** 2))
     energy_freq = float(np.sum(a ** 2))
     if abs(energy_time - energy_freq) > 1e-9:
         raise ArithmeticError("Parseval check failed in walsh_hadamard")
-    return FourierSpectrum(f.n, a)
+    a.flags.writeable = False
+    return a
 
 
 def lp_distance(f: FunctionTable, g: FunctionTable, p: float) -> float:

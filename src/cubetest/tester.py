@@ -44,8 +44,8 @@ the paper (see the README).
 
 Each stage passes its whole batch of masks to one estimator call: the
 selection its B = num_parts part masks, each refinement round the
-complements of its 2^k candidate unions, the gate one mask.  A batch
-shares one set of m base points across its masks (see
+complements of its 2^k candidate unions, the gate a batch of one.  A
+batch shares one set of m base points across its masks (see
 `estimate_inf_mask`), and each estimate keeps the law of a separate
 2m-query estimate, so B masks cost m(B + 1) queries and a run that used
 r refinement rounds costs exactly q + m(B + 1) + m(2^k + 1) r + 2m;
@@ -72,11 +72,9 @@ from .influence import SubsetBudgetError, estimate_inf_mask
 from .tables import QueryOracle, check_p, coords_of
 
 # estimator signature: (oracle, masks, m, rng) -> influence estimates;
-# like `estimate_inf_mask`, a scalar mask gives a float and a 1-D int64
-# array of masks gives an array of estimates in the same order
-InfluenceEstimator = Callable[
-    [QueryOracle, int | np.ndarray, int, np.random.Generator], float | np.ndarray
-]
+# like `estimate_inf_mask`, it takes a 1-D int64 array of masks and
+# returns an array of their estimates in the same order
+InfluenceEstimator = Callable[[QueryOracle, np.ndarray, int, np.random.Generator], np.ndarray]
 
 CONFIG_SCHEMA = "cubetest-config-1"
 REPORT_SCHEMA = "cubetest-report-1"
@@ -91,6 +89,11 @@ CORE_SCAN_ROWS = 4096
 # most part-selection estimates (num_parts) a config may ask for; a
 # config over it raises SubsetBudgetError (exit 4) before any sampling
 NUM_PARTS_BUDGET = 200_000
+# most sample points (q) a config may ask for: `_buckets_from_masks` holds
+# a q x n int64 bit matrix, 12.6 MB at q = 2^16 and n = 24, and the
+# paper's q at eps = 0.25, k = 3 is 8,192; a config over it raises
+# SubsetBudgetError (exit 4) before any sampling
+Q_BUDGET = 1 << 16
 
 
 def lp_epsilon_map(p: float, eps: float) -> float:
@@ -139,7 +142,8 @@ class TesterConfig:
     2/3-rate experiments stand in for them.  Theta(k^2) parts keep k
     relevant coordinates apart with constant probability (Blais 2009).
     Omitted thresholds are derived from eps after the lp -> l2 map.
-    num_parts above NUM_PARTS_BUDGET raises SubsetBudgetError."""
+    q above Q_BUDGET or num_parts above NUM_PARTS_BUDGET raises
+    SubsetBudgetError."""
 
     eps: float
     k: int
@@ -162,6 +166,10 @@ class TesterConfig:
             raise ValueError("q, m and num_parts must be >= 1")
         if self.num_parts < self.k:
             raise ValueError("num_parts must be >= k")
+        if self.q > Q_BUDGET:
+            raise SubsetBudgetError(
+                f"sampling needs {self.q} sample points, budget is {Q_BUDGET}; reduce q"
+            )
         if self.num_parts > NUM_PARTS_BUDGET:
             raise SubsetBudgetError(
                 f"part selection needs {self.num_parts} influence estimates, budget is "
@@ -472,7 +480,8 @@ def final_check_and_learn(
     count and the other stages' entries.
     """
     bucket_coords = tuple(tuple(sorted(coords_of(mask))) for mask in refinement.final_masks)
-    gate = estimator(oracle, ((1 << oracle.n) - 1) & ~_union(refinement.final_masks), config.m, rng)
+    complement = ((1 << oracle.n) - 1) & ~_union(refinement.final_masks)
+    gate = float(estimator(oracle, np.array([complement], dtype=np.int64), config.m, rng)[0])
     phi = tuple(coords[0] if coords else None for coords in bucket_coords)
     core, dist, stage = None, None, "influence_check"
     if not gate > config.inf_threshold:
@@ -508,10 +517,10 @@ def run_tester(
     """All four stages in order over a single oracle and RNG stream.
 
     `estimator` stands in for `estimate_inf_mask` under the same
-    contract (see `InfluenceEstimator`).  The part selection calls it
-    once with a 1-D int64 batch of its num_parts part masks, each
-    refinement round once with a batch of its 2^k complement masks, and
-    the gate once with one mask, so a run that used r rounds makes
+    contract (see `InfluenceEstimator`): every call passes a 1-D int64
+    batch of masks.  The part selection calls it once with its num_parts
+    part masks, each refinement round once with its 2^k complement
+    masks, and the gate once with a batch of one, so a run that used r rounds makes
     exactly q + m(num_parts + 1) + m(2^k + 1) r + 2m queries (see
     `TesterConfig.query_budget`).
 

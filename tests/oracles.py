@@ -344,45 +344,39 @@ def naive_core_statistics(sample_values, final_patterns, core_rows) -> list[floa
     return out
 
 
-def per_mask_estimator(oracle, s_mask, m, rng):
+def per_mask_estimator(oracle, masks, m, rng):
     """Influence estimator that makes one draw of m base points, one of m
     fresh points and two oracle calls per mask, one mask at a time; takes
-    a scalar mask or a 1-D batch, like `influence.estimate_inf_mask`."""
-
-    def one(mask):
+    a 1-D batch of masks, like `influence.estimate_inf_mask`."""
+    size = 1 << oracle.n
+    out = []
+    for mask in masks:
         mask = int(mask)
-        size = 1 << oracle.n
         base = rng.integers(0, size, size=m, dtype=np.int64)
         fresh = rng.integers(0, size, size=m, dtype=np.int64)
         resampled = (base & ~mask) | (fresh & mask)
         v1 = oracle.query_masks(base)
         v2 = oracle.query_masks(resampled)
-        return float(np.sum((v1 - v2) ** 2) / (2 * m))
-
-    if np.ndim(s_mask) == 0:
-        return one(s_mask)
-    return np.array([one(mask) for mask in s_mask], dtype=np.float64)
+        out.append(float(np.sum((v1 - v2) ** 2) / (2 * m)))
+    return np.array(out, dtype=np.float64)
 
 
-def shared_base_estimator(oracle, s_mask, m, rng):
+def shared_base_estimator(oracle, masks, m, rng):
     """Influence estimator that makes one draw of m base points and one
     oracle call on them per call, then, mask by mask, one draw of m fresh
     points and one oracle call on their completions of the base; takes a
-    scalar mask or a 1-D batch, like `influence.estimate_inf_mask`.  An
-    empty batch draws and queries nothing."""
-    scalar = np.ndim(s_mask) == 0
-    masks = [int(s_mask)] if scalar else [int(mask) for mask in s_mask]
+    1-D batch of masks, like `influence.estimate_inf_mask`.  An empty
+    batch draws and queries nothing."""
     out = []
-    if masks:
+    if len(masks):
         size = 1 << oracle.n
         base = rng.integers(0, size, size=m, dtype=np.int64)
         v1 = oracle.query_masks(base)
         for mask in masks:
+            mask = int(mask)
             fresh = rng.integers(0, size, size=m, dtype=np.int64)
             v2 = oracle.query_masks((base & ~mask) | (fresh & mask))
             out.append(float(np.sum((v1 - v2) ** 2) / (2 * m)))
-    if scalar:
-        return out[0]
     return np.array(out, dtype=np.float64)
 
 

@@ -39,7 +39,7 @@ from cubetest.valuations import (
     parity_blend_table,
     random_spec,
 )
-from cubetest.influence import estimate_inf
+from cubetest.influence import estimate_inf_mask
 from test_tester import exact_stub
 
 RATE_THRESHOLD = 2 / 3 - wilson_halfwidth(2 / 3, 200)
@@ -100,7 +100,7 @@ def test_criterion_03_estimator_concentration():
     bad = 0
     for seed in range(1000):
         oracle = make_counting_oracle(f)
-        est = estimate_inf(oracle, [1], 2000, np.random.default_rng(seed))
+        est = estimate_inf_mask(oracle, np.array([1]), 2000, np.random.default_rng(seed))[0]
         assert oracle.query_count == 4000
         if abs(est - 0.25) >= 0.05:
             bad += 1

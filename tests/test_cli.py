@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,43 @@ class TestInfluence:
     def test_bad_mode_exit_2(self, dictator_file):
         assert main(["influence", str(dictator_file), "1", "--mode", "bogus"]) == 2
 
+    def test_estimate_m_over_budget_exit_4(self, dictator_file, capsys):
+        # once a 298 GiB draw and a traceback
+        mode = "estimate:20000000000:1"
+        assert main(["influence", str(dictator_file), "1", "--mode", mode]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "budget exceeded: influence estimate needs 20000000000 samples per mask, "
+            "budget is 4194304; reduce m\n"
+        )
+        assert captured.out == ""
+
+    # stdout of the three modes on one generated table, as the parent of the
+    # batch-only estimator printed it: every digit, and plain floats
+    PINNED_SPEC = (
+        "class: submodular\nn: 6\nseed: 7\nweights: 0.31 0.17 0.53 0.29 0.11 0.43\nbudget: 0.9\n"
+    )
+    PINNED = {
+        ("2,5", "exact"): "0.0045480468750000004\n",
+        ("2,5", "fourier"): "0.004548046875\n",
+        ("2,5", "estimate:500:3"): "0.0045112\n",
+        ("1,3,6", "exact"): "0.046372460937500005\n",
+        ("1,3,6", "fourier"): "0.04637246093749999\n",
+        ("1,3,6", "estimate:500:3"): "0.04745400000000001\n",
+    }
+
+    @pytest.mark.parametrize("coords, mode", sorted(PINNED))
+    def test_pinned_output(self, tmp_path, capsys, coords, mode):
+        spec, table = tmp_path / "pin.spec", tmp_path / "pin.tbl"
+        spec.write_text(self.PINNED_SPEC)
+        assert main(["--out", str(table), "gen", str(spec)]) == 0
+        capsys.readouterr()
+        assert main(["influence", str(table), coords, "--mode", mode]) == 0
+        captured = capsys.readouterr()
+        assert "np.float64(" not in captured.out
+        assert captured.out == self.PINNED[coords, mode]
+        assert captured.err == ""
+
 
 class TestTestCommand:
     def _small_plan(self, tmp_path, **kwargs):
@@ -323,6 +361,19 @@ class TestTestCommand:
             "error: num_parts must be >= k\n",
         ),
         "k_above_cap": (dict(k=4), 2, "error: k=4 exceeds the cap 3\n"),
+        # q and m once went on to a 149 GiB bit matrix or a 298 GiB draw
+        "q_over_cap": (
+            dict(overrides={"q": 20_000_000_000, "m": 20, "gamma": 0.25}),
+            4,
+            "budget exceeded: sampling needs 20000000000 sample points, budget is 65536; "
+            "reduce q\n",
+        ),
+        "m_over_cap": (
+            dict(overrides={"q": 16, "m": 20_000_000_000, "gamma": 0.25}),
+            4,
+            "budget exceeded: influence estimate needs 20000000000 samples per mask, "
+            "budget is 4194304; reduce m\n",
+        ),
         # settings that were removed: refused, not read and dropped
         "refine_rounds_given": (
             dict(edits=(("gamma: 0.25\n", "gamma: 0.25\nrefine_rounds: 4\n"),)),
@@ -663,6 +714,28 @@ def test_tiny_gamma_exit_2(tmp_path, and_table_file, command):
     assert result.returncode == 2
     assert result.stderr == "error: gamma=1e-310 is too small: 1/gamma is not finite\n"
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("case", ["q_plan", "m_plan", "influence_estimate"])
+def test_budget_refusal_allocates_little(tmp_path, dictator_file, capsys, case):
+    # each refusal comes before the array it guards, which at 2 * 10^10
+    # would take 149 GiB (q) or 298 GiB (m): under 1 MiB is traced
+    if case == "influence_estimate":
+        argv = ["influence", str(dictator_file), "1", "--mode", "estimate:20000000000:1"]
+    else:
+        overrides = {"q": 16, "m": 20, "gamma": 0.25, case[0]: 20_000_000_000}
+        path = tmp_path / "plan.txt"
+        bench.write_plan(bench.ExperimentPlan("submodular", 8, 2, 0.25, overrides=overrides), path)
+        argv = ["test", str(path)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+    assert peak < 2 ** 20
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -9,8 +9,8 @@ from cubetest.influence import (
     ESTIMATE_CHUNK_POINTS,
     CoordPartition,
     SubsetBudgetError,
+    M_BUDGET,
     closest_junta,
-    estimate_inf,
     estimate_inf_mask,
     influence_exact,
     influence_fourier,
@@ -95,26 +95,41 @@ class TestInfluenceFourier:
 
 
 class TestEstimateInf:
+    """One set's estimate: entry 0 of a batch of one mask."""
+
     def test_constant_is_exactly_zero(self):
         f = FunctionTable(4, [0.7] * 16)
         for seed in (0, 1, 99):
             oracle = make_counting_oracle(f)
-            est = estimate_inf(oracle, [1, 3], 5, np.random.default_rng(seed))
-            assert est == 0.0
+            est = estimate_inf_mask(oracle, np.array([0b101]), 5, np.random.default_rng(seed))
+            assert est.shape == (1,)
+            assert est[0] == 0.0
 
     def test_query_accounting_is_2m(self):
         rng = np.random.default_rng(2)
         oracle = make_counting_oracle(random_table(5, rng))
-        estimate_inf(oracle, [2], 37, rng)
+        estimate_inf_mask(oracle, np.array([0b10]), 37, rng)
         assert oracle.query_count == 74
-        estimate_inf(oracle, [1, 2], 1, rng)
+        estimate_inf_mask(oracle, np.array([0b11]), 1, rng)
         assert oracle.query_count == 76
 
     def test_m_below_one_rejected(self):
         rng = np.random.default_rng(2)
         oracle = make_counting_oracle(random_table(3, rng))
         with pytest.raises(ValueError):
-            estimate_inf(oracle, [1], 0, rng)
+            estimate_inf_mask(oracle, np.array([0b1]), 0, rng)
+
+    @pytest.mark.parametrize("m", [M_BUDGET + 1, 20_000_000_000])
+    def test_m_over_budget_refused_before_drawing(self, m):
+        oracle = make_counting_oracle(random_table(3, np.random.default_rng(2)))
+        rng = np.random.default_rng(5)
+        with pytest.raises(SubsetBudgetError) as refused:
+            estimate_inf_mask(oracle, np.array([0b1]), m, rng)
+        assert str(refused.value) == (
+            f"influence estimate needs {m} samples per mask, budget is {M_BUDGET}; reduce m"
+        )
+        assert oracle.query_count == 0
+        assert rng.integers(0, 1 << 62) == np.random.default_rng(5).integers(0, 1 << 62)
 
     def test_dictator_concentrates(self):
         # m=10^4 puts the Hoeffding bound at 2e^-8; over 1000 seeded runs
@@ -123,8 +138,8 @@ class TestEstimateInf:
         bad = 0
         for seed in range(1000):
             oracle = make_counting_oracle(f)
-            est = estimate_inf(oracle, [1], 10_000, np.random.default_rng(seed))
-            if abs(est - 0.25) >= 0.02:
+            est = estimate_inf_mask(oracle, np.array([0b1]), 10_000, np.random.default_rng(seed))
+            if abs(est[0] - 0.25) >= 0.02:
                 bad += 1
         assert bad / 1000 <= 0.01
 
@@ -138,7 +153,8 @@ class TestEstimateInf:
         estimates = np.empty(runs)
         for i in range(runs):
             oracle = make_counting_oracle(f)
-            estimates[i] = estimate_inf(oracle, coords, 50, np.random.default_rng(i))
+            est = estimate_inf_mask(oracle, np.array([0b1001]), 50, np.random.default_rng(i))
+            estimates[i] = est[0]
         se = estimates.std(ddof=1) / math.sqrt(runs)
         assert abs(estimates.mean() - exact) <= 3 * se
 
@@ -150,7 +166,8 @@ class TestEstimateInf:
             ests = []
             for seed in range(200):
                 oracle = make_counting_oracle(f)
-                ests.append(estimate_inf(oracle, [1, 2], m, np.random.default_rng(seed)))
+                est = estimate_inf_mask(oracle, np.array([0b11]), m, np.random.default_rng(seed))
+                ests.append(est[0])
             variances.append(np.var(ests))
         assert variances[0] > variances[1] > variances[2]
 
@@ -170,41 +187,41 @@ def hashed_oracle(n):
 class TestEstimateBatch:
     """A batch of masks gives the same bits, the same query count, m(B + 1)
     for B masks, and the same RNG state afterwards as the shared-base
-    reference loop; scalar calls made in sequence give all three as the
-    per-mask reference does, 2m queries each; and a scalar call gives
-    what the first mask of a batch gives."""
+    reference loop; batches of one made in sequence give all three as the
+    per-mask reference does, 2m queries each; and a batch of one gives
+    what the first mask of a longer batch gives."""
 
     def _compare(self, make_oracle, n, m, count, seed=0):
         masks = np.random.default_rng(seed).integers(0, 1 << n, size=count, dtype=np.int64)
         runs = {}
-        for how in ("batch", "shared_base", "scalar", "per_mask", "first"):
+        for how in ("batch", "shared_base", "one_mask", "per_mask", "first"):
             oracle = make_oracle()
             rng = np.random.default_rng(seed + 1)
             if how == "batch":
                 est = estimate_inf_mask(oracle, masks, m, rng)
             elif how == "shared_base":
                 est = shared_base_estimator(oracle, masks, m, rng)
-            elif how == "scalar":
-                est = [estimate_inf_mask(oracle, int(s), m, rng) for s in masks]
+            elif how == "one_mask":
+                est = [estimate_inf_mask(oracle, masks[i : i + 1], m, rng)[0] for i in range(count)]
             elif how == "per_mask":
                 est = per_mask_estimator(oracle, masks, m, rng)
             else:
-                est = [estimate_inf_mask(oracle, int(masks[0]), m, rng)]
+                est = estimate_inf_mask(oracle, masks[:1], m, rng)
             after = rng.integers(0, 1 << 62, size=4)
             runs[how] = (np.asarray(est, dtype=np.float64), oracle.query_count, after)
         for got, want, queries in (
             (runs["batch"], runs["shared_base"], m * (count + 1)),
-            (runs["scalar"], runs["per_mask"], 2 * m * count),
+            (runs["one_mask"], runs["per_mask"], 2 * m * count),
         ):
             assert got[0].shape == (count,)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1] == want[1] == queries
             assert np.array_equal(got[2], want[2])
         assert runs["first"][0].tobytes() == runs["batch"][0][:1].tobytes()
-        assert runs["first"][0].tobytes() == runs["scalar"][0][:1].tobytes()
+        assert runs["first"][0].tobytes() == runs["one_mask"][0][:1].tobytes()
 
     @pytest.mark.parametrize("m", [1, 37, 1000])
-    def test_matches_scalar_calls(self, m):
+    def test_matches_one_mask_calls(self, m):
         table = random_table(9, np.random.default_rng(m))
         self._compare(lambda: make_counting_oracle(table), 9, m, 20)
 
@@ -218,10 +235,14 @@ class TestEstimateBatch:
     def test_n40_custom_oracle(self):
         self._compare(lambda: hashed_oracle(40), 40, 37, 30)
 
-    def test_scalar_gives_float(self):
+    @pytest.mark.parametrize("masks", [0b101, np.int64(0b101), np.zeros((2, 2), dtype=np.int64)])
+    def test_scalar_and_two_dimensional_refused(self, masks):
         oracle = make_counting_oracle(random_table(5, np.random.default_rng(0)))
-        est = estimate_inf_mask(oracle, 0b101, 10, np.random.default_rng(0))
-        assert type(est) is float
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="masks must be a 1-D batch"):
+            estimate_inf_mask(oracle, masks, 10, rng)
+        assert oracle.query_count == 0
+        assert rng.integers(0, 1 << 62) == np.random.default_rng(3).integers(0, 1 << 62)
 
     def test_empty_batch(self):
         oracle = make_counting_oracle(random_table(5, np.random.default_rng(0)))
@@ -230,11 +251,6 @@ class TestEstimateBatch:
         assert isinstance(est, np.ndarray) and est.shape == (0,)
         assert oracle.query_count == 0
         assert rng.integers(0, 1 << 62) == np.random.default_rng(3).integers(0, 1 << 62)
-
-    def test_two_dimensional_batch_rejected(self):
-        oracle = make_counting_oracle(random_table(5, np.random.default_rng(0)))
-        with pytest.raises(ValueError):
-            estimate_inf_mask(oracle, np.zeros((2, 2), dtype=np.int64), 10, np.random.default_rng(0))
 
     def test_memory_bounded_by_chunks(self):
         # 2,000 masks at m=1000 are 2 M fresh points: one unchunked draw
@@ -405,7 +421,7 @@ class TestJuntaWeights:
     def test_weight_is_projection_distance(self, k):
         f = random_table(8, np.random.default_rng(50 + k))
         coefficients, positions, weights = junta_weights(f, k)
-        assert np.array_equal(coefficients, walsh_hadamard(f).coefficients)
+        assert np.array_equal(coefficients, walsh_hadamard(f))
         assert positions.shape == (math.comb(8, k), k)
         for i, K in enumerate(itertools.combinations(range(1, 9), k)):
             assert tuple(positions[i] + 1) == K

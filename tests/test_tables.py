@@ -95,9 +95,21 @@ class TestFunctionTable:
 class TestWalshHadamard:
     def test_constant(self):
         for c in (0.0, 0.3, 1.0):
-            sp = walsh_hadamard(FunctionTable(3, [c] * 8))
-            assert sp.coefficients[0] == pytest.approx(c, abs=1e-15)
-            assert np.all(np.abs(sp.coefficients[1:]) < 1e-15)
+            coefficients = walsh_hadamard(FunctionTable(3, [c] * 8))
+            assert coefficients[0] == pytest.approx(c, abs=1e-15)
+            assert np.all(np.abs(coefficients[1:]) < 1e-15)
+
+    def test_read_only_array_of_its_own(self):
+        f = random_table(6, np.random.default_rng(3))
+        before = f.values.copy()
+        coefficients = walsh_hadamard(f)
+        assert type(coefficients) is np.ndarray
+        assert coefficients.dtype == np.float64 and coefficients.shape == (64,)
+        assert not coefficients.flags.writeable
+        assert not np.shares_memory(coefficients, f.values)
+        with pytest.raises(ValueError):
+            coefficients[0] = 1.0
+        assert np.array_equal(f.values, before)
 
     def test_dictator_frozen(self):
         # two-point defining expectation: hat(empty) = (0+1)/2,
@@ -105,16 +117,16 @@ class TestWalshHadamard:
         f = FunctionTable(1, [0.0, 1.0])
         assert naive_fourier_coefficient(f.values, 1, 0) == 0.5
         assert naive_fourier_coefficient(f.values, 1, 1) == -0.5
-        sp = walsh_hadamard(f)
-        assert sp.coefficients[0] == 0.5  # indexed by mask: hat(empty)
-        assert sp.coefficients[1] == -0.5  # hat({1})
+        coefficients = walsh_hadamard(f)
+        assert coefficients[0] == 0.5  # indexed by mask: hat(empty)
+        assert coefficients[1] == -0.5  # hat({1})
 
     def test_matches_defining_expectation(self):
         rng = np.random.default_rng(5)
         f = random_table(5, rng)
-        sp = walsh_hadamard(f)
+        coefficients = walsh_hadamard(f)
         for t_mask in range(32):
-            assert sp.coefficients[t_mask] == pytest.approx(
+            assert coefficients[t_mask] == pytest.approx(
                 naive_fourier_coefficient(f.values, 5, t_mask), abs=1e-12
             )
 
@@ -126,15 +138,15 @@ class TestWalshHadamard:
         overlap = np.bitwise_and(x[:, None], x[None, :])
         parity = np.array([bin(int(v)).count("1") & 1 for v in overlap.ravel()])
         chi = (1 - 2 * parity).reshape(overlap.shape)
-        back = chi @ walsh_hadamard(f).coefficients
+        back = chi @ walsh_hadamard(f)
         assert np.max(np.abs(back - f.values)) < 1e-12
 
     def test_parseval_up_to_n12(self):
         rng = np.random.default_rng(12)
         for n in (2, 5, 9, 12):
             f = random_table(n, rng)
-            sp = walsh_hadamard(f)
-            assert abs(np.sum(sp.coefficients ** 2) - np.mean(f.values ** 2)) < 1e-9
+            coefficients = walsh_hadamard(f)
+            assert abs(np.sum(coefficients ** 2) - np.mean(f.values ** 2)) < 1e-9
 
 
 class TestDistances:

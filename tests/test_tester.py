@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cubetest import tester
 from cubetest.cores import CoreSet, CoreTable, cached_cores, lift_core
-from cubetest.influence import SubsetBudgetError, estimate_inf_mask, influence_exact
+from cubetest.influence import M_BUDGET, SubsetBudgetError, estimate_inf_mask, influence_exact
 from cubetest.tables import CubePoint, FunctionTable, coords_of, make_counting_oracle
 from cubetest.tester import (
     RefinementResult,
@@ -44,7 +44,7 @@ TesterConfig.__test__ = False  # imported dataclass, not a test class
 def exact_stub(table):
     """Influence estimator backed by the exact table computation; consumes
     no randomness and no queries.  Like `estimate_inf_mask` it takes a
-    scalar mask (returning a float) or a 1-D batch (returning an array)."""
+    1-D batch of masks and returns an array."""
     cache = {}
 
     def exact(s_mask):
@@ -53,10 +53,8 @@ def exact_stub(table):
             cache[s_mask] = influence_exact(table, sorted(coords_of(s_mask)))
         return cache[s_mask]
 
-    def estimator(oracle, s_mask, m, rng):
-        if np.ndim(s_mask) == 0:
-            return exact(s_mask)
-        return np.array([exact(s) for s in s_mask], dtype=np.float64)
+    def estimator(oracle, masks, m, rng):
+        return np.array([exact(s) for s in masks], dtype=np.float64)
 
     return estimator
 
@@ -184,6 +182,18 @@ class TestConfig:
         with pytest.raises(SubsetBudgetError, match="part selection needs 200001 influence"):
             TesterConfig(eps=0.25, k=2, num_parts=tester.NUM_PARTS_BUDGET + 1)
         assert TesterConfig(eps=0.25, k=2, num_parts=200_000).num_parts == tester.NUM_PARTS_BUDGET
+        # so is a sample draw over its budget
+        with pytest.raises(SubsetBudgetError, match="sampling needs 65537 sample points"):
+            TesterConfig(eps=0.25, k=2, q=tester.Q_BUDGET + 1)
+        assert TesterConfig(eps=0.25, k=2, q=65536).q == tester.Q_BUDGET
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_paper_constants_within_the_q_and_m_budgets(self, k):
+        # the paper's q and m at eps = 0.25 reach 8,192 and 746,496 at k = 3
+        paper = paper_constants(0.25, k)
+        assert paper["q"] <= tester.Q_BUDGET
+        assert paper["m"] <= M_BUDGET
+        assert TesterConfig(eps=0.25, k=k, **paper).q == paper["q"]
 
     def test_file_round_trip(self, tmp_path):
         cfg = TesterConfig(eps=0.25, k=2, q=128, m=2000, seed=9)
@@ -628,8 +638,8 @@ def pattern_of(masks, coord):
     return sum(((m >> (coord - 1)) & 1) << t for t, m in enumerate(masks))
 
 
-def gate_passes(oracle, s_mask, m, rng):
-    return 0.0
+def gate_passes(oracle, masks, m, rng):
+    return np.zeros(len(masks))
 
 
 def refined_to(masks, patterns, n):
