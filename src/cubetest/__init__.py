@@ -12,13 +12,11 @@ from .tables import (
     write_table,
 )
 from .influence import (
-    CoordPartition,
     closest_junta,
     estimate_inf_mask,
     influence_exact,
     influence_fourier,
     junta_projection,
-    random_partition,
 )
 from .valuations import (
     ValuationSpec,

@@ -50,8 +50,12 @@ class ExperimentPlan:
 
     def __post_init__(self):
         check_dimension(self.n)  # before any instance builds a 2^n array
+        if self.k > self.n:
+            raise ValueError(f"k={self.k} exceeds n={self.n}")
         if self.trial_count < 1:
             raise ValueError("trial_count must be >= 1")
+        if self.seed_base < 0:
+            raise ValueError(f"seed_base must be >= 0, got {self.seed_base}")
         if self.mode not in PLAN_MODES:
             raise ValueError(f"unknown instance mode {self.mode!r}")
         if self.core_values is not None and self.mode != "far_mode_a":
@@ -86,11 +90,12 @@ class ExperimentSummary:
     trial_count: int
 
 
-def wilson_halfwidth(p: float, n: int, z: float = 1.96) -> float:
-    """Half-width of the Wilson score interval around rate p at n trials;
-    the CI acceptance thresholds are 2/3 minus this slack."""
+def wilson_halfwidth(p: float, n: int) -> float:
+    """Half-width of the 95% Wilson score interval around rate p at n
+    trials; the CI acceptance thresholds are 2/3 minus this slack."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    z = 1.96
     return (z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))) / (1 + z * z / n)
 
 

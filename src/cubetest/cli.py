@@ -8,8 +8,8 @@ failure into an exit code and a one-line message on stderr:
 2  malformed input, bad usage, an unreadable or unwritable file
    (every command)
 3  class without a membership checker (check, test, certify)
-4  enumeration, subset or sample budget exceeded (test, certify,
-   influence)
+4  a size over its limit, refused before allocation: tables.BudgetError
+   (test, certify, influence)
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import bench, cores, influence, kvfile, tables, tester, valuations
+from . import bench, influence, kvfile, tables, tester, valuations
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -169,7 +169,7 @@ def main(argv=None) -> int:
     # budget and class errors are ValueErrors, so they come first
     try:
         return _COMMANDS[args.command](args)
-    except (cores.EnumerationBudgetError, influence.SubsetBudgetError) as exc:
+    except tables.BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except valuations.UnsupportedClassError as exc:

@@ -24,11 +24,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .tables import FunctionTable, check_p
+from .tables import BudgetError, FunctionTable, check_p
 from .valuations import checker, passing
 
 MAX_K = 3
-DEFAULT_GRID_BUDGET = 2_000_000
+# most grid functions, (1/gamma + 1)^(2^k), an enumeration may visit
+GRID_BUDGET = 2_000_000
 # doubles per block of the (given cores x enumerated cores) product of
 # `dist_cores_to_set`: no whole matrix is built, which for the 220 sets
 # of n = 12 against the 148,815 subadditive k = 3 cores would take 262 MB
@@ -39,10 +40,6 @@ DIST_BLOCK_DOUBLES = 1 << 18
 # by 18.5 MB with this size, 22.8 MB with 32,768 rows and 25.9 MB with
 # 2,048, and took the least time of the three (2-vCPU Xeon, numpy 2.4)
 GRID_BLOCK_ROWS = 8192
-
-
-class EnumerationBudgetError(ValueError):
-    """The requested grid is larger than the configured budget."""
 
 
 @dataclass(frozen=True)
@@ -116,15 +113,13 @@ def _grid_blocks(levels: np.ndarray, size: int):
         yield levels[np.array(digits)].T
 
 
-def enumerate_cores(
-    class_tag: str, k: int, gamma: float, budget: int = DEFAULT_GRID_BUDGET
-) -> CoreSet:
+def enumerate_cores(class_tag: str, k: int, gamma: float) -> CoreSet:
     """All grid functions on {0,1}^k passing the class checker.
 
     k is capped at MAX_K = 3, since the grid is doubly
     exponential in k; the full grid size, (1/gamma + 1)^(2^k), must fit
-    `budget`, and is checked from gamma and k before any level or block
-    is built.
+    GRID_BUDGET, and is checked from gamma and k before any level or
+    block is built (BudgetError).
     """
     checker(class_tag)  # UnsupportedClassError when the class has none
     if k < 0:
@@ -132,9 +127,9 @@ def enumerate_cores(
     if k > MAX_K:
         raise ValueError(f"k={k} exceeds the cap {MAX_K}")
     required = (_grid_steps(gamma) + 1) ** (1 << k)
-    if required > budget:
-        raise EnumerationBudgetError(
-            f"enumeration would visit {required} grid functions, budget is {budget}"
+    if required > GRID_BUDGET:
+        raise BudgetError(
+            f"enumeration would visit {required} grid functions, budget is {GRID_BUDGET}"
         )
     levels = grid_levels(gamma)
     tol = gamma * 1e-6

@@ -1,5 +1,5 @@
 """Influence of coordinate sets: exact, spectral and sampled estimators,
-plus junta projections, closest-junta search and random partitions.
+plus junta projections and closest-junta search.
 
 Inf_f(S) is the expected variance of f when the coordinates in S are
 re-randomized.  The exact routine enumerates the full table; the
@@ -22,15 +22,15 @@ RNG draw and one oracle call per chunk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Hashable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .tables import FunctionTable, QueryOracle, mask_of, walsh_hadamard
+from .tables import BudgetError, FunctionTable, QueryOracle, mask_of, walsh_hadamard
 
-DEFAULT_SUBSET_BUDGET = 2_000_000
+# most size-k coordinate sets `junta_weights` may weigh
+JUNTA_SET_BUDGET = 2_000_000
 # fresh oracle points per chunk of a batched estimate (a chunk holds at
 # least one mask; the first one also holds the m shared base points):
 # bounds the draw, the answers and the differences to a few hundred KB
@@ -41,17 +41,11 @@ ESTIMATE_CHUNK_POINTS = 1 << 13
 # most samples per mask (m) an estimate may draw: past ESTIMATE_CHUNK_POINTS
 # a chunk holds one mask, whose draws, answers and differences take about
 # 40m bytes, 168 MB at 2^22; the paper's m at eps = 0.25, k = 3 is 746,496.
-# A larger m raises SubsetBudgetError (exit 4) before anything is drawn
+# A larger m raises BudgetError (exit 4) before anything is drawn
 M_BUDGET = 1 << 22
 # doubles per block of the (sets x degree <= k masks) product of
 # `junta_weights`: a few MB of temporaries whatever the number of sets
 WEIGHT_BLOCK_DOUBLES = 1 << 18
-
-
-class SubsetBudgetError(ValueError):
-    """A size over its budget, refused before it is allocated: the tester's
-    q (`tester.Q_BUDGET`) or num_parts (`tester.NUM_PARTS_BUDGET`), an
-    estimate's m (M_BUDGET) or `closest_junta`'s C(n, k) coordinate sets."""
 
 
 def _axes_for(coord_mask: int, n: int) -> tuple[int, ...]:
@@ -99,12 +93,12 @@ def estimate_inf_mask(
     share the base points (common random numbers), which only correlates
     their estimates.  An empty batch draws nothing and queries nothing.
     A scalar or 2-D `masks` raises ValueError, and m over M_BUDGET raises
-    SubsetBudgetError.
+    BudgetError.
     """
     if m < 1:
         raise ValueError("sample count must be >= 1")
     if m > M_BUDGET:
-        raise SubsetBudgetError(
+        raise BudgetError(
             f"influence estimate needs {m} samples per mask, budget is {M_BUDGET}; reduce m"
         )
     masks = np.asarray(masks, dtype=np.int64)
@@ -149,9 +143,7 @@ def junta_projection(f: FunctionTable, J: Iterable[int]) -> FunctionTable:
     return FunctionTable(f.n, np.broadcast_to(proj, grid.shape).reshape(-1))
 
 
-def junta_weights(
-    f: FunctionTable, k: int, subset_budget: int = DEFAULT_SUBSET_BUDGET
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def junta_weights(f: FunctionTable, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The spectrum of f and the Fourier weight outside every size-k set.
 
     Returns (coefficients, positions, weights): the Fourier coefficients
@@ -160,14 +152,14 @@ def junta_weights(
     sum of hat_f(T)^2 over T not inside K, the squared l2 distance from f
     to its projection on K.  Each weight is a sum of nonnegative terms
     only: total weight minus the weight inside K would cancel to about
-    1e-16 on an exact junta, a distance of about 1e-8.  The subset budget
-    is checked before anything is allocated.
+    1e-16 on an exact junta, a distance of about 1e-8.  More than
+    JUNTA_SET_BUDGET sets raise BudgetError before anything is allocated.
     """
     if k > f.n:
         raise ValueError(f"k={k} exceeds dimension {f.n}")
     count = math.comb(f.n, k)
-    if count > subset_budget:
-        raise SubsetBudgetError(f"closest_junta needs {count} subsets, budget is {subset_budget}")
+    if count > JUNTA_SET_BUDGET:
+        raise BudgetError(f"closest_junta needs {count} subsets, budget is {JUNTA_SET_BUDGET}")
     coefficients = walsh_hadamard(f)
     flat = chain.from_iterable(combinations(range(f.n), k))
     positions = np.fromiter(flat, dtype=np.int64, count=count * k).reshape(count, k)
@@ -212,46 +204,13 @@ def projection_cores(coefficients: np.ndarray, positions: np.ndarray) -> np.ndar
     return coefficients[masks] @ sylvester
 
 
-def closest_junta(
-    f: FunctionTable, k: int, subset_budget: int = DEFAULT_SUBSET_BUDGET
-) -> tuple[frozenset[int], float]:
+def closest_junta(f: FunctionTable, k: int) -> tuple[frozenset[int], float]:
     """Best size-k coordinate set J and the l2 distance from f to f_J.
 
     Minimizes the influence of the complement, the Fourier weight outside
     J (see `junta_weights`), over all size-k sets; the distance is the
     square root of that weight.  Ties go to the lexicographically first J.
     """
-    _, positions, weights = junta_weights(f, k, subset_budget)
+    _, positions, weights = junta_weights(f, k)
     best = int(np.argmin(weights))
     return frozenset(int(p) + 1 for p in positions[best]), math.sqrt(weights[best])
-
-
-@dataclass(frozen=True)
-class CoordPartition:
-    """Disjoint labeled parts covering a ground set."""
-
-    ground: tuple[Hashable, ...]
-    parts: tuple[frozenset, ...]
-
-    def __post_init__(self):
-        union: set = set()
-        for p in self.parts:
-            if union & p:
-                raise ValueError("parts are not disjoint")
-            union |= p
-        if union != set(self.ground):
-            raise ValueError("parts do not cover the ground set")
-
-
-def random_partition(
-    ground: Iterable[Hashable], r: int, rng: np.random.Generator
-) -> CoordPartition:
-    """Partition a ground set into r labeled parts, assigning every
-    element an independent uniform part label; parts may be empty."""
-    if r < 1:
-        raise ValueError("part count must be >= 1")
-    elements = sorted(ground)
-    buckets: list[set] = [set() for _ in range(r)]
-    for el, lab in zip(elements, rng.integers(0, r, size=len(elements))):
-        buckets[int(lab)].add(el)
-    return CoordPartition(ground=tuple(elements), parts=tuple(frozenset(b) for b in buckets))

@@ -42,8 +42,10 @@ def check_p(p: float) -> None:
         raise ValueError(f"p must be >= 1 and finite, got {p}")
 
 
-class DimensionMismatchError(ValueError):
-    """Operands live on cubes of different dimension."""
+class BudgetError(ValueError):
+    """A size over its limit, refused before it is allocated (exit 4): the
+    tester's q or num_parts, an estimate's m, the core grid or the
+    coordinate sets of `closest_junta`."""
 
 
 def mask_of(coords: Iterable[int], n: int) -> int:
@@ -184,7 +186,7 @@ def lp_distance(f: FunctionTable, g: FunctionTable, p: float) -> float:
     """Normalized distance (E_x |f-g|^p)^(1/p), exact over the table."""
     check_p(p)
     if f.n != g.n:
-        raise DimensionMismatchError(f"dimensions differ: {f.n} vs {g.n}")
+        raise ValueError(f"dimensions differ: {f.n} vs {g.n}")
     diff = np.abs(f.values - g.values)
     return float(np.mean(diff ** p) ** (1.0 / p))
 
@@ -315,8 +317,9 @@ def read_table(path) -> FunctionTable:
         if not header.startswith("dim "):
             raise ValueError("table file must start with a 'dim n' header")
         try:
-            n = int(header.split()[1])
-        except (IndexError, ValueError) as exc:
+            _, size = header.split()
+            n = int(size)
+        except ValueError as exc:
             raise ValueError("malformed 'dim' header") from exc
         if not 0 < n <= MAX_DIMENSION:
             raise ValueError(f"dimension {n} outside [1..{MAX_DIMENSION}]")

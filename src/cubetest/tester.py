@@ -68,8 +68,8 @@ import numpy as np
 
 from . import kvfile
 from .cores import CoreSet, CoreTable, cached_cores
-from .influence import SubsetBudgetError, estimate_inf_mask
-from .tables import QueryOracle, check_p, coords_of
+from .influence import estimate_inf_mask
+from .tables import BudgetError, QueryOracle, check_p, coords_of
 
 # estimator signature: (oracle, masks, m, rng) -> influence estimates;
 # like `estimate_inf_mask`, it takes a 1-D int64 array of masks and
@@ -87,12 +87,12 @@ REPORT_SCHEMA = "cubetest-report-1"
 # rows changed the last bits of all of 100 random score vectors
 CORE_SCAN_ROWS = 4096
 # most part-selection estimates (num_parts) a config may ask for; a
-# config over it raises SubsetBudgetError (exit 4) before any sampling
+# config over it raises BudgetError (exit 4) before any sampling
 NUM_PARTS_BUDGET = 200_000
 # most sample points (q) a config may ask for: `_buckets_from_masks` holds
 # a q x n int64 bit matrix, 12.6 MB at q = 2^16 and n = 24, and the
 # paper's q at eps = 0.25, k = 3 is 8,192; a config over it raises
-# SubsetBudgetError (exit 4) before any sampling
+# BudgetError (exit 4) before any sampling
 Q_BUDGET = 1 << 16
 
 
@@ -143,7 +143,7 @@ class TesterConfig:
     relevant coordinates apart with constant probability (Blais 2009).
     Omitted thresholds are derived from eps after the lp -> l2 map.
     q above Q_BUDGET or num_parts above NUM_PARTS_BUDGET raises
-    SubsetBudgetError."""
+    BudgetError."""
 
     eps: float
     k: int
@@ -167,11 +167,11 @@ class TesterConfig:
         if self.num_parts < self.k:
             raise ValueError("num_parts must be >= k")
         if self.q > Q_BUDGET:
-            raise SubsetBudgetError(
+            raise BudgetError(
                 f"sampling needs {self.q} sample points, budget is {Q_BUDGET}; reduce q"
             )
         if self.num_parts > NUM_PARTS_BUDGET:
-            raise SubsetBudgetError(
+            raise BudgetError(
                 f"part selection needs {self.num_parts} influence estimates, budget is "
                 f"{NUM_PARTS_BUDGET}; reduce num_parts"
             )
@@ -510,11 +510,11 @@ def run_tester(
     oracle: QueryOracle,
     class_tag: str,
     config: TesterConfig,
-    rng: Optional[np.random.Generator] = None,
     estimator: InfluenceEstimator = estimate_inf_mask,
     cores: Optional[CoreSet] = None,
 ) -> TesterReport:
-    """All four stages in order over a single oracle and RNG stream.
+    """All four stages in order over a single oracle and one RNG stream,
+    default_rng(config.seed).
 
     `estimator` stands in for `estimate_inf_mask` under the same
     contract (see `InfluenceEstimator`): every call passes a 1-D int64
@@ -529,8 +529,7 @@ def run_tester(
     estimates an upper bound on the influence of the complement of the
     kept parts (influence is subadditive).
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     if cores is None:
         cores = cached_cores(class_tag, config.k, config.core_grid)
     start = oracle.query_count

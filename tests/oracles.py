@@ -416,9 +416,12 @@ def naive_read_table(path):
     lines = [ln for ln in raw if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("dim "):
         raise ValueError("table file must start with a 'dim n' header")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise ValueError("malformed 'dim' header")
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
+        n = int(header[1])
+    except ValueError as exc:
         raise ValueError("malformed 'dim' header") from exc
     if not 0 < n <= MAX_DIMENSION:
         raise ValueError(f"dimension {n} outside [1..{MAX_DIMENSION}]")

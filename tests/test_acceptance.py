@@ -13,12 +13,7 @@ import pytest
 
 from cubetest.bench import ExperimentPlan, run_plan, wilson_halfwidth
 from cubetest.cores import CoreTable, lift_core
-from cubetest.influence import (
-    influence_exact,
-    influence_fourier,
-    junta_projection,
-    random_partition,
-)
+from cubetest.influence import influence_exact, influence_fourier, junta_projection
 from cubetest.tables import (
     FunctionTable, coords_of, lp_distance, make_counting_oracle, walsh_hadamard
 )
@@ -108,30 +103,27 @@ def test_criterion_03_estimator_concentration():
 
 
 def test_criterion_04_random_partitions_keep_far_structure():
-    """Parity blend on n=12 is 1/2-far from 2-juntas; over 200 uniform
-    100-part partitions, the fraction where some union of 2 parts has
-    complement influence below eps^2/4 (eps=1/2) is at most 1/6 + 0.1."""
+    """Parity blend on n=12 is 1/2-far from 2-juntas; over 200 partitions
+    dealt as `run_tester` deals them at the desk q = 64 and num_parts = 16
+    (`_initial_parts` over the value patterns of q uniform samples), the
+    fraction where some union of 2 parts has complement influence below
+    eps^2/4 (eps=1/2) is at most 1/6 + 0.1."""
     from itertools import combinations
 
-    n, k, r = 12, 2, 100
-    eps = 0.5
-    f = parity_blend_table(n)
-    spectrum = walsh_hadamard(f)
+    n, k, eps = 12, 2, 0.5
+    config = TesterConfig(eps=eps, k=k)
+    assert (config.q, config.num_parts) == (64, 16)
+    spectrum = walsh_hadamard(parity_blend_table(n))
     failures = 0
     for seed in range(200):
         rng = np.random.default_rng((404, seed))
-        partition = random_partition(range(1, n + 1), r, rng)
-        cache: dict[frozenset, float] = {}
-        failed = False
-        for a, b in combinations(range(r), k):
-            union = partition.parts[a] | partition.parts[b]
-            comp = frozenset(range(1, n + 1)) - union
-            if comp not in cache:
-                cache[comp] = influence_fourier(spectrum, comp)
-            if cache[comp] < eps ** 2 / 4:
-                failed = True
-                break
-        failures += failed
+        masks = rng.integers(0, 1 << n, size=config.q, dtype=np.int64)
+        parts = _initial_parts(_buckets_from_masks(masks, n), config.q, config.num_parts, rng)
+        failures += any(
+            influence_fourier(spectrum, coords_of(((1 << n) - 1) & ~(a.coord_mask | b.coord_mask)))
+            < eps ** 2 / 4
+            for a, b in combinations(parts, k)
+        )
     assert failures / 200 <= 1 / 6 + 0.1
 
 

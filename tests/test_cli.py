@@ -333,7 +333,7 @@ class TestTestCommand:
         strip = lambda p: [ln for ln in p.read_text().splitlines() if not ln.startswith("wall_time")]
         assert strip(out1) == strip(out2)
 
-    def test_subset_budget_exit_4(self, tmp_path, capsys, monkeypatch):
+    def test_num_parts_budget_exit_4(self, tmp_path, capsys, monkeypatch):
         # the part selection estimates one mask per part: refused before
         # the partition is built
         def refuse(*args, **kwargs):
@@ -361,6 +361,28 @@ class TestTestCommand:
             "error: num_parts must be >= k\n",
         ),
         "k_above_cap": (dict(k=4), 2, "error: k=4 exceeds the cap 3\n"),
+        # k > n once failed inside numpy's sampling or lift_core, in words
+        # that named no plan field
+        **{
+            f"k_above_n_{mode}": (
+                dict(mode=mode, edits=(("n: 8\nk: 2\n", "n: 2\nk: 3\n"),)),
+                2,
+                "error: k=3 exceeds n=2\n",
+            )
+            for mode in ("in_class", "far_mode_a", "far_mode_b")
+        },
+        "k_equal_n_far_mode_b": (
+            dict(mode="far_mode_b", edits=(("n: 8\nk: 2\n", "n: 2\nk: 2\n"),)),
+            2,
+            "error: mode b requires k < n\n",
+        ),
+        # a negative seed once reached numpy's "expected non-negative integer"
+        "seed_base_negative": (
+            dict(edits=(("seed_base: 5\n", "seed_base: -1\n"),)),
+            2,
+            "error: seed_base must be >= 0, got -1\n",
+        ),
+        "seed_option_negative": (dict(argv=("--seed", "-5")), 2, "error: seed_base must be >= 0, got -5\n"),
         # q and m once went on to a 149 GiB bit matrix or a 298 GiB draw
         "q_over_cap": (
             dict(overrides={"q": 20_000_000_000, "m": 20, "gamma": 0.25}),
@@ -424,13 +446,14 @@ class TestTestCommand:
     def test_failing_plan_exit_code(self, tmp_path, capsys, case):
         fields, code, message = self.FAILING_PLANS[case]
         # `edits`: (old, new) replacements in the written plan file, for a
-        # plan that ExperimentPlan refuses to build
+        # plan that ExperimentPlan refuses to build; `argv`: options
         fields = dict(fields)
         edits = fields.pop("edits", ())
+        argv = fields.pop("argv", ())
         _, path = self._small_plan(tmp_path, **fields)
         for old, new in edits:
             path.write_text(path.read_text().replace(old, new))
-        assert main(["--out", str(tmp_path / "s.txt"), "test", str(path)]) == code
+        assert main([*argv, "--out", str(tmp_path / "s.txt"), "test", str(path)]) == code
         captured = capsys.readouterr()
         assert captured.err.startswith(message)
         assert captured.err.count("\n") == 1

@@ -9,7 +9,6 @@ from cubetest import cores as cores_module
 from cubetest.cores import (
     CoreSet,
     CoreTable,
-    EnumerationBudgetError,
     cached_cores,
     core_of_junta,
     dist_core_to_set,
@@ -19,7 +18,7 @@ from cubetest.cores import (
     lift_core,
 )
 from cubetest.influence import closest_junta
-from cubetest.tables import FunctionTable, lp_distance
+from cubetest.tables import BudgetError, FunctionTable, lp_distance
 from cubetest.valuations import CHECKERS, UnsupportedClassError
 from oracles import NAIVE_WITNESSES, naive_lp_distance, naive_min_distance_to_cores
 
@@ -127,9 +126,10 @@ class TestEnumeration:
                 cores = enumerate_cores(tag, k, gamma)
                 assert len(cores) <= len(grid_levels(gamma)) ** (1 << k)
 
-    def test_budget_error_names_count(self):
-        with pytest.raises(EnumerationBudgetError, match="65536"):
-            enumerate_cores("submodular", 2, 1 / 15, budget=1000)
+    def test_budget_error_names_count(self, monkeypatch):
+        monkeypatch.setattr(cores_module, "GRID_BUDGET", 1000)
+        with pytest.raises(BudgetError, match="65536 grid functions, budget is 1000"):
+            enumerate_cores("submodular", 2, 1 / 15)
 
     def test_k_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -152,7 +152,7 @@ class TestEnumeration:
             (("submodular", 4, 0.5), ValueError, "cap"),
             (("submodular", 2, 0.3), ValueError, "divide"),
             (("submodular", 1, 1e-310), ValueError, "gamma=1e-310 is too small"),
-            (("submodular", 2, 1 / 15, 1000), EnumerationBudgetError, "65536"),
+            (("submodular", 2, 1 / 15), BudgetError, "65536"),
         ],
     )
     def test_errors_before_any_grid_block(self, monkeypatch, args, error, message):
@@ -160,6 +160,7 @@ class TestEnumeration:
             raise AssertionError("built a grid block before checking the arguments")
 
         monkeypatch.setattr(cores_module, "_grid_blocks", refuse)
+        monkeypatch.setattr(cores_module, "GRID_BUDGET", 1000)
         with pytest.raises(error, match=message):
             enumerate_cores(*args)
 
@@ -168,7 +169,7 @@ class TestEnumeration:
         # million levels, or any block, takes memory
         tracemalloc.start()
         try:
-            with pytest.raises(EnumerationBudgetError, match="1000002000001"):
+            with pytest.raises(BudgetError, match="1000002000001"):
                 enumerate_cores("submodular", 1, 1e-6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -5,10 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cubetest import influence
 from cubetest.influence import (
     ESTIMATE_CHUNK_POINTS,
-    CoordPartition,
-    SubsetBudgetError,
     M_BUDGET,
     closest_junta,
     estimate_inf_mask,
@@ -17,10 +16,10 @@ from cubetest.influence import (
     junta_projection,
     junta_weights,
     projection_cores,
-    random_partition,
 )
 from cubetest.cores import CoreTable, core_of_junta, lift_core
 from cubetest.tables import (
+    BudgetError,
     FunctionTable,
     QueryOracle,
     lp_distance,
@@ -123,7 +122,7 @@ class TestEstimateInf:
     def test_m_over_budget_refused_before_drawing(self, m):
         oracle = make_counting_oracle(random_table(3, np.random.default_rng(2)))
         rng = np.random.default_rng(5)
-        with pytest.raises(SubsetBudgetError) as refused:
+        with pytest.raises(BudgetError) as refused:
             estimate_inf_mask(oracle, np.array([0b1]), m, rng)
         assert str(refused.value) == (
             f"influence estimate needs {m} samples per mask, budget is {M_BUDGET}; reduce m"
@@ -409,11 +408,12 @@ class TestClosestJunta:
         assert dist == pytest.approx(naive_dist, abs=1e-9)
         assert tuple(sorted(J)) == naive_J
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         rng = np.random.default_rng(2)
         f = random_table(10, rng)
-        with pytest.raises(SubsetBudgetError):
-            closest_junta(f, 5, subset_budget=10)
+        monkeypatch.setattr(influence, "JUNTA_SET_BUDGET", 10)
+        with pytest.raises(BudgetError, match="needs 252 subsets, budget is 10"):
+            closest_junta(f, 5)
 
 
 class TestJuntaWeights:
@@ -438,10 +438,11 @@ class TestJuntaWeights:
         assert tuple(positions[best] + 1) == coords
         assert weights[best] < 1e-28
 
-    def test_budget_checked_first(self):
+    def test_budget_checked_first(self, monkeypatch):
         f = random_table(10, np.random.default_rng(2))
-        with pytest.raises(SubsetBudgetError):
-            junta_weights(f, 5, subset_budget=10)
+        monkeypatch.setattr(influence, "JUNTA_SET_BUDGET", 10)
+        with pytest.raises(BudgetError):
+            junta_weights(f, 5)
         with pytest.raises(ValueError, match="exceeds dimension"):
             junta_weights(f, 11)
 
@@ -454,36 +455,3 @@ class TestJuntaWeights:
             expected = core_of_junta(junta_projection(f, K), K).values
             assert np.allclose(row, expected, rtol=0.0, atol=1e-14)
 
-
-class TestRandomPartition:
-    def test_single_part(self):
-        rng = np.random.default_rng(0)
-        p = random_partition(range(1, 9), 1, rng)
-        assert p.parts == (frozenset(range(1, 9)),)
-
-    def test_uniform_occupancy_binomial(self):
-        # occupancy of part 0 over many seeds tracks Binomial(12, 1/4)
-        counts = []
-        for seed in range(1000):
-            rng = np.random.default_rng(seed)
-            p = random_partition(range(1, 13), 4, rng)
-            counts.append(len(p.parts[0]))
-        mean = np.mean(counts)
-        se = math.sqrt(12 * 0.25 * 0.75 / 1000)
-        assert abs(mean - 3.0) < 4 * se
-
-    def test_zero_parts_refused(self):
-        with pytest.raises(ValueError, match="part count must be >= 1"):
-            random_partition(range(3), 0, np.random.default_rng(0))
-
-    def test_parts_cover_ground_once(self):
-        rng = np.random.default_rng(3)
-        p = random_partition(range(1, 21), 6, rng)
-        assert p.ground == tuple(range(1, 21))
-        assert sorted(el for part in p.parts for el in part) == list(range(1, 21))
-
-    def test_bad_partition_refused(self):
-        with pytest.raises(ValueError, match="not disjoint"):
-            CoordPartition(ground=(1, 2, 3), parts=(frozenset({1, 2}), frozenset({2, 3})))
-        with pytest.raises(ValueError, match="do not cover"):
-            CoordPartition(ground=(1, 2, 3), parts=(frozenset({1}), frozenset({3})))

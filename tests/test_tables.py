@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cubetest import tables
 from cubetest.tables import (
     CubePoint,
-    DimensionMismatchError,
     FunctionTable,
     lp_distance,
     make_counting_oracle,
@@ -169,7 +168,7 @@ class TestDistances:
     def test_dimension_mismatch(self):
         f = FunctionTable(2, [0.0] * 4)
         g = FunctionTable(3, [0.0] * 8)
-        with pytest.raises(DimensionMismatchError, match="dimensions differ: 2 vs 3"):
+        with pytest.raises(ValueError, match="dimensions differ: 2 vs 3"):
             lp_distance(f, g, 2.0)
 
     def test_p_below_one_rejected(self):
@@ -246,6 +245,43 @@ class TestQueryOracle:
         assert oracle.query_count == 6400
 
 
+class TestBudgetError:
+    """Every size refusal raises exactly BudgetError, before allocating."""
+
+    @staticmethod
+    def _refusals(monkeypatch):
+        from cubetest import cores, influence, tester
+
+        wide = random_table(18, np.random.default_rng(4))  # 2 MiB, built before tracing
+        oracle = make_counting_oracle(random_table(3, np.random.default_rng(5)))
+        monkeypatch.setattr(influence, "JUNTA_SET_BUDGET", 10)
+        return {
+            "q": lambda: tester.TesterConfig(eps=0.25, k=2, q=tester.Q_BUDGET + 1),
+            "num_parts": lambda: tester.TesterConfig(
+                eps=0.25, k=2, num_parts=tester.NUM_PARTS_BUDGET + 1
+            ),
+            "m": lambda: influence.estimate_inf_mask(
+                oracle, np.array([1]), 20_000_000_000, np.random.default_rng(0)
+            ),
+            "grid": lambda: cores.enumerate_cores("submodular", 1, 1e-6),
+            "junta_sets": lambda: influence.closest_junta(wide, 9),
+        }
+
+    @pytest.mark.parametrize("size", ["q", "num_parts", "m", "grid", "junta_sets"])
+    def test_refused_before_allocation(self, monkeypatch, size):
+        refuse = self._refusals(monkeypatch)[size]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as refused:
+                refuse()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(refused.value) is tables.BudgetError
+        assert "budget is" in str(refused.value)
+        assert peak < 2 ** 20
+
+
 class TestTableFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -275,6 +311,16 @@ class TestTableFiles:
         path.write_text("00 0.0\n")
         with pytest.raises(ValueError, match="header"):
             read_table(path)
+
+    @pytest.mark.parametrize("header", ["dim 2 3", "dim 2 x"])
+    def test_header_of_other_than_two_tokens_rejected(self, tmp_path, header):
+        # "dim 2 3" once read as a 2-dimensional table
+        path = tmp_path / "t.tbl"
+        path.write_text(f"{header}\n00 0.5\n10 0.5\n01 0.5\n11 0.5\n")
+        with pytest.raises(ValueError, match="^malformed 'dim' header$"):
+            read_table(path)
+        with pytest.raises(ValueError, match="^malformed 'dim' header$"):
+            naive_read_table(path)
 
     def test_value_range_enforced(self, tmp_path):
         path = tmp_path / "t.tbl"

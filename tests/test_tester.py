@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from cubetest import tester
 from cubetest.cores import CoreSet, CoreTable, cached_cores, lift_core
-from cubetest.influence import M_BUDGET, SubsetBudgetError, estimate_inf_mask, influence_exact
-from cubetest.tables import CubePoint, FunctionTable, coords_of, make_counting_oracle
+from cubetest.influence import M_BUDGET, estimate_inf_mask, influence_exact
+from cubetest.tables import BudgetError, CubePoint, FunctionTable, coords_of, make_counting_oracle
 from cubetest.tester import (
     RefinementResult,
     TesterConfig,
@@ -179,11 +179,11 @@ class TestConfig:
             TesterConfig(eps=1.2, k=2)
         # a part selection of more estimates than the budget is refused
         # on construction, before any sampling
-        with pytest.raises(SubsetBudgetError, match="part selection needs 200001 influence"):
+        with pytest.raises(BudgetError, match="part selection needs 200001 influence"):
             TesterConfig(eps=0.25, k=2, num_parts=tester.NUM_PARTS_BUDGET + 1)
         assert TesterConfig(eps=0.25, k=2, num_parts=200_000).num_parts == tester.NUM_PARTS_BUDGET
         # so is a sample draw over its budget
-        with pytest.raises(SubsetBudgetError, match="sampling needs 65537 sample points"):
+        with pytest.raises(BudgetError, match="sampling needs 65537 sample points"):
             TesterConfig(eps=0.25, k=2, q=tester.Q_BUDGET + 1)
         assert TesterConfig(eps=0.25, k=2, q=65536).q == tester.Q_BUDGET
 
