@@ -33,7 +33,10 @@ occupied patterns are first dealt, and `_initial_parts` is the one
 place that reads the pattern -> mask dict.  Splits deal a part's masks
 by sequential without-replacement draws against big-integer half
 capacities, which reproduces exactly the distribution a full
-shuffle-and-split would induce on them.
+shuffle-and-split would induce on them.  A deal draws its random words
+in one call, and again only after a rejected draw; this is the same
+stream as one `rng.bytes` call per draw attempt (see
+`_deal_without_replacement`).
 
 The selection keeps the k parts of largest estimated own influence
 (Blais, "Testing juntas nearly optimally", STOC 2009), one estimate
@@ -90,7 +93,7 @@ CORE_SCAN_ROWS = 4096
 # config over it raises BudgetError (exit 4) before any sampling
 NUM_PARTS_BUDGET = 200_000
 # most sample points (q) a config may ask for: `_buckets_from_masks` holds
-# a q x n int64 bit matrix, 12.6 MB at q = 2^16 and n = 24, and the
+# an n x q int64 bit matrix, 12.6 MB at q = 2^16 and n = 24, and the
 # paper's q at eps = 0.25, k = 3 is 8,192; a config over it raises
 # BudgetError (exit 4) before any sampling
 Q_BUDGET = 1 << 16
@@ -210,42 +213,62 @@ def _buckets_from_masks(sample_masks: Sequence[int], n: int) -> dict[int, int]:
     that show it, in order of first appearance.  The remaining
     2^q - len(buckets) patterns are empty and implicit."""
     masks = np.asarray(sample_masks, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.uint8)
+    bits = ((masks >> np.arange(n, dtype=np.int64)[:, None]) & 1).astype(np.uint8)
     # Row i holds coordinate i+1's pattern as little-endian bytes: bit t of
     # the pattern is the coordinate's value on sample t.
-    columns = np.ascontiguousarray(np.packbits(bits, axis=0, bitorder="little").T)
+    rows = np.packbits(bits, axis=1, bitorder="little")
+    width = rows.shape[1]
+    data = rows.tobytes()
     buckets: dict[int, int] = {}
-    for i, row in enumerate(columns):
-        pattern = int.from_bytes(row.tobytes(), "little")
+    for i in range(n):
+        pattern = int.from_bytes(data[i * width : (i + 1) * width], "little")
         buckets[pattern] = buckets.get(pattern, 0) | (1 << i)
     return buckets
-
-
-def _randint_below(rng: np.random.Generator, bound: int) -> int:
-    """Uniform integer in [0, bound) for arbitrary-precision bounds."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if bound == 1:
-        return 0
-    bits = bound.bit_length()
-    nbytes = (bits + 7) // 8
-    shift = nbytes * 8 - bits
-    while True:
-        val = int.from_bytes(rng.bytes(nbytes), "big") >> shift
-        if val < bound:
-            return val
 
 
 def _deal_without_replacement(
     rng: np.random.Generator, items: Sequence[int], capacities: Sequence[int]
 ) -> list[list[int]]:
     """Deal items into slots with the given (big-integer) capacities,
-    matching the law of a uniform shuffle of capacity-many cells."""
+    matching the law of a uniform shuffle of capacity-many cells.
+
+    Item i lands in the slot holding cell u of the total - i cells still
+    free, u uniform, drawn by rejection: an attempt below a bound of b
+    bits reads ceil(b/8) bytes big-endian, keeps their top b bits and
+    retries unless the value is below the bound; a bound of 1 takes no
+    draw.  The bytes of an attempt are the first ones of ceil(b/32)
+    uint32 words, which is how `rng.bytes` draws them, and uint32 draws
+    concatenate across calls.  So the deal draws in one `rng.integers`
+    call the words its attempts need if none is rejected, and draws
+    again, after the words left over, only once a rejection has used
+    them up: the same stream, and the same generator state afterwards,
+    as one `rng.bytes` call per attempt.
+    """
     remaining = list(capacities)
     out: list[list[int]] = [[] for _ in capacities]
-    for item in items:
-        total = sum(remaining)
-        u = _randint_below(rng, total)
+    total = sum(remaining)
+    if len(items) > total:
+        raise ValueError("more items than cells to deal them into")
+    bounds = range(total, total - len(items), -1)  # item i's bound: total - i
+    words = [0 if b == 1 else (b.bit_length() + 31) // 32 for b in bounds]  # per attempt
+    need = sum(words)  # words the items left use if no attempt is rejected
+    buf, pos = b"", 0
+    for item, bound, nwords in zip(items, bounds, words):
+        u = 0
+        if nwords:
+            bits = bound.bit_length()
+            nbytes = (bits + 7) // 8
+            shift = nbytes * 8 - bits
+            while True:
+                if pos + 4 * nwords > len(buf):
+                    size = need - (len(buf) - pos) // 4
+                    fresh = rng.integers(0, 1 << 32, size=size, dtype=np.uint32)
+                    buf, pos = buf[pos:] + fresh.astype("<u4", copy=False).tobytes(), 0
+                u = int.from_bytes(buf[pos : pos + nbytes], "big") >> shift
+                pos += 4 * nwords
+                if u < bound:
+                    break
+        need -= nwords
         acc = 0
         for j, cap in enumerate(remaining):
             acc += cap

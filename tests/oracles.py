@@ -441,3 +441,37 @@ def naive_read_table(path):
         if v is None:
             raise ValueError(f"missing point {_bitstring(mask, n)}")
     return FunctionTable(n, values)
+
+
+def _naive_randint_below(rng, bound: int) -> int:
+    """Uniform integer in [0, bound) for arbitrary-precision bounds."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if bound == 1:
+        return 0
+    bits = bound.bit_length()
+    nbytes = (bits + 7) // 8
+    shift = nbytes * 8 - bits
+    while True:
+        val = int.from_bytes(rng.bytes(nbytes), "big") >> shift
+        if val < bound:
+            return val
+
+
+def naive_deal(rng, items, capacities) -> list[list[int]]:
+    """The without-replacement deal with one `rng.bytes` call per attempt:
+    item by item, a uniform cell below the total capacity left, by
+    rejection, and the slot that holds it."""
+    remaining = list(capacities)
+    out: list[list[int]] = [[] for _ in capacities]
+    for item in items:
+        total = sum(remaining)
+        u = _naive_randint_below(rng, total)
+        acc = 0
+        for j, cap in enumerate(remaining):
+            acc += cap
+            if u < acc:
+                out[j].append(item)
+                remaining[j] -= 1
+                break
+    return out

@@ -221,6 +221,28 @@ class TestInfluence:
     def test_bad_mode_exit_2(self, dictator_file):
         assert main(["influence", str(dictator_file), "1", "--mode", "bogus"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["influence", "{table}", "1", "--mode", "estimate:500:-3"],
+            ["--seed", "-5", "influence", "{table}", "1", "--mode", "estimate:500:3"],
+        ],
+    )
+    def test_negative_estimate_seed_exit_2(self, dictator_file, capsys, argv):
+        # once numpy's "expected non-negative integer", naming no field
+        assert main([a.format(table=dictator_file) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: estimate seed must be >= 0, got -")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("coords, token", [("1,,2", "''"), ("1,a", "'a'")])
+    def test_bad_coordinate_exit_2(self, dictator_file, capsys, coords, token):
+        # once int()'s "invalid literal", naming neither argument nor token
+        assert main(["influence", str(dictator_file), coords, "--mode", "exact"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: coords {coords!r}: {token} is not an integer coordinate\n"
+        assert captured.out == ""
+
     def test_estimate_m_over_budget_exit_4(self, dictator_file, capsys):
         # once a 298 GiB draw and a traceback
         mode = "estimate:20000000000:1"
@@ -324,6 +346,22 @@ class TestTestCommand:
         strip = lambda p: [ln for ln in p.read_text().splitlines() if not ln.startswith("wall_time")]
         assert strip(out1) == strip(out2)
         assert (tmp_path / "s1.txt.trials").read_text() == (tmp_path / "s2.txt.trials").read_text()
+
+    def test_parser_reused_after_usage_error(self, tmp_path, capsys):
+        # one parser serves every main call of a process: a usage error
+        # between two equal commands must leave no trace in the second
+        _, path = self._small_plan(tmp_path)
+        out = tmp_path / "s.txt"
+        strip = lambda text: [ln for ln in text.splitlines() if not ln.startswith("wall_time")]
+
+        def run():
+            assert main(["--out", str(out), "test", str(path)]) == 0
+            trials = (tmp_path / "s.txt.trials").read_text()
+            return strip(capsys.readouterr().out), strip(out.read_text()), trials
+
+        first = run()
+        assert main(["--seed", "3", "--out", str(tmp_path / "x.txt"), "test"]) == 2
+        assert run() == first
 
     def test_threads_match_sequential(self, tmp_path):
         _, path = self._small_plan(tmp_path, trial_count=4)

@@ -15,6 +15,7 @@ from cubetest.tester import (
     RefinementResult,
     TesterConfig,
     _buckets_from_masks,
+    _deal_without_replacement,
     _initial_parts,
     _split_part,
     core_statistics,
@@ -34,6 +35,7 @@ from cubetest.tester import (
 from oracles import (
     naive_buckets_from_masks,
     naive_core_statistics,
+    naive_deal,
     shared_base_estimator,
 )
 
@@ -226,13 +228,69 @@ class TestBuckets:
             union |= mask
         assert union == (1 << 12) - 1
 
-    @pytest.mark.parametrize("q", [1, 7, 8, 9, 64, 1024])
+    @pytest.mark.parametrize("q", [1, 7, 8, 9, 64, 1024, 65536])
     @pytest.mark.parametrize("n", [1, 12, 24])
     def test_matches_bitwise_reference(self, q, n):
         masks = np.random.default_rng(q * 31 + n).integers(0, 1 << n, size=q, dtype=np.int64)
         buckets = _buckets_from_masks(masks, n)
         expected = naive_buckets_from_masks([int(x) for x in masks], n)
         assert list(buckets.items()) == list(expected.items())
+
+
+class TestDealStream:
+    """The deal draws its uint32 words in one call (again only after a
+    rejection) and must read the stream exactly as one `rng.bytes` call
+    per attempt does: the same deal, and the same generator state after
+    it, whether or not the generator holds a spare half-word."""
+
+    @staticmethod
+    def _check(seed, items, capacities, spare):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (fast, slow):
+            rng.integers(0, 1 << 32, size=spare, dtype=np.uint32)
+        dealt = _deal_without_replacement(fast, items, capacities)
+        assert dealt == naive_deal(slow, items, capacities)
+        assert fast.bit_generator.state == slow.bit_generator.state
+        words = [rng.integers(0, 1 << 32, size=3, dtype=np.uint32) for rng in (fast, slow)]
+        assert np.array_equal(*words)
+        assert fast.random() == slow.random()
+
+    @pytest.mark.parametrize("spare", [0, 1])
+    @pytest.mark.parametrize("q", [*range(1, 71), 300, 1024, 65536])
+    def test_pattern_space_capacities(self, q, spare):
+        rng = np.random.default_rng((q, spare))
+        total = 1 << q
+        num_parts = int(rng.integers(1, 50))
+        sizes = [total // num_parts + (j < total % num_parts) for j in range(num_parts)]
+        items = [int(x) for x in rng.integers(1, 1 << 24, size=min(total, 24))]
+        self._check((q, spare, 0), items, sizes, spare)
+        # the splits of refinement: a part's masks into its two halves
+        for size in {sizes[0], sizes[-1]} - {0}:
+            held = items[: min(size, 3)]
+            self._check((q, spare, size), held, [(size + 1) // 2, size // 2], spare)
+
+    @pytest.mark.parametrize("spare", [0, 1])
+    def test_small_capacities(self, spare):
+        rng = np.random.default_rng(spare)
+        cases = [([0, 3, 0, 2], 5), ([1], 1), ([0, 1], 1), ([2, 0], 0)]
+        # totals just above a power of two, where about half the attempts
+        # are rejected, among them totals whose bound crosses a byte or a
+        # word boundary as it drops
+        for bits in (1, 2, 7, 8, 15, 16, 31, 32, 33, 63, 64, 100):
+            total = (1 << bits) + 1 + int(rng.integers(0, 3))
+            cut = int(rng.integers(0, 1 << 62)) % (total + 1)
+            cases.append(([cut, total - cut], min(total, 6)))
+            cases.append(([total], min(total, 4)))
+        for _ in range(100):
+            caps = [int(c) for c in rng.integers(0, 6, size=int(rng.integers(1, 6)))]
+            cases.append((caps, int(rng.integers(0, sum(caps) + 1))))
+        for i, (caps, count) in enumerate(cases):
+            for seed in range(10):
+                self._check((spare, i, seed), list(range(1, count + 1)), caps, spare)
+
+    def test_more_items_than_cells_refused(self):
+        with pytest.raises(ValueError, match="more items than cells"):
+            _deal_without_replacement(np.random.default_rng(0), [1, 2, 3], [1, 1])
 
 
 class TestVirtualPartition:
