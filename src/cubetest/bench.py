@@ -205,7 +205,10 @@ def certify(f: FunctionTable, class_tag: str, k: int, gamma: float) -> Certifica
     of f_K (the values sum over T inside K of hat_f(T) chi_T) to the
     enumerated cores.  Any class member living on K is at distance at
     least max(d1_K, d2_K - gamma/2 - d1_K) from f, and the bound is the
-    minimum of that over K, clamped at 0.
+    minimum of that over K, clamped at 0.  The bound b0 at the closest
+    junta's set, from junta_distance and core_distance, comes first, and
+    d2_K is computed only for the sets with d1_K < b0: at any other set
+    the bound is at least d1_K >= b0.
     """
     cores = cached_cores(class_tag, k, gamma)
     best_J, junta_dist = closest_junta(f, k)
@@ -215,8 +218,11 @@ def certify(f: FunctionTable, class_tag: str, k: int, gamma: float) -> Certifica
     slack = gamma / 2
     coefficients, positions, weights = junta_weights(f, k)
     d1 = np.sqrt(weights)
-    d2 = dist_cores_to_set(projection_cores(coefficients, positions), cores)
-    bound = float(np.min(np.maximum(d1, d2 - slack - d1)))
+    bound = max(junta_dist, core_dist - slack - junta_dist)
+    lower = np.flatnonzero(d1 < bound)
+    if lower.size:
+        d2 = dist_cores_to_set(projection_cores(coefficients, positions[lower]), cores)
+        bound = min(bound, float(np.min(np.maximum(d1[lower], d2 - slack - d1[lower]))))
     return Certificate(
         class_tag=class_tag,
         k=k,

@@ -14,6 +14,7 @@ so that hat_f(T) = E_x[f(x) * chi_T(x)].
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -230,14 +231,19 @@ def make_counting_oracle(f: FunctionTable) -> QueryOracle:
 # point (bitstring coordinate order, index 1 leftmost).  Values are written
 # with repr, so they read back exactly; a repeated point is an error.  Blank
 # lines and lines starting with "#" (metadata comments) are ignored by the
-# parser.  Both directions work on _IO_BLOCK lines at a time and never hold
-# a whole-file list of lines.  A block laid out as the writer lays it out
-# (ASCII, each line n bits, one space, the value and a newline) is read from
-# its bytes; any other block, with comments, blank lines, other whitespace
-# or non-ASCII text, is read line by line, with the same table or error.
+# parser.  The writer works on _IO_BLOCK lines at a time, and the reader on
+# pieces of about _READ_BYTES bytes, each cut after its last newline (or its
+# last carriage return, if it holds no newline), so neither holds more than
+# a block, a piece or one line longer than a piece.  A piece laid out as the
+# writer lays it out (bytes below 0x80, each line n bits, one space, the
+# value and a newline) is read from its bytes; any other piece, with
+# comments, blank lines, other whitespace or non-ASCII text, is decoded as a
+# file opened as text decodes it (locale encoding, universal newlines) and
+# read line by line, with the same table or error.
 # ---------------------------------------------------------------------------
 
 _IO_BLOCK = 1 << 12
+_READ_BYTES = 1 << 17
 
 
 def write_table(f: FunctionTable, path, metadata: Sequence[str] = ()) -> None:
@@ -270,25 +276,33 @@ def _read_lines(lines: Sequence[str], n: int, values: np.ndarray, seen: np.ndarr
         seen[mask] = True
 
 
-def _read_columns(text: str, n: int, values: np.ndarray, seen: np.ndarray) -> bool:
-    """Store a block of point lines, joined, when every line is laid out
-    in fixed columns: n bits, one space, a value, a newline.
+def _text_lines(raw: bytes) -> list[str]:
+    """The stripped lines of `raw` that are neither blank nor comments,
+    as a file opened as text reads them: in the locale encoding, with
+    universal newlines."""
+    text = io.TextIOWrapper(io.BytesIO(raw)).read()
+    return [s for s in map(str.strip, text.split("\n")) if s and s[0] != "#"]
 
-    The layout is checked on the block's bytes, so the bits are read from
-    their columns and only the values go through `float`.  Returns False,
-    with `values` and `seen` untouched, when the block is not ASCII, does
+
+def _read_columns(chunk: bytes, n: int, values: np.ndarray, seen: np.ndarray) -> bool:
+    """Store a piece of point lines when every line is laid out in fixed
+    columns: n bits, one space, a value, a newline.
+
+    The layout is checked on the bytes, so the bits are read from their
+    columns and only the values go through `float`.  Returns False, with
+    `values` and `seen` untouched, when the piece has a byte >= 0x80, does
     not end in a newline, is laid out any other way or fails any check;
     the caller then rereads it with `_read_lines`.
     """
-    if not (text.isascii() and text.endswith("\n")):
+    buf = np.frombuffer(chunk, dtype=np.uint8)
+    if not chunk.endswith(b"\n") or buf.max() >= 0x80:
         return False
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     count = ends.size
     starts = np.concatenate(([0], ends[:-1] + 1))
     # Each line is n bits, a space and a non-empty value, and the space
-    # and the newline are its only bytes <= 0x20: with ASCII text, that
-    # leaves nothing else str.split takes for whitespace.
+    # and the newline are its only bytes <= 0x20: with ASCII bytes, that
+    # leaves nothing else split takes for whitespace.
     if (
         np.any(ends - starts < n + 2)
         or np.any(buf[starts + n] != ord(" "))
@@ -303,17 +317,48 @@ def _read_columns(text: str, n: int, values: np.ndarray, seen: np.ndarray) -> bo
     if np.any(ordered[1:] == ordered[:-1]) or np.any(seen[masks]):
         return False
     try:
-        block_values = np.fromiter(map(float, text.split()[1::2]), np.float64, count)
+        chunk_values = np.fromiter(map(float, chunk.split()[1::2]), np.float64, count)
     except ValueError:
         return False
-    values[masks] = block_values
+    values[masks] = chunk_values
     seen[masks] = True
     return True
 
 
+def _chunks(fh):
+    """The bytes of `fh` in pieces of about _READ_BYTES, each but the last
+    cut after its last newline, or after its last carriage return when it
+    holds no newline; the last ends where the file does.  A CR/LF pair cut
+    this way only adds a blank line to the next piece."""
+    parts: list[bytes] = []
+    while block := fh.read(_READ_BYTES):
+        cut = block.rfind(b"\n") + 1 or block.rfind(b"\r") + 1
+        if cut:
+            parts.append(block[:cut])
+            yield b"".join(parts)
+            parts = [block[cut:]]
+        else:
+            parts.append(block)
+    if rest := b"".join(parts):
+        yield rest
+
+
 def read_table(path) -> FunctionTable:
-    with open(path) as fh:
-        header = next((s for s in map(str.strip, fh) if s and s[0] != "#"), "")
+    with open(path, "rb") as fh:
+        pieces = _chunks(fh)
+        # The header is the first line that is neither blank nor a comment:
+        # the newline-ended lines of each piece are decoded one at a time
+        # until one is found.  The lines after it in the same newline-ended
+        # line (split at a lone carriage return) and the rest of its piece
+        # are point lines.
+        lines: list[str] = []
+        for piece in pieces:
+            head = io.BytesIO(piece)
+            while not lines and (line := head.readline()):
+                lines = _text_lines(line)
+            if lines:
+                break
+        header = lines[0] if lines else ""
         if not header.startswith("dim "):
             raise ValueError("table file must start with a 'dim n' header")
         try:
@@ -325,12 +370,10 @@ def read_table(path) -> FunctionTable:
             raise ValueError(f"dimension {n} outside [1..{MAX_DIMENSION}]")
         values = np.zeros(1 << n)
         seen = np.zeros(1 << n, dtype=bool)
-        while True:
-            raw = list(itertools.islice(fh, _IO_BLOCK))
-            if not raw:
-                break
-            if not _read_columns("".join(raw), n, values, seen):
-                _read_lines([s for s in map(str.strip, raw) if s and s[0] != "#"], n, values, seen)
+        _read_lines(lines[1:], n, values, seen)
+        for piece in itertools.chain([head.read()], pieces):
+            if not _read_columns(piece, n, values, seen):
+                _read_lines(_text_lines(piece), n, values, seen)
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])
         raise ValueError(f"missing point {CubePoint(n, missing).to_string()}")

@@ -1,13 +1,15 @@
 """`bench.certify` against the per-set loop it replaced, on exact juntas,
 and within its memory bound."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from cubetest import bench
 from cubetest.bench import certify
-from cubetest.cores import cached_cores, lift_core
+from cubetest.cores import cached_cores, dist_cores_to_set, lift_core
 from cubetest.influence import closest_junta
 from cubetest.tables import FunctionTable
 from cubetest.valuations import make_far_instance, parity_blend_table
@@ -62,6 +64,35 @@ def test_bound_matches_per_set_loop(n, k, class_tag, kind):
     cert = certify(f, class_tag, k, gamma)
     expected = naive_certify_bound(f, cached_cores(class_tag, k, gamma), gamma)
     assert abs(cert.class_junta_lower_bound - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", [*INPUTS, "noisy_constant"])
+def test_pruned_bound_matches_per_set_loop(monkeypatch, k, kind):
+    """Only the sets with d1_K below the bound at the closest junta's set
+    are scored against the cores: none on lifted junta cores, the parity
+    blend and uniform random tables (whose cores lie near the class, so
+    the bound there is the least d1_K, at that set); on the far AND core
+    that set alone (its core term is the bound, above its d1_K); and every
+    set on a table near a constant the class excludes (additive cores are
+    0 at the empty input)."""
+    n, class_tag = 12, "additive" if kind == "noisy_constant" else "submodular"
+    rng = np.random.default_rng((k, INPUTS.index(kind) if kind in INPUTS else 9))
+    if kind == "noisy_constant":
+        f, gamma = FunctionTable(n, 0.5 + rng.uniform(-0.02, 0.02, 1 << n)), 0.25
+    else:
+        f, gamma = _input(kind, class_tag, n, k, rng)
+    scored = []
+
+    def counting(values, cores):
+        scored.append(len(values))
+        return dist_cores_to_set(values, cores)
+
+    monkeypatch.setattr(bench, "dist_cores_to_set", counting)
+    cert = certify(f, class_tag, k, gamma)
+    expected = naive_certify_bound(f, cached_cores(class_tag, k, gamma), gamma)
+    assert abs(cert.class_junta_lower_bound - expected) <= 1e-12
+    assert scored == {"noisy_constant": [math.comb(n, k)], "and_far": [1]}.get(kind, [])
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])

@@ -78,20 +78,97 @@ class TestEnumeration:
         assert len(enumerate_cores("submodular", 0, 0.5)) == 3
         assert len(enumerate_cores("additive", 0, 0.5)) == 1
 
-    # sha256 of the enumerated tables' bytes, as the point-by-point
-    # depth-first enumeration produced them: values and row order
+    # sha256 of the enumerated tables' bytes at gamma 1/2 and 1/4, as the
+    # point-by-point depth-first enumeration produced them: values and
+    # row order
     PINNED_DIGESTS = {
-        ("submodular", 2): "d3ce1fa1bf04942b430ccb0bbea9e0beef5537483057cfa3908315d265e6ab5a",
-        ("submodular", 3): "5d5f1b46ac3219b59bcfa29df01bb132d28d88bdbd255eb7d6fc77a83a1086db",
-        ("subadditive", 2): "1341ca4a74926945a0bdeceb1c06132000b0f6a49cc823800cefe3747fd55689",
-        ("subadditive", 3): "ef0726febf4ac985c1342d0548bc6c6fb78b26fe2dd101c7c1a451ee79b6e8f9",
-        ("self_bounding", 3): "8d101f977696f75a8fba7f466f547850d7e586ce4405f60dd45fa85ce272865a",
+        ("additive", 0): (
+            "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+            "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+        ),
+        ("additive", 1): (
+            "89edc71daa49ea970d1e329693f8a66277447ce894970798d5f049389829ad50",
+            "d1b6a58c81206d5aabf55b99babd0d1f4b6dbeba4fcdfc09dc427297f0c793b6",
+        ),
+        ("additive", 2): (
+            "0ffcfc844a34ac626a4274199ded42697206011e836ced3303fa67d8af2e6d6f",
+            "597558c417cc98fc063ccf68a0422e581059da6a516ae3efd747b93d968695aa",
+        ),
+        ("additive", 3): (
+            "13979edaf139a8f560111160550cbdcafcfff3830432cca03a0797461e09d057",
+            "d5abaa3e2ce1c393680d7e634d25231c91ea1042bf36d1335579bc28c9500e21",
+        ),
+        ("self_bounding", 0): (
+            "9536689a4941c84ded438e9002674c39b2d5d1024a7b34232ee82e4cd4664931",
+            "b775cb658293f2d9056d63a2bb64185bb77284c3a55650287f38ab52c8758828",
+        ),
+        ("self_bounding", 1): (
+            "dd5b41c949a9fea0405678a5c101550bbff9d57eb1eb8a6139591953b63805cb",
+            "8b0e533816f1dbf53fd70ba34ef1b968e55ede5ec4b626ef04c19f660cf1b81c",
+        ),
+        ("self_bounding", 2): (
+            "351798a2418970e9a25b5cf853ca261953e0d70ee71360d858e67137f96adc39",
+            "63aa53d7abb40faa9d0108f9b02fd31e77940cb60f913fa8a59f855ee6626429",
+        ),
+        ("self_bounding", 3): (
+            "34ac72b710e7671040e9b1d12c128a280143359d6e8e97a0906e560db3881f81",
+            "8d101f977696f75a8fba7f466f547850d7e586ce4405f60dd45fa85ce272865a",
+        ),
+        ("subadditive", 0): (
+            "9536689a4941c84ded438e9002674c39b2d5d1024a7b34232ee82e4cd4664931",
+            "b775cb658293f2d9056d63a2bb64185bb77284c3a55650287f38ab52c8758828",
+        ),
+        ("subadditive", 1): (
+            "dd5b41c949a9fea0405678a5c101550bbff9d57eb1eb8a6139591953b63805cb",
+            "8b0e533816f1dbf53fd70ba34ef1b968e55ede5ec4b626ef04c19f660cf1b81c",
+        ),
+        ("subadditive", 2): (
+            "6d880a88a40f6e9c046ff85104ea8eae2d69a0312f24e9343d8277e8e2bcd1d1",
+            "1341ca4a74926945a0bdeceb1c06132000b0f6a49cc823800cefe3747fd55689",
+        ),
+        ("subadditive", 3): (
+            "1d14ed00666bcb62575e37dbe924a43a45f10baa2a53748788698c10ceb12414",
+            "ef0726febf4ac985c1342d0548bc6c6fb78b26fe2dd101c7c1a451ee79b6e8f9",
+        ),
+        ("submodular", 0): (
+            "9536689a4941c84ded438e9002674c39b2d5d1024a7b34232ee82e4cd4664931",
+            "b775cb658293f2d9056d63a2bb64185bb77284c3a55650287f38ab52c8758828",
+        ),
+        ("submodular", 1): (
+            "dd5b41c949a9fea0405678a5c101550bbff9d57eb1eb8a6139591953b63805cb",
+            "8b0e533816f1dbf53fd70ba34ef1b968e55ede5ec4b626ef04c19f660cf1b81c",
+        ),
+        ("submodular", 2): (
+            "6a96676403d5cfa78e05616a6d2ac35b32f2f63ae6c93519a4ae8f4d284e2749",
+            "d3ce1fa1bf04942b430ccb0bbea9e0beef5537483057cfa3908315d265e6ab5a",
+        ),
+        ("submodular", 3): (
+            "27c0eeec17de20c1960f7be9a1fa07bad2e7e376437cd340eeaca4f5aaea628c",
+            "5d5f1b46ac3219b59bcfa29df01bb132d28d88bdbd255eb7d6fc77a83a1086db",
+        ),
+        ("unit_demand", 0): (
+            "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+            "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+        ),
+        ("unit_demand", 1): (
+            "89edc71daa49ea970d1e329693f8a66277447ce894970798d5f049389829ad50",
+            "d1b6a58c81206d5aabf55b99babd0d1f4b6dbeba4fcdfc09dc427297f0c793b6",
+        ),
+        ("unit_demand", 2): (
+            "664a6a1fc6e76ebe02c1d4e6252a1cfae88c9c1e7b491cefcf7a44809c0f7f3f",
+            "ebf041c36386921f04c964c6932dd0b29d8ae5935e204bec046cd038894c39d0",
+        ),
+        ("unit_demand", 3): (
+            "c14d4dee478cd99ce7e4ae7bedd3e3d3b7c9d3b1f907c0b3e5abad308f023fc5",
+            "2beba3ff67001fba337bdef10ed1fd60d3fd85d9d7a1736a39c1f7a451223720",
+        ),
     }
 
     @pytest.mark.parametrize("class_tag, k", sorted(PINNED_DIGESTS))
     def test_pinned_digest(self, class_tag, k):
-        cores = enumerate_cores(class_tag, k, 0.25)
-        assert hashlib.sha256(cores.tables.tobytes()).hexdigest() == self.PINNED_DIGESTS[class_tag, k]
+        for gamma, digest in zip((0.5, 0.25), self.PINNED_DIGESTS[class_tag, k]):
+            cores = enumerate_cores(class_tag, k, gamma)
+            assert hashlib.sha256(cores.tables.tobytes()).hexdigest() == digest, gamma
 
     def test_peak_memory(self):
         # the 148,815 subadditive k = 3 cores take 9.1 MB; the CoreSet

@@ -351,16 +351,21 @@ class TestTableFiles:
         assert (tmp_path / "block.tbl").read_bytes() == (tmp_path / "naive.tbl").read_bytes()
 
     def test_io_memory_bounded(self, tmp_path):
+        """Writing an n = 16 table and reading it back, also with lone CRs
+        for line ends (no newline in the file), each stay under 4 MiB."""
         f = random_table(16, np.random.default_rng(2))
-        path = tmp_path / "t.tbl"
+        path, cr_path = tmp_path / "t.tbl", tmp_path / "cr.tbl"
+        write_table(f, path)
+        cr_path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
         peaks = []
-        for op in (lambda: write_table(f, path), lambda: read_table(path)):
+        for op in (lambda: write_table(f, path), lambda: read_table(path), lambda: read_table(cr_path)):
             tracemalloc.start()
             try:
-                op()
+                got = op()
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+            assert got is None or got == f
         assert max(peaks) < 4 * 2 ** 20
 
 
@@ -425,6 +430,93 @@ def _shift_bit(k):
     return edit
 
 
+_R = tables._READ_BYTES
+_PREFIX = f"# corpus\ndim {_CORPUS_N}\n"
+
+
+def _line_at(lines, offset, sep="\n"):
+    """Index and file offset of the point line whose bytes, separator
+    included, hold file byte `offset`."""
+    start = len(_PREFIX)
+    for i, ln in enumerate(lines):
+        end = start + len(ln.encode()) + len(sep)
+        if offset < end:
+            return i, start
+        start = end
+    raise AssertionError("the corpus is shorter than the offset")
+
+
+def _straddle(make):
+    # the point line holding the first byte of the second read, changed
+    # by `make`, begins in the first read
+    def edit(lines):
+        i, start = _line_at(lines, _R)
+        assert start < _R
+        bits, val = lines[i].split()
+        lines[i] = make(bits, val)
+
+    return edit
+
+
+def _end_at_boundary(sep):
+    # pads the point line before the boundary with trailing spaces so its
+    # separator ends exactly where the first read does
+    def edit(lines):
+        i, start = _line_at(lines, _R - 60, sep)
+        lines[i] += " " * (_R - start - len(lines[i]) - len(sep))
+        body = sep.join(lines) + sep
+        assert (_PREFIX + body).encode()[_R - len(sep) : _R] == sep.encode()
+        return body
+
+    return edit
+
+
+def _crlf_split(lines):
+    # a CRLF pair whose CR is the last byte of the first read
+    i, start = _line_at(lines, _R - 60, "\r\n")
+    lines[i] += " " * (_R - 1 - start - len(lines[i]))
+    body = "\r\n".join(lines) + "\r\n"
+    assert (_PREFIX + body).encode()[_R - 1 : _R + 1] == b"\r\n"
+    return body
+
+
+def _comment_across_boundary(tail):
+    # a comment line from before the boundary to past it, its byte
+    # _R - 1 the first byte of `tail`
+    def edit(lines):
+        i, start = _line_at(lines, _R - 60)
+        lines.insert(i, "#" + "x" * (_R - 2 - start) + tail)
+        assert (_PREFIX + "\n".join(lines)).encode()[_R - 1 : _R - 1 + len(tail.encode())] == tail.encode()
+
+    return edit
+
+
+def _cr_ends(split_crlf):
+    # point lines ended by lone CRs, so no read after the first holds a
+    # newline; with `split_crlf`, one line ends in a CRLF pair whose CR is
+    # the last byte of the second read
+    def edit(lines):
+        i = len(lines)
+        if split_crlf:
+            i, start = _line_at(lines, 2 * _R - 60, "\r")
+            lines[i] += " " * (2 * _R - 1 - start - len(lines[i]))
+        body = "\r".join(lines[: i + 1]) + "\r\n" * (i < len(lines)) + "\r".join(lines[i + 1 :]) + "\r"
+        assert not split_crlf or (_PREFIX + body).encode()[2 * _R - 1 : 2 * _R + 1] == b"\r\n"
+        return body
+
+    return edit
+
+
+def _no_final_newline_at_boundary(lines):
+    # a comment mid-file, longer than a read, pads the file to end at a
+    # read boundary, with no final newline
+    extra = -len((_PREFIX + "\n".join(lines)).encode()) % _R
+    lines.insert(_B // 2, "#" * (extra - 1 + _R))
+    body = "\n".join(lines)
+    assert len((_PREFIX + body).encode()) % _R == 0
+    return body
+
+
 _POSITIONS = {"first": 0, "mid": _B // 2, "next_block": _B}
 
 _CORPUS = {
@@ -455,6 +547,19 @@ _CORPUS = {
             "no_value": lambda b, v: f"{b} ",
         }.items()
     },
+    # the first read ends inside a line, a CRLF pair, a multibyte
+    # character or a comment, or right after a newline
+    "straddling_line": _straddle(lambda b, v: f"{b} {v}"),
+    "straddling_three_tokens": _straddle(lambda b, v: f"{b} {v} 0.5"),
+    "straddling_bad_float": _straddle(lambda b, v: f"{b} zero"),
+    "crlf_split_at_boundary": _crlf_split,
+    "newline_at_boundary": _end_at_boundary("\n"),
+    "crlf_at_boundary": _end_at_boundary("\r\n"),
+    "multibyte_comment_across_boundary": _comment_across_boundary("\u00e9\u00e9 note"),
+    "hash_line_across_boundary": _comment_across_boundary("# note"),
+    "no_final_newline_at_boundary": _no_final_newline_at_boundary,
+    "cr_line_ends": _cr_ends(False),
+    "crlf_split_at_cr_cut": _cr_ends(True),
     "duplicate_mid": _duplicate(_B // 2, _B // 2 - 7),
     "duplicate_next_block": _duplicate(_B, 3),
     "duplicate_last_line": _duplicate((1 << _CORPUS_N) - 1, _B - 1),
@@ -500,7 +605,24 @@ def test_read_matches_reference(tmp_path, case):
     if body is None:
         body = "\n".join(lines) + "\n"
     path = tmp_path / "t.tbl"
-    path.write_bytes(("# corpus\n" + f"dim {_CORPUS_N}\n" + body).encode())
+    path.write_bytes((_PREFIX + body).encode())
+    _assert_reads_like_reference(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "dim 2\r00 0.5\r10 0.25\r01 0\r11 1\r",
+        "# note\rdim 2\r00 0.5\r10 0.25\n01 0\n11 1\n",
+        "dim 2\r00 0.5\r00 0.25\n01 0\n11 1\n",
+        "dim 2\r00 0.5\r10\n01 0\n11 1\n",
+    ],
+)
+def test_lone_carriage_returns_read_like_reference(tmp_path, text):
+    """A lone CR ends a line, as in a file read as text: point lines may
+    share the header's newline-ended line."""
+    path = tmp_path / "t.tbl"
+    path.write_bytes(text.encode())
     _assert_reads_like_reference(path)
 
 

@@ -7,6 +7,7 @@ from cubetest.valuations import (
     APPLICABLE_CHECKERS,
     CHECKERS,
     GENERATOR_CLASSES,
+    SUBADDITIVE_GROUP_DOUBLES,
     UnsupportedClassError,
     ValuationSpec,
     check_additive,
@@ -31,6 +32,7 @@ from oracles import (
     naive_min_distance_to_cores,
     naive_lp_distance,
     naive_oxs_value,
+    naive_subadditive_witness,
     submodular_all_pairs,
 )
 
@@ -261,6 +263,44 @@ class TestCheckers:
                 assert got == NAIVE_WITNESSES[class_tag](values, n, tol), (n, values, tol)
                 outcomes.add(got is None)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_subadditive_row_blocks_match_plain_loop(self, n):
+        # one table's groups hold 2^16 / 2^n >= 16 x rows here.  Planted
+        # tables take values in [0.95, 1] and 0.1 at the planted points,
+        # so exactly the pairs of planted points whose union is not
+        # planted violate.
+        from cubetest.cores import cached_cores, lift_core
+
+        size = 1 << n
+        block = SUBADDITIVE_GROUP_DOUBLES // size
+        assert block >= 16
+        rng = np.random.default_rng(n)
+        core = cached_cores("subadditive", 3, 0.25).member(int(rng.integers(148_815)))
+        cases = [lift_core(core, (2, 5, n), n).values]
+        if n <= 10:
+            cases.append(np.concatenate([[0.0], rng.uniform(0.5, 1.0, size - 1)]))
+        x0 = block  # the second group
+        for planted in (
+            [x0 + 3, x0 + 12],  # row x0 + 12 flags x0 + 3 < x0 + 12 too
+            [x0 + a for a in (3, 5, 6, 9, 10, 12)],  # rows flag y before and after them
+            [x0 + 3, x0 + block + 4],  # the pair's y in the next group
+            [1, x0 + block],  # x in the first group, y past it
+        ):
+            values = np.concatenate([[0.0], rng.uniform(0.95, 1.0, size - 1)])
+            values[planted] = 0.1
+            cases.append(values)
+        verdicts = []
+        for i, values in enumerate(cases):
+            tol = (0.0, 1e-9)[i % 2]
+            witness = check_subadditive(FunctionTable(n, values), tol)
+            expected = naive_subadditive_witness(values, n, tol)
+            assert (None if witness is None else str(witness)) == expected, i
+            verdicts.append(expected is None)
+        assert verdicts.count(True) == len(cases) - 4
+        batch = np.vstack(cases)
+        for rows in (batch, np.asfortranarray(batch)):
+            assert passing("subadditive", rows, 1e-9).tolist() == verdicts
 
     @pytest.mark.parametrize("class_tag", sorted(CHECKERS))
     def test_passing_agrees_with_checker_row_by_row(self, class_tag):
