@@ -24,19 +24,16 @@ order, CORE_SCAN_ROWS at a time, and the scan stops at the first block
 that holds a passing core, so a search costs at most O(|cores| * 2^k)
 time and O(CORE_SCAN_ROWS * 2^k) working memory, whatever q is.
 
-Pattern space has 2^q elements and is never materialized.  A part
-matters only through the coordinates it holds, so it stores the
-coordinate masks of its occupied patterns (those actually realized by
-some coordinate), in ascending pattern order, its virtual size and the
-union of its masks; pattern values only fix the order in which the
-occupied patterns are first dealt, and `_initial_parts` is the one
-place that reads the pattern -> mask dict.  Splits deal a part's masks
-by sequential without-replacement draws against big-integer half
-capacities, which reproduces exactly the distribution a full
-shuffle-and-split would induce on them.  A deal draws its random words
-in one call, and again only after a rejected draw; this is the same
-stream as one `rng.bytes` call per draw attempt (see
-`_deal_without_replacement`).
+Pattern space has 2^q elements and is never materialized.
+`_initial_parts`, the one place that reads the pattern -> mask dict,
+gives each occupied pattern (one realized by some coordinate) a
+distinct uniform cell of [0, 2^q), drawing again a cell already taken:
+a uniform injection of the occupied patterns into the cells, which is
+the law a full shuffle of pattern space gives them.  Parts are fixed
+ranges of cells, and a split cuts a range [lo, lo + s) at
+lo + ceil(s/2), so a part stores its range and the cells and coordinate
+masks it holds, in ascending pattern order, and refinement draws
+nothing of its own.
 
 The selection keeps the k parts of largest estimated own influence
 (Blais, "Testing juntas nearly optimally", STOC 2009), one estimate
@@ -63,6 +60,7 @@ may override, by plan-file key ("gamma" for core_grid).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -226,59 +224,6 @@ def _buckets_from_masks(sample_masks: Sequence[int], n: int) -> dict[int, int]:
     return buckets
 
 
-def _deal_without_replacement(
-    rng: np.random.Generator, items: Sequence[int], capacities: Sequence[int]
-) -> list[list[int]]:
-    """Deal items into slots with the given (big-integer) capacities,
-    matching the law of a uniform shuffle of capacity-many cells.
-
-    Item i lands in the slot holding cell u of the total - i cells still
-    free, u uniform, drawn by rejection: an attempt below a bound of b
-    bits reads ceil(b/8) bytes big-endian, keeps their top b bits and
-    retries unless the value is below the bound; a bound of 1 takes no
-    draw.  The bytes of an attempt are the first ones of ceil(b/32)
-    uint32 words, which is how `rng.bytes` draws them, and uint32 draws
-    concatenate across calls.  So the deal draws in one `rng.integers`
-    call the words its attempts need if none is rejected, and draws
-    again, after the words left over, only once a rejection has used
-    them up: the same stream, and the same generator state afterwards,
-    as one `rng.bytes` call per attempt.
-    """
-    remaining = list(capacities)
-    out: list[list[int]] = [[] for _ in capacities]
-    total = sum(remaining)
-    if len(items) > total:
-        raise ValueError("more items than cells to deal them into")
-    bounds = range(total, total - len(items), -1)  # item i's bound: total - i
-    words = [0 if b == 1 else (b.bit_length() + 31) // 32 for b in bounds]  # per attempt
-    need = sum(words)  # words the items left use if no attempt is rejected
-    buf, pos = b"", 0
-    for item, bound, nwords in zip(items, bounds, words):
-        u = 0
-        if nwords:
-            bits = bound.bit_length()
-            nbytes = (bits + 7) // 8
-            shift = nbytes * 8 - bits
-            while True:
-                if pos + 4 * nwords > len(buf):
-                    size = need - (len(buf) - pos) // 4
-                    fresh = rng.integers(0, 1 << 32, size=size, dtype=np.uint32)
-                    buf, pos = buf[pos:] + fresh.astype("<u4", copy=False).tobytes(), 0
-                u = int.from_bytes(buf[pos : pos + nbytes], "big") >> shift
-                pos += 4 * nwords
-                if u < bound:
-                    break
-        need -= nwords
-        acc = 0
-        for j, cap in enumerate(remaining):
-            acc += cap
-            if u < acc:
-                out[j].append(item)
-                remaining[j] -= 1
-                break
-    return out
-
-
 def _union(masks: Sequence[int]) -> int:
     union = 0
     for mask in masks:
@@ -289,36 +234,55 @@ def _union(masks: Sequence[int]) -> int:
 @dataclass(frozen=True)
 class VirtualPart:
     """One part of the (virtual) equi-partition of pattern space: the
-    coordinate masks of its occupied patterns, in ascending pattern
-    order, its size in patterns, occupied or not, and the union of its
-    masks."""
+    range [lo, lo + size) of cells it covers and the (cell, coordinate
+    mask) pair of each occupied pattern whose cell it holds, in ascending
+    pattern order, with their masks and the union of those."""
 
-    masks: tuple[int, ...]
+    lo: int
     size: int
+    held: tuple[tuple[int, int], ...] = ()
+    masks: tuple[int, ...] = field(init=False)
     coord_mask: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "masks", tuple(mask for _, mask in self.held))
         object.__setattr__(self, "coord_mask", _union(self.masks))
+
+    def halves(self) -> tuple[VirtualPart, VirtualPart]:
+        """[lo, mid) and [mid, lo + size), mid = lo + ceil(size / 2), each
+        with the pairs whose cells it holds."""
+        mid = self.lo + (self.size + 1) // 2
+        return (
+            VirtualPart(self.lo, mid - self.lo, tuple(h for h in self.held if h[0] < mid)),
+            VirtualPart(mid, self.lo + self.size - mid, tuple(h for h in self.held if h[0] >= mid)),
+        )
 
 
 def _initial_parts(
     buckets: Mapping[int, int], q: int, num_parts: int, rng: np.random.Generator
 ) -> list[VirtualPart]:
-    """Deal the occupied patterns' masks, in ascending pattern order, into
-    num_parts parts of sizes as equal as 2^q allows."""
-    total = 1 << q
-    sizes = [total // num_parts + (1 if j < total % num_parts else 0) for j in range(num_parts)]
-    dealt = _deal_without_replacement(rng, [buckets[p] for p in sorted(buckets)], sizes)
-    return [VirtualPart(tuple(masks), size) for masks, size in zip(dealt, sizes)]
+    """Draw a distinct uniform cell of [0, 2^q) for each occupied pattern,
+    in ascending pattern order, and cut the cells into num_parts ranges of
+    sizes as equal as 2^q allows, the longer ones first.
 
-
-def _split_part(part: VirtualPart, rng: np.random.Generator) -> tuple[VirtualPart, VirtualPart]:
-    c0 = (part.size + 1) // 2  # first half takes the extra element
-    c1 = part.size - c0
-    if part.size == 0:
-        return part, part
-    dealt = _deal_without_replacement(rng, part.masks, [c0, c1])
-    return VirtualPart(tuple(dealt[0]), c0), VirtualPart(tuple(dealt[1]), c1)
+    Cell i is the low q bits of the i-th ceil(q/8)-byte little-endian
+    word of one `rng.bytes` call; a cell already taken is drawn again
+    from one more call, so the cells are a uniform injection."""
+    width, top = (q + 7) // 8, (1 << q) - 1
+    patterns = sorted(buckets)
+    words = rng.bytes(width * len(patterns))
+    base, extra = divmod(1 << q, num_parts)
+    los = [j * base + min(j, extra) for j in range(num_parts)]
+    held: list[list[tuple[int, int]]] = [[] for _ in los]
+    taken: set[int] = set()
+    for i, pattern in enumerate(patterns):
+        cell = int.from_bytes(words[i * width : (i + 1) * width], "little") & top
+        while cell in taken:
+            cell = int.from_bytes(rng.bytes(width), "little") & top
+        taken.add(cell)
+        held[bisect.bisect_right(los, cell) - 1].append((cell, buckets[pattern]))
+    sizes = [base + 1] * extra + [base] * (num_parts - extra)
+    return [VirtualPart(lo, size, tuple(h)) for lo, size, h in zip(los, sizes, held)]
 
 
 def select_initial_parts(
@@ -371,8 +335,8 @@ def refine_parts(
     """Halve every selected part round by round, each round keeping the
     keep-choice z (half (z >> i) & 1 of part i) whose union has the
     complement of smallest estimated influence; ties break to the
-    smallest z.  A split deals a part's masks, in order, into its two
-    halves.  A round passes its 2^k complements to one estimator call,
+    smallest z.  A split cuts a part's range of cells in two and draws
+    nothing (see `VirtualPart.halves`).  A round passes its 2^k complements to one estimator call,
     m(2^k + 1) queries.
 
     Refinement stops after the first round that leaves every part
@@ -386,7 +350,7 @@ def refine_parts(
     k = len(selected)
     parts = list(selected)
     for rounds_used in range(1, default_refine_rounds(config.q, config.num_parts) + 1):
-        halves = [_split_part(p, rng) for p in parts]
+        halves = [p.halves() for p in parts]
         choices = [[h[(z >> i) & 1] for i, h in enumerate(halves)] for z in range(1 << k)]
         unions = np.array([_union([h.coord_mask for h in c]) for c in choices], dtype=np.int64)
         estimates = estimator(oracle, ((1 << oracle.n) - 1) & ~unions, config.m, rng)
