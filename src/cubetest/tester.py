@@ -268,6 +268,8 @@ def _initial_parts(
     Cell i is the low q bits of the i-th ceil(q/8)-byte little-endian
     word of one `rng.bytes` call; a cell already taken is drawn again
     from one more call, so the cells are a uniform injection."""
+    if len(buckets) > 1 << q:
+        raise ValueError("more occupied patterns than cells")
     width, top = (q + 7) // 8, (1 << q) - 1
     patterns = sorted(buckets)
     words = rng.bytes(width * len(patterns))

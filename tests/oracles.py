@@ -393,6 +393,34 @@ def naive_buckets_from_masks(sample_masks, n: int) -> dict[int, int]:
     return grouped
 
 
+def naive_cell_partition(rng, buckets, q: int, num_parts: int) -> list:
+    """The cell partition spelled out from its contract, as (lo, size,
+    held) per part: the patterns in ascending order take the low q bits
+    of successive ceil(q/8)-byte little-endian words of one `rng.bytes`
+    call, a taken cell is drawn again from one `rng.bytes` call per
+    attempt, and part j covers [lo_j, lo_j + size_j), the first
+    2^q mod num_parts parts one cell longer."""
+    width = (q + 7) // 8
+    patterns = sorted(buckets)
+    stream = int.from_bytes(rng.bytes(width * len(patterns)), "little")
+    cells: list[int] = []
+    for i in range(len(patterns)):
+        cell = (stream >> (8 * width * i)) % (1 << q)
+        while cell in cells:
+            cell = int.from_bytes(rng.bytes(width), "little") % (1 << q)
+        cells.append(cell)
+    sizes = [(1 << q) // num_parts + (j < (1 << q) % num_parts) for j in range(num_parts)]
+    out = []
+    lo = 0
+    for size in sizes:
+        held = tuple(
+            (cell, buckets[p]) for p, cell in zip(patterns, cells) if lo <= cell < lo + size
+        )
+        out.append((lo, size, held))
+        lo += size
+    return out
+
+
 def _bitstring(mask: int, n: int) -> str:
     return "".join(str((mask >> j) & 1) for j in range(n))
 

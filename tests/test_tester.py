@@ -33,6 +33,7 @@ from cubetest.tester import (
 )
 from oracles import (
     naive_buckets_from_masks,
+    naive_cell_partition,
     naive_core_statistics,
     shared_base_estimator,
 )
@@ -233,6 +234,74 @@ class TestBuckets:
         buckets = _buckets_from_masks(masks, n)
         expected = naive_buckets_from_masks([int(x) for x in masks], n)
         assert list(buckets.items()) == list(expected.items())
+
+
+class TestCellStream:
+    """`_initial_parts` must read the generator exactly as its docstring
+    says: one `rng.bytes` call for the first cells, then one call per
+    redraw.  Checked against the contract spelled out in
+    `naive_cell_partition`: the same parts, ranges and held pairs, the
+    same halves, and the same generator state after, whether or not the
+    generator holds a spare half-word."""
+
+    @staticmethod
+    def _check(seed, buckets, q, num_parts, spare):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (fast, slow):
+            rng.integers(0, 1 << 32, size=spare, dtype=np.uint32)
+        parts = _initial_parts(buckets, q, num_parts, fast)
+        expected = naive_cell_partition(slow, buckets, q, num_parts)
+        assert [(p.lo, p.size, p.held) for p in parts] == expected
+        assert fast.bit_generator.state == slow.bit_generator.state
+        words = [rng.integers(0, 1 << 32, size=3, dtype=np.uint32) for rng in (fast, slow)]
+        assert np.array_equal(*words)
+        assert fast.random() == slow.random()
+        # the splits of refinement: a part's pairs into its two halves
+        for part in {parts[0], parts[-1]}:
+            mid = part.lo + (part.size + 1) // 2
+            h0, h1 = part.halves()
+            assert (h0.lo, h0.size, h0.held) == (
+                part.lo, mid - part.lo, tuple(h for h in part.held if h[0] < mid)
+            )
+            assert (h1.lo, h1.size, h1.held) == (
+                mid, part.lo + part.size - mid, tuple(h for h in part.held if h[0] >= mid)
+            )
+        return parts
+
+    @pytest.mark.parametrize("spare", [0, 1])
+    @pytest.mark.parametrize("q", [*range(1, 71), 300, 1024, 65536])
+    def test_pattern_space_cells(self, q, spare):
+        rng = np.random.default_rng((q, spare))
+        num_parts = int(rng.integers(1, 50))
+        count = min(1 << q, 24)
+        patterns: set[int] = set()
+        while len(patterns) < count:
+            patterns.add(int.from_bytes(rng.bytes((q + 7) // 8), "little") % (1 << q))
+        masks = rng.integers(1, 1 << 24, size=count)
+        buckets = {p: int(m) for p, m in zip(sorted(patterns), masks)}
+        parts = self._check((q, spare, 0), buckets, q, num_parts, spare)
+        assert sorted(m for p in parts for m in p.masks) == sorted(buckets.values())
+
+    @pytest.mark.parametrize("spare", [0, 1])
+    def test_small_pattern_spaces(self, spare):
+        # up to as many patterns as cells, where most first draws are
+        # taken and drawn again, and more parts than cells, which leaves
+        # parts of size 0
+        rng = np.random.default_rng(spare)
+        cases = [({}, 3, 2), ({0: 1}, 1, 1), ({0: 1, 1: 2}, 1, 2), ({3: 4}, 2, 7)]
+        for _ in range(100):
+            q = int(rng.integers(1, 9))
+            count = int(rng.integers(0, min(1 << q, 12) + 1))
+            patterns = rng.choice(1 << q, size=count, replace=False)
+            buckets = {int(p): 1 << i for i, p in enumerate(patterns)}
+            cases.append((buckets, q, int(rng.integers(1, 12))))
+        for i, (buckets, q, num_parts) in enumerate(cases):
+            for seed in range(10):
+                self._check((spare, i, seed), buckets, q, num_parts, spare)
+
+    def test_more_patterns_than_cells_refused(self):
+        with pytest.raises(ValueError, match="more occupied patterns than cells"):
+            _initial_parts({0: 1, 1: 2, 2: 4}, 1, 2, np.random.default_rng(0))
 
 
 class TestVirtualPartition:
