@@ -83,7 +83,6 @@ class ExperimentSummary:
     mean_queries: float
     p50_queries: int
     p90_queries: int
-    reject_influence_check: int
     reject_core_search: int
     certified_distance: Optional[float]
     wall_time_s: float
@@ -156,9 +155,6 @@ def run_plan(plan: ExperimentPlan) -> tuple[ExperimentSummary, list[TrialRecord]
         mean_queries=sum(queries) / plan.trial_count,
         p50_queries=queries[(len(queries) - 1) // 2],
         p90_queries=queries[int(0.9 * (len(queries) - 1))],
-        reject_influence_check=sum(
-            1 for r in records if r.report.reject_stage == "influence_check"
-        ),
         reject_core_search=sum(1 for r in records if r.report.reject_stage == "core_search"),
         certified_distance=certified,
         wall_time_s=time.perf_counter() - start,
@@ -326,7 +322,6 @@ def summary_to_lines(summary: ExperimentSummary) -> list[str]:
         f"mean_queries: {summary.mean_queries!r}",
         f"p50_queries: {summary.p50_queries}",
         f"p90_queries: {summary.p90_queries}",
-        f"reject_influence_check: {summary.reject_influence_check}",
         f"reject_core_search: {summary.reject_core_search}",
         f"certified_distance: {cert}",
         f"wall_time_s: {summary.wall_time_s!r}",

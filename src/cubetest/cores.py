@@ -59,7 +59,9 @@ class CoreTable:
 
 class CoreSet:
     """Immutable enumerated collection of grid cores for one class:
-    `tables` is a (cores, 2^k) array, one core's values per row."""
+    `tables` is a (cores, 2^k) array, one core's values per row, in
+    enumeration order: column 0, which the core search bisects, never
+    decreases."""
 
     __slots__ = ("class_tag", "k", "gamma", "tables")
 
@@ -67,6 +69,8 @@ class CoreSet:
         arr = np.asarray(tables, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 1 << k:
             raise ValueError(f"expected rows of {1 << k} core values, got shape {arr.shape}")
+        if np.any(arr[1:, 0] < arr[:-1, 0]):
+            raise ValueError("core rows must be in enumeration order: column 0 decreases")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "class_tag", class_tag)

@@ -1,60 +1,29 @@
 """End-to-end implicit-learning tester and the lp -> l2 parameter map.
 
-The tester draws q uniform sample points, maps each value pattern the
-n coordinates show across those samples to the mask of the coordinates
-that show it, and picks k parts of a random equi-partition of pattern
-space whose union should capture all the influence.  Each selected
+The tester draws q uniform sample points and groups the n coordinates
+by the value pattern each shows across them (`_buckets_from_masks`).
+`_initial_parts` deals the occupied patterns into a random
+equi-partition of pattern space, a uniform injection into the 2^q
+cells cut into ranges, which is never materialized.  The selection
+keeps the k parts of largest estimated own influence (Blais, "Testing
+juntas nearly optimally", STOC 2009; the source paper instead keeps the
+k parts whose union has the complement of least estimated influence,
+one of the tester's documented deviations, see the README).  Each kept
 part is then halved round by round, keeping the half-choice with the
-smallest estimated complement influence, and refinement stops after
-the first round that leaves every part holding at most one occupied
-pattern, which is all implicit learning needs; that round comes by
-`default_refine_rounds(q, num_parts)`, after which every part holds at
-most one pattern.  A final influence gate rejects if the complement of
-the surviving buckets still carries more than `inf_threshold` influence;
-otherwise the core learned from the original samples is compared
-against every enumerated grid core, and the first one whose mean
-squared deviation is at most `accept_threshold` is returned.
+smallest estimated complement influence, until every part holds at most
+one occupied pattern (`refine_parts`).  The core learned from the
+original samples on those coordinates is compared against every
+enumerated grid core, and the first one whose mean squared deviation is
+at most `accept_threshold` is returned; no core passing is the one way
+to reject (`final_check_and_learn`, `core_statistics`).
 
-The core search reads the samples only through per-core-input
-sufficient statistics: the count n_u and mean mu_u of the sampled
-values at each core input u, and the within-group residual
-W = sum_t (f_t - mu_{u_t})^2.  Core c's mean squared deviation is then
-(W + sum_u n_u (c_u - mu_u)^2) / q.  The cores are scored in enumeration
-order, CORE_SCAN_ROWS at a time, and the scan stops at the first block
-that holds a passing core, so a search costs at most O(|cores| * 2^k)
-time and O(CORE_SCAN_ROWS * 2^k) working memory, whatever q is.
-
-Pattern space has 2^q elements and is never materialized.
-`_initial_parts`, the one place that reads the pattern -> mask dict,
-gives each occupied pattern (one realized by some coordinate) a
-distinct uniform cell of [0, 2^q), drawing again a cell already taken:
-a uniform injection of the occupied patterns into the cells, which is
-the law a full shuffle of pattern space gives them.  Parts are fixed
-ranges of cells, and a split cuts a range [lo, lo + s) at
-lo + ceil(s/2), so a part stores its range and the cells and coordinate
-masks it holds, in ascending pattern order, and refinement draws
-nothing of its own.
-
-The selection keeps the k parts of largest estimated own influence
-(Blais, "Testing juntas nearly optimally", STOC 2009), one estimate
-per part.  The source paper instead keeps the k parts whose union has
-the complement of least estimated influence, over all C(num_parts, k)
-unions; this rule is one of the tester's documented deviations from
-the paper (see the README).
-
-Each stage passes its whole batch of masks to one estimator call: the
-selection its B = num_parts part masks, each refinement round the
-complements of its 2^k candidate unions, the gate a batch of one.  A
-batch shares one set of m base points across its masks (see
-`estimate_inf_mask`), and each estimate keeps the law of a separate
-2m-query estimate, so B masks cost m(B + 1) queries and a run that used
-r refinement rounds costs exactly q + m(B + 1) + m(2^k + 1) r + 2m;
-`TesterConfig.query_budget()` is that cost at the most rounds a run can
-use, r = `default_refine_rounds(q, num_parts)`.
+The selection and each refinement round make one batched estimator
+call, so a run that used r rounds makes exactly
+q + m(num_parts + 1) + m(2^k + 1) r queries (`TesterConfig.query_budget`).
 
 `SETTINGS` is the one table of tester settings: for each, its
 config-file key, `TesterConfig` field and value type.  Config files are
-written and read through it, and `PLAN_SETTINGS` names the six a plan
+written and read through it, and `PLAN_SETTINGS` names the five a plan
 may override, by plan-file key ("gamma" for core_grid).
 """
 
@@ -95,6 +64,11 @@ NUM_PARTS_BUDGET = 200_000
 # paper's q at eps = 0.25, k = 3 is 8,192; a config over it raises
 # BudgetError (exit 4) before any sampling
 Q_BUDGET = 1 << 16
+# most q * num_parts a config may ask for: `_initial_parts` holds one
+# q-bit range start per part, 16 MiB at this limit, which admits the
+# paper's q * num_parts at eps = 0.25, k = 3 (66,355,200); a config over
+# it raises BudgetError (exit 4) before any sampling
+PARTITION_BITS_BUDGET = 1 << 27
 
 
 def lp_epsilon_map(p: float, eps: float) -> float:
@@ -142,9 +116,14 @@ class TesterConfig:
     (`paper_constants`), whose guarantees are only asymptotic; seeded
     2/3-rate experiments stand in for them.  Theta(k^2) parts keep k
     relevant coordinates apart with constant probability (Blais 2009).
-    Omitted thresholds are derived from eps after the lp -> l2 map.
-    q above Q_BUDGET or num_parts above NUM_PARTS_BUDGET raises
-    BudgetError."""
+
+    accept_threshold is a^2 for an l2 accept radius a.  Omitted, a is
+    (core_grid/2 + eps2)/2, mid-gap between the grid slack and
+    eps2 = `lp_epsilon_map(p, eps)`: a class member lies within
+    core_grid/2 of a grid core, plus its junta distance, and an eps-far
+    function is at least eps2 from every core; with no gap
+    (core_grid/2 >= eps2) it raises ValueError.  q, num_parts or
+    q * num_parts over its *_BUDGET constant raises BudgetError."""
 
     eps: float
     k: int
@@ -152,7 +131,6 @@ class TesterConfig:
     q: int = 64
     m: int = 1000
     num_parts: Optional[int] = None
-    inf_threshold: Optional[float] = None
     accept_threshold: Optional[float] = None
     core_grid: float = 0.25
     seed: int = 0
@@ -176,22 +154,29 @@ class TesterConfig:
                 f"part selection needs {self.num_parts} influence estimates, budget is "
                 f"{NUM_PARTS_BUDGET}; reduce num_parts"
             )
-        if self.inf_threshold is None:
-            object.__setattr__(self, "inf_threshold", eps2 ** 2 / 1000.0)
+        if self.q * self.num_parts > PARTITION_BITS_BUDGET:
+            raise BudgetError(
+                f"the partition needs q * num_parts = {self.q * self.num_parts} bits of part "
+                f"bounds, budget is {PARTITION_BITS_BUDGET}; reduce q or num_parts"
+            )
         if self.accept_threshold is None:
-            object.__setattr__(self, "accept_threshold", 0.35 * eps2)
-        for name in ("inf_threshold", "accept_threshold"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            slack = self.core_grid / 2
+            if not slack < eps2:
+                raise ValueError(
+                    f"no accept radius fits between the grid slack core_grid/2 = {slack} and "
+                    f"eps2 = {eps2}; give accept_threshold or a finer core_grid"
+                )
+            object.__setattr__(self, "accept_threshold", ((slack + eps2) / 2) ** 2)
+        if not (math.isfinite(self.accept_threshold) and self.accept_threshold > 0):
+            raise ValueError(f"accept_threshold must be finite and > 0, got {self.accept_threshold}")
 
     def query_budget(self) -> int:
         """Oracle queries of a run that uses the most refinement rounds a
-        run can use: q + m(B + 1) + m(2^k + 1) r + 2m, with B = num_parts
-        and r = default_refine_rounds(q, num_parts).  A run that stopped
-        after r' <= r rounds costs exactly that with r' in place of r."""
+        run can use: q + m(B + 1) + m(2^k + 1) r, with B = num_parts and
+        r = default_refine_rounds(q, num_parts).  A run that stopped after
+        r' <= r rounds costs exactly that with r' in place of r."""
         q, m, k, r = self.q, self.m, self.k, default_refine_rounds(self.q, self.num_parts)
-        return q + m * (self.num_parts + 1) + m * ((1 << k) + 1) * r + 2 * m
+        return q + m * (self.num_parts + 1) + m * ((1 << k) + 1) * r
 
 
 def profile_deviations(config: TesterConfig) -> list[str]:
@@ -374,7 +359,7 @@ class TesterReport:
     """Verdict plus diagnostics for one tester run."""
 
     verdict: str  # accept | reject
-    reject_stage: str  # influence_check | core_search | none
+    reject_stage: str  # core_search | none
     queries_used: int
     selected_buckets: tuple[tuple[int, ...], ...]
     learned_core: Optional[CoreTable]
@@ -389,17 +374,13 @@ class TesterReport:
             raise ValueError("learned_core must be present exactly when accepting")
 
 
-def _core_score_blocks(
-    cores: CoreSet,
-    sample_masks: Sequence[int],
-    sample_values: np.ndarray,
-    phi: Sequence[Optional[int]],
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (lo, scores of cores lo, lo + 1, ...) for each block of
-    CORE_SCAN_ROWS cores, in enumeration order; see `core_statistics`."""
-    q = len(sample_masks)
+def _sufficient_statistics(
+    sample_masks: Sequence[int], sample_values: np.ndarray, phi: Sequence[Optional[int]]
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The counts n_u and means mu_u of the sampled values at each core
+    input u, and the within-group residual W; see `core_statistics`."""
     masks = np.asarray(sample_masks, dtype=np.int64)
-    u = np.zeros(q, dtype=np.int64)
+    u = np.zeros(len(masks), dtype=np.int64)
     for j, coord in enumerate(phi):
         if coord is not None:
             u |= ((masks >> (coord - 1)) & 1) << j
@@ -408,14 +389,21 @@ def _core_score_blocks(
     counts = np.bincount(u, minlength=size).astype(np.float64)
     sums = np.bincount(u, weights=fvals, minlength=size)
     means = np.divide(sums, counts, out=np.zeros(size), where=counts > 0)
-    within = float(np.sum((fvals - means[u]) ** 2))
-    for lo in range(0, len(cores), CORE_SCAN_ROWS):
-        dev = cores.tables[lo : lo + CORE_SCAN_ROWS] - means
+    return counts, means, float(np.sum((fvals - means[u]) ** 2))
+
+
+def _core_score_blocks(
+    cores: CoreSet, counts: np.ndarray, means: np.ndarray, within: float, q: int, lo: int, hi: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, scores of cores start, start + 1, ...) for each block
+    of at most CORE_SCAN_ROWS of the rows [lo, hi), in enumeration order."""
+    for start in range(lo, hi, CORE_SCAN_ROWS):
+        dev = cores.tables[start : min(start + CORE_SCAN_ROWS, hi)] - means
         dev *= dev
         stats = dev @ counts
         stats += within
         stats /= q
-        yield lo, stats
+        yield start, stats
 
 
 def core_statistics(
@@ -432,63 +420,78 @@ def core_statistics(
     W = sum_t (f_t - mu_{u_t})^2 the residual within groups, core c
     scores (W + sum_u n_u (c_u - mu_u)^2) / q.  This equals
     mean_t (f_t - c_{u_t})^2 and, as a sum of squares, is never
-    negative.  The result joins the per-block scores that
-    `final_check_and_learn` scans, CORE_SCAN_ROWS cores at a time, so
-    its temporaries take O(CORE_SCAN_ROWS * 2^k) memory rather than
-    O(|cores| * q).
+    negative.  Scored CORE_SCAN_ROWS cores at a time, in
+    O(CORE_SCAN_ROWS * 2^k) memory, this is the full-scan reference for
+    `final_check_and_learn`'s pruned scan.
     """
-    blocks = [stats for _, stats in _core_score_blocks(cores, sample_masks, sample_values, phi)]
+    stats = _sufficient_statistics(sample_masks, sample_values, phi)
+    blocks = [s for _, s in _core_score_blocks(cores, *stats, len(sample_masks), 0, len(cores))]
     return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
+def _scan_range(
+    cores: CoreSet, counts: np.ndarray, means: np.ndarray, within: float, q: int, threshold: float
+) -> tuple[int, int]:
+    """Rows [lo, hi) outside which no core scores at most `threshold`:
+    none when W/q > threshold, since every core scores at least W/q, and
+    else the run of rows, column 0 being non-decreasing (`CoreSet`), with
+    n_0 (c_0 - mu_0)^2 <= q * threshold - W, every row when n_0 = 0.  The
+    radius about mu_0 is widened past any rounding.  lo and hi are
+    rounded out to multiples of 4 (hi to at most the row count), since
+    OpenBLAS scores a block's last (rows mod 4) rows by a path whose last
+    bits can differ, which only the full scan's own last rows may take."""
+    if within / q > threshold:
+        return 0, 0
+    if counts[0] == 0:
+        return 0, len(cores)
+    radius = math.sqrt(max(q * threshold - within, 0.0) / counts[0]) * (1 + 1e-9) + 1e-12
+    column = cores.tables[:, 0]
+    lo = bisect.bisect_left(column, means[0] - radius) & ~3
+    hi = bisect.bisect_right(column, means[0] + radius)
+    return lo, min(len(cores), (hi + 3) & ~3)
+
+
 def final_check_and_learn(
-    oracle: QueryOracle,
     sample_masks: Sequence[int],
     sample_values: np.ndarray,
     refinement: RefinementResult,
     cores: CoreSet,
     config: TesterConfig,
-    rng: np.random.Generator,
-    estimator: InfluenceEstimator = estimate_inf_mask,
 ) -> TesterReport:
-    """Influence gate, then implicit learning against the core set.
+    """Implicit learning against the core set, which decides the verdict.
 
-    The final buckets are the refinement's final masks, and the gate
-    estimates the complement of their union.  The projection reads, for
-    each final bucket, the lowest-index coordinate it contains; an empty
-    bucket feeds the constant 0 to the corresponding core input.  The
-    acceptance statistic is the mean of squared deviations between the
-    sampled values and the candidate core's values on the projected
-    samples (see `core_statistics`: (W + sum_u n_u (c_u - mu_u)^2) / q),
-    compared with accept_threshold; the report's empirical_distance is
-    that statistic.  The first passing core in enumeration order
-    is learned: the cores are scored CORE_SCAN_ROWS at a time and the
-    scan stops at the first block that holds a passing core, in
-    O(CORE_SCAN_ROWS * 2^k) working memory.  The report's queries_used
-    is 0 and its eta holds only "gate"; `run_tester` fills in the run's
-    count and the other stages' entries.
+    Core input j reads the lowest coordinate of final bucket j (the
+    constant 0 for an empty one).  A core's statistic, the mean squared
+    deviation of the samples from it (`core_statistics`), estimates
+    ||f - lift(c)||^2 = ||f - E_phi f||^2 + ||E_phi f - c||^2 (Pythagoras
+    for the projection E_phi onto the learned coordinates), so it charges
+    f for its distance from a junta on them too, and no influence check
+    is needed.  The first core in enumeration order whose statistic is at
+    most accept_threshold is learned, with the statistic as the report's
+    empirical_distance: the rows of `_scan_range` are scored
+    CORE_SCAN_ROWS at a time, up to the first block with a passing core.
+    queries_used is 0 and eta empty; `run_tester` fills them in.
     """
     bucket_coords = tuple(tuple(sorted(coords_of(mask))) for mask in refinement.final_masks)
-    complement = ((1 << oracle.n) - 1) & ~_union(refinement.final_masks)
-    gate = float(estimator(oracle, np.array([complement], dtype=np.int64), config.m, rng)[0])
     phi = tuple(coords[0] if coords else None for coords in bucket_coords)
-    core, dist, stage = None, None, "influence_check"
-    if not gate > config.inf_threshold:
-        stage = "core_search"
-        for lo, stats in _core_score_blocks(cores, sample_masks, sample_values, phi):
-            passing = np.flatnonzero(stats <= config.accept_threshold)
-            if passing.size:
-                first = int(passing[0])
-                core, dist, stage = cores.member(lo + first), float(stats[first]), "none"
-                break
+    q, threshold = len(sample_masks), config.accept_threshold
+    counts, means, within = _sufficient_statistics(sample_masks, sample_values, phi)
+    lo, hi = _scan_range(cores, counts, means, within, q, threshold)
+    core, dist = None, None
+    for start, stats in _core_score_blocks(cores, counts, means, within, q, lo, hi):
+        passing = np.flatnonzero(stats <= threshold)
+        if passing.size:
+            first = int(passing[0])
+            core, dist = cores.member(start + first), float(stats[first])
+            break
     return TesterReport(
         verdict="reject" if core is None else "accept",
-        reject_stage=stage,
+        reject_stage="core_search" if core is None else "none",
         queries_used=0,
         selected_buckets=bucket_coords,
         learned_core=core,
         empirical_distance=dist,
-        eta={"gate": gate},
+        eta={},
         phi=phi,
         empty_buckets=refinement.part_went_empty,
         refine_rounds_used=refinement.rounds_used,
@@ -508,15 +511,15 @@ def run_tester(
     `estimator` stands in for `estimate_inf_mask` under the same
     contract (see `InfluenceEstimator`): every call passes a 1-D int64
     batch of masks.  The part selection calls it once with its num_parts
-    part masks, each refinement round once with its 2^k complement
-    masks, and the gate once with a batch of one, so a run that used r rounds makes
-    exactly q + m(num_parts + 1) + m(2^k + 1) r + 2m queries (see
-    `TesterConfig.query_budget`).
+    part masks and each refinement round once with its 2^k complement
+    masks, so a run that used r rounds makes exactly
+    q + m(num_parts + 1) + m(2^k + 1) r queries (see
+    `TesterConfig.query_budget`); the core search makes none.
 
-    The report's eta holds "initial_min", "refine_last" and "gate".
-    initial_min is the sum of the dropped parts' own estimates, which
-    estimates an upper bound on the influence of the complement of the
-    kept parts (influence is subadditive).
+    The report's eta holds "initial_min" and "refine_last".  initial_min
+    is the sum of the dropped parts' own estimates, which estimates an
+    upper bound on the influence of the complement of the kept parts
+    (influence is subadditive).
     """
     rng = np.random.default_rng(config.seed)
     if cores is None:
@@ -528,11 +531,9 @@ def run_tester(
     buckets = _buckets_from_masks(sample_masks, n)
     selected, dropped = select_initial_parts(oracle, buckets, config, rng, estimator)
     refinement = refine_parts(oracle, selected, config, rng, estimator)
-    report = final_check_and_learn(
-        oracle, sample_masks, sample_values, refinement, cores, config, rng, estimator
-    )
+    report = final_check_and_learn(sample_masks, sample_values, refinement, cores, config)
     eta = {"initial_min": dropped, "refine_last": refinement.last_round_eta}
-    return replace(report, queries_used=oracle.query_count - start, eta={**eta, **report.eta})
+    return replace(report, queries_used=oracle.query_count - start, eta=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +559,6 @@ SETTINGS = {
     "q": Setting("q", int),
     "m": Setting("m", int),
     "num_parts": Setting("num_parts", int),
-    "inf_threshold": Setting("inf_threshold", float),
     "accept_threshold": Setting("accept_threshold", float),
     "core_grid": Setting("core_grid", float),
     "seed": Setting("seed", int, required=False),
@@ -569,7 +569,7 @@ PLAN_SETTINGS = {
     plan_key: SETTINGS[key]
     for plan_key, key in (
         ("q", "q"), ("m", "m"), ("num_parts", "num_parts"), ("gamma", "core_grid"),
-        ("inf_threshold", "inf_threshold"), ("accept_threshold", "accept_threshold"),
+        ("accept_threshold", "accept_threshold"),
     )
 }
 

@@ -200,6 +200,34 @@ def naive_min_distance_to_cores(core_values, member_rows, k: int) -> float:
     return best
 
 
+def submodular_k2_class_distance(core_values) -> tuple[float, tuple[float, ...]]:
+    """Exact l2 distance from a 2-junta with core c to the submodular
+    functions with values in [0, 1], with the nearest core.
+
+    Submodularity is kept by averaging out coordinates, and averaging is
+    an l2 contraction that fixes the junta, so a nearest class member is
+    a 2-junta on the same coordinates, and the distance is that of c from
+    its projection x onto {x in [0,1]^4 : x1 + x2 >= x0 + x3} (one
+    submodular inequality; bit 0 of the index is the first coordinate).
+    With a = (-1, 1, 1, -1), the KKT conditions give
+    x = clip(c + lam * a, 0, 1) at the least lam >= 0 with a . x >= 0;
+    a . x is non-decreasing in lam, so a bisection on lam finds it."""
+    c = np.asarray(core_values, dtype=np.float64)
+    a = np.array([-1.0, 1.0, 1.0, -1.0])
+
+    def x(lam):
+        return np.clip(c + lam * a, 0.0, 1.0)
+
+    lo, hi = 0.0, 2.0  # a . x(2) = 2 for every c in [0, 1]^4
+    if a @ x(0.0) >= 0:
+        hi = 0.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if a @ x(mid) < 0 else (lo, mid)
+    nearest = x(hi)
+    return math.sqrt(float(np.mean((c - nearest) ** 2))), tuple(float(v) for v in nearest)
+
+
 def naive_certify_bound(f: FunctionTable, cores, gamma: float) -> float:
     """The class bound of `bench.certify` as a loop over the coordinate
     sets K: project f on K, take the projection's l2 distance d1 from f

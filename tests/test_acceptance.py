@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
-The statistical criteria (6-8, 11-12) use 200 seeded trials against a
+The statistical criteria (6-8, 11-15) use 200 seeded trials against a
 2/3 threshold minus Wilson-interval slack; the rest are exact or
 concentration checks.  Criterion timings at desk scale (2-vCPU Xeon):
 each under 2 s, 6-8 and 11-12 under 3 s together, the module about 8 s.
@@ -23,11 +23,13 @@ from cubetest.tester import (
     _initial_parts,
     lp_epsilon_map,
     refine_parts,
+    run_tester,
     select_initial_parts,
 )
 from cubetest.valuations import (
     APPLICABLE_CHECKERS,
     CHECKERS,
+    check_submodular,
     GENERATOR_CLASSES,
     gen,
     make_far_instance,
@@ -35,6 +37,7 @@ from cubetest.valuations import (
     random_spec,
 )
 from cubetest.influence import estimate_inf_mask
+from oracles import submodular_k2_class_distance
 from test_tester import exact_stub
 
 RATE_THRESHOLD = 2 / 3 - wilson_halfwidth(2 / 3, 200)
@@ -263,3 +266,67 @@ def test_criterion_12_tester_completeness_k3_subadditive():
     """In-class subadditive 3-juntas (lifted enumerated cores, grid 1/4) are
     accepted in at least 2/3 - Wilson slack of 200 seeded trials."""
     assert _k3_in_class_accept_rate("subadditive", 9200) >= RATE_THRESHOLD
+
+
+DESK = {"q": 64, "m": 1000, "gamma": 0.25}
+
+
+def test_criterion_13_tester_soundness_far_core_k3():
+    """A 3-junta with the AND_3 core, 0.306 from the enumerated
+    submodular cores, is rejected in at least 2/3 - Wilson slack of 200
+    seeded trials at q = 64."""
+    plan = ExperimentPlan(
+        class_tag="submodular",
+        n=12,
+        k=3,
+        eps=0.25,
+        trial_count=200,
+        seed_base=9400,
+        mode="far_mode_a",
+        overrides=DESK,
+        core_values=(0.0,) * 7 + (1.0,),
+    )
+    summary, _ = run_plan(plan)
+    assert summary.certified_distance > plan.eps
+    assert 1.0 - summary.accept_rate >= RATE_THRESHOLD
+
+
+def test_criterion_14_tester_soundness_just_past_eps():
+    """A 2-junta with core (0, 0, 0, 0.95), whose exact l2 distance to
+    the [0,1]-valued submodular functions (`oracles`) is 0.274 > eps, is
+    rejected in at least 2/3 - Wilson slack of 200 seeded trials."""
+    core = (0.0, 0.0, 0.0, 0.95)
+    class_distance, _ = submodular_k2_class_distance(core)
+    assert class_distance == pytest.approx(0.2742, abs=1e-4)
+    plan = ExperimentPlan(
+        class_tag="submodular",
+        n=12,
+        k=2,
+        eps=0.25,
+        trial_count=200,
+        seed_base=9600,
+        mode="far_mode_a",
+        overrides=DESK,
+        core_values=core,
+    )
+    summary, _ = run_plan(plan)
+    assert class_distance > plan.eps
+    assert 1.0 - summary.accept_rate >= RATE_THRESHOLD
+
+
+def test_criterion_15_tester_completeness_near_juntas():
+    """Budget-additive class members min(w . x, 1) that are near but not
+    at 2-juntas, two weights from U(0.5, 1) and ten from 0.1 * U(0, 1)
+    in shuffled positions, are accepted in at least 2/3 - Wilson slack of
+    200 seeded trials."""
+    n, delta, seed_base = 12, 0.1, 9800
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    accepts = 0
+    for t in range(200):
+        rng = np.random.default_rng((seed_base + t, 0xBA5E))
+        weights = rng.permutation(np.r_[rng.uniform(0.5, 1.0, 2), delta * rng.uniform(0.0, 1.0, n - 2)])
+        table = FunctionTable(n, np.minimum(bits @ weights, 1.0))
+        assert check_submodular(table) is None
+        config = TesterConfig(eps=0.25, k=2, q=64, m=1000, core_grid=0.25, seed=seed_base + t)
+        accepts += run_tester(make_counting_oracle(table), "submodular", config).verdict == "accept"
+    assert accepts / 200 >= RATE_THRESHOLD

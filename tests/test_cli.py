@@ -386,6 +386,21 @@ class TestTestCommand:
             "reduce num_parts\n"
         )
 
+    def test_partition_budget_exit_4(self, tmp_path, capsys, monkeypatch):
+        # one q-bit range start per part: q = 65,536 and 2,049 parts would
+        # hold 16.8 MB of them, refused before the sample is drawn
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a partition over the partition budget")
+
+        monkeypatch.setattr(tester, "_initial_parts", refuse)
+        overrides = {"q": tester.Q_BUDGET, "m": 5, "gamma": 0.25, "num_parts": 2049}
+        _, path = self._small_plan(tmp_path, overrides=overrides)
+        assert main(["test", str(path)]) == 4
+        assert capsys.readouterr().err == (
+            "budget exceeded: the partition needs q * num_parts = 134283264 bits of part bounds, "
+            "budget is 134217728; reduce q or num_parts\n"
+        )
+
     def test_enumeration_budget_exit_4(self, tmp_path, capsys):
         _, path = self._small_plan(tmp_path, overrides={"q": 16, "m": 5, "gamma": 1 / 4001})
         assert main(["test", str(path)]) == 4
@@ -451,6 +466,20 @@ class TestTestCommand:
             dict(edits=(("gamma: 0.25\n", "gamma: 0.25\nsubset_budget: 0\n"),)),
             2,
             "error: unknown plan key 'subset_budget'\n",
+        ),
+        # the influence gate's threshold, whose NaN once switched the gate off
+        "inf_threshold_given": (
+            dict(edits=(("gamma: 0.25\n", "gamma: 0.25\ninf_threshold: nan\n"),)),
+            2,
+            "error: unknown plan key 'inf_threshold'\n",
+        ),
+        # eps2 = 0.25^1.5 = 0.125 at p = 3: no accept radius between the
+        # grid slack 0.25 and eps2, so the default is refused
+        "no_accept_radius_p3": (
+            dict(p=3.0, overrides={"q": 16, "m": 20, "gamma": 0.5}),
+            2,
+            "error: no accept radius fits between the grid slack core_grid/2 = 0.25 and "
+            "eps2 = 0.125; give accept_threshold or a finer core_grid\n",
         ),
         "eps_beyond_far_core": (
             dict(mode="far_mode_a", eps=0.9),
@@ -526,17 +555,16 @@ class TestTestCommand:
         assert result.stderr == "error: num_parts must be >= k\n"
         assert "Traceback" not in result.stderr
 
-    # values that once ran to exit 0: a NaN inf_threshold or an infinite
-    # one switched the influence gate off, a NaN accept_threshold
-    # rejected every trial at the core search
+    # values that once ran to exit 0: a NaN accept_threshold rejected
+    # every trial at the core search
     NON_FINITE = {
-        "inf_threshold_nan": ("inf_threshold", "nan", "inf_threshold must be finite and > 0, got nan"),
-        "inf_threshold_inf": ("inf_threshold", "inf", "inf_threshold must be finite and > 0, got inf"),
         "accept_threshold_nan": (
             "accept_threshold", "nan", "accept_threshold must be finite and > 0, got nan"
         ),
+        "accept_threshold_inf": (
+            "accept_threshold", "inf", "accept_threshold must be finite and > 0, got inf"
+        ),
         "p_nan": ("p", "nan", "p must be >= 1 and finite, got nan"),
-        # once exited 2 only because eps ** inf = 0 left inf_threshold at 0
         "p_inf": ("p", "inf", "p must be >= 1 and finite, got inf"),
     }
 
@@ -601,6 +629,7 @@ class TestTestCommand:
     # versions with refine_rounds, sqrt_statistic and subset_budget saved it
     UNKNOWN_CONFIG_KEYS = {
         "misspelled": ("subset_budgt: 5\n", "subset_budgt"),
+        "inf_threshold": ("inf_threshold: 6.25e-05\n", "inf_threshold"),
         "refine_rounds": ("refine_rounds: 4\n", "refine_rounds"),
         "sqrt_statistic": ("sqrt_statistic: 1\n", "sqrt_statistic"),
         "subset_budget": ("subset_budget: 1000\n", "subset_budget"),
@@ -674,9 +703,9 @@ subset_budget: 200000
 
     @pytest.mark.parametrize("plan_q, q", [(None, 24), (16, 16)])
     def test_config_reaches_every_trial(self, tmp_path, plan_q, q):
-        # queries_used = q + m (P + 1) + m (2^k + 1) r + 2m: the sample,
-        # the P = 16 part estimates of the selection, r refinement rounds of
-        # 2^k estimates (each batch adds m shared base points) and the gate
+        # queries_used = q + m (P + 1) + m (2^k + 1) r: the sample, the
+        # P = 16 part estimates of the selection and r refinement rounds of
+        # 2^k estimates (each batch adds m shared base points)
         from cubetest.tester import TesterConfig, config_to_lines
 
         overrides = {"gamma": 0.25} if plan_q is None else {"gamma": 0.25, "q": plan_q}
@@ -690,7 +719,7 @@ subset_budget: 200000
         for record in records:
             fields = dict(ln.split(": ", 1) for ln in record.splitlines()[1:] if ": " in ln)
             rounds = int(fields["refine_rounds_used"])
-            assert int(fields["queries_used"]) == q + 30 * (16 + 1) + 30 * 5 * rounds + 2 * 30
+            assert int(fields["queries_used"]) == q + 30 * (16 + 1) + 30 * 5 * rounds
 
 
 class TestCertify:

@@ -20,7 +20,9 @@ from cubetest.cores import (
 from cubetest.influence import closest_junta
 from cubetest.tables import BudgetError, FunctionTable, lp_distance
 from cubetest.valuations import CHECKERS, UnsupportedClassError
-from oracles import NAIVE_WITNESSES, naive_lp_distance, naive_min_distance_to_cores
+from oracles import (
+    NAIVE_WITNESSES, naive_lp_distance, naive_min_distance_to_cores, submodular_k2_class_distance
+)
 
 
 def exhaustive_filter(class_tag, k, gamma):
@@ -272,6 +274,16 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="expected rows of 4 core values"):
             CoreSet("submodular", 2, 0.25, tables)
 
+    def test_core_set_refuses_rows_out_of_enumeration_order(self):
+        # the core search bisects on column 0, which enumeration keeps
+        # non-decreasing; equal leading values in any order are fine
+        for k, gamma in ((1, 0.25), (2, 0.25), (3, 0.5)):
+            column = enumerate_cores("submodular", k, gamma).tables[:, 0]
+            assert np.all(np.diff(column) >= 0)
+        CoreSet("submodular", 2, 0.25, [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="enumeration order: column 0 decreases"):
+            CoreSet("submodular", 2, 0.25, [[0.25, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+
     def test_deterministic_order(self):
         a = enumerate_cores("submodular", 2, 0.25)
         b = enumerate_cores("submodular", 2, 0.25)
@@ -384,3 +396,27 @@ class TestLift:
         h = CoreTable(2, (0.1, 0.4, 0.6, 0.9))
         table = lift_core(h, (5, 2), 6)
         assert core_of_junta(table, (5, 2)) == h
+
+
+class TestSubmodularK2ClassDistance:
+    """The exact projection oracle of `oracles.submodular_k2_class_distance`."""
+
+    def test_known_far_cores(self):
+        # the far cores of the acceptance criteria and ROADMAP item 1
+        for core, dist in (((0, 0, 0, 0.9), 0.2598), ((0, 0, 0, 0.95), 0.2742), ((0, 0, 0, 1), 0.2887)):
+            assert submodular_k2_class_distance(core)[0] == pytest.approx(dist, abs=1e-4)
+
+    def test_no_feasible_point_is_closer(self):
+        rng = np.random.default_rng(71)
+        feasible = rng.uniform(0.0, 1.0, (20_000, 4))
+        feasible = feasible[feasible[:, 1] + feasible[:, 2] >= feasible[:, 0] + feasible[:, 3]]
+        for _ in range(50):
+            core = rng.uniform(0.0, 1.0, 4)
+            dist, nearest = submodular_k2_class_distance(core)
+            x = np.array(nearest)
+            assert np.all((0 <= x) & (x <= 1))
+            assert x[1] + x[2] >= x[0] + x[3] - 1e-12
+            if core[1] + core[2] >= core[0] + core[3]:
+                assert dist == 0.0
+            others = np.sqrt(np.mean((feasible - core) ** 2, axis=1))
+            assert others.min() >= dist - 1e-12

@@ -24,12 +24,12 @@ def _read_config(text, tmp_path):
 
 REPORT = Report(
     verdict="reject",
-    reject_stage="influence_check",
+    reject_stage="core_search",
     queries_used=1234,
     selected_buckets=((1, 4), ()),
     learned_core=None,
     empirical_distance=None,
-    eta={"gate": 0.5, "initial_min": 0.25},
+    eta={"initial_min": 0.25, "refine_last": 0.5},
     phi=(1, None),
     empty_buckets=(False, True),
     refine_rounds_used=3,

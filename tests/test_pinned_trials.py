@@ -32,87 +32,89 @@ PLANS = {
 #  learned core values)
 EXPECTED = {
     "criterion_08": [
-        ('reject', 'core_search', 50024, 6, ((1,), (11,)), (1, 11), None),
-        ('reject', 'core_search', 25024, 1, ((2,), (1,)), (2, 1), None),
-        ('reject', 'influence_check', 30024, 2, ((), (4,)), (None, 4), None),
-        ('reject', 'influence_check', 30024, 2, ((), (6,)), (None, 6), None),
-        ('reject', 'core_search', 25024, 1, ((6,), (11,)), (6, 11), None),
-        ('reject', 'core_search', 45024, 5, ((7,), (11,)), (7, 11), None),
-        ('reject', 'core_search', 25024, 1, ((8,), (9,)), (8, 9), None),
-        ('reject', 'core_search', 25024, 1, ((10,), (9,)), (10, 9), None),
-        ('reject', 'core_search', 35024, 3, ((10,), (5,)), (10, 5), None),
-        ('reject', 'core_search', 40024, 4, ((3,), (9,)), (3, 9), None),
-        ('reject', 'core_search', 25024, 1, ((1,), (11,)), (1, 11), None),
-        ('reject', 'core_search', 35024, 3, ((12,), (4,)), (12, 4), None),
-        ('reject', 'core_search', 25024, 1, ((8,), (1,)), (8, 1), None),
-        ('reject', 'core_search', 25024, 1, ((9,), (5,)), (9, 5), None),
-        ('reject', 'core_search', 25024, 1, ((11,), (10,)), (11, 10), None),
-        ('reject', 'core_search', 30024, 2, ((9,), (11,)), (9, 11), None),
-        ('reject', 'core_search', 25024, 1, ((1,), (4,)), (1, 4), None),
-        ('reject', 'core_search', 45024, 5, ((1,), (6,)), (1, 6), None),
-        ('reject', 'core_search', 30024, 2, ((8,), (10,)), (8, 10), None),
-        ('reject', 'core_search', 25024, 1, ((12,), (10,)), (12, 10), None),
+        ('reject', 'core_search', 48024, 6, ((1,), (11,)), (1, 11), None),
+        ('reject', 'core_search', 23024, 1, ((2,), (1,)), (2, 1), None),
+        ('reject', 'core_search', 28024, 2, ((), (4,)), (None, 4), None),
+        ('reject', 'core_search', 28024, 2, ((), (6,)), (None, 6), None),
+        ('reject', 'core_search', 23024, 1, ((6,), (11,)), (6, 11), None),
+        ('reject', 'core_search', 43024, 5, ((7,), (11,)), (7, 11), None),
+        ('reject', 'core_search', 23024, 1, ((8,), (9,)), (8, 9), None),
+        ('reject', 'core_search', 23024, 1, ((10,), (9,)), (10, 9), None),
+        ('reject', 'core_search', 33024, 3, ((10,), (5,)), (10, 5), None),
+        ('reject', 'core_search', 38024, 4, ((3,), (9,)), (3, 9), None),
+        ('reject', 'core_search', 23024, 1, ((1,), (11,)), (1, 11), None),
+        ('reject', 'core_search', 33024, 3, ((12,), (4,)), (12, 4), None),
+        ('reject', 'core_search', 23024, 1, ((8,), (1,)), (8, 1), None),
+        ('reject', 'core_search', 23024, 1, ((9,), (5,)), (9, 5), None),
+        ('reject', 'core_search', 23024, 1, ((11,), (10,)), (11, 10), None),
+        ('reject', 'core_search', 28024, 2, ((9,), (11,)), (9, 11), None),
+        ('reject', 'core_search', 23024, 1, ((1,), (4,)), (1, 4), None),
+        ('reject', 'core_search', 43024, 5, ((1,), (6,)), (1, 6), None),
+        ('reject', 'core_search', 28024, 2, ((8,), (10,)), (8, 10), None),
+        ('reject', 'core_search', 23024, 1, ((12,), (10,)), (12, 10), None),
     ],
     "subadditive_k3": [
-        ('accept', 'none', 48064, 1, ((11,), (6,), (5,)), (11, 6, 5),
-         (0.25, 0.0, 0.75, 0.25, 1.0, 0.75, 0.25, 0.25)),
-        ('accept', 'none', 48064, 1, ((4,), (6,), (2,)), (4, 6, 2),
-         (0.25, 0.5, 1.0, 1.0, 1.0, 0.0, 0.75, 0.25)),
-        ('accept', 'none', 48064, 1, ((4,), (7,), (3,)), (4, 7, 3),
-         (0.5, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.5)),
-        ('accept', 'none', 48064, 1, ((8,), (5,), (10,)), (8, 5, 10),
-         (0.0, 0.0, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0)),
-        ('accept', 'none', 57064, 2, ((9,), (5,), (3,)), (9, 5, 3),
-         (0.0, 0.0, 0.25, 0.25, 0.5, 0.0, 0.75, 0.25)),
-        ('accept', 'none', 66064, 3, ((3,), (1,), (11,)), (3, 1, 11),
-         (0.25, 0.0, 0.75, 0.0, 0.25, 0.0, 0.5, 0.0)),
-        ('accept', 'none', 48064, 1, ((1,), (9,), (12,)), (1, 9, 12),
-         (0.0, 0.5, 0.5, 0.0, 0.75, 1.0, 1.0, 0.25)),
-        ('accept', 'none', 84064, 5, ((10,), (2,), (4,)), (10, 2, 4),
-         (0.0, 0.25, 0.5, 0.5, 0.25, 0.5, 0.5, 0.75)),
-        ('reject', 'influence_check', 57064, 2, ((), (), (8,)), (None, None, 8), None),
-        ('reject', 'influence_check', 57064, 2, ((), (4,), (2,)), (None, 4, 2), None),
-        ('accept', 'none', 48064, 1, ((10,), (2,), (9,)), (10, 2, 9),
-         (0.0, 0.5, 0.5, 0.75, 1.0, 0.75, 0.25, 0.5)),
-        ('accept', 'none', 48064, 1, ((10,), (12,), (9,)), (10, 12, 9),
-         (0.0, 0.75, 0.25, 0.75, 1.0, 0.0, 0.25, 0.0)),
-        ('accept', 'none', 48064, 1, ((12,), (3,), (4,)), (12, 3, 4),
-         (0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0)),
-        ('accept', 'none', 57064, 2, ((1,), (5,), (7,)), (1, 5, 7),
-         (0.0, 0.25, 0.5, 0.75, 1.0, 0.75, 0.75, 0.25)),
-        ('accept', 'none', 48064, 1, ((4,), (7,), (10,)), (4, 7, 10),
-         (0.25, 0.25, 0.25, 0.0, 0.25, 0.5, 0.5, 0.25)),
-        ('accept', 'none', 48064, 1, ((10,), (12,), (7,)), (10, 12, 7),
-         (0.25, 0.0, 0.25, 0.25, 0.75, 0.25, 1.0, 0.0)),
-        ('accept', 'none', 48064, 1, ((10,), (12,), (7,)), (10, 12, 7),
-         (0.0, 0.75, 1.0, 0.75, 0.5, 1.0, 0.5, 0.0)),
-        ('reject', 'influence_check', 48064, 1, ((), (12,), (1,)), (None, 12, 1), None),
-        ('accept', 'none', 93064, 6, ((11,), (5,), (2,)), (11, 5, 2),
-         (0.25, 0.75, 0.75, 0.75, 0.5, 1.0, 0.0, 0.0)),
-        ('accept', 'none', 48064, 1, ((6,), (5,), (11,)), (6, 5, 11),
-         (0.0, 0.25, 0.75, 0.25, 1.0, 0.25, 0.0, 0.0)),
+        ('accept', 'none', 46064, 1, ((11,), (6,), (5,)), (11, 6, 5),
+         (0.5, 0.25, 1.0, 0.25, 1.0, 0.75, 0.25, 0.25)),
+        ('accept', 'none', 46064, 1, ((4,), (6,), (2,)), (4, 6, 2),
+         (0.5, 0.75, 1.0, 1.0, 1.0, 0.0, 0.75, 0.25)),
+        ('accept', 'none', 46064, 1, ((4,), (7,), (3,)), (4, 7, 3),
+         (0.75, 0.25, 0.0, 0.0, 1.0, 1.0, 1.0, 0.5)),
+        ('accept', 'none', 46064, 1, ((8,), (5,), (10,)), (8, 5, 10),
+         (0.25, 0.5, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0)),
+        ('accept', 'none', 55064, 2, ((9,), (5,), (3,)), (9, 5, 3),
+         (0.25, 0.0, 0.5, 0.5, 0.5, 0.0, 1.0, 0.25)),
+        ('accept', 'none', 64064, 3, ((3,), (1,), (11,)), (3, 1, 11),
+         (0.5, 0.0, 0.75, 0.25, 0.75, 0.0, 0.5, 0.25)),
+        ('accept', 'none', 46064, 1, ((1,), (9,), (12,)), (1, 9, 12),
+         (0.25, 0.75, 0.75, 0.0, 1.0, 1.0, 1.0, 0.25)),
+        ('accept', 'none', 82064, 5, ((10,), (2,), (4,)), (10, 2, 4),
+         (0.0, 0.5, 0.5, 0.75, 0.25, 0.75, 0.25, 0.75)),
+        ('reject', 'core_search', 55064, 2, ((), (), (8,)), (None, None, 8), None),
+        ('accept', 'none', 55064, 2, ((), (4,), (2,)), (None, 4, 2),
+         (0.75, 0.0, 0.0, 0.0, 0.75, 0.0, 0.25, 0.0)),
+        ('accept', 'none', 46064, 1, ((10,), (2,), (9,)), (10, 2, 9),
+         (0.5, 0.25, 0.5, 0.75, 1.0, 0.75, 0.25, 0.5)),
+        ('accept', 'none', 46064, 1, ((10,), (12,), (9,)), (10, 12, 9),
+         (0.25, 0.75, 0.25, 1.0, 1.0, 0.0, 0.25, 0.0)),
+        ('accept', 'none', 46064, 1, ((12,), (3,), (4,)), (12, 3, 4),
+         (0.0, 0.0, 0.25, 0.25, 0.75, 0.5, 0.0, 0.0)),
+        ('accept', 'none', 55064, 2, ((1,), (5,), (7,)), (1, 5, 7),
+         (0.25, 0.5, 0.25, 0.75, 0.75, 0.75, 1.0, 0.25)),
+        ('accept', 'none', 46064, 1, ((4,), (7,), (10,)), (4, 7, 10),
+         (0.5, 0.5, 0.25, 0.0, 0.5, 0.25, 0.5, 0.25)),
+        ('accept', 'none', 46064, 1, ((10,), (12,), (7,)), (10, 12, 7),
+         (0.5, 0.25, 0.25, 0.25, 0.75, 0.25, 1.0, 0.0)),
+        ('accept', 'none', 46064, 1, ((10,), (12,), (7,)), (10, 12, 7),
+         (0.5, 0.75, 1.0, 0.75, 0.5, 0.75, 0.5, 0.0)),
+        ('accept', 'none', 46064, 1, ((), (12,), (1,)), (None, 12, 1),
+         (1.0, 0.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0)),
+        ('accept', 'none', 91064, 6, ((11,), (5,), (2,)), (11, 5, 2),
+         (0.5, 1.0, 1.0, 0.75, 0.5, 1.0, 0.0, 0.0)),
+        ('accept', 'none', 46064, 1, ((6,), (5,), (11,)), (6, 5, 11),
+         (0.0, 0.75, 1.0, 0.5, 1.0, 0.25, 0.0, 0.0)),
     ],
     "far_mode_b_n10": [
-        ('reject', 'influence_check', 24064, 1, ((9,), (5,)), (9, 5), None),
-        ('reject', 'influence_check', 24064, 1, ((4,), ()), (4, None), None),
-        ('reject', 'influence_check', 24064, 1, ((), (10,)), (None, 10), None),
-        ('reject', 'influence_check', 24064, 1, ((9,), (1,)), (9, 1), None),
-        ('reject', 'influence_check', 34064, 3, ((2,), ()), (2, None), None),
-        ('reject', 'influence_check', 24064, 1, ((10,), (5,)), (10, 5), None),
-        ('reject', 'influence_check', 24064, 1, ((), (7,)), (None, 7), None),
-        ('reject', 'influence_check', 24064, 1, ((), (8,)), (None, 8), None),
-        ('reject', 'influence_check', 24064, 1, ((), (3,)), (None, 3), None),
-        ('reject', 'influence_check', 24064, 1, ((9,), ()), (9, None), None),
-        ('reject', 'influence_check', 24064, 1, ((4,), ()), (4, None), None),
-        ('reject', 'influence_check', 29064, 2, ((6,), ()), (6, None), None),
-        ('reject', 'influence_check', 24064, 1, ((), (10,)), (None, 10), None),
-        ('reject', 'influence_check', 24064, 1, ((), (1,)), (None, 1), None),
-        ('reject', 'influence_check', 29064, 2, ((2,), ()), (2, None), None),
-        ('reject', 'influence_check', 24064, 1, ((3,), (5,)), (3, 5), None),
-        ('reject', 'influence_check', 24064, 1, ((2,), (9,)), (2, 9), None),
-        ('reject', 'influence_check', 29064, 2, ((7,), ()), (7, None), None),
-        ('reject', 'influence_check', 24064, 1, ((9,), (10,)), (9, 10), None),
-        ('reject', 'influence_check', 24064, 1, ((), ()), (None, None), None),
+        ('reject', 'core_search', 22064, 1, ((9,), (5,)), (9, 5), None),
+        ('reject', 'core_search', 22064, 1, ((4,), ()), (4, None), None),
+        ('reject', 'core_search', 22064, 1, ((), (10,)), (None, 10), None),
+        ('reject', 'core_search', 22064, 1, ((9,), (1,)), (9, 1), None),
+        ('reject', 'core_search', 32064, 3, ((2,), ()), (2, None), None),
+        ('reject', 'core_search', 22064, 1, ((10,), (5,)), (10, 5), None),
+        ('reject', 'core_search', 22064, 1, ((), (7,)), (None, 7), None),
+        ('reject', 'core_search', 22064, 1, ((), (8,)), (None, 8), None),
+        ('reject', 'core_search', 22064, 1, ((), (3,)), (None, 3), None),
+        ('reject', 'core_search', 22064, 1, ((9,), ()), (9, None), None),
+        ('reject', 'core_search', 22064, 1, ((4,), ()), (4, None), None),
+        ('reject', 'core_search', 27064, 2, ((6,), ()), (6, None), None),
+        ('reject', 'core_search', 22064, 1, ((), (10,)), (None, 10), None),
+        ('reject', 'core_search', 22064, 1, ((), (1,)), (None, 1), None),
+        ('reject', 'core_search', 27064, 2, ((2,), ()), (2, None), None),
+        ('reject', 'core_search', 22064, 1, ((3,), (5,)), (3, 5), None),
+        ('reject', 'core_search', 22064, 1, ((2,), (9,)), (2, 9), None),
+        ('reject', 'core_search', 27064, 2, ((7,), ()), (7, None), None),
+        ('reject', 'core_search', 22064, 1, ((9,), (10,)), (9, 10), None),
+        ('reject', 'core_search', 22064, 1, ((), ()), (None, None), None),
     ],
 }
 

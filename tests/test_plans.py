@@ -12,8 +12,8 @@ from oracles import naive_trial_table
 
 # every setting away from its TesterConfig default
 DESK_ALL = dict(
-    eps=0.3, k=3, p=4.0, q=96, m=1500, num_parts=20, inf_threshold=0.002, accept_threshold=0.07,
-    core_grid=0.5, seed=17,
+    eps=0.3, k=3, p=4.0, q=96, m=1500, num_parts=20, accept_threshold=0.07, core_grid=0.5,
+    seed=17,
 )
 DESK_ALL_BYTES = b"""schema: cubetest-config-1
 eps: 0.3
@@ -22,7 +22,6 @@ p: 4.0
 q: 96
 m: 1500
 num_parts: 20
-inf_threshold: 0.002
 accept_threshold: 0.07
 core_grid: 0.5
 seed: 17
@@ -32,8 +31,8 @@ seed: 17
 # deviation core_grid: 0.5 (paper value 8.999999999999999e-05)
 """
 SMALL_ALL = dict(
-    eps=0.5, k=1, p=1.5, q=40, m=50, num_parts=7, inf_threshold=0.01, accept_threshold=0.2,
-    core_grid=0.125, seed=4,
+    eps=0.5, k=1, p=1.5, q=40, m=50, num_parts=7, accept_threshold=0.2, core_grid=0.125,
+    seed=4,
 )
 SMALL_ALL_BYTES = b"""schema: cubetest-config-1
 eps: 0.5
@@ -42,7 +41,6 @@ p: 1.5
 q: 40
 m: 50
 num_parts: 7
-inf_threshold: 0.01
 accept_threshold: 0.2
 core_grid: 0.125
 seed: 4
@@ -51,14 +49,12 @@ seed: 4
 # deviation num_parts: 7 (paper value 100)
 # deviation core_grid: 0.125 (paper value 0.0005)
 """
-ALL_SIX = {
-    "q": 32, "m": 200, "num_parts": 9, "gamma": 0.5, "inf_threshold": 1e-3, "accept_threshold": 0.15,
-}
-ALL_SIX_PLAN = bench.ExperimentPlan(
+ALL_FIVE = {"q": 32, "m": 200, "num_parts": 9, "gamma": 0.5, "accept_threshold": 0.15}
+ALL_FIVE_PLAN = bench.ExperimentPlan(
     "submodular", 8, 2, 0.25, p=3.0, trial_count=5, seed_base=3, mode="far_mode_a",
-    overrides=ALL_SIX, core_values=(0.0, 0.0, 0.0, 1.0),
+    overrides=ALL_FIVE, core_values=(0.0, 0.0, 0.0, 1.0),
 )
-ALL_SIX_BYTES = b"""schema: cubetest-plan-1
+ALL_FIVE_BYTES = b"""schema: cubetest-plan-1
 class: submodular
 n: 8
 k: 2
@@ -71,7 +67,6 @@ q: 32
 m: 200
 num_parts: 9
 gamma: 0.5
-inf_threshold: 0.001
 accept_threshold: 0.15
 core_values: 0.0 0.0 0.0 1.0
 """
@@ -102,21 +97,21 @@ class TestConfigFile:
 
 
 class TestPlanFile:
-    def test_all_six_settings_bytes_and_round_trip(self, tmp_path):
+    def test_all_five_settings_bytes_and_round_trip(self, tmp_path):
         path = tmp_path / "plan.txt"
-        bench.write_plan(ALL_SIX_PLAN, path)
-        assert path.read_bytes() == ALL_SIX_BYTES
+        bench.write_plan(ALL_FIVE_PLAN, path)
+        assert path.read_bytes() == ALL_FIVE_BYTES
         back = bench.read_plan(path)
-        assert back == ALL_SIX_PLAN
-        assert back.tester_config(seed=2) == ALL_SIX_PLAN.tester_config(seed=2)
+        assert back == ALL_FIVE_PLAN
+        assert back.tester_config(seed=2) == ALL_FIVE_PLAN.tester_config(seed=2)
         bench.write_plan(back, path)
-        assert path.read_bytes() == ALL_SIX_BYTES
+        assert path.read_bytes() == ALL_FIVE_BYTES
 
     def test_plan_settings_reach_the_config(self):
-        cfg = ALL_SIX_PLAN.tester_config(seed=11)
+        cfg = ALL_FIVE_PLAN.tester_config(seed=11)
         assert cfg == TesterConfig(
             eps=0.25, k=2, p=3.0, seed=11, q=32, m=200, num_parts=9, core_grid=0.5,
-            inf_threshold=1e-3, accept_threshold=0.15,
+            accept_threshold=0.15,
         )
 
 
@@ -136,8 +131,8 @@ class TestConfigFlag:
         cfg = tmp_path / "cfg.txt"
         save_config(
             TesterConfig(
-                eps=0.4, k=1, p=4.0, q=12, m=40, num_parts=7, inf_threshold=0.003,
-                accept_threshold=0.09, core_grid=0.5, seed=99,
+                eps=0.4, k=1, p=4.0, q=12, m=40, num_parts=7, accept_threshold=0.09,
+                core_grid=0.5, seed=99,
             ),
             cfg,
         )
@@ -151,7 +146,7 @@ class TestConfigFlag:
         expected = [
             TesterConfig(
                 eps=0.25, k=2, p=3.0, seed=seed, q=16, m=40, num_parts=7, core_grid=0.5,
-                inf_threshold=0.003, accept_threshold=0.2,
+                accept_threshold=0.2,
             )
             for seed in (4, 5)
         ]

@@ -66,12 +66,10 @@ def and_junta(n, coords):
 
 def exact_queries(cfg, rounds):
     """Oracle queries of a run that used `rounds` refinement rounds,
-    q + m(P + 1) + m(2^k + 1) rounds + 2m: m per part the selection
-    estimates (P = num_parts) and per keep-choice of each round, plus m
-    for each of those batches' base points, and 2m for the gate."""
-    return (
-        cfg.q + cfg.m * (cfg.num_parts + 1) + cfg.m * ((1 << cfg.k) + 1) * rounds + 2 * cfg.m
-    )
+    q + m(P + 1) + m(2^k + 1) rounds: m per part the selection estimates
+    (P = num_parts) and per keep-choice of each round, plus m for each of
+    those batches' base points; the core search queries nothing."""
+    return cfg.q + cfg.m * (cfg.num_parts + 1) + cfg.m * ((1 << cfg.k) + 1) * rounds
 
 
 class TestLpEpsilonMap:
@@ -103,17 +101,40 @@ class TestLpEpsilonMap:
 
 class TestConfig:
     def test_desk_defaults(self):
+        # the accept radius a = (1/8 + 1/4)/2 sits mid-gap between the
+        # grid slack and eps
         cfg = TesterConfig(eps=0.25, k=2)
         assert cfg.num_parts == 16
-        assert cfg.inf_threshold == pytest.approx(0.25 ** 2 / 1000)
-        assert cfg.accept_threshold == pytest.approx(0.35 * 0.25)
+        assert cfg.accept_threshold == 0.1875 ** 2 == 0.03515625
         assert cfg.core_grid == 0.25
 
     def test_lp_map_feeds_thresholds(self):
-        cfg = TesterConfig(eps=0.5, k=1, p=4)
+        cfg = TesterConfig(eps=0.5, k=1, p=4, core_grid=0.125)
         eps2 = 0.5 ** 2
-        assert cfg.inf_threshold == pytest.approx(eps2 ** 2 / 1000)
-        assert cfg.accept_threshold == pytest.approx(0.35 * eps2)
+        assert cfg.accept_threshold == pytest.approx(((0.0625 + eps2) / 2) ** 2)
+
+    @pytest.mark.parametrize("p, core_grid", [(4.0, 0.25), (3.0, 0.5), (2.0, 0.5)])
+    def test_no_gap_needs_a_given_threshold(self, p, core_grid):
+        # core_grid/2 >= eps2 leaves no radius that admits the grid slack
+        # and stays under eps2; a given threshold is still taken
+        eps2 = lp_epsilon_map(p, 0.25)
+        with pytest.raises(ValueError, match="no accept radius fits between the grid slack") as info:
+            TesterConfig(eps=0.25, k=2, p=p, core_grid=core_grid)
+        assert f"core_grid/2 = {core_grid / 2}" in str(info.value)
+        assert f"eps2 = {eps2}" in str(info.value)
+        given = TesterConfig(eps=0.25, k=2, p=p, core_grid=core_grid, accept_threshold=0.01)
+        assert given.accept_threshold == 0.01
+
+    def test_partition_budget(self):
+        # q * num_parts bits of part bounds: at the limit admitted, one
+        # past it refused; the paper's constants at eps = 0.25, k = 3 fit
+        assert tester.PARTITION_BITS_BUDGET == 1 << 27
+        TesterConfig(eps=0.25, k=2, q=tester.Q_BUDGET, num_parts=2048)
+        with pytest.raises(BudgetError, match="q \\* num_parts = 134283264 bits"):
+            TesterConfig(eps=0.25, k=2, q=tester.Q_BUDGET, num_parts=2049)
+        paper = paper_constants(0.25, 3)
+        assert paper["q"] * paper["num_parts"] == 66_355_200
+        TesterConfig(eps=0.25, k=3, **paper)
 
     def test_refine_rounds_reach_singletons(self):
         assert default_refine_rounds(6, 12) == math.ceil(math.log2(math.ceil(64 / 12)))
@@ -142,15 +163,20 @@ class TestConfig:
     def test_query_budget_at_desk_constants(self):
         # the cost of a run at the most rounds it can use,
         # r = default_refine_rounds(q, 16): 60 at q = 64, 1020 at q = 1024
-        assert TesterConfig(eps=0.25, k=2).query_budget() == 319_064
-        assert TesterConfig(eps=0.25, k=2, q=1024).query_budget() == 5_120_024
+        assert TesterConfig(eps=0.25, k=2).query_budget() == 317_064
+        assert TesterConfig(eps=0.25, k=2, q=1024).query_budget() == 5_118_024
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_defaults_fill_omitted_constants(self, k, p):
-        # an omitted q, m, num_parts or core_grid takes the desk default
+        # an omitted q, m, num_parts or core_grid takes the desk default;
+        # at p = 4, eps2 = 1/16 is under the default grid's slack, so the
+        # threshold is given
         desk = dict(q=64, m=1000, num_parts=4 * k * k, core_grid=0.25)
-        assert TesterConfig(eps=0.25, k=k, p=p) == TesterConfig(eps=0.25, k=k, p=p, **desk)
+        given = {"accept_threshold": 0.001} if p > 2 else {}
+        assert TesterConfig(eps=0.25, k=k, p=p, **given) == TesterConfig(
+            eps=0.25, k=k, p=p, **given, **desk
+        )
 
     def test_paper_constants_at_k2(self):
         paper = paper_constants(0.25, 2)
@@ -709,7 +735,7 @@ class TestFinalCheck:
         buckets = _buckets_from_masks(masks, table.n)
         selected, _ = select_initial_parts(oracle, buckets, cfg, rng, est)
         refined = refine_parts(oracle, selected, cfg, rng, est)
-        return final_check_and_learn(oracle, masks, values, refined, cores, cfg, rng, est)
+        return final_check_and_learn(masks, values, refined, cores, cfg)
 
     def test_lifted_core_accepts(self):
         cores = cached_cores("submodular", 2, 0.25)
@@ -739,19 +765,33 @@ class TestFinalCheck:
         buckets = _buckets_from_masks(masks, 10)
         selected, _ = select_initial_parts(oracle, buckets, cfg, rng, est)
         refined = refine_parts(oracle, selected, cfg, rng, est)
-        report = final_check_and_learn(oracle, masks, values, refined, pair, cfg, rng, est)
+        report = final_check_and_learn(masks, values, refined, pair, cfg)
         assert report.verdict == "accept"
         assert report.empirical_distance == 0.0
 
-    def test_parity_blend_rejected_at_influence_gate(self):
+    def test_parity_blend_rejected_with_no_core_scored(self, monkeypatch):
+        # the parity blend is 1/2 from every 2-junta: the spread of the
+        # samples within the learned core inputs alone, W/q, exceeds a^2,
+        # so the search rejects before scoring any core
         from cubetest.valuations import parity_blend_table
 
+        scanned = []
+        blocks = tester._core_score_blocks
+
+        def spy(cores, counts, means, within, q, lo, hi):
+            scanned.append((within / q, lo, hi))
+            return blocks(cores, counts, means, within, q, lo, hi)
+
+        monkeypatch.setattr(tester, "_core_score_blocks", spy)
         table = parity_blend_table(12)
         cfg = TesterConfig(eps=0.25, k=2, m=10)
         report = self._run_stages(table, cfg, seed=1)
         assert report.verdict == "reject"
-        assert report.reject_stage == "influence_check"
-        assert report.eta["gate"] == pytest.approx(0.25, abs=1e-12)
+        assert report.reject_stage == "core_search"
+        assert report.eta == {}
+        [(floor, lo, hi)] = scanned
+        assert floor > cfg.accept_threshold
+        assert (lo, hi) == (0, 0)
 
     def test_empty_core_set_rejects_at_core_search(self):
         table = and_junta(10, (1, 2))
@@ -765,7 +805,7 @@ class TestFinalCheck:
         selected, _ = select_initial_parts(oracle, buckets, cfg, rng, est)
         refined = refine_parts(oracle, selected, cfg, rng, est)
         empty = CoreSet("submodular", 2, 0.25, np.empty((0, 4)))
-        report = final_check_and_learn(oracle, masks, values, refined, empty, cfg, rng, est)
+        report = final_check_and_learn(masks, values, refined, empty, cfg)
         assert report.verdict == "reject"
         assert report.reject_stage == "core_search"
 
@@ -773,10 +813,6 @@ class TestFinalCheck:
 def pattern_of(masks, coord):
     """Column pattern of a coordinate: bit t is its value on sample t."""
     return sum(((m >> (coord - 1)) & 1) << t for t, m in enumerate(masks))
-
-
-def gate_passes(oracle, masks, m, rng):
-    return np.zeros(len(masks))
 
 
 def refined_to(masks, patterns, n):
@@ -829,10 +865,7 @@ class TestCoreStatistics:
         cfg = TesterConfig(
             eps=0.25, k=k, q=len(masks), accept_threshold=self._separating_threshold(naive)
         )
-        report = final_check_and_learn(
-            make_counting_oracle(table), masks, values, refined, cores, cfg,
-            np.random.default_rng(0), gate_passes,
-        )
+        report = final_check_and_learn(masks, values, refined, cores, cfg)
         first = int(np.flatnonzero(naive <= cfg.accept_threshold)[0])
         assert report.verdict == "accept"
         assert report.learned_core == cores.member(first)
@@ -912,10 +945,7 @@ class TestCoreStatistics:
             assert naive[row] <= below and earlier - below > 1e-9
             threshold = (below + earlier) / 2
         cfg = TesterConfig(eps=0.25, k=3, q=len(masks), accept_threshold=threshold)
-        report = final_check_and_learn(
-            make_counting_oracle(table), masks, values, refined, cores, cfg,
-            np.random.default_rng(0), gate_passes,
-        )
+        report = final_check_and_learn(masks, values, refined, cores, cfg)
         if target is None:
             assert report.verdict == "reject"
             assert report.reject_stage == "core_search"
@@ -932,10 +962,7 @@ class TestCoreStatistics:
         stats = core_statistics(empty, masks, values, coords)
         assert stats.shape == (0,)
         refined = refined_to(masks, tuple(pattern_of(masks, c) for c in coords), self.N)
-        report = final_check_and_learn(
-            make_counting_oracle(table), masks, values, refined,
-            empty, TesterConfig(eps=0.25, k=3, q=16), np.random.default_rng(0), gate_passes,
-        )
+        report = final_check_and_learn(masks, values, refined, empty, TesterConfig(eps=0.25, k=3, q=16))
         assert report.verdict == "reject"
         assert report.reject_stage == "core_search"
 
@@ -943,26 +970,36 @@ class TestCoreStatistics:
         # subadditive k=3 has 148,815 cores: a |cores| x q float array at
         # q=1024 would take 1.16 GB, a |cores| x 2^k one 9.5 MB.  The scan
         # holds CORE_SCAN_ROWS x 2^k doubles at a time, whether it stops
-        # early or, with a threshold below every score, scores every core
+        # early or, with a threshold below every score, scores every core.
+        # Coordinate 2 is 1 on every sample, so no sample has core input 0
+        # (n_0 = 0) and no row is pruned.  The samples come from a noisy
+        # lift of a core late in enumeration order, close enough to pass
+        # at the default radius
         cores = cached_cores("subadditive", 3, 0.25)
         assert len(cores) == 148_815
         n, q = 12, 1024
         rng = np.random.default_rng(5)
-        table = FunctionTable(n, rng.uniform(0.0, 1.0, 1 << n))
-        masks = [int(x) for x in rng.integers(0, 1 << n, size=q)]
-        values = table.values[np.asarray(masks)]
         coords = (2, 5, 9)
+        lifted = lift_core(cores.member(140_000), coords, n)
+        table = FunctionTable(n, np.clip(lifted.values + rng.normal(0.0, 0.05, 1 << n), 0.0, 1.0))
+        masks = [int(x) | 0b10 for x in rng.integers(0, 1 << n, size=q)]
+        values = table.values[np.asarray(masks)]
         refined = refined_to(masks, tuple(pattern_of(masks, c) for c in coords), n)
         cfg = TesterConfig(eps=0.25, k=3, q=q)
+        counts, means, within = tester._sufficient_statistics(masks, values, coords)
+        assert counts[0] == 0
         if not passing:
+            # between the floor W/q and the lowest score: every row is
+            # scored, and none passes
             lowest = float(core_statistics(cores, masks, values, coords).min())
-            cfg = replace(cfg, accept_threshold=lowest / 2)
-        oracle = make_counting_oracle(table)
+            assert lowest - within / q > 1e-9
+            cfg = replace(cfg, accept_threshold=(within / q + lowest) / 2)
+        assert tester._scan_range(cores, counts, means, within, q, cfg.accept_threshold) == (
+            0, len(cores)
+        )
         tracemalloc.start()
         try:
-            report = final_check_and_learn(
-                oracle, masks, values, refined, cores, cfg, rng, gate_passes
-            )
+            report = final_check_and_learn(masks, values, refined, cores, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -978,6 +1015,127 @@ class TestCoreStatistics:
         report, peak = self._search_peak(passing=False)
         assert report.reject_stage == "core_search"
         assert peak < 2 * 2 ** 20
+
+
+class TestPrunedScan:
+    """`final_check_and_learn` scores only the rows `_scan_range` leaves,
+    and learns the core, with the same bits of empirical_distance, and
+    gives the verdict that scoring every row (`core_statistics`) gives."""
+
+    N = 10
+    SETS = [("submodular", 1), ("submodular", 2), ("submodular", 3), ("subadditive", 3)]
+
+    @staticmethod
+    def _refined(phi):
+        masks = tuple(0 if c is None else 1 << (c - 1) for c in phi)
+        return RefinementResult(masks, (False,) * len(phi), 0.0, 1)
+
+    def _check(self, cores, masks, values, phi, threshold):
+        """The pruned search against the full scan; returns the report and
+        the scanned range."""
+        cfg = TesterConfig(eps=0.25, k=cores.k, q=len(masks), accept_threshold=threshold)
+        report = final_check_and_learn(masks, values, self._refined(phi), cores, cfg)
+        stats = core_statistics(cores, masks, values, phi)
+        passing = np.flatnonzero(stats <= threshold)
+        if passing.size:
+            assert report.verdict == "accept"
+            assert report.learned_core == cores.member(int(passing[0]))
+            assert report.empirical_distance == float(stats[passing[0]])
+        else:
+            assert report.verdict == "reject"
+            assert report.reject_stage == "core_search"
+        counts, means, within = tester._sufficient_statistics(masks, values, phi)
+        lo, hi = tester._scan_range(cores, counts, means, within, len(masks), threshold)
+        outside = np.r_[stats[:lo], stats[hi:]]
+        assert not np.any(outside <= threshold)
+        # every scanned row gets the bits the full scan gives it
+        blocks = tester._core_score_blocks(cores, counts, means, within, len(masks), lo, hi)
+        assert np.array_equal(np.concatenate([b for _, b in blocks] or [np.zeros(0)]), stats[lo:hi])
+        return report, (lo, hi)
+
+    @pytest.mark.parametrize("class_tag, k", SETS)
+    def test_same_search_as_the_full_scan(self, class_tag, k):
+        # noisy lifts of random cores, some with a dead part; the default
+        # radius and thresholds equal to a score (ties at the threshold)
+        cores = cached_cores(class_tag, k, 0.25)
+        rng = np.random.default_rng(1000 + 10 * k + len(class_tag))
+        pruned = accepted = 0
+        for _ in range(12):
+            coords = tuple(int(c) + 1 for c in rng.choice(self.N, size=k, replace=False))
+            lifted = lift_core(cores.member(int(rng.integers(len(cores)))), coords, self.N)
+            noise = rng.normal(0.0, float(rng.choice([0.02, 0.1, 0.2])), 1 << self.N)
+            table = FunctionTable(self.N, np.clip(lifted.values + noise, 0.0, 1.0))
+            masks = [int(x) for x in rng.integers(0, 1 << self.N, size=int(rng.choice([16, 64, 256])))]
+            values = table.values[np.asarray(masks)]
+            phi = coords if rng.random() < 0.8 or k == 1 else (None,) + coords[1:]
+            stats = core_statistics(cores, masks, values, phi)
+            for threshold in (0.03515625, *np.quantile(stats, [0.0, 0.001, 0.05], method="lower")):
+                report, (lo, hi) = self._check(cores, masks, values, phi, float(threshold))
+                pruned += hi - lo < len(cores)
+                accepted += report.verdict == "accept"
+        assert pruned > 0 and accepted > 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_sample_at_input_0_scans_every_row(self):
+        # n_0 = 0: column 0 bounds nothing, and nothing divides by it
+        cores = cached_cores("subadditive", 3, 0.25)
+        rng = np.random.default_rng(31)
+        coords = (2, 5, 9)
+        lifted = lift_core(cores.member(90_000), coords, self.N)
+        table = FunctionTable(self.N, np.clip(lifted.values + rng.normal(0.0, 0.05, 1 << self.N), 0.0, 1.0))
+        masks = [int(x) | 0b10 for x in rng.integers(0, 1 << self.N, size=64)]
+        values = table.values[np.asarray(masks)]
+        report, scanned = self._check(cores, masks, values, coords, 0.03515625)
+        assert report.verdict == "accept"
+        assert scanned == (0, len(cores))
+
+    def test_floor_over_threshold_scans_no_row(self):
+        # W/q > a^2: every core scores at least W/q, so none is scored
+        cores = cached_cores("subadditive", 3, 0.25)
+        rng = np.random.default_rng(32)
+        table = FunctionTable(self.N, rng.uniform(0.0, 1.0, 1 << self.N))
+        masks = [int(x) for x in rng.integers(0, 1 << self.N, size=64)]
+        values = table.values[np.asarray(masks)]
+        _, _, within = tester._sufficient_statistics(masks, values, (2, 5, 9))
+        assert within / 64 > 0.03515625
+        report, scanned = self._check(cores, masks, values, (2, 5, 9), 0.03515625)
+        assert report.verdict == "reject"
+        assert scanned == (0, 0)
+
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_passing_row_at_each_end_of_the_range(self, end):
+        # the samples see a core's values everywhere but at input 0, where
+        # they read 1/2 against its 1/4 (the first such row) or 3/4 (the
+        # last): W = 0, and the core's score is its n_0 (c_0 - 1/2)^2 / q,
+        # the most column 0 admits.  Every other row scoring as low is
+        # dropped from the set, so the one passing row sits at that end
+        full = cached_cores("subadditive", 3, 0.25)
+        column = full.tables[:, 0]
+        row = column.searchsorted(0.25) if end == "first" else column.searchsorted(0.75, "right") - 1
+        seen = full.tables[row].copy()
+        seen[0] = 0.5
+        coords = (2, 5, 9)
+        table = lift_core(CoreTable(3, tuple(seen)), coords, self.N)
+        rng = np.random.default_rng(33)
+        masks = [int(x) for x in rng.integers(0, 1 << self.N, size=64)]
+        values = table.values[np.asarray(masks)]
+        stats = core_statistics(full, masks, values, coords)
+        threshold = float(stats[row])
+        keep = stats > threshold
+        keep[row] = True
+        cores = CoreSet("subadditive", 3, 0.25, full.tables[keep])
+        row = int(np.count_nonzero(keep[:row]))
+        column = cores.tables[:, 0]
+        counts, means, within = tester._sufficient_statistics(masks, values, coords)
+        assert within == 0.0 and means[0] == 0.5 and counts[0] > 0
+        report, (lo, hi) = self._check(cores, masks, values, coords, threshold)
+        assert report.learned_core == cores.member(row)
+        if end == "first":
+            assert column[row] == 0.25 and column[row - 1] == 0.0
+            assert lo == row & ~3
+        else:
+            assert column[row] == 0.75 and column[row + 1] == 1.0
+            assert hi == (row + 4) & ~3
 
 
 class TestAgainstPerMaskEstimator:
@@ -1073,10 +1231,13 @@ class TestRunTester:
         assert back == report
 
     def test_learned_core_present_iff_accept(self):
-        # seed 3 is the least seed >= 2 whose run accepts the AND junta
+        # a lifted submodular grid core, accepted at seed 3 (the AND
+        # junta, 0.306 from the grid cores, is rejected at the default
+        # radius)
         cfg = TesterConfig(eps=0.25, k=2, m=100, seed=3)
+        core = cached_cores("submodular", 2, 0.25).member(40)
         accept_report = run_tester(
-            make_counting_oracle(and_junta(10, (1, 5))), "submodular", cfg
+            make_counting_oracle(lift_core(core, (1, 5), 10)), "submodular", cfg
         )
         assert accept_report.verdict == "accept"
         assert accept_report.learned_core is not None
@@ -1102,7 +1263,9 @@ class TestNearJuntaIsolation:
         f = FunctionTable(n, (1 - eps) * g.values + eps * noise)
         # l2 distance to the junta is at most eps by construction
         assert np.sqrt(np.mean((f.values - g.values) ** 2)) <= eps
-        cfg = TesterConfig(eps=eps, k=2, m=10, num_parts=200)
+        # no core is searched; a grid finer than eps leaves a default
+        # accept radius
+        cfg = TesterConfig(eps=eps, k=2, m=10, num_parts=200, core_grid=0.02)
         oracle = make_counting_oracle(f)
         est = exact_stub(f)
         failures = 0
