@@ -143,8 +143,9 @@ def _cmd_test(args) -> int:
     if args.seed is not None:
         plan = replace(plan, seed_base=args.seed)
     if args.config is not None:
-        base = tester.load_config(args.config)
-        merged = {key: getattr(base, s.field) for key, s in tester.PLAN_SETTINGS.items()}
+        stated = tester.config_settings(args.config)
+        tester.TesterConfig(**stated)  # the whole file must form a valid config
+        merged = {key: stated[s.field] for key, s in tester.PLAN_SETTINGS.items() if s.field in stated}
         plan = replace(plan, overrides={**merged, **plan.overrides})
     summary, records = bench.run_plan(plan)
     if args.out is not None:

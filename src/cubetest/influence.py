@@ -16,7 +16,10 @@ m(B + 1) queries rather than 2mB.  Each estimate keeps the law of an
 independent 2m-query estimate, so it stays unbiased and keeps the
 Hoeffding bound; only the estimates of one batch are dependent.  The
 fresh points are drawn in chunks of at most ESTIMATE_CHUNK_POINTS, one
-RNG draw and one oracle call per chunk.
+RNG draw (`tables.uniform_masks`, which reads the bit generator's words
+directly and gives exactly `rng.integers`' points) and one oracle call
+per chunk; each fresh point takes the base point's coordinates outside
+its set in place.
 """
 
 from __future__ import annotations
@@ -27,7 +30,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .tables import BudgetError, FunctionTable, QueryOracle, mask_of, walsh_hadamard
+from .tables import (
+    BudgetError,
+    FunctionTable,
+    QueryOracle,
+    mask_of,
+    uniform_masks,
+    walsh_hadamard,
+)
 
 # most size-k coordinate sets `junta_weights` may weigh
 JUNTA_SET_BUDGET = 2_000_000
@@ -106,18 +116,20 @@ def estimate_inf_mask(
         raise ValueError("masks must be a 1-D batch")
     batch = masks[:, None]
     out = np.empty(len(masks))
-    size = 1 << oracle.n
     per_chunk = max(1, ESTIMATE_CHUNK_POINTS // m)
     for lo in range(0, batch.shape[0], per_chunk):
         s = batch[lo : lo + per_chunk]
         # the first chunk's draw and oracle call also hold the base points,
         # in row 0; the other rows are fresh points, which then take the
-        # base's coordinates outside S
+        # base's coordinates outside S: base ^ ((base ^ fresh) & S), in place
         head = int(lo == 0)
-        points = rng.integers(0, size, size=(head + s.shape[0], m), dtype=np.int64)
+        points = uniform_masks(rng, oracle.n, (head + s.shape[0], m))
         if head:
             base = points[0]
-        points[head:] = (base & ~s) | (points[head:] & s)
+        fresh = points[head:]
+        fresh ^= base
+        fresh &= s
+        fresh ^= base
         values = oracle.query_masks(points.reshape(-1)).reshape(points.shape)
         if head:
             base_values = values[0]

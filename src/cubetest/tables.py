@@ -216,6 +216,50 @@ class QueryOracle:
         return self._evaluate_batch(masks)
 
 
+def uniform_masks(rng: np.random.Generator, n: int, shape) -> np.ndarray:
+    """Uniform n-bit masks, 1 <= n <= 62: exactly the int64 array that
+    rng.integers(0, 1 << n, size=shape, dtype=np.int64) returns, with rng
+    left in the state that call leaves it in, read straight from the
+    64-bit words of rng's PCG64 bit generator.
+
+    numpy draws from a range of 2^n by Lemire's rule, which at a power
+    of two keeps the top n bits of each draw and rejects none.  For
+    n <= 32 a draw is a 32-bit half of a word, the low half first; a high
+    half that an earlier 32-bit draw left buffered (`has_uint32` in the
+    bit generator's state) is used first, and a high half left over at
+    the end is buffered in its place.  For n > 32 a draw is a whole word,
+    and the buffer is untouched.  A generator over any other bit
+    generator raises ValueError."""
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise ValueError(f"uniform_masks reads PCG64 words, not {type(bitgen).__name__}")
+    if not 1 <= n <= 62:
+        raise ValueError(f"mask width must be in [1..62], got {n}")
+    out = np.empty(shape, dtype=np.int64)
+    count = out.size
+    if count == 0:
+        return out
+    flat = out.reshape(-1)
+    if n > 32:
+        np.right_shift(bitgen.random_raw(count), np.uint64(64 - n), out=flat, casting="unsafe")
+        return out
+    state = bitgen.state
+    pending = state["has_uint32"]
+    fresh = count - pending
+    halves = bitgen.random_raw((fresh + 1) // 2).astype("<u8", copy=False).view("<u4")
+    if pending:
+        flat[0] = state["uinteger"] >> (32 - n)
+    np.right_shift(halves[:fresh], np.uint32(32 - n), out=flat[pending:], casting="unsafe")
+    # numpy buffers the high half of every word it draws and clears the
+    # flag when it uses that half
+    state = bitgen.state
+    state["has_uint32"] = fresh % 2
+    if fresh:
+        state["uinteger"] = int(halves[-1])
+    bitgen.state = state
+    return out
+
+
 def make_counting_oracle(f: FunctionTable) -> QueryOracle:
     """Oracle answering table lookups, counter starting at zero."""
     values = f.values

@@ -1,7 +1,8 @@
 """End-to-end implicit-learning tester and the lp -> l2 parameter map.
 
-The tester draws q uniform sample points and groups the n coordinates
-by the value pattern each shows across them (`_buckets_from_masks`).
+The tester draws q uniform sample points (`tables.uniform_masks`) and
+groups the n coordinates by the value pattern each shows across them
+(`_buckets_from_masks`).
 `_initial_parts` deals the occupied patterns into a random
 equi-partition of pattern space, a uniform injection into the 2^q
 cells cut into ranges, which is never materialized.  The selection
@@ -12,10 +13,13 @@ one of the tester's documented deviations, see the README).  Each kept
 part is then halved round by round, keeping the half-choice with the
 smallest estimated complement influence, until every part holds at most
 one occupied pattern (`refine_parts`).  The core learned from the
-original samples on those coordinates is compared against every
-enumerated grid core, and the first one whose mean squared deviation is
-at most `accept_threshold` is returned; no core passing is the one way
-to reject (`final_check_and_learn`, `core_statistics`).
+original samples on those coordinates is compared against the
+enumerated grid cores in enumeration order, and the first one whose
+mean squared deviation is at most `accept_threshold` is returned; no
+core passing is the one way to reject (`final_check_and_learn`,
+`core_statistics`).  A run of cores that share their first 2^(k-1)
+values is skipped unscored when those values alone put every core of
+the run over the threshold (`_candidate_ranges`).
 
 The selection and each refinement round make one batched estimator
 call, so a run that used r rounds makes exactly
@@ -29,17 +33,16 @@ may override, by plan-file key ("gamma" for core_grid).
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import kvfile
 from .cores import CoreSet, CoreTable, cached_cores
 from .influence import estimate_inf_mask
-from .tables import BudgetError, QueryOracle, check_p, coords_of
+from .tables import BudgetError, QueryOracle, check_p, coords_of, uniform_masks
 
 # estimator signature: (oracle, masks, m, rng) -> influence estimates;
 # like `estimate_inf_mask`, it takes a 1-D int64 array of masks and
@@ -48,10 +51,13 @@ InfluenceEstimator = Callable[[QueryOracle, np.ndarray, int, np.random.Generator
 
 CONFIG_SCHEMA = "cubetest-config-1"
 REPORT_SCHEMA = "cubetest-report-1"
-# cores scored at a time by the core search.  Over the 64 searches of an
-# 80-trial subadditive k = 3, q = 64 plan (148,815 cores), a search took
-# 0.52 ms with blocks of 1,024 rows, 0.40 ms with 4,096, 0.41 ms with
-# 8,192 and 0.52 ms with 16,384 (2-vCPU Xeon, numpy 2.4, OpenBLAS).
+# most cores scored at a time by the core search, which bounds its
+# working memory when it scores many rows (every row when no sample has
+# a prefix input).  With the prefix-run pruning a search scores few rows:
+# over the 80 searches of an 80-trial subadditive k = 3, q = 64 plan
+# (148,815 cores) a search took 0.058 ms with blocks of 256 or 4,096
+# rows, 0.059 ms with 1,024, 2,048 or 8,192 and 0.062 ms with 16,384
+# (best of 6 rounds, one OpenBLAS thread, 2-vCPU Xeon, numpy 2.4).
 # Keep it a multiple of 4: OpenBLAS's matrix-vector product then gives
 # every row the bits of one whole-array product; blocks of 2, 3 or 6
 # rows changed the last bits of all of 100 random score vectors
@@ -94,6 +100,12 @@ def default_refine_rounds(q: int, num_parts: int) -> int:
     return max(1, (per_part - 1).bit_length())
 
 
+def default_num_parts(k: int) -> int:
+    """4k^2 parts: Theta(k^2) keep k relevant coordinates apart with
+    constant probability (Blais 2009)."""
+    return 4 * k * k
+
+
 def paper_constants(eps2: float, k: int) -> dict:
     """The source paper's q, m, num_parts and core_grid at l2 distance
     eps2 (see `lp_epsilon_map`) and junta size k: q = ceil(2^k/eps2^5),
@@ -109,19 +121,26 @@ def paper_constants(eps2: float, k: int) -> dict:
     )
 
 
+def default_accept_threshold(eps2: float, core_grid: float) -> Optional[float]:
+    """a^2 for the accept radius a = (core_grid/2 + eps2)/2, mid-gap
+    between the grid slack and eps2; None when there is no gap
+    (core_grid/2 >= eps2)."""
+    slack = core_grid / 2
+    return ((slack + eps2) / 2) ** 2 if slack < eps2 else None
+
+
 @dataclass(frozen=True)
 class TesterConfig:
     """All tester constants.  The defaults q = 64, m = 1000, core grid
-    1/4 and num_parts = 4k^2 (when omitted) replace the paper's constants
-    (`paper_constants`), whose guarantees are only asymptotic; seeded
-    2/3-rate experiments stand in for them.  Theta(k^2) parts keep k
-    relevant coordinates apart with constant probability (Blais 2009).
+    1/4 and num_parts = 4k^2 (when omitted, `default_num_parts`) replace
+    the paper's constants (`paper_constants`), whose guarantees are only
+    asymptotic; seeded 2/3-rate experiments stand in for them.
 
     accept_threshold is a^2 for an l2 accept radius a.  Omitted, a is
-    (core_grid/2 + eps2)/2, mid-gap between the grid slack and
-    eps2 = `lp_epsilon_map(p, eps)`: a class member lies within
-    core_grid/2 of a grid core, plus its junta distance, and an eps-far
-    function is at least eps2 from every core; with no gap
+    (core_grid/2 + eps2)/2 (`default_accept_threshold`), mid-gap between
+    the grid slack and eps2 = `lp_epsilon_map(p, eps)`: a class member
+    lies within core_grid/2 of a grid core, plus its junta distance, and
+    an eps-far function is at least eps2 from every core; with no gap
     (core_grid/2 >= eps2) it raises ValueError.  q, num_parts or
     q * num_parts over its *_BUDGET constant raises BudgetError."""
 
@@ -140,7 +159,7 @@ class TesterConfig:
             raise ValueError("k must be >= 1")
         eps2 = lp_epsilon_map(self.p, self.eps)
         if self.num_parts is None:
-            object.__setattr__(self, "num_parts", 4 * self.k * self.k)
+            object.__setattr__(self, "num_parts", default_num_parts(self.k))
         if self.q < 1 or self.m < 1 or self.num_parts < 1:
             raise ValueError("q, m and num_parts must be >= 1")
         if self.num_parts < self.k:
@@ -160,13 +179,14 @@ class TesterConfig:
                 f"bounds, budget is {PARTITION_BITS_BUDGET}; reduce q or num_parts"
             )
         if self.accept_threshold is None:
-            slack = self.core_grid / 2
-            if not slack < eps2:
+            threshold = default_accept_threshold(eps2, self.core_grid)
+            if threshold is None:
                 raise ValueError(
-                    f"no accept radius fits between the grid slack core_grid/2 = {slack} and "
-                    f"eps2 = {eps2}; give accept_threshold or a finer core_grid"
+                    f"no accept radius fits between the grid slack core_grid/2 = "
+                    f"{self.core_grid / 2} and eps2 = {eps2}; give accept_threshold or a finer "
+                    f"core_grid"
                 )
-            object.__setattr__(self, "accept_threshold", ((slack + eps2) / 2) ** 2)
+            object.__setattr__(self, "accept_threshold", threshold)
         if not (math.isfinite(self.accept_threshold) and self.accept_threshold > 0):
             raise ValueError(f"accept_threshold must be finite and > 0, got {self.accept_threshold}")
 
@@ -216,22 +236,20 @@ def _union(masks: Sequence[int]) -> int:
     return union
 
 
-@dataclass(frozen=True)
 class VirtualPart:
     """One part of the (virtual) equi-partition of pattern space: the
     range [lo, lo + size) of cells it covers and the (cell, coordinate
     mask) pair of each occupied pattern whose cell it holds, in ascending
     pattern order, with their masks and the union of those."""
 
-    lo: int
-    size: int
-    held: tuple[tuple[int, int], ...] = ()
-    masks: tuple[int, ...] = field(init=False)
-    coord_mask: int = field(init=False)
+    __slots__ = ("lo", "size", "held", "masks", "coord_mask")
 
-    def __post_init__(self):
-        object.__setattr__(self, "masks", tuple(mask for _, mask in self.held))
-        object.__setattr__(self, "coord_mask", _union(self.masks))
+    def __init__(self, lo: int, size: int, held: tuple[tuple[int, int], ...] = ()):
+        self.lo = lo
+        self.size = size
+        self.held = held
+        self.masks = tuple(mask for _, mask in held)
+        self.coord_mask = _union(self.masks)
 
     def halves(self) -> tuple[VirtualPart, VirtualPart]:
         """[lo, mid) and [mid, lo + size), mid = lo + ceil(size / 2), each
@@ -259,17 +277,24 @@ def _initial_parts(
     patterns = sorted(buckets)
     words = rng.bytes(width * len(patterns))
     base, extra = divmod(1 << q, num_parts)
-    los = [j * base + min(j, extra) for j in range(num_parts)]
-    held: list[list[tuple[int, int]]] = [[] for _ in los]
+    # the first `extra` parts hold base + 1 cells each, the rest base
+    long_cells = extra * (base + 1)
+    held: list[list[tuple[int, int]]] = [[] for _ in range(num_parts)]
     taken: set[int] = set()
     for i, pattern in enumerate(patterns):
         cell = int.from_bytes(words[i * width : (i + 1) * width], "little") & top
         while cell in taken:
             cell = int.from_bytes(rng.bytes(width), "little") & top
         taken.add(cell)
-        held[bisect.bisect_right(los, cell) - 1].append((cell, buckets[pattern]))
-    sizes = [base + 1] * extra + [base] * (num_parts - extra)
-    return [VirtualPart(lo, size, tuple(h)) for lo, size, h in zip(los, sizes, held)]
+        if cell < long_cells:
+            j = cell // (base + 1)
+        else:
+            j = extra + (cell - long_cells) // base
+        held[j].append((cell, buckets[pattern]))
+    return [
+        VirtualPart(j * base + min(j, extra), base + (j < extra), tuple(h))
+        for j, h in enumerate(held)
+    ]
 
 
 def select_initial_parts(
@@ -323,8 +348,8 @@ def refine_parts(
     keep-choice z (half (z >> i) & 1 of part i) whose union has the
     complement of smallest estimated influence; ties break to the
     smallest z.  A split cuts a part's range of cells in two and draws
-    nothing (see `VirtualPart.halves`).  A round passes its 2^k complements to one estimator call,
-    m(2^k + 1) queries.
+    nothing (see `VirtualPart.halves`).  A round passes its 2^k
+    complements to one estimator call, m(2^k + 1) queries.
 
     Refinement stops after the first round that leaves every part
     holding at most one occupied pattern: later rounds could only keep
@@ -393,17 +418,24 @@ def _sufficient_statistics(
 
 
 def _core_score_blocks(
-    cores: CoreSet, counts: np.ndarray, means: np.ndarray, within: float, q: int, lo: int, hi: int
+    cores: CoreSet,
+    counts: np.ndarray,
+    means: np.ndarray,
+    within: float,
+    q: int,
+    ranges: Iterable[tuple[int, int]],
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start, scores of cores start, start + 1, ...) for each block
-    of at most CORE_SCAN_ROWS of the rows [lo, hi), in enumeration order."""
-    for start in range(lo, hi, CORE_SCAN_ROWS):
-        dev = cores.tables[start : min(start + CORE_SCAN_ROWS, hi)] - means
-        dev *= dev
-        stats = dev @ counts
-        stats += within
-        stats /= q
-        yield start, stats
+    of at most CORE_SCAN_ROWS rows of each range [lo, hi) of `ranges`, in
+    order."""
+    for lo, hi in ranges:
+        for start in range(lo, hi, CORE_SCAN_ROWS):
+            dev = cores.tables[start : min(start + CORE_SCAN_ROWS, hi)] - means
+            dev *= dev
+            stats = dev @ counts
+            stats += within
+            stats /= q
+            yield start, stats
 
 
 def core_statistics(
@@ -425,30 +457,45 @@ def core_statistics(
     `final_check_and_learn`'s pruned scan.
     """
     stats = _sufficient_statistics(sample_masks, sample_values, phi)
-    blocks = [s for _, s in _core_score_blocks(cores, *stats, len(sample_masks), 0, len(cores))]
+    whole = [(0, len(cores))]
+    blocks = [s for _, s in _core_score_blocks(cores, *stats, len(sample_masks), whole)]
     return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
-def _scan_range(
+def _candidate_ranges(
     cores: CoreSet, counts: np.ndarray, means: np.ndarray, within: float, q: int, threshold: float
-) -> tuple[int, int]:
-    """Rows [lo, hi) outside which no core scores at most `threshold`:
-    none when W/q > threshold, since every core scores at least W/q, and
-    else the run of rows, column 0 being non-decreasing (`CoreSet`), with
-    n_0 (c_0 - mu_0)^2 <= q * threshold - W, every row when n_0 = 0.  The
-    radius about mu_0 is widened past any rounding.  lo and hi are
-    rounded out to multiples of 4 (hi to at most the row count), since
-    OpenBLAS scores a block's last (rows mod 4) rows by a path whose last
-    bits can differ, which only the full scan's own last rows may take."""
+) -> Iterator[tuple[int, int]]:
+    """Yield row ranges [lo, hi), in order and disjoint, outside which no
+    core scores at most `threshold`.
+
+    Every core scores at least W/q, so there are none when W/q >
+    threshold.  Else a core c scores at least
+    (W + sum_{u<d} n_u (c_u - mu_u)^2) / q over the first d = 2^(k-1)
+    inputs, which all the rows of a run of `cores.run_starts` share; a
+    run is kept when that bound, widened past rounding, is at most
+    threshold (every run when n_u = 0 for all u < d).  The kept runs are
+    rounded out to multiples of 4 (the last to at most the row count),
+    since OpenBLAS scores a block's last (rows mod 4) rows by a path
+    whose last bits can differ, which only the full scan's own last rows
+    may take, and runs that then meet are merged.  Runs are merged as
+    the ranges are taken, so a search that stops early reads few."""
     if within / q > threshold:
-        return 0, 0
-    if counts[0] == 0:
-        return 0, len(cores)
-    radius = math.sqrt(max(q * threshold - within, 0.0) / counts[0]) * (1 + 1e-9) + 1e-12
-    column = cores.tables[:, 0]
-    lo = bisect.bisect_left(column, means[0] - radius) & ~3
-    hi = bisect.bisect_right(column, means[0] + radius)
-    return lo, min(len(cores), (hi + 3) & ~3)
+        return
+    prefix = (1 << cores.k) >> 1
+    dev = cores.run_prefixes - means[:prefix]
+    dev *= dev
+    keep = dev @ counts[:prefix] <= q * threshold * (1 + 1e-9) - within
+    starts, rows = cores.run_starts, len(cores)
+    lo = hi = 0
+    for start, stop in zip(starts[:-1][keep].tolist(), starts[1:][keep].tolist()):
+        start &= ~3
+        if start > hi:
+            if hi > lo:
+                yield lo, hi
+            lo = start
+        hi = min((stop + 3) & ~3, rows)
+    if hi > lo:
+        yield lo, hi
 
 
 def final_check_and_learn(
@@ -468,7 +515,8 @@ def final_check_and_learn(
     f for its distance from a junta on them too, and no influence check
     is needed.  The first core in enumeration order whose statistic is at
     most accept_threshold is learned, with the statistic as the report's
-    empirical_distance: the rows of `_scan_range` are scored
+    empirical_distance: the rows of `_candidate_ranges`, the runs whose
+    shared prefix leaves room under accept_threshold, are scored
     CORE_SCAN_ROWS at a time, up to the first block with a passing core.
     queries_used is 0 and eta empty; `run_tester` fills them in.
     """
@@ -476,9 +524,9 @@ def final_check_and_learn(
     phi = tuple(coords[0] if coords else None for coords in bucket_coords)
     q, threshold = len(sample_masks), config.accept_threshold
     counts, means, within = _sufficient_statistics(sample_masks, sample_values, phi)
-    lo, hi = _scan_range(cores, counts, means, within, q, threshold)
+    ranges = _candidate_ranges(cores, counts, means, within, q, threshold)
     core, dist = None, None
-    for start, stats in _core_score_blocks(cores, counts, means, within, q, lo, hi):
+    for start, stats in _core_score_blocks(cores, counts, means, within, q, ranges):
         passing = np.flatnonzero(stats <= threshold)
         if passing.size:
             first = int(passing[0])
@@ -526,7 +574,7 @@ def run_tester(
         cores = cached_cores(class_tag, config.k, config.core_grid)
     start = oracle.query_count
     n = oracle.n
-    sample_masks = rng.integers(0, 1 << n, size=config.q, dtype=np.int64)
+    sample_masks = uniform_masks(rng, n, config.q)
     sample_values = oracle.query_masks(sample_masks)
     buckets = _buckets_from_masks(sample_masks, n)
     selected, dropped = select_initial_parts(oracle, buckets, config, rng, estimator)
@@ -558,8 +606,8 @@ SETTINGS = {
     "p": Setting("p", float, required=False),
     "q": Setting("q", int),
     "m": Setting("m", int),
-    "num_parts": Setting("num_parts", int),
-    "accept_threshold": Setting("accept_threshold", float),
+    "num_parts": Setting("num_parts", int, required=False),
+    "accept_threshold": Setting("accept_threshold", float, required=False),
     "core_grid": Setting("core_grid", float),
     "seed": Setting("seed", int, required=False),
 }
@@ -575,9 +623,21 @@ PLAN_SETTINGS = {
 
 
 def config_to_lines(config: TesterConfig) -> list[str]:
+    """The config file's lines.  num_parts and accept_threshold are left
+    out when they equal what `TesterConfig` derives from the other
+    settings, so a file states only what was chosen, and reads back to
+    the same config."""
+    derived = {
+        "num_parts": default_num_parts(config.k),
+        "accept_threshold": default_accept_threshold(
+            lp_epsilon_map(config.p, config.eps), config.core_grid
+        ),
+    }
     lines = [f"schema: {CONFIG_SCHEMA}"]
     for key, setting in SETTINGS.items():
-        lines.append(f"{key}: {getattr(config, setting.field)}")
+        value = getattr(config, setting.field)
+        if key not in derived or value != derived[key]:
+            lines.append(f"{key}: {value}")
     for note in profile_deviations(config):
         lines.append(f"# deviation {note}")
     return lines
@@ -601,14 +661,18 @@ _REPORT_REQUIRED = (
 )
 
 
-def load_config(path) -> TesterConfig:
+def config_settings(path) -> dict:
+    """The settings a config file states, by `TesterConfig` field, read
+    as their types; a setting the file leaves out is not in it."""
     with open(path) as fh:
         entries = kvfile.check(
             kvfile.parse(fh.read()), "config", CONFIG_SCHEMA, _CONFIG_REQUIRED, SETTINGS
         )
-    return TesterConfig(
-        **{s.field: s.kind(entries[key]) for key, s in SETTINGS.items() if key in entries}
-    )
+    return {s.field: s.kind(entries[key]) for key, s in SETTINGS.items() if key in entries}
+
+
+def load_config(path) -> TesterConfig:
+    return TesterConfig(**config_settings(path))
 
 
 def report_to_lines(report: TesterReport) -> list[str]:

@@ -274,15 +274,34 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="expected rows of 4 core values"):
             CoreSet("submodular", 2, 0.25, tables)
 
-    def test_core_set_refuses_rows_out_of_enumeration_order(self):
-        # the core search bisects on column 0, which enumeration keeps
-        # non-decreasing; equal leading values in any order are fine
-        for k, gamma in ((1, 0.25), (2, 0.25), (3, 0.5)):
-            column = enumerate_cores("submodular", k, gamma).tables[:, 0]
-            assert np.all(np.diff(column) >= 0)
-        CoreSet("submodular", 2, 0.25, [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-        with pytest.raises(ValueError, match="enumeration order: column 0 decreases"):
-            CoreSet("submodular", 2, 0.25, [[0.25, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    @pytest.mark.parametrize("class_tag, k, gamma", [
+        ("submodular", 0, 0.25), ("submodular", 1, 0.25), ("submodular", 2, 0.25),
+        ("subadditive", 3, 0.25), ("submodular", 3, 0.5),
+    ])
+    @pytest.mark.parametrize("order", ["enumerated", "shuffled"])
+    def test_core_set_runs_share_their_prefix(self, class_tag, k, gamma, order):
+        # the runs cover the rows in order, every row of a run shares the
+        # run's first 2^(k-1) values, and runs next to each other differ
+        # there, in enumeration order or any other
+        tables = enumerate_cores(class_tag, k, gamma).tables
+        if order == "shuffled":
+            tables = tables[np.random.default_rng(k).permutation(len(tables))]
+        cores = CoreSet(class_tag, k, gamma, tables)
+        starts, prefixes = cores.run_starts, cores.run_prefixes
+        width = (1 << k) >> 1
+        assert starts[0] == 0 and starts[-1] == len(cores) and np.all(np.diff(starts) > 0)
+        assert prefixes.shape == (len(starts) - 1, width)
+        for j, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+            assert np.array_equal(cores.tables[lo:hi, :width], np.broadcast_to(prefixes[j], (hi - lo, width)))
+        assert not np.any(np.all(prefixes[1:] == prefixes[:-1], axis=1))
+        assert not starts.flags.writeable and not prefixes.flags.writeable
+        if (class_tag, k, order) == ("subadditive", 3, "enumerated"):
+            assert len(prefixes) == 525
+
+    def test_empty_core_set_has_no_runs(self):
+        empty = CoreSet("submodular", 2, 0.25, np.empty((0, 4)))
+        assert empty.run_starts.tolist() == [0]
+        assert empty.run_prefixes.shape == (0, 2)
 
     def test_deterministic_order(self):
         a = enumerate_cores("submodular", 2, 0.25)

@@ -153,6 +153,41 @@ class TestConfigFlag:
         assert seen == expected
 
 
+    def test_derived_settings_stay_out_of_the_file_and_the_plan(self, tmp_path):
+        # a config saved with TesterConfig(eps=0.5, k=2) once carried its
+        # own derived radius (0.3125) and 16 parts into any plan: the far
+        # AND-core plan below (certified 0.306 from the class) was
+        # accepted in 0.95 of its trials with it and in none without
+        cfg = tmp_path / "cfg.txt"
+        save_config(TesterConfig(eps=0.5, k=2), cfg)
+        keys = [ln.split(":")[0] for ln in cfg.read_text().splitlines() if not ln.startswith("#")]
+        assert keys == ["schema", "eps", "k", "p", "q", "m", "core_grid", "seed"]
+        assert load_config(cfg) == TesterConfig(eps=0.5, k=2)
+        plan = bench.ExperimentPlan(
+            "submodular", 12, 2, 0.25, trial_count=20, seed_base=3, mode="far_mode_a",
+            core_values=(0.0, 0.0, 0.0, 1.0),
+        )
+        path = tmp_path / "plan.txt"
+        bench.write_plan(plan, path)
+        records = []
+        for flags in ([], ["--config", str(cfg)]):
+            out = tmp_path / f"summary{len(flags)}.txt"
+            assert main([*flags, "--out", str(out), "test", str(path)]) == 0
+            assert "accept_rate: 0.0\n" in out.read_text()
+            records.append((tmp_path / f"summary{len(flags)}.txt.trials").read_bytes())
+        assert records[0] == records[1]
+
+    @pytest.mark.parametrize("settings", [dict(num_parts=20), dict(accept_threshold=0.05)])
+    def test_chosen_settings_are_written(self, tmp_path, settings):
+        # a value other than the derived one is written and read back
+        cfg = tmp_path / "cfg.txt"
+        config = TesterConfig(eps=0.5, k=2, **settings)
+        save_config(config, cfg)
+        [(key, value)] = settings.items()
+        assert f"{key}: {value}\n" in cfg.read_text()
+        assert load_config(cfg) == config
+
+
 class TestTrialTables:
     """`run_plan` builds each trial's table as the per-trial construction
     in `oracles.naive_trial_table` does, and makes at most one far

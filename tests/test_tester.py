@@ -778,9 +778,10 @@ class TestFinalCheck:
         scanned = []
         blocks = tester._core_score_blocks
 
-        def spy(cores, counts, means, within, q, lo, hi):
-            scanned.append((within / q, lo, hi))
-            return blocks(cores, counts, means, within, q, lo, hi)
+        def spy(cores, counts, means, within, q, ranges):
+            ranges = list(ranges)
+            scanned.append((within / q, ranges))
+            return blocks(cores, counts, means, within, q, ranges)
 
         monkeypatch.setattr(tester, "_core_score_blocks", spy)
         table = parity_blend_table(12)
@@ -789,9 +790,9 @@ class TestFinalCheck:
         assert report.verdict == "reject"
         assert report.reject_stage == "core_search"
         assert report.eta == {}
-        [(floor, lo, hi)] = scanned
+        [(floor, ranges)] = scanned
         assert floor > cfg.accept_threshold
-        assert (lo, hi) == (0, 0)
+        assert ranges == []
 
     def test_empty_core_set_rejects_at_core_search(self):
         table = and_junta(10, (1, 2))
@@ -971,10 +972,10 @@ class TestCoreStatistics:
         # q=1024 would take 1.16 GB, a |cores| x 2^k one 9.5 MB.  The scan
         # holds CORE_SCAN_ROWS x 2^k doubles at a time, whether it stops
         # early or, with a threshold below every score, scores every core.
-        # Coordinate 2 is 1 on every sample, so no sample has core input 0
-        # (n_0 = 0) and no row is pruned.  The samples come from a noisy
-        # lift of a core late in enumeration order, close enough to pass
-        # at the default radius
+        # Coordinate 9 is 1 on every sample, so no sample has a core input
+        # u < 4 (n_u = 0 over the whole prefix) and no row is pruned.  The
+        # samples come from a noisy lift of a core late in enumeration
+        # order, close enough to pass at the default radius
         cores = cached_cores("subadditive", 3, 0.25)
         assert len(cores) == 148_815
         n, q = 12, 1024
@@ -982,21 +983,20 @@ class TestCoreStatistics:
         coords = (2, 5, 9)
         lifted = lift_core(cores.member(140_000), coords, n)
         table = FunctionTable(n, np.clip(lifted.values + rng.normal(0.0, 0.05, 1 << n), 0.0, 1.0))
-        masks = [int(x) | 0b10 for x in rng.integers(0, 1 << n, size=q)]
+        masks = [int(x) | 1 << 8 for x in rng.integers(0, 1 << n, size=q)]
         values = table.values[np.asarray(masks)]
         refined = refined_to(masks, tuple(pattern_of(masks, c) for c in coords), n)
         cfg = TesterConfig(eps=0.25, k=3, q=q)
         counts, means, within = tester._sufficient_statistics(masks, values, coords)
-        assert counts[0] == 0
+        assert not np.any(counts[:4])
         if not passing:
             # between the floor W/q and the lowest score: every row is
             # scored, and none passes
             lowest = float(core_statistics(cores, masks, values, coords).min())
             assert lowest - within / q > 1e-9
             cfg = replace(cfg, accept_threshold=(within / q + lowest) / 2)
-        assert tester._scan_range(cores, counts, means, within, q, cfg.accept_threshold) == (
-            0, len(cores)
-        )
+        ranges = tester._candidate_ranges(cores, counts, means, within, q, cfg.accept_threshold)
+        assert list(ranges) == [(0, len(cores))]
         tracemalloc.start()
         try:
             report = final_check_and_learn(masks, values, refined, cores, cfg)
@@ -1018,9 +1018,11 @@ class TestCoreStatistics:
 
 
 class TestPrunedScan:
-    """`final_check_and_learn` scores only the rows `_scan_range` leaves,
-    and learns the core, with the same bits of empirical_distance, and
-    gives the verdict that scoring every row (`core_statistics`) gives."""
+    """`final_check_and_learn` scores only the rows `_candidate_ranges`
+    leaves, the runs of rows whose shared prefix leaves room under the
+    threshold, and learns the core, with the same bits of
+    empirical_distance, and gives the verdict that scoring every row
+    (`core_statistics`) gives."""
 
     N = 10
     SETS = [("submodular", 1), ("submodular", 2), ("submodular", 3), ("subadditive", 3)]
@@ -1030,10 +1032,21 @@ class TestPrunedScan:
         masks = tuple(0 if c is None else 1 << (c - 1) for c in phi)
         return RefinementResult(masks, (False,) * len(phi), 0.0, 1)
 
+    @staticmethod
+    def _run_rows(cores, bounds, limit):
+        """Rows of the runs whose prefix bound is at most `limit`, each run
+        rounded out to multiples of 4 (the last to the row count)."""
+        rows = np.zeros(len(cores), dtype=bool)
+        starts = cores.run_starts
+        for j in np.flatnonzero(bounds <= limit):
+            rows[starts[j] & ~3 : min((starts[j + 1] + 3) & ~3, len(cores))] = True
+        return rows
+
     def _check(self, cores, masks, values, phi, threshold):
         """The pruned search against the full scan; returns the report and
-        the scanned range."""
-        cfg = TesterConfig(eps=0.25, k=cores.k, q=len(masks), accept_threshold=threshold)
+        the scanned ranges."""
+        q = len(masks)
+        cfg = TesterConfig(eps=0.25, k=cores.k, q=q, accept_threshold=threshold)
         report = final_check_and_learn(masks, values, self._refined(phi), cores, cfg)
         stats = core_statistics(cores, masks, values, phi)
         passing = np.flatnonzero(stats <= threshold)
@@ -1045,49 +1058,119 @@ class TestPrunedScan:
             assert report.verdict == "reject"
             assert report.reject_stage == "core_search"
         counts, means, within = tester._sufficient_statistics(masks, values, phi)
-        lo, hi = tester._scan_range(cores, counts, means, within, len(masks), threshold)
-        outside = np.r_[stats[:lo], stats[hi:]]
-        assert not np.any(outside <= threshold)
+        ranges = list(tester._candidate_ranges(cores, counts, means, within, q, threshold))
+        # in order, each starting at a multiple of 4 and ending at one or
+        # at the last row, and no two meeting
+        bounds = [b for r in ranges for b in r]
+        assert bounds == sorted(bounds) and len(set(bounds)) == len(bounds)
+        assert all(lo % 4 == 0 and (hi % 4 == 0 or hi == len(cores)) for lo, hi in ranges)
+        scanned = np.zeros(len(cores), dtype=bool)
+        for lo, hi in ranges:
+            scanned[lo:hi] = True
+        assert not np.any(stats[~scanned] <= threshold)
+        # the rows of exactly the runs the prefix bound keeps, up to the
+        # rounding slack about the bound
+        if within / q <= threshold:
+            width = (1 << cores.k) >> 1
+            dev = cores.run_prefixes - means[:width]
+            run_bounds = (dev * dev) @ counts[:width]
+            room, slack = q * threshold - within, 1e-6 * q * threshold
+            assert np.all(scanned[self._run_rows(cores, run_bounds, room - slack)])
+            assert not np.any(scanned & ~self._run_rows(cores, run_bounds, room + slack))
         # every scanned row gets the bits the full scan gives it
-        blocks = tester._core_score_blocks(cores, counts, means, within, len(masks), lo, hi)
-        assert np.array_equal(np.concatenate([b for _, b in blocks] or [np.zeros(0)]), stats[lo:hi])
-        return report, (lo, hi)
+        blocks = tester._core_score_blocks(cores, counts, means, within, q, ranges)
+        assert np.array_equal(np.concatenate([b for _, b in blocks] or [np.zeros(0)]), stats[scanned])
+        return report, ranges
 
-    @pytest.mark.parametrize("class_tag, k", SETS)
-    def test_same_search_as_the_full_scan(self, class_tag, k):
-        # noisy lifts of random cores, some with a dead part; the default
-        # radius and thresholds equal to a score (ties at the threshold)
-        cores = cached_cores(class_tag, k, 0.25)
-        rng = np.random.default_rng(1000 + 10 * k + len(class_tag))
-        pruned = accepted = 0
-        for _ in range(12):
+    def _noisy_lifts(self, cores, rng, cases):
+        """Samples of noisy lifts of random cores, some with a dead part."""
+        k = cores.k
+        for _ in range(cases):
             coords = tuple(int(c) + 1 for c in rng.choice(self.N, size=k, replace=False))
             lifted = lift_core(cores.member(int(rng.integers(len(cores)))), coords, self.N)
             noise = rng.normal(0.0, float(rng.choice([0.02, 0.1, 0.2])), 1 << self.N)
             table = FunctionTable(self.N, np.clip(lifted.values + noise, 0.0, 1.0))
-            masks = [int(x) for x in rng.integers(0, 1 << self.N, size=int(rng.choice([16, 64, 256])))]
+            masks = [int(x) for x in rng.integers(0, 1 << self.N, size=int(rng.choice([16, 51, 64, 256])))]
             values = table.values[np.asarray(masks)]
             phi = coords if rng.random() < 0.8 or k == 1 else (None,) + coords[1:]
+            yield masks, values, phi
+
+    @pytest.mark.parametrize("class_tag, k", SETS)
+    def test_same_search_as_the_full_scan(self, class_tag, k):
+        # the default radius and thresholds equal to a score (ties at the
+        # threshold)
+        cores = cached_cores(class_tag, k, 0.25)
+        rng = np.random.default_rng(1000 + 10 * k + len(class_tag))
+        pruned = accepted = 0
+        for masks, values, phi in self._noisy_lifts(cores, rng, 12):
             stats = core_statistics(cores, masks, values, phi)
             for threshold in (0.03515625, *np.quantile(stats, [0.0, 0.001, 0.05], method="lower")):
-                report, (lo, hi) = self._check(cores, masks, values, phi, float(threshold))
-                pruned += hi - lo < len(cores)
+                report, ranges = self._check(cores, masks, values, phi, float(threshold))
+                pruned += sum(hi - lo for lo, hi in ranges) < len(cores)
                 accepted += report.verdict == "accept"
         assert pruned > 0 and accepted > 0
 
+    @pytest.mark.parametrize("class_tag, k", SETS[1:])
+    def test_shuffled_rows_search_as_the_full_scan_in_their_order(self, class_tag, k):
+        # rows out of enumeration order make many short runs; the search
+        # still finds the first passing row in the set's own order
+        full = cached_cores(class_tag, k, 0.25)
+        rng = np.random.default_rng(2000 + k)
+        cores = CoreSet(class_tag, k, 0.25, full.tables[rng.permutation(len(full))])
+        assert len(cores.run_starts) - 1 > len(full.run_starts) - 1
+        accepted = 0
+        for masks, values, phi in self._noisy_lifts(cores, rng, 6):
+            stats = core_statistics(cores, masks, values, phi)
+            for threshold in (0.03515625, *np.quantile(stats, [0.0, 0.01], method="lower")):
+                report, _ = self._check(cores, masks, values, phi, float(threshold))
+                accepted += report.verdict == "accept"
+        assert accepted > 0
+
+    @pytest.mark.parametrize("class_tag, k", SETS)
+    def test_tie_at_the_threshold_from_the_prefix_alone(self, class_tag, k):
+        # the samples read a core's own values off the prefix and values
+        # off the grid on it, so the prefix bound of the core's run is its
+        # whole score; at a threshold equal to that score, and q not a
+        # power of 2, q * threshold - W rounds below the bound about half
+        # the time, and only the widened bound keeps the run
+        cores = cached_cores(class_tag, k, 0.25)
+        width = (1 << k) >> 1
+        rng = np.random.default_rng(3000 + k + len(class_tag))
+        for _ in range(20):
+            coords = tuple(int(c) + 1 for c in rng.choice(self.N, size=k, replace=False))
+            row = int(rng.integers(len(cores)))
+            seen = cores.tables[row].copy()
+            shift = rng.uniform(0.01, 0.1, width)
+            seen[:width] += np.where(seen[:width] < 0.5, shift, -shift)
+            table = lift_core(CoreTable(k, tuple(seen)), coords, self.N)
+            masks = [int(x) for x in rng.integers(0, 1 << self.N, size=int(rng.choice([51, 77, 100])))]
+            values = table.values[np.asarray(masks)]
+            stats = core_statistics(cores, masks, values, coords)
+            report, _ = self._check(cores, masks, values, coords, float(stats.min()))
+            assert report.verdict == "accept"
+
     @pytest.mark.filterwarnings("error")
-    def test_no_sample_at_input_0_scans_every_row(self):
-        # n_0 = 0: column 0 bounds nothing, and nothing divides by it
+    @pytest.mark.parametrize("forced, counted", [(1 << 8, ()), (0b10, (1, 3))])
+    def test_prefix_inputs_without_samples(self, forced, counted):
+        # coordinate 9 (core input bit 2) on every sample: no sample has a
+        # prefix input, the prefix bounds nothing and every row is
+        # scanned; coordinate 2 (bit 0): only inputs 1 and 3 of the prefix
+        # have samples.  Nothing divides by a count of 0
         cores = cached_cores("subadditive", 3, 0.25)
         rng = np.random.default_rng(31)
         coords = (2, 5, 9)
         lifted = lift_core(cores.member(90_000), coords, self.N)
         table = FunctionTable(self.N, np.clip(lifted.values + rng.normal(0.0, 0.05, 1 << self.N), 0.0, 1.0))
-        masks = [int(x) | 0b10 for x in rng.integers(0, 1 << self.N, size=64)]
+        masks = [int(x) | forced for x in rng.integers(0, 1 << self.N, size=64)]
         values = table.values[np.asarray(masks)]
-        report, scanned = self._check(cores, masks, values, coords, 0.03515625)
+        counts, _, _ = tester._sufficient_statistics(masks, values, coords)
+        assert tuple(np.flatnonzero(counts[:4])) == counted
+        report, ranges = self._check(cores, masks, values, coords, 0.03515625)
         assert report.verdict == "accept"
-        assert scanned == (0, len(cores))
+        if not counted:
+            assert ranges == [(0, len(cores))]
+        else:
+            assert sum(hi - lo for lo, hi in ranges) < len(cores)
 
     def test_floor_over_threshold_scans_no_row(self):
         # W/q > a^2: every core scores at least W/q, so none is scored
@@ -1098,44 +1181,35 @@ class TestPrunedScan:
         values = table.values[np.asarray(masks)]
         _, _, within = tester._sufficient_statistics(masks, values, (2, 5, 9))
         assert within / 64 > 0.03515625
-        report, scanned = self._check(cores, masks, values, (2, 5, 9), 0.03515625)
+        report, ranges = self._check(cores, masks, values, (2, 5, 9), 0.03515625)
         assert report.verdict == "reject"
-        assert scanned == (0, 0)
+        assert ranges == []
 
     @pytest.mark.parametrize("end", ["first", "last"])
-    def test_passing_row_at_each_end_of_the_range(self, end):
-        # the samples see a core's values everywhere but at input 0, where
-        # they read 1/2 against its 1/4 (the first such row) or 3/4 (the
-        # last): W = 0, and the core's score is its n_0 (c_0 - 1/2)^2 / q,
-        # the most column 0 admits.  Every other row scoring as low is
-        # dropped from the set, so the one passing row sits at that end
-        full = cached_cores("subadditive", 3, 0.25)
-        column = full.tables[:, 0]
-        row = column.searchsorted(0.25) if end == "first" else column.searchsorted(0.75, "right") - 1
-        seen = full.tables[row].copy()
-        seen[0] = 0.5
+    def test_passing_row_at_each_end_of_its_run(self, end):
+        # the samples read one core exactly, the first (or the last) row
+        # of a run that starts (or ends) off a multiple of 4: W = 0, that
+        # core scores 0 and every other one more than the threshold, so
+        # only its run is kept, rounded out to multiples of 4
+        cores = cached_cores("subadditive", 3, 0.25)
+        starts = cores.run_starts
+        if end == "first":
+            j = int(np.flatnonzero(starts[:-1] % 4)[0])
+            row = int(starts[j])
+        else:
+            j = int(np.flatnonzero(starts[1:] % 4)[0])
+            row = int(starts[j + 1]) - 1
         coords = (2, 5, 9)
-        table = lift_core(CoreTable(3, tuple(seen)), coords, self.N)
+        table = lift_core(cores.member(row), coords, self.N)
         rng = np.random.default_rng(33)
         masks = [int(x) for x in rng.integers(0, 1 << self.N, size=64)]
         values = table.values[np.asarray(masks)]
-        stats = core_statistics(full, masks, values, coords)
-        threshold = float(stats[row])
-        keep = stats > threshold
-        keep[row] = True
-        cores = CoreSet("subadditive", 3, 0.25, full.tables[keep])
-        row = int(np.count_nonzero(keep[:row]))
-        column = cores.tables[:, 0]
-        counts, means, within = tester._sufficient_statistics(masks, values, coords)
-        assert within == 0.0 and means[0] == 0.5 and counts[0] > 0
-        report, (lo, hi) = self._check(cores, masks, values, coords, threshold)
+        counts, _, within = tester._sufficient_statistics(masks, values, coords)
+        assert within == 0.0 and np.all(counts > 0)
+        report, ranges = self._check(cores, masks, values, coords, 1e-12)
         assert report.learned_core == cores.member(row)
-        if end == "first":
-            assert column[row] == 0.25 and column[row - 1] == 0.0
-            assert lo == row & ~3
-        else:
-            assert column[row] == 0.75 and column[row + 1] == 1.0
-            assert hi == (row + 4) & ~3
+        assert report.empirical_distance == 0.0
+        assert ranges == [(int(starts[j]) & ~3, (int(starts[j + 1]) + 3) & ~3)]
 
 
 class TestAgainstPerMaskEstimator:
