@@ -283,18 +283,22 @@ def parse_plan_text(text: str) -> ExperimentPlan:
     entries = kvfile.check(
         kvfile.parse(text, "plan"), "plan", PLAN_SCHEMA, _PLAN_REQUIRED, _PLAN_KEYS
     )
-    overrides = {key: s.kind(entries[key]) for key, s in PLAN_SETTINGS.items() if key in entries}
+
+    def read(key: str, to: type, default: str = ""):
+        return kvfile.value(entries.get(key, default), to, "plan", key)
+
+    overrides = {key: read(key, s.kind) for key, s in PLAN_SETTINGS.items() if key in entries}
     core_values = None
     if "core_values" in entries:
-        core_values = tuple(float(tok) for tok in entries["core_values"].split())
+        core_values = kvfile.values(entries["core_values"], float, "plan", "core_values")
     return ExperimentPlan(
         class_tag=entries["class"],
-        n=int(entries["n"]),
-        k=int(entries["k"]),
-        eps=float(entries["eps"]),
-        p=float(entries.get("p", 2.0)),
-        trial_count=int(entries["trials"]),
-        seed_base=int(entries["seed_base"]),
+        n=read("n", int),
+        k=read("k", int),
+        eps=read("eps", float),
+        p=read("p", float, "2.0"),
+        trial_count=read("trials", int),
+        seed_base=read("seed_base", int),
         mode=entries["mode"],
         overrides=overrides,
         core_values=core_values,

@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import bench, influence, kvfile, tables, tester, valuations
+from . import bench, influence, kvfile, tables, valuations
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -40,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate, check and test valuation functions on the Boolean cube.",
     )
     parser.add_argument("--seed", type=int, default=None, help="override the input file's seed")
-    parser.add_argument("--config", default=None, help="tester config file (test command)")
     parser.add_argument("--out", default=None, help="output path")
     parser.add_argument(
         "--threads", type=int, default=1, help="accepted and ignored: trials always run in order"
@@ -124,7 +123,8 @@ def _cmd_influence(args) -> int:
         parts = mode.split(":")
         if len(parts) != 3:
             raise ValueError("estimate mode is estimate:<m>:<seed>")
-        m, seed = int(parts[1]), int(parts[2])
+        m = kvfile.value(parts[1], int, "estimate mode", "m")
+        seed = kvfile.value(parts[2], int, "estimate mode", "seed")
         if args.seed is not None:
             seed = args.seed
         if seed < 0:
@@ -142,11 +142,6 @@ def _cmd_test(args) -> int:
     plan = bench.read_plan(args.plan)
     if args.seed is not None:
         plan = replace(plan, seed_base=args.seed)
-    if args.config is not None:
-        stated = tester.config_settings(args.config)
-        tester.TesterConfig(**stated)  # the whole file must form a valid config
-        merged = {key: stated[s.field] for key, s in tester.PLAN_SETTINGS.items() if s.field in stated}
-        plan = replace(plan, overrides={**merged, **plan.overrides})
     summary, records = bench.run_plan(plan)
     if args.out is not None:
         bench.write_summary(summary, args.out)

@@ -1,10 +1,12 @@
-"""The `key: value` text shared by config, report, plan, spec, summary,
+"""The `key: value` text shared by report, plan, spec, summary,
 certificate and trial-record files.
 
 Each line is stripped; blank lines and lines starting with "#" are
 skipped.  Every other line must contain a ":", splitting it into a key
 (the stripped text before the first ":") and a value (the stripped text
-after it).  A repeated key keeps its last value.
+after it).  A repeated key keeps its last value.  A value is read as a
+number through `value` or `values`, so one that does not parse names its
+key.
 """
 
 from __future__ import annotations
@@ -49,6 +51,24 @@ def check(
         if key not in entries:
             raise ValueError(f"{kind} missing {key!r} field")
     return entries
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number"}
+
+
+def value(text: str, to: type, kind: str, key: str):
+    """`to(text)` for `to` int or float; text that does not parse raises
+    ValueError("<kind> key '<key>': '<text>' is not an integer") (or
+    "a number")."""
+    try:
+        return to(text)
+    except ValueError:
+        raise ValueError(f"{kind} key {key!r}: {text!r} is not {_TYPE_NAMES[to]}") from None
+
+
+def values(text: str, to: type, kind: str, key: str) -> tuple:
+    """The whitespace-separated tokens of `text`, each read by `value`."""
+    return tuple(value(tok, to, kind, key) for tok in text.split())
 
 
 def write_lines(path, lines: Iterable[str]) -> None:

@@ -25,10 +25,9 @@ The selection and each refinement round make one batched estimator
 call, so a run that used r rounds makes exactly
 q + m(num_parts + 1) + m(2^k + 1) r queries (`TesterConfig.query_budget`).
 
-`SETTINGS` is the one table of tester settings: for each, its
-config-file key, `TesterConfig` field and value type.  Config files are
-written and read through it, and `PLAN_SETTINGS` names the five a plan
-may override, by plan-file key ("gamma" for core_grid).
+`PLAN_SETTINGS` is the one table of tester settings: the five a plan
+may override, each by its plan-file key ("gamma" for core_grid), with
+its `TesterConfig` field and value type.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .tables import BudgetError, QueryOracle, check_p, coords_of, uniform_masks
 # returns an array of their estimates in the same order
 InfluenceEstimator = Callable[[QueryOracle, np.ndarray, int, np.random.Generator], np.ndarray]
 
-CONFIG_SCHEMA = "cubetest-config-1"
 REPORT_SCHEMA = "cubetest-report-1"
 # most cores scored at a time by the core search, which bounds its
 # working memory when it scores many rows (every row when no sample has
@@ -100,19 +98,12 @@ def default_refine_rounds(q: int, num_parts: int) -> int:
     return max(1, (per_part - 1).bit_length())
 
 
-def default_num_parts(k: int) -> int:
-    """4k^2 parts: Theta(k^2) keep k relevant coordinates apart with
-    constant probability (Blais 2009)."""
-    return 4 * k * k
-
-
 def paper_constants(eps2: float, k: int) -> dict:
     """The source paper's q, m, num_parts and core_grid at l2 distance
     eps2 (see `lp_epsilon_map`) and junta size k: q = ceil(2^k/eps2^5),
     m = ceil(k^6/eps2^5), num_parts = 100k^4, core grid eps2/1000, with
     their unspecified leading factors set to 1.  The tester's defaults
-    replace them (see `TesterConfig`); `profile_deviations` lists how a
-    config differs from them."""
+    replace them (see `TesterConfig`)."""
     return dict(
         q=math.ceil(2 ** k / eps2 ** 5),
         m=math.ceil(k ** 6 / eps2 ** 5),
@@ -121,26 +112,19 @@ def paper_constants(eps2: float, k: int) -> dict:
     )
 
 
-def default_accept_threshold(eps2: float, core_grid: float) -> Optional[float]:
-    """a^2 for the accept radius a = (core_grid/2 + eps2)/2, mid-gap
-    between the grid slack and eps2; None when there is no gap
-    (core_grid/2 >= eps2)."""
-    slack = core_grid / 2
-    return ((slack + eps2) / 2) ** 2 if slack < eps2 else None
-
-
 @dataclass(frozen=True)
 class TesterConfig:
     """All tester constants.  The defaults q = 64, m = 1000, core grid
-    1/4 and num_parts = 4k^2 (when omitted, `default_num_parts`) replace
-    the paper's constants (`paper_constants`), whose guarantees are only
-    asymptotic; seeded 2/3-rate experiments stand in for them.
+    1/4 and num_parts = 4k^2 (when omitted: Theta(k^2) parts keep k
+    relevant coordinates apart with constant probability, Blais 2009)
+    replace the paper's constants (`paper_constants`), whose guarantees
+    are only asymptotic; seeded 2/3-rate experiments stand in for them.
 
     accept_threshold is a^2 for an l2 accept radius a.  Omitted, a is
-    (core_grid/2 + eps2)/2 (`default_accept_threshold`), mid-gap between
-    the grid slack and eps2 = `lp_epsilon_map(p, eps)`: a class member
-    lies within core_grid/2 of a grid core, plus its junta distance, and
-    an eps-far function is at least eps2 from every core; with no gap
+    (core_grid/2 + eps2)/2, mid-gap between the grid slack and
+    eps2 = `lp_epsilon_map(p, eps)`: a class member lies within
+    core_grid/2 of a grid core, plus its junta distance, and an eps-far
+    function is at least eps2 from every core; with no gap
     (core_grid/2 >= eps2) it raises ValueError.  q, num_parts or
     q * num_parts over its *_BUDGET constant raises BudgetError."""
 
@@ -159,7 +143,7 @@ class TesterConfig:
             raise ValueError("k must be >= 1")
         eps2 = lp_epsilon_map(self.p, self.eps)
         if self.num_parts is None:
-            object.__setattr__(self, "num_parts", default_num_parts(self.k))
+            object.__setattr__(self, "num_parts", 4 * self.k * self.k)
         if self.q < 1 or self.m < 1 or self.num_parts < 1:
             raise ValueError("q, m and num_parts must be >= 1")
         if self.num_parts < self.k:
@@ -179,14 +163,13 @@ class TesterConfig:
                 f"bounds, budget is {PARTITION_BITS_BUDGET}; reduce q or num_parts"
             )
         if self.accept_threshold is None:
-            threshold = default_accept_threshold(eps2, self.core_grid)
-            if threshold is None:
+            slack = self.core_grid / 2
+            if slack >= eps2:
                 raise ValueError(
-                    f"no accept radius fits between the grid slack core_grid/2 = "
-                    f"{self.core_grid / 2} and eps2 = {eps2}; give accept_threshold or a finer "
-                    f"core_grid"
+                    f"no accept radius fits between the grid slack core_grid/2 = {slack} and "
+                    f"eps2 = {eps2}; give accept_threshold or a finer core_grid"
                 )
-            object.__setattr__(self, "accept_threshold", threshold)
+            object.__setattr__(self, "accept_threshold", ((slack + eps2) / 2) ** 2)
         if not (math.isfinite(self.accept_threshold) and self.accept_threshold > 0):
             raise ValueError(f"accept_threshold must be finite and > 0, got {self.accept_threshold}")
 
@@ -197,16 +180,6 @@ class TesterConfig:
         r' <= r rounds costs exactly that with r' in place of r."""
         q, m, k, r = self.q, self.m, self.k, default_refine_rounds(self.q, self.num_parts)
         return q + m * (self.num_parts + 1) + m * ((1 << k) + 1) * r
-
-
-def profile_deviations(config: TesterConfig) -> list[str]:
-    """Differences between this config and the paper's constants."""
-    paper = paper_constants(lp_epsilon_map(config.p, config.eps), config.k)
-    return [
-        f"{name}: {getattr(config, name)} (paper value {value})"
-        for name, value in paper.items()
-        if getattr(config, name) != value
-    ]
 
 
 def _buckets_from_masks(sample_masks: Sequence[int], n: int) -> dict[int, int]:
@@ -585,69 +558,29 @@ def run_tester(
 
 
 # ---------------------------------------------------------------------------
-# Config and report serialization ("key: value" lines).
+# Plan settings and report serialization ("key: value" lines).
 # ---------------------------------------------------------------------------
 
 
 class Setting(NamedTuple):
-    """One tester setting: its `TesterConfig` field, the type its value is
-    read as, and whether a config file must give it (an optional one
-    left out keeps the field's default).  A value is written with `str`."""
+    """One tester setting a plan may override: its `TesterConfig` field
+    and the type its value is read as.  A value is written with `str`."""
 
     field: str
     kind: type
-    required: bool = True
 
 
-# every tester setting by its config-file key, in config-file order
-SETTINGS = {
-    "eps": Setting("eps", float),
-    "k": Setting("k", int),
-    "p": Setting("p", float, required=False),
-    "q": Setting("q", int),
-    "m": Setting("m", int),
-    "num_parts": Setting("num_parts", int, required=False),
-    "accept_threshold": Setting("accept_threshold", float, required=False),
-    "core_grid": Setting("core_grid", float),
-    "seed": Setting("seed", int, required=False),
-}
 # the settings a plan may override, by plan key, in plan-file order; eps,
 # k, p and the seed come from the plan's own fields
 PLAN_SETTINGS = {
-    plan_key: SETTINGS[key]
-    for plan_key, key in (
-        ("q", "q"), ("m", "m"), ("num_parts", "num_parts"), ("gamma", "core_grid"),
-        ("accept_threshold", "accept_threshold"),
-    )
+    "q": Setting("q", int),
+    "m": Setting("m", int),
+    "num_parts": Setting("num_parts", int),
+    "gamma": Setting("core_grid", float),
+    "accept_threshold": Setting("accept_threshold", float),
 }
 
 
-def config_to_lines(config: TesterConfig) -> list[str]:
-    """The config file's lines.  num_parts and accept_threshold are left
-    out when they equal what `TesterConfig` derives from the other
-    settings, so a file states only what was chosen, and reads back to
-    the same config."""
-    derived = {
-        "num_parts": default_num_parts(config.k),
-        "accept_threshold": default_accept_threshold(
-            lp_epsilon_map(config.p, config.eps), config.core_grid
-        ),
-    }
-    lines = [f"schema: {CONFIG_SCHEMA}"]
-    for key, setting in SETTINGS.items():
-        value = getattr(config, setting.field)
-        if key not in derived or value != derived[key]:
-            lines.append(f"{key}: {value}")
-    for note in profile_deviations(config):
-        lines.append(f"# deviation {note}")
-    return lines
-
-
-def save_config(config: TesterConfig, path) -> None:
-    kvfile.write_lines(path, config_to_lines(config))
-
-
-_CONFIG_REQUIRED = tuple(key for key, s in SETTINGS.items() if s.required)
 _REPORT_REQUIRED = (
     "verdict",
     "reject_stage",
@@ -659,20 +592,6 @@ _REPORT_REQUIRED = (
     "phi",
     "empty_buckets",
 )
-
-
-def config_settings(path) -> dict:
-    """The settings a config file states, by `TesterConfig` field, read
-    as their types; a setting the file leaves out is not in it."""
-    with open(path) as fh:
-        entries = kvfile.check(
-            kvfile.parse(fh.read()), "config", CONFIG_SCHEMA, _CONFIG_REQUIRED, SETTINGS
-        )
-    return {s.field: s.kind(entries[key]) for key, s in SETTINGS.items() if key in entries}
-
-
-def load_config(path) -> TesterConfig:
-    return TesterConfig(**config_settings(path))
 
 
 def report_to_lines(report: TesterReport) -> list[str]:

@@ -568,18 +568,17 @@ def parse_spec_text(text: str) -> ValuationSpec:
     ValueError "unknown spec key ..."."""
     entries = kvfile.check(kvfile.parse(text, "spec"), "spec", required=("class", "n"))
     class_tag = entries.pop("class")
-    n = int(entries.pop("n"))
+    n = kvfile.value(entries.pop("n"), int, "spec", "n")
     check_dimension(n)  # the keys a class takes depend on n
-    seed = int(entries.pop("seed", "0"))
+    seed = kvfile.value(entries.pop("seed", "0"), int, "spec", "seed")
     kvfile.check(entries, "spec", allowed=_param_keys(class_tag, n, entries))
     params: dict[str, object] = {}
     for key, rest in entries.items():
         if key == "budget":
-            params[key] = float(rest)
-        elif key.startswith("cover_"):
-            params[key] = tuple(int(tok) for tok in rest.split())
+            params[key] = kvfile.value(rest, float, "spec", key)
         else:
-            params[key] = tuple(float(tok) for tok in rest.split())
+            to = int if key.startswith("cover_") else float
+            params[key] = kvfile.values(rest, to, "spec", key)
     return ValuationSpec(class_tag=class_tag, n=n, params=params, seed=seed)
 
 

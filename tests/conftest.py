@@ -4,6 +4,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from cubetest.tester import TesterConfig  # noqa: E402
+
+# a dataclass whose name starts with "Test": keep pytest from collecting
+# it in every module that imports it
+TesterConfig.__test__ = False
+
 _CRITERION_PATTERN = re.compile(r"test_criterion_(\d+)_(\w+)")
 
 

@@ -473,6 +473,31 @@ class TestTestCommand:
             2,
             "error: unknown plan key 'inf_threshold'\n",
         ),
+        "subset_budget_misspelled": (
+            dict(edits=(("gamma: 0.25\n", "gamma: 0.25\nsubset_budgt: 5\n"),)),
+            2,
+            "error: unknown plan key 'subset_budgt'\n",
+        ),
+        # the line of the removed scale profile
+        "profile_given": (
+            dict(edits=(("mode: in_class\n", "mode: in_class\nprofile: paper\n"),)),
+            2,
+            "error: unknown plan key 'profile'\n",
+        ),
+        # every removed setting, as older versions wrote them: the first is named
+        "saved_with_removed_settings": (
+            dict(
+                edits=(
+                    (
+                        "gamma: 0.25\n",
+                        "gamma: 0.25\nrefine_rounds: 12\ninf_threshold: 6.25e-05\n"
+                        "sqrt_statistic: 0\nsubset_budget: 200000\n",
+                    ),
+                )
+            ),
+            2,
+            "error: unknown plan key 'refine_rounds'\n",
+        ),
         # eps2 = 0.25^1.5 = 0.125 at p = 3: no accept radius between the
         # grid slack 0.25 and eps2, so the default is refused
         "no_accept_radius_p3": (
@@ -586,34 +611,10 @@ class TestTestCommand:
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
 
-    @pytest.mark.parametrize("case", sorted(NON_FINITE))
-    def test_non_finite_config_setting_exit_2(self, tmp_path, capsys, case):
-        from cubetest.tester import TesterConfig, config_to_lines
-
-        key, value, message = self.NON_FINITE[case]
-        _, path = self._small_plan(tmp_path)
-        cfg = tmp_path / "cfg.txt"
-        lines = config_to_lines(TesterConfig(eps=0.25, k=2, q=16, m=20))
-        cfg.write_text("\n".join(lines + [f"{key}: {value}"]) + "\n")
-        assert main(["--config", str(cfg), "test", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n"
-        assert captured.out == ""
-
     def test_malformed_plan_exit_2(self, tmp_path):
         bad = tmp_path / "bad.plan"
         bad.write_text("schema: cubetest-plan-1\nclass: submodular\n")
         assert main(["test", str(bad)]) == 2
-
-    def test_config_missing_field_exit_2(self, tmp_path, capsys):
-        from cubetest.tester import TesterConfig, config_to_lines
-
-        _, path = self._small_plan(tmp_path)
-        cfg = tmp_path / "cfg.txt"
-        lines = config_to_lines(TesterConfig(eps=0.25, k=2, q=16, m=20))
-        cfg.write_text("\n".join(ln for ln in lines if not ln.startswith("eps:")) + "\n")
-        assert main(["--config", str(cfg), "test", str(path)]) == 2
-        assert "config missing 'eps' field" in capsys.readouterr().err
 
     # misspelled keys once ran at the defaults and exited 0
     def test_unknown_plan_key_exit_2(self, tmp_path, capsys):
@@ -624,53 +625,6 @@ class TestTestCommand:
         assert captured.err == "error: unknown plan key 'gama'\n"
         assert captured.out == ""
         assert not (tmp_path / "s.txt").exists()
-
-    # a misspelled key, each removed setting, and a whole config as
-    # versions with refine_rounds, sqrt_statistic and subset_budget saved it
-    UNKNOWN_CONFIG_KEYS = {
-        "misspelled": ("subset_budgt: 5\n", "subset_budgt"),
-        "inf_threshold": ("inf_threshold: 6.25e-05\n", "inf_threshold"),
-        "refine_rounds": ("refine_rounds: 4\n", "refine_rounds"),
-        "sqrt_statistic": ("sqrt_statistic: 1\n", "sqrt_statistic"),
-        "subset_budget": ("subset_budget: 1000\n", "subset_budget"),
-        "saved_with_removed_settings": (None, "refine_rounds"),
-    }
-    SAVED_WITH_REMOVED_SETTINGS = """schema: cubetest-config-1
-eps: 0.25
-k: 2
-p: 2.0
-q: 16
-m: 20
-num_parts: 16
-refine_rounds: 12
-inf_threshold: 6.25e-05
-accept_threshold: 0.0875
-core_grid: 0.25
-seed: 0
-sqrt_statistic: 0
-subset_budget: 200000
-# deviation q: 16 (paper profile value 4096)
-# deviation m: 20 (paper profile value 65536)
-# deviation num_parts: 16 (paper profile value 1600)
-# deviation core_grid: 0.25 (paper profile value 0.00025)
-"""
-
-    @pytest.mark.parametrize("case", sorted(UNKNOWN_CONFIG_KEYS))
-    def test_unknown_config_key_exit_2(self, tmp_path, capsys, case):
-        from cubetest.tester import TesterConfig, config_to_lines
-
-        extra, key = self.UNKNOWN_CONFIG_KEYS[case]
-        _, path = self._small_plan(tmp_path)
-        cfg = tmp_path / "cfg.txt"
-        if extra is None:
-            cfg.write_text(self.SAVED_WITH_REMOVED_SETTINGS)
-        else:
-            lines = config_to_lines(TesterConfig(eps=0.25, k=2, q=16, m=20))
-            cfg.write_text("\n".join(lines) + "\n" + extra)
-        assert main(["--config", str(cfg), "test", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: unknown config key {key!r}\n"
-        assert captured.out == ""
 
     def test_far_plan_certified_in_its_own_lp(self, tmp_path, capsys):
         # the farthest self_bounding core is 0.331 from the grid cores in
@@ -686,40 +640,37 @@ subset_budget: 200000
         assert captured.err == "error: eps=0.3 exceeds the best achievable certified distance 0.250000\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("profile", ["desk", "paper"])
-    def test_config_profile_line_refused(self, tmp_path, capsys, profile):
-        # the tester has one set of constants: an old config's profile
-        # line is an unknown key, refused rather than read and dropped
-        from cubetest.tester import TesterConfig, config_to_lines
-
-        _, path = self._small_plan(tmp_path)
-        cfg = tmp_path / "cfg.txt"
-        lines = config_to_lines(TesterConfig(eps=0.25, k=2, q=24, m=30, num_parts=10))
-        cfg.write_text("\n".join(lines[:1] + [f"profile: {profile}"] + lines[1:]) + "\n")
-        assert main(["--config", str(cfg), "test", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: unknown config key 'profile'\n"
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("plan_q, q", [(None, 24), (16, 16)])
-    def test_config_reaches_every_trial(self, tmp_path, plan_q, q):
+    @pytest.mark.parametrize("q, m, num_parts", [(24, 30, 16), (16, 20, 10)])
+    def test_plan_settings_reach_every_trial(self, tmp_path, q, m, num_parts):
         # queries_used = q + m (P + 1) + m (2^k + 1) r: the sample, the
-        # P = 16 part estimates of the selection and r refinement rounds of
-        # 2^k estimates (each batch adds m shared base points)
-        from cubetest.tester import TesterConfig, config_to_lines
-
-        overrides = {"gamma": 0.25} if plan_q is None else {"gamma": 0.25, "q": plan_q}
+        # P = num_parts part estimates of the selection and r refinement
+        # rounds of 2^k estimates (each batch adds m shared base points)
+        overrides = {"q": q, "m": m, "num_parts": num_parts, "gamma": 0.25}
         _, path = self._small_plan(tmp_path, overrides=overrides)
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("\n".join(config_to_lines(TesterConfig(eps=0.25, k=2, q=24, m=30))) + "\n")
         out = tmp_path / "s.txt"
-        assert main(["--out", str(out), "--config", str(cfg), "test", str(path)]) == 0
+        assert main(["--out", str(out), "test", str(path)]) == 0
         records = (tmp_path / "s.txt.trials").read_text().split("trial: ")[1:]
         assert len(records) == 3
         for record in records:
             fields = dict(ln.split(": ", 1) for ln in record.splitlines()[1:] if ": " in ln)
             rounds = int(fields["refine_rounds_used"])
-            assert int(fields["queries_used"]) == q + 30 * (16 + 1) + 30 * 5 * rounds
+            assert int(fields["queries_used"]) == q + m * (num_parts + 1) + m * 5 * rounds
+
+    def test_config_flag_refused(self, tmp_path):
+        # tester config files are gone: plan keys set every tester
+        # setting, and --config is a usage error
+        _, path = self._small_plan(tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(Path(cubetest.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "cubetest.cli", "--config", str(path), "test", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage: cubetest")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
 
 
 class TestCertify:
@@ -804,6 +755,59 @@ def test_tiny_gamma_exit_2(tmp_path, and_table_file, command):
     assert result.returncode == 2
     assert result.stderr == "error: gamma=1e-310 is too small: 1/gamma is not finite\n"
     assert "Traceback" not in result.stderr
+
+
+PLAN_TEXT = (
+    "schema: cubetest-plan-1\nclass: submodular\nn: 8\nk: 2\neps: 0.25\ntrials: 3\n"
+    "seed_base: 5\nmode: in_class\nq: 16\nm: 20\n"
+)
+# a value that does not parse as its type once exited 2 with Python's own
+# words, such as "invalid literal for int() with base 10: 'x'", naming no key
+UNPARSABLE = {
+    "plan_n": (
+        ("plan", PLAN_TEXT.replace("n: 8", "n: x")), "plan key 'n': 'x' is not an integer"
+    ),
+    "plan_q_fraction": (
+        ("plan", PLAN_TEXT.replace("q: 16", "q: 1.5")), "plan key 'q': '1.5' is not an integer"
+    ),
+    "plan_eps": (
+        ("plan", PLAN_TEXT.replace("eps: 0.25", "eps: quarter")),
+        "plan key 'eps': 'quarter' is not a number",
+    ),
+    "plan_core_values": (
+        ("plan", PLAN_TEXT.replace("in_class", "far_mode_a") + "core_values: 0 0 x 1\n"),
+        "plan key 'core_values': 'x' is not a number",
+    ),
+    "spec_weights": (
+        ("spec", "class: additive\nn: 2\nweights: 0.5 x\n"),
+        "spec key 'weights': 'x' is not a number",
+    ),
+    "spec_n": (
+        ("spec", "class: additive\nn: two\nweights: 0.5\n"), "spec key 'n': 'two' is not an integer"
+    ),
+    "spec_cover": (
+        ("spec", "class: coverage\nn: 2\nuniverse_weights: 0.5\ncover_1: a\n"),
+        "spec key 'cover_1': 'a' is not an integer",
+    ),
+    "estimate_m": (("mode", "estimate:abc:3"), "estimate mode key 'm': 'abc' is not an integer"),
+    "estimate_seed": (("mode", "estimate:5:x"), "estimate mode key 'seed': 'x' is not an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPARSABLE))
+def test_unparsable_value_names_its_key(tmp_path, dictator_file, capsys, case):
+    (kind, given), message = UNPARSABLE[case]
+    path = tmp_path / f"input.{kind}"
+    path.write_text(given)
+    argv = {
+        "plan": ["test", str(path)],
+        "spec": ["--out", str(tmp_path / "out.tbl"), "gen", str(path)],
+        "mode": ["influence", str(dictator_file), "1", "--mode", given],
+    }[kind]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("case", ["q_plan", "m_plan", "influence_estimate"])

@@ -1,25 +1,13 @@
-"""The shared `key: value` layer, pinned through the four readers built on
-it: tester configs, tester reports, plans and valuation specs."""
+"""The shared `key: value` layer, pinned through the three readers built
+on it: tester reports, plans and valuation specs."""
 
 import pytest
 
 from cubetest import kvfile
 from cubetest.bench import ExperimentPlan, parse_plan_text, plan_to_lines
 from cubetest.tester import TesterReport as Report
-from cubetest.tester import (
-    TesterConfig,
-    config_to_lines,
-    load_config,
-    report_from_lines,
-    report_to_lines,
-)
+from cubetest.tester import report_from_lines, report_to_lines
 from cubetest.valuations import ValuationSpec, parse_spec_text
-
-
-def _read_config(text, tmp_path):
-    path = tmp_path / "cfg.txt"
-    path.write_text(text)
-    return load_config(path)
 
 
 REPORT = Report(
@@ -39,17 +27,9 @@ REPORT = Report(
 # name or None, a required key, (key, value) of a line whose repeat
 # must lose to the later line)
 KINDS = {
-    "config": (
-        config_to_lines(TesterConfig(eps=0.25, k=2, q=128, seed=9)),
-        _read_config,
-        "malformed line",
-        "config",
-        "eps",
-        ("q", "7"),
-    ),
     "report": (
         report_to_lines(REPORT),
-        lambda text, _: report_from_lines(text),
+        report_from_lines,
         "malformed line",
         "report",
         "selected_buckets",
@@ -57,7 +37,7 @@ KINDS = {
     ),
     "plan": (
         plan_to_lines(ExperimentPlan("submodular", 8, 2, 0.25, overrides={"q": 16})),
-        lambda text, _: parse_plan_text(text),
+        parse_plan_text,
         "malformed plan line",
         "plan",
         "eps",
@@ -65,7 +45,7 @@ KINDS = {
     ),
     "spec": (
         ValuationSpec("additive", 2, {"weights": (0.5, 0.25)}, seed=3).canonical_lines(),
-        lambda text, _: parse_spec_text(text),
+        parse_spec_text,
         "malformed spec line",
         None,
         "n",
@@ -79,55 +59,55 @@ def _text(lines):
     return "\n".join(lines) + "\n"
 
 
-def _message(read, text, tmp_path):
+def _message(read, text):
     with pytest.raises(ValueError) as exc:
-        read(text, tmp_path)
+        read(text)
     return str(exc.value)
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_malformed_line(kind, tmp_path):
+def test_malformed_line(kind):
     lines, read, prefix, *_ = KINDS[kind]
     text = _text(lines + ["no colon here"])
-    assert _message(read, text, tmp_path) == f"{prefix}: 'no colon here'"
+    assert _message(read, text) == f"{prefix}: 'no colon here'"
 
 
 @pytest.mark.parametrize("kind", WITH_SCHEMA)
-def test_wrong_or_missing_schema(kind, tmp_path):
+def test_wrong_or_missing_schema(kind):
     lines, read, _, name, *_ = KINDS[kind]
     wrong = ["schema: other-9" if ln.startswith("schema:") else ln for ln in lines]
-    assert _message(read, _text(wrong), tmp_path) == f"unknown {name} schema 'other-9'"
+    assert _message(read, _text(wrong)) == f"unknown {name} schema 'other-9'"
     missing = [ln for ln in lines if not ln.startswith("schema:")]
-    assert _message(read, _text(missing), tmp_path) == f"unknown {name} schema None"
+    assert _message(read, _text(missing)) == f"unknown {name} schema None"
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_missing_required_field(kind, tmp_path):
+def test_missing_required_field(kind):
     lines, read, _, name, key, _ = KINDS[kind]
     name = name or kind
     text = _text([ln for ln in lines if not ln.startswith(f"{key}:")])
-    assert _message(read, text, tmp_path) == f"{name} missing {key!r} field"
+    assert _message(read, text) == f"{name} missing {key!r} field"
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_comments_blanks_and_repeated_keys(kind, tmp_path):
+def test_comments_blanks_and_repeated_keys(kind):
     lines, read, *_, (key, early) = KINDS[kind]
-    expected = read(_text(lines), tmp_path)
+    expected = read(_text(lines))
     noisy = [f"{key}: {early}", "# a comment: with a colon", "", "   "]
     for ln in lines:
         noisy += [f"  {ln}  ", "   # indented comment"]
-    assert read(_text(noisy), tmp_path) == expected
+    assert read(_text(noisy)) == expected
     # the last copy of a key wins
     replaced = [f"{key}: {early}" if ln.startswith(f"{key}:") else ln for ln in lines]
-    later = read(_text(lines + [f"{key}: {early}"]), tmp_path)
-    assert later == read(_text(replaced), tmp_path) != expected
+    later = read(_text(lines + [f"{key}: {early}"]))
+    assert later == read(_text(replaced)) != expected
 
 
-@pytest.mark.parametrize("kind", ["config", "plan", "spec"])
-def test_unknown_key(kind, tmp_path):
+@pytest.mark.parametrize("kind", ["plan", "spec"])
+def test_unknown_key(kind):
     lines, read, _, name, *_ = KINDS[kind]
     name = name or kind
-    assert _message(read, _text(lines + ["bogus: 1"]), tmp_path) == f"unknown {name} key 'bogus'"
+    assert _message(read, _text(lines + ["bogus: 1"])) == f"unknown {name} key 'bogus'"
 
 
 def test_report_keeps_unknown_keys_lenient():

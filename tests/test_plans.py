@@ -1,54 +1,15 @@
-"""The tester settings table (`tester.SETTINGS`, `tester.PLAN_SETTINGS`)
-through the files and the command built on it, and the trial tables
-`bench.run_plan` hands the tester."""
+"""The plan settings table (`tester.PLAN_SETTINGS`) through plan files
+and the command built on them, and the trial tables `bench.run_plan`
+hands the tester."""
 
 import pytest
 
 from cubetest import bench
 from cubetest.cli import main
-from cubetest.tester import TesterConfig, load_config, save_config
+from cubetest.tester import TesterConfig
 
 from oracles import naive_trial_table
 
-# every setting away from its TesterConfig default
-DESK_ALL = dict(
-    eps=0.3, k=3, p=4.0, q=96, m=1500, num_parts=20, accept_threshold=0.07, core_grid=0.5,
-    seed=17,
-)
-DESK_ALL_BYTES = b"""schema: cubetest-config-1
-eps: 0.3
-k: 3
-p: 4.0
-q: 96
-m: 1500
-num_parts: 20
-accept_threshold: 0.07
-core_grid: 0.5
-seed: 17
-# deviation q: 96 (paper value 1354808)
-# deviation m: 1500 (paper value 123456791)
-# deviation num_parts: 20 (paper value 8100)
-# deviation core_grid: 0.5 (paper value 8.999999999999999e-05)
-"""
-SMALL_ALL = dict(
-    eps=0.5, k=1, p=1.5, q=40, m=50, num_parts=7, accept_threshold=0.2, core_grid=0.125,
-    seed=4,
-)
-SMALL_ALL_BYTES = b"""schema: cubetest-config-1
-eps: 0.5
-k: 1
-p: 1.5
-q: 40
-m: 50
-num_parts: 7
-accept_threshold: 0.2
-core_grid: 0.125
-seed: 4
-# deviation q: 40 (paper value 64)
-# deviation m: 50 (paper value 32)
-# deviation num_parts: 7 (paper value 100)
-# deviation core_grid: 0.125 (paper value 0.0005)
-"""
 ALL_FIVE = {"q": 32, "m": 200, "num_parts": 9, "gamma": 0.5, "accept_threshold": 0.15}
 ALL_FIVE_PLAN = bench.ExperimentPlan(
     "submodular", 8, 2, 0.25, p=3.0, trial_count=5, seed_base=3, mode="far_mode_a",
@@ -72,30 +33,6 @@ core_values: 0.0 0.0 0.0 1.0
 """
 
 
-class TestConfigFile:
-    @pytest.mark.parametrize(
-        "config, expected",
-        [
-            (TesterConfig(**DESK_ALL), DESK_ALL_BYTES),
-            (TesterConfig(**SMALL_ALL), SMALL_ALL_BYTES),
-        ],
-        ids=["desk", "small"],
-    )
-    def test_bytes_and_round_trip(self, tmp_path, config, expected):
-        path = tmp_path / "cfg.txt"
-        save_config(config, path)
-        assert path.read_bytes() == expected
-        assert load_config(path) == config
-
-    def test_optional_keys_keep_their_defaults(self, tmp_path):
-        path = tmp_path / "cfg.txt"
-        save_config(TesterConfig(**DESK_ALL), path)
-        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith(("p:", "seed:"))]
-        path.write_text("\n".join(lines) + "\n")
-        fields = {key: DESK_ALL[key] for key in DESK_ALL if key not in ("p", "seed")}
-        assert load_config(path) == TesterConfig(**fields)
-
-
 class TestPlanFile:
     def test_all_five_settings_bytes_and_round_trip(self, tmp_path):
         path = tmp_path / "plan.txt"
@@ -114,12 +51,10 @@ class TestPlanFile:
             accept_threshold=0.15,
         )
 
-
-class TestConfigFlag:
-    def test_config_settings_reach_run_tester(self, tmp_path, monkeypatch):
-        """Every setting a plan may override reaches `run_tester` from
-        --config; the plan's own overrides win, and eps, k, p and the
-        seed come from the plan."""
+    def test_plan_settings_reach_run_tester(self, tmp_path, monkeypatch):
+        """Every setting a plan file may override reaches `run_tester`
+        through the test command, and eps, k, p and each trial's seed
+        come from the plan's own fields."""
         seen = []
         run_tester = bench.run_tester
 
@@ -128,21 +63,13 @@ class TestConfigFlag:
             return run_tester(oracle, class_tag, config, **kwargs)
 
         monkeypatch.setattr(bench, "run_tester", spy)
-        cfg = tmp_path / "cfg.txt"
-        save_config(
-            TesterConfig(
-                eps=0.4, k=1, p=4.0, q=12, m=40, num_parts=7, accept_threshold=0.09,
-                core_grid=0.5, seed=99,
-            ),
-            cfg,
-        )
         plan = bench.ExperimentPlan(
             "submodular", 8, 2, 0.25, p=3.0, trial_count=2, seed_base=4,
-            overrides={"q": 16, "accept_threshold": 0.2},
+            overrides={"q": 16, "m": 40, "num_parts": 7, "gamma": 0.5, "accept_threshold": 0.2},
         )
         path = tmp_path / "plan.txt"
         bench.write_plan(plan, path)
-        assert main(["--config", str(cfg), "test", str(path)]) == 0
+        assert main(["test", str(path)]) == 0
         expected = [
             TesterConfig(
                 eps=0.25, k=2, p=3.0, seed=seed, q=16, m=40, num_parts=7, core_grid=0.5,
@@ -151,41 +78,6 @@ class TestConfigFlag:
             for seed in (4, 5)
         ]
         assert seen == expected
-
-
-    def test_derived_settings_stay_out_of_the_file_and_the_plan(self, tmp_path):
-        # a config saved with TesterConfig(eps=0.5, k=2) once carried its
-        # own derived radius (0.3125) and 16 parts into any plan: the far
-        # AND-core plan below (certified 0.306 from the class) was
-        # accepted in 0.95 of its trials with it and in none without
-        cfg = tmp_path / "cfg.txt"
-        save_config(TesterConfig(eps=0.5, k=2), cfg)
-        keys = [ln.split(":")[0] for ln in cfg.read_text().splitlines() if not ln.startswith("#")]
-        assert keys == ["schema", "eps", "k", "p", "q", "m", "core_grid", "seed"]
-        assert load_config(cfg) == TesterConfig(eps=0.5, k=2)
-        plan = bench.ExperimentPlan(
-            "submodular", 12, 2, 0.25, trial_count=20, seed_base=3, mode="far_mode_a",
-            core_values=(0.0, 0.0, 0.0, 1.0),
-        )
-        path = tmp_path / "plan.txt"
-        bench.write_plan(plan, path)
-        records = []
-        for flags in ([], ["--config", str(cfg)]):
-            out = tmp_path / f"summary{len(flags)}.txt"
-            assert main([*flags, "--out", str(out), "test", str(path)]) == 0
-            assert "accept_rate: 0.0\n" in out.read_text()
-            records.append((tmp_path / f"summary{len(flags)}.txt.trials").read_bytes())
-        assert records[0] == records[1]
-
-    @pytest.mark.parametrize("settings", [dict(num_parts=20), dict(accept_threshold=0.05)])
-    def test_chosen_settings_are_written(self, tmp_path, settings):
-        # a value other than the derived one is written and read back
-        cfg = tmp_path / "cfg.txt"
-        config = TesterConfig(eps=0.5, k=2, **settings)
-        save_config(config, cfg)
-        [(key, value)] = settings.items()
-        assert f"{key}: {value}\n" in cfg.read_text()
-        assert load_config(cfg) == config
 
 
 class TestTrialTables:
