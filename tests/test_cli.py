@@ -778,6 +778,25 @@ UNPARSABLE = {
         ("plan", PLAN_TEXT.replace("in_class", "far_mode_a") + "core_values: 0 0 x 1\n"),
         "plan key 'core_values': 'x' is not a number",
     ),
+    "plan_k": (("plan", PLAN_TEXT.replace("k: 2", "k: two")), "plan key 'k': 'two' is not an integer"),
+    "plan_p": (("plan", PLAN_TEXT + "p: l2\n"), "plan key 'p': 'l2' is not a number"),
+    "plan_trials": (
+        ("plan", PLAN_TEXT.replace("trials: 3", "trials: 3.0")),
+        "plan key 'trials': '3.0' is not an integer",
+    ),
+    "plan_seed_base": (
+        ("plan", PLAN_TEXT.replace("seed_base: 5", "seed_base: 0x5")),
+        "plan key 'seed_base': '0x5' is not an integer",
+    ),
+    "plan_m": (("plan", PLAN_TEXT.replace("m: 20", "m: 2e1")), "plan key 'm': '2e1' is not an integer"),
+    "plan_num_parts": (
+        ("plan", PLAN_TEXT + "num_parts: many\n"), "plan key 'num_parts': 'many' is not an integer"
+    ),
+    "plan_accept_threshold": (
+        ("plan", PLAN_TEXT + "accept_threshold: 0.1.\n"),
+        "plan key 'accept_threshold': '0.1.' is not a number",
+    ),
+    "plan_gamma": (("plan", PLAN_TEXT + "gamma: 1/4\n"), "plan key 'gamma': '1/4' is not a number"),
     "spec_weights": (
         ("spec", "class: additive\nn: 2\nweights: 0.5 x\n"),
         "spec key 'weights': 'x' is not a number",
@@ -788,6 +807,18 @@ UNPARSABLE = {
     "spec_cover": (
         ("spec", "class: coverage\nn: 2\nuniverse_weights: 0.5\ncover_1: a\n"),
         "spec key 'cover_1': 'a' is not an integer",
+    ),
+    "spec_seed": (
+        ("spec", "class: additive\nn: 2\nweights: 0.5 0.25\nseed: s\n"),
+        "spec key 'seed': 's' is not an integer",
+    ),
+    "spec_budget": (
+        ("spec", "class: submodular\nn: 2\nweights: 0.5 0.25\nbudget: all\n"),
+        "spec key 'budget': 'all' is not a number",
+    ),
+    "spec_clause_row": (
+        ("spec", "class: xos\nn: 2\nclause_1: 0.5 0.25\nclause_2: 0.5 y\n"),
+        "spec key 'clause_2': 'y' is not a number",
     ),
     "estimate_m": (("mode", "estimate:abc:3"), "estimate mode key 'm': 'abc' is not an integer"),
     "estimate_seed": (("mode", "estimate:5:x"), "estimate mode key 'seed': 'x' is not an integer"),

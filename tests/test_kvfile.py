@@ -121,6 +121,38 @@ def test_parse_splits_at_first_colon():
     assert kvfile.parse("url:  http://h:1/p  ") == {"url": "http://h:1/p"}
 
 
+@pytest.mark.parametrize(
+    "text, to, expected",
+    [("7", int, 7), ("-3", int, -3), ("0.5", float, 0.5), ("1e-3", float, 0.001), ("nan", float, None)],
+)
+def test_value_reads_ints_and_floats(text, to, expected):
+    got = kvfile.value(text, to, "plan", "q")
+    assert type(got) is to
+    assert got == expected or (expected is None and got != got)
+
+
+@pytest.mark.parametrize(
+    "text, to, message",
+    [
+        ("1.5", int, "plan key 'q': '1.5' is not an integer"),
+        ("", int, "plan key 'q': '' is not an integer"),
+        ("half", float, "plan key 'q': 'half' is not a number"),
+    ],
+)
+def test_value_names_kind_key_and_text(text, to, message):
+    with pytest.raises(ValueError) as exc:
+        kvfile.value(text, to, "plan", "q")
+    assert str(exc.value) == message
+
+
+def test_values_reads_each_token_and_names_the_first_bad_one():
+    assert kvfile.values(" 0  0.5\t1 ", float, "spec", "weights") == (0.0, 0.5, 1.0)
+    assert kvfile.values("", int, "spec", "cover_1") == ()
+    with pytest.raises(ValueError) as exc:
+        kvfile.values("1 x y", int, "spec", "cover_1")
+    assert str(exc.value) == "spec key 'cover_1': 'x' is not an integer"
+
+
 def test_write_lines_ends_every_line(tmp_path):
     path = tmp_path / "out.txt"
     kvfile.write_lines(path, ["a: 1", "", "b: 2"])
