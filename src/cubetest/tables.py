@@ -18,7 +18,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -278,30 +278,53 @@ def make_counting_oracle(f: FunctionTable) -> QueryOracle:
 # parser.  The writer works on _IO_BLOCK lines at a time, and the reader on
 # pieces of about _READ_BYTES bytes, each cut after its last newline (or its
 # last carriage return, if it holds no newline), so neither holds more than
-# a block, a piece or one line longer than a piece.  A piece laid out as the
-# writer lays it out (bytes below 0x80, each line n bits, one space, the
-# value and a newline) is read from its bytes; any other piece, with
-# comments, blank lines, other whitespace or non-ASCII text, is decoded as a
-# file opened as text decodes it (locale encoding, universal newlines) and
-# read line by line, with the same table or error.
+# a block, a piece or one line longer than a piece.  The writer formats each
+# distinct value of a block once and lays the block's lines out as bytes;
+# the header and metadata go through the text layer (locale encoding).  A
+# piece laid out as the writer lays it out (bytes below 0x80, each line n
+# bits, one space, the value and a newline) is read from its bytes, and when
+# no value in it is longer than 8 bytes, as in a table of a junta on a value
+# grid, each distinct value is parsed once; any other piece, with comments,
+# blank lines, other whitespace or non-ASCII text, is decoded as a file
+# opened as text decodes it (locale encoding, universal newlines) and read
+# line by line, with the same table or error.
 # ---------------------------------------------------------------------------
 
 _IO_BLOCK = 1 << 12
 _READ_BYTES = 1 << 17
 
 
+def _value_lines(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct value of `values` (by its bits, so -0.0 is not 0.0)
+    as its repr and a newline, padded with NUL bytes to one width, and
+    the row of that text for each value: repr runs once per value."""
+    keys, rows = np.unique(values.view(np.uint64), return_inverse=True)
+    text = [f"{v!r}\n" for v in keys.view(np.float64).tolist()]
+    width = max(map(len, text))
+    padded = np.array(text, dtype=f"S{width}").view(np.uint8).reshape(len(text), width)
+    return padded, rows.reshape(-1)
+
+
 def write_table(f: FunctionTable, path, metadata: Sequence[str] = ()) -> None:
     n = f.n
-    shifts = np.arange(n, dtype=np.int64)
+    # every block starts at a multiple of _IO_BLOCK = 2^12, so its low 12
+    # bit columns are those of masks 0, 1, ... and the others are constant
+    low = min(n, 12)
+    idx = np.arange(min(_IO_BLOCK, 1 << n), dtype=np.int64)
+    low_columns = ((idx[:, None] >> np.arange(low)) & 1).astype(np.uint8) + np.uint8(ord("0"))
     with open(path, "w") as fh:
         fh.write("".join(f"# {m}\n" for m in metadata) + f"dim {n}\n")
+        fh.flush()  # point lines are ASCII, written below the text layer
         for start in range(0, 1 << n, _IO_BLOCK):
             stop = min(start + _IO_BLOCK, 1 << n)
-            idx = np.arange(start, stop, dtype=np.int64)
-            chars = ((idx[:, None] >> shifts) & 1).astype(np.uint8) + ord("0")
-            names = chars.view(f"S{n}").ravel().astype(f"U{n}").tolist()
-            values = f.values[start:stop].tolist()
-            fh.write("".join([f"{b} {v!r}\n" for b, v in zip(names, values)]))
+            text, rows = _value_lines(f.values[start:stop])
+            lines = np.zeros((stop - start, n + 1 + text.shape[1]), dtype=np.uint8)
+            lines[:, :low] = low_columns
+            lines[:, low:n] = ((start >> np.arange(low, n)) & 1) + ord("0")
+            lines[:, n] = ord(" ")
+            np.take(text, rows, axis=0, out=lines[:, n + 1 :])
+            # no byte of a line is NUL: dropping the zeros drops the padding
+            fh.buffer.write(lines[lines != 0].tobytes())
 
 
 def _read_lines(lines: Sequence[str], n: int, values: np.ndarray, seen: np.ndarray) -> None:
@@ -326,6 +349,29 @@ def _text_lines(raw: bytes) -> list[str]:
     universal newlines."""
     text = io.TextIOWrapper(io.BytesIO(raw)).read()
     return [s for s in map(str.strip, text.split("\n")) if s and s[0] != "#"]
+
+
+# _LOW_BYTES[i] keeps the low i bytes of a uint64, the first i bytes of a
+# little-endian word
+_LOW_BYTES = np.array([(1 << (8 * i)) - 1 for i in range(9)], dtype=np.uint64)
+
+
+def _short_values(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> Optional[np.ndarray]:
+    """The values buf[starts[i]:ends[i]] read by `float` when each is at
+    most 8 bytes, else None.  Each token is keyed by its bytes as one
+    little-endian uint64, NUL bytes past its end, and `float` reads each
+    distinct key once; `buf` holds no NUL byte, so no two tokens share a
+    key.  Longer tokens are left to the caller: with many distinct
+    17-digit values, as a random table has, the dedup costs more than
+    it saves."""
+    lengths = ends - starts
+    if lengths.max() > 8:
+        return None
+    padded = np.concatenate((buf, np.zeros(7, np.uint8)))
+    words = np.ndarray(buf.shape, dtype="<u8", buffer=padded, strides=(1,))
+    keys, rows = np.unique(words[starts] & _LOW_BYTES[lengths], return_inverse=True)
+    tokens = keys.astype("<u8", copy=False).view("S8").tolist()  # NUL bytes stripped
+    return np.array([float(t) for t in tokens])[rows.reshape(-1)]
 
 
 def _read_columns(chunk: bytes, n: int, values: np.ndarray, seen: np.ndarray) -> bool:
@@ -361,7 +407,9 @@ def _read_columns(chunk: bytes, n: int, values: np.ndarray, seen: np.ndarray) ->
     if np.any(ordered[1:] == ordered[:-1]) or np.any(seen[masks]):
         return False
     try:
-        chunk_values = np.fromiter(map(float, chunk.split()[1::2]), np.float64, count)
+        chunk_values = _short_values(buf, starts + n + 1, ends)
+        if chunk_values is None:
+            chunk_values = np.fromiter(map(float, chunk.split()[1::2]), np.float64, count)
     except ValueError:
         return False
     values[masks] = chunk_values

@@ -16,10 +16,11 @@ one occupied pattern (`refine_parts`).  The core learned from the
 original samples on those coordinates is compared against the
 enumerated grid cores in enumeration order, and the first one whose
 mean squared deviation is at most `accept_threshold` is returned; no
-core passing is the one way to reject (`final_check_and_learn`,
-`core_statistics`).  A run of cores that share their first 2^(k-1)
-values is skipped unscored when those values alone put every core of
-the run over the threshold (`_candidate_ranges`).
+core passing is the one way to reject (`final_check_and_learn`; the
+tests' `oracles.full_scan_core_statistics` scores every core).  A run
+of cores that share their first 2^(k-1) values is skipped unscored when
+those values alone put every core of the run over the threshold
+(`_candidate_ranges`).
 
 The selection and each refinement round make one batched estimator
 call, so a run that used r rounds makes exactly
@@ -376,7 +377,9 @@ def _sufficient_statistics(
     sample_masks: Sequence[int], sample_values: np.ndarray, phi: Sequence[Optional[int]]
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """The counts n_u and means mu_u of the sampled values at each core
-    input u, and the within-group residual W; see `core_statistics`."""
+    input u, and the within-group residual W.  Core c scores
+    (W + sum_u n_u (c_u - mu_u)^2) / q, which equals mean_t (f_t - c_{u_t})^2
+    and, as a sum of squares, is never negative."""
     masks = np.asarray(sample_masks, dtype=np.int64)
     u = np.zeros(len(masks), dtype=np.int64)
     for j, coord in enumerate(phi):
@@ -409,30 +412,6 @@ def _core_score_blocks(
             stats += within
             stats /= q
             yield start, stats
-
-
-def core_statistics(
-    cores: CoreSet,
-    sample_masks: Sequence[int],
-    sample_values: np.ndarray,
-    phi: Sequence[Optional[int]],
-) -> np.ndarray:
-    """Mean squared deviation of the sampled values from every core.
-
-    Bit j of sample t's core input u_t is coordinate phi[j] of the
-    sample (0 when phi[j] is None).  With n_u and mu_u the count and
-    mean of the sampled values at core input u, and
-    W = sum_t (f_t - mu_{u_t})^2 the residual within groups, core c
-    scores (W + sum_u n_u (c_u - mu_u)^2) / q.  This equals
-    mean_t (f_t - c_{u_t})^2 and, as a sum of squares, is never
-    negative.  Scored CORE_SCAN_ROWS cores at a time, in
-    O(CORE_SCAN_ROWS * 2^k) memory, this is the full-scan reference for
-    `final_check_and_learn`'s pruned scan.
-    """
-    stats = _sufficient_statistics(sample_masks, sample_values, phi)
-    whole = [(0, len(cores))]
-    blocks = [s for _, s in _core_score_blocks(cores, *stats, len(sample_masks), whole)]
-    return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
 def _candidate_ranges(
@@ -482,7 +461,7 @@ def final_check_and_learn(
 
     Core input j reads the lowest coordinate of final bucket j (the
     constant 0 for an empty one).  A core's statistic, the mean squared
-    deviation of the samples from it (`core_statistics`), estimates
+    deviation of the samples from it (`_sufficient_statistics`), estimates
     ||f - lift(c)||^2 = ||f - E_phi f||^2 + ||E_phi f - c||^2 (Pythagoras
     for the projection E_phi onto the learned coordinates), so it charges
     f for its distance from a junta on them too, and no influence check
@@ -625,32 +604,39 @@ def report_to_lines(report: TesterReport) -> list[str]:
 
 
 def report_from_lines(text: str) -> TesterReport:
+    """The report in `text`; a number that does not parse names its key."""
     entries = kvfile.check(kvfile.parse(text), "report", REPORT_SCHEMA, _REPORT_REQUIRED)
     buckets = tuple(
-        tuple(int(tok) for tok in chunk.split()) if chunk.strip() != "-" else ()
+        kvfile.values(chunk, int, "report", "selected_buckets") if chunk.strip() != "-" else ()
         for chunk in entries["selected_buckets"].split(";")
     )
     core = None
     if entries["learned_core"] != "-":
-        vals = tuple(float(tok) for tok in entries["learned_core"].split())
+        vals = kvfile.values(entries["learned_core"], float, "report", "learned_core")
         core = CoreTable(int(math.log2(len(vals))), vals)
-    dist = None if entries["empirical_distance"] == "-" else float(entries["empirical_distance"])
+    dist = entries["empirical_distance"]
+    dist = None if dist == "-" else kvfile.value(dist, float, "report", "empirical_distance")
     eta = {}
     for tok in entries["eta"].split():
         key, _, val = tok.partition("=")
-        eta[key] = float(val)
-    phi = tuple(None if tok == "-" else int(tok) for tok in entries["phi"].split())
-    empty = tuple(bool(int(tok)) for tok in entries["empty_buckets"].split())
+        eta[key] = kvfile.value(val, float, "report", "eta")
+    phi = tuple(
+        None if tok == "-" else kvfile.value(tok, int, "report", "phi")
+        for tok in entries["phi"].split()
+    )
+    empty = kvfile.values(entries["empty_buckets"], int, "report", "empty_buckets")
     rounds = entries.get("refine_rounds_used")
+    if rounds is not None:
+        rounds = kvfile.value(rounds, int, "report", "refine_rounds_used")
     return TesterReport(
         verdict=entries["verdict"],
         reject_stage=entries["reject_stage"],
-        queries_used=int(entries["queries_used"]),
+        queries_used=kvfile.value(entries["queries_used"], int, "report", "queries_used"),
         selected_buckets=buckets,
         learned_core=core,
         empirical_distance=dist,
         eta=eta,
         phi=phi,
-        empty_buckets=empty,
-        refine_rounds_used=None if rounds is None else int(rounds),
+        empty_buckets=tuple(map(bool, empty)),
+        refine_rounds_used=rounds,
     )

@@ -17,6 +17,7 @@ from cubetest.cores import (
 )
 from cubetest.influence import junta_projection
 from cubetest.tables import MAX_DIMENSION, FunctionTable
+from cubetest.tester import _core_score_blocks, _sufficient_statistics
 from cubetest.valuations import make_far_instance
 
 
@@ -370,6 +371,19 @@ def naive_core_statistics(sample_values, final_patterns, core_rows) -> list[floa
         total = sum((float(sample_values[t]) - float(row[inputs[t]])) ** 2 for t in range(q))
         out.append(total / q)
     return out
+
+
+def full_scan_core_statistics(cores, sample_masks, sample_values, phi) -> np.ndarray:
+    """The statistic of every core, in order: the tester's own block
+    scoring (`tester._core_score_blocks`) over all rows, CORE_SCAN_ROWS
+    at a time.  Bit j of sample t's core input is coordinate phi[j] of
+    the sample (0 when phi[j] is None).  Unlike the other oracles it
+    shares the tester's arithmetic, so that the pruned scan of
+    `final_check_and_learn` can be held to the same bits."""
+    stats = _sufficient_statistics(sample_masks, sample_values, phi)
+    whole = [(0, len(cores))]
+    blocks = [s for _, s in _core_score_blocks(cores, *stats, len(sample_masks), whole)]
+    return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
 def per_mask_estimator(oracle, masks, m, rng):

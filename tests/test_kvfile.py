@@ -116,6 +116,24 @@ def test_report_keeps_unknown_keys_lenient():
     assert report_from_lines(_text(block)) == REPORT
 
 
+@pytest.mark.parametrize(
+    "key, bad, message",
+    [
+        ("queries_used", "12x", "'12x' is not an integer"),
+        ("selected_buckets", "1 4 ; x", "'x' is not an integer"),
+        ("learned_core", "0 0.5 half 1", "'half' is not a number"),
+        ("empirical_distance", "far", "'far' is not a number"),
+        ("eta", "initial_min=0.25 refine_last=big", "'big' is not a number"),
+        ("phi", "1 one", "'one' is not an integer"),
+        ("empty_buckets", "0 yes", "'yes' is not an integer"),
+        ("refine_rounds_used", "3.5", "'3.5' is not an integer"),
+    ],
+)
+def test_report_number_that_does_not_parse_names_its_key(key, bad, message):
+    lines = [f"{key}: {bad}" if ln.startswith(f"{key}:") else ln for ln in report_to_lines(REPORT)]
+    assert _message(report_from_lines, _text(lines)) == f"report key {key!r}: {message}"
+
+
 def test_parse_splits_at_first_colon():
     assert kvfile.parse("a: b: c\n") == {"a": "b: c"}
     assert kvfile.parse("url:  http://h:1/p  ") == {"url": "http://h:1/p"}

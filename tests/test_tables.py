@@ -350,6 +350,33 @@ class TestTableFiles:
         naive_write_table(values, n, tmp_path / "naive.tbl", metadata)
         assert (tmp_path / "block.tbl").read_bytes() == (tmp_path / "naive.tbl").read_bytes()
 
+    @pytest.mark.parametrize(
+        "kind", ["lifted_2_junta", "lifted_3_junta", "parity_blend", "quarter_grid", "mixed_block"]
+    )
+    def test_few_value_tables_write_like_reference(self, tmp_path, kind):
+        """Tables with few distinct values, each formatted once per block,
+        write the per-line writer's bytes and read back bit for bit."""
+        from cubetest.cores import CoreTable, lift_core
+        from cubetest.valuations import parity_blend_table
+
+        rng = np.random.default_rng(21)
+        mixed = [-0.0, 0.0, 5e-324, 1e-05, 0.25]
+        f = {
+            "lifted_2_junta": lambda: lift_core(CoreTable(2, (0.0, 0.25, 0.5, 1.0)), (3, 14), 16),
+            "lifted_3_junta": lambda: lift_core(
+                CoreTable(3, (0.0, 0.1, 0.25, 0.5, 0.75, 0.5, 1.0, 1.0)), (13, 2, 7), 13
+            ),
+            "parity_blend": lambda: parity_blend_table(16),
+            "quarter_grid": lambda: FunctionTable(14, rng.integers(0, 5, 1 << 14) / 4),
+            "mixed_block": lambda: FunctionTable(12, np.resize(mixed, 1 << 12)),
+        }[kind]()
+        metadata = ("spec \u00e9\u00fc", "normalization 1.0")
+        write_table(f, tmp_path / "block.tbl", metadata)
+        naive_write_table(f.values, f.n, tmp_path / "naive.tbl", metadata)
+        assert (tmp_path / "block.tbl").read_bytes() == (tmp_path / "naive.tbl").read_bytes()
+        back = read_table(tmp_path / "block.tbl").values
+        assert np.array_equal(back.view(np.uint64), f.values.view(np.uint64))
+
     def test_io_memory_bounded(self, tmp_path):
         """Writing an n = 16 table and reading it back, also with lone CRs
         for line ends (no newline in the file), each stay under 4 MiB."""
@@ -373,10 +400,29 @@ _B = tables._IO_BLOCK
 _CORPUS_N = 13  # two blocks of point lines
 
 
-def _corpus_lines():
-    values = np.random.default_rng(11).uniform(0.0, 1.0, 1 << _CORPUS_N)
-    bits = ["".join(str((m >> j) & 1) for j in range(_CORPUS_N)) for m in range(1 << _CORPUS_N)]
+_SHORT_N = 14  # a longer corpus, so that its short lines fill two reads
+
+
+def _point_lines(n, values):
+    bits = ["".join(str((m >> j) & 1) for j in range(n)) for m in range(1 << n)]
     return [f"{b} {float(v)!r}" for b, v in zip(bits, values)]
+
+
+def _corpus_lines():
+    return _point_lines(_CORPUS_N, np.random.default_rng(11).uniform(0.0, 1.0, 1 << _CORPUS_N))
+
+
+def _short_corpus_lines():
+    """Point lines whose values are all at most 8 bytes: quarters,
+    4- and 6-digit decimals, -0.0, 5e-324 and 1e-05."""
+    rng = np.random.default_rng(12)
+    values = np.round(rng.uniform(0.0, 1.0, 1 << _SHORT_N), 4)
+    values[::3] = rng.integers(0, 5, values[::3].size) / 4
+    values[1::3] = np.round(rng.uniform(0.0, 1.0, values[1::3].size), 6)
+    values[5:8] = [-0.0, 5e-324, 1e-05]
+    lines = _point_lines(_SHORT_N, values)
+    assert max(len(ln) for ln in lines) <= _SHORT_N + 1 + 8
+    return lines
 
 
 def _replace(k, make):
@@ -562,7 +608,7 @@ _CORPUS = {
     "crlf_split_at_cr_cut": _cr_ends(True),
     "duplicate_mid": _duplicate(_B // 2, _B // 2 - 7),
     "duplicate_next_block": _duplicate(_B, 3),
-    "duplicate_last_line": _duplicate((1 << _CORPUS_N) - 1, _B - 1),
+    "duplicate_last_line": _duplicate(-1, _B - 1),
     "missing_mid": lambda lines: lines.pop(_B // 2),
     "missing_next_block": lambda lines: lines.pop(_B),
     "comments_across_boundary": _insert(_B - 3, ["", "# note", "   ", "#", "\t"] * 3),
@@ -593,20 +639,75 @@ def _assert_reads_like_reference(path):
             read_table(path)
         assert str(got.value) == str(exc)
     else:
-        assert read_table(path) == expected
+        got = read_table(path)
+        assert got.n == expected.n
+        assert np.array_equal(got.values.view(np.uint64), expected.values.view(np.uint64))
+
+
+def _write_corpus(path, prefix, lines, case):
+    body = _CORPUS[case](lines)
+    if body is None:
+        body = "\n".join(lines) + "\n"
+    path.write_bytes((prefix + body).encode())
 
 
 @pytest.mark.parametrize("case", sorted(_CORPUS))
 def test_read_matches_reference(tmp_path, case):
     """Block-wise reading gives the per-line reader's table, or its exact
     exception type and message, on files faulty at block boundaries."""
-    lines = _corpus_lines()
-    body = _CORPUS[case](lines)
-    if body is None:
-        body = "\n".join(lines) + "\n"
-    path = tmp_path / "t.tbl"
-    path.write_bytes((_PREFIX + body).encode())
-    _assert_reads_like_reference(path)
+    _write_corpus(tmp_path / "t.tbl", _PREFIX, _corpus_lines(), case)
+    _assert_reads_like_reference(tmp_path / "t.tbl")
+
+
+def _spy_short_values(monkeypatch):
+    """Record, for each call of `tables._short_values`, whether it parsed
+    the piece ("short"), left it to `float` on every token ("long") or
+    raised."""
+    calls = []
+    short_values = tables._short_values
+
+    def spy(*args):
+        try:
+            got = short_values(*args)
+        except ValueError:
+            calls.append("raised")
+            raise
+        calls.append("long" if got is None else "short")
+        return got
+
+    monkeypatch.setattr(tables, "_short_values", spy)
+    return calls
+
+
+_SHORT_PREFIX = f"# corpus\ndim {_SHORT_N}\n"
+assert len(_SHORT_PREFIX) == len(_PREFIX)  # the edits place lines by offset
+
+
+@pytest.mark.parametrize("case", sorted(_CORPUS))
+def test_short_values_read_matches_reference(tmp_path, monkeypatch, case):
+    """The same edits on a corpus whose values are all at most 8 bytes:
+    every piece the column reader takes parses each distinct value once
+    (`tables._short_values`), and the reader gives the per-line reader's
+    table, or its exact exception type and message."""
+    _write_corpus(tmp_path / "t.tbl", _SHORT_PREFIX, _short_corpus_lines(), case)
+    calls = _spy_short_values(monkeypatch)
+    _assert_reads_like_reference(tmp_path / "t.tbl")
+    assert "long" not in calls
+
+
+def test_each_corpus_takes_its_value_path(tmp_path, monkeypatch):
+    """Unedited, every piece of the short corpus (three reads) goes
+    through the short-value path, and every piece of the repr corpus,
+    with its 17-digit values, through `float` on every token."""
+    calls = _spy_short_values(monkeypatch)
+    for prefix, lines, path in [
+        (_SHORT_PREFIX, _short_corpus_lines(), "short"),
+        (_PREFIX, _corpus_lines(), "long"),
+    ]:
+        (tmp_path / "t.tbl").write_bytes((prefix + "\n".join(lines) + "\n").encode())
+        _assert_reads_like_reference(tmp_path / "t.tbl")
+        assert len(calls) >= 3 and set(calls) == {path}
+        calls.clear()
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from cubetest.tester import (
     VirtualPart,
     _buckets_from_masks,
     _initial_parts,
-    core_statistics,
     default_refine_rounds,
     final_check_and_learn,
     lp_epsilon_map,
@@ -29,6 +28,7 @@ from cubetest.tester import (
     select_initial_parts,
 )
 from oracles import (
+    full_scan_core_statistics,
     naive_buckets_from_masks,
     naive_cell_partition,
     naive_core_statistics,
@@ -860,7 +860,7 @@ class TestCoreStatistics:
         cores, table, masks, values = self._instance(class_tag, k, coords, q, near_core, seed=q + k)
         patterns = tuple(pattern_of(masks, c) for c in coords)
         naive = naive_core_statistics(values, patterns, cores.tables)
-        stats = core_statistics(cores, masks, values, coords)
+        stats = full_scan_core_statistics(cores, masks, values, coords)
         assert stats.shape == (len(cores),)
         assert np.max(np.abs(stats - naive)) <= 1e-12
         self._check_search(cores, table, masks, values, patterns, naive)
@@ -873,7 +873,7 @@ class TestCoreStatistics:
         phi = (2, None, 9)
         patterns = (pattern_of(masks, 2), None, pattern_of(masks, 9))
         naive = naive_core_statistics(values, patterns, cores.tables)
-        stats = core_statistics(cores, masks, values, phi)
+        stats = full_scan_core_statistics(cores, masks, values, phi)
         assert np.max(np.abs(stats - naive)) <= 1e-12
         assert np.all(stats >= 0.0)
         self._check_search(cores, table, masks, values, patterns, naive)
@@ -912,7 +912,7 @@ class TestCoreStatistics:
         values = table.values[np.asarray(masks)]
         patterns = tuple(pattern_of(masks, c) for c in coords)
         naive = np.asarray(naive_core_statistics(values, patterns, cores.tables))
-        stats = core_statistics(cores, masks, values, coords)
+        stats = full_scan_core_statistics(cores, masks, values, coords)
         assert stats.shape == (rows,)
         assert np.max(np.abs(stats - naive)) <= 1e-12
         refined = refined_to(masks, patterns, self.N)
@@ -941,7 +941,7 @@ class TestCoreStatistics:
         empty = CoreSet("subadditive", 3, 0.25, np.empty((0, 8)))
         _, table, masks, values = self._instance("subadditive", 3, (2, 5, 9), 16, True, seed=3)
         coords = (2, 5, 9)
-        stats = core_statistics(empty, masks, values, coords)
+        stats = full_scan_core_statistics(empty, masks, values, coords)
         assert stats.shape == (0,)
         refined = refined_to(masks, tuple(pattern_of(masks, c) for c in coords), self.N)
         report = final_check_and_learn(masks, values, refined, empty, TesterConfig(eps=0.25, k=3, q=16))
@@ -973,7 +973,7 @@ class TestCoreStatistics:
         if not passing:
             # between the floor W/q and the lowest score: every row is
             # scored, and none passes
-            lowest = float(core_statistics(cores, masks, values, coords).min())
+            lowest = float(full_scan_core_statistics(cores, masks, values, coords).min())
             assert lowest - within / q > 1e-9
             cfg = replace(cfg, accept_threshold=(within / q + lowest) / 2)
         ranges = tester._candidate_ranges(cores, counts, means, within, q, cfg.accept_threshold)
@@ -1003,7 +1003,7 @@ class TestPrunedScan:
     leaves, the runs of rows whose shared prefix leaves room under the
     threshold, and learns the core, with the same bits of
     empirical_distance, and gives the verdict that scoring every row
-    (`core_statistics`) gives."""
+    (`oracles.full_scan_core_statistics`) gives."""
 
     N = 10
     SETS = [("submodular", 1), ("submodular", 2), ("submodular", 3), ("subadditive", 3)]
@@ -1029,7 +1029,7 @@ class TestPrunedScan:
         q = len(masks)
         cfg = TesterConfig(eps=0.25, k=cores.k, q=q, accept_threshold=threshold)
         report = final_check_and_learn(masks, values, self._refined(phi), cores, cfg)
-        stats = core_statistics(cores, masks, values, phi)
+        stats = full_scan_core_statistics(cores, masks, values, phi)
         passing = np.flatnonzero(stats <= threshold)
         if passing.size:
             assert report.verdict == "accept"
@@ -1084,7 +1084,7 @@ class TestPrunedScan:
         rng = np.random.default_rng(1000 + 10 * k + len(class_tag))
         pruned = accepted = 0
         for masks, values, phi in self._noisy_lifts(cores, rng, 12):
-            stats = core_statistics(cores, masks, values, phi)
+            stats = full_scan_core_statistics(cores, masks, values, phi)
             for threshold in (0.03515625, *np.quantile(stats, [0.0, 0.001, 0.05], method="lower")):
                 report, ranges = self._check(cores, masks, values, phi, float(threshold))
                 pruned += sum(hi - lo for lo, hi in ranges) < len(cores)
@@ -1101,7 +1101,7 @@ class TestPrunedScan:
         assert len(cores.run_starts) - 1 > len(full.run_starts) - 1
         accepted = 0
         for masks, values, phi in self._noisy_lifts(cores, rng, 6):
-            stats = core_statistics(cores, masks, values, phi)
+            stats = full_scan_core_statistics(cores, masks, values, phi)
             for threshold in (0.03515625, *np.quantile(stats, [0.0, 0.01], method="lower")):
                 report, _ = self._check(cores, masks, values, phi, float(threshold))
                 accepted += report.verdict == "accept"
@@ -1126,7 +1126,7 @@ class TestPrunedScan:
             table = lift_core(CoreTable(k, tuple(seen)), coords, self.N)
             masks = [int(x) for x in rng.integers(0, 1 << self.N, size=int(rng.choice([51, 77, 100])))]
             values = table.values[np.asarray(masks)]
-            stats = core_statistics(cores, masks, values, coords)
+            stats = full_scan_core_statistics(cores, masks, values, coords)
             report, _ = self._check(cores, masks, values, coords, float(stats.min()))
             assert report.verdict == "accept"
 
