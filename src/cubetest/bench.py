@@ -83,10 +83,15 @@ class ExperimentSummary:
     mean_queries: float
     p50_queries: int
     p90_queries: int
-    reject_core_search: int
     certified_distance: Optional[float]
     wall_time_s: float
     trial_count: int
+
+    @property
+    def reject_core_search(self) -> int:
+        """The rejected trials, all of them at the core search; accept_rate
+        times trial_count rounds back to the accepted count."""
+        return self.trial_count - round(self.accept_rate * self.trial_count)
 
 
 def wilson_halfwidth(p: float, n: int) -> float:
@@ -155,7 +160,6 @@ def run_plan(plan: ExperimentPlan) -> tuple[ExperimentSummary, list[TrialRecord]
         mean_queries=sum(queries) / plan.trial_count,
         p50_queries=queries[(len(queries) - 1) // 2],
         p90_queries=queries[int(0.9 * (len(queries) - 1))],
-        reject_core_search=sum(1 for r in records if r.report.reject_stage == "core_search"),
         certified_distance=certified,
         wall_time_s=time.perf_counter() - start,
         trial_count=plan.trial_count,

@@ -14,8 +14,6 @@ so that hat_f(T) = E_x[f(x) * chi_T(x)].
 
 from __future__ import annotations
 
-import io
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -275,19 +273,18 @@ def make_counting_oracle(f: FunctionTable) -> QueryOracle:
 # point (bitstring coordinate order, index 1 leftmost).  Values are written
 # with repr, so they read back exactly; a repeated point is an error.  Blank
 # lines and lines starting with "#" (metadata comments) are ignored by the
-# parser.  The writer works on _IO_BLOCK lines at a time, and the reader on
-# pieces of about _READ_BYTES bytes, each cut after its last newline (or its
-# last carriage return, if it holds no newline), so neither holds more than
-# a block, a piece or one line longer than a piece.  The writer formats each
-# distinct value of a block once and lays the block's lines out as bytes;
-# the header and metadata go through the text layer (locale encoding).  A
-# piece laid out as the writer lays it out (bytes below 0x80, each line n
-# bits, one space, the value and a newline) is read from its bytes, and when
-# no value in it is longer than 8 bytes, as in a table of a junta on a value
-# grid, each distinct value is parsed once; any other piece, with comments,
-# blank lines, other whitespace or non-ASCII text, is decoded as a file
-# opened as text decodes it (locale encoding, universal newlines) and read
-# line by line, with the same table or error.
+# parser.  Both sides use one text stream, opened as open(path) and
+# open(path, "w") open it (locale encoding, universal newlines).  The writer
+# works on _IO_BLOCK lines at a time, and the reader on pieces of
+# _READ_BYTES characters, each cut after its last newline, so neither holds
+# more than a block, a piece or one line longer than a piece.  The writer
+# formats each distinct value of a block once and lays the block's lines
+# out in an array of bytes.  An ASCII piece laid out as the writer lays it
+# out (each line n bits, one space, the value and a newline) is read from
+# its bytes, and when no value in it is longer than 8 bytes, as in a table
+# of a junta on a value grid, each distinct value is parsed once; any other
+# piece, with comments, blank lines, other whitespace or non-ASCII text, is
+# read line by line, with the same table or error.
 # ---------------------------------------------------------------------------
 
 _IO_BLOCK = 1 << 12
@@ -314,7 +311,6 @@ def write_table(f: FunctionTable, path, metadata: Sequence[str] = ()) -> None:
     low_columns = ((idx[:, None] >> np.arange(low)) & 1).astype(np.uint8) + np.uint8(ord("0"))
     with open(path, "w") as fh:
         fh.write("".join(f"# {m}\n" for m in metadata) + f"dim {n}\n")
-        fh.flush()  # point lines are ASCII, written below the text layer
         for start in range(0, 1 << n, _IO_BLOCK):
             stop = min(start + _IO_BLOCK, 1 << n)
             text, rows = _value_lines(f.values[start:stop])
@@ -324,12 +320,15 @@ def write_table(f: FunctionTable, path, metadata: Sequence[str] = ()) -> None:
             lines[:, n] = ord(" ")
             np.take(text, rows, axis=0, out=lines[:, n + 1 :])
             # no byte of a line is NUL: dropping the zeros drops the padding
-            fh.buffer.write(lines[lines != 0].tobytes())
+            fh.write(lines[lines != 0].tobytes().decode("ascii"))
 
 
-def _read_lines(lines: Sequence[str], n: int, values: np.ndarray, seen: np.ndarray) -> None:
-    """Store stripped point lines one at a time; raise on the first bad one."""
-    for ln in lines:
+def _read_lines(lines: Iterable[str], n: int, values: np.ndarray, seen: np.ndarray) -> None:
+    """Store point lines one at a time, stripped, skipping blank and
+    comment lines; raise on the first bad one."""
+    for ln in map(str.strip, lines):
+        if not ln or ln[0] == "#":
+            continue
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"malformed table line: {ln!r}")
@@ -341,14 +340,6 @@ def _read_lines(lines: Sequence[str], n: int, values: np.ndarray, seen: np.ndarr
             raise ValueError(f"duplicate point {bits}")
         values[mask] = float(val)
         seen[mask] = True
-
-
-def _text_lines(raw: bytes) -> list[str]:
-    """The stripped lines of `raw` that are neither blank nor comments,
-    as a file opened as text reads them: in the locale encoding, with
-    universal newlines."""
-    text = io.TextIOWrapper(io.BytesIO(raw)).read()
-    return [s for s in map(str.strip, text.split("\n")) if s and s[0] != "#"]
 
 
 # _LOW_BYTES[i] keeps the low i bytes of a uint64, the first i bytes of a
@@ -375,18 +366,15 @@ def _short_values(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> Opti
 
 
 def _read_columns(chunk: bytes, n: int, values: np.ndarray, seen: np.ndarray) -> bool:
-    """Store a piece of point lines when every line is laid out in fixed
-    columns: n bits, one space, a value, a newline.
+    """Store an ASCII piece of newline-ended point lines when every line
+    is laid out in fixed columns: n bits, one space, a value, a newline.
 
     The layout is checked on the bytes, so the bits are read from their
     columns and only the values go through `float`.  Returns False, with
-    `values` and `seen` untouched, when the piece has a byte >= 0x80, does
-    not end in a newline, is laid out any other way or fails any check;
-    the caller then rereads it with `_read_lines`.
+    `values` and `seen` untouched, when the piece is laid out any other
+    way or fails any check; the caller then rereads it with `_read_lines`.
     """
     buf = np.frombuffer(chunk, dtype=np.uint8)
-    if not chunk.endswith(b"\n") or buf.max() >= 0x80:
-        return False
     ends = np.flatnonzero(buf == ord("\n"))
     count = ends.size
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -417,40 +405,15 @@ def _read_columns(chunk: bytes, n: int, values: np.ndarray, seen: np.ndarray) ->
     return True
 
 
-def _chunks(fh):
-    """The bytes of `fh` in pieces of about _READ_BYTES, each but the last
-    cut after its last newline, or after its last carriage return when it
-    holds no newline; the last ends where the file does.  A CR/LF pair cut
-    this way only adds a blank line to the next piece."""
-    parts: list[bytes] = []
-    while block := fh.read(_READ_BYTES):
-        cut = block.rfind(b"\n") + 1 or block.rfind(b"\r") + 1
-        if cut:
-            parts.append(block[:cut])
-            yield b"".join(parts)
-            parts = [block[cut:]]
-        else:
-            parts.append(block)
-    if rest := b"".join(parts):
-        yield rest
-
-
 def read_table(path) -> FunctionTable:
-    with open(path, "rb") as fh:
-        pieces = _chunks(fh)
-        # The header is the first line that is neither blank nor a comment:
-        # the newline-ended lines of each piece are decoded one at a time
-        # until one is found.  The lines after it in the same newline-ended
-        # line (split at a lone carriage return) and the rest of its piece
-        # are point lines.
-        lines: list[str] = []
-        for piece in pieces:
-            head = io.BytesIO(piece)
-            while not lines and (line := head.readline()):
-                lines = _text_lines(line)
-            if lines:
-                break
-        header = lines[0] if lines else ""
+    """The table in the file at `path`, which is read as one text stream
+    (locale encoding, universal newlines): the header is its first line
+    that is neither blank nor a comment, and the rest is read a piece at a
+    time.  Gives the table, or the error, that reading the file line by
+    line gives; only the position in a UnicodeDecodeError past the first
+    8 KiB may differ, since it counts from the text layer's current read."""
+    with open(path) as fh:
+        header = next((ln for ln in map(str.strip, fh) if ln and ln[0] != "#"), "")
         if not header.startswith("dim "):
             raise ValueError("table file must start with a 'dim n' header")
         try:
@@ -462,10 +425,18 @@ def read_table(path) -> FunctionTable:
             raise ValueError(f"dimension {n} outside [1..{MAX_DIMENSION}]")
         values = np.zeros(1 << n)
         seen = np.zeros(1 << n, dtype=bool)
-        _read_lines(lines[1:], n, values, seen)
-        for piece in itertools.chain([head.read()], pieces):
-            if not _read_columns(piece, n, values, seen):
-                _read_lines(_text_lines(piece), n, values, seen)
+        # the lines after the header, in pieces cut after their last newline;
+        # `rest` holds the text after the last newline read so far
+        rest: list[str] = []
+        while text := fh.read(_READ_BYTES):
+            cut = text.rfind("\n") + 1
+            if cut:
+                piece = "".join([*rest, text[:cut]])
+                rest = []
+                if not (piece.isascii() and _read_columns(piece.encode(), n, values, seen)):
+                    _read_lines(piece.split("\n"), n, values, seen)
+            rest.append(text[cut:])
+        _read_lines(["".join(rest)], n, values, seen)
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])
         raise ValueError(f"missing point {CubePoint(n, missing).to_string()}")

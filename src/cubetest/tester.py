@@ -358,7 +358,6 @@ class TesterReport:
     """Verdict plus diagnostics for one tester run."""
 
     verdict: str  # accept | reject
-    reject_stage: str  # core_search | none
     queries_used: int
     selected_buckets: tuple[tuple[int, ...], ...]
     learned_core: Optional[CoreTable]
@@ -371,6 +370,12 @@ class TesterReport:
     def __post_init__(self):
         if (self.verdict == "accept") != (self.learned_core is not None):
             raise ValueError("learned_core must be present exactly when accepting")
+
+    @property
+    def reject_stage(self) -> str:
+        """The stage that rejected: the core search, which alone decides
+        the verdict, or "none" for an accept."""
+        return "none" if self.verdict == "accept" else "core_search"
 
 
 def _sufficient_statistics(
@@ -486,7 +491,6 @@ def final_check_and_learn(
             break
     return TesterReport(
         verdict="reject" if core is None else "accept",
-        reject_stage="core_search" if core is None else "none",
         queries_used=0,
         selected_buckets=bucket_coords,
         learned_core=core,
@@ -604,7 +608,9 @@ def report_to_lines(report: TesterReport) -> list[str]:
 
 
 def report_from_lines(text: str) -> TesterReport:
-    """The report in `text`; a number that does not parse names its key."""
+    """The report in `text`; a number that does not parse, a core of other
+    than 2^k values (k >= 1) and a reject stage other than the verdict's
+    name their key."""
     entries = kvfile.check(kvfile.parse(text), "report", REPORT_SCHEMA, _REPORT_REQUIRED)
     buckets = tuple(
         kvfile.values(chunk, int, "report", "selected_buckets") if chunk.strip() != "-" else ()
@@ -613,7 +619,10 @@ def report_from_lines(text: str) -> TesterReport:
     core = None
     if entries["learned_core"] != "-":
         vals = kvfile.values(entries["learned_core"], float, "report", "learned_core")
-        core = CoreTable(int(math.log2(len(vals))), vals)
+        k = len(vals).bit_length() - 1
+        if k < 1 or len(vals) != 1 << k:
+            raise ValueError(f"report key 'learned_core': {len(vals)} values, not 2^k for a k >= 1")
+        core = CoreTable(k, vals)
     dist = entries["empirical_distance"]
     dist = None if dist == "-" else kvfile.value(dist, float, "report", "empirical_distance")
     eta = {}
@@ -628,9 +637,8 @@ def report_from_lines(text: str) -> TesterReport:
     rounds = entries.get("refine_rounds_used")
     if rounds is not None:
         rounds = kvfile.value(rounds, int, "report", "refine_rounds_used")
-    return TesterReport(
+    report = TesterReport(
         verdict=entries["verdict"],
-        reject_stage=entries["reject_stage"],
         queries_used=kvfile.value(entries["queries_used"], int, "report", "queries_used"),
         selected_buckets=buckets,
         learned_core=core,
@@ -640,3 +648,9 @@ def report_from_lines(text: str) -> TesterReport:
         empty_buckets=tuple(map(bool, empty)),
         refine_rounds_used=rounds,
     )
+    if entries["reject_stage"] != report.reject_stage:
+        raise ValueError(
+            f"report key 'reject_stage': {entries['reject_stage']!r} is not "
+            f"{report.reject_stage!r}, the stage of verdict {report.verdict!r}"
+        )
+    return report

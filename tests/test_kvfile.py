@@ -12,7 +12,6 @@ from cubetest.valuations import ValuationSpec, parse_spec_text
 
 REPORT = Report(
     verdict="reject",
-    reject_stage="core_search",
     queries_used=1234,
     selected_buckets=((1, 4), ()),
     learned_core=None,
@@ -122,6 +121,15 @@ def test_report_keeps_unknown_keys_lenient():
         ("queries_used", "12x", "'12x' is not an integer"),
         ("selected_buckets", "1 4 ; x", "'x' is not an integer"),
         ("learned_core", "0 0.5 half 1", "'half' is not a number"),
+        ("learned_core", "", "0 values, not 2^k for a k >= 1"),
+        ("learned_core", "0 0.5 1", "3 values, not 2^k for a k >= 1"),
+        ("reject_stage", "none", "'none' is not 'core_search', the stage of verdict 'reject'"),
+        # the removed influence gate's stage, in records written before it went
+        (
+            "reject_stage",
+            "influence_check",
+            "'influence_check' is not 'core_search', the stage of verdict 'reject'",
+        ),
         ("empirical_distance", "far", "'far' is not a number"),
         ("eta", "initial_min=0.25 refine_last=big", "'big' is not a number"),
         ("phi", "1 one", "'one' is not an integer"),

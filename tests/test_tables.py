@@ -480,12 +480,18 @@ _R = tables._READ_BYTES
 _PREFIX = f"# corpus\ndim {_CORPUS_N}\n"
 
 
-def _line_at(lines, offset, sep="\n"):
-    """Index and file offset of the point line whose bytes, separator
-    included, hold file byte `offset`."""
-    start = len(_PREFIX)
+def _as_read(body):
+    """The text after the header of a corpus file as the reader reads it,
+    every line end one newline: each read takes _R characters of it."""
+    return body.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _line_at(lines, offset):
+    """Index and offset of the point line whose text, line end included,
+    holds character `offset` of the text after the header, as read."""
+    start = 0
     for i, ln in enumerate(lines):
-        end = start + len(ln.encode()) + len(sep)
+        end = start + len(ln) + 1
         if offset < end:
             return i, start
         start = end
@@ -493,61 +499,62 @@ def _line_at(lines, offset, sep="\n"):
 
 
 def _straddle(make):
-    # the point line holding the first byte of the second read, changed
-    # by `make`, begins in the first read
+    # the point line holding the first character of the second read,
+    # changed by `make`, begins in the first read and ends in the second
     def edit(lines):
         i, start = _line_at(lines, _R)
-        assert start < _R
         bits, val = lines[i].split()
         lines[i] = make(bits, val)
+        assert start < _R <= start + len(lines[i])
 
     return edit
 
 
 def _end_at_boundary(sep):
     # pads the point line before the boundary with trailing spaces so its
-    # separator ends exactly where the first read does
+    # line end is the last character of the first read
     def edit(lines):
-        i, start = _line_at(lines, _R - 60, sep)
-        lines[i] += " " * (_R - start - len(lines[i]) - len(sep))
+        i, start = _line_at(lines, _R - 60)
+        lines[i] += " " * (_R - 1 - start - len(lines[i]))
         body = sep.join(lines) + sep
-        assert (_PREFIX + body).encode()[_R - len(sep) : _R] == sep.encode()
+        assert _as_read(body)[_R - 2 : _R] == " \n"
         return body
 
     return edit
 
 
 def _crlf_split(lines):
-    # a CRLF pair whose CR is the last byte of the first read
-    i, start = _line_at(lines, _R - 60, "\r\n")
-    lines[i] += " " * (_R - 1 - start - len(lines[i]))
+    # a point line that fills the first read, its CRLF pair (one newline
+    # as read) the first character of the second read
+    i, start = _line_at(lines, _R - 60)
+    lines[i] += " " * (_R - start - len(lines[i]))
     body = "\r\n".join(lines) + "\r\n"
-    assert (_PREFIX + body).encode()[_R - 1 : _R + 1] == b"\r\n"
+    assert _as_read(body)[_R - 1 : _R + 1] == " \n"
     return body
 
 
 def _comment_across_boundary(tail):
-    # a comment line from before the boundary to past it, its byte
-    # _R - 1 the first byte of `tail`
+    # a comment line from before the boundary to past it, its character
+    # _R - 1 the first character of `tail`
     def edit(lines):
         i, start = _line_at(lines, _R - 60)
         lines.insert(i, "#" + "x" * (_R - 2 - start) + tail)
-        assert (_PREFIX + "\n".join(lines)).encode()[_R - 1 : _R - 1 + len(tail.encode())] == tail.encode()
+        assert _as_read("\n".join(lines))[_R - 1 : _R - 1 + len(tail)] == tail
 
     return edit
 
 
 def _cr_ends(split_crlf):
-    # point lines ended by lone CRs, so no read after the first holds a
-    # newline; with `split_crlf`, one line ends in a CRLF pair whose CR is
-    # the last byte of the second read
+    # point lines ended by lone CRs, which read as newlines; with
+    # `split_crlf`, one line fills the second read and ends in a CRLF pair,
+    # one newline as read, the first character of the third read
     def edit(lines):
         i = len(lines)
         if split_crlf:
-            i, start = _line_at(lines, 2 * _R - 60, "\r")
-            lines[i] += " " * (2 * _R - 1 - start - len(lines[i]))
+            i, start = _line_at(lines, 2 * _R - 60)
+            lines[i] += " " * (2 * _R - start - len(lines[i]))
         body = "\r".join(lines[: i + 1]) + "\r\n" * (i < len(lines)) + "\r".join(lines[i + 1 :]) + "\r"
-        assert not split_crlf or (_PREFIX + body).encode()[2 * _R - 1 : 2 * _R + 1] == b"\r\n"
+        assert not split_crlf or _as_read(body)[2 * _R - 1 : 2 * _R + 1] == " \n"
         return body
 
     return edit
@@ -556,10 +563,10 @@ def _cr_ends(split_crlf):
 def _no_final_newline_at_boundary(lines):
     # a comment mid-file, longer than a read, pads the file to end at a
     # read boundary, with no final newline
-    extra = -len((_PREFIX + "\n".join(lines)).encode()) % _R
+    extra = -len("\n".join(lines)) % _R
     lines.insert(_B // 2, "#" * (extra - 1 + _R))
     body = "\n".join(lines)
-    assert len((_PREFIX + body).encode()) % _R == 0
+    assert len(_as_read(body)) % _R == 0 and not body.endswith("\n")
     return body
 
 
@@ -593,8 +600,8 @@ _CORPUS = {
             "no_value": lambda b, v: f"{b} ",
         }.items()
     },
-    # the first read ends inside a line, a CRLF pair, a multibyte
-    # character or a comment, or right after a newline
+    # the first read ends inside a line or a comment, at a multibyte
+    # character, just before a CRLF pair or right after a newline
     "straddling_line": _straddle(lambda b, v: f"{b} {v}"),
     "straddling_three_tokens": _straddle(lambda b, v: f"{b} {v} 0.5"),
     "straddling_bad_float": _straddle(lambda b, v: f"{b} zero"),
@@ -725,6 +732,23 @@ def test_lone_carriage_returns_read_like_reference(tmp_path, text):
     path = tmp_path / "t.tbl"
     path.write_bytes(text.encode())
     _assert_reads_like_reference(path)
+
+
+@pytest.mark.parametrize(
+    "data", [b"dim 1\n0 0.5\n1 \xe9\n", b"# note\ndim 1\n0 0.5\n1 0.25\n# caf\xe9\n"]
+)
+def test_undecodable_byte_raises_like_reference(tmp_path, data):
+    """A byte the locale encoding (UTF-8) cannot decode, in a point line or
+    a trailing comment of a file under 8 KiB, raises the per-line reader's
+    UnicodeDecodeError, its position counted from the start of the file."""
+    path = tmp_path / "t.tbl"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as expected:
+        naive_read_table(path)
+    with pytest.raises(UnicodeDecodeError) as got:
+        read_table(path)
+    assert str(got.value) == str(expected.value)
+    assert f"position {data.index(0xE9)}:" in str(got.value)
 
 
 # characters that break the fixed column layout, or that str.split,
