@@ -149,7 +149,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[ExperimentSummary, list[TrialRecord]
             table = _trial_table(plan.n, cores, far_core, seed)
         else:
             table = shared_table
-        report = run_tester(make_counting_oracle(table), plan.class_tag, config, cores=cores)
+        report = run_tester(make_counting_oracle(table), plan.class_tag, config)
         records.append(TrialRecord(index=t, seed=seed, report=report))
 
     accepts = sum(1 for r in records if r.report.verdict == "accept")

@@ -54,12 +54,9 @@ REPORT_SCHEMA = "cubetest-report-1"
 # working memory when it scores many rows (every row when no sample has
 # a prefix input).  With the prefix-run pruning a search scores few rows:
 # over the 80 searches of an 80-trial subadditive k = 3, q = 64 plan
-# (148,815 cores) a search took 0.058 ms with blocks of 256 or 4,096
-# rows, 0.059 ms with 1,024, 2,048 or 8,192 and 0.062 ms with 16,384
-# (best of 6 rounds, one OpenBLAS thread, 2-vCPU Xeon, numpy 2.4).
-# Keep it a multiple of 4: OpenBLAS's matrix-vector product then gives
-# every row the bits of one whole-array product; blocks of 2, 3 or 6
-# rows changed the last bits of all of 100 random score vectors
+# (148,815 cores) a search took 0.062 to 0.070 ms with blocks of any of
+# 256, 1,024, 2,048, 4,096, 8,192 or 16,384 rows (best of 6 rounds, in
+# three runs, 2-vCPU Xeon, numpy 2.4)
 CORE_SCAN_ROWS = 4096
 # most part-selection estimates (num_parts) a config may ask for; a
 # config over it raises BudgetError (exit 4) before any sampling
@@ -273,11 +270,10 @@ def _initial_parts(
 
 def select_initial_parts(
     oracle: QueryOracle,
-    buckets: Mapping[int, int],
+    parts: Sequence[VirtualPart],
     config: TesterConfig,
     rng: np.random.Generator,
     estimator: InfluenceEstimator = estimate_inf_mask,
-    parts: Optional[Sequence[VirtualPart]] = None,
 ) -> tuple[list[VirtualPart], float]:
     """Choose k parts of the equi-partition for refinement: the k parts of
     largest estimated own influence, in index order; ties break to the
@@ -288,14 +284,8 @@ def select_initial_parts(
     For a k-junta a part holding no relevant coordinate has influence 0,
     and its estimate is exactly 0.  Influence is subadditive, so the sum
     of the dropped parts' influences bounds that of the complement of the
-    kept union.
-
-    The partition is the one stage that reads `buckets`; from then on a
-    part is its coordinate masks.  `parts` lets a caller supply the
-    partition (built with `_initial_parts`) to observe it directly.
+    kept union.  `parts` is the drawn partition (`_initial_parts`).
     """
-    if parts is None:
-        parts = _initial_parts(buckets, config.q, config.num_parts, rng)
     own = estimator(oracle, np.array([p.coord_mask for p in parts], dtype=np.int64), config.m, rng)
     keep = sorted(int(j) for j in np.argsort(-own, kind="stable")[: config.k])
     return [parts[j] for j in keep], float(np.delete(own, keep).sum())
@@ -363,7 +353,6 @@ class TesterReport:
     learned_core: Optional[CoreTable]
     empirical_distance: Optional[float]
     eta: Mapping[str, float]
-    phi: tuple[Optional[int], ...] = ()
     empty_buckets: tuple[bool, ...] = ()
     refine_rounds_used: Optional[int] = None  # None when read from a record without it
 
@@ -376,6 +365,12 @@ class TesterReport:
         """The stage that rejected: the core search, which alone decides
         the verdict, or "none" for an accept."""
         return "none" if self.verdict == "accept" else "core_search"
+
+    @property
+    def phi(self) -> tuple[Optional[int], ...]:
+        """The coordinate core input j reads: the lowest coordinate of
+        bucket j, or None for a bucket with none."""
+        return tuple(min(coords) if coords else None for coords in self.selected_buckets)
 
 
 def _sufficient_statistics(
@@ -408,12 +403,13 @@ def _core_score_blocks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start, scores of cores start, start + 1, ...) for each block
     of at most CORE_SCAN_ROWS rows of each range [lo, hi) of `ranges`, in
-    order."""
+    order.  Each row is summed on its own (`np.einsum`, no BLAS product),
+    so a core gets the same bits in any block."""
     for lo, hi in ranges:
         for start in range(lo, hi, CORE_SCAN_ROWS):
             dev = cores.tables[start : min(start + CORE_SCAN_ROWS, hi)] - means
             dev *= dev
-            stats = dev @ counts
+            stats = np.einsum("ij,j->i", dev, counts)
             stats += within
             stats /= q
             yield start, stats
@@ -421,8 +417,8 @@ def _core_score_blocks(
 
 def _candidate_ranges(
     cores: CoreSet, counts: np.ndarray, means: np.ndarray, within: float, q: int, threshold: float
-) -> Iterator[tuple[int, int]]:
-    """Yield row ranges [lo, hi), in order and disjoint, outside which no
+) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi), in order and never meeting, outside which no
     core scores at most `threshold`.
 
     Every core scores at least W/q, so there are none when W/q >
@@ -430,29 +426,18 @@ def _candidate_ranges(
     (W + sum_{u<d} n_u (c_u - mu_u)^2) / q over the first d = 2^(k-1)
     inputs, which all the rows of a run of `cores.run_starts` share; a
     run is kept when that bound, widened past rounding, is at most
-    threshold (every run when n_u = 0 for all u < d).  The kept runs are
-    rounded out to multiples of 4 (the last to at most the row count),
-    since OpenBLAS scores a block's last (rows mod 4) rows by a path
-    whose last bits can differ, which only the full scan's own last rows
-    may take, and runs that then meet are merged.  Runs are merged as
-    the ranges are taken, so a search that stops early reads few."""
+    threshold (every run when n_u = 0 for all u < d), and kept runs that
+    meet are merged: a range starts where keep turns on and ends where it
+    turns off."""
     if within / q > threshold:
-        return
+        return []
     prefix = (1 << cores.k) >> 1
     dev = cores.run_prefixes - means[:prefix]
     dev *= dev
     keep = dev @ counts[:prefix] <= q * threshold * (1 + 1e-9) - within
-    starts, rows = cores.run_starts, len(cores)
-    lo = hi = 0
-    for start, stop in zip(starts[:-1][keep].tolist(), starts[1:][keep].tolist()):
-        start &= ~3
-        if start > hi:
-            if hi > lo:
-                yield lo, hi
-            lo = start
-        hi = min((stop + 3) & ~3, rows)
-    if hi > lo:
-        yield lo, hi
+    turns = np.flatnonzero(np.diff(np.concatenate(([False], keep, [False]))))
+    bounds = cores.run_starts[turns].tolist()
+    return list(zip(bounds[0::2], bounds[1::2]))
 
 
 def final_check_and_learn(
@@ -477,29 +462,26 @@ def final_check_and_learn(
     CORE_SCAN_ROWS at a time, up to the first block with a passing core.
     queries_used is 0 and eta empty; `run_tester` fills them in.
     """
-    bucket_coords = tuple(tuple(sorted(coords_of(mask))) for mask in refinement.final_masks)
-    phi = tuple(coords[0] if coords else None for coords in bucket_coords)
+    report = TesterReport(
+        verdict="reject",
+        queries_used=0,
+        selected_buckets=tuple(tuple(sorted(coords_of(mask))) for mask in refinement.final_masks),
+        learned_core=None,
+        empirical_distance=None,
+        eta={},
+        empty_buckets=refinement.part_went_empty,
+        refine_rounds_used=refinement.rounds_used,
+    )
     q, threshold = len(sample_masks), config.accept_threshold
-    counts, means, within = _sufficient_statistics(sample_masks, sample_values, phi)
+    counts, means, within = _sufficient_statistics(sample_masks, sample_values, report.phi)
     ranges = _candidate_ranges(cores, counts, means, within, q, threshold)
-    core, dist = None, None
     for start, stats in _core_score_blocks(cores, counts, means, within, q, ranges):
         passing = np.flatnonzero(stats <= threshold)
         if passing.size:
             first = int(passing[0])
             core, dist = cores.member(start + first), float(stats[first])
-            break
-    return TesterReport(
-        verdict="reject" if core is None else "accept",
-        queries_used=0,
-        selected_buckets=bucket_coords,
-        learned_core=core,
-        empirical_distance=dist,
-        eta={},
-        phi=phi,
-        empty_buckets=refinement.part_went_empty,
-        refine_rounds_used=refinement.rounds_used,
-    )
+            return replace(report, verdict="accept", learned_core=core, empirical_distance=dist)
+    return report
 
 
 def run_tester(
@@ -507,7 +489,6 @@ def run_tester(
     class_tag: str,
     config: TesterConfig,
     estimator: InfluenceEstimator = estimate_inf_mask,
-    cores: Optional[CoreSet] = None,
 ) -> TesterReport:
     """All four stages in order over a single oracle and one RNG stream,
     default_rng(config.seed).
@@ -526,14 +507,13 @@ def run_tester(
     (influence is subadditive).
     """
     rng = np.random.default_rng(config.seed)
-    if cores is None:
-        cores = cached_cores(class_tag, config.k, config.core_grid)
+    cores = cached_cores(class_tag, config.k, config.core_grid)
     start = oracle.query_count
     n = oracle.n
     sample_masks = uniform_masks(rng, n, config.q)
     sample_values = oracle.query_masks(sample_masks)
-    buckets = _buckets_from_masks(sample_masks, n)
-    selected, dropped = select_initial_parts(oracle, buckets, config, rng, estimator)
+    parts = _initial_parts(_buckets_from_masks(sample_masks, n), config.q, config.num_parts, rng)
+    selected, dropped = select_initial_parts(oracle, parts, config, rng, estimator)
     refinement = refine_parts(oracle, selected, config, rng, estimator)
     report = final_check_and_learn(sample_masks, sample_values, refinement, cores, config)
     eta = {"initial_min": dropped, "refine_last": refinement.last_round_eta}
@@ -609,8 +589,10 @@ def report_to_lines(report: TesterReport) -> list[str]:
 
 def report_from_lines(text: str) -> TesterReport:
     """The report in `text`; a number that does not parse, a core of other
-    than 2^k values (k >= 1) and a reject stage other than the verdict's
-    name their key."""
+    than 2^k values (k >= 1), and a field that disagrees with the buckets
+    (a core's k, the phi they give, the count of empty flags, a bucket
+    flagged empty that holds a coordinate) or a reject stage other than
+    the verdict's name their key."""
     entries = kvfile.check(kvfile.parse(text), "report", REPORT_SCHEMA, _REPORT_REQUIRED)
     buckets = tuple(
         kvfile.values(chunk, int, "report", "selected_buckets") if chunk.strip() != "-" else ()
@@ -622,6 +604,8 @@ def report_from_lines(text: str) -> TesterReport:
         k = len(vals).bit_length() - 1
         if k < 1 or len(vals) != 1 << k:
             raise ValueError(f"report key 'learned_core': {len(vals)} values, not 2^k for a k >= 1")
+        if k != len(buckets):
+            raise ValueError(f"report key 'learned_core': k = {k} for {len(buckets)} buckets")
         core = CoreTable(k, vals)
     dist = entries["empirical_distance"]
     dist = None if dist == "-" else kvfile.value(dist, float, "report", "empirical_distance")
@@ -644,10 +628,19 @@ def report_from_lines(text: str) -> TesterReport:
         learned_core=core,
         empirical_distance=dist,
         eta=eta,
-        phi=phi,
         empty_buckets=tuple(map(bool, empty)),
         refine_rounds_used=rounds,
     )
+    if phi != report.phi:
+        raise ValueError(
+            f"report key 'phi': {entries['phi']!r} is not each bucket's lowest coordinate"
+        )
+    if len(empty) != len(buckets):
+        raise ValueError(
+            f"report key 'empty_buckets': {len(empty)} flags for {len(buckets)} buckets"
+        )
+    if any(flagged and coords for flagged, coords in zip(empty, buckets)):
+        raise ValueError("report key 'empty_buckets': a bucket flagged empty holds a coordinate")
     if entries["reject_stage"] != report.reject_stage:
         raise ValueError(
             f"report key 'reject_stage': {entries['reject_stage']!r} is not "

@@ -379,7 +379,9 @@ def full_scan_core_statistics(cores, sample_masks, sample_values, phi) -> np.nda
     at a time.  Bit j of sample t's core input is coordinate phi[j] of
     the sample (0 when phi[j] is None).  Unlike the other oracles it
     shares the tester's arithmetic, so that the pruned scan of
-    `final_check_and_learn` can be held to the same bits."""
+    `final_check_and_learn` can be held to the same bits: a row's score
+    has the same bits in any block, so the pruned scan's ranges may
+    start and end at any row."""
     stats = _sufficient_statistics(sample_masks, sample_values, phi)
     whole = [(0, len(cores))]
     blocks = [s for _, s in _core_score_blocks(cores, *stats, len(sample_masks), whole)]

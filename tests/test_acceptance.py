@@ -222,7 +222,7 @@ def test_criterion_09_exact_pipeline_isolates_juntas():
         if part_of[mask3] == part_of[mask9]:
             continue
         separated += 1
-        selected, dropped = select_initial_parts(oracle, buckets, cfg, rng, est, parts=parts)
+        selected, dropped = select_initial_parts(oracle, parts, cfg, rng, est)
         assert dropped == 0.0
         refined = refine_parts(oracle, selected, cfg, rng, est)
         isolated = set()

@@ -17,7 +17,6 @@ REPORT = Report(
     learned_core=None,
     empirical_distance=None,
     eta={"initial_min": 0.25, "refine_last": 0.5},
-    phi=(1, None),
     empty_buckets=(False, True),
     refine_rounds_used=3,
 )
@@ -138,6 +137,28 @@ def test_report_keeps_unknown_keys_lenient():
     ],
 )
 def test_report_number_that_does_not_parse_names_its_key(key, bad, message):
+    lines = [f"{key}: {bad}" if ln.startswith(f"{key}:") else ln for ln in report_to_lines(REPORT)]
+    assert _message(report_from_lines, _text(lines)) == f"report key {key!r}: {message}"
+
+
+def test_report_phi_is_each_buckets_lowest_coordinate():
+    assert REPORT.phi == (1, None)
+    assert "phi: 1 -" in report_to_lines(REPORT)
+
+
+@pytest.mark.parametrize(
+    "key, bad, message",
+    [
+        ("phi", "4 -", "'4 -' is not each bucket's lowest coordinate"),
+        ("phi", "1", "'1' is not each bucket's lowest coordinate"),
+        ("empty_buckets", "0 1 1", "3 flags for 2 buckets"),
+        ("learned_core", "0 0 0 0 0 0 0 1", "k = 3 for 2 buckets"),
+        ("empty_buckets", "1 1", "a bucket flagged empty holds a coordinate"),
+    ],
+)
+def test_report_field_that_disagrees_with_the_buckets_names_its_key(key, bad, message):
+    # REPORT's buckets are (1 4) and (), so its phi is "1 -", its k is 2
+    # and only its second bucket may be flagged empty
     lines = [f"{key}: {bad}" if ln.startswith(f"{key}:") else ln for ln in report_to_lines(REPORT)]
     assert _message(report_from_lines, _text(lines)) == f"report key {key!r}: {message}"
 

@@ -481,9 +481,7 @@ class TestStagesWithExactStub:
             if part_of[mask3] == part_of[mask9]:
                 continue  # selection cannot separate colliding parts
             found += 1
-            selected, dropped = select_initial_parts(
-                oracle, buckets, cfg, rng, exact_stub(table), parts=parts
-            )
+            selected, dropped = select_initial_parts(oracle, parts, cfg, rng, exact_stub(table))
             covered = 0
             for part in selected:
                 for c in (3, 9):
@@ -502,9 +500,7 @@ class TestStagesWithExactStub:
         masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
         buckets = _buckets_from_masks(masks, n)
         parts = _initial_parts(buckets, cfg.q, cfg.num_parts, rng)
-        selected, dropped = select_initial_parts(
-            oracle, buckets, cfg, rng, exact_stub(table), parts=parts
-        )
+        selected, dropped = select_initial_parts(oracle, parts, cfg, rng, exact_stub(table))
         assert dropped == 0.0
         assert selected[0] is parts[0] and selected[1] is parts[1]
         # refinement on a constant: every eta stays zero, singleton
@@ -537,9 +533,7 @@ class TestStagesWithExactStub:
             others = [j for j in range(cfg.num_parts) if j not in hit]
             keep = sorted(hit | set(others[: k - len(hit)]))
             queries = oracle.query_count
-            selected, dropped = select_initial_parts(
-                oracle, buckets, cfg, rng, exact_stub(table), parts=parts
-            )
+            selected, dropped = select_initial_parts(oracle, parts, cfg, rng, exact_stub(table))
             assert oracle.query_count == queries
             assert [id(p) for p in selected] == [id(parts[j]) for j in keep]
             assert dropped == 0.0
@@ -563,16 +557,12 @@ class TestStagesWithExactStub:
             seen.append(list(batch))
             return own.copy()
 
-        selected, dropped = select_initial_parts(
-            make_counting_oracle(table), buckets, cfg, rng, fixed, parts=parts
-        )
+        selected, dropped = select_initial_parts(make_counting_oracle(table), parts, cfg, rng, fixed)
         assert seen == [[p.coord_mask for p in parts]]
         assert [id(p) for p in selected] == [id(parts[j]) for j in (4, 7, 20)]
         assert dropped == 0.25
         own[:] = 0.0
-        selected, dropped = select_initial_parts(
-            make_counting_oracle(table), buckets, cfg, rng, fixed, parts=parts
-        )
+        selected, dropped = select_initial_parts(make_counting_oracle(table), parts, cfg, rng, fixed)
         assert [id(p) for p in selected] == [id(p) for p in parts[:3]]
         assert dropped == 0.0
 
@@ -587,8 +577,9 @@ class TestStagesWithExactStub:
         for k in (1, 2, 3):
             cfg = TesterConfig(eps=0.25, k=k, q=16, m=25)
             assert cfg.num_parts == 4 * k * k
+            parts = _initial_parts(buckets, cfg.q, cfg.num_parts, rng)
             before = oracle.query_count
-            select_initial_parts(oracle, buckets, cfg, rng)
+            select_initial_parts(oracle, parts, cfg, rng)
             assert oracle.query_count - before == cfg.m * (cfg.num_parts + 1)
 
     def test_refine_isolates_single_relevant_pattern(self):
@@ -599,8 +590,8 @@ class TestStagesWithExactStub:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
-            buckets = _buckets_from_masks(masks, n)
-            selected, _ = select_initial_parts(oracle, buckets, cfg, rng, exact_stub(table))
+            parts = _initial_parts(_buckets_from_masks(masks, n), cfg.q, cfg.num_parts, rng)
+            selected, _ = select_initial_parts(oracle, parts, cfg, rng, exact_stub(table))
             result = refine_parts(oracle, selected, cfg, rng, exact_stub(table))
             final = result.final_masks[0]
             assert final != 0
@@ -613,8 +604,8 @@ class TestStagesWithExactStub:
         oracle = make_counting_oracle(table)
         cfg = TesterConfig(eps=0.25, k=2, q=16, m=11)
         masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
-        buckets = _buckets_from_masks(masks, n)
-        selected, _ = select_initial_parts(oracle, buckets, cfg, rng)
+        parts = _initial_parts(_buckets_from_masks(masks, n), cfg.q, cfg.num_parts, rng)
+        selected, _ = select_initial_parts(oracle, parts, cfg, rng)
         before = oracle.query_count
         result = refine_parts(oracle, selected, cfg, rng)
         per_round = cfg.m * ((1 << cfg.k) + 1)
@@ -638,8 +629,8 @@ def refine_with_spy(table, cfg, seed, estimator, monkeypatch):
     oracle = make_counting_oracle(table)
     rng = np.random.default_rng(seed)
     masks = [int(x) for x in rng.integers(0, 1 << table.n, size=cfg.q)]
-    buckets = _buckets_from_masks(masks, table.n)
-    selected, _ = select_initial_parts(oracle, buckets, cfg, rng, estimator)
+    parts = _initial_parts(_buckets_from_masks(masks, table.n), cfg.q, cfg.num_parts, rng)
+    selected, _ = select_initial_parts(oracle, parts, cfg, rng, estimator)
     before = oracle.query_count
     result = refine_parts(oracle, selected, cfg, rng, estimator)
     rounds = [started[i : i + cfg.k] for i in range(0, len(started), cfg.k)]
@@ -713,8 +704,8 @@ class TestFinalCheck:
         est = estimator or exact_stub(table)
         masks = [int(x) for x in rng.integers(0, 1 << table.n, size=cfg.q)]
         values = oracle.query_masks(np.asarray(masks, dtype=np.int64))
-        buckets = _buckets_from_masks(masks, table.n)
-        selected, _ = select_initial_parts(oracle, buckets, cfg, rng, est)
+        parts = _initial_parts(_buckets_from_masks(masks, table.n), cfg.q, cfg.num_parts, rng)
+        selected, _ = select_initial_parts(oracle, parts, cfg, rng, est)
         refined = refine_parts(oracle, selected, cfg, rng, est)
         return final_check_and_learn(masks, values, refined, cores, cfg)
 
@@ -743,8 +734,8 @@ class TestFinalCheck:
         est = exact_stub(table)
         masks = [int(x) for x in rng.integers(0, 1 << 10, size=cfg.q)]
         values = oracle.query_masks(np.asarray(masks, dtype=np.int64))
-        buckets = _buckets_from_masks(masks, 10)
-        selected, _ = select_initial_parts(oracle, buckets, cfg, rng, est)
+        parts = _initial_parts(_buckets_from_masks(masks, 10), cfg.q, cfg.num_parts, rng)
+        selected, _ = select_initial_parts(oracle, parts, cfg, rng, est)
         refined = refine_parts(oracle, selected, cfg, rng, est)
         report = final_check_and_learn(masks, values, refined, pair, cfg)
         assert report.verdict == "accept"
@@ -783,8 +774,8 @@ class TestFinalCheck:
         est = exact_stub(table)
         masks = [int(x) for x in rng.integers(0, 1 << 10, size=cfg.q)]
         values = oracle.query_masks(np.asarray(masks, dtype=np.int64))
-        buckets = _buckets_from_masks(masks, 10)
-        selected, _ = select_initial_parts(oracle, buckets, cfg, rng, est)
+        parts = _initial_parts(_buckets_from_masks(masks, 10), cfg.q, cfg.num_parts, rng)
+        selected, _ = select_initial_parts(oracle, parts, cfg, rng, est)
         refined = refine_parts(oracle, selected, cfg, rng, est)
         empty = CoreSet("submodular", 2, 0.25, np.empty((0, 4)))
         report = final_check_and_learn(masks, values, refined, empty, cfg)
@@ -1015,12 +1006,11 @@ class TestPrunedScan:
 
     @staticmethod
     def _run_rows(cores, bounds, limit):
-        """Rows of the runs whose prefix bound is at most `limit`, each run
-        rounded out to multiples of 4 (the last to the row count)."""
+        """Rows of the runs whose prefix bound is at most `limit`."""
         rows = np.zeros(len(cores), dtype=bool)
         starts = cores.run_starts
         for j in np.flatnonzero(bounds <= limit):
-            rows[starts[j] & ~3 : min((starts[j + 1] + 3) & ~3, len(cores))] = True
+            rows[starts[j] : starts[j + 1]] = True
         return rows
 
     def _check(self, cores, masks, values, phi, threshold):
@@ -1040,11 +1030,9 @@ class TestPrunedScan:
             assert report.reject_stage == "core_search"
         counts, means, within = tester._sufficient_statistics(masks, values, phi)
         ranges = list(tester._candidate_ranges(cores, counts, means, within, q, threshold))
-        # in order, each starting at a multiple of 4 and ending at one or
-        # at the last row, and no two meeting
+        # in order, and no two meeting
         bounds = [b for r in ranges for b in r]
         assert bounds == sorted(bounds) and len(set(bounds)) == len(bounds)
-        assert all(lo % 4 == 0 and (hi % 4 == 0 or hi == len(cores)) for lo, hi in ranges)
         scanned = np.zeros(len(cores), dtype=bool)
         for lo, hi in ranges:
             scanned[lo:hi] = True
@@ -1169,9 +1157,9 @@ class TestPrunedScan:
     @pytest.mark.parametrize("end", ["first", "last"])
     def test_passing_row_at_each_end_of_its_run(self, end):
         # the samples read one core exactly, the first (or the last) row
-        # of a run that starts (or ends) off a multiple of 4: W = 0, that
-        # core scores 0 and every other one more than the threshold, so
-        # only its run is kept, rounded out to multiples of 4
+        # of a run that starts (or ends) at a row not divisible by 4:
+        # W = 0, that core scores 0 and every other one more than the
+        # threshold, so only its run is kept, with its own bounds
         cores = cached_cores("subadditive", 3, 0.25)
         starts = cores.run_starts
         if end == "first":
@@ -1190,7 +1178,34 @@ class TestPrunedScan:
         report, ranges = self._check(cores, masks, values, coords, 1e-12)
         assert report.learned_core == cores.member(row)
         assert report.empirical_distance == 0.0
-        assert ranges == [(int(starts[j]) & ~3, (int(starts[j + 1]) + 3) & ~3)]
+        assert ranges == [(int(starts[j]), int(starts[j + 1]))]
+
+
+@pytest.mark.parametrize("class_tag, k", TestPrunedScan.SETS)
+def test_core_scores_do_not_depend_on_the_block(class_tag, k):
+    # `_core_score_blocks` gives every row of any range the bits the
+    # whole-set scan gives it: ranges from odd rows of each length 1 to
+    # 40, ranges across each CORE_SCAN_ROWS boundary, and every row from
+    # row 1 on, whose blocks all start one row past the whole scan's
+    cores = cached_cores(class_tag, k, 0.25)
+    rows, step = len(cores), tester.CORE_SCAN_ROWS
+    rng = np.random.default_rng(4000 + 10 * k + len(class_tag))
+    for q in (51, 64, 100):
+        masks = [int(x) for x in rng.integers(0, 1 << 10, size=q)]
+        values = rng.uniform(0.0, 1.0, q)
+        phi = tuple(int(c) + 1 for c in rng.choice(10, size=k, replace=False))
+        whole = full_scan_core_statistics(cores, masks, values, phi)
+        ranges = [(1, rows)]
+        for length in range(1, 41):
+            lo = 2 * int(rng.integers((rows - 1) // 2)) + 1
+            ranges.append((lo, min(lo + length, rows)))
+        for edge in range(step, rows, step):
+            ranges += [(edge - 1, edge + 2), (edge - 7, min(edge + 30, rows))]
+        stats = tester._sufficient_statistics(masks, values, phi)
+        for lo, hi in ranges:
+            blocks = tester._core_score_blocks(cores, *stats, q, [(lo, hi)])
+            got = np.concatenate([b for _, b in blocks])
+            assert got.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
 
 
 class TestAgainstPerMaskEstimator:
@@ -1328,8 +1343,8 @@ class TestNearJuntaIsolation:
         for seed in range(runs):
             rng = np.random.default_rng(seed)
             masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
-            buckets = _buckets_from_masks(masks, n)
-            selected, _ = select_initial_parts(oracle, buckets, cfg, rng, est)
+            parts = _initial_parts(_buckets_from_masks(masks, n), cfg.q, cfg.num_parts, rng)
+            selected, _ = select_initial_parts(oracle, parts, cfg, rng, est)
             refined = refine_parts(oracle, selected, cfg, rng, est)
             leftover = 0
             for mask in refined.final_masks:
@@ -1358,8 +1373,8 @@ class TestNearJuntaIsolation:
                 rng = np.random.default_rng(seed)
                 masks = [int(x) for x in rng.integers(0, 1 << n, size=q)]
                 values = oracle.query_masks(np.asarray(masks, dtype=np.int64))
-                buckets = _buckets_from_masks(masks, n)
-                selected, _ = select_initial_parts(oracle, buckets, cfg, rng)
+                parts = _initial_parts(_buckets_from_masks(masks, n), cfg.q, cfg.num_parts, rng)
+                selected, _ = select_initial_parts(oracle, parts, cfg, rng)
                 refined = refine_parts(oracle, selected, cfg, rng)
                 # h composed with the run's projection, as an n-bit table
                 reps = []
