@@ -34,7 +34,7 @@ its `TesterConfig` field and value type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -291,23 +291,13 @@ def select_initial_parts(
     return [parts[j] for j in keep], float(np.delete(own, keep).sum())
 
 
-@dataclass(frozen=True)
-class RefinementResult:
-    # each final part's mask, that of its one occupied pattern; 0 for a
-    # part with none
-    final_masks: tuple[int, ...]
-    part_went_empty: tuple[bool, ...]
-    last_round_eta: float
-    rounds_used: int
-
-
 def refine_parts(
     oracle: QueryOracle,
     selected: Sequence[VirtualPart],
     config: TesterConfig,
     rng: np.random.Generator,
     estimator: InfluenceEstimator = estimate_inf_mask,
-) -> RefinementResult:
+) -> tuple[list[VirtualPart], float, int]:
     """Halve every selected part round by round, each round keeping the
     keep-choice z (half (z >> i) & 1 of part i) whose union has the
     complement of smallest estimated influence; ties break to the
@@ -320,34 +310,36 @@ def refine_parts(
     or drop a pattern that is already isolated.  At least one round
     runs, and at most `default_refine_rounds(q, num_parts)`, after which
     every part of the partition has size at most 1.  A part that loses
-    all its patterns is carried along as empty and flagged; a part never
-    grows, so it is flagged exactly when its final size is 0.
+    all its patterns is carried along; a part never grows, so it has
+    lost them exactly when its final size is 0.
+
+    Returns the final parts, the last round's least estimate and the
+    rounds used.
     """
-    k = len(selected)
     parts = list(selected)
     for rounds_used in range(1, default_refine_rounds(config.q, config.num_parts) + 1):
         halves = [p.halves() for p in parts]
-        choices = [[h[(z >> i) & 1] for i, h in enumerate(halves)] for z in range(1 << k)]
+        choices = [[h[(z >> i) & 1] for i, h in enumerate(halves)] for z in range(1 << len(parts))]
         unions = np.array([_union([h.coord_mask for h in c]) for c in choices], dtype=np.int64)
         estimates = estimator(oracle, ((1 << oracle.n) - 1) & ~unions, config.m, rng)
         best_z = int(np.argmin(estimates))
         parts = choices[best_z]
-        last_eta = float(estimates[best_z])
         if all(len(p.masks) <= 1 for p in parts):
             break
-    return RefinementResult(
-        final_masks=tuple(p.masks[0] if p.masks else 0 for p in parts),
-        part_went_empty=tuple(p.size == 0 for p in parts),
-        last_round_eta=last_eta,
-        rounds_used=rounds_used,
-    )
+    return parts, float(estimates[best_z]), rounds_used
+
+
+def _lowest_coordinates(buckets: Iterable[Sequence[int]]) -> tuple[Optional[int], ...]:
+    """The coordinate core input j reads: the lowest coordinate of bucket
+    j, or None for a bucket with none."""
+    return tuple(min(coords) if coords else None for coords in buckets)
 
 
 @dataclass(frozen=True)
 class TesterReport:
-    """Verdict plus diagnostics for one tester run."""
+    """The learned core, which alone decides the verdict, plus diagnostics
+    for one tester run."""
 
-    verdict: str  # accept | reject
     queries_used: int
     selected_buckets: tuple[tuple[int, ...], ...]
     learned_core: Optional[CoreTable]
@@ -357,8 +349,13 @@ class TesterReport:
     refine_rounds_used: Optional[int] = None  # None when read from a record without it
 
     def __post_init__(self):
-        if (self.verdict == "accept") != (self.learned_core is not None):
-            raise ValueError("learned_core must be present exactly when accepting")
+        if (self.empirical_distance is None) != (self.learned_core is None):
+            raise ValueError("empirical_distance must be present exactly when learned_core is")
+
+    @property
+    def verdict(self) -> str:
+        """"accept" when a core was learned, else "reject"."""
+        return "reject" if self.learned_core is None else "accept"
 
     @property
     def reject_stage(self) -> str:
@@ -368,9 +365,8 @@ class TesterReport:
 
     @property
     def phi(self) -> tuple[Optional[int], ...]:
-        """The coordinate core input j reads: the lowest coordinate of
-        bucket j, or None for a bucket with none."""
-        return tuple(min(coords) if coords else None for coords in self.selected_buckets)
+        """The coordinate core input j reads (`_lowest_coordinates`)."""
+        return _lowest_coordinates(self.selected_buckets)
 
 
 def _sufficient_statistics(
@@ -443,45 +439,34 @@ def _candidate_ranges(
 def final_check_and_learn(
     sample_masks: Sequence[int],
     sample_values: np.ndarray,
-    refinement: RefinementResult,
+    phi: Sequence[Optional[int]],
     cores: CoreSet,
-    config: TesterConfig,
-) -> TesterReport:
-    """Implicit learning against the core set, which decides the verdict.
+    threshold: float,
+) -> tuple[Optional[CoreTable], Optional[float]]:
+    """Implicit learning against the core set, which decides the verdict:
+    the learned core and its statistic, or (None, None) when no core
+    passes.
 
-    Core input j reads the lowest coordinate of final bucket j (the
-    constant 0 for an empty one).  A core's statistic, the mean squared
-    deviation of the samples from it (`_sufficient_statistics`), estimates
+    Core input j reads coordinate phi[j] (the constant 0 for None).  A
+    core's statistic, the mean squared deviation of the samples from it
+    (`_sufficient_statistics`), estimates
     ||f - lift(c)||^2 = ||f - E_phi f||^2 + ||E_phi f - c||^2 (Pythagoras
     for the projection E_phi onto the learned coordinates), so it charges
     f for its distance from a junta on them too, and no influence check
     is needed.  The first core in enumeration order whose statistic is at
-    most accept_threshold is learned, with the statistic as the report's
-    empirical_distance: the rows of `_candidate_ranges`, the runs whose
-    shared prefix leaves room under accept_threshold, are scored
+    most `threshold` is learned: the rows of `_candidate_ranges`, the
+    runs whose shared prefix leaves room under the threshold, are scored
     CORE_SCAN_ROWS at a time, up to the first block with a passing core.
-    queries_used is 0 and eta empty; `run_tester` fills them in.
     """
-    report = TesterReport(
-        verdict="reject",
-        queries_used=0,
-        selected_buckets=tuple(tuple(sorted(coords_of(mask))) for mask in refinement.final_masks),
-        learned_core=None,
-        empirical_distance=None,
-        eta={},
-        empty_buckets=refinement.part_went_empty,
-        refine_rounds_used=refinement.rounds_used,
-    )
-    q, threshold = len(sample_masks), config.accept_threshold
-    counts, means, within = _sufficient_statistics(sample_masks, sample_values, report.phi)
+    q = len(sample_masks)
+    counts, means, within = _sufficient_statistics(sample_masks, sample_values, phi)
     ranges = _candidate_ranges(cores, counts, means, within, q, threshold)
     for start, stats in _core_score_blocks(cores, counts, means, within, q, ranges):
         passing = np.flatnonzero(stats <= threshold)
         if passing.size:
             first = int(passing[0])
-            core, dist = cores.member(start + first), float(stats[first])
-            return replace(report, verdict="accept", learned_core=core, empirical_distance=dist)
-    return report
+            return cores.member(start + first), float(stats[first])
+    return None, None
 
 
 def run_tester(
@@ -501,10 +486,12 @@ def run_tester(
     q + m(num_parts + 1) + m(2^k + 1) r queries (see
     `TesterConfig.query_budget`); the core search makes none.
 
-    The report's eta holds "initial_min" and "refine_last".  initial_min
-    is the sum of the dropped parts' own estimates, which estimates an
-    upper bound on the influence of the complement of the kept parts
-    (influence is subadditive).
+    Bucket j of the report holds the coordinates of final part j, which
+    holds at most one occupied pattern, and is flagged empty when the
+    part's final size is 0.  The report's eta holds "initial_min" and
+    "refine_last".  initial_min is the sum of the dropped parts' own
+    estimates, which estimates an upper bound on the influence of the
+    complement of the kept parts (influence is subadditive).
     """
     rng = np.random.default_rng(config.seed)
     cores = cached_cores(class_tag, config.k, config.core_grid)
@@ -514,10 +501,20 @@ def run_tester(
     sample_values = oracle.query_masks(sample_masks)
     parts = _initial_parts(_buckets_from_masks(sample_masks, n), config.q, config.num_parts, rng)
     selected, dropped = select_initial_parts(oracle, parts, config, rng, estimator)
-    refinement = refine_parts(oracle, selected, config, rng, estimator)
-    report = final_check_and_learn(sample_masks, sample_values, refinement, cores, config)
-    eta = {"initial_min": dropped, "refine_last": refinement.last_round_eta}
-    return replace(report, queries_used=oracle.query_count - start, eta=eta)
+    final, refine_last, rounds = refine_parts(oracle, selected, config, rng, estimator)
+    buckets = tuple(tuple(sorted(coords_of(p.coord_mask))) for p in final)
+    core, dist = final_check_and_learn(
+        sample_masks, sample_values, _lowest_coordinates(buckets), cores, config.accept_threshold
+    )
+    return TesterReport(
+        queries_used=oracle.query_count - start,
+        selected_buckets=buckets,
+        learned_core=core,
+        empirical_distance=dist,
+        eta={"initial_min": dropped, "refine_last": refine_last},
+        empty_buckets=tuple(p.size == 0 for p in final),
+        refine_rounds_used=rounds,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -555,17 +552,16 @@ _REPORT_REQUIRED = (
     "phi",
     "empty_buckets",
 )
+# the required lines that follow from the others: `report_from_lines`
+# takes each only as `report_to_lines` writes it
+_REPORT_DERIVED = ("verdict", "reject_stage", "phi")
 
 
 def report_to_lines(report: TesterReport) -> list[str]:
     buckets = " ; ".join(
         " ".join(str(c) for c in coords) if coords else "-" for coords in report.selected_buckets
     )
-    core = (
-        " ".join(repr(v) for v in report.learned_core.values)
-        if report.learned_core is not None
-        else "-"
-    )
+    core = "-" if report.learned_core is None else " ".join(map(repr, report.learned_core.values))
     dist = repr(report.empirical_distance) if report.empirical_distance is not None else "-"
     eta = " ".join(f"{k}={v!r}" for k, v in sorted(report.eta.items()))
     phi = " ".join(str(c) if c is not None else "-" for c in report.phi)
@@ -587,12 +583,22 @@ def report_to_lines(report: TesterReport) -> list[str]:
     return lines
 
 
+def _count(text: str, key: str, least: int) -> int:
+    count = kvfile.value(text, int, "report", key)
+    if count < least:
+        raise ValueError(f"report key {key!r}: {count} is below {least}")
+    return count
+
+
 def report_from_lines(text: str) -> TesterReport:
-    """The report in `text`; a number that does not parse, a core of other
-    than 2^k values (k >= 1), and a field that disagrees with the buckets
-    (a core's k, the phi they give, the count of empty flags, a bucket
-    flagged empty that holds a coordinate) or a reject stage other than
-    the verdict's name their key."""
+    """The report in `text`.  A number that does not parse, a core of
+    other than 2^k values (k >= 1), a field that disagrees with the
+    buckets (a core's k, the count of empty flags, a flag other than 0
+    or 1, a bucket flagged empty that holds a coordinate), an empirical
+    distance on a record with no core or none on one with a core,
+    queries_used below 0, refine_rounds_used below 1, and a line of
+    `_REPORT_DERIVED` other than the one `report_to_lines` writes for
+    the rest name their key."""
     entries = kvfile.check(kvfile.parse(text), "report", REPORT_SCHEMA, _REPORT_REQUIRED)
     buckets = tuple(
         kvfile.values(chunk, int, "report", "selected_buckets") if chunk.strip() != "-" else ()
@@ -607,43 +613,34 @@ def report_from_lines(text: str) -> TesterReport:
         if k != len(buckets):
             raise ValueError(f"report key 'learned_core': k = {k} for {len(buckets)} buckets")
         core = CoreTable(k, vals)
-    dist = entries["empirical_distance"]
-    dist = None if dist == "-" else kvfile.value(dist, float, "report", "empirical_distance")
+    stated = entries["empirical_distance"]
+    dist = None if stated == "-" else kvfile.value(stated, float, "report", "empirical_distance")
+    if (dist is None) != (core is None):
+        had = "no" if core is None else "a"
+        raise ValueError(f"report key 'empirical_distance': {stated!r} on a record with {had} core")
     eta = {}
     for tok in entries["eta"].split():
         key, _, val = tok.partition("=")
         eta[key] = kvfile.value(val, float, "report", "eta")
-    phi = tuple(
-        None if tok == "-" else kvfile.value(tok, int, "report", "phi")
-        for tok in entries["phi"].split()
-    )
     empty = kvfile.values(entries["empty_buckets"], int, "report", "empty_buckets")
+    if len(empty) != len(buckets):
+        raise ValueError(f"report key 'empty_buckets': {len(empty)} flags for {len(buckets)} buckets")
+    if not set(empty) <= {0, 1}:
+        raise ValueError("report key 'empty_buckets': a flag other than 0 or 1")
+    if any(flag and coords for flag, coords in zip(empty, buckets)):
+        raise ValueError("report key 'empty_buckets': a bucket flagged empty holds a coordinate")
     rounds = entries.get("refine_rounds_used")
-    if rounds is not None:
-        rounds = kvfile.value(rounds, int, "report", "refine_rounds_used")
     report = TesterReport(
-        verdict=entries["verdict"],
-        queries_used=kvfile.value(entries["queries_used"], int, "report", "queries_used"),
+        queries_used=_count(entries["queries_used"], "queries_used", 0),
         selected_buckets=buckets,
         learned_core=core,
         empirical_distance=dist,
         eta=eta,
         empty_buckets=tuple(map(bool, empty)),
-        refine_rounds_used=rounds,
+        refine_rounds_used=None if rounds is None else _count(rounds, "refine_rounds_used", 1),
     )
-    if phi != report.phi:
-        raise ValueError(
-            f"report key 'phi': {entries['phi']!r} is not each bucket's lowest coordinate"
-        )
-    if len(empty) != len(buckets):
-        raise ValueError(
-            f"report key 'empty_buckets': {len(empty)} flags for {len(buckets)} buckets"
-        )
-    if any(flagged and coords for flagged, coords in zip(empty, buckets)):
-        raise ValueError("report key 'empty_buckets': a bucket flagged empty holds a coordinate")
-    if entries["reject_stage"] != report.reject_stage:
-        raise ValueError(
-            f"report key 'reject_stage': {entries['reject_stage']!r} is not "
-            f"{report.reject_stage!r}, the stage of verdict {report.verdict!r}"
-        )
+    written = kvfile.parse("\n".join(report_to_lines(report)))
+    for key in _REPORT_DERIVED:
+        if entries[key] != written[key]:
+            raise ValueError(f"report key {key!r}: {entries[key]!r} is not {written[key]!r}")
     return report

@@ -15,8 +15,8 @@ import numpy as np
 from cubetest.cores import (
     CoreTable, cached_cores, core_of_junta, dist_core_to_set, grid_levels, lift_core
 )
-from cubetest.influence import junta_projection
-from cubetest.tables import MAX_DIMENSION, FunctionTable
+from cubetest.influence import influence_exact, junta_projection
+from cubetest.tables import MAX_DIMENSION, FunctionTable, coords_of
 from cubetest.tester import _core_score_blocks, _sufficient_statistics
 from cubetest.valuations import make_far_instance
 
@@ -422,6 +422,24 @@ def shared_base_estimator(oracle, masks, m, rng):
             v2 = oracle.query_masks((base & ~mask) | (fresh & mask))
             out.append(float(np.sum((v1 - v2) ** 2) / (2 * m)))
     return np.array(out, dtype=np.float64)
+
+
+def exact_stub(table):
+    """Influence estimator backed by the exact table computation; consumes
+    no randomness and no queries.  Like `estimate_inf_mask` it takes a
+    1-D batch of masks and returns an array."""
+    cache = {}
+
+    def exact(s_mask):
+        s_mask = int(s_mask)
+        if s_mask not in cache:
+            cache[s_mask] = influence_exact(table, sorted(coords_of(s_mask)))
+        return cache[s_mask]
+
+    def estimator(oracle, masks, m, rng):
+        return np.array([exact(s) for s in masks], dtype=np.float64)
+
+    return estimator
 
 
 def naive_buckets_from_masks(sample_masks, n: int) -> dict[int, int]:

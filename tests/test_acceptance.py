@@ -37,8 +37,7 @@ from cubetest.valuations import (
     random_spec,
 )
 from cubetest.influence import estimate_inf_mask
-from oracles import submodular_k2_class_distance
-from test_tester import exact_stub
+from oracles import exact_stub, submodular_k2_class_distance
 
 RATE_THRESHOLD = 2 / 3 - wilson_halfwidth(2 / 3, 200)
 
@@ -224,10 +223,10 @@ def test_criterion_09_exact_pipeline_isolates_juntas():
         separated += 1
         selected, dropped = select_initial_parts(oracle, parts, cfg, rng, est)
         assert dropped == 0.0
-        refined = refine_parts(oracle, selected, cfg, rng, est)
+        final, _, _ = refine_parts(oracle, selected, cfg, rng, est)
         isolated = set()
-        for mask in refined.final_masks:
-            isolated.update(coords_of(mask))
+        for part in final:
+            isolated.update(coords_of(part.coord_mask))
         assert {3, 9} <= isolated, f"seed {seed}: isolated {isolated}"
     assert separated >= 35  # 47 of 50 at the desk default of 16 parts
 

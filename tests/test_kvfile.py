@@ -1,17 +1,19 @@
 """The shared `key: value` layer, pinned through the three readers built
 on it: tester reports, plans and valuation specs."""
 
+from dataclasses import replace
+
 import pytest
 
 from cubetest import kvfile
 from cubetest.bench import ExperimentPlan, parse_plan_text, plan_to_lines
+from cubetest.cores import CoreTable
 from cubetest.tester import TesterReport as Report
 from cubetest.tester import report_from_lines, report_to_lines
 from cubetest.valuations import ValuationSpec, parse_spec_text
 
 
 REPORT = Report(
-    verdict="reject",
     queries_used=1234,
     selected_buckets=((1, 4), ()),
     learned_core=None,
@@ -20,6 +22,9 @@ REPORT = Report(
     empty_buckets=(False, True),
     refine_rounds_used=3,
 )
+# REPORT with a learned core, so an accept
+ACCEPT = replace(REPORT, learned_core=CoreTable(2, (0.0, 0.0, 0.0, 1.0)), empirical_distance=0.01)
+REPORTS = {"reject": REPORT, "accept": ACCEPT}
 
 # kind: (valid lines, reader of text, malformed-line prefix, schema
 # name or None, a required key, (key, value) of a line whose repeat
@@ -122,16 +127,8 @@ def test_report_keeps_unknown_keys_lenient():
         ("learned_core", "0 0.5 half 1", "'half' is not a number"),
         ("learned_core", "", "0 values, not 2^k for a k >= 1"),
         ("learned_core", "0 0.5 1", "3 values, not 2^k for a k >= 1"),
-        ("reject_stage", "none", "'none' is not 'core_search', the stage of verdict 'reject'"),
-        # the removed influence gate's stage, in records written before it went
-        (
-            "reject_stage",
-            "influence_check",
-            "'influence_check' is not 'core_search', the stage of verdict 'reject'",
-        ),
         ("empirical_distance", "far", "'far' is not a number"),
         ("eta", "initial_min=0.25 refine_last=big", "'big' is not a number"),
-        ("phi", "1 one", "'one' is not an integer"),
         ("empty_buckets", "0 yes", "'yes' is not an integer"),
         ("refine_rounds_used", "3.5", "'3.5' is not an integer"),
     ],
@@ -146,21 +143,75 @@ def test_report_phi_is_each_buckets_lowest_coordinate():
     assert "phi: 1 -" in report_to_lines(REPORT)
 
 
+def test_report_verdict_and_reject_stage_follow_the_learned_core():
+    assert (REPORT.verdict, REPORT.reject_stage) == ("reject", "core_search")
+    assert (ACCEPT.verdict, ACCEPT.reject_stage) == ("accept", "none")
+    assert report_from_lines(_text(report_to_lines(ACCEPT))) == ACCEPT
+
+
+@pytest.mark.parametrize("verdict, dist", [("reject", 0.01), ("accept", None)])
+def test_report_has_a_distance_exactly_with_a_core(verdict, dist):
+    with pytest.raises(ValueError) as exc:
+        replace(REPORTS[verdict], empirical_distance=dist)
+    assert str(exc.value) == "empirical_distance must be present exactly when learned_core is"
+
+
 @pytest.mark.parametrize(
     "key, bad, message",
     [
-        ("phi", "4 -", "'4 -' is not each bucket's lowest coordinate"),
-        ("phi", "1", "'1' is not each bucket's lowest coordinate"),
         ("empty_buckets", "0 1 1", "3 flags for 2 buckets"),
         ("learned_core", "0 0 0 0 0 0 0 1", "k = 3 for 2 buckets"),
         ("empty_buckets", "1 1", "a bucket flagged empty holds a coordinate"),
+        # once read as "0 1"
+        ("empty_buckets", "0 7", "a flag other than 0 or 1"),
     ],
 )
 def test_report_field_that_disagrees_with_the_buckets_names_its_key(key, bad, message):
-    # REPORT's buckets are (1 4) and (), so its phi is "1 -", its k is 2
-    # and only its second bucket may be flagged empty
+    # REPORT's buckets are (1 4) and (), so its k is 2 and only its second
+    # bucket may be flagged empty
     lines = [f"{key}: {bad}" if ln.startswith(f"{key}:") else ln for ln in report_to_lines(REPORT)]
     assert _message(report_from_lines, _text(lines)) == f"report key {key!r}: {message}"
+
+
+@pytest.mark.parametrize(
+    "verdict, key, bad, message",
+    [
+        ("reject", "empirical_distance", "0.01", "'0.01' on a record with no core"),
+        ("accept", "empirical_distance", "-", "'-' on a record with a core"),
+        ("reject", "queries_used", "-10", "-10 is below 0"),
+        # every run makes at least one round
+        ("reject", "refine_rounds_used", "0", "0 is below 1"),
+    ],
+)
+def test_report_count_or_distance_out_of_range_names_its_key(verdict, key, bad, message):
+    lines = report_to_lines(REPORTS[verdict])
+    lines = [f"{key}: {bad}" if ln.startswith(f"{key}:") else ln for ln in lines]
+    assert _message(report_from_lines, _text(lines)) == f"report key {key!r}: {message}"
+
+
+@pytest.mark.parametrize(
+    "verdict, key, bad, written",
+    [
+        ("reject", "verdict", "maybe", "reject"),
+        # a verdict is "accept" only with a learned core
+        ("reject", "verdict", "accept", "reject"),
+        ("accept", "verdict", "reject", "accept"),
+        ("reject", "reject_stage", "none", "core_search"),
+        # the removed influence gate's stage, in records written before it went
+        ("reject", "reject_stage", "influence_check", "core_search"),
+        ("accept", "reject_stage", "core_search", "none"),
+        # the buckets (1 4) and () give phi "1 -"
+        ("reject", "phi", "4 -", "1 -"),
+        ("reject", "phi", "1", "1 -"),
+        ("reject", "phi", "1 one", "1 -"),
+        ("reject", "phi", "1  -", "1 -"),
+    ],
+)
+def test_report_derived_line_other_than_the_written_one_names_its_key(verdict, key, bad, written):
+    lines = report_to_lines(REPORTS[verdict])
+    lines = [f"{key}: {bad}" if ln.startswith(f"{key}:") else ln for ln in lines]
+    message = f"report key {key!r}: {bad!r} is not {written!r}"
+    assert _message(report_from_lines, _text(lines)) == message
 
 
 def test_parse_splits_at_first_colon():

@@ -12,7 +12,6 @@ from cubetest.cores import CoreSet, CoreTable, cached_cores, lift_core
 from cubetest.influence import M_BUDGET, estimate_inf_mask, influence_exact
 from cubetest.tables import BudgetError, CubePoint, FunctionTable, coords_of, make_counting_oracle
 from cubetest.tester import (
-    RefinementResult,
     TesterConfig,
     VirtualPart,
     _buckets_from_masks,
@@ -28,30 +27,13 @@ from cubetest.tester import (
     select_initial_parts,
 )
 from oracles import (
+    exact_stub,
     full_scan_core_statistics,
     naive_buckets_from_masks,
     naive_cell_partition,
     naive_core_statistics,
     shared_base_estimator,
 )
-
-
-def exact_stub(table):
-    """Influence estimator backed by the exact table computation; consumes
-    no randomness and no queries.  Like `estimate_inf_mask` it takes a
-    1-D batch of masks and returns an array."""
-    cache = {}
-
-    def exact(s_mask):
-        s_mask = int(s_mask)
-        if s_mask not in cache:
-            cache[s_mask] = influence_exact(table, sorted(coords_of(s_mask)))
-        return cache[s_mask]
-
-    def estimator(oracle, masks, m, rng):
-        return np.array([exact(s) for s in masks], dtype=np.float64)
-
-    return estimator
 
 
 def and_junta(n, coords):
@@ -420,9 +402,9 @@ class TestVirtualPartition:
         assert sorted(occupied) == sorted(buckets.values())
 
     def test_masks_in_ascending_pattern_order(self):
-        # a final part reports its smallest pattern's mask, so the
-        # partition and every split keep the masks in the order of their
-        # patterns, as the pinned trial records assume
+        # a part holds its masks in the order of their patterns, the order
+        # `_initial_parts` draws their cells in, and every split keeps it;
+        # a record reads a final part only through the union of its masks
         rng = np.random.default_rng(2)
         masks = [int(x) for x in rng.integers(0, 1 << 12, size=8)]
         buckets = _buckets_from_masks(masks, 12)
@@ -505,9 +487,9 @@ class TestStagesWithExactStub:
         assert selected[0] is parts[0] and selected[1] is parts[1]
         # refinement on a constant: every eta stays zero, singleton
         # patterns come back anyway
-        refined = refine_parts(oracle, selected, cfg, rng, exact_stub(table))
-        assert refined.last_round_eta == 0.0
-        assert len(refined.final_masks) == 2
+        final, last_eta, _ = refine_parts(oracle, selected, cfg, rng, exact_stub(table))
+        assert last_eta == 0.0
+        assert len(final) == 2
 
     @pytest.mark.parametrize("core", [(0.0, 0.0, 0.0, 1.0), (0.0,) * 7 + (1.0,)])
     def test_desk_keeps_the_relevant_parts(self, core):
@@ -592,10 +574,9 @@ class TestStagesWithExactStub:
             masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
             parts = _initial_parts(_buckets_from_masks(masks, n), cfg.q, cfg.num_parts, rng)
             selected, _ = select_initial_parts(oracle, parts, cfg, rng, exact_stub(table))
-            result = refine_parts(oracle, selected, cfg, rng, exact_stub(table))
-            final = result.final_masks[0]
-            assert final != 0
-            assert 4 in coords_of(final)
+            final, _, _ = refine_parts(oracle, selected, cfg, rng, exact_stub(table))
+            assert final[0].coord_mask != 0
+            assert 4 in coords_of(final[0].coord_mask)
 
     def test_refine_query_accounting(self):
         n = 8
@@ -607,15 +588,15 @@ class TestStagesWithExactStub:
         parts = _initial_parts(_buckets_from_masks(masks, n), cfg.q, cfg.num_parts, rng)
         selected, _ = select_initial_parts(oracle, parts, cfg, rng)
         before = oracle.query_count
-        result = refine_parts(oracle, selected, cfg, rng)
+        _, _, rounds = refine_parts(oracle, selected, cfg, rng)
         per_round = cfg.m * ((1 << cfg.k) + 1)
-        assert oracle.query_count - before == per_round * result.rounds_used
+        assert oracle.query_count - before == per_round * rounds
 
 
 def refine_with_spy(table, cfg, seed, estimator, monkeypatch):
-    """Sweep and refinement from seed; returns the refinement, its query
-    count, for each round the parts it started from, and the parts the
-    last round kept."""
+    """Sweep and refinement from seed; returns the refinement's final
+    parts, last-round estimate and rounds, its query count, and for each
+    round the parts it started from."""
     started, split = [], []
 
     halves = VirtualPart.halves
@@ -634,14 +615,10 @@ def refine_with_spy(table, cfg, seed, estimator, monkeypatch):
     before = oracle.query_count
     result = refine_parts(oracle, selected, cfg, rng, estimator)
     rounds = [started[i : i + cfg.k] for i in range(0, len(started), cfg.k)]
-    assert len(rounds) == result.rounds_used
-    # the half of each part that holds its final mask (one without masks
-    # when it is 0); the halves are disjoint
-    kept = [
-        next(h for h in halves if mask in h.masks or (mask == 0 and not h.masks))
-        for halves, mask in zip(split[-cfg.k :], result.final_masks)
-    ]
-    return result, oracle.query_count - before, rounds, kept
+    assert len(rounds) == result[2]
+    # each final part is a half of the part it came from in the last round
+    assert all(any(p is h for h in halves) for p, halves in zip(result[0], split[-cfg.k :]))
+    return result, oracle.query_count - before, rounds
 
 
 class TestRefineStop:
@@ -672,13 +649,12 @@ class TestRefineStop:
         table, cfg, est = self._case(name)
         seeds = [5] if name == "constant_k2" else range(8)
         for seed in seeds:
-            result, queries, rounds, kept = refine_with_spy(table, cfg, seed, est, monkeypatch)
-            r = result.rounds_used
+            (final, _, r), queries, rounds = refine_with_spy(table, cfg, seed, est, monkeypatch)
             assert 1 <= r <= default_refine_rounds(cfg.q, cfg.num_parts)
             if est is estimate_inf_mask:
                 assert queries == cfg.m * ((1 << cfg.k) + 1) * r
             # round r left every part isolated
-            assert all(len(p.masks) <= 1 for p in kept)
+            assert all(len(p.masks) <= 1 for p in final)
             # no earlier round left every part isolated
             for j in range(1, r):
                 assert any(len(p.masks) > 1 for p in rounds[j])
@@ -686,39 +662,51 @@ class TestRefineStop:
     @pytest.mark.parametrize("name", CASES[:3])
     def test_reference_estimator_stops_at_the_same_round(self, name, monkeypatch):
         # the shared-base loop, one mask at a time, draws the batched
-        # estimator's stream: the same rounds, parts and query count
+        # estimator's stream: the same rounds, parts, estimate and query
+        # count
         table, cfg, est = self._case(name)
         for seed in range(4):
-            batched = refine_with_spy(table, cfg, seed, est, monkeypatch)
+            (final, eta, r), queries, _ = refine_with_spy(table, cfg, seed, est, monkeypatch)
             reference = refine_with_spy(table, cfg, seed, shared_base_estimator, monkeypatch)
-            assert reference[0] == batched[0]
-            assert reference[1] == batched[1]
-            assert [p.masks for p in reference[3]] == [p.masks for p in batched[3]]
+            (ref_final, ref_eta, ref_r), ref_queries, _ = reference
+            assert (ref_eta, ref_r, ref_queries) == (eta, r, queries)
+            assert [p.masks for p in ref_final] == [p.masks for p in final]
+            assert [p.size for p in ref_final] == [p.size for p in final]
+
+
+def phi_of(parts):
+    """The coordinate core input j reads: the lowest coordinate of final
+    part j, or None for a part with none."""
+    return tuple(min(coords_of(p.coord_mask), default=None) for p in parts)
 
 
 class TestFinalCheck:
-    def _run_stages(self, table, cfg, seed, estimator=None, class_tag="submodular"):
+    @staticmethod
+    def _run_stages(table, cfg, seed, cores=None):
+        """Sampling, selection and refinement from seed with the exact
+        estimator, then the core search over `cores` (the submodular grid
+        cores when None): its (core, statistic)."""
+        if cores is None:
+            cores = cached_cores("submodular", cfg.k, cfg.core_grid)
         oracle = make_counting_oracle(table)
-        cores = cached_cores(class_tag, cfg.k, cfg.core_grid)
         rng = np.random.default_rng(seed)
-        est = estimator or exact_stub(table)
+        est = exact_stub(table)
         masks = [int(x) for x in rng.integers(0, 1 << table.n, size=cfg.q)]
         values = oracle.query_masks(np.asarray(masks, dtype=np.int64))
         parts = _initial_parts(_buckets_from_masks(masks, table.n), cfg.q, cfg.num_parts, rng)
         selected, _ = select_initial_parts(oracle, parts, cfg, rng, est)
-        refined = refine_parts(oracle, selected, cfg, rng, est)
-        return final_check_and_learn(masks, values, refined, cores, cfg)
+        final, _, _ = refine_parts(oracle, selected, cfg, rng, est)
+        return final_check_and_learn(masks, values, phi_of(final), cores, cfg.accept_threshold)
 
     def test_lifted_core_accepts(self):
         cores = cached_cores("submodular", 2, 0.25)
         h = cores.member(40)
         table = lift_core(h, (2, 7), 10)
         cfg = TesterConfig(eps=0.25, k=2, m=10)
-        report = self._run_stages(table, cfg, seed=3)
-        assert report.verdict == "accept"
-        assert report.reject_stage == "none"
+        core, dist = self._run_stages(table, cfg, seed=3)
+        assert core is not None
         # first passing core in enumeration order is returned
-        assert report.empirical_distance <= cfg.accept_threshold
+        assert dist <= cfg.accept_threshold
 
     def test_true_core_has_zero_statistic(self):
         # restrict the search to the planted core (both slot orders):
@@ -729,17 +717,9 @@ class TestFinalCheck:
         pair = CoreSet("submodular", 2, 0.25, [h.values, swapped.values])
         table = lift_core(h, (2, 7), 10)
         cfg = TesterConfig(eps=0.25, k=2, m=10)
-        oracle = make_counting_oracle(table)
-        rng = np.random.default_rng(3)
-        est = exact_stub(table)
-        masks = [int(x) for x in rng.integers(0, 1 << 10, size=cfg.q)]
-        values = oracle.query_masks(np.asarray(masks, dtype=np.int64))
-        parts = _initial_parts(_buckets_from_masks(masks, 10), cfg.q, cfg.num_parts, rng)
-        selected, _ = select_initial_parts(oracle, parts, cfg, rng, est)
-        refined = refine_parts(oracle, selected, cfg, rng, est)
-        report = final_check_and_learn(masks, values, refined, pair, cfg)
-        assert report.verdict == "accept"
-        assert report.empirical_distance == 0.0
+        core, dist = self._run_stages(table, cfg, 3, pair)
+        assert core is not None
+        assert dist == 0.0
 
     def test_parity_blend_rejected_with_no_core_scored(self, monkeypatch):
         # the parity blend is 1/2 from every 2-junta: the spread of the
@@ -758,10 +738,7 @@ class TestFinalCheck:
         monkeypatch.setattr(tester, "_core_score_blocks", spy)
         table = parity_blend_table(12)
         cfg = TesterConfig(eps=0.25, k=2, m=10)
-        report = self._run_stages(table, cfg, seed=1)
-        assert report.verdict == "reject"
-        assert report.reject_stage == "core_search"
-        assert report.eta == {}
+        assert self._run_stages(table, cfg, seed=1) == (None, None)
         [(floor, ranges)] = scanned
         assert floor > cfg.accept_threshold
         assert ranges == []
@@ -769,18 +746,8 @@ class TestFinalCheck:
     def test_empty_core_set_rejects_at_core_search(self):
         table = and_junta(10, (1, 2))
         cfg = TesterConfig(eps=0.25, k=2, m=10)
-        oracle = make_counting_oracle(table)
-        rng = np.random.default_rng(4)
-        est = exact_stub(table)
-        masks = [int(x) for x in rng.integers(0, 1 << 10, size=cfg.q)]
-        values = oracle.query_masks(np.asarray(masks, dtype=np.int64))
-        parts = _initial_parts(_buckets_from_masks(masks, 10), cfg.q, cfg.num_parts, rng)
-        selected, _ = select_initial_parts(oracle, parts, cfg, rng, est)
-        refined = refine_parts(oracle, selected, cfg, rng, est)
         empty = CoreSet("submodular", 2, 0.25, np.empty((0, 4)))
-        report = final_check_and_learn(masks, values, refined, empty, cfg)
-        assert report.verdict == "reject"
-        assert report.reject_stage == "core_search"
+        assert self._run_stages(table, cfg, 4, empty) == (None, None)
 
 
 def pattern_of(masks, coord):
@@ -789,11 +756,10 @@ def pattern_of(masks, coord):
 
 
 def refined_to(masks, patterns, n):
-    """A one-round refinement whose final parts hold the given patterns of
-    the samples `masks` (None: a part with none)."""
+    """The phi of a refinement whose final parts hold the given patterns
+    of the samples `masks` (None: a part with none)."""
     buckets = _buckets_from_masks(masks, n)
-    final = tuple(0 if p is None else buckets[p] for p in patterns)
-    return RefinementResult(final, (False,) * len(patterns), 0.0, 1)
+    return tuple(None if p is None else min(coords_of(buckets[p])) for p in patterns)
 
 
 class TestCoreStatistics:
@@ -832,17 +798,13 @@ class TestCoreStatistics:
         raise AssertionError("no separated pair of statistics")
 
     def _check_search(self, cores, table, masks, values, patterns, naive):
-        k = len(patterns)
-        refined = refined_to(masks, patterns, self.N)
+        phi = refined_to(masks, patterns, self.N)
         naive = np.asarray(naive)
-        cfg = TesterConfig(
-            eps=0.25, k=k, q=len(masks), accept_threshold=self._separating_threshold(naive)
-        )
-        report = final_check_and_learn(masks, values, refined, cores, cfg)
-        first = int(np.flatnonzero(naive <= cfg.accept_threshold)[0])
-        assert report.verdict == "accept"
-        assert report.learned_core == cores.member(first)
-        assert report.empirical_distance == pytest.approx(naive[first], abs=1e-12)
+        threshold = self._separating_threshold(naive)
+        core, dist = final_check_and_learn(masks, values, phi, cores, threshold)
+        first = int(np.flatnonzero(naive <= threshold)[0])
+        assert core == cores.member(first)
+        assert dist == pytest.approx(naive[first], abs=1e-12)
 
     @pytest.mark.parametrize("q", [16, 64, 1024])
     @pytest.mark.parametrize("near_core", [False, True])
@@ -906,7 +868,7 @@ class TestCoreStatistics:
         stats = full_scan_core_statistics(cores, masks, values, coords)
         assert stats.shape == (rows,)
         assert np.max(np.abs(stats - naive)) <= 1e-12
-        refined = refined_to(masks, patterns, self.N)
+        phi = refined_to(masks, patterns, self.N)
         if target is None:
             threshold = float(naive.min()) / 2
             assert threshold > 1e-9
@@ -917,16 +879,13 @@ class TestCoreStatistics:
             below = float(naive[naive < earlier].max())
             assert naive[row] <= below and earlier - below > 1e-9
             threshold = (below + earlier) / 2
-        cfg = TesterConfig(eps=0.25, k=3, q=len(masks), accept_threshold=threshold)
-        report = final_check_and_learn(masks, values, refined, cores, cfg)
+        core, dist = final_check_and_learn(masks, values, phi, cores, threshold)
         if target is None:
-            assert report.verdict == "reject"
-            assert report.reject_stage == "core_search"
+            assert (core, dist) == (None, None)
             return
         assert int(np.flatnonzero(naive <= threshold)[0]) == row
-        assert report.verdict == "accept"
-        assert report.learned_core == cores.member(row)
-        assert report.empirical_distance == pytest.approx(naive[row], abs=1e-12)
+        assert core == cores.member(row)
+        assert dist == pytest.approx(naive[row], abs=1e-12)
 
     def test_empty_core_set(self):
         empty = CoreSet("subadditive", 3, 0.25, np.empty((0, 8)))
@@ -934,10 +893,10 @@ class TestCoreStatistics:
         coords = (2, 5, 9)
         stats = full_scan_core_statistics(empty, masks, values, coords)
         assert stats.shape == (0,)
-        refined = refined_to(masks, tuple(pattern_of(masks, c) for c in coords), self.N)
-        report = final_check_and_learn(masks, values, refined, empty, TesterConfig(eps=0.25, k=3, q=16))
-        assert report.verdict == "reject"
-        assert report.reject_stage == "core_search"
+        phi = refined_to(masks, tuple(pattern_of(masks, c) for c in coords), self.N)
+        assert phi == coords
+        threshold = TesterConfig(eps=0.25, k=3, q=16).accept_threshold
+        assert final_check_and_learn(masks, values, phi, empty, threshold) == (None, None)
 
     def _search_peak(self, passing):
         # subadditive k=3 has 148,815 cores: a |cores| x q float array at
@@ -957,7 +916,8 @@ class TestCoreStatistics:
         table = FunctionTable(n, np.clip(lifted.values + rng.normal(0.0, 0.05, 1 << n), 0.0, 1.0))
         masks = [int(x) | 1 << 8 for x in rng.integers(0, 1 << n, size=q)]
         values = table.values[np.asarray(masks)]
-        refined = refined_to(masks, tuple(pattern_of(masks, c) for c in coords), n)
+        phi = refined_to(masks, tuple(pattern_of(masks, c) for c in coords), n)
+        assert phi == coords
         cfg = TesterConfig(eps=0.25, k=3, q=q)
         counts, means, within = tester._sufficient_statistics(masks, values, coords)
         assert not np.any(counts[:4])
@@ -971,21 +931,20 @@ class TestCoreStatistics:
         assert list(ranges) == [(0, len(cores))]
         tracemalloc.start()
         try:
-            report = final_check_and_learn(masks, values, refined, cores, cfg)
+            core, _ = final_check_and_learn(masks, values, phi, cores, cfg.accept_threshold)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.phi == coords
-        return report, peak
+        return core, peak
 
     def test_core_search_memory_bounded(self):
-        report, peak = self._search_peak(passing=True)
-        assert report.reject_stage == "none"
+        core, peak = self._search_peak(passing=True)
+        assert core is not None
         assert peak < 2 * 2 ** 20
 
     def test_core_search_memory_bounded_when_none_passes(self):
-        report, peak = self._search_peak(passing=False)
-        assert report.reject_stage == "core_search"
+        core, peak = self._search_peak(passing=False)
+        assert core is None
         assert peak < 2 * 2 ** 20
 
 
@@ -1000,11 +959,6 @@ class TestPrunedScan:
     SETS = [("submodular", 1), ("submodular", 2), ("submodular", 3), ("subadditive", 3)]
 
     @staticmethod
-    def _refined(phi):
-        masks = tuple(0 if c is None else 1 << (c - 1) for c in phi)
-        return RefinementResult(masks, (False,) * len(phi), 0.0, 1)
-
-    @staticmethod
     def _run_rows(cores, bounds, limit):
         """Rows of the runs whose prefix bound is at most `limit`."""
         rows = np.zeros(len(cores), dtype=bool)
@@ -1014,20 +968,17 @@ class TestPrunedScan:
         return rows
 
     def _check(self, cores, masks, values, phi, threshold):
-        """The pruned search against the full scan; returns the report and
-        the scanned ranges."""
+        """The pruned search against the full scan; returns the learned
+        core, its statistic and the scanned ranges."""
         q = len(masks)
-        cfg = TesterConfig(eps=0.25, k=cores.k, q=q, accept_threshold=threshold)
-        report = final_check_and_learn(masks, values, self._refined(phi), cores, cfg)
+        core, dist = final_check_and_learn(masks, values, phi, cores, threshold)
         stats = full_scan_core_statistics(cores, masks, values, phi)
         passing = np.flatnonzero(stats <= threshold)
         if passing.size:
-            assert report.verdict == "accept"
-            assert report.learned_core == cores.member(int(passing[0]))
-            assert report.empirical_distance == float(stats[passing[0]])
+            assert core == cores.member(int(passing[0]))
+            assert dist == float(stats[passing[0]])
         else:
-            assert report.verdict == "reject"
-            assert report.reject_stage == "core_search"
+            assert (core, dist) == (None, None)
         counts, means, within = tester._sufficient_statistics(masks, values, phi)
         ranges = list(tester._candidate_ranges(cores, counts, means, within, q, threshold))
         # in order, and no two meeting
@@ -1049,7 +1000,7 @@ class TestPrunedScan:
         # every scanned row gets the bits the full scan gives it
         blocks = tester._core_score_blocks(cores, counts, means, within, q, ranges)
         assert np.array_equal(np.concatenate([b for _, b in blocks] or [np.zeros(0)]), stats[scanned])
-        return report, ranges
+        return core, dist, ranges
 
     def _noisy_lifts(self, cores, rng, cases):
         """Samples of noisy lifts of random cores, some with a dead part."""
@@ -1074,9 +1025,9 @@ class TestPrunedScan:
         for masks, values, phi in self._noisy_lifts(cores, rng, 12):
             stats = full_scan_core_statistics(cores, masks, values, phi)
             for threshold in (0.03515625, *np.quantile(stats, [0.0, 0.001, 0.05], method="lower")):
-                report, ranges = self._check(cores, masks, values, phi, float(threshold))
+                core, _, ranges = self._check(cores, masks, values, phi, float(threshold))
                 pruned += sum(hi - lo for lo, hi in ranges) < len(cores)
-                accepted += report.verdict == "accept"
+                accepted += core is not None
         assert pruned > 0 and accepted > 0
 
     @pytest.mark.parametrize("class_tag, k", SETS[1:])
@@ -1091,8 +1042,8 @@ class TestPrunedScan:
         for masks, values, phi in self._noisy_lifts(cores, rng, 6):
             stats = full_scan_core_statistics(cores, masks, values, phi)
             for threshold in (0.03515625, *np.quantile(stats, [0.0, 0.01], method="lower")):
-                report, _ = self._check(cores, masks, values, phi, float(threshold))
-                accepted += report.verdict == "accept"
+                core, _, _ = self._check(cores, masks, values, phi, float(threshold))
+                accepted += core is not None
         assert accepted > 0
 
     @pytest.mark.parametrize("class_tag, k", SETS)
@@ -1115,8 +1066,8 @@ class TestPrunedScan:
             masks = [int(x) for x in rng.integers(0, 1 << self.N, size=int(rng.choice([51, 77, 100])))]
             values = table.values[np.asarray(masks)]
             stats = full_scan_core_statistics(cores, masks, values, coords)
-            report, _ = self._check(cores, masks, values, coords, float(stats.min()))
-            assert report.verdict == "accept"
+            core, _, _ = self._check(cores, masks, values, coords, float(stats.min()))
+            assert core is not None
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("forced, counted", [(1 << 8, ()), (0b10, (1, 3))])
@@ -1134,8 +1085,8 @@ class TestPrunedScan:
         values = table.values[np.asarray(masks)]
         counts, _, _ = tester._sufficient_statistics(masks, values, coords)
         assert tuple(np.flatnonzero(counts[:4])) == counted
-        report, ranges = self._check(cores, masks, values, coords, 0.03515625)
-        assert report.verdict == "accept"
+        core, _, ranges = self._check(cores, masks, values, coords, 0.03515625)
+        assert core is not None
         if not counted:
             assert ranges == [(0, len(cores))]
         else:
@@ -1150,8 +1101,8 @@ class TestPrunedScan:
         values = table.values[np.asarray(masks)]
         _, _, within = tester._sufficient_statistics(masks, values, (2, 5, 9))
         assert within / 64 > 0.03515625
-        report, ranges = self._check(cores, masks, values, (2, 5, 9), 0.03515625)
-        assert report.verdict == "reject"
+        core, _, ranges = self._check(cores, masks, values, (2, 5, 9), 0.03515625)
+        assert core is None
         assert ranges == []
 
     @pytest.mark.parametrize("end", ["first", "last"])
@@ -1175,9 +1126,9 @@ class TestPrunedScan:
         values = table.values[np.asarray(masks)]
         counts, _, within = tester._sufficient_statistics(masks, values, coords)
         assert within == 0.0 and np.all(counts > 0)
-        report, ranges = self._check(cores, masks, values, coords, 1e-12)
-        assert report.learned_core == cores.member(row)
-        assert report.empirical_distance == 0.0
+        core, dist, ranges = self._check(cores, masks, values, coords, 1e-12)
+        assert core == cores.member(row)
+        assert dist == 0.0
         assert ranges == [(int(starts[j]), int(starts[j + 1]))]
 
 
@@ -1345,10 +1296,10 @@ class TestNearJuntaIsolation:
             masks = [int(x) for x in rng.integers(0, 1 << n, size=cfg.q)]
             parts = _initial_parts(_buckets_from_masks(masks, n), cfg.q, cfg.num_parts, rng)
             selected, _ = select_initial_parts(oracle, parts, cfg, rng, est)
-            refined = refine_parts(oracle, selected, cfg, rng, est)
+            final, _, _ = refine_parts(oracle, selected, cfg, rng, est)
             leftover = 0
-            for mask in refined.final_masks:
-                leftover |= mask
+            for part in final:
+                leftover |= part.coord_mask
             comp = sorted(coords_of(((1 << n) - 1) & ~leftover))
             if influence_exact(f, comp) > 100 * eps ** 2:
                 failures += 1
@@ -1375,12 +1326,9 @@ class TestNearJuntaIsolation:
                 values = oracle.query_masks(np.asarray(masks, dtype=np.int64))
                 parts = _initial_parts(_buckets_from_masks(masks, n), cfg.q, cfg.num_parts, rng)
                 selected, _ = select_initial_parts(oracle, parts, cfg, rng)
-                refined = refine_parts(oracle, selected, cfg, rng)
+                final, _, _ = refine_parts(oracle, selected, cfg, rng)
                 # h composed with the run's projection, as an n-bit table
-                reps = []
-                for mask in refined.final_masks:
-                    coords = coords_of(mask)
-                    reps.append(min(coords) if coords else None)
+                reps = phi_of(final)
                 idx = np.arange(1 << n)
                 core_idx = np.zeros(1 << n, dtype=np.int64)
                 u = np.zeros(q, dtype=np.int64)
