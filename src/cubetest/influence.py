@@ -11,15 +11,20 @@ obeys the Hoeffding bound  Pr[|est - Inf| >= t] <= 2 exp(-2 m t^2).
 batch of masks and returns an array of one estimate per mask; one set's
 estimate is entry 0 of a batch of one, which costs 2m queries.  A batch
 shares one draw of m base points across all its masks (common random
-numbers), and each mask adds its own m fresh completions: B masks cost
-m(B + 1) queries rather than 2mB.  Each estimate keeps the law of an
-independent 2m-query estimate, so it stays unbiased and keeps the
+numbers), and each mask adds its own m fresh completions: B nonzero
+masks cost m(B + 1) queries rather than 2mB.  A mask of 0 (the empty
+set) has influence 0 and every completion of it is its base point, so
+it is answered 0.0 with no draw and no query, and a batch of zero masks
+queries nothing, not even its base points.  Each estimate keeps the law
+of an independent 2m-query estimate, so it stays unbiased and keeps the
 Hoeffding bound; only the estimates of one batch are dependent.  The
 fresh points are drawn in chunks of at most ESTIMATE_CHUNK_POINTS, one
 RNG draw (`tables.uniform_masks`, which reads the bit generator's words
 directly and gives exactly `rng.integers`' points) and one oracle call
 per chunk; each fresh point takes the base point's coordinates outside
-its set in place.
+its set in place.  The words a zero mask's points would take are
+stepped over, so every other mask gets the points it would get if they
+were drawn, and the generator ends where that draw would leave it.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .tables import (
 # most size-k coordinate sets `junta_weights` may weigh
 JUNTA_SET_BUDGET = 2_000_000
 # fresh oracle points per chunk of a batched estimate (a chunk holds at
-# least one mask; the first one also holds the m shared base points):
+# least one nonzero mask; the first one also holds the m shared base points):
 # bounds the draw, the answers and the differences to a few hundred KB
 # whatever the batch size, and still holds a whole refinement round (2^k
 # masks of m fresh points) at k <= 3 and m <= 1024; at 1 << 15 the peak
@@ -89,21 +94,27 @@ def estimate_inf_mask(
 ) -> np.ndarray:
     """Monte Carlo influence estimates of a 1-D int64 batch of B masks, in
     order, from m base points shared by every mask and m fresh points per
-    mask: m(B + 1) oracle queries, 2m for one mask.
+    nonzero mask: m(B' + 1) oracle queries for B' >= 1 nonzero masks, 2m
+    for one, and none when every mask is 0.
 
     Each of the m samples fixes the coordinates outside S at a base point
     and compares f there with f at a fresh completion of S; the average
-    squared difference, halved, is an unbiased estimate of Inf_f(S).
+    squared difference, halved, is an unbiased estimate of Inf_f(S).  For
+    S empty every completion is the base point, so a mask of 0 gets
+    exactly 0.0 and spends no draw and no query.
 
-    The draws hold the m base points, then the m fresh points of each
+    The draw rows hold the m base points, then the m fresh points of each
     mask in order, so a batch of one draws and queries exactly what the
-    first mask of a longer batch does.  Every mask sees uniform base
-    points and fresh points drawn independently of them, so each estimate
-    has the law of a separate 2m-query estimate; the masks of a batch
-    share the base points (common random numbers), which only correlates
-    their estimates.  An empty batch draws nothing and queries nothing.
-    A scalar or 2-D `masks` raises ValueError, and m over M_BUDGET raises
-    BudgetError.
+    first mask of a longer batch does.  Only the base row and the rows of
+    nonzero masks are drawn (`uniform_masks` with `rows`), and a chunk
+    holds at most ESTIMATE_CHUNK_POINTS // m of them; the rows of zero
+    masks are stepped over, so the generator ends where drawing every row
+    leaves it.  Every mask sees uniform base points and fresh points drawn
+    independently of them, so each estimate has the law of a separate
+    2m-query estimate; the masks of a batch share the base points (common
+    random numbers), which only correlates their estimates.  An empty
+    batch draws nothing and queries nothing.  A scalar or 2-D `masks`
+    raises ValueError, and m over M_BUDGET raises BudgetError.
     """
     if m < 1:
         raise ValueError("sample count must be >= 1")
@@ -114,28 +125,42 @@ def estimate_inf_mask(
     masks = np.asarray(masks, dtype=np.int64)
     if masks.ndim != 1:
         raise ValueError("masks must be a 1-D batch")
-    batch = masks[:, None]
-    out = np.empty(len(masks))
+    out = np.zeros(len(masks))
+    # draw row 0 holds the base points and row 1 + i mask i's fresh points;
+    # only the rows of the nonzero masks are drawn, the base row with them
+    live = np.flatnonzero(masks)
+    if not live.size:
+        if masks.size:
+            uniform_masks(rng, oracle.n, (masks.size + 1, m), rows=())
+        return out
     per_chunk = max(1, ESTIMATE_CHUNK_POINTS // m)
-    for lo in range(0, batch.shape[0], per_chunk):
-        s = batch[lo : lo + per_chunk]
+    done = 0  # draw rows drawn or stepped over
+    for lo in range(0, live.size, per_chunk):
+        chunk = live[lo : lo + per_chunk]
+        # the last chunk's draw runs to the end of the batch's rows
+        stop = masks.size + 1 if lo + per_chunk >= live.size else int(chunk[-1]) + 2
         # the first chunk's draw and oracle call also hold the base points,
         # in row 0; the other rows are fresh points, which then take the
         # base's coordinates outside S: base ^ ((base ^ fresh) & S), in place
         head = int(lo == 0)
-        points = uniform_masks(rng, oracle.n, (head + s.shape[0], m))
+        if chunk.size + head == stop - done:
+            rows = None  # every row kept: the whole draw
+        else:
+            rows = [0] * head + (chunk + 1 - done).tolist()
+        points = uniform_masks(rng, oracle.n, (stop - done, m), rows=rows)
+        done = stop
         if head:
             base = points[0]
         fresh = points[head:]
         fresh ^= base
-        fresh &= s
+        fresh &= masks[chunk, None]
         fresh ^= base
         values = oracle.query_masks(points.reshape(-1)).reshape(points.shape)
         if head:
             base_values = values[0]
         diff = base_values - values[head:]
         diff *= diff
-        out[lo : lo + s.shape[0]] = diff.sum(axis=1) / (2 * m)
+        out[chunk] = diff.sum(axis=1) / (2 * m)
     return out
 
 

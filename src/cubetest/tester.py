@@ -23,7 +23,9 @@ those values alone put every core of the run over the threshold
 (`_candidate_ranges`).
 
 The selection and each refinement round make one batched estimator
-call, so a run that used r rounds makes exactly
+call, which spends m queries per nonzero mask plus m for its base points
+when it has one, and none on a mask of 0 (an empty part, of which the
+Theta(k^2) parts leave many); so a run that used r rounds makes at most
 q + m(num_parts + 1) + m(2^k + 1) r queries (`TesterConfig.query_budget`).
 
 `PLAN_SETTINGS` is the one table of tester settings: the five a plan
@@ -58,6 +60,14 @@ REPORT_SCHEMA = "cubetest-report-1"
 # 256, 1,024, 2,048, 4,096, 8,192 or 16,384 rows (best of 6 rounds, in
 # three runs, 2-vCPU Xeon, numpy 2.4)
 CORE_SCAN_ROWS = 4096
+# rows of the core search's first block; each later block holds twice as
+# many as the one before, up to CORE_SCAN_ROWS.  Over the 80 searches of
+# an 80-trial subadditive k = 3, q = 64 plan (seed_base 0) the first
+# passing core sat a median of 118 rows into the kept rows, and a search
+# took 51.0 us with a first block of 256 rows, 54.7 with 128, 52.2 with
+# 512 and 54.3 with 4,096 (best of 15 interleaved rounds, 2-vCPU Xeon,
+# numpy 2.4)
+CORE_FIRST_ROWS = 256
 # most part-selection estimates (num_parts) a config may ask for; a
 # config over it raises BudgetError (exit 4) before any sampling
 NUM_PARTS_BUDGET = 200_000
@@ -172,10 +182,13 @@ class TesterConfig:
             raise ValueError(f"accept_threshold must be finite and > 0, got {self.accept_threshold}")
 
     def query_budget(self) -> int:
-        """Oracle queries of a run that uses the most refinement rounds a
-        run can use: q + m(B + 1) + m(2^k + 1) r, with B = num_parts and
-        r = default_refine_rounds(q, num_parts).  A run that stopped after
-        r' <= r rounds costs exactly that with r' in place of r."""
+        """The most oracle queries a run can make: q + m(B + 1) +
+        m(2^k + 1) r, with B = num_parts and r = default_refine_rounds(q,
+        num_parts), the cost of a run that uses every round and estimates
+        no mask of 0.  A run that stopped after r' <= r rounds costs at
+        most that with r' in place of r, and m less for each mask of 0 it
+        estimates (m(B' + 1) for a batch with B' >= 1 nonzero masks, and
+        nothing for a batch of zero masks)."""
         q, m, k, r = self.q, self.m, self.k, default_refine_rounds(self.q, self.num_parts)
         return q + m * (self.num_parts + 1) + m * ((1 << k) + 1) * r
 
@@ -278,7 +291,8 @@ def select_initial_parts(
     """Choose k parts of the equi-partition for refinement: the k parts of
     largest estimated own influence, in index order; ties break to the
     lowest index.  One batched estimator call on the num_parts part
-    masks, exactly m(num_parts + 1) queries.
+    masks, m(B + 1) queries for the B parts that hold a coordinate (an
+    empty part's mask is 0, which the estimator answers 0.0 unqueried).
 
     Returns the kept parts and the sum of the dropped parts' estimates.
     For a k-junta a part holding no relevant coordinate has influence 0,
@@ -303,7 +317,8 @@ def refine_parts(
     complement of smallest estimated influence; ties break to the
     smallest z.  A split cuts a part's range of cells in two and draws
     nothing (see `VirtualPart.halves`).  A round passes its 2^k
-    complements to one estimator call, m(2^k + 1) queries.
+    complements to one estimator call, at most m(2^k + 1) queries (a
+    complement of 0 spends none).
 
     Refinement stops after the first round that leaves every part
     holding at most one occupied pattern: later rounds could only keep
@@ -398,17 +413,23 @@ def _core_score_blocks(
     ranges: Iterable[tuple[int, int]],
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start, scores of cores start, start + 1, ...) for each block
-    of at most CORE_SCAN_ROWS rows of each range [lo, hi) of `ranges`, in
-    order.  Each row is summed on its own (`np.einsum`, no BLAS product),
-    so a core gets the same bits in any block."""
+    of each range [lo, hi) of `ranges`, in order.  The first block holds
+    at most CORE_FIRST_ROWS rows and each later one at most twice as many
+    as the one before, up to CORE_SCAN_ROWS, so a search that passes early
+    scores few rows.  Each row is summed on its own (`np.einsum`, no BLAS
+    product), so a core gets the same bits in any block."""
+    size = CORE_FIRST_ROWS
     for lo, hi in ranges:
-        for start in range(lo, hi, CORE_SCAN_ROWS):
-            dev = cores.tables[start : min(start + CORE_SCAN_ROWS, hi)] - means
+        start = lo
+        while start < hi:
+            stop = min(start + size, hi)
+            dev = cores.tables[start:stop] - means
             dev *= dev
             stats = np.einsum("ij,j->i", dev, counts)
             stats += within
             stats /= q
             yield start, stats
+            start, size = stop, min(2 * size, CORE_SCAN_ROWS)
 
 
 def _candidate_ranges(
@@ -456,7 +477,8 @@ def final_check_and_learn(
     is needed.  The first core in enumeration order whose statistic is at
     most `threshold` is learned: the rows of `_candidate_ranges`, the
     runs whose shared prefix leaves room under the threshold, are scored
-    CORE_SCAN_ROWS at a time, up to the first block with a passing core.
+    in growing blocks (`_core_score_blocks`), up to the first block with a
+    passing core.
     """
     q = len(sample_masks)
     counts, means, within = _sufficient_statistics(sample_masks, sample_values, phi)
@@ -482,8 +504,9 @@ def run_tester(
     contract (see `InfluenceEstimator`): every call passes a 1-D int64
     batch of masks.  The part selection calls it once with its num_parts
     part masks and each refinement round once with its 2^k complement
-    masks, so a run that used r rounds makes exactly
-    q + m(num_parts + 1) + m(2^k + 1) r queries (see
+    masks, so a run that used r rounds makes at most
+    q + m(num_parts + 1) + m(2^k + 1) r queries: m fewer for each mask
+    of 0, and none at all for a batch of zero masks (see
     `TesterConfig.query_budget`); the core search makes none.
 
     Bucket j of the report holds the coordinates of final part j, which
@@ -555,6 +578,8 @@ _REPORT_REQUIRED = (
 # the required lines that follow from the others: `report_from_lines`
 # takes each only as `report_to_lines` writes it
 _REPORT_DERIVED = ("verdict", "reject_stage", "phi")
+# the names an `eta:` line may give, each at most once
+_ETA_NAMES = ("initial_min", "refine_last")
 
 
 def report_to_lines(report: TesterReport) -> list[str]:
@@ -591,19 +616,34 @@ def _count(text: str, key: str, least: int) -> int:
 
 
 def report_from_lines(text: str) -> TesterReport:
-    """The report in `text`.  A number that does not parse, a core of
-    other than 2^k values (k >= 1), a field that disagrees with the
-    buckets (a core's k, the count of empty flags, a flag other than 0
-    or 1, a bucket flagged empty that holds a coordinate), an empirical
-    distance on a record with no core or none on one with a core,
-    queries_used below 0, refine_rounds_used below 1, and a line of
-    `_REPORT_DERIVED` other than the one `report_to_lines` writes for
-    the rest name their key."""
+    """The report in `text`.  A number that does not parse, buckets no run
+    writes (a coordinate below 1, a bucket's coordinates out of ascending
+    order, a coordinate in two buckets), a core of other than 2^k values
+    (k >= 1), a field that disagrees with the buckets (a core's k, the
+    count of empty flags, a flag other than 0 or 1, a bucket flagged
+    empty that holds a coordinate), an empirical distance on a record
+    with no core or none on one with a core, queries_used below 0,
+    refine_rounds_used below 1, an eta name other than those of
+    `_ETA_NAMES` or one given twice, and a line of `_REPORT_DERIVED`
+    other than the one `report_to_lines` writes for the rest name their
+    key."""
     entries = kvfile.check(kvfile.parse(text), "report", REPORT_SCHEMA, _REPORT_REQUIRED)
     buckets = tuple(
         kvfile.values(chunk, int, "report", "selected_buckets") if chunk.strip() != "-" else ()
         for chunk in entries["selected_buckets"].split(";")
     )
+    seen: set[int] = set()
+    for coords in buckets:
+        if coords and min(coords) < 1:
+            bad = f"coordinate {min(coords)} is below 1"
+        elif list(coords) != sorted(set(coords)):
+            bad = f"{' '.join(map(str, coords))} is not strictly ascending"
+        elif seen.intersection(coords):
+            bad = f"coordinate {min(seen.intersection(coords))} is in two buckets"
+        else:
+            seen.update(coords)
+            continue
+        raise ValueError(f"report key 'selected_buckets': {bad}")
     core = None
     if entries["learned_core"] != "-":
         vals = kvfile.values(entries["learned_core"], float, "report", "learned_core")
@@ -620,8 +660,12 @@ def report_from_lines(text: str) -> TesterReport:
         raise ValueError(f"report key 'empirical_distance': {stated!r} on a record with {had} core")
     eta = {}
     for tok in entries["eta"].split():
-        key, _, val = tok.partition("=")
-        eta[key] = kvfile.value(val, float, "report", "eta")
+        name, _, val = tok.partition("=")
+        if name not in _ETA_NAMES:
+            raise ValueError(f"report key 'eta': unknown name {name!r}")
+        if name in eta:
+            raise ValueError(f"report key 'eta': {name!r} given twice")
+        eta[name] = kvfile.value(val, float, "report", "eta")
     empty = kvfile.values(entries["empty_buckets"], int, "report", "empty_buckets")
     if len(empty) != len(buckets):
         raise ValueError(f"report key 'empty_buckets': {len(empty)} flags for {len(buckets)} buckets")

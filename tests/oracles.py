@@ -375,8 +375,8 @@ def naive_core_statistics(sample_values, final_patterns, core_rows) -> list[floa
 
 def full_scan_core_statistics(cores, sample_masks, sample_values, phi) -> np.ndarray:
     """The statistic of every core, in order: the tester's own block
-    scoring (`tester._core_score_blocks`) over all rows, CORE_SCAN_ROWS
-    at a time.  Bit j of sample t's core input is coordinate phi[j] of
+    scoring (`tester._core_score_blocks`) over all rows, in its growing
+    blocks.  Bit j of sample t's core input is coordinate phi[j] of
     the sample (0 when phi[j] is None).  Unlike the other oracles it
     shares the tester's arithmetic, so that the pruned scan of
     `final_check_and_learn` can be held to the same bits: a row's score
@@ -389,15 +389,19 @@ def full_scan_core_statistics(cores, sample_masks, sample_values, phi) -> np.nda
 
 
 def per_mask_estimator(oracle, masks, m, rng):
-    """Influence estimator that makes one draw of m base points, one of m
-    fresh points and two oracle calls per mask, one mask at a time; takes
-    a 1-D batch of masks, like `influence.estimate_inf_mask`."""
+    """Influence estimator that makes one draw of m base points and one of
+    m fresh points per mask, one mask at a time, and two oracle calls per
+    nonzero mask; a mask of 0 gets 0.0 and no query.  Takes a 1-D batch
+    of masks, like `influence.estimate_inf_mask`."""
     size = 1 << oracle.n
     out = []
     for mask in masks:
         mask = int(mask)
         base = rng.integers(0, size, size=m, dtype=np.int64)
         fresh = rng.integers(0, size, size=m, dtype=np.int64)
+        if mask == 0:
+            out.append(0.0)
+            continue
         resampled = (base & ~mask) | (fresh & mask)
         v1 = oracle.query_masks(base)
         v2 = oracle.query_masks(resampled)
@@ -406,22 +410,59 @@ def per_mask_estimator(oracle, masks, m, rng):
 
 
 def shared_base_estimator(oracle, masks, m, rng):
-    """Influence estimator that makes one draw of m base points and one
-    oracle call on them per call, then, mask by mask, one draw of m fresh
-    points and one oracle call on their completions of the base; takes a
-    1-D batch of masks, like `influence.estimate_inf_mask`.  An empty
-    batch draws and queries nothing."""
+    """Influence estimator that makes one draw of m base points per call,
+    then, mask by mask, one draw of m fresh points; it queries the base
+    points once when some mask is nonzero, and the completions of the base
+    once per nonzero mask, and gives a mask of 0 0.0.  Takes a 1-D batch
+    of masks, like `influence.estimate_inf_mask`.  An empty batch draws
+    and queries nothing."""
     out = []
     if len(masks):
         size = 1 << oracle.n
         base = rng.integers(0, size, size=m, dtype=np.int64)
-        v1 = oracle.query_masks(base)
+        if any(int(mask) for mask in masks):
+            v1 = oracle.query_masks(base)
         for mask in masks:
             mask = int(mask)
             fresh = rng.integers(0, size, size=m, dtype=np.int64)
+            if mask == 0:
+                out.append(0.0)
+                continue
             v2 = oracle.query_masks((base & ~mask) | (fresh & mask))
             out.append(float(np.sum((v1 - v2) ** 2) / (2 * m)))
     return np.array(out, dtype=np.float64)
+
+
+def whole_block_estimator(oracle, masks, m, rng):
+    """Influence estimator that draws the whole (B + 1) x m block of a
+    batch of B masks in one `rng.integers` call, the base points in row 0
+    and mask i's fresh points in row i + 1, zero masks' rows included;
+    it queries the base row when some mask is nonzero and the completions
+    of each nonzero mask's row, and gives a mask of 0 0.0.  Takes a 1-D
+    batch of masks, like `influence.estimate_inf_mask`; an empty batch
+    draws and queries nothing."""
+    out = np.zeros(len(masks))
+    if len(masks):
+        block = rng.integers(0, 1 << oracle.n, size=(len(masks) + 1, m), dtype=np.int64)
+        live = [i for i, mask in enumerate(masks) if int(mask)]
+        if live:
+            v1 = oracle.query_masks(block[0])
+        for i in live:
+            mask = int(masks[i])
+            v2 = oracle.query_masks((block[0] & ~mask) | (block[i + 1] & mask))
+            out[i] = float(np.sum((v1 - v2) ** 2) / (2 * m))
+    return out
+
+
+def nonzero_counting(counts, estimator):
+    """`estimator`, which also appends each call's number of nonzero masks
+    to the list `counts`."""
+
+    def counted(oracle, masks, m, rng):
+        counts.append(int(np.count_nonzero(masks)))
+        return estimator(oracle, masks, m, rng)
+
+    return counted
 
 
 def exact_stub(table):

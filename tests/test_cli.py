@@ -4,14 +4,17 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cubetest
 from cubetest import bench, cores, tester, valuations
 from cubetest.cli import main
-from cubetest.tables import read_table, write_table
+from cubetest.influence import estimate_inf_mask
+from cubetest.tables import make_counting_oracle, read_table, write_table
 from cubetest.tester import report_from_lines
 from cubetest.valuations import ValuationSpec, gen, write_spec
+from oracles import naive_trial_table
 
 
 @pytest.fixture
@@ -642,11 +645,14 @@ class TestTestCommand:
 
     @pytest.mark.parametrize("q, m, num_parts", [(24, 30, 16), (16, 20, 10)])
     def test_plan_settings_reach_every_trial(self, tmp_path, q, m, num_parts):
-        # queries_used = q + m (P + 1) + m (2^k + 1) r: the sample, the
-        # P = num_parts part estimates of the selection and r refinement
-        # rounds of 2^k estimates (each batch adds m shared base points)
+        # queries_used = q + m (B + 1) per estimator call with B >= 1
+        # nonzero masks: the sample, the selection's batch of P = num_parts
+        # part masks and r refinement rounds of 2^k masks (each batch adds
+        # m shared base points; a mask of 0 queries nothing), at most
+        # q + m (P + 1) + m (2^k + 1) r.  The batches are those of the
+        # trial run again from its table
         overrides = {"q": q, "m": m, "num_parts": num_parts, "gamma": 0.25}
-        _, path = self._small_plan(tmp_path, overrides=overrides)
+        plan, path = self._small_plan(tmp_path, overrides=overrides)
         out = tmp_path / "s.txt"
         assert main(["--out", str(out), "test", str(path)]) == 0
         records = (tmp_path / "s.txt.trials").read_text().split("trial: ")[1:]
@@ -654,7 +660,18 @@ class TestTestCommand:
         for record in records:
             fields = dict(ln.split(": ", 1) for ln in record.splitlines()[1:] if ": " in ln)
             rounds = int(fields["refine_rounds_used"])
-            assert int(fields["queries_used"]) == q + m * (num_parts + 1) + m * 5 * rounds
+            seed = int(fields["seed"])
+            batches = []
+
+            def sizes(oracle, masks, m, rng):
+                batches.append((len(masks), int(np.count_nonzero(masks))))
+                return estimate_inf_mask(oracle, masks, m, rng)
+
+            table = naive_trial_table(plan, seed)
+            tester.run_tester(make_counting_oracle(table), "submodular", plan.tester_config(seed), sizes)
+            assert [size for size, _ in batches] == [num_parts] + [4] * rounds
+            assert int(fields["queries_used"]) == q + sum(m * (b + 1) for _, b in batches if b)
+            assert int(fields["queries_used"]) <= q + m * (num_parts + 1) + m * 5 * rounds
 
     def test_config_flag_refused(self, tmp_path):
         # tester config files are gone: plan keys set every tester

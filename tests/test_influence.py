@@ -24,6 +24,7 @@ from cubetest.tables import (
     QueryOracle,
     lp_distance,
     make_counting_oracle,
+    uniform_masks,
     walsh_hadamard,
 )
 from oracles import (
@@ -32,6 +33,7 @@ from oracles import (
     naive_junta_projection,
     per_mask_estimator,
     shared_base_estimator,
+    whole_block_estimator,
 )
 
 
@@ -185,21 +187,25 @@ def hashed_oracle(n):
 
 class TestEstimateBatch:
     """A batch of masks gives the same bits, the same query count, m(B + 1)
-    for B masks, and the same RNG state afterwards as the shared-base
-    reference loop; batches of one made in sequence give all three as the
-    per-mask reference does, 2m queries each; and a batch of one gives
-    what the first mask of a longer batch gives."""
+    for B nonzero masks, and the same RNG state afterwards as the
+    shared-base reference loop and the whole-block draw; batches of one
+    made in sequence give all three as the per-mask reference does, 2m
+    queries per nonzero mask; and a batch of one gives what the first
+    mask of a longer batch gives."""
 
     def _compare(self, make_oracle, n, m, count, seed=0):
         masks = np.random.default_rng(seed).integers(0, 1 << n, size=count, dtype=np.int64)
+        live = int(np.count_nonzero(masks))
         runs = {}
-        for how in ("batch", "shared_base", "one_mask", "per_mask", "first"):
+        for how in ("batch", "shared_base", "whole_block", "one_mask", "per_mask", "first"):
             oracle = make_oracle()
             rng = np.random.default_rng(seed + 1)
             if how == "batch":
                 est = estimate_inf_mask(oracle, masks, m, rng)
             elif how == "shared_base":
                 est = shared_base_estimator(oracle, masks, m, rng)
+            elif how == "whole_block":
+                est = whole_block_estimator(oracle, masks, m, rng)
             elif how == "one_mask":
                 est = [estimate_inf_mask(oracle, masks[i : i + 1], m, rng)[0] for i in range(count)]
             elif how == "per_mask":
@@ -209,8 +215,9 @@ class TestEstimateBatch:
             after = rng.integers(0, 1 << 62, size=4)
             runs[how] = (np.asarray(est, dtype=np.float64), oracle.query_count, after)
         for got, want, queries in (
-            (runs["batch"], runs["shared_base"], m * (count + 1)),
-            (runs["one_mask"], runs["per_mask"], 2 * m * count),
+            (runs["batch"], runs["shared_base"], m * (live + 1) if live else 0),
+            (runs["batch"], runs["whole_block"], m * (live + 1) if live else 0),
+            (runs["one_mask"], runs["per_mask"], 2 * m * live),
         ):
             assert got[0].shape == (count,)
             assert got[0].tobytes() == want[0].tobytes()
@@ -282,11 +289,100 @@ class TestEstimateBatch:
         for seed in range(runs):
             oracle = make_counting_oracle(f)
             estimates[seed] = estimate_inf_mask(oracle, masks, m, np.random.default_rng(seed))
-            assert oracle.query_count == m * (len(masks) + 1)
+            # six nonzero masks and the base points; the mask of 0 queries nothing
+            assert oracle.query_count == m * len(masks)
         se = estimates.std(axis=0, ddof=1) / math.sqrt(runs)
         assert np.all(np.abs(estimates.mean(axis=0) - exact) <= 4 * se)
         deviation_share = np.mean(np.abs(estimates - exact) >= t, axis=0)
         assert np.all(deviation_share <= 2 * math.exp(-2 * m * t * t))
+
+
+class TestZeroMasks:
+    """A mask of 0 is answered 0.0 with no draw and no query: a batch with
+    zero masks gives the estimate bytes and the generator state of the
+    whole-block draw (`oracles.whole_block_estimator`), in m(B + 1)
+    queries for its B nonzero masks; a batch of zero masks queries
+    nothing, and no draw holds a zero mask's row."""
+
+    @staticmethod
+    def _batches(n, m):
+        """Batches with zeros at each end, in runs, alone, across the
+        chunk boundaries of m, and everywhere."""
+        rng = np.random.default_rng(n * 1009 + m)
+        per_chunk = max(1, ESTIMATE_CHUNK_POINTS // m)
+        size = 3 * per_chunk + 5
+        nonzero = rng.integers(1, 1 << n, size=size, dtype=np.int64)
+        yield nonzero * (np.arange(size) % 2)  # every other mask
+        yield nonzero * (rng.random(size) < 0.3)
+        yield nonzero * (rng.random(size) < 0.9)
+        ends = nonzero.copy()
+        ends[:3] = ends[-4:] = 0
+        yield ends
+        edges = nonzero.copy()
+        edges[per_chunk - 1 : per_chunk + 2] = 0  # about the first chunk's end
+        yield edges
+        lone = np.zeros(size, dtype=np.int64)
+        lone[size // 2] = nonzero[0]
+        yield lone
+        yield np.zeros(size, dtype=np.int64)
+        yield np.zeros(1, dtype=np.int64)
+
+    @pytest.mark.parametrize("n, m", [(8, 1), (8, 37), (8, 1000), (8, 1001), (40, 37), (40, 1000)])
+    @pytest.mark.parametrize("prefix", [0, 3])
+    def test_same_bytes_and_state_as_the_whole_block(self, n, m, prefix):
+        # an odd-length bytes draw first leaves a high half buffered
+        table = random_table(8, np.random.default_rng(5)) if n == 8 else None
+        for masks in self._batches(n, m):
+            got, want = [], []
+            for estimator, runs in ((estimate_inf_mask, got), (whole_block_estimator, want)):
+                oracle = make_counting_oracle(table) if table else hashed_oracle(n)
+                rng = np.random.default_rng(17)
+                rng.bytes(prefix)
+                est = estimator(oracle, masks, m, rng)
+                runs += [est.tobytes(), oracle.query_count, rng.bit_generator.state, rng.random()]
+            assert got == want
+            live = int(np.count_nonzero(masks))
+            assert got[1] == (m * (live + 1) if live else 0)
+            est = np.frombuffer(got[0])
+            assert np.all(est[masks == 0] == 0.0)
+
+    def test_zero_masks_query_nothing(self):
+        oracle = make_counting_oracle(random_table(6, np.random.default_rng(0)))
+        rng = np.random.default_rng(3)
+        est = estimate_inf_mask(oracle, np.zeros(5, dtype=np.int64), 10, rng)
+        assert est.tobytes() == np.zeros(5).tobytes()
+        assert oracle.query_count == 0
+        # the generator stepped over the 6 x 10 draw all the same
+        numpy_rng = np.random.default_rng(3)
+        numpy_rng.integers(0, 1 << 6, size=(6, 10))
+        assert rng.bit_generator.state == numpy_rng.bit_generator.state
+
+    def test_no_draw_holds_a_zero_mask_row(self, monkeypatch):
+        # rows of zero masks are stepped over, not drawn, and a chunk
+        # holds at most ESTIMATE_CHUNK_POINTS // m nonzero masks
+        kept = []
+
+        def spy(rng, n, shape, rows=None):
+            kept.append((shape, list(rows)))
+            return uniform_masks(rng, n, shape, rows=rows)
+
+        monkeypatch.setattr(influence, "uniform_masks", spy)
+        m = 1000
+        per_chunk = ESTIMATE_CHUNK_POINTS // m
+        masks = np.zeros(40, dtype=np.int64)
+        live = [1, 2, 5, 6, 7, 11, 20, 21, 22, 23, 30, 38]
+        masks[live] = np.arange(1, len(live) + 1)
+        oracle = make_counting_oracle(random_table(8, np.random.default_rng(1)))
+        estimate_inf_mask(oracle, masks, m, np.random.default_rng(2))
+        drawn, start = [], 0
+        for (height, width), rows in kept:
+            assert width == m and len(rows) <= per_chunk + 1
+            drawn += [start + r for r in rows]
+            start += height
+        assert start == len(masks) + 1
+        assert drawn == [0] + [i + 1 for i in live]
+        assert oracle.query_count == m * (len(live) + 1)
+
 
 class TestInfluenceFacts:
     def test_monotone_and_subadditive(self):

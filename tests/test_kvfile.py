@@ -174,6 +174,46 @@ def test_report_field_that_disagrees_with_the_buckets_names_its_key(key, bad, me
 
 
 @pytest.mark.parametrize(
+    "buckets, phi, empty, message",
+    [
+        # each read back before these checks, with the phi and
+        # empty_buckets lines that match its buckets
+        ("1 ; 1", "1 1", "0 0", "coordinate 1 is in two buckets"),
+        ("1 4 ; 2 4", "1 2", "0 0", "coordinate 4 is in two buckets"),
+        ("0 4 ; -", "0 -", "0 1", "coordinate 0 is below 1"),
+        ("-3 ; -", "-3 -", "0 1", "coordinate -3 is below 1"),
+        ("4 1 ; -", "1 -", "0 1", "4 1 is not strictly ascending"),
+        ("1 1 ; -", "1 -", "0 1", "1 1 is not strictly ascending"),
+    ],
+)
+def test_report_buckets_no_run_writes_name_their_key(buckets, phi, empty, message):
+    # a run's buckets hold disjoint coordinates of 1..n, each bucket's in
+    # ascending order
+    swap = {"selected_buckets": buckets, "phi": phi, "empty_buckets": empty}
+    lines = []
+    for ln in report_to_lines(REPORT):
+        key = ln.split(":")[0]
+        lines.append(f"{key}: {swap[key]}" if key in swap else ln)
+    assert _message(report_from_lines, _text(lines)) == f"report key 'selected_buckets': {message}"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("bogus=1", "unknown name 'bogus'"),
+        ("initial_min=1 initial_min=2", "'initial_min' given twice"),
+        ("initial_min=0.25 refine_last=0.5 refine_last=0.5", "'refine_last' given twice"),
+        # the removed influence gate's entry, in records written before it went
+        ("gate=0.01 initial_min=0.25 refine_last=0.5", "unknown name 'gate'"),
+    ],
+)
+def test_report_eta_name_not_written_names_its_key(bad, message):
+    # a run writes initial_min and refine_last, once each
+    lines = [f"eta: {bad}" if ln.startswith("eta:") else ln for ln in report_to_lines(REPORT)]
+    assert _message(report_from_lines, _text(lines)) == f"report key 'eta': {message}"
+
+
+@pytest.mark.parametrize(
     "verdict, key, bad, message",
     [
         ("reject", "empirical_distance", "0.01", "'0.01' on a record with no core"),

@@ -32,6 +32,7 @@ from oracles import (
     naive_buckets_from_masks,
     naive_cell_partition,
     naive_core_statistics,
+    nonzero_counting,
     shared_base_estimator,
 )
 
@@ -40,11 +41,19 @@ def and_junta(n, coords):
     return lift_core(CoreTable(2, (0.0, 0.0, 0.0, 1.0)), coords, n)
 
 
-def exact_queries(cfg, rounds):
-    """Oracle queries of a run that used `rounds` refinement rounds,
-    q + m(P + 1) + m(2^k + 1) rounds: m per part the selection estimates
-    (P = num_parts) and per keep-choice of each round, plus m for each of
-    those batches' base points; the core search queries nothing."""
+def exact_queries(cfg, counts):
+    """Oracle queries of a run whose estimator calls had counts[i] nonzero
+    masks each (see `oracles.nonzero_counting`): q for the sample, and m
+    per nonzero mask of a call, plus m for that call's base points when it
+    has one; a mask of 0 and a call with none query nothing, and the core
+    search queries nothing."""
+    return cfg.q + sum(cfg.m * (c + 1) for c in counts if c)
+
+
+def full_queries(cfg, rounds):
+    """q + m(P + 1) + m(2^k + 1) rounds, P = num_parts: the queries of a
+    run that used `rounds` refinement rounds when no mask it estimates is
+    0, and so the most any such run makes."""
     return cfg.q + cfg.m * (cfg.num_parts + 1) + cfg.m * ((1 << cfg.k) + 1) * rounds
 
 
@@ -549,7 +558,8 @@ class TestStagesWithExactStub:
         assert dropped == 0.0
 
     def test_select_query_accounting(self):
-        # one batch of the 4k^2 part masks, m (4k^2 + 1) queries
+        # one batch of the 4k^2 part masks, m (B + 1) queries for the B
+        # parts that hold a coordinate; an empty part queries nothing
         n = 8
         rng = np.random.default_rng(7)
         table = FunctionTable(n, rng.uniform(0, 1, 1 << n))
@@ -562,7 +572,9 @@ class TestStagesWithExactStub:
             parts = _initial_parts(buckets, cfg.q, cfg.num_parts, rng)
             before = oracle.query_count
             select_initial_parts(oracle, parts, cfg, rng)
-            assert oracle.query_count - before == cfg.m * (cfg.num_parts + 1)
+            held = sum(p.coord_mask != 0 for p in parts)
+            assert 0 < held < cfg.num_parts
+            assert oracle.query_count - before == cfg.m * (held + 1)
 
     def test_refine_isolates_single_relevant_pattern(self):
         n = 10
@@ -623,8 +635,8 @@ def refine_with_spy(table, cfg, seed, estimator, monkeypatch):
 
 class TestRefineStop:
     """Refinement stops after the first round that leaves every selected
-    part holding at most one occupied pattern, and a round costs
-    m (2^k + 1) queries."""
+    part holding at most one occupied pattern, and a round none of whose
+    complements is 0, as in every case here, costs m (2^k + 1) queries."""
 
     @staticmethod
     def _case(name):
@@ -832,19 +844,24 @@ class TestCoreStatistics:
         self._check_search(cores, table, masks, values, patterns, naive)
 
     # block-boundary cases: (rows, row of the first passing core or None);
-    # -1 is the last row
+    # -1 is the last row.  A whole scan's blocks start at rows 0, 256,
+    # 768, 1,792, 3,840, 7,936 and then every 4,096
     BOUNDARY_CASES = [
+        (257, 255), (257, 256), (257, None),
+        (769, 767), (769, 768), (769, -1),
+        (3841, 3839), (3841, 3840), (3841, None),
         (4095, 4094), (4095, -1), (4095, None),
         (4096, 4095), (4096, -1), (4096, None),
         (4097, 4095), (4097, 4096), (4097, -1), (4097, None),
-        (8193, 4095), (8193, 4096), (8193, -1), (8193, None),
+        (8193, 4095), (8193, 4096), (8193, 7935), (8193, 7936), (8193, -1), (8193, None),
     ]
 
     @pytest.mark.parametrize("rows,target", BOUNDARY_CASES)
     def test_scan_across_block_boundaries(self, rows, target):
         # rows sampled in order from the 148,815 subadditive k = 3 cores,
-        # so the scan crosses one or two of its CORE_SCAN_ROWS boundaries
-        assert tester.CORE_SCAN_ROWS == 4096
+        # so the scan crosses its growing blocks' boundaries (those of the
+        # kept ranges, which pruning may move)
+        assert (tester.CORE_FIRST_ROWS, tester.CORE_SCAN_ROWS) == (256, 4096)
         full = cached_cores("subadditive", 3, 0.25)
         rng = np.random.default_rng(rows)
         picked = np.sort(rng.choice(len(full), size=rows, replace=False))
@@ -1131,32 +1148,68 @@ class TestPrunedScan:
         assert dist == 0.0
         assert ranges == [(int(starts[j]), int(starts[j + 1]))]
 
+    @pytest.mark.parametrize("row", [255, 256, 767, 768, 1791, 1792, 3839, 3840, 7935, 7936])
+    def test_first_passing_row_at_each_block_edge(self, row):
+        # a whole scan's blocks start at rows 256, 768, 1,792, 3,840 and
+        # 7,936.  Coordinate 9 (core input bit 2) is 1 on every sample, so
+        # no run is pruned and the set is one range; the samples read the
+        # core at `row` exactly on inputs 4 to 7, which every other row
+        # differs from it on, so it alone scores 0 and is learned at a
+        # threshold below every other score, at a block's last row or its
+        # first
+        assert (tester.CORE_FIRST_ROWS, tester.CORE_SCAN_ROWS) == (256, 4096)
+        full = cached_cores("subadditive", 3, 0.25)
+        target = full.tables[90_000]
+        others = full.tables[np.any(full.tables[:, 4:] != target[4:], axis=1)]
+        cores = CoreSet(
+            "subadditive", 3, 0.25, np.concatenate([others[:row], target[None], others[row : row + 100]])
+        )
+        coords = (2, 5, 9)
+        table = lift_core(CoreTable(3, tuple(target)), coords, self.N)
+        rng = np.random.default_rng(34)
+        masks = [int(x) | 1 << 8 for x in rng.integers(0, 1 << self.N, size=64)]
+        values = table.values[np.asarray(masks)]
+        counts, _, within = tester._sufficient_statistics(masks, values, coords)
+        assert within == 0.0 and not np.any(counts[:4]) and np.all(counts[4:])
+        core, dist, ranges = self._check(cores, masks, values, coords, 1e-12)
+        assert ranges == [(0, len(cores))]
+        assert core == cores.member(row) and dist == 0.0
+
 
 @pytest.mark.parametrize("class_tag, k", TestPrunedScan.SETS)
 def test_core_scores_do_not_depend_on_the_block(class_tag, k):
     # `_core_score_blocks` gives every row of any range the bits the
     # whole-set scan gives it: ranges from odd rows of each length 1 to
-    # 40, ranges across each CORE_SCAN_ROWS boundary, and every row from
-    # row 1 on, whose blocks all start one row past the whole scan's
+    # 40, and across each of their own block boundaries (CORE_FIRST_ROWS
+    # rows in, then blocks doubling up to CORE_SCAN_ROWS), ranges across
+    # each of the whole scan's block boundaries, four ranges in one call,
+    # whose blocks grow across them, and every row from row 1 on, whose
+    # blocks all start one row past the whole scan's
     cores = cached_cores(class_tag, k, 0.25)
-    rows, step = len(cores), tester.CORE_SCAN_ROWS
+    rows = len(cores)
     rng = np.random.default_rng(4000 + 10 * k + len(class_tag))
     for q in (51, 64, 100):
         masks = [int(x) for x in rng.integers(0, 1 << 10, size=q)]
         values = rng.uniform(0.0, 1.0, q)
         phi = tuple(int(c) + 1 for c in rng.choice(10, size=k, replace=False))
         whole = full_scan_core_statistics(cores, masks, values, phi)
-        ranges = [(1, rows)]
-        for length in range(1, 41):
-            lo = 2 * int(rng.integers((rows - 1) // 2)) + 1
-            ranges.append((lo, min(lo + length, rows)))
-        for edge in range(step, rows, step):
-            ranges += [(edge - 1, edge + 2), (edge - 7, min(edge + 30, rows))]
         stats = tester._sufficient_statistics(masks, values, phi)
-        for lo, hi in ranges:
-            blocks = tester._core_score_blocks(cores, *stats, q, [(lo, hi)])
+        # where the whole scan's blocks start, and so how far into its range
+        # each block of any range starts
+        edges = [s for s, _ in tester._core_score_blocks(cores, *stats, q, [(0, rows)])][1:]
+        ranges = [[(1, rows)]]
+        for length in [*range(1, 41), *(edge + 1 for edge in edges)]:
+            lo = 2 * int(rng.integers((rows - 1) // 2)) + 1
+            ranges.append([(lo, min(lo + length, rows))])
+        for edge in edges:
+            ranges += [[(edge - 1, edge + 2)], [(edge - 7, min(edge + 30, rows))]]
+        cuts = np.sort(rng.choice(np.arange(1, rows), size=8, replace=False))
+        ranges.append(list(zip(cuts[0::2].tolist(), cuts[1::2].tolist())))
+        for pieces in ranges:
+            blocks = tester._core_score_blocks(cores, *stats, q, pieces)
             got = np.concatenate([b for _, b in blocks])
-            assert got.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+            want = np.concatenate([whole[lo:hi] for lo, hi in pieces])
+            assert got.tobytes() == want.tobytes(), pieces
 
 
 class TestAgainstPerMaskEstimator:
@@ -1187,13 +1240,17 @@ class TestAgainstPerMaskEstimator:
     @pytest.mark.parametrize("case, seed", CASES)
     def test_same_report(self, case, seed):
         class_tag, cfg, table = self._instance(case, seed)
-        batched = run_tester(make_counting_oracle(table), class_tag, cfg)
+        counts = []
+        batched = run_tester(
+            make_counting_oracle(table), class_tag, cfg, nonzero_counting(counts, estimate_inf_mask)
+        )
         reference = run_tester(
             make_counting_oracle(table), class_tag, cfg, estimator=shared_base_estimator
         )
         assert batched == reference
         assert report_to_lines(batched) == report_to_lines(reference)
-        assert batched.queries_used == exact_queries(cfg, batched.refine_rounds_used)
+        assert batched.queries_used == exact_queries(cfg, counts)
+        assert batched.queries_used < full_queries(cfg, batched.refine_rounds_used)
 
 
 class TestRunTester:
@@ -1206,9 +1263,10 @@ class TestRunTester:
         assert report_to_lines(r1) == report_to_lines(r2)
 
     def test_query_budget_formula(self):
-        # 20 random configs: a run may stop refining early and costs
-        # exactly the budget's formula in the rounds it used; one that
-        # used every round costs the budget
+        # 20 random configs: a run may stop refining early; it costs q
+        # plus m(B + 1) for each estimator call with B >= 1 nonzero masks,
+        # at most the budget's formula in the rounds it used, so at most
+        # the budget
         rng = np.random.default_rng(17)
         for trial in range(20):
             n = int(rng.integers(4, 9))
@@ -1221,10 +1279,13 @@ class TestRunTester:
             )
             table = FunctionTable(n, rng.uniform(0, 1, 1 << n))
             oracle = make_counting_oracle(table)
-            report = run_tester(oracle, "submodular", cfg)
+            counts = []
+            report = run_tester(oracle, "submodular", cfg, nonzero_counting(counts, estimate_inf_mask))
+            assert len(counts) == 1 + report.refine_rounds_used
             if report.refine_rounds_used == default_refine_rounds(cfg.q, cfg.num_parts):
-                assert report.queries_used == cfg.query_budget()
-            assert report.queries_used == exact_queries(cfg, report.refine_rounds_used)
+                assert full_queries(cfg, report.refine_rounds_used) == cfg.query_budget()
+            assert report.queries_used == exact_queries(cfg, counts)
+            assert report.queries_used <= full_queries(cfg, report.refine_rounds_used)
             assert report.queries_used <= cfg.query_budget()
             assert report.queries_used == oracle.query_count
 

@@ -1,5 +1,7 @@
 """`tables.uniform_masks` against numpy's own bounded draw: the same
-values, and the generator left where `rng.integers` leaves it."""
+values, and the generator left where `rng.integers` leaves it; with
+`rows`, the kept rows of that draw, and the generator still left where
+the whole draw leaves it."""
 
 import numpy as np
 import pytest
@@ -74,3 +76,62 @@ def test_other_bit_generators_are_refused():
 def test_widths_outside_1_to_62_are_refused(n):
     with pytest.raises(ValueError, match="mask width"):
         uniform_masks(np.random.default_rng(0), n, 4)
+
+
+def _same_generator(rng, numpy_rng):
+    """The same state, and the same next draws, 32-bit and 64-bit."""
+    assert rng.bit_generator.state == numpy_rng.bit_generator.state
+    assert rng.bytes(5) == numpy_rng.bytes(5)
+    assert np.array_equal(rng.integers(0, 1 << 40, size=3), numpy_rng.integers(0, 1 << 40, size=3))
+    assert rng.random() == numpy_rng.random()
+
+
+def _rows_cases(height):
+    """No rows, every row, each row alone, every other row, two kept rows
+    next to each other (which share a word at an odd width), the ends,
+    and the rows but the first and the last."""
+    yield []
+    yield list(range(height))
+    yield from ([r] for r in range(height))
+    yield list(range(0, height, 2))
+    yield list(range(1, height, 2))
+    yield from ([r, r + 1] for r in range(height - 1))
+    yield [0, height - 1]
+    yield list(range(1, height - 1))
+
+
+@pytest.mark.parametrize("n", [1, 12, 32, 33, 62])
+@pytest.mark.parametrize("width", [1, 2, 5, 6, 1001])
+def test_kept_rows_of_the_whole_draw(n, width):
+    # prefixes 1 and 3 leave a uint32 half pending, 0 and 4 none
+    height = 6
+    for prefix in (0, 1, 3, 4):
+        for rows in _rows_cases(height):
+            numpy_rng, rng = _pair(11, prefix)
+            want = numpy_rng.integers(0, 1 << n, size=(height, width), dtype=np.int64)[rows]
+            got = uniform_masks(rng, n, (height, width), rows=rows)
+            assert got.dtype == np.int64 and got.shape == (len(rows), width)
+            assert np.array_equal(got, want), (prefix, rows)
+            _same_generator(rng, numpy_rng)
+
+
+def test_kept_rows_of_random_draws():
+    # random widths, heights, kept rows and pending halves
+    cases = np.random.default_rng(2026)
+    for _ in range(2000):
+        n = int(cases.choice([1, 7, 12, 31, 32, 33, 48, 62]))
+        height, width = (int(x) for x in cases.integers(0, 9, size=2))
+        rows = np.flatnonzero(cases.random(height) < cases.random())
+        numpy_rng, rng = _pair(int(cases.integers(1 << 30)), int(cases.integers(0, 4)))
+        want = numpy_rng.integers(0, 1 << n, size=(height, width), dtype=np.int64)[rows]
+        got = uniform_masks(rng, n, (height, width), rows=rows)
+        assert np.array_equal(got, want) and got.shape == want.shape
+        _same_generator(rng, numpy_rng)
+
+
+@pytest.mark.parametrize("rows", [[1, 1], [2, 1], [-1], [4], [0, 4]])
+def test_rows_out_of_order_or_range_are_refused(rows):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="rows must be ascending distinct indices below 4"):
+        uniform_masks(rng, 8, (4, 3), rows=rows)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
