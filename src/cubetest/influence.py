@@ -15,16 +15,14 @@ numbers), and each mask adds its own m fresh completions: B nonzero
 masks cost m(B + 1) queries rather than 2mB.  A mask of 0 (the empty
 set) has influence 0 and every completion of it is its base point, so
 it is answered 0.0 with no draw and no query, and a batch of zero masks
-queries nothing, not even its base points.  Each estimate keeps the law
+draws and queries nothing, not even its base points.  Each estimate keeps the law
 of an independent 2m-query estimate, so it stays unbiased and keeps the
 Hoeffding bound; only the estimates of one batch are dependent.  The
 fresh points are drawn in chunks of at most ESTIMATE_CHUNK_POINTS, one
 RNG draw (`tables.uniform_masks`, which reads the bit generator's words
 directly and gives exactly `rng.integers`' points) and one oracle call
 per chunk; each fresh point takes the base point's coordinates outside
-its set in place.  The words a zero mask's points would take are
-stepped over, so every other mask gets the points it would get if they
-were drawn, and the generator ends where that draw would leave it.
+its set in place.
 """
 
 from __future__ import annotations
@@ -103,18 +101,19 @@ def estimate_inf_mask(
     S empty every completion is the base point, so a mask of 0 gets
     exactly 0.0 and spends no draw and no query.
 
-    The draw rows hold the m base points, then the m fresh points of each
-    mask in order, so a batch of one draws and queries exactly what the
-    first mask of a longer batch does.  Only the base row and the rows of
-    nonzero masks are drawn (`uniform_masks` with `rows`), and a chunk
-    holds at most ESTIMATE_CHUNK_POINTS // m of them; the rows of zero
-    masks are stepped over, so the generator ends where drawing every row
-    leaves it.  Every mask sees uniform base points and fresh points drawn
-    independently of them, so each estimate has the law of a separate
-    2m-query estimate; the masks of a batch share the base points (common
-    random numbers), which only correlates their estimates.  An empty
-    batch draws nothing and queries nothing.  A scalar or 2-D `masks`
-    raises ValueError, and m over M_BUDGET raises BudgetError.
+    The points are one (B' + 1) x m draw, base row first, independent of
+    the chunk size: the base points, then the m fresh points of each
+    nonzero mask in order, so a batch of one draws and queries exactly
+    what the first mask of a longer batch does.  A chunk draws the rows
+    of at most ESTIMATE_CHUNK_POINTS // m nonzero masks (and the first
+    chunk the base row too) in one `uniform_masks` call, and consecutive
+    draws give what one draw gives.  Every mask sees uniform base points
+    and fresh points drawn independently of them, so each estimate has
+    the law of a separate 2m-query estimate; the masks of a batch share
+    the base points (common random numbers), which only correlates their
+    estimates.  A batch of zero masks, or an empty one, draws nothing and
+    queries nothing.  A scalar or 2-D `masks` raises ValueError, and m
+    over M_BUDGET raises BudgetError.
     """
     if m < 1:
         raise ValueError("sample count must be >= 1")
@@ -126,29 +125,15 @@ def estimate_inf_mask(
     if masks.ndim != 1:
         raise ValueError("masks must be a 1-D batch")
     out = np.zeros(len(masks))
-    # draw row 0 holds the base points and row 1 + i mask i's fresh points;
-    # only the rows of the nonzero masks are drawn, the base row with them
     live = np.flatnonzero(masks)
-    if not live.size:
-        if masks.size:
-            uniform_masks(rng, oracle.n, (masks.size + 1, m), rows=())
-        return out
     per_chunk = max(1, ESTIMATE_CHUNK_POINTS // m)
-    done = 0  # draw rows drawn or stepped over
     for lo in range(0, live.size, per_chunk):
         chunk = live[lo : lo + per_chunk]
-        # the last chunk's draw runs to the end of the batch's rows
-        stop = masks.size + 1 if lo + per_chunk >= live.size else int(chunk[-1]) + 2
         # the first chunk's draw and oracle call also hold the base points,
         # in row 0; the other rows are fresh points, which then take the
         # base's coordinates outside S: base ^ ((base ^ fresh) & S), in place
         head = int(lo == 0)
-        if chunk.size + head == stop - done:
-            rows = None  # every row kept: the whole draw
-        else:
-            rows = [0] * head + (chunk + 1 - done).tolist()
-        points = uniform_masks(rng, oracle.n, (stop - done, m), rows=rows)
-        done = stop
+        points = uniform_masks(rng, oracle.n, (head + chunk.size, m))
         if head:
             base = points[0]
         fresh = points[head:]

@@ -214,7 +214,7 @@ class QueryOracle:
         return self._evaluate_batch(masks)
 
 
-def uniform_masks(rng: np.random.Generator, n: int, shape, rows=None) -> np.ndarray:
+def uniform_masks(rng: np.random.Generator, n: int, shape) -> np.ndarray:
     """Uniform n-bit masks, 1 <= n <= 62: exactly the int64 array that
     rng.integers(0, 1 << n, size=shape, dtype=np.int64) returns, with rng
     left in the state that call leaves it in, read straight from the
@@ -226,95 +226,36 @@ def uniform_masks(rng: np.random.Generator, n: int, shape, rows=None) -> np.ndar
     half that an earlier 32-bit draw left buffered (`has_uint32` in the
     bit generator's state) is used first, and a high half left over at
     the end is buffered in its place.  For n > 32 a draw is a whole word,
-    and the buffer is untouched.
-
-    With `rows`, ascending distinct indices into the first axis of a 2-D
-    `shape`, only those rows of that array are returned, and rng is still
-    left where the whole draw leaves it.  Each run of consecutive kept
-    rows is read in one `random_raw` call, so a word two kept rows share
-    is read once, and the words no kept row uses are stepped over with
-    the bit generator's `advance`; for n <= 32 the draw's last word is
-    read too, for the high half numpy buffers.  `advance` clears the
-    buffer, so after the draw the state is read and written back once,
-    with the buffer the whole draw leaves.  With every row kept this is
-    one run, the whole draw.
-    A generator over any other bit generator raises ValueError."""
+    and the buffer is untouched.  So consecutive draws give what one
+    draw of them all gives.  A generator over any other bit generator
+    raises ValueError."""
     bitgen = rng.bit_generator
     if not isinstance(bitgen, np.random.PCG64):
         raise ValueError(f"uniform_masks reads PCG64 words, not {type(bitgen).__name__}")
     if not 1 <= n <= 62:
         raise ValueError(f"mask width must be in [1..62], got {n}")
-    if rows is None:
-        out = np.empty(shape, dtype=np.int64)
-        count = out.size
-        runs = [(0, count)]
-    else:
-        height, width = shape
-        kept = [int(r) for r in rows]
-        if kept != sorted(set(kept)) or kept and not (kept[0] >= 0 and kept[-1] < height):
-            raise ValueError(f"rows must be ascending distinct indices below {height}")
-        out = np.empty((len(kept), width), dtype=np.int64)
-        count = height * width
-        # the runs of consecutive kept rows, as ranges of draws
-        runs = []
-        for r in kept:
-            if runs and runs[-1][1] == r * width:
-                runs[-1][1] += width
-            else:
-                runs.append([r * width, (r + 1) * width])
+    out = np.empty(shape, dtype=np.int64)
+    count = out.size
     if count == 0:
         return out
-    wide = n > 32
-    # draw i reads unit i - pending of the words drawn: a whole word when
-    # wide, else a 32-bit half, the low one first; a pending draw (draw 0,
-    # when an earlier draw left a half buffered) reads that half
-    state = None if wide and rows is None else bitgen.state
-    pending = 0 if wide else state["has_uint32"]
-    per_word = 1 if wide else 2
-    units = count - pending
-    words = -(-units // per_word)
-    # the words each run reads, and for n <= 32 the last word too
-    reads = [
-        (max(lo - pending, 0) // per_word, -(-(hi - pending) // per_word)) for lo, hi in runs
-    ]
-    if not wide and units and (not reads or reads[-1][1] < words):
-        reads.append((words - 1, words))
-    pieces, at = [], 0
-    for lo, hi in reads:
-        if lo > at:
-            bitgen.advance(lo - at)
-        pieces.append(bitgen.random_raw(hi - lo))
-        at = hi
-    if at < words:
-        bitgen.advance(words - at)
-    # each run's draws: the words it reads (wide), or the 32-bit halves;
-    # a kept draw 0 that takes the buffered half is set on its own
     flat = out.reshape(-1)
-    if wide:
-        segments, shift = pieces, np.uint64(64 - n)
-    else:
-        segments, shift = [], np.uint32(32 - n)
-        for (lo, hi), piece in zip(runs, pieces):
-            if lo < pending:
-                flat[0] = state["uinteger"] >> (32 - n)
-                flat, lo = flat[1:], lo + 1
-            first = (lo - pending) % 2
-            segments.append(piece.astype("<u8", copy=False).view("<u4")[first : first + hi - lo])
-    if segments:
-        drawn = segments[0] if len(segments) == 1 else np.concatenate(segments)
-        np.right_shift(drawn, shift, out=flat, casting="unsafe")
-    if state is not None:
-        # put back the buffer the whole draw leaves, which `advance` clears:
-        # for n <= 32 numpy buffers the high half of every word it draws
-        # and clears the flag when it uses that half
-        has, half = state["has_uint32"], state["uinteger"]
-        if not wide:
-            has = units % 2
-            if units:
-                half = int(pieces[-1][-1]) >> 32
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = has, half
-        bitgen.state = state
+    if n > 32:
+        np.right_shift(bitgen.random_raw(count), np.uint64(64 - n), out=flat, casting="unsafe")
+        return out
+    state = bitgen.state
+    pending = state["has_uint32"]
+    fresh = count - pending
+    halves = bitgen.random_raw((fresh + 1) // 2).astype("<u8", copy=False).view("<u4")
+    if pending:
+        flat[0] = state["uinteger"] >> (32 - n)
+    np.right_shift(halves[:fresh], np.uint32(32 - n), out=flat[pending:], casting="unsafe")
+    # numpy buffers the high half of every word it draws and clears the
+    # flag when it uses that half
+    state = bitgen.state
+    state["has_uint32"] = fresh % 2
+    if fresh:
+        state["uinteger"] = int(halves[-1])
+    bitgen.state = state
     return out
 
 

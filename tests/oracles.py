@@ -389,19 +389,19 @@ def full_scan_core_statistics(cores, sample_masks, sample_values, phi) -> np.nda
 
 
 def per_mask_estimator(oracle, masks, m, rng):
-    """Influence estimator that makes one draw of m base points and one of
-    m fresh points per mask, one mask at a time, and two oracle calls per
-    nonzero mask; a mask of 0 gets 0.0 and no query.  Takes a 1-D batch
-    of masks, like `influence.estimate_inf_mask`."""
+    """Influence estimator that, one mask at a time, makes one draw of m
+    base points and one of m fresh points, and two oracle calls; a mask
+    of 0 gets 0.0 and no draw or query.  Takes a 1-D batch of masks, like
+    `influence.estimate_inf_mask`."""
     size = 1 << oracle.n
     out = []
     for mask in masks:
         mask = int(mask)
-        base = rng.integers(0, size, size=m, dtype=np.int64)
-        fresh = rng.integers(0, size, size=m, dtype=np.int64)
         if mask == 0:
             out.append(0.0)
             continue
+        base = rng.integers(0, size, size=m, dtype=np.int64)
+        fresh = rng.integers(0, size, size=m, dtype=np.int64)
         resampled = (base & ~mask) | (fresh & mask)
         v1 = oracle.query_masks(base)
         v2 = oracle.query_masks(resampled)
@@ -410,48 +410,25 @@ def per_mask_estimator(oracle, masks, m, rng):
 
 
 def shared_base_estimator(oracle, masks, m, rng):
-    """Influence estimator that makes one draw of m base points per call,
-    then, mask by mask, one draw of m fresh points; it queries the base
-    points once when some mask is nonzero, and the completions of the base
-    once per nonzero mask, and gives a mask of 0 0.0.  Takes a 1-D batch
-    of masks, like `influence.estimate_inf_mask`.  An empty batch draws
-    and queries nothing."""
+    """Influence estimator that, when some mask is nonzero, makes one draw
+    of m base points and queries them once, then, mask by mask, makes one
+    draw of m fresh points for each nonzero mask and queries its
+    completions of the base; a mask of 0 gets 0.0 and no draw or query.
+    Takes a 1-D batch of masks, like `influence.estimate_inf_mask`."""
     out = []
-    if len(masks):
-        size = 1 << oracle.n
+    size = 1 << oracle.n
+    if any(int(mask) for mask in masks):
         base = rng.integers(0, size, size=m, dtype=np.int64)
-        if any(int(mask) for mask in masks):
-            v1 = oracle.query_masks(base)
-        for mask in masks:
-            mask = int(mask)
-            fresh = rng.integers(0, size, size=m, dtype=np.int64)
-            if mask == 0:
-                out.append(0.0)
-                continue
-            v2 = oracle.query_masks((base & ~mask) | (fresh & mask))
-            out.append(float(np.sum((v1 - v2) ** 2) / (2 * m)))
+        v1 = oracle.query_masks(base)
+    for mask in masks:
+        mask = int(mask)
+        if mask == 0:
+            out.append(0.0)
+            continue
+        fresh = rng.integers(0, size, size=m, dtype=np.int64)
+        v2 = oracle.query_masks((base & ~mask) | (fresh & mask))
+        out.append(float(np.sum((v1 - v2) ** 2) / (2 * m)))
     return np.array(out, dtype=np.float64)
-
-
-def whole_block_estimator(oracle, masks, m, rng):
-    """Influence estimator that draws the whole (B + 1) x m block of a
-    batch of B masks in one `rng.integers` call, the base points in row 0
-    and mask i's fresh points in row i + 1, zero masks' rows included;
-    it queries the base row when some mask is nonzero and the completions
-    of each nonzero mask's row, and gives a mask of 0 0.0.  Takes a 1-D
-    batch of masks, like `influence.estimate_inf_mask`; an empty batch
-    draws and queries nothing."""
-    out = np.zeros(len(masks))
-    if len(masks):
-        block = rng.integers(0, 1 << oracle.n, size=(len(masks) + 1, m), dtype=np.int64)
-        live = [i for i, mask in enumerate(masks) if int(mask)]
-        if live:
-            v1 = oracle.query_masks(block[0])
-        for i in live:
-            mask = int(masks[i])
-            v2 = oracle.query_masks((block[0] & ~mask) | (block[i + 1] & mask))
-            out[i] = float(np.sum((v1 - v2) ** 2) / (2 * m))
-    return out
 
 
 def nonzero_counting(counts, estimator):

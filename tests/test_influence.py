@@ -33,7 +33,6 @@ from oracles import (
     naive_junta_projection,
     per_mask_estimator,
     shared_base_estimator,
-    whole_block_estimator,
 )
 
 
@@ -188,24 +187,22 @@ def hashed_oracle(n):
 class TestEstimateBatch:
     """A batch of masks gives the same bits, the same query count, m(B + 1)
     for B nonzero masks, and the same RNG state afterwards as the
-    shared-base reference loop and the whole-block draw; batches of one
-    made in sequence give all three as the per-mask reference does, 2m
-    queries per nonzero mask; and a batch of one gives what the first
-    mask of a longer batch gives."""
+    shared-base reference loop; batches of one made in sequence give all
+    three as the per-mask reference does, 2m queries per nonzero mask;
+    and a batch of one gives what the first mask of a longer batch
+    gives."""
 
     def _compare(self, make_oracle, n, m, count, seed=0):
         masks = np.random.default_rng(seed).integers(0, 1 << n, size=count, dtype=np.int64)
         live = int(np.count_nonzero(masks))
         runs = {}
-        for how in ("batch", "shared_base", "whole_block", "one_mask", "per_mask", "first"):
+        for how in ("batch", "shared_base", "one_mask", "per_mask", "first"):
             oracle = make_oracle()
             rng = np.random.default_rng(seed + 1)
             if how == "batch":
                 est = estimate_inf_mask(oracle, masks, m, rng)
             elif how == "shared_base":
                 est = shared_base_estimator(oracle, masks, m, rng)
-            elif how == "whole_block":
-                est = whole_block_estimator(oracle, masks, m, rng)
             elif how == "one_mask":
                 est = [estimate_inf_mask(oracle, masks[i : i + 1], m, rng)[0] for i in range(count)]
             elif how == "per_mask":
@@ -216,7 +213,6 @@ class TestEstimateBatch:
             runs[how] = (np.asarray(est, dtype=np.float64), oracle.query_count, after)
         for got, want, queries in (
             (runs["batch"], runs["shared_base"], m * (live + 1) if live else 0),
-            (runs["batch"], runs["whole_block"], m * (live + 1) if live else 0),
             (runs["one_mask"], runs["per_mask"], 2 * m * live),
         ):
             assert got[0].shape == (count,)
@@ -256,7 +252,7 @@ class TestEstimateBatch:
         est = estimate_inf_mask(oracle, np.empty(0, dtype=np.int64), 10, rng)
         assert isinstance(est, np.ndarray) and est.shape == (0,)
         assert oracle.query_count == 0
-        assert rng.integers(0, 1 << 62) == np.random.default_rng(3).integers(0, 1 << 62)
+        assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
     def test_memory_bounded_by_chunks(self):
         # 2,000 masks at m=1000 are 2 M fresh points: one unchunked draw
@@ -297,12 +293,13 @@ class TestEstimateBatch:
         assert np.all(deviation_share <= 2 * math.exp(-2 * m * t * t))
 
 
-class TestZeroMasks:
-    """A mask of 0 is answered 0.0 with no draw and no query: a batch with
-    zero masks gives the estimate bytes and the generator state of the
-    whole-block draw (`oracles.whole_block_estimator`), in m(B + 1)
-    queries for its B nonzero masks; a batch of zero masks queries
-    nothing, and no draw holds a zero mask's row."""
+class TestStreamContract:
+    """The points of a batch with B' nonzero masks are one (B' + 1) x m
+    draw, base row first: a mask of 0 is answered 0.0 with no draw and no
+    query, so a batch gives the estimate bytes, query count and generator
+    state of the shared-base reference loop (`oracles.shared_base_estimator`),
+    whose draws are exactly those rows, whatever ESTIMATE_CHUNK_POINTS is;
+    a batch of zero masks, or an empty one, draws and queries nothing."""
 
     @staticmethod
     def _batches(n, m):
@@ -327,44 +324,46 @@ class TestZeroMasks:
         yield np.zeros(size, dtype=np.int64)
         yield np.zeros(1, dtype=np.int64)
 
+    @staticmethod
+    def _run(estimator, masks, n, m, prefix):
+        """Estimate bytes, query count, generator state and next draw of
+        one estimator call; an odd-length bytes draw first leaves a high
+        half buffered."""
+        table = random_table(8, np.random.default_rng(5)) if n == 8 else None
+        oracle = make_counting_oracle(table) if table else hashed_oracle(n)
+        rng = np.random.default_rng(17)
+        rng.bytes(prefix)
+        est = estimator(oracle, masks, m, rng)
+        return [est.tobytes(), oracle.query_count, rng.bit_generator.state, rng.random()]
+
     @pytest.mark.parametrize("n, m", [(8, 1), (8, 37), (8, 1000), (8, 1001), (40, 37), (40, 1000)])
     @pytest.mark.parametrize("prefix", [0, 3])
-    def test_same_bytes_and_state_as_the_whole_block(self, n, m, prefix):
-        # an odd-length bytes draw first leaves a high half buffered
-        table = random_table(8, np.random.default_rng(5)) if n == 8 else None
+    def test_same_bytes_and_state_as_the_shared_base_loop(self, n, m, prefix):
         for masks in self._batches(n, m):
-            got, want = [], []
-            for estimator, runs in ((estimate_inf_mask, got), (whole_block_estimator, want)):
-                oracle = make_counting_oracle(table) if table else hashed_oracle(n)
-                rng = np.random.default_rng(17)
-                rng.bytes(prefix)
-                est = estimator(oracle, masks, m, rng)
-                runs += [est.tobytes(), oracle.query_count, rng.bit_generator.state, rng.random()]
-            assert got == want
+            got = self._run(estimate_inf_mask, masks, n, m, prefix)
+            assert got == self._run(shared_base_estimator, masks, n, m, prefix)
             live = int(np.count_nonzero(masks))
             assert got[1] == (m * (live + 1) if live else 0)
-            est = np.frombuffer(got[0])
-            assert np.all(est[masks == 0] == 0.0)
+            assert np.all(np.frombuffer(got[0])[masks == 0] == 0.0)
 
-    def test_zero_masks_query_nothing(self):
-        oracle = make_counting_oracle(random_table(6, np.random.default_rng(0)))
-        rng = np.random.default_rng(3)
-        est = estimate_inf_mask(oracle, np.zeros(5, dtype=np.int64), 10, rng)
-        assert est.tobytes() == np.zeros(5).tobytes()
-        assert oracle.query_count == 0
-        # the generator stepped over the 6 x 10 draw all the same
-        numpy_rng = np.random.default_rng(3)
-        numpy_rng.integers(0, 1 << 6, size=(6, 10))
-        assert rng.bit_generator.state == numpy_rng.bit_generator.state
+    @pytest.mark.parametrize("chunk_points", [1, 256, 1 << 20])
+    @pytest.mark.parametrize("n, m", [(8, 1), (8, 37), (40, 1000)])
+    def test_chunk_size_changes_nothing(self, chunk_points, n, m, monkeypatch):
+        wants = [self._run(estimate_inf_mask, masks, n, m, 3) for masks in self._batches(n, m)]
+        monkeypatch.setattr(influence, "ESTIMATE_CHUNK_POINTS", chunk_points)
+        gots = [self._run(estimate_inf_mask, masks, n, m, 3) for masks in self._batches(n, m)]
+        assert gots == wants
 
-    def test_no_draw_holds_a_zero_mask_row(self, monkeypatch):
-        # rows of zero masks are stepped over, not drawn, and a chunk
-        # holds at most ESTIMATE_CHUNK_POINTS // m nonzero masks
-        kept = []
+    def test_each_draw_holds_a_chunk_and_no_zero_mask(self, monkeypatch):
+        # the first draw holds the base row and the first chunk of nonzero
+        # masks, each later one the next chunk; together they are the
+        # rows of one (B' + 1) x m rng.integers draw
+        shapes, rows = [], []
 
-        def spy(rng, n, shape, rows=None):
-            kept.append((shape, list(rows)))
-            return uniform_masks(rng, n, shape, rows=rows)
+        def spy(rng, n, shape):
+            shapes.append(shape)
+            rows.append(uniform_masks(rng, n, shape))
+            return rows[-1].copy()
 
         monkeypatch.setattr(influence, "uniform_masks", spy)
         m = 1000
@@ -374,14 +373,24 @@ class TestZeroMasks:
         masks[live] = np.arange(1, len(live) + 1)
         oracle = make_counting_oracle(random_table(8, np.random.default_rng(1)))
         estimate_inf_mask(oracle, masks, m, np.random.default_rng(2))
-        drawn, start = [], 0
-        for (height, width), rows in kept:
-            assert width == m and len(rows) <= per_chunk + 1
-            drawn += [start + r for r in rows]
-            start += height
-        assert start == len(masks) + 1
-        assert drawn == [0] + [i + 1 for i in live]
+        chunks = [min(per_chunk, len(live) - lo) for lo in range(0, len(live), per_chunk)]
+        assert shapes == [(1 + chunks[0], m)] + [(chunk, m) for chunk in chunks[1:]]
+        want = np.random.default_rng(2).integers(0, 1 << 8, size=(len(live) + 1, m))
+        assert np.array_equal(np.concatenate(rows), want)
         assert oracle.query_count == m * (len(live) + 1)
+
+    @pytest.mark.parametrize("size", [1, 5])
+    def test_zero_batches_draw_and_query_nothing(self, size):
+        # an empty batch likewise: TestEstimateBatch.test_empty_batch
+        oracle = make_counting_oracle(random_table(6, np.random.default_rng(0)))
+        rng = np.random.default_rng(3)
+        rng.bytes(3)
+        est = estimate_inf_mask(oracle, np.zeros(size, dtype=np.int64), 10, rng)
+        assert est.tobytes() == np.zeros(size).tobytes()
+        assert oracle.query_count == 0
+        fresh = np.random.default_rng(3)
+        fresh.bytes(3)
+        assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 class TestInfluenceFacts:

@@ -95,26 +95,26 @@ EXPECTED = {
          (0.0, 0.75, 1.0, 0.5, 1.0, 0.25, 0.0, 0.0)),
     ],
     "far_mode_b_n10": [
-        ('reject', 'core_search', 12064, 1, ((9,), (5,)), (9, 5), None),
-        ('reject', 'core_search', 15064, 1, ((4,), ()), (4, None), None),
-        ('reject', 'core_search', 14064, 1, ((), (10,)), (None, 10), None),
-        ('reject', 'core_search', 13064, 1, ((9,), (1,)), (9, 1), None),
-        ('reject', 'core_search', 24064, 3, ((2,), ()), (2, None), None),
-        ('reject', 'core_search', 14064, 1, ((10,), (5,)), (10, 5), None),
-        ('reject', 'core_search', 14064, 1, ((), (7,)), (None, 7), None),
-        ('reject', 'core_search', 14064, 1, ((), (8,)), (None, 8), None),
-        ('reject', 'core_search', 13064, 1, ((), (3,)), (None, 3), None),
-        ('reject', 'core_search', 14064, 1, ((9,), ()), (9, None), None),
-        ('reject', 'core_search', 14064, 1, ((4,), ()), (4, None), None),
-        ('reject', 'core_search', 19064, 2, ((6,), ()), (6, None), None),
-        ('reject', 'core_search', 14064, 1, ((), (10,)), (None, 10), None),
-        ('reject', 'core_search', 15064, 1, ((), (1,)), (None, 1), None),
-        ('reject', 'core_search', 17064, 2, ((2,), ()), (2, None), None),
-        ('reject', 'core_search', 14064, 1, ((3,), (5,)), (3, 5), None),
-        ('reject', 'core_search', 12064, 1, ((2,), (9,)), (2, 9), None),
-        ('reject', 'core_search', 18064, 2, ((7,), ()), (7, None), None),
-        ('reject', 'core_search', 15064, 1, ((9,), (10,)), (9, 10), None),
+        ('reject', 'core_search', 12064, 1, ((2,), (10,)), (2, 10), None),
+        ('reject', 'core_search', 15064, 1, ((), ()), (None, None), None),
+        ('reject', 'core_search', 14064, 1, ((3,), ()), (3, None), None),
+        ('reject', 'core_search', 13064, 1, ((2,), ()), (2, None), None),
         ('reject', 'core_search', 14064, 1, ((), ()), (None, None), None),
+        ('reject', 'core_search', 14064, 1, ((10,), ()), (10, None), None),
+        ('reject', 'core_search', 14064, 1, ((2,), (6,)), (2, 6), None),
+        ('reject', 'core_search', 14064, 1, ((), (3,)), (None, 3), None),
+        ('reject', 'core_search', 13064, 1, ((), (3,)), (None, 3), None),
+        ('reject', 'core_search', 19064, 2, ((), (5,)), (None, 5), None),
+        ('reject', 'core_search', 14064, 1, ((), ()), (None, None), None),
+        ('reject', 'core_search', 14064, 1, ((), (1,)), (None, 1), None),
+        ('reject', 'core_search', 14064, 1, ((), (4,)), (None, 4), None),
+        ('reject', 'core_search', 15064, 1, ((5,), (10,)), (5, 10), None),
+        ('reject', 'core_search', 17064, 2, ((), (3,)), (None, 3), None),
+        ('reject', 'core_search', 14064, 1, ((6,), ()), (6, None), None),
+        ('reject', 'core_search', 12064, 1, ((7,), ()), (7, None), None),
+        ('reject', 'core_search', 13064, 1, ((), ()), (None, None), None),
+        ('reject', 'core_search', 15064, 1, ((), ()), (None, None), None),
+        ('reject', 'core_search', 14064, 1, ((2,), (4,)), (2, 4), None),
     ],
 }
 
