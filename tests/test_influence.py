@@ -293,6 +293,9 @@ class TestEstimateBatch:
         assert np.all(deviation_share <= 2 * math.exp(-2 * m * t * t))
 
 
+N_M = [(8, 1), (8, 37), (8, 1000), (8, 1001), (40, 37), (40, 1000)]
+
+
 class TestStreamContract:
     """The points of a batch with B' nonzero masks are one (B' + 1) x m
     draw, base row first: a mask of 0 is answered 0.0 with no draw and no
@@ -336,7 +339,7 @@ class TestStreamContract:
         est = estimator(oracle, masks, m, rng)
         return [est.tobytes(), oracle.query_count, rng.bit_generator.state, rng.random()]
 
-    @pytest.mark.parametrize("n, m", [(8, 1), (8, 37), (8, 1000), (8, 1001), (40, 37), (40, 1000)])
+    @pytest.mark.parametrize("n, m", N_M)
     @pytest.mark.parametrize("prefix", [0, 3])
     def test_same_bytes_and_state_as_the_shared_base_loop(self, n, m, prefix):
         for masks in self._batches(n, m):
@@ -347,14 +350,17 @@ class TestStreamContract:
             assert np.all(np.frombuffer(got[0])[masks == 0] == 0.0)
 
     @pytest.mark.parametrize("chunk_points", [1, 256, 1 << 20])
-    @pytest.mark.parametrize("n, m", [(8, 1), (8, 37), (40, 1000)])
-    def test_chunk_size_changes_nothing(self, chunk_points, n, m, monkeypatch):
-        wants = [self._run(estimate_inf_mask, masks, n, m, 3) for masks in self._batches(n, m)]
+    @pytest.mark.parametrize("n, m", N_M)
+    @pytest.mark.parametrize("prefix", [0, 3])
+    def test_chunk_size_changes_nothing(self, chunk_points, n, m, prefix, monkeypatch):
+        batches = list(self._batches(n, m))
+        wants = [self._run(estimate_inf_mask, masks, n, m, prefix) for masks in batches]
         monkeypatch.setattr(influence, "ESTIMATE_CHUNK_POINTS", chunk_points)
-        gots = [self._run(estimate_inf_mask, masks, n, m, 3) for masks in self._batches(n, m)]
+        gots = [self._run(estimate_inf_mask, masks, n, m, prefix) for masks in batches]
         assert gots == wants
 
-    def test_each_draw_holds_a_chunk_and_no_zero_mask(self, monkeypatch):
+    @pytest.mark.parametrize("m", [1, 37, 1000, 1001, 1 << 14])
+    def test_each_draw_holds_a_chunk_and_no_zero_mask(self, m, monkeypatch):
         # the first draw holds the base row and the first chunk of nonzero
         # masks, each later one the next chunk; together they are the
         # rows of one (B' + 1) x m rng.integers draw
@@ -366,8 +372,7 @@ class TestStreamContract:
             return rows[-1].copy()
 
         monkeypatch.setattr(influence, "uniform_masks", spy)
-        m = 1000
-        per_chunk = ESTIMATE_CHUNK_POINTS // m
+        per_chunk = max(1, ESTIMATE_CHUNK_POINTS // m)
         masks = np.zeros(40, dtype=np.int64)
         live = [1, 2, 5, 6, 7, 11, 20, 21, 22, 23, 30, 38]
         masks[live] = np.arange(1, len(live) + 1)
@@ -379,17 +384,17 @@ class TestStreamContract:
         assert np.array_equal(np.concatenate(rows), want)
         assert oracle.query_count == m * (len(live) + 1)
 
-    @pytest.mark.parametrize("size", [1, 5])
-    def test_zero_batches_draw_and_query_nothing(self, size):
-        # an empty batch likewise: TestEstimateBatch.test_empty_batch
+    @pytest.mark.parametrize("size", [0, 1, 5])
+    @pytest.mark.parametrize("prefix", [0, 3])
+    def test_zero_batches_draw_and_query_nothing(self, size, prefix):
+        # size 0 is the empty batch
         oracle = make_counting_oracle(random_table(6, np.random.default_rng(0)))
-        rng = np.random.default_rng(3)
-        rng.bytes(3)
+        rng, fresh = np.random.default_rng(3), np.random.default_rng(3)
+        rng.bytes(prefix)
+        fresh.bytes(prefix)
         est = estimate_inf_mask(oracle, np.zeros(size, dtype=np.int64), 10, rng)
         assert est.tobytes() == np.zeros(size).tobytes()
         assert oracle.query_count == 0
-        fresh = np.random.default_rng(3)
-        fresh.bytes(3)
         assert rng.bit_generator.state == fresh.bit_generator.state
 
 

@@ -79,13 +79,13 @@ def test_widths_outside_1_to_62_are_refused(n):
 
 
 @pytest.mark.parametrize("n", [1, 12, 32, 33, 62])
-def test_consecutive_draws_are_one_draw(n):
+@pytest.mark.parametrize("prefix", [0, 3])
+def test_consecutive_draws_are_one_draw(n, prefix):
     # row by row, the draws of a (height, width) block give the block
     # rng.integers draws in one call, and leave rng where that call does
-    for prefix in (0, 3):
-        for height, width in ((1, 1), (3, 1), (4, 5), (3, 1001)):
-            numpy_rng, rng = _pair(13, prefix)
-            want = numpy_rng.integers(0, 1 << n, size=(height, width), dtype=np.int64)
-            got = np.concatenate([uniform_masks(rng, n, (1, width)) for _ in range(height)])
-            assert np.array_equal(got, want), (prefix, height, width)
-            _same_generator(rng, numpy_rng)
+    for height, width in ((1, 1), (3, 1), (4, 5), (3, 1001)):
+        numpy_rng, rng = _pair(13, prefix)
+        want = numpy_rng.integers(0, 1 << n, size=(height, width), dtype=np.int64)
+        got = np.concatenate([uniform_masks(rng, n, (1, width)) for _ in range(height)])
+        assert np.array_equal(got, want), (height, width)
+        _same_generator(rng, numpy_rng)
