@@ -353,19 +353,45 @@ def _lowest_coordinates(buckets: Iterable[Sequence[int]]) -> tuple[Optional[int]
 @dataclass(frozen=True)
 class TesterReport:
     """The learned core, which alone decides the verdict, plus diagnostics
-    for one tester run."""
+    for one tester run.  A report no run makes raises
+    ValueError("<field>: <what is wrong>")."""
 
     queries_used: int
     selected_buckets: tuple[tuple[int, ...], ...]
     learned_core: Optional[CoreTable]
     empirical_distance: Optional[float]
     eta: Mapping[str, float]
-    empty_buckets: tuple[bool, ...] = ()
-    refine_rounds_used: Optional[int] = None  # None when read from a record without it
+    empty_buckets: tuple[bool, ...]
+    refine_rounds_used: int
 
     def __post_init__(self):
-        if (self.empirical_distance is None) != (self.learned_core is None):
-            raise ValueError("empirical_distance must be present exactly when learned_core is")
+        buckets, core, dist = self.selected_buckets, self.learned_core, self.empirical_distance
+        if self.queries_used < 0:
+            raise ValueError(f"queries_used: {self.queries_used} is below 0")
+        seen: set[int] = set()
+        for coords in buckets:
+            twice = seen.intersection(coords)
+            if any(a >= b for a, b in zip(coords, coords[1:])):
+                raise ValueError(f"selected_buckets: {coords} is not strictly ascending")
+            if coords and coords[0] < 1:
+                raise ValueError(f"selected_buckets: coordinate {coords[0]} is below 1")
+            if twice:
+                raise ValueError(f"selected_buckets: coordinate {min(twice)} is in two buckets")
+            seen.update(coords)
+        if core is not None and core.k != len(buckets):
+            raise ValueError(f"learned_core: k = {core.k} for {len(buckets)} buckets")
+        if (dist is None) != (core is None):
+            had = "no" if core is None else "a"
+            raise ValueError(f"empirical_distance: {dist} on a report with {had} core")
+        if sorted(self.eta) != ["initial_min", "refine_last"]:
+            raise ValueError(f"eta: names {sorted(self.eta)}, not initial_min and refine_last")
+        flags = self.empty_buckets
+        if len(flags) != len(buckets):
+            raise ValueError(f"empty_buckets: {len(flags)} flags for {len(buckets)} buckets")
+        if any(flag and coords for flag, coords in zip(flags, buckets)):
+            raise ValueError("empty_buckets: a bucket flagged empty holds a coordinate")
+        if self.refine_rounds_used < 1:
+            raise ValueError(f"refine_rounds_used: {self.refine_rounds_used} is below 1")
 
     @property
     def verdict(self) -> str:
@@ -564,22 +590,11 @@ PLAN_SETTINGS = {
 }
 
 
-_REPORT_REQUIRED = (
-    "verdict",
-    "reject_stage",
-    "queries_used",
-    "selected_buckets",
-    "learned_core",
-    "empirical_distance",
-    "eta",
-    "phi",
-    "empty_buckets",
+# the keys `report_to_lines` writes after `schema:`, in written order
+_REPORT_KEYS = (
+    "verdict", "reject_stage", "queries_used", "selected_buckets", "learned_core",
+    "empirical_distance", "eta", "phi", "empty_buckets", "refine_rounds_used",
 )
-# the required lines that follow from the others: `report_from_lines`
-# takes each only as `report_to_lines` writes it
-_REPORT_DERIVED = ("verdict", "reject_stage", "phi")
-# the names an `eta:` line may give, each at most once
-_ETA_NAMES = ("initial_min", "refine_last")
 
 
 def report_to_lines(report: TesterReport) -> list[str]:
@@ -591,7 +606,7 @@ def report_to_lines(report: TesterReport) -> list[str]:
     eta = " ".join(f"{k}={v!r}" for k, v in sorted(report.eta.items()))
     phi = " ".join(str(c) if c is not None else "-" for c in report.phi)
     empty = " ".join(str(int(b)) for b in report.empty_buckets)
-    lines = [
+    return [
         f"schema: {REPORT_SCHEMA}",
         f"verdict: {report.verdict}",
         f"reject_stage: {report.reject_stage}",
@@ -602,89 +617,40 @@ def report_to_lines(report: TesterReport) -> list[str]:
         f"eta: {eta}",
         f"phi: {phi}",
         f"empty_buckets: {empty}",
+        f"refine_rounds_used: {report.refine_rounds_used}",
     ]
-    if report.refine_rounds_used is not None:
-        lines.append(f"refine_rounds_used: {report.refine_rounds_used}")
-    return lines
-
-
-def _count(text: str, key: str, least: int) -> int:
-    count = kvfile.value(text, int, "report", key)
-    if count < least:
-        raise ValueError(f"report key {key!r}: {count} is below {least}")
-    return count
 
 
 def report_from_lines(text: str) -> TesterReport:
-    """The report in `text`.  A number that does not parse, buckets no run
-    writes (a coordinate below 1, a bucket's coordinates out of ascending
-    order, a coordinate in two buckets), a core of other than 2^k values
-    (k >= 1), a field that disagrees with the buckets (a core's k, the
-    count of empty flags, a flag other than 0 or 1, a bucket flagged
-    empty that holds a coordinate), an empirical distance on a record
-    with no core or none on one with a core, queries_used below 0,
-    refine_rounds_used below 1, an eta name other than those of
-    `_ETA_NAMES` or one given twice, and a line of `_REPORT_DERIVED`
-    other than the one `report_to_lines` writes for the rest name their
-    key."""
-    entries = kvfile.check(kvfile.parse(text), "report", REPORT_SCHEMA, _REPORT_REQUIRED)
+    """The report in `text`, which must be the record `report_to_lines`
+    writes for it, line for line on the keys it writes (others, such as
+    a trial record's `trial:` and `seed:`, are ignored); else ValueError
+    naming the first key that differs."""
+    entries = kvfile.check(kvfile.parse(text), "report", REPORT_SCHEMA, _REPORT_KEYS)
     buckets = tuple(
         kvfile.values(chunk, int, "report", "selected_buckets") if chunk.strip() != "-" else ()
         for chunk in entries["selected_buckets"].split(";")
     )
-    seen: set[int] = set()
-    for coords in buckets:
-        if coords and min(coords) < 1:
-            bad = f"coordinate {min(coords)} is below 1"
-        elif list(coords) != sorted(set(coords)):
-            bad = f"{' '.join(map(str, coords))} is not strictly ascending"
-        elif seen.intersection(coords):
-            bad = f"coordinate {min(seen.intersection(coords))} is in two buckets"
-        else:
-            seen.update(coords)
-            continue
-        raise ValueError(f"report key 'selected_buckets': {bad}")
-    core = None
+    k, core, dist = len(buckets), None, entries["empirical_distance"]
     if entries["learned_core"] != "-":
         vals = kvfile.values(entries["learned_core"], float, "report", "learned_core")
-        k = len(vals).bit_length() - 1
-        if k < 1 or len(vals) != 1 << k:
-            raise ValueError(f"report key 'learned_core': {len(vals)} values, not 2^k for a k >= 1")
-        if k != len(buckets):
-            raise ValueError(f"report key 'learned_core': k = {k} for {len(buckets)} buckets")
+        if len(vals) != 1 << k:
+            raise ValueError(f"report key 'learned_core': {len(vals)} values, not 2^k for k = {k}")
         core = CoreTable(k, vals)
-    stated = entries["empirical_distance"]
-    dist = None if stated == "-" else kvfile.value(stated, float, "report", "empirical_distance")
-    if (dist is None) != (core is None):
-        had = "no" if core is None else "a"
-        raise ValueError(f"report key 'empirical_distance': {stated!r} on a record with {had} core")
+    dist = None if dist == "-" else kvfile.value(dist, float, "report", "empirical_distance")
     eta = {}
     for tok in entries["eta"].split():
         name, _, val = tok.partition("=")
-        if name not in _ETA_NAMES:
-            raise ValueError(f"report key 'eta': unknown name {name!r}")
-        if name in eta:
-            raise ValueError(f"report key 'eta': {name!r} given twice")
         eta[name] = kvfile.value(val, float, "report", "eta")
+    queries = kvfile.value(entries["queries_used"], int, "report", "queries_used")
     empty = kvfile.values(entries["empty_buckets"], int, "report", "empty_buckets")
-    if len(empty) != len(buckets):
-        raise ValueError(f"report key 'empty_buckets': {len(empty)} flags for {len(buckets)} buckets")
-    if not set(empty) <= {0, 1}:
-        raise ValueError("report key 'empty_buckets': a flag other than 0 or 1")
-    if any(flag and coords for flag, coords in zip(empty, buckets)):
-        raise ValueError("report key 'empty_buckets': a bucket flagged empty holds a coordinate")
-    rounds = entries.get("refine_rounds_used")
-    report = TesterReport(
-        queries_used=_count(entries["queries_used"], "queries_used", 0),
-        selected_buckets=buckets,
-        learned_core=core,
-        empirical_distance=dist,
-        eta=eta,
-        empty_buckets=tuple(map(bool, empty)),
-        refine_rounds_used=None if rounds is None else _count(rounds, "refine_rounds_used", 1),
-    )
-    written = kvfile.parse("\n".join(report_to_lines(report)))
-    for key in _REPORT_DERIVED:
-        if entries[key] != written[key]:
-            raise ValueError(f"report key {key!r}: {entries[key]!r} is not {written[key]!r}")
+    rounds = kvfile.value(entries["refine_rounds_used"], int, "report", "refine_rounds_used")
+    try:
+        report = TesterReport(queries, buckets, core, dist, eta, tuple(map(bool, empty)), rounds)
+    except ValueError as exc:
+        key, _, bad = str(exc).partition(": ")
+        raise ValueError(f"report key {key!r}: {bad}") from None
+    for key, line in kvfile.parse("\n".join(report_to_lines(report))).items():
+        if entries[key] != line:
+            raise ValueError(f"report key {key!r}: {entries[key]!r} is not {line!r}")
     return report

@@ -3,10 +3,18 @@ on it: tester reports, plans and valuation specs."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from test_pinned_trials import PLANS as PINNED_PLANS
 
 from cubetest import kvfile
-from cubetest.bench import ExperimentPlan, parse_plan_text, plan_to_lines
+from cubetest.bench import (
+    ExperimentPlan,
+    parse_plan_text,
+    plan_to_lines,
+    run_plan,
+    write_trial_records,
+)
 from cubetest.cores import CoreTable
 from cubetest.tester import TesterReport as Report
 from cubetest.tester import report_from_lines, report_to_lines
@@ -113,6 +121,16 @@ def test_unknown_key(kind):
     assert _message(read, _text(lines + ["bogus: 1"])) == f"unknown {name} key 'bogus'"
 
 
+def _record(report, **swap):
+    """The text of `report`'s record with the line of each key in `swap`
+    stating that value instead."""
+    lines = []
+    for ln in report_to_lines(report):
+        key = ln.split(":")[0]
+        lines.append(f"{key}: {swap[key]}" if key in swap else ln)
+    return _text(lines)
+
+
 def test_report_keeps_unknown_keys_lenient():
     # a trial-record block heads its report with trial: and seed: lines
     block = ["trial: 3", "seed: 8"] + report_to_lines(REPORT)
@@ -125,8 +143,6 @@ def test_report_keeps_unknown_keys_lenient():
         ("queries_used", "12x", "'12x' is not an integer"),
         ("selected_buckets", "1 4 ; x", "'x' is not an integer"),
         ("learned_core", "0 0.5 half 1", "'half' is not a number"),
-        ("learned_core", "", "0 values, not 2^k for a k >= 1"),
-        ("learned_core", "0 0.5 1", "3 values, not 2^k for a k >= 1"),
         ("empirical_distance", "far", "'far' is not a number"),
         ("eta", "initial_min=0.25 refine_last=big", "'big' is not a number"),
         ("empty_buckets", "0 yes", "'yes' is not an integer"),
@@ -134,8 +150,15 @@ def test_report_keeps_unknown_keys_lenient():
     ],
 )
 def test_report_number_that_does_not_parse_names_its_key(key, bad, message):
-    lines = [f"{key}: {bad}" if ln.startswith(f"{key}:") else ln for ln in report_to_lines(REPORT)]
-    assert _message(report_from_lines, _text(lines)) == f"report key {key!r}: {message}"
+    message = f"report key {key!r}: {message}"
+    assert _message(report_from_lines, _record(REPORT, **{key: bad})) == message
+
+
+@pytest.mark.parametrize("bad", ["", "0 0.5 1", "0 0 0 0 0 0 0 1"])
+def test_report_core_of_other_than_2k_values_names_its_key(bad):
+    # REPORT's two buckets take a core of 2^2 values
+    message = f"report key 'learned_core': {len(bad.split())} values, not 2^k for k = 2"
+    assert _message(report_from_lines, _record(REPORT, learned_core=bad)) == message
 
 
 def test_report_phi_is_each_buckets_lowest_coordinate():
@@ -149,84 +172,133 @@ def test_report_verdict_and_reject_stage_follow_the_learned_core():
     assert report_from_lines(_text(report_to_lines(ACCEPT))) == ACCEPT
 
 
-@pytest.mark.parametrize("verdict, dist", [("reject", 0.01), ("accept", None)])
-def test_report_has_a_distance_exactly_with_a_core(verdict, dist):
+# reports no run makes: (the report they change, its changed fields, the
+# record lines that state them, the refused field, what is wrong).
+# REPORT's buckets are (1 4) and (), so its k is 2 and only its second
+# bucket may be flagged empty; a run's buckets hold disjoint coordinates
+# of 1..n, each bucket's in ascending order
+NO_RUN_MAKES = [
+    ("reject", {"queries_used": -10}, {"queries_used": "-10"}, "queries_used", "-10 is below 0"),
+    (
+        "reject",
+        {"selected_buckets": ((1,), (1,)), "empty_buckets": (False, False)},
+        {"selected_buckets": "1 ; 1", "phi": "1 1", "empty_buckets": "0 0"},
+        "selected_buckets",
+        "coordinate 1 is in two buckets",
+    ),
+    (
+        "reject",
+        {"selected_buckets": ((1, 4), (2, 4)), "empty_buckets": (False, False)},
+        {"selected_buckets": "1 4 ; 2 4", "phi": "1 2", "empty_buckets": "0 0"},
+        "selected_buckets",
+        "coordinate 4 is in two buckets",
+    ),
+    (
+        "reject",
+        {"selected_buckets": ((0, 4), ())},
+        {"selected_buckets": "0 4 ; -", "phi": "0 -"},
+        "selected_buckets",
+        "coordinate 0 is below 1",
+    ),
+    (
+        "reject",
+        {"selected_buckets": ((-3,), ())},
+        {"selected_buckets": "-3 ; -", "phi": "-3 -"},
+        "selected_buckets",
+        "coordinate -3 is below 1",
+    ),
+    (
+        "reject",
+        {"selected_buckets": ((4, 1), ())},
+        {"selected_buckets": "4 1 ; -", "phi": "1 -"},
+        "selected_buckets",
+        "(4, 1) is not strictly ascending",
+    ),
+    (
+        "reject",
+        {"selected_buckets": ((1, 1), ())},
+        {"selected_buckets": "1 1 ; -", "phi": "1 -"},
+        "selected_buckets",
+        "(1, 1) is not strictly ascending",
+    ),
+    (
+        "reject",
+        {"empirical_distance": 0.01},
+        {"empirical_distance": "0.01"},
+        "empirical_distance",
+        "0.01 on a report with no core",
+    ),
+    (
+        "accept",
+        {"empirical_distance": None},
+        {"empirical_distance": "-"},
+        "empirical_distance",
+        "None on a report with a core",
+    ),
+    (
+        "reject",
+        {"eta": {"bogus": 1.0}},
+        {"eta": "bogus=1"},
+        "eta",
+        "names ['bogus'], not initial_min and refine_last",
+    ),
+    # a repeated name keeps its last value
+    (
+        "reject",
+        {"eta": {"initial_min": 2.0}},
+        {"eta": "initial_min=1 initial_min=2"},
+        "eta",
+        "names ['initial_min'], not initial_min and refine_last",
+    ),
+    # the removed influence gate's entry, in records written before it went
+    (
+        "reject",
+        {"eta": {"gate": 0.01, "initial_min": 0.25, "refine_last": 0.5}},
+        {"eta": "gate=0.01 initial_min=0.25 refine_last=0.5"},
+        "eta",
+        "names ['gate', 'initial_min', 'refine_last'], not initial_min and refine_last",
+    ),
+    (
+        "reject",
+        {"empty_buckets": (False, True, True)},
+        {"empty_buckets": "0 1 1"},
+        "empty_buckets",
+        "3 flags for 2 buckets",
+    ),
+    (
+        "reject",
+        {"empty_buckets": (True, True)},
+        {"empty_buckets": "1 1"},
+        "empty_buckets",
+        "a bucket flagged empty holds a coordinate",
+    ),
+    # every run makes at least one round
+    (
+        "reject",
+        {"refine_rounds_used": 0},
+        {"refine_rounds_used": "0"},
+        "refine_rounds_used",
+        "0 is below 1",
+    ),
+]
+
+
+@pytest.mark.parametrize("verdict, fields, lines, key, problem", NO_RUN_MAKES)
+def test_report_no_run_makes_is_refused_and_read_back_names_its_key(
+    verdict, fields, lines, key, problem
+):
     with pytest.raises(ValueError) as exc:
-        replace(REPORTS[verdict], empirical_distance=dist)
-    assert str(exc.value) == "empirical_distance must be present exactly when learned_core is"
+        replace(REPORTS[verdict], **fields)
+    assert str(exc.value) == f"{key}: {problem}"
+    record = _record(REPORTS[verdict], **lines)
+    assert _message(report_from_lines, record) == f"report key {key!r}: {problem}"
 
 
-@pytest.mark.parametrize(
-    "key, bad, message",
-    [
-        ("empty_buckets", "0 1 1", "3 flags for 2 buckets"),
-        ("learned_core", "0 0 0 0 0 0 0 1", "k = 3 for 2 buckets"),
-        ("empty_buckets", "1 1", "a bucket flagged empty holds a coordinate"),
-        # once read as "0 1"
-        ("empty_buckets", "0 7", "a flag other than 0 or 1"),
-    ],
-)
-def test_report_field_that_disagrees_with_the_buckets_names_its_key(key, bad, message):
-    # REPORT's buckets are (1 4) and (), so its k is 2 and only its second
-    # bucket may be flagged empty
-    lines = [f"{key}: {bad}" if ln.startswith(f"{key}:") else ln for ln in report_to_lines(REPORT)]
-    assert _message(report_from_lines, _text(lines)) == f"report key {key!r}: {message}"
-
-
-@pytest.mark.parametrize(
-    "buckets, phi, empty, message",
-    [
-        # each read back before these checks, with the phi and
-        # empty_buckets lines that match its buckets
-        ("1 ; 1", "1 1", "0 0", "coordinate 1 is in two buckets"),
-        ("1 4 ; 2 4", "1 2", "0 0", "coordinate 4 is in two buckets"),
-        ("0 4 ; -", "0 -", "0 1", "coordinate 0 is below 1"),
-        ("-3 ; -", "-3 -", "0 1", "coordinate -3 is below 1"),
-        ("4 1 ; -", "1 -", "0 1", "4 1 is not strictly ascending"),
-        ("1 1 ; -", "1 -", "0 1", "1 1 is not strictly ascending"),
-    ],
-)
-def test_report_buckets_no_run_writes_name_their_key(buckets, phi, empty, message):
-    # a run's buckets hold disjoint coordinates of 1..n, each bucket's in
-    # ascending order
-    swap = {"selected_buckets": buckets, "phi": phi, "empty_buckets": empty}
-    lines = []
-    for ln in report_to_lines(REPORT):
-        key = ln.split(":")[0]
-        lines.append(f"{key}: {swap[key]}" if key in swap else ln)
-    assert _message(report_from_lines, _text(lines)) == f"report key 'selected_buckets': {message}"
-
-
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        ("bogus=1", "unknown name 'bogus'"),
-        ("initial_min=1 initial_min=2", "'initial_min' given twice"),
-        ("initial_min=0.25 refine_last=0.5 refine_last=0.5", "'refine_last' given twice"),
-        # the removed influence gate's entry, in records written before it went
-        ("gate=0.01 initial_min=0.25 refine_last=0.5", "unknown name 'gate'"),
-    ],
-)
-def test_report_eta_name_not_written_names_its_key(bad, message):
-    # a run writes initial_min and refine_last, once each
-    lines = [f"eta: {bad}" if ln.startswith("eta:") else ln for ln in report_to_lines(REPORT)]
-    assert _message(report_from_lines, _text(lines)) == f"report key 'eta': {message}"
-
-
-@pytest.mark.parametrize(
-    "verdict, key, bad, message",
-    [
-        ("reject", "empirical_distance", "0.01", "'0.01' on a record with no core"),
-        ("accept", "empirical_distance", "-", "'-' on a record with a core"),
-        ("reject", "queries_used", "-10", "-10 is below 0"),
-        # every run makes at least one round
-        ("reject", "refine_rounds_used", "0", "0 is below 1"),
-    ],
-)
-def test_report_count_or_distance_out_of_range_names_its_key(verdict, key, bad, message):
-    lines = report_to_lines(REPORTS[verdict])
-    lines = [f"{key}: {bad}" if ln.startswith(f"{key}:") else ln for ln in lines]
-    assert _message(report_from_lines, _text(lines)) == f"report key {key!r}: {message}"
+def test_report_core_whose_k_is_not_the_bucket_count_is_refused():
+    # the reader refuses such a record by its value count first
+    with pytest.raises(ValueError) as exc:
+        replace(ACCEPT, learned_core=CoreTable(3, (0.0,) * 7 + (1.0,)))
+    assert str(exc.value) == "learned_core: k = 3 for 2 buckets"
 
 
 @pytest.mark.parametrize(
@@ -245,13 +317,76 @@ def test_report_count_or_distance_out_of_range_names_its_key(verdict, key, bad, 
         ("reject", "phi", "1", "1 -"),
         ("reject", "phi", "1 one", "1 -"),
         ("reject", "phi", "1  -", "1 -"),
+        # once read as "0 1"
+        ("reject", "empty_buckets", "0 7", "0 1"),
+        # a repeated name keeps its last value, written once
+        (
+            "reject",
+            "eta",
+            "initial_min=0.25 refine_last=0.5 refine_last=0.5",
+            "initial_min=0.25 refine_last=0.5",
+        ),
     ],
 )
 def test_report_derived_line_other_than_the_written_one_names_its_key(verdict, key, bad, written):
-    lines = report_to_lines(REPORTS[verdict])
-    lines = [f"{key}: {bad}" if ln.startswith(f"{key}:") else ln for ln in lines]
     message = f"report key {key!r}: {bad!r} is not {written!r}"
-    assert _message(report_from_lines, _text(lines)) == message
+    assert _message(report_from_lines, _record(REPORTS[verdict], **{key: bad})) == message
+
+
+@pytest.mark.parametrize(
+    "verdict, key, bad, written",
+    [
+        ("reject", "queries_used", "1_000", "1000"),
+        ("accept", "learned_core", "0 0 0 1", "0.0 0.0 0.0 1.0"),
+        ("reject", "eta", "refine_last=0.5 initial_min=0.25", "initial_min=0.25 refine_last=0.5"),
+        ("reject", "selected_buckets", "1 4;-", "1 4 ; -"),
+        ("reject", "empty_buckets", "0 +1", "0 1"),
+        ("accept", "empirical_distance", "1e-2", "0.01"),
+    ],
+)
+def test_report_non_canonical_spelling_is_refused(verdict, key, bad, written):
+    # each reads as the report it states, but is not the line the writer
+    # writes for that report
+    message = f"report key {key!r}: {bad!r} is not {written!r}"
+    assert _message(report_from_lines, _record(REPORTS[verdict], **{key: bad})) == message
+
+
+# tokens an edit puts in place of one token of a record line ("" drops it)
+EDIT_TOKENS = (
+    "0", "1", "2", "-1", "12", "0.5", "1.0", "0.0", "-", ";", "x", "", "01", "+1", "1_0", "1e-2",
+    "nan", "initial_min=0.0", "refine_last=1", "accept", "reject", "none", "core_search",
+)
+
+
+@pytest.mark.parametrize("seed, name", enumerate(sorted(PINNED_PLANS)))
+def test_pinned_records_read_back_and_one_token_edits_are_refused_or_written(
+    seed, name, tmp_path
+):
+    # every record of the pinned plans reads back to its own lines, and a
+    # record with one token changed either is refused or states a report
+    # whose written lines are the changed ones
+    _, records = run_plan(PINNED_PLANS[name])
+    path = tmp_path / "records"
+    write_trial_records(records, path)
+    rng = np.random.default_rng(seed)
+    outcomes = set()
+    for block in path.read_text().strip().split("\n\n"):
+        lines = block.split("\n")
+        assert report_to_lines(report_from_lines(block)) == lines[2:]
+        for _ in range(25):
+            i = int(rng.integers(2, len(lines)))
+            key, _, value = lines[i].partition(": ")
+            tokens = value.split(" ")
+            tokens[int(rng.integers(len(tokens)))] = EDIT_TOKENS[rng.integers(len(EDIT_TOKENS))]
+            edited = lines[:i] + [f"{key}: {' '.join(tokens)}"] + lines[i + 1 :]
+            try:
+                report = report_from_lines("\n".join(edited))
+            except ValueError:
+                outcomes.add("refused")
+                continue
+            assert report_to_lines(report) == edited[2:], (block, edited[i])
+            outcomes.add("read" if edited != lines else "unchanged")
+    assert {"refused", "read"} <= outcomes
 
 
 def test_parse_splits_at_first_colon():

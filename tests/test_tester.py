@@ -1297,9 +1297,11 @@ class TestRunTester:
         back = report_from_lines("\n".join(lines))
         assert back == report
         assert f"refine_rounds_used: {report.refine_rounds_used}" in lines
-        # a record written before the rounds were kept still parses
+        # a record without its rounds, as written before they were kept, is
+        # refused
         older = [ln for ln in lines if not ln.startswith("refine_rounds_used:")]
-        assert report_from_lines("\n".join(older)) == replace(report, refine_rounds_used=None)
+        with pytest.raises(ValueError, match="^report missing 'refine_rounds_used' field$"):
+            report_from_lines("\n".join(older))
 
     def test_reject_report_round_trip(self):
         from cubetest.valuations import parity_blend_table
