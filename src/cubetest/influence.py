@@ -19,10 +19,8 @@ draws and queries nothing, not even its base points.  Each estimate keeps the la
 of an independent 2m-query estimate, so it stays unbiased and keeps the
 Hoeffding bound; only the estimates of one batch are dependent.  The
 fresh points are drawn in chunks of at most ESTIMATE_CHUNK_POINTS, one
-RNG draw (`tables.uniform_masks`, which reads the bit generator's words
-directly and gives exactly `rng.integers`' points) and one oracle call
-per chunk; each fresh point takes the base point's coordinates outside
-its set in place.
+`tables.uniform_masks` draw and one oracle call per chunk; each fresh
+point takes the base point's coordinates outside its set in place.
 """
 
 from __future__ import annotations
@@ -54,7 +52,8 @@ ESTIMATE_CHUNK_POINTS = 1 << 13
 # most samples per mask (m) an estimate may draw: past ESTIMATE_CHUNK_POINTS
 # a chunk holds one mask, whose draws, answers and differences take about
 # 40m bytes, 168 MB at 2^22; the paper's m at eps = 0.25, k = 3 is 746,496.
-# A larger m raises BudgetError (exit 4) before anything is drawn
+# A larger m raises BudgetError (exit 4) before anything is drawn, and in
+# a tester config before the run starts
 M_BUDGET = 1 << 22
 # doubles per block of the (sets x degree <= k masks) product of
 # `junta_weights`: a few MB of temporaries whatever the number of sets
@@ -87,6 +86,14 @@ def influence_fourier(coefficients: np.ndarray, S: Iterable[int]) -> float:
     return float(np.sum(coefficients[meets] ** 2))
 
 
+def check_m_budget(m: int) -> None:
+    """Raise BudgetError when m samples per mask exceed M_BUDGET."""
+    if m > M_BUDGET:
+        raise BudgetError(
+            f"influence estimate needs {m} samples per mask, budget is {M_BUDGET}; reduce m"
+        )
+
+
 def estimate_inf_mask(
     oracle: QueryOracle, masks: np.ndarray, m: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -101,26 +108,23 @@ def estimate_inf_mask(
     S empty every completion is the base point, so a mask of 0 gets
     exactly 0.0 and spends no draw and no query.
 
-    The points are one (B' + 1) x m draw, base row first, independent of
-    the chunk size: the base points, then the m fresh points of each
-    nonzero mask in order, so a batch of one draws and queries exactly
-    what the first mask of a longer batch does.  A chunk draws the rows
-    of at most ESTIMATE_CHUNK_POINTS // m nonzero masks (and the first
-    chunk the base row too) in one `uniform_masks` call, and consecutive
-    draws give what one draw gives.  Every mask sees uniform base points
-    and fresh points drawn independently of them, so each estimate has
-    the law of a separate 2m-query estimate; the masks of a batch share
-    the base points (common random numbers), which only correlates their
-    estimates.  A batch of zero masks, or an empty one, draws nothing and
-    queries nothing.  A scalar or 2-D `masks` raises ValueError, and m
-    over M_BUDGET raises BudgetError.
+    The points are one (B' + 1) x m `uniform_masks` draw, base row first,
+    independent of the chunk size: the base points, then the m fresh
+    points of each nonzero mask in order, so a batch of one draws and
+    queries exactly what the first mask of a longer batch does.  A chunk
+    draws the rows of at most ESTIMATE_CHUNK_POINTS // m nonzero masks
+    (and the first chunk the base row too) in one `uniform_masks` call.
+    Every mask sees uniform base points and fresh points drawn
+    independently of them, so each estimate has the law of a separate
+    2m-query estimate; the masks of a batch share the base points
+    (common random numbers), which only correlates their estimates.  A
+    batch of zero masks, or an empty one, draws nothing and queries
+    nothing.  A scalar or 2-D `masks` raises ValueError, and m over
+    M_BUDGET raises BudgetError.
     """
     if m < 1:
         raise ValueError("sample count must be >= 1")
-    if m > M_BUDGET:
-        raise BudgetError(
-            f"influence estimate needs {m} samples per mask, budget is {M_BUDGET}; reduce m"
-        )
+    check_m_budget(m)
     masks = np.asarray(masks, dtype=np.int64)
     if masks.ndim != 1:
         raise ValueError("masks must be a 1-D batch")

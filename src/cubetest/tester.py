@@ -43,7 +43,7 @@ import numpy as np
 
 from . import kvfile
 from .cores import CoreSet, CoreTable, cached_cores
-from .influence import estimate_inf_mask
+from .influence import check_m_budget, estimate_inf_mask
 from .tables import BudgetError, QueryOracle, check_p, coords_of, uniform_masks
 
 # estimator signature: (oracle, masks, m, rng) -> influence estimates;
@@ -133,7 +133,7 @@ class TesterConfig:
     eps2 = `lp_epsilon_map(p, eps)`: a class member lies within
     core_grid/2 of a grid core, plus its junta distance, and an eps-far
     function is at least eps2 from every core; with no gap
-    (core_grid/2 >= eps2) it raises ValueError.  q, num_parts or
+    (core_grid/2 >= eps2) it raises ValueError.  m, q, num_parts or
     q * num_parts over its *_BUDGET constant raises BudgetError."""
 
     eps: float
@@ -156,6 +156,7 @@ class TesterConfig:
             raise ValueError("q, m and num_parts must be >= 1")
         if self.num_parts < self.k:
             raise ValueError("num_parts must be >= k")
+        check_m_budget(self.m)
         if self.q > Q_BUDGET:
             raise BudgetError(
                 f"sampling needs {self.q} sample points, budget is {Q_BUDGET}; reduce q"

@@ -388,20 +388,26 @@ def full_scan_core_statistics(cores, sample_masks, sample_values, phi) -> np.nda
     return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
+def raw_word_masks(rng, n, size):
+    """`size` n-bit points as int64: the top n bits of each of the next
+    `size` raw 64-bit words of rng's bit generator, read with
+    `random_raw`, not through `tables.uniform_masks`."""
+    return (rng.bit_generator.random_raw(size) >> np.uint64(64 - n)).astype(np.int64)
+
+
 def per_mask_estimator(oracle, masks, m, rng):
     """Influence estimator that, one mask at a time, makes one draw of m
     base points and one of m fresh points, and two oracle calls; a mask
     of 0 gets 0.0 and no draw or query.  Takes a 1-D batch of masks, like
     `influence.estimate_inf_mask`."""
-    size = 1 << oracle.n
     out = []
     for mask in masks:
         mask = int(mask)
         if mask == 0:
             out.append(0.0)
             continue
-        base = rng.integers(0, size, size=m, dtype=np.int64)
-        fresh = rng.integers(0, size, size=m, dtype=np.int64)
+        base = raw_word_masks(rng, oracle.n, m)
+        fresh = raw_word_masks(rng, oracle.n, m)
         resampled = (base & ~mask) | (fresh & mask)
         v1 = oracle.query_masks(base)
         v2 = oracle.query_masks(resampled)
@@ -416,16 +422,15 @@ def shared_base_estimator(oracle, masks, m, rng):
     completions of the base; a mask of 0 gets 0.0 and no draw or query.
     Takes a 1-D batch of masks, like `influence.estimate_inf_mask`."""
     out = []
-    size = 1 << oracle.n
     if any(int(mask) for mask in masks):
-        base = rng.integers(0, size, size=m, dtype=np.int64)
+        base = raw_word_masks(rng, oracle.n, m)
         v1 = oracle.query_masks(base)
     for mask in masks:
         mask = int(mask)
         if mask == 0:
             out.append(0.0)
             continue
-        fresh = rng.integers(0, size, size=m, dtype=np.int64)
+        fresh = raw_word_masks(rng, oracle.n, m)
         v2 = oracle.query_masks((base & ~mask) | (fresh & mask))
         out.append(float(np.sum((v1 - v2) ** 2) / (2 * m)))
     return np.array(out, dtype=np.float64)

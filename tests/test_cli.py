@@ -265,10 +265,10 @@ class TestInfluence:
     PINNED = {
         ("2,5", "exact"): "0.0045480468750000004\n",
         ("2,5", "fourier"): "0.004548046875\n",
-        ("2,5", "estimate:500:3"): "0.0045112\n",
+        ("2,5", "estimate:500:3"): "0.004183899999999999\n",
         ("1,3,6", "exact"): "0.046372460937500005\n",
         ("1,3,6", "fourier"): "0.04637246093749999\n",
-        ("1,3,6", "estimate:500:3"): "0.04745400000000001\n",
+        ("1,3,6", "estimate:500:3"): "0.0483257\n",
     }
 
     @pytest.mark.parametrize("coords, mode", sorted(PINNED))
@@ -402,6 +402,21 @@ class TestTestCommand:
         assert capsys.readouterr().err == (
             "budget exceeded: the partition needs q * num_parts = 134283264 bits of part bounds, "
             "budget is 134217728; reduce q or num_parts\n"
+        )
+
+    def test_m_budget_exit_4_before_the_far_instance(self, tmp_path, capsys, monkeypatch):
+        # the tester config refuses m before the plan builds anything, so
+        # a k = 3 mode a plan skips the far instance's grid search (11 s)
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched for a far core over the m budget")
+
+        monkeypatch.setattr(cores, "farthest_grid_core", refuse)
+        overrides = {"q": 16, "m": 20_000_000, "gamma": 0.25}
+        _, path = self._small_plan(tmp_path, k=3, mode="far_mode_a", overrides=overrides)
+        assert main(["test", str(path)]) == 4
+        assert capsys.readouterr().err == (
+            "budget exceeded: influence estimate needs 20000000 samples per mask, "
+            "budget is 4194304; reduce m\n"
         )
 
     def test_enumeration_budget_exit_4(self, tmp_path, capsys):

@@ -32,6 +32,7 @@ from oracles import (
     naive_influence,
     naive_junta_projection,
     per_mask_estimator,
+    raw_word_masks,
     shared_base_estimator,
 )
 
@@ -363,7 +364,7 @@ class TestStreamContract:
     def test_each_draw_holds_a_chunk_and_no_zero_mask(self, m, monkeypatch):
         # the first draw holds the base row and the first chunk of nonzero
         # masks, each later one the next chunk; together they are the
-        # rows of one (B' + 1) x m rng.integers draw
+        # top 8 bits of (B' + 1) x m consecutive raw words
         shapes, rows = [], []
 
         def spy(rng, n, shape):
@@ -380,7 +381,7 @@ class TestStreamContract:
         estimate_inf_mask(oracle, masks, m, np.random.default_rng(2))
         chunks = [min(per_chunk, len(live) - lo) for lo in range(0, len(live), per_chunk)]
         assert shapes == [(1 + chunks[0], m)] + [(chunk, m) for chunk in chunks[1:]]
-        want = np.random.default_rng(2).integers(0, 1 << 8, size=(len(live) + 1, m))
+        want = raw_word_masks(np.random.default_rng(2), 8, (len(live) + 1, m))
         assert np.array_equal(np.concatenate(rows), want)
         assert oracle.query_count == m * (len(live) + 1)
 

@@ -121,6 +121,16 @@ class TestConfig:
         assert paper["q"] * paper["num_parts"] == 66_355_200
         TesterConfig(eps=0.25, k=3, **paper)
 
+    def test_m_budget(self):
+        # refused with the estimator's own words, before any run
+        TesterConfig(eps=0.25, k=2, m=M_BUDGET)
+        with pytest.raises(BudgetError) as refused:
+            TesterConfig(eps=0.25, k=2, m=M_BUDGET + 1)
+        assert str(refused.value) == (
+            f"influence estimate needs {M_BUDGET + 1} samples per mask, budget is {M_BUDGET}; "
+            "reduce m"
+        )
+
     def test_refine_rounds_reach_singletons(self):
         assert default_refine_rounds(6, 12) == math.ceil(math.log2(math.ceil(64 / 12)))
         assert default_refine_rounds(64, 12) == 61
